@@ -47,7 +47,6 @@ from .modules import (
     projective_at,
     projective_cover,
     radical_inclusion,
-    set_default_seed,
     simple_at,
     socle_inclusion,
     top_module,
@@ -91,7 +90,6 @@ from .covering import (
     push_down,
     push_down_morphism,
     twist_module,
-    twist_morphism,
     twisted_iso,
     verify_ext_iso,
     verify_indecomposable_preservation,

@@ -24,7 +24,6 @@ module M by a matrix M(g): M(y) -> M(x) of shape dims(x) x dims(y).
 
 from __future__ import annotations
 
-from .errors import ShapeMismatch
 from .field import Field, Mat
 
 
@@ -116,19 +115,6 @@ class Carrier:
 
     def has_object(self, x) -> bool:
         return x in self._object_index_map()
-
-    def combo_to_vec(self, x, y, combo: dict) -> Mat:
-        """Column vector of a hom-space combination over hom_labels(x,y)."""
-        labels = self.hom_labels(x, y)
-        index = {lab: i for i, lab in enumerate(labels)}
-        v = Mat.zeros(self.field, len(labels), 1)
-        for lab, c in combo.items():
-            if c == 0:
-                continue
-            if lab not in index:
-                raise ShapeMismatch(f"label {lab!r} not in C({x!r},{y!r})")
-            v.a[index[lab], 0] = self.field.scalar(c)
-        return v
 
     def compose_combos(self, x, y, z, fc: dict, gc: dict) -> dict:
         out: dict = {}

@@ -3,8 +3,10 @@ indecomposable listings, single-claim checks, the verification suite, and
 tilting-pair enumeration.
 
 Exit codes: 0 pass/ok, 1 fail, 2 usage or input error, 3 not-applicable or
-indeterminate.  JSON output is byte-deterministic for identical inputs and
-seed; wall-clock timing is only recorded under --timing.
+indeterminate.  A claim whose hypothesis is unmet, or that runs out of a cap,
+the window or a search bound, is reported not-applicable or indeterminate
+without stopping the other claims.  JSON output is byte-deterministic for
+identical inputs and seed; wall-clock timing is only recorded under --timing.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import sys
 import time
 
-from . import modules as modules_mod
 from .cover import smash_cover
 from .covering import (
     orbit_representatives,
@@ -24,11 +25,20 @@ from .covering import (
     verify_indecomposable_preservation,
     verify_orbit_bijection,
 )
-from .errors import QuiverCoverError
+from .errors import (
+    AmbientNotClusterTilting,
+    CapExceeded,
+    DecompositionInconclusive,
+    HypothesisUnverified,
+    IsoInconclusive,
+    NotSquareFree,
+    QuiverCoverError,
+    WindowTooSmall,
+)
 from .groups import Group
 from .knitting import list_indecomposables
 from .module_io import listing_to_json, module_from_json, module_to_json
-from .modules import SubcategorySpec, projective_at
+from .modules import SubcategorySpec, iso_seed, projective_at
 from .precluster import (
     _pushdown_spec,
     verify_bongab,
@@ -140,9 +150,7 @@ def _default_window(pres, n: int) -> int:
 
 
 def _load(args):
-    pres = load_presentation_file(args.input)
-    modules_mod.set_default_seed(args.seed)
-    return pres
+    return load_presentation_file(args.input)
 
 
 def _cover(pres, args, n):
@@ -155,7 +163,6 @@ def _canonical_subcategory(carrier, n: int, cap: int) -> SubcategorySpec:
     injectives under both higher translates.  This is n-precluster tilting
     iff the carrier admits any (G,)n-precluster tilting module, so it is the
     canonical instance for the transfer claims."""
-    from .errors import CapExceeded
     from .precluster import _tau_closure_candidate
 
     spec, stabilized = _tau_closure_candidate(carrier, n, cap)
@@ -186,6 +193,12 @@ def _aggregate(claim: str, instance: dict, reports: list, caps=None) -> Verifica
     )
 
 
+# Errors a claim can raise on a valid input: an unmet hypothesis, or a cap,
+# window or search bound that ran out.  Each becomes that claim's outcome.
+_NOT_APPLICABLE_ERRORS = (HypothesisUnverified, NotSquareFree, AmbientNotClusterTilting)
+_INDETERMINATE_ERRORS = (WindowTooSmall, CapExceeded, DecompositionInconclusive, IsoInconclusive)
+
+
 def run_claim(pres, claim: str, n: int, args) -> VerificationReport:
     cover, halfwidth = _cover(pres, args, n)
     instance = {
@@ -195,6 +208,16 @@ def run_claim(pres, claim: str, n: int, args) -> VerificationReport:
         "window_halfwidth": halfwidth,
         "seed": args.seed,
     }
+    try:
+        rep = _verify(pres, cover, claim, n, args, instance)
+    except _NOT_APPLICABLE_ERRORS + _INDETERMINATE_ERRORS as exc:
+        outcome = NOT_APPLICABLE if isinstance(exc, _NOT_APPLICABLE_ERRORS) else INDETERMINATE
+        rep = VerificationReport(claim, {}, outcome, notes=[f"{type(exc).__name__}: {exc}"])
+    rep.instance = {**instance, **(rep.instance or {})}
+    return rep
+
+
+def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> VerificationReport:
     dimcap = getattr(args, "dimcap", 48)
     if claim == "Main1":
         U = _canonical_subcategory(cover, n, args.cap)
@@ -231,7 +254,6 @@ def run_claim(pres, claim: str, n: int, args) -> VerificationReport:
         rep = scan_tau_n_tilting_finite(cover, n, dimcap=dimcap)
     else:  # pragma: no cover
         raise QuiverCoverError(f"unknown claim {claim}")
-    rep.instance = {**instance, **(rep.instance or {})}
     return rep
 
 
@@ -395,6 +417,7 @@ def main(argv=None) -> int:
         "suite": _cmd_suite,
         "enumerate-tilting": _cmd_enumerate_tilting,
     }
+    token = iso_seed.set(args.seed)
     try:
         return handlers[args.command](args)
     except QuiverCoverError as exc:
@@ -403,6 +426,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"FileNotFound: {exc}", file=sys.stderr)
         return 2
+    finally:
+        iso_seed.reset(token)
 
 
 if __name__ == "__main__":  # pragma: no cover

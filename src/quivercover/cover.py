@@ -193,12 +193,6 @@ class CoverCarrier(Carrier):
         name, g = gen
         return (name, self.group.op(a, g))
 
-    def base_vertex(self, x):
-        return x[0]
-
-    def shift(self, x):
-        return x[1]
-
     # supports of representable functors, from base data (exact, global)
 
     def projective_support(self, x) -> tuple:

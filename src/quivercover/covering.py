@@ -17,8 +17,9 @@ from .modules import (
     hom_dim,
     is_indecomposable,
     is_isomorphic,
+    twist_candidates,
 )
-from .report import INDETERMINATE, NOT_APPLICABLE, VerificationReport
+from .report import NOT_APPLICABLE, VerificationReport
 
 
 # ---------------------------------------------------------------------------
@@ -44,14 +45,6 @@ def twist_module(M: FDModule, a) -> FDModule:
     return FDModule(carrier, dims, mats, check_shapes=False)
 
 
-def twist_morphism(f: ModMorphism, a) -> ModMorphism:
-    carrier = f.src.carrier
-    src = twist_module(f.src, a)
-    tgt = twist_module(f.tgt, a)
-    mats = {carrier.twist_object(a, x): m for x, m in f.mats.items()}
-    return ModMorphism(src, tgt, mats)
-
-
 def canonical_orbit_rep(M: FDModule) -> FDModule:
     """Twist so the minimal support shift is the identity (deterministic).
 
@@ -75,24 +68,15 @@ def orbit_representatives(modules: list) -> list:
     """Canonical twist-orbit representatives of a list of cover modules."""
     reps: list = []
     for M in modules:
-        C = canonical_orbit_rep(M)
-        if not any(twisted_iso(C, r) is not None for r in reps):
-            reps.append(C)
+        add_class(reps, canonical_orbit_rep(M), twisted=True)
     return reps
 
 
 def twisted_iso(M: FDModule, N: FDModule):
     """Some a with ^aM ≅ N, or None.  Candidates come from support matching."""
-    carrier = M.carrier
-    group = carrier.group
     if M.total_dim != N.total_dim:
         return None
-    candidates = set()
-    for (v, g) in M.support:
-        for (w, h) in N.support:
-            if v == w:
-                candidates.add(group.sub(h, g))
-    for a in sorted(candidates):
+    for a in twist_candidates(M.carrier.group, M.support, N.support):
         try:
             T = twist_module(M, a)
         except WindowTooSmall:
@@ -104,18 +88,35 @@ def twisted_iso(M: FDModule, N: FDModule):
     return None
 
 
+def same_class(M: FDModule, N: FDModule, twisted: bool) -> bool:
+    """M ≅ N, or ^aM ≅ N for some twist a when twisted."""
+    return twisted_iso(M, N) is not None if twisted else is_isomorphic(M, N)
+
+
+def add_class(classes: list, M: FDModule, twisted: bool) -> bool:
+    """Append M to classes unless it is in the same class as a member
+    (see same_class); report whether it was appended."""
+    if any(same_class(M, C, twisted) for C in classes):
+        return False
+    classes.append(M)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # push-down and pull-up
 
 
-def _shift_blocks(cover: CoverCarrier, M: FDModule, v):
-    """Ordered (shift, dim, offset) blocks of (push-down M)(v)."""
+def _shift_blocks(M: FDModule, v):
+    """Ordered (shift, dim, offset) blocks of (push-down M)(v).
+
+    The support lists objects shift by shift, so the blocks come in
+    increasing shift order."""
     blocks = []
     off = 0
-    for g in cover.window.sorted_elements():
-        d = M.dim((v, g))
-        if d:
-            blocks.append((g, d, off))
+    for x in M.support:
+        if x[0] == v:
+            d = M.dims[x]
+            blocks.append((x[1], d, off))
             off += d
     return blocks, off
 
@@ -130,7 +131,7 @@ def push_down(M: FDModule) -> FDModule:
     blocks = {}
     dims = {}
     for v in pres.vertices:
-        b, total = _shift_blocks(cover, M, v)
+        b, total = _shift_blocks(M, v)
         blocks[v] = b
         if total:
             dims[v] = total
@@ -160,8 +161,8 @@ def push_down_morphism(f: ModMorphism) -> ModMorphism:
     for v in pres.vertices:
         if not PX.dim(v) and not PY.dim(v):
             continue
-        sb, _ = _shift_blocks(cover, f.src, v)
-        tb, _ = _shift_blocks(cover, f.tgt, v)
+        sb, _ = _shift_blocks(f.src, v)
+        tb, _ = _shift_blocks(f.tgt, v)
         m = field.zeros(PY.dim(v), PX.dim(v))
         trow = {g: (d, off) for g, d, off in tb}
         for g, d, off in sb:
@@ -240,19 +241,14 @@ def lift_morphism(theta: ModMorphism, X: FDModule, Y: FDModule) -> LiftingFamily
     group = cover.group
     pres = cover.base_presentation
     field = pres.field
-    candidates = set()
-    for v in pres.vertices:
-        for g, _, _ in _shift_blocks(cover, X, v)[0]:
-            for h, _, _ in _shift_blocks(cover, Y, v)[0]:
-                candidates.add(group.sub(g, h))
     pairs = []
-    for a in sorted(candidates):
+    for a in twist_candidates(group, Y.support, X.support):
         aY = twist_module(Y, a)  # (^aY)(v,g) = Y(v, g-a)
         mats = {}
         nonzero = False
         for v in pres.vertices:
-            xb, _ = _shift_blocks(cover, X, v)
-            yb = {g: (d, off) for g, d, off in _shift_blocks(cover, Y, v)[0]}
+            xb, _ = _shift_blocks(X, v)
+            yb = {g: (d, off) for g, d, off in _shift_blocks(Y, v)[0]}
             for g, d, off in xb:
                 h = group.sub(g, a)
                 if h not in yb:
@@ -271,8 +267,8 @@ def lift_morphism(theta: ModMorphism, X: FDModule, Y: FDModule) -> LiftingFamily
             pairs.append((a, f))
     # reassemble and compare against theta
     for v in pres.vertices:
-        xb, xdim = _shift_blocks(cover, X, v)
-        yb, ydim = _shift_blocks(cover, Y, v)
+        xb, xdim = _shift_blocks(X, v)
+        yb, ydim = _shift_blocks(Y, v)
         m = field.zeros(ydim, xdim)
         ylook = {g: (d, off) for g, d, off in yb}
         for a, f in pairs:
@@ -288,16 +284,9 @@ def lift_morphism(theta: ModMorphism, X: FDModule, Y: FDModule) -> LiftingFamily
 
 def hom_twist_sum(X: FDModule, Y: FDModule) -> tuple:
     """(sum over a of dim Hom(X, ^aY), contributing twist list)."""
-    cover = X.carrier
-    group = cover.group
-    candidates = set()
-    for (v, g) in X.support:
-        for (w, h) in Y.support:
-            if v == w:
-                candidates.add(group.sub(g, h))
     total = 0
     used = []
-    for a in sorted(candidates):
+    for a in twist_candidates(X.carrier.group, Y.support, X.support):
         aY = twist_module(Y, a)
         d = hom_dim(X, aY)
         if d:
@@ -312,21 +301,13 @@ def ext_twist_sum(X: FDModule, Y: FDModule, i: int) -> tuple:
     Twists are cut off by support arithmetic against the first i+2 terms of
     the minimal resolution of X (morphism spaces out of those terms are the
     only carriers of Ext classes)."""
-    cover = X.carrier
-    group = cover.group
     res = min_proj_resolution(X, i + 1)
-    term_support = set()
+    term_support = set(X.support)
     for t in res.terms:
         term_support.update(t.support)
-    term_support.update(X.support)
-    candidates = set()
-    for (v, g) in term_support:
-        for (w, h) in Y.support:
-            if v == w:
-                candidates.add(group.sub(g, h))
     total = 0
     used = []
-    for a in sorted(candidates):
+    for a in twist_candidates(X.carrier.group, Y.support, term_support):
         aY = twist_module(Y, a)
         d = ext_dim(X, aY, i)
         if d:
@@ -335,8 +316,41 @@ def ext_twist_sum(X: FDModule, Y: FDModule, i: int) -> tuple:
     return total, used
 
 
+def ext_vanishes(A: FDModule, B: FDModule, n: int, twisted: bool) -> bool:
+    """Ext^i(A, B) = 0 for 0 < i < n; when twisted, Ext^i(A, ^aB) = 0 for
+    every twist a as well."""
+    for i in range(1, n):
+        if ext_twist_sum(A, B, i)[0] if twisted else ext_dim(A, B, i):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # verifiers
+
+
+def match_pushdowns(ups: list, downs: list, distinct: bool) -> list:
+    """Match upstairs modules to base classes through the push-down.
+
+    Entry k is the index in downs of the class isomorphic to push_down(ups[k]),
+    or the reason there is none: "decomposable" when that push-down is not
+    indecomposable, "unmatched" when no class fits.  With distinct, each base
+    class is matched at most once, as the Gabriel bijection requires."""
+    used = set()
+    out = []
+    for X in ups:
+        parts = decompose(push_down(X))
+        if len(parts) != 1 or parts[0][1] != 1:
+            out.append("decomposable")
+            continue
+        found = next(
+            (j for j, D in enumerate(downs) if j not in used and is_isomorphic(parts[0][0], D)),
+            "unmatched",
+        )
+        if distinct and isinstance(found, int):
+            used.add(found)
+        out.append(found)
+    return out
 
 
 def _instance_descriptor(carrier, extra=None) -> dict:
@@ -418,29 +432,13 @@ def verify_orbit_bijection(cover: CoverCarrier, dimcap: int = 48, class_cap: int
     classes = orbit_classes(cover, ups)
     base = cover.base_presentation
     downs = list_indecomposables(base, dimcap=dimcap, class_cap=class_cap)
-    matches = []
-    used = set()
-    ok = True
-    for entry in classes:
-        rep = entry[0]
-        P = push_down(rep)
-        parts = decompose(P)
-        if len(parts) != 1 or parts[0][1] != 1:
-            ok = False
-            matches.append({"class_size": len(entry), "pushdown": "decomposable"})
-            continue
-        found = None
-        for j, D in enumerate(downs):
-            if j not in used and is_isomorphic(parts[0][0], D):
-                found = j
-                break
-        if found is None:
-            ok = False
-            matches.append({"class_size": len(entry), "pushdown": "unmatched"})
-        else:
-            used.add(found)
-            matches.append({"class_size": len(entry), "base_index": found})
-    ok = ok and len(classes) == len(downs) and len(used) == len(downs)
+    found = match_pushdowns([entry[0] for entry in classes], downs, distinct=True)
+    matches = [
+        {"class_size": len(entry), ("base_index" if isinstance(j, int) else "pushdown"): j}
+        for entry, j in zip(classes, found)
+    ]
+    matched = sum(isinstance(j, int) for j in found)
+    ok = matched == len(classes) == len(downs)
     return VerificationReport(
         claim="Corres",
         instance=_instance_descriptor(cover, {"dimcap": dimcap}),

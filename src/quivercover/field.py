@@ -257,18 +257,6 @@ def vstack(mats: list[Mat]) -> Mat:
     return Mat._wrap(field, np.vstack([m.a for m in mats]))
 
 
-def block_diag(field: Field, mats: list[Mat]) -> Mat:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    a = field.zeros(rows, cols)
-    r = c = 0
-    for m in mats:
-        a[r : r + m.rows, c : c + m.cols] = m.a
-        r += m.rows
-        c += m.cols
-    return Mat._wrap(field, a)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian elimination
 
@@ -356,8 +344,3 @@ def invert(m: Mat) -> Mat | None:
     if (m @ x) != Mat.identity(m.field, m.rows):
         return None
     return x
-
-
-def in_column_span(basis: Mat, vec: Mat) -> Mat | None:
-    """Coordinates of vec in the given column basis, or None."""
-    return solve_linear(basis, vec)

@@ -8,7 +8,7 @@ groups of rank r (the rank-0 case is the trivial group) and residues
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import SchemaError
 
@@ -113,24 +113,22 @@ class Window:
 
     group: Group
     elements: tuple
+    element_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elems = set(self.elements)
+        elems = frozenset(self.elements)
         if self.group.identity() not in elems:
             raise SchemaError("window box must contain the identity")
         for a in elems:
             if self.group.inv(a) not in elems:
                 raise SchemaError("window box must be symmetric under inversion")
+        object.__setattr__(self, "element_set", elems)
 
     def __contains__(self, a) -> bool:
-        return a in set(self.elements)
+        return a in self.element_set
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
 
     def sorted_elements(self):
         return sorted(self.elements)

@@ -18,7 +18,6 @@ from .modules import (
     ModMorphism,
     ProjCover,
     SubcategorySpec,
-    _twist_candidates,
     decompose,
     direct_sum,
     dual_module,
@@ -30,6 +29,7 @@ from .modules import (
     projective_cover,
     radical_inclusion,
     cokernel_module,
+    twist_candidates,
     zero_module,
     zero_morphism,
 )
@@ -54,18 +54,12 @@ class DimBound:
     def at_least(v: int) -> "DimBound":
         return DimBound("at-least", v)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "exact"
-
     def at_most(self, n: int) -> bool:
         """Certainly <= n?"""
         return self.kind == "exact" and self.value <= n
 
     def at_least_value(self, n: int) -> bool:
-        """Certainly >= n?"""
-        if self.kind == "exact":
-            return self.value >= n
+        """Certainly >= n?  An exact value or a lower bound of at least n."""
         return self.value >= n
 
     def to_json(self):
@@ -215,28 +209,14 @@ def is_injective_module(Q: FDModule) -> bool:
     return is_projective_module(dual_module(Q))
 
 
-def strip_projective_summands(M: FDModule) -> FDModule:
+def strip_summands(M: FDModule, pred) -> FDModule:
+    """M without its indecomposable summands that satisfy pred."""
     if M.is_zero():
         return M
     parts = decompose(M)
     keep = []
     for piece, mult in parts:
-        if not is_projective_module(piece):
-            keep.extend([piece] * mult)
-    if not keep:
-        return zero_module(M.carrier)
-    if len(keep) == sum(m for _, m in parts):
-        return M
-    return direct_sum(keep)[0]
-
-
-def strip_injective_summands(M: FDModule) -> FDModule:
-    if M.is_zero():
-        return M
-    parts = decompose(M)
-    keep = []
-    for piece, mult in parts:
-        if not is_injective_module(piece):
+        if not pred(piece):
             keep.extend([piece] * mult)
     if not keep:
         return zero_module(M.carrier)
@@ -250,7 +230,7 @@ def syzygy(M: FDModule, i: int = 1) -> FDModule:
     if i == 0:
         return M
     data = _proj_data(M, i - 1)
-    return strip_projective_summands(data.stage(i))
+    return strip_summands(data.stage(i), is_projective_module)
 
 
 def cosyzygy(M: FDModule, i: int = 1) -> FDModule:
@@ -259,7 +239,7 @@ def cosyzygy(M: FDModule, i: int = 1) -> FDModule:
         return M
     DM = dual_module(M)
     data = _proj_data(DM, i - 1)
-    return strip_injective_summands(dual_module(data.stage(i)))
+    return strip_summands(dual_module(data.stage(i)), is_injective_module)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +356,6 @@ class ExtSpace:
     degree: int
     dim: int
     cocycles: list = dc_field(default_factory=list)  # morphisms P_degree -> N
-    source_term: FDModule | None = None
 
 
 def _coords_matrix(basis, morphisms) -> Mat:
@@ -400,15 +379,15 @@ def _hom_complex_ext(terms, maps, N, i: int) -> ExtSpace:
     H = [hom_basis(t, N) for t in terms]
     if i == 0:
         if not H[0]:
-            return ExtSpace(0, 0, [], terms[0])
+            return ExtSpace(0, 0, [])
         if len(terms) == 1 or not H[1]:
-            return ExtSpace(0, len(H[0]), list(H[0]), terms[0])
+            return ExtSpace(0, len(H[0]), list(H[0]))
         delta0 = _coords_matrix(H[1], [phi @ maps[0] for phi in H[0]])
         kern = kernel_basis(delta0)
         cocycles = _combine(H[0], kern)
-        return ExtSpace(0, len(cocycles), cocycles, terms[0])
+        return ExtSpace(0, len(cocycles), cocycles)
     if len(H[i]) == 0:
-        return ExtSpace(i, 0, [], terms[i])
+        return ExtSpace(i, 0, [])
     if len(terms) > i + 1 and H[i + 1]:
         delta_i = _coords_matrix(H[i + 1], [phi @ maps[i] for phi in H[i]])
         kern = kernel_basis(delta_i)
@@ -425,7 +404,7 @@ def _hom_complex_ext(terms, maps, N, i: int) -> ExtSpace:
     else:
         reps = kern
     cocycles = _combine(H[i], reps)
-    return ExtSpace(i, len(cocycles), cocycles, terms[i])
+    return ExtSpace(i, len(cocycles), cocycles)
 
 
 def _combine(basis, coeff_cols: Mat):
@@ -465,11 +444,11 @@ def approximation_objects(U: SubcategorySpec, M: FDModule) -> list:
     """Generators of U (plus overlapping window twists when twist-closed)."""
     out = list(U.generators)
     carrier = U.carrier
-    if U.twist_closed and carrier is not None and carrier.is_cover:
+    if U.twisted:
         from .covering import twist_module
 
         for gen in U.generators:
-            for a in _twist_candidates(carrier, gen, M):
+            for a in twist_candidates(carrier.group, gen.support, M.support):
                 if carrier.group.is_identity(a):
                     continue
                 out.append(twist_module(gen, a))

@@ -9,6 +9,7 @@ to the commuting-square conditions against every generator.
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -33,17 +34,10 @@ from .field import (
 )
 
 ISO_SEED = 0xC0FFEE
-_default_seed = ISO_SEED
 
-
-def set_default_seed(seed: int) -> None:
-    """Override the deterministic seed used by decomposition and iso search."""
-    global _default_seed
-    _default_seed = int(seed)
-
-
-def default_seed() -> int:
-    return _default_seed
+# The seed decomposition and iso search use when a call passes none; the CLI
+# sets it for the duration of one command.
+iso_seed: ContextVar[int] = ContextVar("iso_seed", default=ISO_SEED)
 
 
 class FDModule:
@@ -973,7 +967,7 @@ def decompose(M: FDModule, seed: int | None = None) -> list:
     Returns a list of (indecomposable FDModule, multiplicity).
     """
     if seed is None:
-        seed = _default_seed
+        seed = iso_seed.get()
     if M.total_dim == 0:
         return []
     key = ("decompose", seed)
@@ -1056,7 +1050,7 @@ def _certified_indec_iso(M: FDModule, N: FDModule) -> bool:
 def is_isomorphic(M: FDModule, N: FDModule, seed: int | None = None) -> bool:
     """Isomorphism test; exact via decomposition, randomized fast path first."""
     if seed is None:
-        seed = _default_seed
+        seed = iso_seed.get()
     if M.carrier is not N.carrier:
         return False
     if M.dims != N.dims:
@@ -1105,7 +1099,7 @@ def find_iso(M: FDModule, N: FDModule, seed: int | None = None) -> ModMorphism |
     is_isomorphic agrees).
     """
     if seed is None:
-        seed = _default_seed
+        seed = iso_seed.get()
     if M.dims != N.dims:
         return None
     if M.total_dim == 0:
@@ -1160,6 +1154,9 @@ class SubcategorySpec:
     def __init__(self, generators: list, twist_closed: bool = False, check: bool = True):
         self.generators = list(generators)
         self.twist_closed = twist_closed
+        # n-cluster-tilting verdicts, (n, id(pool)) -> (pool, verdict); the
+        # entry holds the pool so that its id cannot be reused
+        self.cluster_tilting: dict = {}
         if check and self.generators:
             for M in self.generators:
                 if not is_indecomposable(M):
@@ -1173,6 +1170,12 @@ class SubcategorySpec:
     def carrier(self):
         return self.generators[0].carrier if self.generators else None
 
+    @property
+    def twisted(self) -> bool:
+        """Do membership, Ext and iso tests range over every twist of the
+        generators (a twist-closed subcategory of a covering carrier)?"""
+        return self.twist_closed and self.carrier is not None and self.carrier.is_cover
+
     def __len__(self):
         return len(self.generators)
 
@@ -1184,12 +1187,12 @@ class SubcategorySpec:
         for U in self.generators:
             if is_isomorphic(U, M):
                 return True
-        if self.twist_closed and self.carrier is not None and self.carrier.is_cover:
+        if self.twisted:
             from .covering import twist_module
 
             carrier = self.carrier
             for U in self.generators:
-                for a in _twist_candidates(carrier, U, M):
+                for a in twist_candidates(carrier.group, U.support, M.support):
                     if carrier.group.is_identity(a):
                         continue
                     try:
@@ -1200,12 +1203,12 @@ class SubcategorySpec:
         return False
 
 
-def _twist_candidates(carrier, U: FDModule, M: FDModule):
-    """Twists a with a·supp(U) meeting supp(M) somewhere (finitely many)."""
-    group = carrier.group
-    out = set()
-    for (v, g) in U.support:
-        for (w, h) in M.support:
-            if v == w:
-                out.add(group.sub(h, g))
-    return sorted(out)
+def twist_candidates(group, src_support, dst_support) -> list:
+    """The sorted twists a moving some (v, g) of src_support onto some
+    (v, h) of dst_support, that is a = h - g at a common base vertex.
+
+    A twist a of a module with support src_support can only meet
+    dst_support for these a, so they bound every search over twists."""
+    return sorted(
+        {group.sub(h, g) for (v, g) in src_support for (w, h) in dst_support if v == w}
+    )

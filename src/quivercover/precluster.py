@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .cover import CoverCarrier, smash_cover
 from .endo import EndoCarrier, endo_category, phi_module
-from .errors import CapExceeded, HypothesisUnverified, WindowTooSmall
+from .errors import HypothesisUnverified, WindowTooSmall
 from .homology import (
     dominant_dimension_upto,
     ext_dim,
@@ -32,14 +32,15 @@ from .modules import (
     zero_module,
 )
 from .covering import (
-    ext_twist_sum,
+    add_class,
+    ext_vanishes,
     hom_twist_sum,
+    match_pushdowns,
     push_down,
     push_down_morphism,
     twist_module,
-    twisted_iso,
 )
-from .homology import right_approximation, kernel_module
+from .homology import kernel_module
 from .report import INDETERMINATE, NOT_APPLICABLE, VerificationReport
 
 
@@ -110,27 +111,11 @@ def _translate_stable(U: SubcategorySpec, n: int, minus: bool) -> bool:
     return True
 
 
-def _ext_vanishing(U: SubcategorySpec, n: int) -> bool:
-    carrier = U.carrier
-    twisted = carrier is not None and carrier.is_cover and U.twist_closed
-    for i in range(1, n):
-        for M in U.generators:
-            for N in U.generators:
-                if twisted:
-                    total, _ = ext_twist_sum(M, N, i)
-                    if total:
-                        return False
-                else:
-                    if ext_dim(M, N, i):
-                        return False
-    return True
-
-
 def _finite_type(U: SubcategorySpec) -> bool:
     """Finite-type surrogate for functorial finiteness: a finite generator
     list, twist-closed inside the window for covering carriers."""
     carrier = U.carrier
-    if carrier is None or not carrier.is_cover or not U.twist_closed:
+    if not U.twisted:
         return True
     for M in U.generators:
         for a in carrier.window.sorted_elements():
@@ -150,7 +135,9 @@ def is_n_precluster(U: SubcategorySpec, n: int) -> PreclusterVerdict:
         generator_cogenerator=is_generator_cogenerator(U),
         tau_stable=_translate_stable(U, n, minus=False),
         tau_minus_stable=_translate_stable(U, n, minus=True),
-        ext_vanishing=_ext_vanishing(U, n),
+        ext_vanishing=all(
+            ext_vanishes(M, N, n, U.twisted) for M in U.generators for N in U.generators
+        ),
         finite_type=_finite_type(U),
         n=n,
     )
@@ -160,18 +147,6 @@ def is_n_precluster(U: SubcategorySpec, n: int) -> PreclusterVerdict:
 # the canonical subcategories P_n and I_n
 
 
-def _dedup_add(classes: list, piece: FDModule, orbit: bool) -> bool:
-    for rep in classes:
-        if orbit:
-            if twisted_iso(piece, rep) is not None:
-                return False
-        else:
-            if is_isomorphic(piece, rep):
-                return False
-    classes.append(piece)
-    return True
-
-
 def _closure(carrier, seeds: list, steps, cap: int) -> tuple:
     """(classes, stabilized, iterations): close seed classes under the steps."""
     orbit = carrier.is_cover
@@ -179,7 +154,7 @@ def _closure(carrier, seeds: list, steps, cap: int) -> tuple:
     frontier = []
     for s in seeds:
         for piece, _ in decompose(s):
-            if _dedup_add(classes, piece, orbit):
+            if add_class(classes, piece, orbit):
                 frontier.append(piece)
     iterations = 0
     while frontier and iterations < cap:
@@ -191,7 +166,7 @@ def _closure(carrier, seeds: list, steps, cap: int) -> tuple:
                 if T.is_zero():
                     continue
                 for piece, _ in decompose(T):
-                    if _dedup_add(classes, piece, orbit):
+                    if add_class(classes, piece, orbit):
                         new_frontier.append(piece)
         frontier = new_frontier
     return classes, not frontier, iterations
@@ -235,27 +210,10 @@ def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> Verificati
             caps=caps,
             notes=["closure did not stabilize within the cap"],
         )
-    used = set()
-    ok = True
-    matching = []
-    for rep in up.generators:
-        parts = decompose(push_down(rep))
-        if len(parts) != 1 or parts[0][1] != 1:
-            ok = False
-            matching.append("decomposable-pushdown")
-            continue
-        found = None
-        for j, D in enumerate(down.generators):
-            if j not in used and is_isomorphic(parts[0][0], D):
-                found = j
-                break
-        if found is None:
-            ok = False
-            matching.append("unmatched")
-        else:
-            used.add(found)
-            matching.append(found)
-    ok = ok and len(used) == len(down.generators) and len(up.generators) == len(down.generators)
+    found = match_pushdowns(up.generators, down.generators, distinct=True)
+    matching = ["decomposable-pushdown" if j == "decomposable" else j for j in found]
+    matched = sum(isinstance(j, int) for j in found)
+    ok = matched == len(up.generators) == len(down.generators)
     return VerificationReport(
         claim="PnPushdown",
         instance={"n": n, "carrier": cover.describe()},
@@ -276,27 +234,21 @@ def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> Verificati
 # perpendicular categories
 
 
+def perpendiculars(U: SubcategorySpec, pool: list, n: int) -> tuple:
+    """(left, right): the pool members M with Ext^i(M, U) = 0, and those with
+    Ext^i(U, M) = 0, for 0 < i < n (over every twist when U is twisted)."""
+    left = [M for M in pool if all(ext_vanishes(M, G, n, U.twisted) for G in U.generators)]
+    right = [M for M in pool if all(ext_vanishes(G, M, n, U.twisted) for G in U.generators)]
+    return left, right
+
+
 def compute_Z(U: SubcategorySpec, pool: list, n: int) -> tuple:
     """(Z(U) as a SubcategorySpec over the pool, symmetric: bool).
 
     Z = the common left/right (n-1)-perpendicular of U inside the pool; the
     left and right computations are performed independently and compared.
     Asymmetry refutes the precluster hypothesis and is reported by callers."""
-    carrier = U.carrier
-    twisted = carrier is not None and carrier.is_cover and U.twist_closed
-
-    def ext_vanishes(A, B, i):
-        if twisted:
-            return ext_twist_sum(A, B, i)[0] == 0
-        return ext_dim(A, B, i) == 0
-
-    left = []
-    right = []
-    for M in pool:
-        if all(ext_vanishes(M, Ugen, i) for Ugen in U.generators for i in range(1, n)):
-            left.append(M)
-        if all(ext_vanishes(Ugen, M, i) for Ugen in U.generators for i in range(1, n)):
-            right.append(M)
+    left, right = perpendiculars(U, pool, n)
     symmetric = [id(m) for m in left] == [id(m) for m in right]
     spec = SubcategorySpec(left, twist_closed=U.twist_closed, check=False)
     return spec, symmetric
@@ -356,8 +308,7 @@ def _pushdown_spec(U: SubcategorySpec) -> SubcategorySpec:
     classes: list = []
     for gen in U.generators:
         for piece, _ in decompose(push_down(gen)):
-            if not any(is_isomorphic(piece, rep) for rep in classes):
-                classes.append(piece)
+            add_class(classes, piece, twisted=False)
     return SubcategorySpec(classes, twist_closed=False, check=False)
 
 
@@ -395,17 +346,10 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             notes=["the downstairs subcategory fails the n-precluster hypothesis"],
         )
     pool = list_indecomposables(cover, dimcap=dimcap)
-    preimage = []
-    covered = set()
-    for X in pool:
-        parts = decompose(push_down(X))
-        if len(parts) == 1 and parts[0][1] == 1:
-            for j, gen in enumerate(V.generators):
-                if is_isomorphic(parts[0][0], gen):
-                    preimage.append(X)
-                    covered.add(j)
-                    break
-    if len(covered) != len(V.generators):
+    # many window twists push down to the same generator
+    found = match_pushdowns(pool, V.generators, distinct=False)
+    preimage = [X for X, j in zip(pool, found) if isinstance(j, int)]
+    if len({j for j in found if isinstance(j, int)}) != len(V.generators):
         return VerificationReport(
             claim="Main2",
             instance={"n": n, "generators": len(V.generators)},
@@ -414,8 +358,7 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
         )
     reps: list = []
     for X in preimage:
-        if not any(twisted_iso(X, rep) is not None for rep in reps):
-            reps.append(X)
+        add_class(reps, X, twisted=True)
     Uspec = SubcategorySpec(reps, twist_closed=True, check=False)
     up = is_n_precluster(Uspec, n)
     return VerificationReport(
@@ -479,9 +422,6 @@ def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> Verificat
         TRANSLATE_NOTE,
     ]
 
-    def ext_pairs_vanish(spec: SubcategorySpec) -> bool:
-        return _ext_vanishing(spec, n)
-
     # (i) existence of an (G,) n-precluster tilting module: the tau-closure of
     # projectives+injectives is the minimal candidate; it works iff anything does
     cand, stab = _tau_closure_candidate(carrier, n, cap)
@@ -494,30 +434,21 @@ def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> Verificat
     Pn_spec, Pn_stab, _ = compute_Pn(carrier, n, cap)
     projs = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     injs = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    twisted = carrier.is_cover
 
-    def perp_into(members, targets) -> bool:
-        for M in members:
-            for T in targets:
-                for i in range(1, n):
-                    if twisted:
-                        if ext_twist_sum(M, T, i)[0]:
-                            return False
-                    elif ext_dim(M, T, i):
-                        return False
-        return True
+    def ext_free(members, targets) -> bool:
+        return all(ext_vanishes(M, T, n, carrier.is_cover) for M in members for T in targets)
 
     if not In_stab:
         conds["ii"] = conds["iii"] = INDETERMINATE
     else:
-        ext_ok = ext_pairs_vanish(In_spec)
-        conds["ii"] = perp_into(In_spec.generators, projs) and ext_ok
+        ext_ok = ext_free(In_spec.generators, In_spec.generators)
+        conds["ii"] = ext_free(In_spec.generators, projs) and ext_ok
         conds["iii"] = all(In_spec.contains_iso(P) for P in projs) and ext_ok
     if not Pn_stab:
         conds["iv"] = conds["v"] = INDETERMINATE
     else:
-        ext_ok = ext_pairs_vanish(Pn_spec)
-        conds["iv"] = perp_into(injs, Pn_spec.generators) and ext_ok
+        ext_ok = ext_free(Pn_spec.generators, Pn_spec.generators)
+        conds["iv"] = ext_free(injs, Pn_spec.generators) and ext_ok
         conds["v"] = all(Pn_spec.contains_iso(I) for I in injs) and ext_ok
     determinate = [v for v in conds.values() if v is not INDETERMINATE]
     if not determinate:
@@ -632,8 +563,7 @@ def _window_twist_objects(U: SubcategorySpec) -> list:
                 T = twist_module(gen, a)
             except WindowTooSmall:
                 continue
-            if not any(is_isomorphic(T, o) for o in out):
-                out.append(T)
+            add_class(out, T, twisted=False)
     return out
 
 

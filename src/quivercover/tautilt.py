@@ -9,7 +9,7 @@ import itertools
 
 from .cover import CoverCarrier
 from .errors import AmbientNotClusterTilting, CapExceeded
-from .homology import ext_dim, tau_n
+from .homology import tau_n
 from .knitting import list_indecomposables
 from .modules import (
     FDModule,
@@ -17,18 +17,19 @@ from .modules import (
     decompose,
     direct_sum,
     hom_dim,
-    is_isomorphic,
     projective_at,
     zero_module,
 )
 from .covering import (
-    ext_twist_sum,
+    add_class,
     hom_twist_sum,
+    match_pushdowns,
     orbit_representatives,
     push_down,
-    twisted_iso,
+    same_class,
 )
-from .report import INDETERMINATE, VerificationReport
+from .precluster import perpendiculars
+from .report import VerificationReport
 
 SUBSET_CAP = 1 << 20
 
@@ -39,39 +40,34 @@ SUBSET_CAP = 1 << 20
 
 def is_n_cluster_tilting(U: SubcategorySpec, n: int, pool: list) -> bool:
     """U equals both of its (n-1)-perpendiculars inside the (exhaustive) pool."""
-    carrier = U.carrier
-    twisted = carrier is not None and carrier.is_cover and U.twist_closed
-
-    def ext_vanishes(A, B, i):
-        if twisted:
-            return ext_twist_sum(A, B, i)[0] == 0
-        return ext_dim(A, B, i) == 0
-
-    left = [
-        M
-        for M in pool
-        if all(ext_vanishes(M, Ug, i) for Ug in U.generators for i in range(1, n))
-    ]
-    right = [
-        M
-        for M in pool
-        if all(ext_vanishes(Ug, M, i) for Ug in U.generators for i in range(1, n))
-    ]
+    twisted = U.twisted
 
     def same_as_U(members) -> bool:
+        reps = members
         if twisted:
             reps = []
             for M in members:
-                if not any(twisted_iso(M, r) is not None for r in reps):
-                    reps.append(M)
-            if len(reps) != len(U.generators):
-                return False
-            return all(any(twisted_iso(r, g) is not None for g in U.generators) for r in reps)
-        if len(members) != len(U.generators):
+                add_class(reps, M, twisted=True)
+        if len(reps) != len(U.generators):
             return False
-        return all(any(is_isomorphic(m, g) for g in U.generators) for m in members)
+        return all(any(same_class(r, g, twisted) for g in U.generators) for r in reps)
 
+    left, right = perpendiculars(U, pool, n)
     return same_as_U(left) and same_as_U(right)
+
+
+def _require_cluster_tilting(ambient: SubcategorySpec, n: int, pool: list) -> None:
+    """Raise unless the ambient is n-cluster tilting inside the pool.
+
+    The verdict is memoised on the ambient, so each (ambient, n, pool) is
+    certified once however many pairs are tested against it."""
+    key = (n, id(pool))
+    entry = ambient.cluster_tilting.get(key)
+    if entry is None or entry[0] is not pool:
+        entry = (pool, is_n_cluster_tilting(ambient, n, pool))
+        ambient.cluster_tilting[key] = entry
+    if not entry[1]:
+        raise AmbientNotClusterTilting("the ambient subcategory is not n-cluster tilting")
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +103,7 @@ def _indec_summands(M: FDModule) -> list:
 
 def _in_add_of_twists(N: FDModule, summands: list) -> bool:
     """Indecomposable N lies in add of the twists of the given summands."""
-    if N.carrier.is_cover:
-        return any(twisted_iso(N, S) is not None for S in summands)
-    return any(is_isomorphic(N, S) for S in summands)
+    return any(same_class(N, S, N.carrier.is_cover) for S in summands)
 
 
 def is_support_tilting_pair(
@@ -118,19 +112,17 @@ def is_support_tilting_pair(
     n: int,
     ambient: SubcategorySpec,
     pool: list,
-    ambient_checked: bool = False,
 ) -> bool:
     """The maximality and projective-support conditions over the ambient.
 
     ambient generators are orbit representatives upstairs; pool is the
-    exhaustive indecomposable list used to certify the ambient when
-    ambient_checked is false.  In the support condition, the twist giving
+    exhaustive indecomposable list that certifies the ambient (once per
+    ambient, n and pool).  In the support condition, the twist giving
     add-membership of a projective and the twists of the hom-vanishing side
     are quantified independently.
     """
     carrier = (M if not M.is_zero() else P).carrier
-    if not ambient_checked and not is_n_cluster_tilting(ambient, n, pool):
-        raise AmbientNotClusterTilting("the ambient subcategory is not n-cluster tilting")
+    _require_cluster_tilting(ambient, n, pool)
     if not is_rigid_pair(M, P, n):
         return False
     M_summands = _indec_summands(M)
@@ -170,8 +162,7 @@ def enumerate_support_tilting_pairs(
     carrier = ambient.carrier
     if carrier is None:
         return []
-    if not is_n_cluster_tilting(ambient, n, pool):
-        raise AmbientNotClusterTilting("the ambient subcategory is not n-cluster tilting")
+    _require_cluster_tilting(ambient, n, pool)
     items = list(ambient.generators)
     projs = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     total = (1 << len(items)) * (1 << len(projs))
@@ -184,7 +175,7 @@ def enumerate_support_tilting_pairs(
         for psel in itertools.product((0, 1), repeat=len(projs)):
             ps = [projs[i] for i in range(len(projs)) if psel[i]]
             P = direct_sum(ps)[0] if ps else zero_module(carrier)
-            if is_support_tilting_pair(M, P, n, ambient, pool, ambient_checked=True):
+            if is_support_tilting_pair(M, P, n, ambient, pool):
                 out.append(
                     (
                         tuple(i for i in range(len(items)) if msel[i]),
@@ -237,26 +228,12 @@ def scan_tau_n_tilting_finite(cover: CoverCarrier, n: int, dimcap: int = 48) -> 
     downs = list_indecomposables(base, dimcap=dimcap)
     rigid_down = [Y for Y in downs if is_G_tau_n_rigid(Y, n)]
     # bijection via push-down
-    used = set()
-    ok = True
-    for rep in classes:
-        parts = decompose(push_down(rep))
-        if len(parts) != 1 or parts[0][1] != 1:
-            ok = False
-            continue
-        found = None
-        for j, D in enumerate(rigid_down):
-            if j not in used and is_isomorphic(parts[0][0], D):
-                found = j
-                break
-        if found is None:
-            ok = False
-        else:
-            used.add(found)
-    ok = ok and len(classes) == len(rigid_down)
+    found = match_pushdowns(classes, rigid_down, distinct=True)
+    ok = all(isinstance(j, int) for j in found) and len(classes) == len(rigid_down)
     per_vertex = []
     for v in base.vertices:
-        up_count = sum(1 for rep in classes if push_down(rep).dim(v))
+        # the push-down is nonzero at v iff the module is nonzero at some (v, g)
+        up_count = sum(1 for rep in classes if any(x[0] == v for x in rep.support))
         down_count = sum(1 for Y in rigid_down if Y.dim(v))
         per_vertex.append({"vertex": v, "upstairs_orbits": up_count, "downstairs": down_count})
         if up_count != down_count:

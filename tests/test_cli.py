@@ -1,10 +1,15 @@
 """CLI contract: commands, exit codes, report schema, determinism."""
 
+import hashlib
 import json
 import os
 
+import pytest
+
+from quivercover import tautilt
 from quivercover.cli import main
-from quivercover.report import VerificationReport, dumps_report, loads_report
+from quivercover.modules import ISO_SEED, decompose, direct_sum, projective_at
+from quivercover.report import CLAIM_IDS, VerificationReport, dumps_report, loads_report
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -206,3 +211,75 @@ def test_exit_code_mapping():
     assert VerificationReport("Main1", {}, False).exit_code() == 1
     assert VerificationReport("Main1", {}, "not-applicable").exit_code() == 3
     assert VerificationReport("Main1", {}, "indeterminate").exit_code() == 3
+
+
+def test_suite_reports_every_claim_when_claims_raise(capsys):
+    # at n = 2 on a window of half-width 3, Main2, DILemma, ModPushdown and
+    # TiltingPushdown run out of the window; each is reported, none aborts
+    code, out, _ = run(
+        capsys, "suite", "--input", golden("loop2"), "--n", "2", "--window", "3"
+    )
+    assert code in (0, 1, 3)
+    reports = json.loads(out)
+    assert [r["claim"] for r in reports] == list(CLAIM_IDS)
+    main2 = reports[CLAIM_IDS.index("Main2")]
+    assert main2["pass"] == "indeterminate"
+    assert main2["notes"][0].startswith("WindowTooSmall: ")
+
+
+def test_unmet_ambient_hypothesis_is_not_applicable(capsys):
+    code, out, _ = run(
+        capsys, "check", "--input", golden("ka2"), "--claim", "TiltingPushdown",
+        "--n", "2", "--window", "6",
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["pass"] == "not-applicable"
+    assert doc["notes"][0].startswith("AmbientNotClusterTilting: ")
+
+
+def test_ambients_certified_once_per_claim(capsys, monkeypatch):
+    calls = []
+    original = tautilt.is_n_cluster_tilting
+
+    def counting(*a, **kw):
+        calls.append(a)
+        return original(*a, **kw)
+
+    monkeypatch.setattr(tautilt, "is_n_cluster_tilting", counting)
+    code, _, _ = run(
+        capsys, "check", "--input", golden("loop2"), "--claim", "TiltingPushdown",
+        "--n", "1", "--window", "6",
+    )
+    assert code == 0
+    assert len(calls) == 2  # the upstairs and the downstairs ambient
+
+
+def test_seed_is_scoped_to_one_command(capsys, n32):
+    code, _, _ = run(capsys, "validate", "--input", golden("n32"), "--seed", "7")
+    assert code == 0
+    M = direct_sum([projective_at(n32, x) for x in n32.vertices])[0]
+    decompose(M)
+    assert ("decompose", ISO_SEED) in M._cache
+    assert ("decompose", 7) not in M._cache
+
+
+# sha256 of the reports of the commit before the shared Ext-vanishing
+# predicate; these are the cheapest runs that reach it (n >= 2)
+N2_REPORT_SHA256 = {
+    ("n32", "SelfinjCriteria"): "85f319f8f26fcb90ccc932d137b48cf190a58be9a641e6afa7456e1e3b16aaed",
+    ("n32", "ZGpEquivalence"): "adf339f0fe5720b0fd90178bd38ddb17c82beeebc22e999b2d2634c366fbb010",
+    ("n32", "PnPushdown"): "0f673ccef7e5e83ee1ceae741beeda952d89fadacf7941721a0781708b656638",
+    ("sixcycle", "SelfinjCriteria"): "2fb25b6eae82b26fcb575f6ecfb033ad27456f3790068f2d270fa37ead1fe9a6",
+    ("sixcycle", "ZGpEquivalence"): "76a427f34fd119689e1c3d0df883783e3d92f8ace0dbc18378383fdff39e4ef1",
+    ("sixcycle", "PnPushdown"): "34d1710d14eb9a0277112843ef470618444a394507f3ac0676121deafaa8ffe3",
+}
+
+
+@pytest.mark.parametrize("name,claim", sorted(N2_REPORT_SHA256))
+def test_n2_ext_reports_unchanged(capsys, name, claim):
+    code, out, _ = run(
+        capsys, "check", "--input", golden(name), "--claim", claim, "--n", "2", "--window", "6"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == N2_REPORT_SHA256[(name, claim)]
