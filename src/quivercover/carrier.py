@@ -116,6 +116,23 @@ class Carrier:
     def has_object(self, x) -> bool:
         return x in self._object_index_map()
 
+    def memo(self, name: str) -> dict:
+        """The carrier's cache table `name`, created empty on first use.
+
+        Work shared by every caller over this carrier (representables,
+        indecomposable pools, cover windows of a presentation) lives here,
+        so it is dropped with the carrier and never outlives it."""
+        tables = self.__dict__.setdefault("_memo_tables", {})
+        return tables.setdefault(name, {})
+
+    def projective_support(self, x) -> tuple:
+        """Objects where C(-, x) is nonzero."""
+        return tuple(y for y in self.objects if self.hom_dim(y, x))
+
+    def injective_support(self, x) -> tuple:
+        """Objects where C(x, -) is nonzero."""
+        return tuple(y for y in self.objects if self.hom_dim(x, y))
+
     def compose_combos(self, x, y, z, fc: dict, gc: dict) -> dict:
         out: dict = {}
         for f, cf in fc.items():
@@ -155,22 +172,24 @@ class Carrier:
         return m
 
     def generators_at_source(self, x) -> tuple:
-        cache = getattr(self, "_gens_by_src", None)
-        if cache is None:
-            cache = {}
-            for g in self.generators:
-                cache.setdefault(self.gen_src(g), []).append(g)
-            self._gens_by_src = cache
-        return tuple(cache.get(x, ()))
+        """The generators starting at x, in generator order."""
+        return self._incidence()[0].get(x, ())
 
     def generators_at_target(self, x) -> tuple:
-        cache = getattr(self, "_gens_by_tgt", None)
-        if cache is None:
-            cache = {}
+        """The generators ending at x, in generator order."""
+        return self._incidence()[1].get(x, ())
+
+    def _incidence(self) -> tuple:
+        tables = self.__dict__.get("_incidence_tables")
+        if tables is None:
+            by_src: dict = {}
+            by_tgt: dict = {}
             for g in self.generators:
-                cache.setdefault(self.gen_tgt(g), []).append(g)
-            self._gens_by_tgt = cache
-        return tuple(cache.get(x, ()))
+                by_src.setdefault(self.gen_src(g), []).append(g)
+                by_tgt.setdefault(self.gen_tgt(g), []).append(g)
+            tables = tuple({x: tuple(gs) for x, gs in t.items()} for t in (by_src, by_tgt))
+            self._incidence_tables = tables
+        return tables
 
 
 class OppositeCarrier(Carrier):

@@ -29,13 +29,17 @@ class CoverCarrier(Carrier):
         self.field = pres.field
         shifts = window.sorted_elements()
         self._objects = tuple((v, g) for g in shifts for v in pres.vertices)
-        gens = []
+        # generator (arrow, g) -> its source and target objects
+        self._gen_src = {}
+        self._gen_tgt = {}
         inside = window.element_set
         for g in shifts:
             for a in pres.arrows:
-                if self.group.op(g, a.weight) in inside:
-                    gens.append((a.name, g))
-        self._generators = tuple(gens)
+                h = self.group.op(g, a.weight)
+                if h in inside:
+                    self._gen_src[(a.name, g)] = (a.src, g)
+                    self._gen_tgt[(a.name, g)] = (a.tgt, h)
+        self._generators = tuple(self._gen_src)
         self._op = None
         self._relations = self._lift_relations()
         # every generating relation must fit somewhere in the box, otherwise
@@ -124,13 +128,10 @@ class CoverCarrier(Carrier):
         return self._generators
 
     def gen_src(self, gen):
-        name, g = gen
-        return (self.base_presentation.arrow(name).src, g)
+        return self._gen_src[gen]
 
     def gen_tgt(self, gen):
-        name, g = gen
-        a = self.base_presentation.arrow(name)
-        return (a.tgt, self.group.op(g, a.weight))
+        return self._gen_tgt[gen]
 
     def gen_label(self, gen):
         return (gen[0],)
@@ -224,8 +225,15 @@ class CoverCarrier(Carrier):
 
 
 def smash_cover(pres: GradedQuiverPresentation, window: Window) -> CoverCarrier:
-    """Materialize the covering category on the given window box."""
-    return CoverCarrier(pres, window)
+    """Materialize the covering category on the given window box.
+
+    One carrier per (presentation, window): every caller shares it, and
+    with it the representables and indecomposable pools memoised on it.
+    A window that raises is not remembered."""
+    covers = pres.memo("covers")
+    if window not in covers:
+        covers[window] = CoverCarrier(pres, window)
+    return covers[window]
 
 
 def materialize_presentation(cover: CoverCarrier):

@@ -18,6 +18,7 @@ from .modules import (
     cokernel_module,
     decompose,
     injective_at,
+    iso_seed,
     projective_at,
     radical_inclusion,
     simple_at,
@@ -60,8 +61,18 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
     """Indecomposables of total dimension <= dimcap, up to isomorphism.
 
     Exhaustive for representation-finite carriers (knitting closure); raises
-    CapExceeded when the class count outgrows class_cap.
+    CapExceeded when the class count outgrows class_cap.  The carrier keeps
+    one pool per (dimcap, class_cap, iso seed), so each is knitted once; the
+    caller gets a fresh list over the shared modules.
     """
+    pools = carrier.memo("indecomposables")
+    key = (dimcap, class_cap, iso_seed.get())
+    if key not in pools:
+        pools[key] = _knit(carrier, dimcap, class_cap)
+    return list(pools[key])
+
+
+def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
     pool = _Pool(class_cap)
     seeds = []
     for x in carrier.objects:
@@ -89,4 +100,4 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
             for piece, _ in decompose(result):
                 if 0 < piece.total_dim <= dimcap and pool.add(piece):
                     work.append(piece)
-    return list(pool.classes)
+    return tuple(pool.classes)

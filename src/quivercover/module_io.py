@@ -86,9 +86,10 @@ def module_from_json(carrier, doc: dict) -> FDModule:
             raise SchemaError(f"bad dimension {d!r} at {key!r}")
         dims[x] = d
     mats = {}
+    generators = set(carrier.generators)
     for key, rows in doc.get("arrowmaps", {}).items():
         g = _gen_from_key(carrier, key)
-        if g not in set(carrier.generators):
+        if g not in generators:
             raise SchemaError(f"unknown arrow {key!r}")
         entries = [[field.scalar_from_string(str(v)) for v in row] for row in rows]
         s, t = carrier.gen_src(g), carrier.gen_tgt(g)

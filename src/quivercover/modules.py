@@ -73,9 +73,10 @@ class FDModule:
 
     @property
     def support(self) -> tuple:
+        """The objects where M is nonzero, in the carrier's object order."""
         if "support" not in self._cache:
             self._cache["support"] = tuple(
-                x for x in self.carrier.objects if self.dims.get(x, 0)
+                sorted(self.dims, key=self.carrier.object_index)
             )
         return self._cache["support"]
 
@@ -169,8 +170,7 @@ class ModMorphism:
     def check(self) -> bool:
         """Verify the commuting squares (used in tests and certificates)."""
         M, N = self.src, self.tgt
-        for g in M.carrier.generators:
-            x, y = M.carrier.gen_src(g), M.carrier.gen_tgt(g)
+        for g, x, y in _square_generators(M, N):
             lhs = self.vertex(x) @ M.mat(g)
             rhs = N.mat(g) @ self.vertex(y)
             if not (lhs - rhs).is_zero():
@@ -203,29 +203,58 @@ def simple_at(carrier: Carrier, x) -> FDModule:
 
 
 def projective_at(carrier: Carrier, x) -> FDModule:
-    """The representable projective C(-, x)."""
-    if carrier.is_cover:
-        carrier.require_in_box(carrier.projective_support(x), f"projective at {x!r}")
-    dims = {y: carrier.hom_dim(y, x) for y in carrier.objects}
-    mats = {}
-    for g in carrier.generators:
-        s, t = carrier.gen_src(g), carrier.gen_tgt(g)
-        if dims.get(s, 0) and dims.get(t, 0):
-            mats[g] = carrier.left_mult_mat(g, x)
-    return FDModule(carrier, dims, mats)
+    """The representable projective C(-, x), built once per carrier."""
+    built = carrier.memo("projective")
+    if x not in built:
+        support = carrier.projective_support(x)
+        if carrier.is_cover:
+            carrier.require_in_box(support, f"projective at {x!r}")
+        dims = {y: carrier.hom_dim(y, x) for y in support}
+        mats = {g: carrier.left_mult_mat(g, x) for g, _, _ in _acting_generators(carrier, dims)}
+        built[x] = FDModule(carrier, dims, mats)
+    return built[x]
 
 
 def injective_at(carrier: Carrier, x) -> FDModule:
-    """The dual representable D C(x, -)."""
-    if carrier.is_cover:
-        carrier.require_in_box(carrier.injective_support(x), f"injective at {x!r}")
-    dims = {y: carrier.hom_dim(x, y) for y in carrier.objects}
-    mats = {}
-    for g in carrier.generators:
-        s, t = carrier.gen_src(g), carrier.gen_tgt(g)
-        if dims.get(s, 0) and dims.get(t, 0):
-            mats[g] = carrier.right_mult_mat(x, g).transpose()
-    return FDModule(carrier, dims, mats)
+    """The dual representable D C(x, -), built once per carrier."""
+    built = carrier.memo("injective")
+    if x not in built:
+        support = carrier.injective_support(x)
+        if carrier.is_cover:
+            carrier.require_in_box(support, f"injective at {x!r}")
+        dims = {y: carrier.hom_dim(x, y) for y in support}
+        mats = {
+            g: carrier.right_mult_mat(x, g).transpose()
+            for g, _, _ in _acting_generators(carrier, dims)
+        }
+        built[x] = FDModule(carrier, dims, mats)
+    return built[x]
+
+
+def _acting_generators(carrier: Carrier, dims: dict) -> list:
+    """(g, src, tgt) for each generator with both ends where dims is nonzero:
+    the only generators that act on a module of these dimensions."""
+    out = []
+    for s, d in dims.items():
+        if d:
+            for g in carrier.generators_at_source(s):
+                t = carrier.gen_tgt(g)
+                if dims.get(t, 0):
+                    out.append((g, s, t))
+    return out
+
+
+def _square_generators(M: FDModule, N: FDModule) -> list:
+    """(g, src, tgt) for each generator whose commuting square for maps
+    M -> N can be nonzero, which needs M(tgt g) and N(src g) nonzero."""
+    carrier = M.carrier
+    out = []
+    for y in M.support:
+        for g in carrier.generators_at_target(y):
+            x = carrier.gen_src(g)
+            if N.dim(x):
+                out.append((g, x, y))
+    return out
 
 
 def direct_sum(mods: list) -> tuple:
@@ -242,18 +271,12 @@ def direct_sum(mods: list) -> tuple:
             off[x] = dims.get(x, 0)
             dims[x] = dims.get(x, 0) + M.dim(x)
         offsets.append(off)
-    mats = {}
-    for g in carrier.generators:
-        s, t = carrier.gen_src(g), carrier.gen_tgt(g)
-        ds, dt = dims.get(s, 0), dims.get(t, 0)
-        if ds == 0 or dt == 0:
-            continue
-        a = field.zeros(ds, dt)
-        for M, off in zip(mods, offsets):
-            if M.dim(s) and M.dim(t):
-                rs, cs = off[s], off[t]
-                a[rs : rs + M.dim(s), cs : cs + M.dim(t)] = M.mat(g).a
-        mats[g] = Mat(field, a)
+    blocks = {g: field.zeros(dims[s], dims[t]) for g, s, t in _acting_generators(carrier, dims)}
+    for M, off in zip(mods, offsets):
+        for g, m in M.gen_mats.items():
+            rs, cs = off[carrier.gen_src(g)], off[carrier.gen_tgt(g)]
+            blocks[g][rs : rs + m.rows, cs : cs + m.cols] = m.a
+    mats = {g: Mat(field, a) for g, a in blocks.items()}
     S = FDModule(carrier, dims, mats, check_shapes=False)
     inclusions = []
     projections = []
@@ -310,7 +333,7 @@ def hom_basis(M: FDModule, N: FDModule) -> list:
         return entry[1]
     carrier = M.carrier
     field = carrier.field
-    var_objs = [x for x in carrier.objects if M.dim(x) and N.dim(x)]
+    var_objs = [x for x in M.support if N.dim(x)]
     offsets = {}
     nvars = 0
     for x in var_objs:
@@ -320,11 +343,8 @@ def hom_basis(M: FDModule, N: FDModule) -> list:
         M._cache[key] = (N, [])
         return []
     rows = []
-    for g in carrier.generators:
-        x, y = carrier.gen_src(g), carrier.gen_tgt(g)
+    for g, x, y in _square_generators(M, N):
         neq = N.dim(x) * M.dim(y)
-        if neq == 0:
-            continue
         has_x = x in offsets
         has_y = y in offsets
         if not has_x and not has_y:
@@ -367,7 +387,7 @@ def morphism_coords(basis: list, phi: ModMorphism) -> Mat | None:
     if not basis:
         return None if not phi.is_zero() else Mat.zeros(phi.src.carrier.field, 0, 1)
     field = phi.src.carrier.field
-    objs = [x for x in phi.src.carrier.objects if phi.src.dim(x) and phi.tgt.dim(x)]
+    objs = [x for x in phi.src.support if phi.tgt.dim(x)]
 
     def flat(psi):
         parts = [np.reshape(psi.vertex(x).a, (-1, 1)) for x in objs]
@@ -395,7 +415,6 @@ def kernel_module(phi: ModMorphism) -> tuple:
     """(K, inclusion K -> src)."""
     M = phi.src
     carrier = M.carrier
-    field = carrier.field
     bases = {}
     dims = {}
     for x in M.support:
@@ -404,14 +423,12 @@ def kernel_module(phi: ModMorphism) -> tuple:
             bases[x] = kb
             dims[x] = kb.cols
     mats = {}
-    for g in carrier.generators:
-        s, t = carrier.gen_src(g), carrier.gen_tgt(g)
-        if dims.get(s, 0) and dims.get(t, 0):
-            image = M.mat(g) @ bases[t]
-            sol = solve_linear(bases[s], image)
-            if sol is None:
-                raise ShapeMismatch("kernel is not arrow-stable; morphism is invalid")
-            mats[g] = sol
+    for g, s, t in _acting_generators(carrier, dims):
+        image = M.mat(g) @ bases[t]
+        sol = solve_linear(bases[s], image)
+        if sol is None:
+            raise ShapeMismatch("kernel is not arrow-stable; morphism is invalid")
+        mats[g] = sol
     K = FDModule(carrier, dims, mats, check_shapes=False)
     incl = ModMorphism(K, M, bases)
     return K, incl
@@ -421,7 +438,6 @@ def image_module(phi: ModMorphism) -> tuple:
     """(Im, inclusion Im -> tgt)."""
     N = phi.tgt
     carrier = N.carrier
-    field = carrier.field
     bases = {}
     dims = {}
     for x in phi.src.support:
@@ -430,13 +446,11 @@ def image_module(phi: ModMorphism) -> tuple:
             bases[x] = cb
             dims[x] = cb.cols
     mats = {}
-    for g in carrier.generators:
-        s, t = carrier.gen_src(g), carrier.gen_tgt(g)
-        if dims.get(s, 0) and dims.get(t, 0):
-            sol = solve_linear(bases[s], N.mat(g) @ bases[t])
-            if sol is None:
-                raise ShapeMismatch("image is not arrow-stable; morphism is invalid")
-            mats[g] = sol
+    for g, s, t in _acting_generators(carrier, dims):
+        sol = solve_linear(bases[s], N.mat(g) @ bases[t])
+        if sol is None:
+            raise ShapeMismatch("image is not arrow-stable; morphism is invalid")
+        mats[g] = sol
     I = FDModule(carrier, dims, mats, check_shapes=False)
     incl = ModMorphism(I, N, bases)
     return I, incl
@@ -473,11 +487,9 @@ def cokernel_module(phi: ModMorphism) -> tuple:
         if inv is None:
             raise ShapeMismatch("complement construction failed")
         proj[x] = Mat(field, inv.a[im.cols :, :])
-    mats = {}
-    for g in carrier.generators:
-        s, t = carrier.gen_src(g), carrier.gen_tgt(g)
-        if dims.get(s, 0) and dims.get(t, 0):
-            mats[g] = proj[s] @ N.mat(g) @ section[t]
+    mats = {
+        g: proj[s] @ N.mat(g) @ section[t] for g, s, t in _acting_generators(carrier, dims)
+    }
     C = FDModule(carrier, dims, mats, check_shapes=False)
     pr = ModMorphism(N, C, proj)
     return C, pr
@@ -490,7 +502,6 @@ def cokernel_module(phi: ModMorphism) -> tuple:
 def radical_inclusion(M: FDModule) -> tuple:
     """(rad M, inclusion): spanned by the images of all generator actions."""
     carrier = M.carrier
-    field = carrier.field
     bases = {}
     dims = {}
     for x in M.support:
@@ -506,13 +517,11 @@ def radical_inclusion(M: FDModule) -> tuple:
             bases[x] = span
             dims[x] = span.cols
     mats = {}
-    for g in carrier.generators:
-        s, t = carrier.gen_src(g), carrier.gen_tgt(g)
-        if dims.get(s, 0) and dims.get(t, 0):
-            sol = solve_linear(bases[s], M.mat(g) @ bases[t])
-            if sol is None:
-                raise ShapeMismatch("radical is not arrow-stable")
-            mats[g] = sol
+    for g, s, t in _acting_generators(carrier, dims):
+        sol = solve_linear(bases[s], M.mat(g) @ bases[t])
+        if sol is None:
+            raise ShapeMismatch("radical is not arrow-stable")
+        mats[g] = sol
     R = FDModule(carrier, dims, mats, check_shapes=False)
     return R, ModMorphism(R, M, bases)
 

@@ -47,6 +47,7 @@ class GradedQuiverPresentation(Carrier):
         self._vertices = tuple(vertices)
         self._arrow_list = tuple(arrows)
         self._arrow_map = {a.name: a for a in self._arrow_list}
+        self._generators = tuple(a.name for a in self._arrow_list)
         self.relations = tuple(
             tuple((field.scalar(c), tuple(path)) for c, path in rel) for rel in relations
         )
@@ -248,7 +249,7 @@ class GradedQuiverPresentation(Carrier):
 
     @property
     def generators(self) -> tuple:
-        return tuple(a.name for a in self._arrow_list)
+        return self._generators
 
     def gen_src(self, g):
         return self._arrow_map[g].src

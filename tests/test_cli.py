@@ -283,3 +283,17 @@ def test_n2_ext_reports_unchanged(capsys, name, claim):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == N2_REPORT_SHA256[(name, claim)]
+
+
+# sha256 and exit code of `suite --n 1 --window 4`, recorded at the commit
+# before covers, pools and representables were shared within a command
+SUITE_W4_REPORT = {
+    "n32": (3, "e89e7ef9ac02fcb421678cefa2930085f62874d10621184f27e62d0f3086788f"),
+    "loop2": (3, "9c3052aef05ae7954f39b1ec57b09f2ca4bf9a11b6f07f554dab833b5f2e6d17"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_W4_REPORT))
+def test_suite_reports_unchanged(capsys, name):
+    code, out, _ = run(capsys, "suite", "--input", golden(name), "--n", "1", "--window", "4")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SUITE_W4_REPORT[name]
