@@ -1,8 +1,8 @@
 """Finite k-linear categories presented by hom bases and structure constants.
 
-Every algebra-like object in the package (a bound quiver presentation, a
-finite window of its covering, the endomorphism category of a finite
-subcategory) implements this interface.  Module theory, resolutions and all
+Every algebra-like object in the package (a bound quiver presentation, its
+covering category, the endomorphism category of a finite subcategory)
+implements this interface.  Module theory, resolutions and all
 verifiers are written once against it.
 
 A carrier consists of:
@@ -16,7 +16,11 @@ A carrier consists of:
 * a distinguished generating set of basis elements ("generators", the
   arrows of a quiver) such that every basis element is a word in them;
 * validation relations: k-linear combinations of generator words that must
-  act as zero on every module.
+  act as zero on every module, listed per source object by relations_at.
+
+A carrier with infinitely many objects (a covering) lists only a finite
+window of them as `objects` and `generators`; every other method accepts
+any object.
 
 Right modules are contravariant functors: a generator g: x -> y acts on a
 module M by a matrix M(g): M(y) -> M(x) of shape dims(x) x dims(y).
@@ -116,6 +120,11 @@ class Carrier:
     def has_object(self, x) -> bool:
         return x in self._object_index_map()
 
+    def in_window(self, objects) -> bool:
+        """Do the objects lie in the carrier's enumeration window?  Always,
+        for a carrier that enumerates all its objects."""
+        return True
+
     def memo(self, name: str) -> dict:
         """The carrier's cache table `name`, created empty on first use.
 
@@ -170,6 +179,16 @@ class Carrier:
             for lab, c in self.compose_labels(x, s, t, q, glab).items():
                 m.a[index[lab], j] = self.field.scalar(c)
         return m
+
+    def relations_at(self, x) -> tuple:
+        """(index, target, terms) of each validation relation starting at x."""
+        table = self.__dict__.get("_relations_by_source")
+        if table is None:
+            table = {}
+            for index, (src, tgt, terms) in enumerate(self.validation_relations()):
+                table.setdefault(src, []).append((index, tgt, terms))
+            self._relations_by_source = table
+        return table.get(x, ())
 
     def generators_at_source(self, x) -> tuple:
         """The generators starting at x, in generator order."""

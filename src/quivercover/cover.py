@@ -1,105 +1,78 @@
-"""Finite windows of the covering category attached to a graded presentation.
+"""The covering category attached to a graded presentation.
 
 The covering category C has objects (v, g) for base vertices v and group
 elements g, and C((v,g),(w,h)) is the weight-(h-g) component of the base path
-space from v to w (the smash-product description).  A CoverCarrier
-materializes the full subcategory on the window box; hom spaces are exact for
-every pair of window objects because they are computed from base data, never
-from a truncated quiver.  Only module-level constructions (projectives,
-resolutions, twists) can run out of the window, raising WindowTooSmall.
+space from v to w (the smash-product description).  A CoverCarrier computes
+hom spaces, generator ends, incidence, path words and relation lifts from
+base data for any object, so no module operation needs a box: the covering
+is locally bounded.  Its window box only bounds what is enumerated: `objects`
+and `generators` list the box, and `in_window` says whether a support lies
+in it.
 """
 
 from __future__ import annotations
 
 from .carrier import Carrier
-from .errors import WindowTooSmall
+from .errors import ShapeMismatch, WindowTooSmall
 from .groups import Window
 from .presentation import GradedQuiverPresentation
 
 
 class CoverCarrier(Carrier):
-    """The covering category restricted to a finite window of shifts."""
+    """The covering category, with a finite window of shifts to enumerate."""
 
     def __init__(self, pres: GradedQuiverPresentation, window: Window):
         if window.group != pres.group:
-            raise WindowTooSmall("window group does not match the presentation group")
+            raise ShapeMismatch("window group does not match the presentation group")
         self.base_presentation = pres
         self.window = window
         self.group = pres.group
         self.field = pres.field
         shifts = window.sorted_elements()
+        inside = window.element_set
         self._objects = tuple((v, g) for g in shifts for v in pres.vertices)
-        # generator (arrow, g) -> its source and target objects
+        self._generators = tuple(
+            (a.name, g)
+            for g in shifts
+            for a in pres.arrows
+            if self.group.op(g, a.weight) in inside
+        )
+        self._vertex_position = {v: i for i, v in enumerate(pres.vertices)}
+        # on-demand tables: generator ends, incidence, path words, relations
         self._gen_src = {}
         self._gen_tgt = {}
-        inside = window.element_set
-        for g in shifts:
-            for a in pres.arrows:
-                h = self.group.op(g, a.weight)
-                if h in inside:
-                    self._gen_src[(a.name, g)] = (a.src, g)
-                    self._gen_tgt[(a.name, g)] = (a.tgt, h)
-        self._generators = tuple(self._gen_src)
+        self._at_source = {}
+        self._at_target = {}
+        self._words = {}
+        self._relations_at = {}
         self._op = None
-        self._relations = self._lift_relations()
-        # every generating relation must fit somewhere in the box, otherwise
-        # window modules would be unconstrained by its shape
-        self._check_relation_coverage()
 
-    # -- construction helpers -------------------------------------------------
-
-    def _lift_path(self, path, g):
-        """Shift sequence of a lifted path; None when it leaves the box."""
-        inside = self.window.element_set
-        shifts = [g]
-        cur = g
+    def _lift_path(self, path, g) -> tuple:
+        """The generator word lifting a base path that starts at shift g."""
+        word = []
         for name in path:
-            cur = self.group.op(cur, self.base_presentation.arrow(name).weight)
-            shifts.append(cur)
-        if all(s in inside for s in shifts):
-            return shifts
-        return None
+            word.append((name, g))
+            g = self.group.op(g, self.base_presentation.arrow(name).weight)
+        return tuple(word)
 
-    def _lift_relations(self):
-        out = []
-        pres = self.base_presentation
-        for rel_index, rel in enumerate(pres.relations):
-            _, path0 = rel[0]
-            src = pres.arrow(path0[0]).src
-            for g in self.window.sorted_elements():
-                terms = []
-                total = 0
-                for c, path in rel:
-                    total += 1
-                    shifts = self._lift_path(path, g)
-                    if shifts is None:
-                        continue
-                    word = tuple(
-                        (name, shifts[i]) for i, name in enumerate(path)
-                    )
-                    terms.append((c, word))
-                if terms:
-                    full = len(terms) == total
-                    out.append((rel, ((src, g), rel_index, terms, full)))
-        return tuple(out)
-
-    def _check_relation_coverage(self):
-        pres = self.base_presentation
-        covered = set()
-        for rel, (start, rel_index, terms, full) in self._relations:
-            if full:
-                covered.add(rel_index)
-        missing = [k for k in range(len(pres.relations)) if k not in covered]
-        if missing:
-            raise WindowTooSmall(
-                f"window box cannot hold any full lift of relation {missing[0]}"
-            )
+    def _lift_generator(self, gen) -> tuple:
+        name, g = gen
+        a = self.base_presentation.arrow(name)
+        ends = (a.src, g), (a.tgt, self.group.op(g, a.weight))
+        self._gen_src[gen], self._gen_tgt[gen] = ends
+        return ends
 
     # -- Carrier interface ------------------------------------------------------
 
     @property
     def objects(self) -> tuple:
+        """The objects of the window box, shift by shift."""
         return self._objects
+
+    def object_index(self, x):
+        """Sort key (shift, vertex position) of any object; on the box it
+        orders as `objects` does."""
+        return (x[1], self._vertex_position[x[0]])
 
     def hom_labels(self, x, y) -> tuple:
         cache = getattr(self, "_hom_cache", None)
@@ -125,32 +98,70 @@ class CoverCarrier(Carrier):
 
     @property
     def generators(self) -> tuple:
+        """The generators with both ends in the window box."""
         return self._generators
 
     def gen_src(self, gen):
-        return self._gen_src[gen]
+        try:
+            return self._gen_src[gen]
+        except KeyError:
+            return self._lift_generator(gen)[0]
 
     def gen_tgt(self, gen):
-        return self._gen_tgt[gen]
+        try:
+            return self._gen_tgt[gen]
+        except KeyError:
+            return self._lift_generator(gen)[1]
 
     def gen_label(self, gen):
         return (gen[0],)
 
-    def label_word(self, x, y, label) -> tuple:
-        shifts = self._lift_path(label, x[1])
-        if shifts is None:
-            raise WindowTooSmall(
-                f"path {label!r} from {x!r} leaves the window box"
-            )
-        return tuple((name, shifts[i]) for i, name in enumerate(label))
+    def generators_at_source(self, x) -> tuple:
+        """The lifts at x of the base arrows leaving its vertex, in arrow order."""
+        gens = self._at_source.get(x)
+        if gens is None:
+            v, g = x
+            gens = tuple((a.name, g) for a in self.base_presentation.arrows if a.src == v)
+            self._at_source[x] = gens
+        return gens
 
-    def validation_relations(self):
-        for rel, (start, rel_index, terms, full) in self._relations:
-            src, g = start
-            _, path0 = rel[0]
-            tgt = self.base_presentation.arrow(path0[-1]).tgt
-            h = self.group.op(g, self.base_presentation.path_weight(path0))
-            yield (src, g), (tgt, h), terms
+    def generators_at_target(self, x) -> tuple:
+        """The lifts ending at x, ordered by source shift, then by arrow."""
+        gens = self._at_target.get(x)
+        if gens is None:
+            w, h = x
+            lifts = sorted(
+                (self.group.sub(h, a.weight), i, a.name)
+                for i, a in enumerate(self.base_presentation.arrows)
+                if a.tgt == w
+            )
+            gens = tuple((name, g) for g, _, name in lifts)
+            self._at_target[x] = gens
+        return gens
+
+    def label_word(self, x, y, label) -> tuple:
+        key = (label, x[1])
+        word = self._words.get(key)
+        if word is None:
+            word = self._words[key] = self._lift_path(label, x[1])
+        return word
+
+    def relations_at(self, x) -> tuple:
+        """The base relations at x's vertex, lifted whole to start at x."""
+        rels = self._relations_at.get(x)
+        if rels is None:
+            v, g = x
+            pres = self.base_presentation
+            rels = tuple(
+                (
+                    index,
+                    (w, self.group.op(g, pres.path_weight(terms[0][1]))),
+                    [(c, self._lift_path(path, g)) for c, path in terms],
+                )
+                for index, w, terms in pres.relations_at(v)
+            )
+            self._relations_at[x] = rels
+        return rels
 
     def opposite(self) -> "CoverCarrier":
         if self._op is None:
@@ -186,6 +197,9 @@ class CoverCarrier(Carrier):
     def in_box(self, g) -> bool:
         return g in self.window.element_set
 
+    def in_window(self, objects) -> bool:
+        return all(self.in_box(x[1]) for x in objects)
+
     def twist_object(self, a, x):
         v, g = x
         return (v, self.group.op(a, g))
@@ -215,21 +229,12 @@ class CoverCarrier(Carrier):
                 out.add((w, self.group.op(g, pres._path_weights[p])))
         return tuple(sorted(out))
 
-    def require_in_box(self, objs, what: str):
-        missing = [x for x in objs if not self.in_box(x[1])]
-        if missing:
-            raise WindowTooSmall(
-                f"{what} needs covering vertices outside the window box: "
-                f"{missing[:4]}{'...' if len(missing) > 4 else ''}"
-            )
-
 
 def smash_cover(pres: GradedQuiverPresentation, window: Window) -> CoverCarrier:
-    """Materialize the covering category on the given window box.
+    """The covering category with the given window box.
 
     One carrier per (presentation, window): every caller shares it, and
-    with it the representables and indecomposable pools memoised on it.
-    A window that raises is not remembered."""
+    with it the representables and indecomposable pools memoised on it."""
     covers = pres.memo("covers")
     if window not in covers:
         covers[window] = CoverCarrier(pres, window)
@@ -265,14 +270,11 @@ def materialize_presentation(cover: CoverCarrier):
         Arrow(aname(gen), vname(cover.gen_src(gen)), vname(cover.gen_tgt(gen)), ())
         for gen in cover.generators
     ]
-    relations = []
-    for (src, g), _, terms, full in (r[1] for r in cover._relations):
-        if not full:
-            continue
-        rel = []
-        for c, word in terms:
-            rel.append((c, tuple(aname(gen) for gen in word)))
-        relations.append(rel)
+    relations = [
+        [(c, tuple(aname(gen) for gen in cover._lift_path(path, g))) for c, path in rel]
+        for rel in pres.relations
+        for g in cover.window.sorted_elements()
+    ]
     flat = GradedQuiverPresentation(
         pres.field, Group.trivial(), vertices, arrows, relations, pres.nilbound
     )

@@ -33,24 +33,16 @@ def twist_module(M: FDModule, a) -> FDModule:
         raise ShapeMismatch("twisting needs a covering carrier")
     if carrier.group.is_identity(a):
         return M
-    dims = {}
-    for x, d in M.dims.items():
-        y = carrier.twist_object(a, x)
-        if not carrier.in_box(y[1]):
-            raise WindowTooSmall(f"twist by {a!r} moves support outside the window")
-        dims[y] = d
-    mats = {}
-    for g, m in M.gen_mats.items():
-        mats[carrier.twist_generator(a, g)] = m
+    dims = {carrier.twist_object(a, x): d for x, d in M.dims.items()}
+    mats = {carrier.twist_generator(a, g): m for g, m in M.gen_mats.items()}
     return FDModule(carrier, dims, mats, check_shapes=False)
 
 
 def canonical_orbit_rep(M: FDModule) -> FDModule:
     """Twist so the minimal support shift is the identity (deterministic).
 
-    Keeps orbit representatives away from the window border, so translate
-    computations on representatives have room; falls back to the module
-    itself when the normalizing twist does not fit."""
+    Falls back to the module itself when the normalizing twist leaves the
+    window, so a representative always lies in the window."""
     carrier = M.carrier
     if not carrier.is_cover or M.is_zero():
         return M
@@ -58,10 +50,8 @@ def canonical_orbit_rep(M: FDModule) -> FDModule:
     a = carrier.group.inv(shifts[0])
     if carrier.group.is_identity(a):
         return M
-    try:
-        return twist_module(M, a)
-    except WindowTooSmall:
-        return M
+    T = twist_module(M, a)
+    return T if carrier.in_window(T.support) else M
 
 
 def orbit_representatives(modules: list) -> list:
@@ -77,10 +67,7 @@ def twisted_iso(M: FDModule, N: FDModule):
     if M.total_dim != N.total_dim:
         return None
     for a in twist_candidates(M.carrier.group, M.support, N.support):
-        try:
-            T = twist_module(M, a)
-        except WindowTooSmall:
-            continue
+        T = twist_module(M, a)
         if T.dims != N.dims:
             continue
         if is_isomorphic(T, N):

@@ -30,7 +30,8 @@ class NotFreeAction(QuiverCoverError):
 
 
 class WindowTooSmall(QuiverCoverError):
-    """A computation would need covering vertices outside the window box."""
+    """A construction is bounded by the window box: a truncated pull-up, a
+    full-group materialization, or an object search inside the window."""
 
 
 class RelationViolated(QuiverCoverError):

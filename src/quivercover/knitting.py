@@ -3,14 +3,14 @@
 Starting from the simples (and every materializable representable), the pool
 is closed under radicals, socle quotients, syzygies, cosyzygies, the AR
 translates, and summand extraction, until no new isomorphism class appears.
-Complete for the representation-finite carriers this toolkit targets; on
-covering windows, steps that would leave the window are skipped, so the pool
-is the set of indecomposables materializable inside the window.
+Complete for the representation-finite carriers this toolkit targets; on a
+covering carrier the pool keeps the indecomposables whose support lies in
+the window.
 """
 
 from __future__ import annotations
 
-from .errors import CapExceeded, WindowTooSmall
+from .errors import CapExceeded
 from .homology import cosyzygy, syzygy, tau, tau_minus
 from .modules import (
     FDModule,
@@ -74,30 +74,26 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
 
 def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
     pool = _Pool(class_cap)
-    seeds = []
-    for x in carrier.objects:
-        seeds.append(simple_at(carrier, x))
-    for builder in (projective_at, injective_at):
-        for x in carrier.objects:
-            try:
-                seeds.append(builder(carrier, x))
-            except WindowTooSmall:
-                continue
     work = []
-    for candidate in seeds:
-        for piece, _ in decompose(candidate):
-            if 0 < piece.total_dim <= dimcap and pool.add(piece):
+
+    def gather(module):
+        for piece, _ in decompose(module):
+            if (
+                0 < piece.total_dim <= dimcap
+                and carrier.in_window(piece.support)
+                and pool.add(piece)
+            ):
                 work.append(piece)
+
+    seeds = [simple_at(carrier, x) for x in carrier.objects]
+    for builder in (projective_at, injective_at):
+        seeds += [builder(carrier, x) for x in carrier.objects]
+    for candidate in seeds:
+        gather(candidate)
     while work:
         M = work.pop(0)
         for step in _closure_steps(M):
-            try:
-                result = step()
-            except WindowTooSmall:
-                continue
-            if result.is_zero():
-                continue
-            for piece, _ in decompose(result):
-                if 0 < piece.total_dim <= dimcap and pool.add(piece):
-                    work.append(piece)
+            result = step()
+            if not result.is_zero():
+                gather(result)
     return tuple(pool.classes)

@@ -121,11 +121,8 @@ def _finite_type(U: SubcategorySpec) -> bool:
         for a in carrier.window.sorted_elements():
             if carrier.group.is_identity(a):
                 continue
-            try:
-                T = twist_module(M, a)
-            except WindowTooSmall:
-                continue
-            if not U.contains_iso(T):
+            T = twist_module(M, a)
+            if carrier.in_window(T.support) and not U.contains_iso(T):
                 return False
     return True
 
@@ -554,16 +551,14 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
 
 
 def _window_twist_objects(U: SubcategorySpec) -> list:
-    """Every materializable in-window twist of the generators, deduplicated."""
+    """Every twist of the generators that lies in the window, deduplicated."""
     carrier = U.carrier
     out = []
     for gen in U.generators:
         for a in carrier.window.sorted_elements():
-            try:
-                T = twist_module(gen, a)
-            except WindowTooSmall:
-                continue
-            add_class(out, T, twisted=False)
+            T = twist_module(gen, a)
+            if carrier.in_window(T.support):
+                add_class(out, T, twisted=False)
     return out
 
 

@@ -83,11 +83,16 @@ def _hom_vanishes_all_twists(A: FDModule, B: FDModule) -> bool:
 
 
 def is_G_tau_n_rigid(M: FDModule, n: int) -> bool:
-    """Hom(M, ^a tau_n M) = 0 for every twist a (plain rigidity downstairs)."""
+    """Hom(M, ^a tau_n M) = 0 for every twist a (plain rigidity downstairs).
+
+    The verdict is kept on M, which every projective subset of a tilting
+    enumeration tests again."""
     if M.is_zero():
         return True
-    T = tau_n(M, n)
-    return _hom_vanishes_all_twists(M, T)
+    key = ("tau_n_rigid", n)
+    if key not in M._cache:
+        M._cache[key] = _hom_vanishes_all_twists(M, tau_n(M, n))
+    return M._cache[key]
 
 
 def is_rigid_pair(M: FDModule, P: FDModule, n: int) -> bool:

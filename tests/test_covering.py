@@ -50,9 +50,13 @@ def test_twist_action_axiom(n32_cover):
 
 
 def test_twist_window_bound(n32_cover):
+    # the window bounds enumeration only: a twist past it exists, is the
+    # shifted projective, and lies outside the window
     P = projective_at(n32_cover, ("1", (0,)))
-    with pytest.raises(WindowTooSmall):
-        twist_module(P, (7,))
+    T = twist_module(P, (7,))
+    assert not n32_cover.in_window(T.support)
+    assert n32_cover.in_window(P.support)
+    assert is_isomorphic(T, projective_at(n32_cover, ("1", (7,))))
 
 
 def test_twist_preserves_hom_dims(n32_cover):

@@ -11,7 +11,6 @@ import pytest
 from quivercover import (
     DimBound,
     SubcategorySpec,
-    WindowTooSmall,
     check_resolution,
     cosyzygy,
     dominant_dimension_upto,
@@ -299,13 +298,17 @@ def test_dominant_dimension(n32, ka2, ausl2, semisimple):
     assert dominant_dimension_upto(ka2, 3) == DimBound.exact(1)
 
 
-def test_window_too_small_resolution(loop2):
-    from quivercover import smash_cover
+def test_edge_resolution_is_the_twisted_centre_resolution(loop2):
+    from quivercover import smash_cover, twist_module
 
     cov = smash_cover(loop2, loop2.group.box(1))
-    edge = simple_at(cov, ("v", (-1,)))
-    with pytest.raises(WindowTooSmall):
-        min_proj_resolution(edge, 3)
+    edge = min_proj_resolution(simple_at(cov, ("v", (-1,))), 3)
+    centre = min_proj_resolution(simple_at(cov, ("v", (0,))), 3)
+    assert len(edge.terms) == len(centre.terms) == 4
+    assert not cov.in_window(edge.terms[1].support)  # the resolution leaves the box
+    for E, C in zip(edge.terms, centre.terms):
+        assert E.dims == twist_module(C, (-1,)).dims
+        assert is_isomorphic(E, twist_module(C, (-1,)))
 
 
 def test_transpose_projective_is_zero(n32):

@@ -9,7 +9,6 @@ from quivercover import (
     NotFreeAction,
     NotLocallyBounded,
     SchemaError,
-    WindowTooSmall,
     load_presentation,
     orbit_of_finite_action,
     smash_cover,
@@ -165,9 +164,21 @@ def test_smash_cover_loop_is_line(loop2):
     assert cov.hom_dim(v0, v2) == 0
 
 
-def test_window_too_small_for_relations(n32):
-    with pytest.raises(WindowTooSmall):
-        smash_cover(n32, n32.group.box(0))
+def test_relation_lift_across_the_box_edge_is_checked(n32):
+    # box(0) holds no arrow of n32, yet a module over it still has to kill
+    # every relation lifted at its support, here a1 a2 from (1, 0) to (3, 2)
+    from quivercover import FDModule, RelationViolated, validate_module
+    from quivercover.field import Mat
+
+    cov = smash_cover(n32, n32.group.box(0))
+    assert cov.generators == ()
+    one = Mat.identity(n32.field, 1)
+    dims = {("1", (0,)): 1, ("2", (1,)): 1, ("3", (2,)): 1}
+    chain = FDModule(cov, dims, {("a1", (0,)): one, ("a2", (1,)): one})
+    with pytest.raises(RelationViolated) as err:
+        validate_module(chain)
+    assert err.value.vertex == ("1", (0,))
+    validate_module(FDModule(cov, dims, {("a1", (0,)): one}))
 
 
 def test_covering_hom_spaces_match_weight_components(n32, n32_cover):

@@ -9,7 +9,6 @@ import pytest
 
 from quivercover import (
     SchemaError,
-    WindowTooSmall,
     injective_at,
     list_indecomposables,
     load_presentation,
@@ -90,21 +89,21 @@ def test_representables_are_built_once():
     for carrier, x in ((pres, "1"), (cover, ("1", (0,)))):
         assert projective_at(carrier, x) is projective_at(carrier, x)
         assert injective_at(carrier, x) is injective_at(carrier, x)
-    # a projective that leaves the window raises on every call
-    for _ in range(2):
-        with pytest.raises(WindowTooSmall):
-            projective_at(cover, ("1", (-4,)))
+    # a projective that leaves the window is built once as well
+    edge = projective_at(cover, ("1", (-4,)))
+    assert edge is projective_at(cover, ("1", (-4,)))
+    assert edge.dims == {("1", (-4,)): 1, ("3", (-5,)): 1}
+    assert not cover.in_window(edge.support)
 
 
 def test_one_cover_per_window():
     pres = fresh("n32")
     assert smash_cover(pres, pres.group.box(3)) is smash_cover(pres, pres.group.box(3))
     assert smash_cover(pres, pres.group.box(3)) is not smash_cover(pres, pres.group.box(4))
-    # a window too small for the relations raises every time and is not kept
-    for _ in range(2):
-        with pytest.raises(WindowTooSmall):
-            smash_cover(pres, pres.group.box(0))
-    assert pres.group.box(0) not in pres.memo("covers")
+    # a box that holds no lift of any relation is a cover like any other
+    tiny = smash_cover(pres, pres.group.box(0))
+    assert tiny is smash_cover(pres, pres.group.box(0))
+    assert pres.memo("covers")[pres.group.box(0)] is tiny
 
 
 def test_module_from_json_rejects_unknown_arrows():

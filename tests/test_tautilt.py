@@ -156,3 +156,22 @@ def test_pushdown_preserves_rigidity(n32_cover):
 
     for rep in orp(li(n32_cover, dimcap=8)):
         assert is_G_tau_n_rigid(rep, 1) == is_G_tau_n_rigid(pd(rep), 1)
+
+
+def test_rigidity_verdict_is_kept_on_the_module(n32_cover, monkeypatch):
+    from quivercover import tautilt
+
+    calls = []
+    original = tautilt.tau_n
+
+    def counting(M, n):
+        calls.append((M, n))
+        return original(M, n)
+
+    monkeypatch.setattr(tautilt, "tau_n", counting)
+    S = simple_at(n32_cover, ("2", (0,)))
+    first = is_G_tau_n_rigid(S, 1)
+    assert is_G_tau_n_rigid(S, 1) == first
+    assert len(calls) == 1
+    is_G_tau_n_rigid(S, 2)  # another n is another verdict
+    assert len(calls) == 2
