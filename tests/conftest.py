@@ -42,6 +42,12 @@ def ausl2():
 
 
 @pytest.fixture(scope="session")
+def sixcycle():
+    """The self-injective Nakayama algebra N(6,2) with its Z-grading."""
+    return load_presentation(golden_doc("sixcycle"))
+
+
+@pytest.fixture(scope="session")
 def semisimple():
     return load_presentation(
         {

@@ -1,13 +1,17 @@
 """Rigidity, support tilting pairs, enumeration, and the covering scans."""
 
+import itertools
+
 import pytest
 
 from quivercover import (
     AmbientNotClusterTilting,
     SubcategorySpec,
+    decompose,
     direct_sum,
     enumerate_support_tilting_pairs,
     hom_dim,
+    hom_twist_sum,
     is_G_tau_n_rigid,
     is_isomorphic,
     is_n_cluster_tilting,
@@ -18,10 +22,12 @@ from quivercover import (
     projective_at,
     scan_tau_n_tilting_finite,
     simple_at,
+    smash_cover,
     tau,
     verify_tilting_pushdown,
     zero_module,
 )
+from quivercover.covering import same_class
 
 
 def pool_of(pres):
@@ -175,3 +181,128 @@ def test_rigidity_verdict_is_kept_on_the_module(n32_cover, monkeypatch):
     assert len(calls) == 1
     is_G_tau_n_rigid(S, 2)  # another n is another verdict
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# a brute-force reference: every (module subset, projective subset), with
+# rigidity and maximality tested on the direct sums themselves
+
+
+def _sum(mods, carrier):
+    return direct_sum(mods)[0] if mods else zero_module(carrier)
+
+
+def _hom_vanishes(A, B):
+    if A.is_zero() or B.is_zero():
+        return True
+    if A.carrier.is_cover:
+        return hom_twist_sum(A, B)[0] == 0
+    return hom_dim(A, B) == 0
+
+
+def _summands(M):
+    return [piece for piece, _ in decompose(M)]
+
+
+def reference_is_pair(M, P, n, ambient):
+    carrier = (M if not M.is_zero() else P).carrier
+    twisted = carrier.is_cover
+    if not is_rigid_pair(M, P, n):
+        return False
+    M_summands = _summands(M)
+    if not all(ambient.contains_iso(S) for S in M_summands):
+        return False
+    for N in ambient.generators:
+        MN = direct_sum([M, N])[0] if not M.is_zero() else N
+        if is_rigid_pair(MN, P, n) and not any(same_class(N, S, twisted) for S in M_summands):
+            return False
+    P_summands = _summands(P)
+    for x in carrier.fundamental_domain():
+        Q = projective_at(carrier, x)
+        in_add_P = any(same_class(Q, S, twisted) for S in P_summands)
+        if in_add_P != _hom_vanishes(Q, M):
+            return False
+    return True
+
+
+def reference_pairs(ambient, n, pool):
+    assert is_n_cluster_tilting(ambient, n, pool)
+    carrier = ambient.carrier
+    items = ambient.generators
+    projs = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
+    out = []
+    for msel in itertools.product((0, 1), repeat=len(items)):
+        M = _sum([X for X, s in zip(items, msel) if s], carrier)
+        for psel in itertools.product((0, 1), repeat=len(projs)):
+            P = _sum([Q for Q, s in zip(projs, psel) if s], carrier)
+            if reference_is_pair(M, P, n, ambient):
+                out.append(
+                    (
+                        tuple(i for i, s in enumerate(msel) if s),
+                        tuple(i for i, s in enumerate(psel) if s),
+                    )
+                )
+    return out
+
+
+def _ambient(carrier, cover):
+    pool = list_indecomposables(carrier, dimcap=8)
+    if cover:
+        return SubcategorySpec(orbit_representatives(pool), twist_closed=True, check=False), pool
+    return SubcategorySpec(pool, check=False), pool
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["base", "cover"])
+@pytest.mark.parametrize("name", ["ka2", "ka3", "n32", "loop2", "ausl2"])
+def test_enumeration_matches_the_subset_reference(name, cover, request):
+    pres = request.getfixturevalue(name)
+    carrier = smash_cover(pres, pres.group.box(3)) if cover else pres
+    ambient, pool = _ambient(carrier, cover)
+    pairs = enumerate_support_tilting_pairs(ambient, 1, pool)
+    assert pairs  # (Lambda, 0) at least
+    assert pairs == reference_pairs(ambient, 1, pool)
+
+
+def test_pair_predicate_matches_the_reference_on_every_subset(n32):
+    ambient, pool = _ambient(n32, cover=False)
+    projs = [projective_at(n32, x) for x in n32.vertices]
+    Ps = [
+        _sum([Q for Q, s in zip(projs, psel) if s], n32)
+        for psel in itertools.product((0, 1), repeat=len(projs))
+    ]
+    verdicts = []
+    for msel in itertools.product((0, 1), repeat=len(ambient.generators)):
+        M = _sum([X for X, s in zip(ambient.generators, msel) if s], n32)
+        for P in Ps:
+            verdict = is_support_tilting_pair(M, P, 1, ambient, pool)
+            assert verdict == reference_is_pair(M, P, 1, ambient)
+            verdicts.append(verdict)
+    assert sum(verdicts) == 14
+
+
+def test_sixcycle_enumeration_finishes(sixcycle):
+    # 2^12 module subsets times 2^6 projective subsets for a subset search
+    ambient, pool = _ambient(sixcycle, cover=False)
+    pairs = enumerate_support_tilting_pairs(ambient, 1, pool)
+    assert len(pairs) == 198
+    for msel, psel in pairs:
+        assert len(msel) + len(psel) == 6
+
+
+def test_enumeration_translates_each_generator_once(monkeypatch):
+    from conftest import golden_doc
+
+    from quivercover import load_presentation, tautilt
+
+    calls = []
+    original = tautilt.tau_n
+
+    def counting(M, n):
+        calls.append(M)
+        return original(M, n)
+
+    monkeypatch.setattr(tautilt, "tau_n", counting)
+    n32 = load_presentation(golden_doc("n32"))  # fresh modules, nothing kept on them
+    ambient, pool = _ambient(n32, cover=False)
+    assert len(enumerate_support_tilting_pairs(ambient, 1, pool)) == 14
+    assert 0 < len(calls) <= len(ambient.generators)
