@@ -38,9 +38,10 @@ from .errors import (
 from .groups import Group
 from .knitting import list_indecomposables
 from .module_io import listing_to_json, module_from_json, module_to_json
-from .modules import SubcategorySpec, direct_sum, iso_seed, projective_at, zero_module
+from .modules import SubcategorySpec, iso_seed, validate_module
 from .precluster import (
     _pushdown_spec,
+    _tau_closure_candidate,
     verify_bongab,
     verify_equivalence_Z_Gp,
     verify_main1,
@@ -163,8 +164,6 @@ def _canonical_subcategory(carrier, n: int, cap: int) -> SubcategorySpec:
     injectives under both higher translates.  This is n-precluster tilting
     iff the carrier admits any (G,)n-precluster tilting module, so it is the
     canonical instance for the transfer claims."""
-    from .precluster import _tau_closure_candidate
-
     spec, stabilized = _tau_closure_candidate(carrier, n, cap)
     if not stabilized:
         raise CapExceeded(
@@ -269,17 +268,12 @@ def _tilting_ambient(carrier, dimcap) -> tuple:
 def _run_tilting_pushdown(pres, cover, n, dimcap, instance) -> VerificationReport:
     pool_up, ambient_up = _tilting_ambient(cover, dimcap)
     pool_down, ambient_down = _tilting_ambient(pres, dimcap)
-    reps = ambient_up.generators
     pairs_up = enumerate_support_tilting_pairs(ambient_up, n, pool_up)
     pairs_down = enumerate_support_tilting_pairs(ambient_down, n, pool_down)
-    projs_up = [projective_at(cover, x) for x in cover.fundamental_domain()]
-    subs = []
-    for msel, psel in pairs_up:
-        M = direct_sum([reps[i] for i in msel])[0] if msel else zero_module(cover)
-        P = direct_sum([projs_up[i] for i in psel])[0] if psel else zero_module(cover)
-        subs.append(
-            verify_tilting_pushdown(M, P, n, ambient_up, pool_up, ambient_down, pool_down)
-        )
+    subs = [
+        verify_tilting_pushdown(pair, n, ambient_up, pool_up, ambient_down, pool_down)
+        for pair in pairs_up
+    ]
     agg = _aggregate("TiltingPushdown", instance, subs)
     agg.witnesses.append(
         {"upstairs_orbit_pairs": len(pairs_up), "downstairs_pairs": len(pairs_down)}
@@ -333,8 +327,6 @@ def _cmd_pushdown(args) -> int:
     with open(args.module, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     M = module_from_json(cover, doc)
-    from .modules import validate_module
-
     validate_module(M)
     _emit(args, module_to_json(push_down(M)))
     return 0

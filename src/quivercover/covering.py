@@ -54,12 +54,31 @@ def canonical_orbit_rep(M: FDModule) -> FDModule:
     return T if carrier.in_window(T.support) else M
 
 
+def orbit_classes(modules: list) -> list:
+    """The twist orbits of a list of cover modules, in order of first
+    appearance: (canonical_orbit_rep(first member), members) per orbit.
+
+    The carrier keeps the partition of each list, keyed by the identities of
+    its modules; the entry holds the list, so that no id can be reused."""
+    if not modules:
+        return []
+    memo = modules[0].carrier.memo("orbit_classes")
+    key = tuple(id(M) for M in modules)
+    if key not in memo:
+        groups: list = []
+        for M in modules:
+            group = next((g for g in groups if twisted_iso(M, g[0]) is not None), None)
+            if group is None:
+                groups.append([M])
+            else:
+                group.append(M)
+        memo[key] = (list(modules), [(canonical_orbit_rep(g[0]), g) for g in groups])
+    return memo[key][1]
+
+
 def orbit_representatives(modules: list) -> list:
     """Canonical twist-orbit representatives of a list of cover modules."""
-    reps: list = []
-    for M in modules:
-        add_class(reps, canonical_orbit_rep(M), twisted=True)
-    return reps
+    return [rep for rep, _ in orbit_classes(modules)]
 
 
 def twisted_iso(M: FDModule, N: FDModule):
@@ -109,7 +128,10 @@ def _shift_blocks(M: FDModule, v):
 
 
 def push_down(M: FDModule) -> FDModule:
-    """Sum the module over every orbit of objects; lands over the base."""
+    """Sum the module over every orbit of objects; lands over the base.
+    The push-down is kept on M, so its decomposition is shared."""
+    if "push_down" in M._cache:
+        return M._cache["push_down"]
     cover = M.carrier
     if not cover.is_cover:
         raise ShapeMismatch("push-down expects a covering module")
@@ -135,7 +157,8 @@ def push_down(M: FDModule) -> FDModule:
                 dcol, coff = col[h]
                 m[off : off + d, coff : coff + dcol] = M.mat((a.name, g)).a
         mats[a.name] = Mat(field, m)
-    return FDModule(pres, dims, mats, check_shapes=False)
+    M._cache["push_down"] = FDModule(pres, dims, mats, check_shapes=False)
+    return M._cache["push_down"]
 
 
 def push_down_morphism(f: ModMorphism) -> ModMorphism:
@@ -398,31 +421,16 @@ def verify_indecomposable_preservation(X: FDModule) -> VerificationReport:
     )
 
 
-def orbit_classes(cover: CoverCarrier, modules: list) -> list:
-    """Group in-window indecomposables into twist-equivalence classes."""
-    classes = []
-    for M in modules:
-        placed = False
-        for entry in classes:
-            if twisted_iso(M, entry[0]) is not None:
-                entry.append(M)
-                placed = True
-                break
-        if not placed:
-            classes.append([M])
-    return classes
-
-
 def verify_orbit_bijection(cover: CoverCarrier, dimcap: int = 48, class_cap: int = 512) -> VerificationReport:
     """Twist-orbit classes upstairs biject with base indecomposables."""
     ups = list_indecomposables(cover, dimcap=dimcap, class_cap=class_cap)
-    classes = orbit_classes(cover, ups)
+    classes = orbit_classes(ups)
     base = cover.base_presentation
     downs = list_indecomposables(base, dimcap=dimcap, class_cap=class_cap)
-    found = match_pushdowns([entry[0] for entry in classes], downs, distinct=True)
+    found = match_pushdowns([members[0] for _, members in classes], downs, distinct=True)
     matches = [
-        {"class_size": len(entry), ("base_index" if isinstance(j, int) else "pushdown"): j}
-        for entry, j in zip(classes, found)
+        {"class_size": len(members), ("base_index" if isinstance(j, int) else "pushdown"): j}
+        for (_, members), j in zip(classes, found)
     ]
     matched = sum(isinstance(j, int) for j in found)
     ok = matched == len(classes) == len(downs)

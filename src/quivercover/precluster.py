@@ -10,37 +10,45 @@ from dataclasses import dataclass
 from .cover import CoverCarrier, smash_cover
 from .endo import EndoCarrier, endo_category, phi_module
 from .errors import HypothesisUnverified, WindowTooSmall
+from .field import invert
 from .homology import (
     dominant_dimension_upto,
     ext_dim,
+    hom_from_yoneda,
     inj_dim_upto,
+    kernel_module,
     tau_n,
     tau_n_minus,
 )
 from .knitting import list_indecomposables
 from .modules import (
     FDModule,
+    ModMorphism,
     SubcategorySpec,
+    cokernel_module,
     decompose,
     direct_sum,
     find_iso,
+    hom_basis,
     hom_dim,
     injective_at,
     is_isomorphic,
     morphism_coords,
     projective_at,
     zero_module,
+    zero_morphism,
 )
 from .covering import (
     add_class,
     ext_vanishes,
     hom_twist_sum,
     match_pushdowns,
+    orbit_classes,
+    orbit_representatives,
     push_down,
     push_down_morphism,
     twist_module,
 )
-from .homology import kernel_module
 from .report import INDETERMINATE, NOT_APPLICABLE, VerificationReport
 
 
@@ -326,10 +334,10 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             witnesses=[{"downstairs": down.to_json()}],
             notes=["the downstairs subcategory fails the n-precluster hypothesis"],
         )
-    pool = list_indecomposables(cover, dimcap=dimcap)
-    # many window twists push down to the same generator
-    found = match_pushdowns(pool, V.generators, distinct=False)
-    preimage = [X for X, j in zip(pool, found) if isinstance(j, int)]
+    # the twists in one orbit push down to the same generator
+    classes = orbit_classes(list_indecomposables(cover, dimcap=dimcap))
+    found = match_pushdowns([members[0] for _, members in classes], V.generators, distinct=False)
+    preimage = [members for (_, members), j in zip(classes, found) if isinstance(j, int)]
     if len({j for j in found if isinstance(j, int)}) != len(V.generators):
         return VerificationReport(
             claim="Main2",
@@ -337,10 +345,7 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             outcome=NOT_APPLICABLE,
             notes=["V is not inside the push-down image of the window pool"],
         )
-    reps: list = []
-    for X in preimage:
-        add_class(reps, X, twisted=True)
-    Uspec = SubcategorySpec(reps, twist_closed=True, check=False)
+    Uspec = SubcategorySpec([members[0] for members in preimage], twist_closed=True, check=False)
     up = is_n_precluster(Uspec, n)
     return VerificationReport(
         claim="Main2",
@@ -350,8 +355,8 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             {
                 "downstairs": down.to_json(),
                 "upstairs": up.to_json(),
-                "preimage_members": len(preimage),
-                "preimage_orbit_classes": len(reps),
+                "preimage_members": sum(len(members) for members in preimage),
+                "preimage_orbit_classes": len(preimage),
             }
         ],
         caps={"dimcap": dimcap},
@@ -553,15 +558,13 @@ def _mod_pushdown_of_phi(E_up: EndoCarrier, E_down: EndoCarrier, down_of, M: FDM
     upstairs object index to (downstairs object index, explicit iso
     P_*(upstairs object) -> downstairs generator).
     """
-    from .modules import hom_basis as _hom
-
     # two-step presentation of M by upstairs objects (right approximations
     # are epi because U contains the projectives)
     def approx(target):
         pieces = []
         comps = []
         for idx, Uo in enumerate(E_up.modules):
-            for phi in _hom(Uo, target):
+            for phi in hom_basis(Uo, target):
                 pieces.append(idx)
                 comps.append(phi)
         if not pieces:
@@ -588,9 +591,6 @@ def _mod_pushdown_of_phi(E_up: EndoCarrier, E_down: EndoCarrier, down_of, M: FDM
             [(prjs0[k] @ d @ incs1[j]) for j in range(len(p1))] for k in range(len(p0))
         ]
     # downstairs: cokernel of the pushed matrix between E_down projectives
-    from .homology import hom_from_yoneda
-    from .modules import zero_morphism as _zero
-
     def down_proj_sum(piece_idx):
         if not piece_idx:
             return zero_module(E_down), [], []
@@ -598,13 +598,13 @@ def _mod_pushdown_of_phi(E_up: EndoCarrier, E_down: EndoCarrier, down_of, M: FDM
 
     Q0, q0_inc, q0_prj = down_proj_sum(p0)
     Q1, q1_inc, q1_prj = down_proj_sum(p1)
-    t = _zero(Q1, Q0)
+    t = zero_morphism(Q1, Q0)
     for k in range(len(p0)):
         for j in range(len(p1)):
             comp = comps01[k][j]
             iso0 = down_of[p0[k]][1]
             iso1 = down_of[p1[j]][1]
-            # downstairt morphism between pushed generators
+            # downstairs morphism between pushed generators
             down_mor = iso0 @ push_down_morphism(comp) @ _invert_iso(iso1)
             o1, o0 = down_of[p1[j]][0], down_of[p0[k]][0]
             coords = morphism_coords(E_down._bases[(o1, o0)], down_mor)
@@ -615,16 +615,11 @@ def _mod_pushdown_of_phi(E_up: EndoCarrier, E_down: EndoCarrier, down_of, M: FDM
                     combo[(o1, o0, r)] = c
             if combo:
                 t = t + (q0_inc[k] @ hom_from_yoneda(E_down, o1, o0, combo) @ q1_prj[j])
-    from .modules import cokernel_module as _coker
-
-    T, _ = _coker(t)
+    T, _ = cokernel_module(t)
     return T
 
 
 def _invert_iso(phi):
-    from .field import invert
-    from .modules import ModMorphism
-
     mats = {}
     for x in phi.src.support:
         inv = invert(phi.vertex(x))
@@ -697,8 +692,6 @@ def verify_mod_pushdown(U: SubcategorySpec, n: int, dimcap: int = 48) -> Verific
                 hom_ok = False
     # (c) the commuting square on the window perpendicular pool, checked on
     # centered orbit representatives (the square is twist-invariant)
-    from .covering import orbit_representatives
-
     pool = list_indecomposables(carrier, dimcap=dimcap)
     Zpool, _ = compute_Z(U, pool, n)
     square_ok = True

@@ -17,7 +17,6 @@ from .modules import (
     projective_at,
 )
 from .covering import (
-    add_class,
     hom_twist_sum,
     match_pushdowns,
     orbit_representatives,
@@ -37,11 +36,7 @@ def is_n_cluster_tilting(U: SubcategorySpec, n: int, pool: list) -> bool:
     twisted = U.twisted
 
     def same_as_U(members) -> bool:
-        reps = members
-        if twisted:
-            reps = []
-            for M in members:
-                add_class(reps, M, twisted=True)
+        reps = orbit_representatives(members) if twisted else members
         if len(reps) != len(U.generators):
             return False
         return all(any(same_class(r, g, twisted) for g in U.generators) for r in reps)
@@ -150,16 +145,24 @@ def _tilting_graph(ambient: SubcategorySpec, n: int, pool: list) -> _TiltingGrap
     return entry[1]
 
 
-def _summand_indices(X: FDModule, candidates: list, twisted: bool):
-    """The sorted indices of the candidates whose class holds a summand of X,
-    or None when some summand lies in no candidate's class."""
+def _summand_indices(pieces: list, candidates: list, twisted: bool):
+    """The sorted indices of the candidates whose class holds one of the
+    pieces, or None when some piece lies in no candidate's class."""
     found = set()
-    for piece, _ in decompose(X):
+    for piece in pieces:
         j = next((j for j, C in enumerate(candidates) if same_class(piece, C, twisted)), None)
         if j is None:
             return None
         found.add(j)
     return tuple(sorted(found))
+
+
+def _is_support_pair(graph: _TiltingGraph, S, Q) -> bool:
+    """Is (S, Q), generator and projective indices or None, a support
+    tilting pair of the graph's ambient?"""
+    if S is None or Q is None or not all(graph.fits(i, S[:a]) for a, i in enumerate(S)):
+        return False
+    return graph.support_pair(S) == (S, Q)
 
 
 def is_support_tilting_pair(
@@ -172,11 +175,10 @@ def is_support_tilting_pair(
     pool is the exhaustive indecomposable list that certifies the ambient.
     """
     graph = _tilting_graph(ambient, n, pool)
-    S = _summand_indices(M, ambient.generators, M.carrier.is_cover)
-    Q = _summand_indices(P, graph.projectives, M.carrier.is_cover)
-    if S is None or Q is None or not all(graph.fits(i, S[:a]) for a, i in enumerate(S)):
-        return False
-    return graph.support_pair(S) == (S, Q)
+    twisted = M.carrier.is_cover
+    S = _summand_indices([piece for piece, _ in decompose(M)], ambient.generators, twisted)
+    Q = _summand_indices([piece for piece, _ in decompose(P)], graph.projectives, twisted)
+    return _is_support_pair(graph, S, Q)
 
 
 def enumerate_support_tilting_pairs(ambient: SubcategorySpec, n: int, pool: list) -> list:
@@ -184,8 +186,8 @@ def enumerate_support_tilting_pairs(ambient: SubcategorySpec, n: int, pool: list
 
     Backtracking over the generators in index order, absent branch first,
     visits only rigid cliques, so pairs come in the lexicographic order of
-    their 0/1 module selections.  The caller rebuilds modules from the
-    ambient's generators and the fundamental-domain projectives."""
+    their 0/1 module selections.  The indices refer to the ambient's
+    generators and the fundamental-domain projectives."""
     if ambient.carrier is None:
         return []
     graph = _tilting_graph(ambient, n, pool)
@@ -210,25 +212,34 @@ def enumerate_support_tilting_pairs(ambient: SubcategorySpec, n: int, pool: list
 
 
 def verify_tilting_pushdown(
-    M: FDModule,
-    P: FDModule,
+    pair: tuple,
     n: int,
     ambient_up: SubcategorySpec,
     pool_up: list,
     ambient_down: SubcategorySpec,
     pool_down: list,
 ) -> VerificationReport:
-    """The upstairs support-pair predicate and the downstairs one agree."""
-    up = is_support_tilting_pair(M, P, n, ambient_up, pool_up)
-    down = is_support_tilting_pair(
-        push_down(M), push_down(P), n, ambient_down, pool_down
-    )
+    """The upstairs support-pair predicate and the downstairs one agree on
+    pair = (generator indices, projective indices) of the upstairs ambient."""
+    msel, psel = pair
+    graph_up = _tilting_graph(ambient_up, n, pool_up)
+    graph_down = _tilting_graph(ambient_down, n, pool_down)
+    mods = [ambient_up.generators[i] for i in msel]
+    projs = [graph_up.projectives[k] for k in psel]
+
+    def down_indices(modules, candidates):  # push-down is additive
+        pieces = [piece for X in modules for piece, _ in decompose(push_down(X))]
+        return _summand_indices(pieces, candidates, False)
+
+    up = _is_support_pair(graph_up, msel, psel)
+    S = down_indices(mods, ambient_down.generators)
+    down = _is_support_pair(graph_down, S, down_indices(projs, graph_down.projectives))
     return VerificationReport(
         claim="TiltingPushdown",
         instance={
             "n": n,
-            "M_dim": M.total_dim,
-            "P_dim": P.total_dim,
+            "M_dim": sum(X.total_dim for X in mods),
+            "P_dim": sum(Q.total_dim for Q in projs),
         },
         outcome=(up == down),
         witnesses=[{"upstairs": up, "downstairs": down}],

@@ -261,7 +261,7 @@ def test_acceptance_9_tilting_transfer(n32, n32_cover):
         M = direct_sum([reps[i] for i in msel])[0] if msel else zero_module(n32_cover)
         P = direct_sum([projs_up[i] for i in psel])[0] if psel else zero_module(n32_cover)
         rep = verify_tilting_pushdown(
-            M, P, 1, ambient_up, pool_up, ambient_down, pool_down
+            (msel, psel), 1, ambient_up, pool_up, ambient_down, pool_down
         )
         assert rep.outcome is True and rep.witnesses[0]["upstairs"] is True
         PM, PP = push_down(M), push_down(P)

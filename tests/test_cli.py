@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -336,3 +338,34 @@ def test_reports_unchanged_by_the_window_free_carrier(capsys, argv):
     command, name, *rest = argv
     code, out, _ = run(capsys, command, "--input", golden(name), *rest)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == WINDOW_FREE_REPORT[argv]
+
+
+# sha256 and exit code of `check --n 1` on sixcycle, recorded at the commit
+# before the orbit partition was kept per pool and TiltingPushdown read
+# index pairs
+SIXCYCLE_N1_REPORT = {
+    "TiltingPushdown": (0, "bf38a16e22a83874b431c91274aaf85904860b232701c5e74b87618895c08df8"),
+    "Main2": (0, "53764021036748f4475537288fcd20047a3287eb520e020ee2e8eb8e371d2480"),
+    "Corres": (0, "abff1020559f953622556229803a917100c8cbb4e62f84abf1aa079e9ea6c6de"),
+    "TiltingFinite": (0, "219f8dc8594341aa7b0d40f9897eeec9d61e2294a3c97670541b53ca421d46e8"),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(SIXCYCLE_N1_REPORT))
+def test_sixcycle_reports_unchanged(capsys, claim):
+    code, out, _ = run(capsys, "check", "--input", golden("sixcycle"), "--claim", claim, "--n", "1")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SIXCYCLE_N1_REPORT[claim]
+
+
+def test_validate_does_not_import_sympy():
+    # sympy is imported lazily, by polynomial factoring only
+    script = (
+        "import sys\n"
+        "from quivercover.cli import main\n"
+        f"code = main(['validate', '--input', {golden('n32')!r}])\n"
+        "sys.exit(10 + code if 'sympy' in sys.modules else code)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr

@@ -29,6 +29,7 @@ from quivercover import (
     verify_indecomposable_preservation,
     verify_orbit_bijection,
 )
+from quivercover.covering import orbit_classes
 from quivercover.modules import identity_morphism, zero_morphism
 
 
@@ -269,3 +270,72 @@ def test_pushdown_exactness_of_sequences(n32_cover):
         im = rank(d_incl.vertex(v))
         ker = push_down(P).dim(v) - rank(d_proj.vertex(v))
         assert im == ker
+
+
+def _parent_orbit_classes(modules):
+    # the grouping Corres used before orbit_classes read one partition
+    classes = []
+    for M in modules:
+        for entry in classes:
+            if twisted_iso(M, entry[0]) is not None:
+                entry.append(M)
+                break
+        else:
+            classes.append([M])
+    return classes
+
+
+def _parent_orbit_representatives(modules):
+    # the grouping the orbit reductions used: canonical reps, first kept
+    reps = []
+    for M in modules:
+        R = canonical_orbit_rep(M)
+        if not any(twisted_iso(R, C) is not None for C in reps):
+            reps.append(R)
+    return reps
+
+
+def _same_module(A, B):
+    return (
+        A.dims == B.dims
+        and A.gen_mats.keys() == B.gen_mats.keys()
+        and all((A.gen_mats[g].a == B.gen_mats[g].a).all() for g in A.gen_mats)
+    )
+
+
+@pytest.mark.parametrize("name", ["ausl2", "ka2", "ka3", "loop2", "n32", "sixcycle"])
+def test_orbit_classes_match_the_parent_groupings(name, request):
+    pres = request.getfixturevalue(name)
+    cover = smash_cover(pres, pres.group.box(3))
+    pool = list_indecomposables(cover, dimcap=8)
+    classes = orbit_classes(pool)
+    old_classes = _parent_orbit_classes(pool)
+    old_reps = _parent_orbit_representatives(pool)
+    # the same member objects, in the same classes and order
+    ids = [[id(M) for M in members] for _, members in classes]
+    assert ids == [[id(M) for M in c] for c in old_classes]
+    assert len(classes) == len(old_reps)
+    assert all(_same_module(rep, old) for (rep, _), old in zip(classes, old_reps))
+
+
+def test_second_orbit_grouping_makes_no_twisted_iso_call(n32, monkeypatch):
+    from quivercover import covering
+
+    cover = smash_cover(n32, n32.group.box(4))
+    first = orbit_representatives(list_indecomposables(cover, dimcap=8))
+    calls = []
+    original = covering.twisted_iso
+
+    def counting(M, N):
+        calls.append((M, N))
+        return original(M, N)
+
+    monkeypatch.setattr(covering, "twisted_iso", counting)
+    second = orbit_representatives(list_indecomposables(cover, dimcap=8))
+    assert calls == []
+    assert all(A is B for A, B in zip(first, second)) and len(first) == len(second)
+
+
+def test_push_down_is_kept_on_the_module(n32_cover):
+    X = simple_at(n32_cover, ("2", (1,)))
+    assert push_down(X) is push_down(X)

@@ -267,3 +267,26 @@ def test_precluster_endo_is_nmag(n32, ka3):
     U2 = everything(ka3)
     assert is_n_precluster(U2, 1).passes
     assert check_nMAG(endo_category(U2), 1).passed
+
+
+@pytest.mark.parametrize("name", ["n32", "loop2"])
+def test_main2_preimage_counts_match_a_per_member_count(name, request):
+    from quivercover import decompose, push_down, twisted_iso
+
+    cover = request.getfixturevalue(name + "_cover")
+    V = _pushdown_spec(cover_projectives(cover))
+    rep = verify_main2(V, cover, 1, dimcap=8)
+    # every pool member whose push-down is one of V's generators
+    preimage = []
+    for X in list_indecomposables(cover, dimcap=8):
+        parts = decompose(push_down(X))
+        if len(parts) == 1 and parts[0][1] == 1:
+            if any(is_isomorphic(parts[0][0], D) for D in V.generators):
+                preimage.append(X)
+    classes = []
+    for X in preimage:
+        if not any(twisted_iso(X, C) is not None for C in classes):
+            classes.append(X)
+    w = rep.witnesses[0]
+    assert rep.outcome is True
+    assert (w["preimage_members"], w["preimage_orbit_classes"]) == (len(preimage), len(classes))

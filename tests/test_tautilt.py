@@ -20,6 +20,7 @@ from quivercover import (
     list_indecomposables,
     orbit_representatives,
     projective_at,
+    push_down,
     scan_tau_n_tilting_finite,
     simple_at,
     smash_cover,
@@ -131,12 +132,16 @@ def test_tilting_pushdown_instances(n32, n32_cover):
     pool_down = pool_of(n32)
     ambient_down = SubcategorySpec(pool_down, check=False)
     projs = [projective_at(n32_cover, x) for x in n32_cover.fundamental_domain()]
-    lam = direct_sum(projs)[0]
+    # (Lambda, 0): the generators that are twists of the projectives
+    lam = tuple(
+        sorted(next(i for i, R in enumerate(reps) if same_class(Q, R, True)) for Q in projs)
+    )
     rep = verify_tilting_pushdown(
-        lam, zero_module(n32_cover), 1, ambient_up, pool_up, ambient_down, pool_down
+        (lam, ()), 1, ambient_up, pool_up, ambient_down, pool_down
     )
     assert rep.outcome is True
     assert rep.witnesses[0]["upstairs"] is True
+    assert rep.instance["M_dim"] == direct_sum(projs)[0].total_dim
 
 
 def test_scan_finite(n32_cover, loop2_cover):
@@ -306,3 +311,54 @@ def test_enumeration_translates_each_generator_once(monkeypatch):
     ambient, pool = _ambient(n32, cover=False)
     assert len(enumerate_support_tilting_pairs(ambient, 1, pool)) == 14
     assert 0 < len(calls) <= len(ambient.generators)
+
+
+@pytest.mark.parametrize("name", ["n32", "loop2", "ka2"])
+def test_tilting_pushdown_on_index_pairs_matches_the_module_path(name, request):
+    # the module path: build each pair's sums and ask the module predicate
+    # upstairs and on their push-downs
+    pres = request.getfixturevalue(name)
+    cover = smash_cover(pres, pres.group.box(3))
+    ambient_up, pool_up = _ambient(cover, cover=True)
+    ambient_down, pool_down = _ambient(pres, cover=False)
+    projs = [projective_at(cover, x) for x in cover.fundamental_domain()]
+    pairs = enumerate_support_tilting_pairs(ambient_up, 1, pool_up)
+    assert pairs
+    for msel, psel in pairs:
+        M = _sum([ambient_up.generators[i] for i in msel], cover)
+        P = _sum([projs[k] for k in psel], cover)
+        up = is_support_tilting_pair(M, P, 1, ambient_up, pool_up)
+        down = is_support_tilting_pair(push_down(M), push_down(P), 1, ambient_down, pool_down)
+        rep = verify_tilting_pushdown(
+            (msel, psel), 1, ambient_up, pool_up, ambient_down, pool_down
+        )
+        assert rep.witnesses[0] == {"upstairs": up, "downstairs": down}
+        assert (rep.instance["M_dim"], rep.instance["P_dim"]) == (M.total_dim, P.total_dim)
+        assert rep.outcome is True
+
+
+def test_tilting_pushdown_claim_pushes_each_summand_down_once(monkeypatch):
+    from quivercover import covering, load_presentation
+    from quivercover.cli import _tilting_ambient, build_parser, run_claim
+    from tests.conftest import golden_doc
+
+    pres = load_presentation(golden_doc("n32"))  # nothing pushed down yet
+    args = build_parser().parse_args(
+        ["check", "--input", "n32.json", "--claim", "TiltingPushdown", "--window", "6"]
+    )
+    cover = smash_cover(pres, pres.group.box(6))  # the claim's cover
+    ambient_up = _tilting_ambient(cover, args.dimcap)[1]
+    projs = [projective_at(cover, x) for x in cover.fundamental_domain()]
+    allowed = {id(X) for X in ambient_up.generators + projs}
+    computed = []
+    original = covering._shift_blocks
+
+    def recording(M, v):
+        computed.append((id(M), v))
+        return original(M, v)
+
+    monkeypatch.setattr(covering, "_shift_blocks", recording)
+    rep = run_claim(pres, "TiltingPushdown", 1, args)
+    assert rep.outcome is True
+    assert computed and len(computed) == len(set(computed))  # once per module
+    assert {m for m, _ in computed} <= allowed
