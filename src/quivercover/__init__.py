@@ -85,7 +85,6 @@ from .covering import (
     hom_twist_sum,
     ext_twist_sum,
     lift_morphism,
-    orbit_representatives,
     pull_up,
     push_down,
     push_down_morphism,

@@ -19,7 +19,6 @@ import time
 
 from .cover import smash_cover
 from .covering import (
-    orbit_representatives,
     push_down,
     verify_ext_iso,
     verify_indecomposable_preservation,
@@ -88,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indecs", help="list indecomposables up to isomorphism")
     common(p)
-    p.add_argument("--cover", action="store_true", help="enumerate on the covering window")
+    p.add_argument("--cover", action="store_true", help="one centred module per twist orbit of the covering")
     p.add_argument("--dimcap", type=int, default=48)
 
     p = sub.add_parser("check", help="verify one claim")
@@ -225,7 +224,7 @@ def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> Verificati
         U = _canonical_subcategory(cover, n, args.cap)
         rep = verify_main2(_pushdown_spec(U), cover, n, dimcap=dimcap)
     elif claim == "DILemma":
-        reps = orbit_representatives(list_indecomposables(cover, dimcap=dimcap))
+        reps = list_indecomposables(cover, dimcap=dimcap)
         subs = []
         for X in reps:
             for Y in reps:
@@ -234,7 +233,7 @@ def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> Verificati
         rep = _aggregate(claim, instance, subs, caps={"pairs": len(reps) ** 2, "degrees": [0, 1, 2]})
     elif claim == "Corres":
         subs = [verify_orbit_bijection(cover, dimcap=dimcap)]
-        for X in orbit_representatives(list_indecomposables(cover, dimcap=dimcap)):
+        for X in list_indecomposables(cover, dimcap=dimcap):
             subs.append(verify_indecomposable_preservation(X))
         rep = _aggregate(claim, instance, subs)
     elif claim == "PnPushdown":
@@ -257,12 +256,10 @@ def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> Verificati
 
 
 def _tilting_ambient(carrier, dimcap) -> tuple:
-    """(pool, ambient): the whole indecomposable pool, by twist-closed orbit
-    representatives on a covering carrier."""
+    """(pool, ambient): the whole indecomposable pool, twist-closed on a
+    covering carrier."""
     pool = list_indecomposables(carrier, dimcap=dimcap)
-    if carrier.is_cover:
-        return pool, SubcategorySpec(orbit_representatives(pool), twist_closed=True, check=False)
-    return pool, SubcategorySpec(pool, check=False)
+    return pool, SubcategorySpec(pool, twist_closed=carrier.is_cover, check=False)
 
 
 def _run_tilting_pushdown(pres, cover, n, dimcap, instance) -> VerificationReport:

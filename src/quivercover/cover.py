@@ -5,9 +5,10 @@ elements g, and C((v,g),(w,h)) is the weight-(h-g) component of the base path
 space from v to w (the smash-product description).  A CoverCarrier computes
 hom spaces, generator ends, incidence, path words and relation lifts from
 base data for any object, so no module operation needs a box: the covering
-is locally bounded.  Its window box only bounds what is enumerated: `objects`
-and `generators` list the box, and `in_window` says whether a support lies
-in it.
+is locally bounded, and its indecomposables are knitted one twist orbit at a
+time.  The window box bounds only the rest: `objects` and `generators` list
+the box (pull-up, module literals), and `in_window` says whether a support
+lies in it (window twist lists and window counts).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from .cover import CoverCarrier
 from .errors import ShapeMismatch, WindowTooSmall
 from .field import Mat
 from .homology import ext_dim, min_proj_resolution
-from .knitting import list_indecomposables
 from .modules import (
     FDModule,
     ModMorphism,
@@ -39,46 +38,22 @@ def twist_module(M: FDModule, a) -> FDModule:
 
 
 def canonical_orbit_rep(M: FDModule) -> FDModule:
-    """Twist so the minimal support shift is the identity (deterministic).
-
-    Falls back to the module itself when the normalizing twist leaves the
-    window, so a representative always lies in the window."""
+    """Twist so the minimal support shift is the identity (deterministic)."""
     carrier = M.carrier
     if not carrier.is_cover or M.is_zero():
         return M
     shifts = sorted({g for (_, g) in M.support})
-    a = carrier.group.inv(shifts[0])
-    if carrier.group.is_identity(a):
-        return M
-    T = twist_module(M, a)
-    return T if carrier.in_window(T.support) else M
+    return twist_module(M, carrier.group.inv(shifts[0]))
 
 
-def orbit_classes(modules: list) -> list:
-    """The twist orbits of a list of cover modules, in order of first
-    appearance: (canonical_orbit_rep(first member), members) per orbit.
-
-    The carrier keeps the partition of each list, keyed by the identities of
-    its modules; the entry holds the list, so that no id can be reused."""
-    if not modules:
-        return []
-    memo = modules[0].carrier.memo("orbit_classes")
-    key = tuple(id(M) for M in modules)
-    if key not in memo:
-        groups: list = []
-        for M in modules:
-            group = next((g for g in groups if twisted_iso(M, g[0]) is not None), None)
-            if group is None:
-                groups.append([M])
-            else:
-                group.append(M)
-        memo[key] = (list(modules), [(canonical_orbit_rep(g[0]), g) for g in groups])
-    return memo[key][1]
-
-
-def orbit_representatives(modules: list) -> list:
-    """Canonical twist-orbit representatives of a list of cover modules."""
-    return [rep for rep, _ in orbit_classes(modules)]
+def window_translates(M: FDModule) -> int:
+    """How many twists of a centred module M lie in the window: the window
+    shifts a with a·supp(M) inside it (M meets the identity shift)."""
+    carrier = M.carrier
+    return sum(
+        carrier.in_window([carrier.twist_object(a, x) for x in M.support])
+        for a in carrier.window.sorted_elements()
+    )
 
 
 def twisted_iso(M: FDModule, N: FDModule):
@@ -364,12 +339,10 @@ def match_pushdowns(ups: list, downs: list, distinct: bool) -> list:
 
 
 def _instance_descriptor(carrier, extra=None) -> dict:
-    pres = carrier.base_presentation if carrier.is_cover else carrier
     doc = {
         "carrier": carrier.describe(),
+        "vertices": list(carrier.base_presentation.vertices),
     }
-    if hasattr(pres, "vertices"):
-        doc["vertices"] = list(pres.vertices)
     if extra:
         doc.update(extra)
     return doc
@@ -423,14 +396,15 @@ def verify_indecomposable_preservation(X: FDModule) -> VerificationReport:
 
 def verify_orbit_bijection(cover: CoverCarrier, dimcap: int = 48, class_cap: int = 512) -> VerificationReport:
     """Twist-orbit classes upstairs biject with base indecomposables."""
-    ups = list_indecomposables(cover, dimcap=dimcap, class_cap=class_cap)
-    classes = orbit_classes(ups)
+    from .knitting import list_indecomposables  # knitting dedupes with add_class
+
+    classes = list_indecomposables(cover, dimcap=dimcap, class_cap=class_cap)
     base = cover.base_presentation
     downs = list_indecomposables(base, dimcap=dimcap, class_cap=class_cap)
-    found = match_pushdowns([members[0] for _, members in classes], downs, distinct=True)
+    found = match_pushdowns(classes, downs, distinct=True)
     matches = [
-        {"class_size": len(members), ("base_index" if isinstance(j, int) else "pushdown"): j}
-        for (_, members), j in zip(classes, found)
+        {"class_size": window_translates(X), ("base_index" if isinstance(j, int) else "pushdown"): j}
+        for X, j in zip(classes, found)
     ]
     matched = sum(isinstance(j, int) for j in found)
     ok = matched == len(classes) == len(downs)

@@ -1,20 +1,21 @@
 """Closure-based enumeration of indecomposables (knitting).
 
-Starting from the simples (and every materializable representable), the pool
-is closed under radicals, socle quotients, syzygies, cosyzygies, the AR
-translates, and summand extraction, until no new isomorphism class appears.
-Complete for the representation-finite carriers this toolkit targets; on a
-covering carrier the pool keeps the indecomposables whose support lies in
-the window.
+Starting from the simples, projectives and injectives at the fundamental
+domain, the pool is closed under radicals, socle quotients, syzygies,
+cosyzygies, the AR translates, and summand extraction, until no new
+isomorphism class appears.  Complete for the representation-finite carriers
+this toolkit targets.  On a covering carrier the group acts freely, so the
+indecomposables up to twist are those of the base (Gabriel): the pool closes
+twist orbits and keeps one centred representative per orbit, with no window.
 """
 
 from __future__ import annotations
 
+from .covering import add_class, canonical_orbit_rep
 from .errors import CapExceeded
 from .homology import cosyzygy, syzygy, tau, tau_minus
 from .modules import (
     FDModule,
-    _certified_indec_iso,
     cokernel_module,
     decompose,
     injective_at,
@@ -35,32 +36,11 @@ def _closure_steps(M: FDModule):
     yield lambda: tau_minus(M)
 
 
-class _Pool:
-    def __init__(self, class_cap: int):
-        self.classes: list[FDModule] = []
-        self.by_key: dict = {}
-        self.class_cap = class_cap
-
-    def add(self, M: FDModule) -> bool:
-        key = M.dims_key()
-        bucket = self.by_key.setdefault(key, [])
-        for rep in bucket:
-            if _certified_indec_iso(rep, M):
-                return False
-        bucket.append(M)
-        self.classes.append(M)
-        if len(self.classes) > self.class_cap:
-            raise CapExceeded(
-                f"more than {self.class_cap} isomorphism classes; "
-                "carrier may not be representation-finite at this scale"
-            )
-        return True
-
-
 def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> list:
     """Indecomposables of total dimension <= dimcap, up to isomorphism.
 
-    Exhaustive for representation-finite carriers (knitting closure); raises
+    Exhaustive for representation-finite carriers (knitting closure); on a
+    covering carrier, one centred module per twist orbit.  Raises
     CapExceeded when the class count outgrows class_cap.  The carrier keeps
     one pool per (dimcap, class_cap, iso seed), so each is knitted once; the
     caller gets a fresh list over the shared modules.
@@ -73,21 +53,24 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
 
 
 def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
-    pool = _Pool(class_cap)
+    classes: list = []
     work = []
 
     def gather(module):
         for piece, _ in decompose(module):
-            if (
-                0 < piece.total_dim <= dimcap
-                and carrier.in_window(piece.support)
-                and pool.add(piece)
-            ):
-                work.append(piece)
+            if 0 < piece.total_dim <= dimcap and add_class(classes, piece, carrier.is_cover):
+                if len(classes) > class_cap:
+                    raise CapExceeded(
+                        f"more than {class_cap} isomorphism classes; "
+                        "carrier may not be representation-finite at this scale"
+                    )
+                classes[-1] = canonical_orbit_rep(piece)
+                work.append(classes[-1])
 
-    seeds = [simple_at(carrier, x) for x in carrier.objects]
+    domain = carrier.fundamental_domain()
+    seeds = [simple_at(carrier, x) for x in domain]
     for builder in (projective_at, injective_at):
-        seeds += [builder(carrier, x) for x in carrier.objects]
+        seeds += [builder(carrier, x) for x in domain]
     for candidate in seeds:
         gather(candidate)
     while work:
@@ -96,4 +79,4 @@ def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
             result = step()
             if not result.is_zero():
                 gather(result)
-    return tuple(pool.classes)
+    return tuple(classes)

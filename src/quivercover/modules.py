@@ -715,8 +715,28 @@ def _poly_ext_gcd(field, a, b):
     return scalef(r0), scalef(s0), scalef(t0)
 
 
+def _single_root(field, coeffs):
+    """lambda when the monic coeffs (lowest degree first) are (x - lambda)^d,
+    else None.  Needs d invertible: char 0, or d < p."""
+    d = len(coeffs) - 1
+    if d < 1 or coeffs[d] != 1 or (field.is_prime_field and d >= field.p):
+        return None
+    lam = field.scalar(field.neg_scalar(coeffs[d - 1]) * field.inv_scalar(d))
+    # the coefficient of x^k in (x - lambda)^d is binom(d, k) (-lambda)^(d-k)
+    term = field.scalar(1)
+    for k in range(d, 0, -1):
+        if coeffs[k] != term:
+            return None
+        term = field.scalar(term * field.neg_scalar(lam) * k * field.inv_scalar(d - k + 1))
+    return lam if coeffs[0] == term else None
+
+
 def _factor_poly(field, coeffs):
-    """Factor a polynomial into (factor, multiplicity) pairs via sympy."""
+    """Factor a monic polynomial into (factor, multiplicity) pairs: a power
+    of one linear factor directly, anything else via sympy."""
+    lam = _single_root(field, coeffs)
+    if lam is not None:
+        return [([field.neg_scalar(lam), field.scalar(1)], len(coeffs) - 1)]
     import sympy
 
     x = sympy.Symbol("x")

@@ -43,11 +43,10 @@ from .covering import (
     ext_vanishes,
     hom_twist_sum,
     match_pushdowns,
-    orbit_classes,
-    orbit_representatives,
     push_down,
     push_down_morphism,
     twist_module,
+    window_translates,
 )
 from .report import INDETERMINATE, NOT_APPLICABLE, VerificationReport
 
@@ -137,7 +136,7 @@ def is_n_precluster(U: SubcategorySpec, n: int) -> PreclusterVerdict:
 
 
 def _closure(carrier, seeds: list, steps, cap: int) -> tuple:
-    """(classes, stabilized, iterations): close seed classes under the steps."""
+    """(classes, stabilized): close seed classes under the steps."""
     orbit = carrier.is_cover
     classes: list = []
     frontier = []
@@ -158,34 +157,28 @@ def _closure(carrier, seeds: list, steps, cap: int) -> tuple:
                     if add_class(classes, piece, orbit):
                         new_frontier.append(piece)
         frontier = new_frontier
-    return classes, not frontier, iterations
+    return classes, not frontier
 
 
 def compute_Pn(carrier, n: int, cap: int = 32) -> tuple:
     """Closure of the projectives under the inverse higher translate.
 
-    Returns (SubcategorySpec, stabilized, iterations)."""
+    Returns (SubcategorySpec, stabilized)."""
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
-    classes, stabilized, iterations = _closure(
-        carrier, seeds, [lambda M: tau_n_minus(M, n)], cap
-    )
-    spec = SubcategorySpec(classes, twist_closed=carrier.is_cover, check=False)
-    return spec, stabilized, iterations
+    classes, stabilized = _closure(carrier, seeds, [lambda M: tau_n_minus(M, n)], cap)
+    return SubcategorySpec(classes, twist_closed=carrier.is_cover, check=False), stabilized
 
 
 def compute_In(carrier, n: int, cap: int = 32) -> tuple:
     seeds = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    classes, stabilized, iterations = _closure(
-        carrier, seeds, [lambda M: tau_n(M, n)], cap
-    )
-    spec = SubcategorySpec(classes, twist_closed=carrier.is_cover, check=False)
-    return spec, stabilized, iterations
+    classes, stabilized = _closure(carrier, seeds, [lambda M: tau_n(M, n)], cap)
+    return SubcategorySpec(classes, twist_closed=carrier.is_cover, check=False), stabilized
 
 
 def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> VerificationReport:
     """Push-downs of the upstairs P_n classes biject with the downstairs ones."""
-    up, up_stab, up_iter = compute_Pn(cover, n, cap)
-    down, down_stab, down_iter = compute_Pn(cover.base_presentation, n, cap)
+    up, up_stab = compute_Pn(cover, n, cap)
+    down, down_stab = compute_Pn(cover.base_presentation, n, cap)
     caps = {
         "cap": cap,
         "upstairs_stabilized": up_stab,
@@ -335,9 +328,9 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             notes=["the downstairs subcategory fails the n-precluster hypothesis"],
         )
     # the twists in one orbit push down to the same generator
-    classes = orbit_classes(list_indecomposables(cover, dimcap=dimcap))
-    found = match_pushdowns([members[0] for _, members in classes], V.generators, distinct=False)
-    preimage = [members for (_, members), j in zip(classes, found) if isinstance(j, int)]
+    classes = list_indecomposables(cover, dimcap=dimcap)
+    found = match_pushdowns(classes, V.generators, distinct=False)
+    preimage = [X for X, j in zip(classes, found) if isinstance(j, int)]
     if len({j for j in found if isinstance(j, int)}) != len(V.generators):
         return VerificationReport(
             claim="Main2",
@@ -345,7 +338,7 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             outcome=NOT_APPLICABLE,
             notes=["V is not inside the push-down image of the window pool"],
         )
-    Uspec = SubcategorySpec([members[0] for members in preimage], twist_closed=True, check=False)
+    Uspec = SubcategorySpec(preimage, twist_closed=True, check=False)
     up = is_n_precluster(Uspec, n)
     return VerificationReport(
         claim="Main2",
@@ -355,7 +348,7 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             {
                 "downstairs": down.to_json(),
                 "upstairs": up.to_json(),
-                "preimage_members": sum(len(members) for members in preimage),
+                "preimage_members": sum(window_translates(X) for X in preimage),
                 "preimage_orbit_classes": len(preimage),
             }
         ],
@@ -386,7 +379,7 @@ def _tau_closure_candidate(carrier, n: int, cap: int) -> tuple:
     """Closure of projectives+injectives under both higher translates."""
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     seeds += [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    classes, stabilized, _ = _closure(
+    classes, stabilized = _closure(
         carrier,
         seeds,
         [lambda M: tau_n(M, n), lambda M: tau_n_minus(M, n)],
@@ -416,8 +409,8 @@ def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> Verificat
     else:
         conds["i"] = is_n_precluster(cand, n).passes
 
-    In_spec, In_stab, _ = compute_In(carrier, n, cap)
-    Pn_spec, Pn_stab, _ = compute_Pn(carrier, n, cap)
+    In_spec, In_stab = compute_In(carrier, n, cap)
+    Pn_spec, Pn_stab = compute_Pn(carrier, n, cap)
     projs = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     injs = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
 
@@ -631,7 +624,7 @@ def verify_mod_pushdown(U: SubcategorySpec, n: int, dimcap: int = 48) -> Verific
     """The induced functor between the endomorphism categories: both sides are
     n-minimal Auslander-Gorenstein, the covering hom-isomorphism holds on the
     generating set, and the functor square with the perpendicular embedding
-    commutes on the window pool."""
+    commutes on the indecomposable pool."""
     carrier = U.carrier
     if carrier is None or not carrier.is_cover:
         return VerificationReport(
@@ -690,13 +683,13 @@ def verify_mod_pushdown(U: SubcategorySpec, n: int, dimcap: int = 48) -> Verific
             hom_table.append({"pair": [i, j], "upstairs_sum": upsum, "downstairs": downdim})
             if upsum != downdim:
                 hom_ok = False
-    # (c) the commuting square on the window perpendicular pool, checked on
-    # centered orbit representatives (the square is twist-invariant)
+    # (c) the commuting square on the perpendicular pool, checked on its
+    # centred orbit representatives (the square is twist-invariant)
     pool = list_indecomposables(carrier, dimcap=dimcap)
     Zpool, _ = compute_Z(U, pool, n)
     square_ok = True
     checked = 0
-    for M in orbit_representatives(Zpool.generators):
+    for M in Zpool.generators:
         T1 = _mod_pushdown_of_phi(E_up, E_down, down_of, M, U)
         T2 = phi_module(E_down, push_down(M))
         checked += 1

@@ -19,7 +19,6 @@ from .modules import (
 from .covering import (
     hom_twist_sum,
     match_pushdowns,
-    orbit_representatives,
     push_down,
     same_class,
 )
@@ -32,14 +31,14 @@ from .report import VerificationReport
 
 
 def is_n_cluster_tilting(U: SubcategorySpec, n: int, pool: list) -> bool:
-    """U equals both of its (n-1)-perpendiculars inside the (exhaustive) pool."""
+    """U equals both of its (n-1)-perpendiculars inside the (exhaustive) pool,
+    one module per twist orbit on a covering carrier."""
     twisted = U.twisted
 
     def same_as_U(members) -> bool:
-        reps = orbit_representatives(members) if twisted else members
-        if len(reps) != len(U.generators):
+        if len(members) != len(U.generators):
             return False
-        return all(any(same_class(r, g, twisted) for g in U.generators) for r in reps)
+        return all(any(same_class(r, g, twisted) for g in U.generators) for r in members)
 
     left, right = perpendiculars(U, pool, n)
     return same_as_U(left) and same_as_U(right)
@@ -253,9 +252,8 @@ def verify_tilting_pushdown(
 def scan_tau_n_tilting_finite(cover: CoverCarrier, n: int, dimcap: int = 48) -> VerificationReport:
     """Per-vertex counts of rigid indecomposables agree across the covering."""
     base = cover.base_presentation
-    ups = list_indecomposables(cover, dimcap=dimcap)
-    # rigidity is twist-invariant; test it on centered representatives
-    classes = [rep for rep in orbit_representatives(ups) if is_G_tau_n_rigid(rep, n)]
+    # rigidity is twist-invariant; test it on the centred representatives
+    classes = [rep for rep in list_indecomposables(cover, dimcap=dimcap) if is_G_tau_n_rigid(rep, n)]
     downs = list_indecomposables(base, dimcap=dimcap)
     rigid_down = [Y for Y in downs if is_G_tau_n_rigid(Y, n)]
     # bijection via push-down

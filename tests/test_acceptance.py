@@ -34,7 +34,6 @@ from quivercover import (
     is_n_precluster,
     is_projective_module,
     list_indecomposables,
-    orbit_representatives,
     projective_at,
     push_down,
     scan_tau_n_tilting_finite,
@@ -99,7 +98,7 @@ def test_acceptance_3_hom_ext_covering_iso(n32_cover, loop2_cover):
     pairs_checked = 0
     rng = random.Random(0xC0FFEE)
     for cover in (n32_cover, loop2_cover):
-        reps = orbit_representatives(list_indecomposables(cover, dimcap=8))
+        reps = list_indecomposables(cover, dimcap=8)
         for X, Y in itertools.product(reps, reps):
             for i in (0, 1, 2):
                 down = (
@@ -163,7 +162,7 @@ def test_acceptance_4_main_round_trip(n32_cover):
 
 def _discover_2_precluster(cover):
     """Generator-cogenerator twist-closed candidates among orbit-class subsets."""
-    reps = orbit_representatives(list_indecomposables(cover, dimcap=8))
+    reps = list_indecomposables(cover, dimcap=8)
     mandatory = []
     optional = []
     proj_inj = []
@@ -245,8 +244,7 @@ def test_acceptance_9_tilting_transfer(n32, n32_cover):
     ambient_down = SubcategorySpec(pool_down, check=False)
     pairs_down = enumerate_support_tilting_pairs(ambient_down, 1, pool_down)
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    reps = orbit_representatives(pool_up)
-    ambient_up = SubcategorySpec(reps, twist_closed=True, check=False)
+    ambient_up = SubcategorySpec(pool_up, twist_closed=True, check=False)
     pairs_up = enumerate_support_tilting_pairs(ambient_up, 1, pool_up)
     projs_up = [projective_at(n32_cover, x) for x in n32_cover.fundamental_domain()]
     projs_down = [projective_at(n32, x) for x in n32.vertices]
@@ -258,7 +256,7 @@ def test_acceptance_9_tilting_transfer(n32, n32_cover):
 
     matched = 0
     for msel, psel in pairs_up:
-        M = direct_sum([reps[i] for i in msel])[0] if msel else zero_module(n32_cover)
+        M = direct_sum([pool_up[i] for i in msel])[0] if msel else zero_module(n32_cover)
         P = direct_sum([projs_up[i] for i in psel])[0] if psel else zero_module(n32_cover)
         rep = verify_tilting_pushdown(
             (msel, psel), 1, ambient_up, pool_up, ambient_down, pool_down
@@ -300,7 +298,7 @@ def test_acceptance_10_engine_self_consistency(n32, ka2, ka3, ausl2, n32_cover):
                     failures += 1
                 if hom_dim(M, injective_at(pres, x)) != M.dim(x):
                     failures += 1
-    for rep_mod in orbit_representatives(list_indecomposables(n32_cover, dimcap=8)):
+    for rep_mod in list_indecomposables(n32_cover, dimcap=8):
         for x in n32_cover.fundamental_domain():
             samples += 1
             if hom_dim(projective_at(n32_cover, x), rep_mod) != rep_mod.dim(x):

@@ -322,13 +322,15 @@ def test_suite_reports_unchanged(capsys, name):
 
 
 # sha256 and exit code of runs the window-free carrier leaves unchanged,
-# recorded at the commit before it
+# recorded at the commit before it.  The `indecs --cover` listing was
+# recorded again when the knit began to close twist orbits: it lists one
+# centred module per orbit, which test_covering checks against the window knit.
 WINDOW_FREE_REPORT = {
     ("suite", "loop2", "--n", "1"): (
         0, "4e1de68702e0ce5b99025995aefe6573cd70c6c50dfecaeb65ea4ba5d50ee577"
     ),
     ("indecs", "n32", "--cover", "--window", "4"): (
-        0, "c7c6672fad01ba280af288552885e1f52776645f6717bf3a480f742f12ee6a14"
+        0, "83737a49ef6619dfdbede69e1280cd2fbebf2fd3216bea035b4ef3b100a5c917"
     ),
 }
 
@@ -338,6 +340,18 @@ def test_reports_unchanged_by_the_window_free_carrier(capsys, argv):
     command, name, *rest = argv
     code, out, _ = run(capsys, command, "--input", golden(name), *rest)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == WINDOW_FREE_REPORT[argv]
+
+
+def test_corres_class_cap_counts_orbits_not_window_members(capsys):
+    # 6 twist orbits; the window members of one half-width-60 window are
+    # well over the 512-class cap
+    code, out, _ = run(
+        capsys, "check", "--input", golden("n32"), "--claim", "Corres", "--n", "1", "--window", "60"
+    )
+    assert code == 0
+    bijection = json.loads(out)["witnesses"][0]["witnesses"][0]
+    assert bijection["orbit_classes"] == 6
+    assert sum(m["class_size"] for m in bijection["matching"]) > 512
 
 
 # sha256 and exit code of `check --n 1` on sixcycle, recorded at the commit
@@ -357,15 +371,26 @@ def test_sixcycle_reports_unchanged(capsys, claim):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == SIXCYCLE_N1_REPORT[claim]
 
 
-def test_validate_does_not_import_sympy():
-    # sympy is imported lazily, by polynomial factoring only
+def _exit_code_and_sympy(argv):
+    # run the CLI in a fresh interpreter; 10 + exit code if it imported sympy
     script = (
         "import sys\n"
         "from quivercover.cli import main\n"
-        f"code = main(['validate', '--input', {golden('n32')!r}])\n"
+        f"code = main({argv!r})\n"
         "sys.exit(10 + code if 'sympy' in sys.modules else code)\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+
+
+def test_validate_does_not_import_sympy():
+    # sympy is imported lazily, by polynomial factoring only
+    proc = _exit_code_and_sympy(["validate", "--input", golden("n32")])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_loop2_suite_does_not_import_sympy():
+    # every factorisation on this run is a power of one linear factor
+    proc = _exit_code_and_sympy(["suite", "--input", golden("loop2"), "--n", "1", "--window", "4"])
     assert proc.returncode == 0, proc.stderr

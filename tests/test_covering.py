@@ -15,7 +15,6 @@ from quivercover import (
     is_isomorphic,
     lift_morphism,
     list_indecomposables,
-    orbit_representatives,
     projective_at,
     pull_up,
     push_down,
@@ -29,8 +28,9 @@ from quivercover import (
     verify_indecomposable_preservation,
     verify_orbit_bijection,
 )
-from quivercover.covering import orbit_classes
+from quivercover.covering import window_translates
 from quivercover.modules import identity_morphism, zero_morphism
+from window_knit import window_knit
 
 
 def test_twist_identity(n32_cover):
@@ -163,8 +163,7 @@ def test_lift_single_and_zero(n32_cover):
 
 
 def test_hom_twist_sum_identity(n32_cover):
-    inds = list_indecomposables(n32_cover, dimcap=8)
-    reps = orbit_representatives(inds)
+    reps = list_indecomposables(n32_cover, dimcap=8)
     for X, Y in itertools.product(reps, reps):
         down = hom_dim(push_down(X), push_down(Y))
         up, used = hom_twist_sum(X, Y)
@@ -226,7 +225,7 @@ def test_window_freeness(n32_cover):
 def test_pushdown_commutes_with_translates(n32_cover):
     from quivercover import tau_n, tau_n_minus
 
-    reps = orbit_representatives(list_indecomposables(n32_cover, dimcap=8))
+    reps = list_indecomposables(n32_cover, dimcap=8)
     for M in reps:
         for n in (1, 2):
             up = tau_n(M, n)
@@ -273,7 +272,7 @@ def test_pushdown_exactness_of_sequences(n32_cover):
 
 
 def _parent_orbit_classes(modules):
-    # the grouping Corres used before orbit_classes read one partition
+    # the grouping Corres and Main2 used: twist orbits of a window pool
     classes = []
     for M in modules:
         for entry in classes:
@@ -285,11 +284,17 @@ def _parent_orbit_classes(modules):
     return classes
 
 
+def _parent_canonical_orbit_rep(M):
+    # canonical_orbit_rep with its window fall-back
+    T = canonical_orbit_rep(M)
+    return T if M.carrier.in_window(T.support) else M
+
+
 def _parent_orbit_representatives(modules):
     # the grouping the orbit reductions used: canonical reps, first kept
     reps = []
     for M in modules:
-        R = canonical_orbit_rep(M)
+        R = _parent_canonical_orbit_rep(M)
         if not any(twisted_iso(R, C) is not None for C in reps):
             reps.append(R)
     return reps
@@ -305,35 +310,32 @@ def _same_module(A, B):
 
 @pytest.mark.parametrize("name", ["ausl2", "ka2", "ka3", "loop2", "n32", "sixcycle"])
 def test_orbit_classes_match_the_parent_groupings(name, request):
+    # the orbit knit lists the window knit's canonical representatives, and
+    # each translate count is the size of the window knit's orbit class
     pres = request.getfixturevalue(name)
-    cover = smash_cover(pres, pres.group.box(3))
-    pool = list_indecomposables(cover, dimcap=8)
-    classes = orbit_classes(pool)
-    old_classes = _parent_orbit_classes(pool)
-    old_reps = _parent_orbit_representatives(pool)
-    # the same member objects, in the same classes and order
-    ids = [[id(M) for M in members] for _, members in classes]
-    assert ids == [[id(M) for M in c] for c in old_classes]
-    assert len(classes) == len(old_reps)
-    assert all(_same_module(rep, old) for (rep, _), old in zip(classes, old_reps))
+    for halfwidth in (3, 6):
+        cover = smash_cover(pres, pres.group.box(halfwidth))
+        pool = list_indecomposables(cover)
+        window_pool = window_knit(cover)
+        old_reps = _parent_orbit_representatives(window_pool)
+        assert len(pool) == len(old_reps)
+        assert all(_same_module(rep, old) for rep, old in zip(pool, old_reps))
+        sizes = [len(members) for members in _parent_orbit_classes(window_pool)]
+        assert [window_translates(X) for X in pool] == sizes
 
 
-def test_second_orbit_grouping_makes_no_twisted_iso_call(n32, monkeypatch):
-    from quivercover import covering
+@pytest.mark.parametrize("name", ["n32", "loop2"])
+def test_cover_pool_is_one_module_per_orbit(name, request):
+    # the pool at half-width 3 and at the default window is the same list of
+    # modules: one centred module per twist orbit, whatever the window
+    from quivercover.cli import _default_window
 
-    cover = smash_cover(n32, n32.group.box(4))
-    first = orbit_representatives(list_indecomposables(cover, dimcap=8))
-    calls = []
-    original = covering.twisted_iso
-
-    def counting(M, N):
-        calls.append((M, N))
-        return original(M, N)
-
-    monkeypatch.setattr(covering, "twisted_iso", counting)
-    second = orbit_representatives(list_indecomposables(cover, dimcap=8))
-    assert calls == []
-    assert all(A is B for A, B in zip(first, second)) and len(first) == len(second)
+    pres = request.getfixturevalue(name)
+    narrow = list_indecomposables(smash_cover(pres, pres.group.box(3)))
+    wide = list_indecomposables(smash_cover(pres, pres.group.box(_default_window(pres, 1))))
+    assert len(narrow) == len(wide) == len(list_indecomposables(pres))
+    assert all(_same_module(A, B) for A, B in zip(narrow, wide))
+    assert all(min(g for _, g in X.support) == pres.group.identity() for X in wide)
 
 
 def test_push_down_is_kept_on_the_module(n32_cover):

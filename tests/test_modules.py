@@ -5,9 +5,12 @@ acts M(y) -> M(x)); the representable projective at x is supported on the
 paths into x, and hom-space values are pinned by the Yoneda identities.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from quivercover import (
+    Field,
     FDModule,
     Mat,
     RelationViolated,
@@ -229,3 +232,60 @@ def test_rationals_module_path(loop2):
     assert P.total_dim == 2
     parts = decompose(P)
     assert len(parts) == 1 and parts[0][1] == 1
+
+
+
+def _linear_power(field, lam, d):
+    from quivercover.modules import _poly_mul
+
+    coeffs = [field.scalar(1)]
+    for _ in range(d):
+        coeffs = _poly_mul(field, coeffs, [field.neg_scalar(field.scalar(lam)), field.scalar(1)])
+    return coeffs
+
+
+def _monic(field, factors):
+    out = []
+    for cs, mult in factors:
+        lead = field.inv_scalar(cs[-1])
+        out.append(([field.scalar(c * lead) for c in cs], mult))
+    return sorted(out)
+
+
+def _sympy_factors(field, coeffs):
+    # sympy's factor_list, each factor made monic
+    import sympy
+
+    x = sympy.Symbol("x")
+    if field.is_prime_field:
+        poly = sympy.Poly([int(c) for c in reversed(coeffs)], x, modulus=field.p)
+    else:
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x)
+
+    def scalar(c):
+        return field.scalar(c) if field.is_prime_field else Fraction(int(c.p), int(c.q))
+
+    factors = [([scalar(c) for c in reversed(f.all_coeffs())], int(m)) for f, m in poly.factor_list()[1]]
+    return _monic(field, factors)
+
+
+@pytest.mark.parametrize("field", [Field.prime(32003), Field.prime(5), Field.rationals()], ids=str)
+def test_factor_poly_agrees_with_sympy(field):
+    from quivercover.modules import _factor_poly, _poly_mul, _single_root
+
+    roots = [0, 1, 3, 4] if field.is_prime_field else [0, 1, Fraction(-1, 2), Fraction(7, 3)]
+    for lam in roots:
+        for d in range(1, 5):
+            pure = _linear_power(field, lam, d)
+            assert _single_root(field, pure) == field.scalar(lam)
+            assert _factor_poly(field, pure) == _sympy_factors(field, pure)
+        mixed = _poly_mul(field, _linear_power(field, lam, 2), _linear_power(field, 2, 1))
+        assert _single_root(field, mixed) is None
+        assert _monic(field, _factor_poly(field, mixed)) == _sympy_factors(field, mixed)
+    x2_plus_1 = [field.scalar(1), field.scalar(0), field.scalar(1)]
+    assert _single_root(field, x2_plus_1) is None
+    if field.is_prime_field and field.p == 5:
+        # d = p: (x - 1)^5 = x^5 - 1, where d is not invertible
+        pure = _linear_power(field, 1, 5)
+        assert _single_root(field, pure) is None
+        assert _factor_poly(field, pure) == _sympy_factors(field, pure)

@@ -35,6 +35,7 @@ from quivercover import (
     zero_module,
 )
 from quivercover.precluster import _pushdown_spec
+from window_knit import window_knit
 
 
 def add_lambda(pres):
@@ -97,13 +98,13 @@ def test_precluster_n2_per_condition(ka2):
 
 
 def test_compute_Pn_examples(n32, ka2, semisimple):
-    spec, stab, _ = compute_Pn(semisimple, 1)
+    spec, stab = compute_Pn(semisimple, 1)
     assert stab and len(spec.generators) == 2  # projectives only
-    spec, stab, _ = compute_Pn(n32, 1)
+    spec, stab = compute_Pn(n32, 1)
     assert stab and len(spec.generators) == 3  # tau-inverse of proj-inj dies
-    spec, stab, _ = compute_Pn(ka2, 1)
+    spec, stab = compute_Pn(ka2, 1)
     assert stab and len(spec.generators) == 3  # hereditary: everything
-    spec, stab, _ = compute_In(n32, 1)
+    spec, stab = compute_In(n32, 1)
     assert stab and len(spec.generators) == 3
 
 
@@ -276,9 +277,9 @@ def test_main2_preimage_counts_match_a_per_member_count(name, request):
     cover = request.getfixturevalue(name + "_cover")
     V = _pushdown_spec(cover_projectives(cover))
     rep = verify_main2(V, cover, 1, dimcap=8)
-    # every pool member whose push-down is one of V's generators
+    # every window member whose push-down is one of V's generators
     preimage = []
-    for X in list_indecomposables(cover, dimcap=8):
+    for X in window_knit(cover, dimcap=8):
         parts = decompose(push_down(X))
         if len(parts) == 1 and parts[0][1] == 1:
             if any(is_isomorphic(parts[0][0], D) for D in V.generators):

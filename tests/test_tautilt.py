@@ -18,7 +18,6 @@ from quivercover import (
     is_rigid_pair,
     is_support_tilting_pair,
     list_indecomposables,
-    orbit_representatives,
     projective_at,
     push_down,
     scan_tau_n_tilting_finite,
@@ -116,8 +115,7 @@ def test_enumeration_matches_air_shape(n32):
 
 def test_enumeration_cover_matches_base(n32, n32_cover):
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    reps = orbit_representatives(pool_up)
-    ambient_up = SubcategorySpec(reps, twist_closed=True, check=False)
+    ambient_up = SubcategorySpec(pool_up, twist_closed=True, check=False)
     pairs_up = enumerate_support_tilting_pairs(ambient_up, 1, pool_up)
     pool_down = pool_of(n32)
     ambient_down = SubcategorySpec(pool_down, check=False)
@@ -127,14 +125,13 @@ def test_enumeration_cover_matches_base(n32, n32_cover):
 
 def test_tilting_pushdown_instances(n32, n32_cover):
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    reps = orbit_representatives(pool_up)
-    ambient_up = SubcategorySpec(reps, twist_closed=True, check=False)
+    ambient_up = SubcategorySpec(pool_up, twist_closed=True, check=False)
     pool_down = pool_of(n32)
     ambient_down = SubcategorySpec(pool_down, check=False)
     projs = [projective_at(n32_cover, x) for x in n32_cover.fundamental_domain()]
     # (Lambda, 0): the generators that are twists of the projectives
     lam = tuple(
-        sorted(next(i for i, R in enumerate(reps) if same_class(Q, R, True)) for Q in projs)
+        sorted(next(i for i, R in enumerate(pool_up) if same_class(Q, R, True)) for Q in projs)
     )
     rep = verify_tilting_pushdown(
         (lam, ()), 1, ambient_up, pool_up, ambient_down, pool_down
@@ -162,10 +159,10 @@ def test_rigidity_twist_invariance(n32_cover):
 
 
 def test_pushdown_preserves_rigidity(n32_cover):
-    from quivercover import list_indecomposables as li, orbit_representatives as orp
+    from quivercover import list_indecomposables as li
     from quivercover import push_down as pd
 
-    for rep in orp(li(n32_cover, dimcap=8)):
+    for rep in li(n32_cover, dimcap=8):
         assert is_G_tau_n_rigid(rep, 1) == is_G_tau_n_rigid(pd(rep), 1)
 
 
@@ -253,7 +250,7 @@ def reference_pairs(ambient, n, pool):
 def _ambient(carrier, cover):
     pool = list_indecomposables(carrier, dimcap=8)
     if cover:
-        return SubcategorySpec(orbit_representatives(pool), twist_closed=True, check=False), pool
+        return SubcategorySpec(pool, twist_closed=True, check=False), pool
     return SubcategorySpec(pool, check=False), pool
 
 
