@@ -18,9 +18,11 @@ A carrier consists of:
 * validation relations: k-linear combinations of generator words that must
   act as zero on every module, listed per source object by relations_at.
 
-A carrier with infinitely many objects (a covering) lists only a finite
-window of them as `objects` and `generators`; every other method accepts
-any object.
+A carrier need not list everything: a covering category lists the objects
+and `generators` of its window box, and an endomorphism category lists one
+object per generator of its subcategory (per twist orbit over a covering)
+and no `generators`.  Every other method accepts any object, and module
+operations reach generators through the incidence lists.
 
 Right modules are contravariant functors: a generator g: x -> y acts on a
 module M by a matrix M(g): M(y) -> M(x) of shape dims(x) x dims(y).
@@ -212,10 +214,13 @@ class Carrier:
 
 
 class OppositeCarrier(Carrier):
-    """The opposite category of any carrier, sharing labels and generator keys.
+    """The opposite category of a carrier, sharing labels and generator keys.
 
     C^op(x,y) uses the basis labels of C(y,x); generator keys are reused with
-    source and target exchanged.
+    source and target exchanged, and the supports and incidence lists are
+    the base's with the directions exchanged, so no object or generator list
+    is needed (the endomorphism categories use it; presentations and covers
+    have their own opposites).
     """
 
     def __init__(self, base: Carrier):
@@ -226,6 +231,9 @@ class OppositeCarrier(Carrier):
     def objects(self) -> tuple:
         return self.base.objects
 
+    def object_index(self, x):
+        return self.base.object_index(x)
+
     def hom_labels(self, x, y) -> tuple:
         return self.base.hom_labels(y, x)
 
@@ -235,10 +243,6 @@ class OppositeCarrier(Carrier):
 
     def identity_combo(self, x):
         return self.base.identity_combo(x)
-
-    @property
-    def generators(self) -> tuple:
-        return self.base.generators
 
     def gen_src(self, g):
         return self.base.gen_tgt(g)
@@ -252,31 +256,20 @@ class OppositeCarrier(Carrier):
     def label_word(self, x, y, label) -> tuple:
         return tuple(reversed(self.base.label_word(y, x, label)))
 
-    def validation_relations(self):
-        for src, tgt, terms in self.base.validation_relations():
-            yield tgt, src, [(c, tuple(reversed(word))) for c, word in terms]
+    def projective_support(self, x) -> tuple:
+        return self.base.injective_support(x)
+
+    def injective_support(self, x) -> tuple:
+        return self.base.projective_support(x)
+
+    def generators_at_source(self, x) -> tuple:
+        return self.base.generators_at_target(x)
+
+    def generators_at_target(self, x) -> tuple:
+        return self.base.generators_at_source(x)
 
     def opposite(self) -> Carrier:
         return self.base
 
     def describe(self) -> str:
         return f"op({self.base.describe()})"
-
-    @property
-    def is_cover(self) -> bool:
-        return self.base.is_cover
-
-    def fundamental_domain(self) -> tuple:
-        return self.base.fundamental_domain()
-
-    def __getattr__(self, name):
-        # covering extras (group, window, twist maps) delegate to the base
-        if name in ("group", "window"):
-            return getattr(self.base, name)
-        raise AttributeError(name)
-
-    def twist_object(self, a, x):
-        return self.base.twist_object(a, x)
-
-    def twist_generator(self, a, g):
-        return self.base.twist_generator(a, g)

@@ -8,7 +8,7 @@ base data for any object, so no module operation needs a box: the covering
 is locally bounded, and its indecomposables are knitted one twist orbit at a
 time.  The window box bounds only the rest: `objects` and `generators` list
 the box (pull-up, module literals), and `in_window` says whether a support
-lies in it (window twist lists and window counts).
+lies in it (the window counts of Corres and Main2).
 """
 
 from __future__ import annotations

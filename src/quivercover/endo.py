@@ -1,56 +1,73 @@
-"""The endomorphism category of a finite collection of modules, as a carrier.
+"""The endomorphism category of a subcategory, as a carrier.
 
-Objects are the listed modules; hom spaces are their computed hom bases with
-the identity arranged as the first basis vector of each endomorphism space;
-composition is expanded through exact linear solves.  Modules over this
-carrier are exactly finitely presented functors on the subcategory, so the
-whole resolution/Ext machinery applies to mod-U unchanged.
+Objects are the subcategory's generators; hom spaces are their computed hom
+bases with the identity arranged as the first basis vector of each
+endomorphism space; composition is expanded through exact linear solves.
+Modules over this carrier are exactly finitely presented functors on the
+subcategory, so the whole resolution/Ext machinery applies to mod-U
+unchanged.  For a twist-closed subcategory of a covering the objects are
+keys (i, a), generator i twisted by a; `objects` lists the untwisted ones,
+one per orbit, and everything else is computed on demand for any key.
 """
 
 from __future__ import annotations
 
 from .carrier import Carrier, OppositeCarrier
+from .covering import twist_module
 from .errors import ShapeMismatch
 from .field import Mat, hstack, rref
 from .modules import (
+    _acting_generators,
     FDModule,
     ModMorphism,
     SubcategorySpec,
     hom_basis,
     identity_morphism,
     morphism_coords,
+    twist_candidates,
     validate_module,
 )
 
 
 class EndoCarrier(Carrier):
-    """A finite k-category presented by hom bases of a module collection."""
+    """The k-category presented by the hom bases of a subcategory's objects."""
 
-    def __init__(self, modules: list, fundamental: list | None = None):
-        if not modules:
+    def __init__(self, U: SubcategorySpec):
+        if not U.generators:
             raise ShapeMismatch("endomorphism category needs at least one object")
-        self.modules = list(modules)
-        self.field = modules[0].carrier.field
-        self._fundamental = tuple(fundamental) if fundamental is not None else None
-        n = len(self.modules)
-        self._objects = tuple(range(n))
-        self._bases = {}
-        for i, Mi in enumerate(self.modules):
-            for j, Mj in enumerate(self.modules):
-                basis = hom_basis(Mi, Mj)
-                if i == j:
-                    basis = self._identity_first(Mi, basis)
-                self._bases[(i, j)] = basis
-        gens = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(len(self._bases[(i, j)])):
-                    if i == j and k == 0:
-                        continue
-                    gens.append((i, j, k))
-        self._generators = tuple(gens)
-        self._compose_cache = {}
+        self.modules = list(U.generators)
+        self.field = U.carrier.field
+        self.twisted = U.twisted
+        if self.twisted:
+            e = U.carrier.group.identity()
+            self._objects = tuple((i, e) for i in range(len(self.modules)))
+        else:
+            self._objects = tuple(range(len(self.modules)))
         self._op = None
+
+    def module(self, x) -> FDModule:
+        """The module of object x (generator x[0] twisted by x[1] on a cover)."""
+        return twist_module(self.modules[x[0]], x[1]) if self.twisted else self.modules[x]
+
+    def candidates(self, X: FDModule) -> tuple:
+        """The objects whose support meets that of X, in object order: the
+        only ones with a nonzero map into or out of X."""
+        if not self.twisted:
+            return self._objects
+        group = X.carrier.group
+        return tuple(
+            (i, a)
+            for i, M in enumerate(self.modules)
+            for a in twist_candidates(group, M.support, X.support)
+        )
+
+    def basis(self, x, y) -> list:
+        """The hom basis of C(x, y), identity first on an endomorphism space."""
+        table = self.memo("basis")
+        if (x, y) not in table:
+            basis = hom_basis(self.module(x), self.module(y))
+            table[(x, y)] = self._identity_first(self.module(x), basis) if x == y else basis
+        return table[(x, y)]
 
     def _identity_first(self, M: FDModule, basis: list) -> list:
         ident = identity_morphism(M)
@@ -80,35 +97,33 @@ class EndoCarrier(Carrier):
     def objects(self) -> tuple:
         return self._objects
 
+    def object_index(self, x):
+        """Objects sort as their keys: by index, then (over a covering) by twist."""
+        return x
+
     def hom_labels(self, x, y) -> tuple:
-        return tuple((x, y, k) for k in range(len(self._bases[(x, y)])))
+        return tuple((x, y, k) for k in range(len(self.basis(x, y))))
 
     def basis_morphism(self, label) -> ModMorphism:
-        i, j, k = label
-        return self._bases[(i, j)][k]
+        x, y, k = label
+        return self.basis(x, y)[k]
 
     def compose_labels(self, x, y, z, f, g):
+        table = self.memo("compose")
         key = (f, g)
-        if key in self._compose_cache:
-            return self._compose_cache[key]
+        if key in table:
+            return table[key]
         comp = self.basis_morphism(g) @ self.basis_morphism(f)
-        coords = morphism_coords(self._bases[(x, z)], comp)
+        coords = morphism_coords(self.basis(x, z), comp)
         if coords is None:
             raise ShapeMismatch("composition left the hom space")
-        combo = {}
-        for k in range(coords.rows):
-            c = coords.a[k, 0]
-            if c != 0:
-                combo[(x, z, k)] = c
-        self._compose_cache[key] = combo
-        return combo
+        table[key] = {
+            (x, z, k): coords.a[k, 0] for k in range(coords.rows) if coords.a[k, 0] != 0
+        }
+        return table[key]
 
     def identity_combo(self, x):
         return {(x, x, 0): self.field.scalar(1)}
-
-    @property
-    def generators(self) -> tuple:
-        return self._generators
 
     def gen_src(self, g):
         return g[0]
@@ -124,50 +139,73 @@ class EndoCarrier(Carrier):
             return ()
         return (label,)
 
-    def validation_relations(self):
-        # the composition table: every composable generator pair must expand
-        # into the chosen basis
-        for f in self._generators:
-            for g in self._generators:
-                if f[1] != g[0]:
-                    continue
-                terms = [(self.field.scalar(1), (f, g))]
-                for lab, c in self.compose_labels(f[0], f[1], g[1], f, g).items():
-                    terms.append((self.field.neg_scalar(c), self.label_word(f[0], g[1], lab)))
-                yield f[0], g[1], terms
+    def _around(self, x) -> tuple:
+        """(projective support, injective support, generators into x,
+        generators out of x) of an object; a generator is a non-identity
+        basis element."""
+        table = self.memo("around")
+        if x not in table:
+            near = self.candidates(self.module(x))
+            into = tuple(y for y in near if self.hom_dim(y, x))
+            out = tuple(y for y in near if self.hom_dim(x, y))
+            table[x] = (
+                into,
+                out,
+                tuple(g for y in into for g in self.hom_labels(y, x) if g != (x, x, 0)),
+                tuple(g for y in out for g in self.hom_labels(x, y) if g != (x, x, 0)),
+            )
+        return table[x]
+
+    def projective_support(self, x) -> tuple:
+        return self._around(x)[0]
+
+    def injective_support(self, x) -> tuple:
+        return self._around(x)[1]
+
+    def generators_at_target(self, x) -> tuple:
+        return self._around(x)[2]
+
+    def generators_at_source(self, x) -> tuple:
+        return self._around(x)[3]
+
+    def relations_at(self, x) -> tuple:
+        """The composition table at x: every composable generator pair (f, g)
+        from x must expand into the chosen basis."""
+        table = self.memo("relations")
+        if x not in table:
+            one = self.field.scalar(1)
+            rels = []
+            for f in self.generators_at_source(x):
+                for g in self.generators_at_source(f[1]):
+                    terms = [(one, (f, g))]
+                    for lab, c in self.compose_labels(x, f[1], g[1], f, g).items():
+                        terms.append((self.field.neg_scalar(c), self.label_word(x, g[1], lab)))
+                    rels.append(((f, g), g[1], terms))
+            table[x] = tuple(rels)
+        return table[x]
 
     def opposite(self) -> Carrier:
         if self._op is None:
             self._op = OppositeCarrier(self)
         return self._op
 
-    def fundamental_domain(self) -> tuple:
-        """Objects whose homological data is trusted: for window-truncated
-        functor categories of a covering, the caller marks the centered orbit
-        representatives; by default every object."""
-        if self._fundamental is not None:
-            return self._fundamental
-        return self._objects
-
     def describe(self) -> str:
         dims = [m.total_dim for m in self.modules]
-        return f"endo({len(self.modules)} objects, module dims {dims})"
+        count = "twist orbits" if self.twisted else "objects"
+        return f"endo({len(self.modules)} {count}, module dims {dims})"
 
 
 def endo_category(U: SubcategorySpec) -> EndoCarrier:
     """mod-U carrier of a subcategory given by its generator list."""
-    return EndoCarrier(list(U.generators))
+    return EndoCarrier(U)
 
 
 def phi_module(E: EndoCarrier, X: FDModule) -> FDModule:
     """The functor Hom(-, X) restricted to the subcategory, as an E-module."""
-    bases = {j: hom_basis(E.modules[j], X) for j in E.objects}
-    dims = {j: len(bases[j]) for j in E.objects}
+    bases = {y: hom_basis(E.module(y), X) for y in E.candidates(X)}
+    dims = {y: len(basis) for y, basis in bases.items()}
     mats = {}
-    for g in E.generators:
-        i, j, k = g
-        if not dims.get(i) or not dims.get(j):
-            continue
+    for g, i, j in _acting_generators(E, dims):
         f = E.basis_morphism(g)
         cols = []
         for h in bases[j]:

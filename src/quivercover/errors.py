@@ -30,8 +30,8 @@ class NotFreeAction(QuiverCoverError):
 
 
 class WindowTooSmall(QuiverCoverError):
-    """A construction is bounded by the window box: a truncated pull-up, a
-    full-group materialization, or an object search inside the window."""
+    """A construction is bounded by the window box: a truncated pull-up or a
+    full-group materialization."""
 
 
 class RelationViolated(QuiverCoverError):

@@ -441,7 +441,8 @@ def ext_dim(M: FDModule, N: FDModule, i: int) -> int:
 
 
 def approximation_objects(U: SubcategorySpec, M: FDModule) -> list:
-    """Generators of U (plus overlapping window twists when twist-closed)."""
+    """Generators of U (plus their twists whose support meets M's when
+    twist-closed)."""
     out = list(U.generators)
     carrier = U.carrier
     if U.twisted:
@@ -457,20 +458,25 @@ def approximation_objects(U: SubcategorySpec, M: FDModule) -> list:
 
 def right_approximation(U: SubcategorySpec, M: FDModule) -> ModMorphism:
     """The evaluation map ⊕ U_i ⊗ Hom(U_i, M) -> M."""
-    objs = approximation_objects(U, M)
+    return _evaluation_map(U, M)[0]
+
+
+def _evaluation_map(U: SubcategorySpec, M: FDModule) -> tuple:
+    """The evaluation map, with the module of each summand of its source in
+    direct-sum order."""
     pieces = []
     comps = []
-    for Uo in objs:
+    for Uo in approximation_objects(U, M):
         for phi in hom_basis(Uo, M):
             pieces.append(Uo)
             comps.append(phi)
     if not pieces:
-        return zero_morphism(zero_module(M.carrier), M)
+        return zero_morphism(zero_module(M.carrier), M), []
     S, incs, prjs = direct_sum(pieces)
     f = zero_morphism(S, M)
     for phi, prj in zip(comps, prjs):
         f = f + (phi @ prj)
-    return f
+    return f, pieces
 
 
 def left_approximation(U: SubcategorySpec, M: FDModule) -> ModMorphism:
@@ -491,7 +497,7 @@ def left_approximation(U: SubcategorySpec, M: FDModule) -> ModMorphism:
 
 
 def is_right_approximation(U: SubcategorySpec, f: ModMorphism) -> bool:
-    """Every morphism from U (and its window twists) factors through f."""
+    """Every morphism from U (and its twists) factors through f."""
     M = f.tgt
     for Uo in approximation_objects(U, M):
         if not hom_basis(Uo, M):

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 from .cover import CoverCarrier, smash_cover
 from .endo import EndoCarrier, endo_category, phi_module
-from .errors import HypothesisUnverified, WindowTooSmall
+from .errors import HypothesisUnverified
 from .field import invert
 from .homology import (
+    _evaluation_map,
     dominant_dimension_upto,
     ext_dim,
     hom_from_yoneda,
@@ -29,7 +30,6 @@ from .modules import (
     decompose,
     direct_sum,
     find_iso,
-    hom_basis,
     hom_dim,
     injective_at,
     is_isomorphic,
@@ -45,7 +45,6 @@ from .covering import (
     match_pushdowns,
     push_down,
     push_down_morphism,
-    twist_module,
     window_translates,
 )
 from .report import INDETERMINATE, NOT_APPLICABLE, VerificationReport
@@ -265,7 +264,7 @@ def check_nMAG(carrier, n: int) -> VerificationReport:
 def is_gorenstein_projective(E: EndoCarrier, M: FDModule, n: int) -> bool:
     """Ext^i(M, projectives) = 0 for 1 <= i <= n+1 over an (n+1)-Gorenstein
     endomorphism category (hypothesis machine-checked first)."""
-    hyp = E.__dict__.setdefault("_nmag_cache", {})
+    hyp = E.memo("nmag")
     if n not in hyp:
         hyp[n] = check_nMAG(E, n).passed
     if not hyp[n]:
@@ -532,75 +531,57 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
     )
 
 
-def _window_twist_objects(U: SubcategorySpec) -> list:
-    """Every twist of the generators that lies in the window, deduplicated."""
-    carrier = U.carrier
-    out = []
-    for gen in U.generators:
-        for a in carrier.window.sorted_elements():
-            T = twist_module(gen, a)
-            if carrier.in_window(T.support):
-                add_class(out, T, twisted=False)
-    return out
+def _match_down(V: SubcategorySpec, T: FDModule):
+    """(j, iso P_*(T) -> V_j) for the downstairs generator V_j that T pushes
+    down to, or None."""
+    P = push_down(T)
+    for j, gen in enumerate(V.generators):
+        iso = find_iso(P, gen)
+        if iso is not None:
+            return j, iso
+    return None
 
 
-def _mod_pushdown_of_phi(E_up: EndoCarrier, E_down: EndoCarrier, down_of, M: FDModule, U: SubcategorySpec):
+def _mod_pushdown_of_phi(E_down: EndoCarrier, V: SubcategorySpec, M: FDModule, U: SubcategorySpec):
     """mod-P_* applied to Phi(M): push a two-step U-presentation of M down.
 
-    E_up objects are window twists of U's generators; down_of maps an
-    upstairs object index to (downstairs object index, explicit iso
-    P_*(upstairs object) -> downstairs generator).
-    """
-    # two-step presentation of M by upstairs objects (right approximations
-    # are epi because U contains the projectives)
-    def approx(target):
-        pieces = []
-        comps = []
-        for idx, Uo in enumerate(E_up.modules):
-            for phi in hom_basis(Uo, target):
-                pieces.append(idx)
-                comps.append(phi)
-        if not pieces:
-            raise WindowTooSmall(
-                "no subcategory object reaches the module inside the window"
-            )
-        S, _, prjs = direct_sum([E_up.modules[i] for i in pieces])
-        f = None
-        for phi, prj in zip(comps, prjs):
-            f = (phi @ prj) if f is None else f + (phi @ prj)
-        return pieces, S, f
-
-    p0, A0, f0 = approx(M)
+    The presentation comes from right approximations by U (epi because U
+    contains the projectives); each of its summands, a twist of a generator
+    of U, is matched to the downstairs generator V_j it pushes down to, the
+    object j of E_down."""
+    f0, p0 = _evaluation_map(U, M)
     K, incl = kernel_module(f0)
     if K.is_zero():
         p1, comps01 = [], []
     else:
-        p1, A1, f1 = approx(K)
+        f1, p1 = _evaluation_map(U, K)
         d = incl @ f1
         # components d_{kj}: piece1_j -> piece0_k
-        _, _, prjs0 = direct_sum([E_up.modules[i] for i in p0])
-        _, incs1, _ = direct_sum([E_up.modules[i] for i in p1])
+        _, _, prjs0 = direct_sum(p0)
+        _, incs1, _ = direct_sum(p1)
         comps01 = [
             [(prjs0[k] @ d @ incs1[j]) for j in range(len(p1))] for k in range(len(p0))
         ]
-    # downstairs: cokernel of the pushed matrix between E_down projectives
-    def down_proj_sum(piece_idx):
-        if not piece_idx:
-            return zero_module(E_down), [], []
-        return direct_sum([projective_at(E_down, down_of[i][0]) for i in piece_idx])
+    # a summand is a twist of a generator, which the caller matched downstairs
+    down = {}
+    for T in p0 + p1:
+        down[id(T)] = down.get(id(T)) or _match_down(V, T)
+    down0, down1 = [down[id(T)] for T in p0], [down[id(T)] for T in p1]
 
-    Q0, q0_inc, q0_prj = down_proj_sum(p0)
-    Q1, q1_inc, q1_prj = down_proj_sum(p1)
+    # downstairs: cokernel of the pushed matrix between E_down projectives
+    def down_proj_sum(down):
+        if not down:
+            return zero_module(E_down), [], []
+        return direct_sum([projective_at(E_down, o) for o, _ in down])
+
+    Q0, q0_inc, q0_prj = down_proj_sum(down0)
+    Q1, q1_inc, q1_prj = down_proj_sum(down1)
     t = zero_morphism(Q1, Q0)
-    for k in range(len(p0)):
-        for j in range(len(p1)):
-            comp = comps01[k][j]
-            iso0 = down_of[p0[k]][1]
-            iso1 = down_of[p1[j]][1]
+    for k, (o0, iso0) in enumerate(down0):
+        for j, (o1, iso1) in enumerate(down1):
             # downstairs morphism between pushed generators
-            down_mor = iso0 @ push_down_morphism(comp) @ _invert_iso(iso1)
-            o1, o0 = down_of[p1[j]][0], down_of[p0[k]][0]
-            coords = morphism_coords(E_down._bases[(o1, o0)], down_mor)
+            down_mor = iso0 @ push_down_morphism(comps01[k][j]) @ _invert_iso(iso1)
+            coords = morphism_coords(E_down.basis(o1, o0), down_mor)
             combo = {}
             for r in range(coords.rows):
                 c = coords.a[r, 0]
@@ -642,36 +623,16 @@ def verify_mod_pushdown(U: SubcategorySpec, n: int, dimcap: int = 48) -> Verific
             witnesses=[{"upstairs": up.to_json()}],
             notes=["the upstairs subcategory fails the n-precluster hypothesis"],
         )
-    window_objs = _window_twist_objects(U)
-    # homological conclusions upstairs are read off the centered objects only
-    # (the window truncates mod-U at its border); each generator is centered
-    fundamental = []
-    for gen in U.generators:
-        for i, obj in enumerate(window_objs):
-            if is_isomorphic(gen, obj):
-                fundamental.append(i)
-                break
-    E_up = EndoCarrier(window_objs, fundamental=fundamental)
     V = _pushdown_spec(U)
     E_down = endo_category(V)
-    down_of = {}
-    for i, obj in enumerate(window_objs):
-        P = push_down(obj)
-        found = None
-        for j, gen in enumerate(V.generators):
-            iso = find_iso(P, gen)
-            if iso is not None:
-                found = (j, iso)
-                break
-        if found is None:
-            return VerificationReport(
-                claim="ModPushdown",
-                instance={"n": n},
-                outcome=False,
-                notes=["a pushed generator did not match the downstairs category"],
-            )
-        down_of[i] = found
-    a_up = check_nMAG(E_up, n)
+    if any(_match_down(V, gen) is None for gen in U.generators):
+        return VerificationReport(
+            claim="ModPushdown",
+            instance={"n": n},
+            outcome=False,
+            notes=["a pushed generator did not match the downstairs category"],
+        )
+    a_up = check_nMAG(endo_category(U), n)
     a_down = check_nMAG(E_down, n)
     # (b) the covering hom-isomorphism on the generating set
     hom_ok = True
@@ -690,7 +651,7 @@ def verify_mod_pushdown(U: SubcategorySpec, n: int, dimcap: int = 48) -> Verific
     square_ok = True
     checked = 0
     for M in Zpool.generators:
-        T1 = _mod_pushdown_of_phi(E_up, E_down, down_of, M, U)
+        T1 = _mod_pushdown_of_phi(E_down, V, M, U)
         T2 = phi_module(E_down, push_down(M))
         checked += 1
         if not is_isomorphic(T1, T2):

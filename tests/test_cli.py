@@ -275,6 +275,49 @@ def test_ambients_certified_once_per_claim(capsys, monkeypatch):
     assert len(calls) == 2  # the upstairs and the downstairs ambient
 
 
+def _mod_pushdown(capsys, name, *window):
+    code, out, _ = run(
+        capsys, "check", "--input", golden(name), "--claim", "ModPushdown", "--n", "1", *window
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("name", ["n32", "loop2"])
+def test_mod_pushdown_report_is_window_independent(capsys, name):
+    reports = []
+    for window in (("--window", "4"), ("--window", "6"), ()):
+        doc = _mod_pushdown(capsys, name, *window)
+        del doc["instance"]["window_halfwidth"]
+        reports.append(doc)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["pass"] is True
+
+
+@pytest.mark.parametrize("name", ["n32", "loop2"])
+def test_mod_pushdown_hom_basis_calls_are_window_independent(capsys, monkeypatch, name):
+    # the upstairs category computes hom bases on demand, so no count grows
+    # with the window; every module-level binding of hom_basis is wrapped
+    import quivercover
+
+    original = quivercover.modules.hom_basis
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(None)
+        return original(*a, **kw)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("quivercover") and getattr(module, "hom_basis", None) is original:
+            monkeypatch.setattr(module, "hom_basis", counting)
+    counts = []
+    for window in (("--window", "4"), ()):
+        calls.clear()
+        _mod_pushdown(capsys, name, *window)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_seed_is_scoped_to_one_command(capsys, n32):
     code, _, _ = run(capsys, "validate", "--input", golden("n32"), "--seed", "7")
     assert code == 0
@@ -309,9 +352,13 @@ def test_n2_ext_reports_unchanged(capsys, name, claim):
 # before covers, pools and representables were shared within a command, when
 # DILemma was indeterminate here (a twist ran out of the window), and again
 # once the carrier became window-free; DILemma's pass is the only difference.
+# Recorded again when ModPushdown's upstairs category became window-free: a
+# field-wise JSON diff showed that its describe string,
+# ModPushdown.witnesses[0].upstairs_nMAG.instance.carrier, is the only
+# changed value (it counts twist orbits, not window translates).
 SUITE_W4_REPORT = {
-    "n32": (0, "e538539e45206de503b461ea8cd8b9b329a985bdc4dbf4a858d68a66620fa56a"),
-    "loop2": (0, "ca7070ea914a2b46758378c6f78ad102bde413cd22e7ab2b8c4d67674ffd713e"),
+    "n32": (0, "8b9c916983ab7226429e5435f40dca639b594cacb7d6b53f522491951eaf3741"),
+    "loop2": (0, "4f8835df1631d30b1200228917016a4e20a344ac900cd7c9f7e8c16e09aa6ead"),
 }
 
 
@@ -325,9 +372,11 @@ def test_suite_reports_unchanged(capsys, name):
 # recorded at the commit before it.  The `indecs --cover` listing was
 # recorded again when the knit began to close twist orbits: it lists one
 # centred module per orbit, which test_covering checks against the window knit.
+# The suite entry was recorded again when ModPushdown's upstairs category
+# became window-free; only its describe string changed, as in SUITE_W4_REPORT.
 WINDOW_FREE_REPORT = {
     ("suite", "loop2", "--n", "1"): (
-        0, "4e1de68702e0ce5b99025995aefe6573cd70c6c50dfecaeb65ea4ba5d50ee577"
+        0, "324f09dd10cd876f471a7f8aa87b2364bb7d348c201d164e82377b6fbc0df170"
     ),
     ("indecs", "n32", "--cover", "--window", "4"): (
         0, "83737a49ef6619dfdbede69e1280cd2fbebf2fd3216bea035b4ef3b100a5c917"

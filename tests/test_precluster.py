@@ -34,7 +34,9 @@ from quivercover import (
     verify_selfinjectivity_criteria,
     zero_module,
 )
+from quivercover.cli import _canonical_subcategory
 from quivercover.precluster import _pushdown_spec
+from window_endo import window_endo
 from window_knit import window_knit
 
 
@@ -163,6 +165,44 @@ def test_endo_category_yoneda(n32):
         for X in [simple_at(n32, "1"), projective_at(n32, "2")]:
             Phi = phi_module(E, X)
             assert hom_dim(P, Phi) == Phi.dim(j)
+
+
+def test_endo_category_yoneda_on_a_cover(n32_cover):
+    # phi_module reads every twist of a generator that maps into X, not only
+    # the listed untwisted objects
+    E = endo_category(cover_projectives(n32_cover))
+    e = n32_cover.group.identity()
+    for X in [simple_at(n32_cover, ("1", e)), projective_at(n32_cover, ("2", e))]:
+        Phi = phi_module(E, X)
+        for i in range(len(E.modules)):
+            for x in E.projective_support((i, e)):
+                assert hom_dim(projective_at(E, x), Phi) == Phi.dim(x)
+    assert any(x[1] != e for x in phi_module(E, projective_at(n32_cover, ("2", e))).support)
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [(name, 1) for name in ("ausl2", "ka2", "ka3", "loop2", "n32", "sixcycle")]
+    + [(name, 2) for name in ("loop2", "n32", "sixcycle")],
+)
+def test_upstairs_category_matches_the_window_reference(name, n, request):
+    # ModPushdown's window-free upstairs category against the window
+    # translates of its generators, whose centred objects it trusted
+    pres = request.getfixturevalue(name)
+    for halfwidth in (3, 6):
+        cover = smash_cover(pres, pres.group.box(halfwidth))
+        U = _canonical_subcategory(cover, n, 32)
+        E = endo_category(U)
+        keys, reference = window_endo(U)
+        assert check_nMAG(E, n).witnesses == check_nMAG(reference, n).witnesses
+        index = {key: k for k, key in enumerate(keys)}
+        for x in E.objects:
+            k = index[x]
+            assert E.projective_support(x) == tuple(keys[j] for j in reference.projective_support(k))
+            assert E.injective_support(x) == tuple(keys[j] for j in reference.injective_support(k))
+            for y in set(E.projective_support(x)) | set(E.injective_support(x)):
+                assert E.hom_dim(x, y) == reference.hom_dim(k, index[y])
+                assert E.hom_dim(y, x) == reference.hom_dim(index[y], k)
 
 
 def test_gorenstein_projective(n32, ka2):
