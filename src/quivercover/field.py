@@ -1,16 +1,20 @@
-"""Exact dense linear algebra over a prime field or the rationals.
+"""Exact linear algebra over a prime field or the rationals.
 
 Everything else in the package reduces to the operations in this module.
 Matrices are immutable-by-convention wrappers around numpy arrays: int64
 entries reduced mod p for prime fields (with an object-dtype fallback for
 primes too large for safe int64 products), `fractions.Fraction` entries for
-the rationals.  All arithmetic is exact; there are no tolerances anywhere.
+the rationals.  Over the rationals, elimination and products run on Python
+integers (rows and operands cleared of denominators) and only their results
+are boxed as `Fraction`s.  All arithmetic is exact; there are no tolerances
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -217,6 +221,8 @@ class Mat:
             return Mat.zeros(self.field, self.rows, other.cols)
         if self.cols == 0:
             return Mat.zeros(self.field, self.rows, other.cols)
+        if self.field.p is None:
+            return Mat._wrap(self.field, _rational_matmul(self.a, other.a))
         prod = np.dot(self.a, other.a)
         return Mat._wrap(self.field, self.field._reduce(prod))
 
@@ -258,12 +264,110 @@ def vstack(mats: list[Mat]) -> Mat:
 
 
 # ---------------------------------------------------------------------------
+# rationals on integers
+
+_ZERO = Fraction(0)
+
+
+def _integer_form(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(ints, den) with a == ints / den: one common denominator for all of a."""
+    flat = a.ravel().tolist()
+    den = lcm(*(x.denominator for x in flat))
+    nums = [x.numerator * (den // x.denominator) for x in flat]
+    ints = np.empty(len(nums), dtype=object)
+    ints[:] = nums
+    return ints.reshape(a.shape), den
+
+
+def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for Fraction arrays: one integer product, then one Fraction per entry."""
+    ia, da = _integer_form(a)
+    ib, db = _integer_form(b)
+    prod = np.dot(ia, ib)
+    den = da * db
+    entries = [Fraction(v, den) if v else _ZERO for v in prod.ravel().tolist()]
+    out = np.empty(len(entries), dtype=object)
+    out[:] = entries
+    return out.reshape(prod.shape)
+
+
+def _rational_rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Sparse fraction-free Gauss-Jordan elimination of a Fraction array.
+
+    Each row is cleared to a primitive integer vector, kept as {column: value}.
+    A pivot row p with pivot entry P updates only the rows r nonzero in its
+    column c, as r <- (P/g) r - (r[c]/g) p with g = gcd(P, r[c]), touching only
+    p's support when P/g == 1; a row so scaled is divided by the gcd of its
+    entries.  Pivot rows become Fractions once, at the end.  The reduced row
+    echelon form is unique, so this is the dense elimination's result.
+    """
+    nrows, ncols = a.shape
+    pending = []
+    for entries in a.tolist():
+        row = {j: x for j, x in enumerate(entries) if x}
+        if row:
+            den = lcm(*(x.denominator for x in row.values()))
+            pending.append({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+    done: list[tuple[int, dict]] = []
+    while pending:
+        c = min(min(row) for row in pending)
+        k = next(k for k, row in enumerate(pending) if c in row)
+        prow = pending.pop(k)
+        p = prow[c]
+        for _, row in done:
+            if c in row:
+                _eliminate(row, c, prow, p)
+        keep = []
+        for row in pending:
+            if c in row:
+                _eliminate(row, c, prow, p)
+            if row:
+                keep.append(row)
+        pending = keep
+        done.append((c, prow))
+    out = np.full((nrows, ncols), _ZERO, dtype=object)
+    for i, (c, row) in enumerate(done):
+        p = row[c]
+        for j, x in row.items():
+            out[i, j] = Fraction(x, p)
+    return out, tuple(c for c, _ in done)
+
+
+def _eliminate(row: dict, c: int, prow: dict, p: int) -> None:
+    """row <- (p/g) row - (row[c]/g) prow in place; made primitive if scaled."""
+    x = row[c]
+    g = gcd(p, x)
+    scale, x = p // g, x // g
+    if scale != 1:
+        for j in row:
+            row[j] *= scale
+    for j, v in prow.items():
+        y = row.get(j, 0) - x * v
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+    if row and scale != 1:
+        g = gcd(*row.values())
+        if g != 1:
+            for j in row:
+                row[j] //= g
+
+
+# ---------------------------------------------------------------------------
 # Gaussian elimination
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns; row space preserved."""
+    """Reduced row echelon form and pivot columns; row space preserved.
+
+    Over the rationals this is a sparse fraction-free elimination on
+    integers; over prime fields a dense elimination on the residue array.
+    """
     field = m.field
+    if field.p is None:
+        red, pivots = _rational_rref(m.a)
+        return Mat._wrap(field, red), pivots
     a = m.a.copy()
     nrows, ncols = a.shape
     pivots: list[int] = []
@@ -297,7 +401,8 @@ def kernel_basis(m: Mat) -> Mat:
     """Matrix whose columns form a basis of the null space of m."""
     field = m.field
     red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = field.zeros(m.cols, len(free))
     for k, f in enumerate(free):
         basis[f, k] = 1

@@ -1020,10 +1020,9 @@ def _decompose_rec(M: FDModule, rng) -> list:
     # deterministic stream: basis elements first, then random combinations
     candidates = list(end.totals)
     for _ in range(12):
-        T = Mat.zeros(end.field, end.n, end.n)
-        for t in end.totals:
-            T = T + t.scale(end.field.random_scalar(rng))
-        candidates.append(T)
+        coeffs = Mat.from_rows(end.field, [[end.field.random_scalar(rng)] for _ in end.totals])
+        T = end._vec_basis @ coeffs
+        candidates.append(Mat._wrap(end.field, np.reshape(T.a, (end.n, end.n))))
     for T in candidates:
         split = _primary_split(M, T, end)
         if split is not None:

@@ -476,10 +476,7 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
         )
     pool = list_indecomposables(carrier, dimcap=dimcap)
     Z, symmetric = compute_Z(U, pool, n)
-    notes = [
-        "perpendicular degrees 0<i<n tested against the generator list "
-        "(with window twists when twist-closed)",
-    ]
+    notes = ["perpendicular degrees 0<i<n tested against the generator list"]
     if not symmetric:
         return VerificationReport(
             claim="ZGpEquivalence",

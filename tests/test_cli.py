@@ -328,13 +328,15 @@ def test_seed_is_scoped_to_one_command(capsys, n32):
 
 
 # sha256 of the reports of the commit before the shared Ext-vanishing
-# predicate; these are the cheapest runs that reach it (n >= 2)
+# predicate; these are the cheapest runs that reach it (n >= 2).  The
+# ZGpEquivalence entries were recorded again when its note stopped naming
+# window twists; a field-wise JSON diff showed notes[0] as the only change.
 N2_REPORT_SHA256 = {
     ("n32", "SelfinjCriteria"): "85f319f8f26fcb90ccc932d137b48cf190a58be9a641e6afa7456e1e3b16aaed",
-    ("n32", "ZGpEquivalence"): "adf339f0fe5720b0fd90178bd38ddb17c82beeebc22e999b2d2634c366fbb010",
+    ("n32", "ZGpEquivalence"): "908b16ece68d709d785fe4a2d5d03dab7be2573407d7170e99965220f52304a1",
     ("n32", "PnPushdown"): "0f673ccef7e5e83ee1ceae741beeda952d89fadacf7941721a0781708b656638",
     ("sixcycle", "SelfinjCriteria"): "2fb25b6eae82b26fcb575f6ecfb033ad27456f3790068f2d270fa37ead1fe9a6",
-    ("sixcycle", "ZGpEquivalence"): "76a427f34fd119689e1c3d0df883783e3d92f8ace0dbc18378383fdff39e4ef1",
+    ("sixcycle", "ZGpEquivalence"): "24678fad8925f893ce3cd788eb5b87a0adafb9f6bd01614db318cedc0e6d5a22",
     ("sixcycle", "PnPushdown"): "34d1710d14eb9a0277112843ef470618444a394507f3ac0676121deafaa8ffe3",
 }
 
@@ -355,10 +357,12 @@ def test_n2_ext_reports_unchanged(capsys, name, claim):
 # Recorded again when ModPushdown's upstairs category became window-free: a
 # field-wise JSON diff showed that its describe string,
 # ModPushdown.witnesses[0].upstairs_nMAG.instance.carrier, is the only
-# changed value (it counts twist orbits, not window translates).
+# changed value (it counts twist orbits, not window translates).  Recorded
+# again when the ZGpEquivalence note stopped naming window twists: that
+# note is the only changed value.
 SUITE_W4_REPORT = {
-    "n32": (0, "8b9c916983ab7226429e5435f40dca639b594cacb7d6b53f522491951eaf3741"),
-    "loop2": (0, "4f8835df1631d30b1200228917016a4e20a344ac900cd7c9f7e8c16e09aa6ead"),
+    "n32": (0, "f63c68e4f3eef68e7681f49205e789c80ee9e65107aa3a0f1ca9d1d832ef527c"),
+    "loop2": (0, "cb66e189643c885f647c1c933c11e8356a70d4b434be5f5e259952403238de5a"),
 }
 
 
@@ -373,10 +377,11 @@ def test_suite_reports_unchanged(capsys, name):
 # recorded again when the knit began to close twist orbits: it lists one
 # centred module per orbit, which test_covering checks against the window knit.
 # The suite entry was recorded again when ModPushdown's upstairs category
-# became window-free; only its describe string changed, as in SUITE_W4_REPORT.
+# became window-free; only its describe string changed, as in SUITE_W4_REPORT,
+# and again with SUITE_W4_REPORT for the ZGpEquivalence note.
 WINDOW_FREE_REPORT = {
     ("suite", "loop2", "--n", "1"): (
-        0, "324f09dd10cd876f471a7f8aa87b2364bb7d348c201d164e82377b6fbc0df170"
+        0, "3ff27963d534c45673a0a5ade2cb7c6131ac8868b93c57382d8fb867c7cb9db6"
     ),
     ("indecs", "n32", "--cover", "--window", "4"): (
         0, "83737a49ef6619dfdbede69e1280cd2fbebf2fd3216bea035b4ef3b100a5c917"

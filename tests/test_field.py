@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,14 +105,89 @@ def small_matrix(draw):
     return Mat.from_rows(F101, entries)
 
 
+@st.composite
+def rational_matrix(draw, rows=None, cols=None):
+    """A sparse matrix over Q: mixed and negative denominators, zero rows
+    and columns, and empty shapes."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(
+            Fraction,
+            st.integers(-30, 30),
+            st.integers(1, 12).flatmap(lambda d: st.sampled_from([d, -d])),
+        ),
+    )
+    entries = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        entries[draw(st.integers(0, rows - 1))] = [Fraction(0)] * cols
+    if cols and draw(st.booleans()):
+        zero_col = draw(st.integers(0, cols - 1))
+        for row in entries:
+            row[zero_col] = Fraction(0)
+    if rows == 0:
+        return Mat.zeros(QQ, 0, cols)
+    return Mat.from_rows(QQ, entries)
+
+
+def dense_fraction_rref(m):
+    """Reference: dense Gauss-Jordan on the Fraction array, pivot by pivot."""
+    a = m.a.copy()
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c] != 0)[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], :] = a[[i, r], :]
+        a[r, :] = a[r, :] * (Fraction(1) / a[r, c])
+        other = a[:, c].copy()
+        other[r] = 0
+        if np.any(other != 0):
+            a = a - np.outer(other, a[r, :])
+        pivots.append(c)
+        r += 1
+    return a.tolist(), tuple(pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrix())
+def test_rational_rref_matches_dense_reference(m):
+    red, piv = rref(m)
+    assert (red.tolists(), piv) == dense_fraction_rref(m)
+    assert all(isinstance(x, Fraction) for x in red.entries())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda s: st.tuples(rational_matrix(s[0], s[1]), rational_matrix(s[1], s[2]))
+))
+def test_rational_matmul_is_entrywise_fraction_product(ab):
+    a, b = ab
+    expected = [
+        [sum((a.a[i, k] * b.a[k, j] for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    assert (a @ b).tolists() == expected
+
+
+any_matrix = st.one_of(small_matrix(), rational_matrix())
+
+
 @settings(max_examples=80, deadline=None)
-@given(small_matrix())
+@given(any_matrix)
 def test_rank_nullity(m):
     assert rank(m) + kernel_basis(m).cols == m.cols
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrix())
+@given(any_matrix)
 def test_rref_idempotent(m):
     red, _ = rref(m)
     red2, _ = rref(red)

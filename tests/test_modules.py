@@ -234,6 +234,28 @@ def test_rationals_module_path(loop2):
     assert len(parts) == 1 and parts[0][1] == 1
 
 
+def test_e6_knits_to_the_same_classes_over_q_and_f_p():
+    # E6 with every edge oriented from the smaller Bourbaki label to the larger
+    # has 36 positive roots, so 36 indecomposables over any field (Gabriel)
+    from quivercover import list_indecomposables, load_presentation
+
+    edges = [(1, 3), (3, 4), (2, 4), (4, 5), (5, 6)]
+    dim_vectors = {}
+    for name, field in (("Q", {"kind": "rationals"}), ("F_32003", {"kind": "prime", "p": 32003})):
+        doc = {
+            "field": field,
+            "group": {"kind": "free-abelian", "rank": 1},
+            "vertices": [str(v) for v in range(1, 7)],
+            "arrows": [{"id": f"a{a}_{b}", "src": str(a), "tgt": str(b), "weight": [1]} for a, b in edges],
+            "relations": [],
+            "nilbound": 4,
+        }
+        mods = list_indecomposables(load_presentation(doc))
+        assert len(mods) == 36
+        dim_vectors[name] = {tuple(M.dim(str(v)) for v in range(1, 7)) for M in mods}
+    assert len(dim_vectors["Q"]) == 36
+    assert dim_vectors["Q"] == dim_vectors["F_32003"]
+
 
 def _linear_power(field, lam, d):
     from quivercover.modules import _poly_mul
