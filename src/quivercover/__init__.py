@@ -22,7 +22,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .field import Field, Mat, kernel_basis, rank, rref, solve_linear
-from .groups import Group, Window
+from .groups import Group
 from .presentation import (
     GradedQuiverPresentation,
     load_presentation,

@@ -18,11 +18,11 @@ A carrier consists of:
 * validation relations: k-linear combinations of generator words that must
   act as zero on every module, listed per source object by relations_at.
 
-A carrier need not list everything: a covering category lists the objects
-and `generators` of its window box, and an endomorphism category lists one
-object per generator of its subcategory (per twist orbit over a covering)
-and no `generators`.  Every other method accepts any object, and module
-operations reach generators through the incidence lists.
+A carrier need not list everything: a covering category lists neither its
+objects nor its `generators`, and an endomorphism category lists one object
+per generator of its subcategory (per twist orbit over a covering) and no
+`generators`.  Every other method accepts any object, and module operations
+reach generators through the incidence lists.
 
 Right modules are contravariant functors: a generator g: x -> y acts on a
 module M by a matrix M(g): M(y) -> M(x) of shape dims(x) x dims(y).
@@ -122,16 +122,14 @@ class Carrier:
     def has_object(self, x) -> bool:
         return x in self._object_index_map()
 
-    def in_window(self, objects) -> bool:
-        """Do the objects lie in the carrier's enumeration window?  Always,
-        for a carrier that enumerates all its objects."""
-        return True
+    def has_generator(self, g) -> bool:
+        return g in self.generators
 
     def memo(self, name: str) -> dict:
         """The carrier's cache table `name`, created empty on first use.
 
         Work shared by every caller over this carrier (representables,
-        indecomposable pools, cover windows of a presentation) lives here,
+        indecomposable pools, the cover of a presentation) lives here,
         so it is dropped with the carrier and never outlives it."""
         tables = self.__dict__.setdefault("_memo_tables", {})
         return tables.setdefault(name, {})

@@ -3,9 +3,9 @@ indecomposable listings, single-claim checks, the verification suite, and
 tilting-pair enumeration.
 
 Exit codes: 0 pass/ok, 1 fail, 2 usage or input error, 3 not-applicable or
-indeterminate.  A claim whose hypothesis is unmet, or that runs out of a cap,
-the window or a search bound, is reported not-applicable or indeterminate
-without stopping the other claims.  JSON output is byte-deterministic for
+indeterminate.  A claim whose hypothesis is unmet, or that runs out of a cap
+or a search bound, is reported not-applicable or indeterminate without
+stopping the other claims.  JSON output is byte-deterministic for
 identical inputs and seed; wall-clock timing is only recorded under --timing.
 """
 
@@ -32,7 +32,6 @@ from .errors import (
     IsoInconclusive,
     NotSquareFree,
     QuiverCoverError,
-    WindowTooSmall,
 )
 from .groups import Group
 from .knitting import list_indecomposables
@@ -65,23 +64,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, window=True):
+    def common(p):
         p.add_argument("--input", required=True, help="presentation JSON file")
-        if window:
-            p.add_argument("--window", type=int, default=None, help="box half-width")
         p.add_argument("--cap", type=int, default=32, help="closure/enumeration cap")
         p.add_argument("--seed", type=int, default=0xC0FFEE, help="deterministic seed")
         p.add_argument("--out", default=None, help="write the JSON result to a file")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("validate", help="validate a presentation document")
-    common(p, window=False)
+    common(p)
 
     p = sub.add_parser("orbit", help="orbit quotient by a finite free action")
-    common(p, window=False)
+    common(p)
     p.add_argument("--action", required=True, help="action JSON file")
 
-    p = sub.add_parser("pushdown", help="push a covering-window module down")
+    p = sub.add_parser("pushdown", help="push a covering module down")
     common(p)
     p.add_argument("--module", required=True, help="covering module JSON file")
 
@@ -145,17 +142,8 @@ def _fingerprint(pres) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _default_window(pres, n: int) -> int:
-    return 3 * max(pres.nilbound, 1) * (n + 2)
-
-
 def _load(args):
     return load_presentation_file(args.input)
-
-
-def _cover(pres, args, n):
-    halfwidth = args.window if args.window is not None else _default_window(pres, n)
-    return smash_cover(pres, pres.group.box(halfwidth)), halfwidth
 
 
 def _canonical_subcategory(carrier, n: int, cap: int) -> SubcategorySpec:
@@ -191,19 +179,19 @@ def _aggregate(claim: str, instance: dict, reports: list, caps=None) -> Verifica
     )
 
 
-# Errors a claim can raise on a valid input: an unmet hypothesis, or a cap,
-# window or search bound that ran out.  Each becomes that claim's outcome.
+# Errors a claim can raise on a valid input: an unmet hypothesis, or a cap
+# or search bound that ran out.  Each becomes that claim's outcome.
 _NOT_APPLICABLE_ERRORS = (HypothesisUnverified, NotSquareFree, AmbientNotClusterTilting)
-_INDETERMINATE_ERRORS = (WindowTooSmall, CapExceeded, DecompositionInconclusive, IsoInconclusive)
+_INDETERMINATE_ERRORS = (CapExceeded, DecompositionInconclusive, IsoInconclusive)
 
 
 def run_claim(pres, claim: str, n: int, args) -> VerificationReport:
-    cover, halfwidth = _cover(pres, args, n)
+    cover = smash_cover(pres)
     instance = {
         "input": _fingerprint(pres),
         "claim": claim,
         "n": n,
-        "window_halfwidth": halfwidth,
+        "group": pres.group.to_json(),
         "seed": args.seed,
     }
     try:
@@ -239,7 +227,7 @@ def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> Verificati
     elif claim == "PnPushdown":
         rep = verify_Pn_pushdown(cover, n, cap=args.cap)
     elif claim == "BonGab":
-        rep = verify_bongab(pres, cover.window, n)
+        rep = verify_bongab(pres, n)
     elif claim == "SelfinjCriteria":
         rep = verify_selfinjectivity_criteria(cover, n, cap=args.cap)
     elif claim == "ZGpEquivalence":
@@ -320,7 +308,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_pushdown(args) -> int:
     pres = _load(args)
-    cover, _ = _cover(pres, args, 1)
+    cover = smash_cover(pres)
     with open(args.module, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     M = module_from_json(cover, doc)
@@ -331,10 +319,7 @@ def _cmd_pushdown(args) -> int:
 
 def _cmd_indecs(args) -> int:
     pres = _load(args)
-    if args.cover:
-        carrier, _ = _cover(pres, args, 1)
-    else:
-        carrier = pres
+    carrier = smash_cover(pres) if args.cover else pres
     mods = list_indecomposables(carrier, dimcap=args.dimcap, class_cap=max(args.cap, 32) * 16)
     _emit(args, listing_to_json(mods))
     return 0
@@ -374,7 +359,7 @@ def _cmd_suite(args) -> int:
 
 def _cmd_enumerate_tilting(args) -> int:
     pres = _load(args)
-    carrier = _cover(pres, args, args.n)[0] if args.cover else pres
+    carrier = smash_cover(pres) if args.cover else pres
     pool, ambient = _tilting_ambient(carrier, args.dimcap)
     pairs = enumerate_support_tilting_pairs(ambient, args.n, pool)
     payload = {

@@ -4,40 +4,25 @@ The covering category C has objects (v, g) for base vertices v and group
 elements g, and C((v,g),(w,h)) is the weight-(h-g) component of the base path
 space from v to w (the smash-product description).  A CoverCarrier computes
 hom spaces, generator ends, incidence, path words and relation lifts from
-base data for any object, so no module operation needs a box: the covering
-is locally bounded, and its indecomposables are knitted one twist orbit at a
-time.  The window box bounds only the rest: `objects` and `generators` list
-the box (pull-up, module literals), and `in_window` says whether a support
-lies in it (the window counts of Corres and Main2).
+base data for any object, so it lists neither objects nor generators: the
+covering is locally bounded, and its indecomposables are knitted one twist
+orbit at a time.
 """
 
 from __future__ import annotations
 
 from .carrier import Carrier
-from .errors import ShapeMismatch, WindowTooSmall
-from .groups import Window
 from .presentation import GradedQuiverPresentation
 
 
 class CoverCarrier(Carrier):
-    """The covering category, with a finite window of shifts to enumerate."""
+    """The covering category of a graded presentation, with the grading
+    group acting freely by shifts."""
 
-    def __init__(self, pres: GradedQuiverPresentation, window: Window):
-        if window.group != pres.group:
-            raise ShapeMismatch("window group does not match the presentation group")
+    def __init__(self, pres: GradedQuiverPresentation):
         self.base_presentation = pres
-        self.window = window
         self.group = pres.group
         self.field = pres.field
-        shifts = window.sorted_elements()
-        inside = window.element_set
-        self._objects = tuple((v, g) for g in shifts for v in pres.vertices)
-        self._generators = tuple(
-            (a.name, g)
-            for g in shifts
-            for a in pres.arrows
-            if self.group.op(g, a.weight) in inside
-        )
         self._vertex_position = {v: i for i, v in enumerate(pres.vertices)}
         # on-demand tables: generator ends, incidence, path words, relations
         self._gen_src = {}
@@ -65,15 +50,17 @@ class CoverCarrier(Carrier):
 
     # -- Carrier interface ------------------------------------------------------
 
-    @property
-    def objects(self) -> tuple:
-        """The objects of the window box, shift by shift."""
-        return self._objects
-
     def object_index(self, x):
-        """Sort key (shift, vertex position) of any object; on the box it
-        orders as `objects` does."""
+        """Sort key (shift, vertex position) of any object."""
         return (x[1], self._vertex_position[x[0]])
+
+    def has_object(self, x) -> bool:
+        return (
+            isinstance(x, tuple)
+            and len(x) == 2
+            and x[0] in self._vertex_position
+            and self.in_box(x[1])
+        )
 
     def hom_labels(self, x, y) -> tuple:
         cache = getattr(self, "_hom_cache", None)
@@ -97,10 +84,13 @@ class CoverCarrier(Carrier):
     def identity_combo(self, x):
         return {(): self.field.scalar(1)}
 
-    @property
-    def generators(self) -> tuple:
-        """The generators with both ends in the window box."""
-        return self._generators
+    def has_generator(self, gen) -> bool:
+        return (
+            isinstance(gen, tuple)
+            and len(gen) == 2
+            and gen[0] in self.base_presentation.generators
+            and self.in_box(gen[1])
+        )
 
     def gen_src(self, gen):
         try:
@@ -166,7 +156,7 @@ class CoverCarrier(Carrier):
 
     def opposite(self) -> "CoverCarrier":
         if self._op is None:
-            op = CoverCarrier(self.base_presentation.opposite(), self.window)
+            op = CoverCarrier(self.base_presentation.opposite())
             op._op = self
             self._op = op
         return self._op
@@ -181,9 +171,7 @@ class CoverCarrier(Carrier):
         return self.base_presentation.opposite_combo(x[0], y[0], combo)
 
     def describe(self) -> str:
-        return (
-            f"cover({self.base_presentation.describe()}, window of {len(self.window)} shifts)"
-        )
+        return f"cover({self.base_presentation.describe()}, group {self.group.describe()})"
 
     # -- covering structure -------------------------------------------------------
 
@@ -196,10 +184,15 @@ class CoverCarrier(Carrier):
         return tuple((v, e) for v in self.base_presentation.vertices)
 
     def in_box(self, g) -> bool:
-        return g in self.window.element_set
-
-    def in_window(self, objects) -> bool:
-        return all(self.in_box(x[1]) for x in objects)
+        """Is g an element of the grading group, so a shift of the cover?
+        (Benchmark tracing wraps this method by name.)"""
+        if self.group.kind == "cyclic":
+            return type(g) is int and 0 <= g < self.group.order
+        return (
+            isinstance(g, tuple)
+            and len(g) == self.group.rank
+            and all(type(c) is int for c in g)
+        )
 
     def twist_object(self, a, x):
         v, g = x
@@ -212,7 +205,7 @@ class CoverCarrier(Carrier):
     # supports of representable functors, from base data (exact, global)
 
     def projective_support(self, x) -> tuple:
-        """Objects where C(-, x) is nonzero, whether or not they sit in the box."""
+        """Objects where C(-, x) is nonzero."""
         v, g = x
         pres = self.base_presentation
         out = set()
@@ -231,32 +224,34 @@ class CoverCarrier(Carrier):
         return tuple(sorted(out))
 
 
-def smash_cover(pres: GradedQuiverPresentation, window: Window) -> CoverCarrier:
-    """The covering category with the given window box.
+def smash_cover(pres: GradedQuiverPresentation) -> CoverCarrier:
+    """The covering category of a presentation.
 
-    One carrier per (presentation, window): every caller shares it, and
-    with it the representables and indecomposable pools memoised on it."""
-    covers = pres.memo("covers")
-    if window not in covers:
-        covers[window] = CoverCarrier(pres, window)
-    return covers[window]
+    One carrier per presentation: every caller shares it, and with it the
+    representables and indecomposable pools memoised on it."""
+    memo = pres.memo("cover")
+    if "cover" not in memo:
+        memo["cover"] = CoverCarrier(pres)
+    return memo["cover"]
 
 
 def materialize_presentation(cover: CoverCarrier):
-    """Flatten a full-group finite cover into a trivially graded presentation.
+    """Flatten the cover of a finitely graded presentation into a trivially
+    graded presentation.
 
     Returns (presentation, vertex_map, arrow_map) where the maps describe the
     shift action of a generator of the (cyclic) grading group, suitable for
-    orbit reconstruction.  Only defined when the group is finite and the
-    window is the whole group.
+    orbit reconstruction.  An infinite group has no element listing
+    (SchemaError).
     """
     from .groups import Group
     from .presentation import Arrow
 
     group = cover.group
-    if not group.is_finite or len(cover.window) != len(group.all_elements()):
-        raise WindowTooSmall("materializing needs a finite group with a full box")
     pres = cover.base_presentation
+    shifts = group.all_elements()
+    objects = [(v, g) for g in shifts for v in pres.vertices]
+    generators = [(a.name, g) for g in shifts for a in pres.arrows]
 
     def vname(x):
         v, g = x
@@ -266,24 +261,20 @@ def materialize_presentation(cover: CoverCarrier):
         name, g = gen
         return f"{name}@{group.element_to_json(g)}"
 
-    vertices = [vname(x) for x in cover.objects]
+    vertices = [vname(x) for x in objects]
     arrows = [
         Arrow(aname(gen), vname(cover.gen_src(gen)), vname(cover.gen_tgt(gen)), ())
-        for gen in cover.generators
+        for gen in generators
     ]
     relations = [
         [(c, tuple(aname(gen) for gen in cover._lift_path(path, g))) for c, path in rel]
         for rel in pres.relations
-        for g in cover.window.sorted_elements()
+        for g in shifts
     ]
     flat = GradedQuiverPresentation(
         pres.field, Group.trivial(), vertices, arrows, relations, pres.nilbound
     )
     shift = 1 if group.kind == "cyclic" else group.identity()
-    vertex_map = {
-        vname(x): vname(cover.twist_object(shift, x)) for x in cover.objects
-    }
-    arrow_map = {
-        aname(gen): aname(cover.twist_generator(shift, gen)) for gen in cover.generators
-    }
+    vertex_map = {vname(x): vname(cover.twist_object(shift, x)) for x in objects}
+    arrow_map = {aname(gen): aname(cover.twist_generator(shift, gen)) for gen in generators}
     return flat, vertex_map, arrow_map

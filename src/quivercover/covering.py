@@ -46,16 +46,6 @@ def canonical_orbit_rep(M: FDModule) -> FDModule:
     return twist_module(M, carrier.group.inv(shifts[0]))
 
 
-def window_translates(M: FDModule) -> int:
-    """How many twists of a centred module M lie in the window: the window
-    shifts a with a·supp(M) inside it (M meets the identity shift)."""
-    carrier = M.carrier
-    return sum(
-        carrier.in_window([carrier.twist_object(a, x) for x in M.support])
-        for a in carrier.window.sorted_elements()
-    )
-
-
 def twisted_iso(M: FDModule, N: FDModule):
     """Some a with ^aM ≅ N, or None.  Candidates come from support matching."""
     if M.total_dim != N.total_dim:
@@ -160,8 +150,8 @@ def push_down_morphism(f: ModMorphism) -> ModMorphism:
 
 @dataclass
 class PullUp:
-    """Window truncation of the pull-up; barred from module computations
-    unless the underlying group is finite (no truncation happened)."""
+    """The pull-up truncated to finitely many shifts; barred from module
+    computations unless the shifts are the whole (finite) group."""
 
     cover: CoverCarrier
     dims: dict
@@ -171,8 +161,8 @@ class PullUp:
     def as_module(self) -> FDModule:
         if self.truncated:
             raise WindowTooSmall(
-                "the pull-up of a base module is infinite-dimensional; the window "
-                "truncation is not a module and cannot enter Hom/Ext computations"
+                "the pull-up of a base module is truncated to a window of shifts; "
+                "the truncation is not a module and cannot enter Hom/Ext computations"
             )
         return FDModule(self.cover, self.dims, self._gen_mats, check_shapes=False)
 
@@ -181,22 +171,23 @@ class PullUp:
         return sum(self.dims.values())
 
 
-def pull_up(N: FDModule, cover: CoverCarrier) -> PullUp:
-    """The composite with the covering projection, truncated to the window."""
+def pull_up(N: FDModule, cover: CoverCarrier, shifts) -> PullUp:
+    """The composite with the covering projection, truncated to the given
+    window of shifts (say `group.box(h)`)."""
     pres = cover.base_presentation
     if N.carrier is not pres:
         raise ShapeMismatch("pull-up expects a base module for this cover")
-    dims = {}
-    for (v, g) in cover.objects:
-        if N.dim(v):
-            dims[(v, g)] = N.dim(v)
-    mats = {}
-    for gen in cover.generators:
-        name, g = gen
-        a = pres.arrow(name)
-        if N.dim(a.src) and N.dim(a.tgt):
-            mats[gen] = N.mat(name)
-    return PullUp(cover, dims, not cover.group.is_finite, mats)
+    group = cover.group
+    inside = set(shifts)
+    dims = {(v, g): N.dim(v) for g in shifts for v in pres.vertices if N.dim(v)}
+    mats = {
+        (a.name, g): N.mat(a.name)
+        for g in shifts
+        for a in pres.arrows
+        if N.dim(a.src) and N.dim(a.tgt) and group.op(g, a.weight) in inside
+    }
+    whole = group.is_finite and inside == set(group.all_elements())
+    return PullUp(cover, dims, not whole, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +393,7 @@ def verify_orbit_bijection(cover: CoverCarrier, dimcap: int = 48, class_cap: int
     base = cover.base_presentation
     downs = list_indecomposables(base, dimcap=dimcap, class_cap=class_cap)
     found = match_pushdowns(classes, downs, distinct=True)
-    matches = [
-        {"class_size": window_translates(X), ("base_index" if isinstance(j, int) else "pushdown"): j}
-        for X, j in zip(classes, found)
-    ]
+    matches = [{("base_index" if isinstance(j, int) else "pushdown"): j} for j in found]
     matched = sum(isinstance(j, int) for j in found)
     ok = matched == len(classes) == len(downs)
     return VerificationReport(

@@ -30,8 +30,7 @@ class NotFreeAction(QuiverCoverError):
 
 
 class WindowTooSmall(QuiverCoverError):
-    """A construction is bounded by the window box: a truncated pull-up or a
-    full-group materialization."""
+    """A pull-up truncated to a window of shifts is not a module."""
 
 
 class RelationViolated(QuiverCoverError):

@@ -1,4 +1,4 @@
-"""Grading groups (free abelian or cyclic) and finite window boxes.
+"""Grading groups (free abelian or cyclic) and finite boxes of their elements.
 
 Group elements are plain hashable values: int r-tuples for free-abelian
 groups of rank r (the rank-0 case is the trivial group) and residues
@@ -8,7 +8,7 @@ groups of rank r (the rank-0 case is the trivial group) and residues
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SchemaError
 
@@ -38,6 +38,15 @@ class Group:
     @staticmethod
     def trivial() -> "Group":
         return Group.free_abelian(0)
+
+    def to_json(self) -> dict:
+        """The group as a presentation document writes it."""
+        if self.kind == "cyclic":
+            return {"kind": "cyclic", "m": self.order}
+        return {"kind": "free-abelian", "rank": self.rank}
+
+    def describe(self) -> str:
+        return f"Z/{self.order}" if self.kind == "cyclic" else f"Z^{self.rank}"
 
     @property
     def is_trivial(self) -> bool:
@@ -94,41 +103,11 @@ class Group:
             return [()]
         raise SchemaError("infinite group has no element listing")
 
-    # windows ---------------------------------------------------------------
+    # boxes ----------------------------------------------------------------
 
-    def box(self, halfwidth: int) -> "Window":
-        """Symmetric box: [-w..w]^rank, or all residues for cyclic groups."""
-        if self.kind == "cyclic":
-            return Window(self, tuple(range(self.order)))
-        if self.rank == 0:
-            return Window(self, ((),))
-        ranges = [range(-halfwidth, halfwidth + 1)] * self.rank
-        elems = tuple(sorted(itertools.product(*ranges)))
-        return Window(self, elems)
-
-
-@dataclass(frozen=True)
-class Window:
-    """Finite box of group elements; identity inside, closed under inversion."""
-
-    group: Group
-    elements: tuple
-    element_set: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        elems = frozenset(self.elements)
-        if self.group.identity() not in elems:
-            raise SchemaError("window box must contain the identity")
-        for a in elems:
-            if self.group.inv(a) not in elems:
-                raise SchemaError("window box must be symmetric under inversion")
-        object.__setattr__(self, "element_set", elems)
-
-    def __contains__(self, a) -> bool:
-        return a in self.element_set
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def sorted_elements(self):
-        return sorted(self.elements)
+    def box(self, halfwidth: int) -> tuple:
+        """The sorted window box [-w..w]^rank of shifts; every element of a
+        finite group."""
+        if self.is_finite:
+            return tuple(self.all_elements())
+        return tuple(itertools.product(*[range(-halfwidth, halfwidth + 1)] * self.rank))

@@ -6,7 +6,7 @@ cosyzygies, the AR translates, and summand extraction, until no new
 isomorphism class appears.  Complete for the representation-finite carriers
 this toolkit targets.  On a covering carrier the group acts freely, so the
 indecomposables up to twist are those of the base (Gabriel): the pool closes
-twist orbits and keeps one centred representative per orbit, with no window.
+twist orbits and keeps one centred representative per orbit.
 """
 
 from __future__ import annotations

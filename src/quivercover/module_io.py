@@ -19,11 +19,13 @@ def _shift_to_str(group, g) -> str:
 
 
 def _shift_from_str(group, text: str):
-    if group.kind == "cyclic":
-        return int(text) % group.order
-    if text == "":
-        return ()
-    return tuple(int(c) for c in text.split(","))
+    """The shift a key spells, checked against the group by the carrier."""
+    try:
+        if group.kind == "cyclic":
+            return int(text) % group.order
+        return tuple(int(c) for c in text.split(",")) if text else ()
+    except ValueError:
+        raise SchemaError(f"bad shift {text!r}") from None
 
 
 def _object_key(carrier, x) -> str:
@@ -86,10 +88,9 @@ def module_from_json(carrier, doc: dict) -> FDModule:
             raise SchemaError(f"bad dimension {d!r} at {key!r}")
         dims[x] = d
     mats = {}
-    generators = set(carrier.generators)
     for key, rows in doc.get("arrowmaps", {}).items():
         g = _gen_from_key(carrier, key)
-        if g not in generators:
+        if not carrier.has_generator(g):
             raise SchemaError(f"unknown arrow {key!r}")
         entries = [[field.scalar_from_string(str(v)) for v in row] for row in rows]
         s, t = carrier.gen_src(g), carrier.gen_tgt(g)

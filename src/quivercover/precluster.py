@@ -45,7 +45,6 @@ from .covering import (
     match_pushdowns,
     push_down,
     push_down_morphism,
-    window_translates,
 )
 from .report import INDETERMINATE, NOT_APPLICABLE, VerificationReport
 
@@ -335,7 +334,7 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             claim="Main2",
             instance={"n": n, "generators": len(V.generators)},
             outcome=NOT_APPLICABLE,
-            notes=["V is not inside the push-down image of the window pool"],
+            notes=["V is not inside the push-down image of the orbit pool"],
         )
     Uspec = SubcategorySpec(preimage, twist_closed=True, check=False)
     up = is_n_precluster(Uspec, n)
@@ -347,7 +346,6 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             {
                 "downstairs": down.to_json(),
                 "upstairs": up.to_json(),
-                "preimage_members": sum(window_translates(X) for X in preimage),
                 "preimage_orbit_classes": len(preimage),
             }
         ],
@@ -355,7 +353,7 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
     )
 
 
-def verify_bongab(pres, window, n: int) -> VerificationReport:
+def verify_bongab(pres, n: int) -> VerificationReport:
     """nMAG transfers between the base and the covering (square-free case)."""
     if not pres.is_square_free():
         return VerificationReport(
@@ -365,7 +363,7 @@ def verify_bongab(pres, window, n: int) -> VerificationReport:
             notes=["NotSquareFree: the square-free hypothesis is not met"],
         )
     base = check_nMAG(pres, n)
-    cover = check_nMAG(smash_cover(pres, window), n)
+    cover = check_nMAG(smash_cover(pres), n)
     return VerificationReport(
         claim="BonGab",
         instance={"n": n, "carrier": pres.describe()},
@@ -463,7 +461,10 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
             claim="ZGpEquivalence",
             instance={"n": n},
             outcome=NOT_APPLICABLE,
-            notes=["checked on base carriers only; a window pool would truncate Z"],
+            notes=[
+                "checked on base carriers only; mod-U of a cover is not yet "
+                "knitted one twist orbit at a time"
+            ],
         )
     up = is_n_precluster(U, n)
     if not up.passes:

@@ -321,13 +321,9 @@ class GradedQuiverPresentation(Carrier):
             field_doc = {"kind": "prime", "p": self.field.p}
         else:
             field_doc = {"kind": "rationals"}
-        if self.group.kind == "cyclic":
-            group_doc = {"kind": "cyclic", "m": self.group.order}
-        else:
-            group_doc = {"kind": "free-abelian", "rank": self.group.rank}
         return {
             "field": field_doc,
-            "group": group_doc,
+            "group": self.group.to_json(),
             "vertices": list(self._vertices),
             "arrows": [
                 {

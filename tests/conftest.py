@@ -80,9 +80,9 @@ def kronecker():
 
 @pytest.fixture(scope="session")
 def n32_cover(n32):
-    return smash_cover(n32, n32.group.box(6))
+    return smash_cover(n32)
 
 
 @pytest.fixture(scope="session")
 def loop2_cover(loop2):
-    return smash_cover(loop2, loop2.group.box(6))
+    return smash_cover(loop2)

@@ -28,9 +28,8 @@ from quivercover import (
     verify_indecomposable_preservation,
     verify_orbit_bijection,
 )
-from quivercover.covering import window_translates
 from quivercover.modules import identity_morphism, zero_morphism
-from window_knit import window_knit
+from window_knit import box_objects, in_box, window_knit
 
 
 def test_twist_identity(n32_cover):
@@ -50,14 +49,15 @@ def test_twist_action_axiom(n32_cover):
     assert T.dims == twist_module(S, (3,)).dims
 
 
-def test_twist_window_bound(n32_cover):
-    # the window bounds enumeration only: a twist past it exists, is the
-    # shifted projective, and lies outside the window
+def test_twist_window_bound(n32, n32_cover):
+    # no window bounds the cover: a twist past any box exists, is the
+    # shifted projective, and lies on objects of the cover
+    box = n32.group.box(6)
     P = projective_at(n32_cover, ("1", (0,)))
-    T = twist_module(P, (7,))
-    assert not n32_cover.in_window(T.support)
-    assert n32_cover.in_window(P.support)
-    assert is_isomorphic(T, projective_at(n32_cover, ("1", (7,))))
+    T = twist_module(P, (100,))
+    assert in_box(box, P.support) and not in_box(box, T.support)
+    assert all(n32_cover.has_object(x) for x in T.support)
+    assert is_isomorphic(T, projective_at(n32_cover, ("1", (100,))))
 
 
 def test_twist_preserves_hom_dims(n32_cover):
@@ -115,16 +115,17 @@ def test_push_down_exactness_on_cover_sequence(n32_cover):
 
 
 def test_pull_up_shape(n32, n32_cover):
+    box = n32.group.box(6)
     S = simple_at(n32, "2")
-    up = pull_up(S, n32_cover)
+    up = pull_up(S, n32_cover, box)
     assert up.truncated  # infinite group
     # one copy of S at every shift
-    assert up.total_dim == len(n32_cover.window)
+    assert up.total_dim == len(box)
     with pytest.raises(WindowTooSmall):
         up.as_module()
     P = projective_at(n32, "1")
-    up2 = pull_up(P, n32_cover)
-    assert up2.total_dim == 2 * len(n32_cover.window)
+    up2 = pull_up(P, n32_cover, box)
+    assert up2.total_dim == 2 * len(box)
 
 
 def test_pull_up_finite_group_is_module():
@@ -139,9 +140,10 @@ def test_pull_up_finite_group_is_module():
     q = orbit_of_finite_action(
         pres, Group.cyclic(2), action["vertex_map"], action["arrow_map"]
     )
-    cov = smash_cover(q, q.group.box(0))
+    cov = smash_cover(q)
     S = simple_at(q, q.vertices[0])
-    up = pull_up(S, cov)
+    assert pull_up(S, cov, (0,)).truncated  # one of the two shifts
+    up = pull_up(S, cov, q.group.box(0))
     assert not up.truncated
     M = up.as_module()
     validate_module(M)
@@ -192,7 +194,7 @@ def test_indec_preservation(n32_cover):
 
 
 def test_orbit_bijection_trivial_group(ka2):
-    cov = smash_cover(ka2, ka2.group.box(0))
+    cov = smash_cover(ka2)
     rep = verify_orbit_bijection(cov, dimcap=8)
     assert rep.outcome is True
     w = rep.witnesses[0]
@@ -214,9 +216,9 @@ def test_canonical_rep_and_twisted_iso(n32_cover):
     assert twisted_iso(S, T) is None
 
 
-def test_window_freeness(n32_cover):
-    # no nonidentity group element fixes a window vertex
-    for v in list(n32_cover.objects)[:6]:
+def test_window_freeness(n32, n32_cover):
+    # no nonidentity group element fixes an object of a box
+    for v in box_objects(n32_cover, n32.group.box(1)):
         for a in [(1,), (-1,), (3,)]:
             moved = n32_cover.twist_object(a, v)
             assert moved != v
@@ -271,6 +273,13 @@ def test_pushdown_exactness_of_sequences(n32_cover):
         assert im == ker
 
 
+def _translates(M, box):
+    # the twists of a centred module M that lie in the box: the count the
+    # Corres and Main2 reports once carried
+    carrier = M.carrier
+    return sum(in_box(box, [carrier.twist_object(a, x) for x in M.support]) for a in box)
+
+
 def _parent_orbit_classes(modules):
     # the grouping Corres and Main2 used: twist orbits of a window pool
     classes = []
@@ -284,17 +293,17 @@ def _parent_orbit_classes(modules):
     return classes
 
 
-def _parent_canonical_orbit_rep(M):
+def _parent_canonical_orbit_rep(M, box):
     # canonical_orbit_rep with its window fall-back
     T = canonical_orbit_rep(M)
-    return T if M.carrier.in_window(T.support) else M
+    return T if in_box(box, T.support) else M
 
 
-def _parent_orbit_representatives(modules):
+def _parent_orbit_representatives(modules, box):
     # the grouping the orbit reductions used: canonical reps, first kept
     reps = []
     for M in modules:
-        R = _parent_canonical_orbit_rep(M)
+        R = _parent_canonical_orbit_rep(M, box)
         if not any(twisted_iso(R, C) is not None for C in reps):
             reps.append(R)
     return reps
@@ -313,29 +322,25 @@ def test_orbit_classes_match_the_parent_groupings(name, request):
     # the orbit knit lists the window knit's canonical representatives, and
     # each translate count is the size of the window knit's orbit class
     pres = request.getfixturevalue(name)
+    cover = smash_cover(pres)
+    pool = list_indecomposables(cover)
     for halfwidth in (3, 6):
-        cover = smash_cover(pres, pres.group.box(halfwidth))
-        pool = list_indecomposables(cover)
-        window_pool = window_knit(cover)
-        old_reps = _parent_orbit_representatives(window_pool)
+        box = pres.group.box(halfwidth)
+        window_pool = window_knit(cover, box)
+        old_reps = _parent_orbit_representatives(window_pool, box)
         assert len(pool) == len(old_reps)
         assert all(_same_module(rep, old) for rep, old in zip(pool, old_reps))
         sizes = [len(members) for members in _parent_orbit_classes(window_pool)]
-        assert [window_translates(X) for X in pool] == sizes
+        assert [_translates(X, box) for X in pool] == sizes
 
 
 @pytest.mark.parametrize("name", ["n32", "loop2"])
 def test_cover_pool_is_one_module_per_orbit(name, request):
-    # the pool at half-width 3 and at the default window is the same list of
-    # modules: one centred module per twist orbit, whatever the window
-    from quivercover.cli import _default_window
-
+    # one centred module per twist orbit, as many as the base has classes
     pres = request.getfixturevalue(name)
-    narrow = list_indecomposables(smash_cover(pres, pres.group.box(3)))
-    wide = list_indecomposables(smash_cover(pres, pres.group.box(_default_window(pres, 1))))
-    assert len(narrow) == len(wide) == len(list_indecomposables(pres))
-    assert all(_same_module(A, B) for A, B in zip(narrow, wide))
-    assert all(min(g for _, g in X.support) == pres.group.identity() for X in wide)
+    pool = list_indecomposables(smash_cover(pres))
+    assert len(pool) == len(list_indecomposables(pres))
+    assert all(min(g for _, g in X.support) == pres.group.identity() for X in pool)
 
 
 def test_push_down_is_kept_on_the_module(n32_cover):

@@ -135,26 +135,35 @@ def test_square_free(n32, kronecker):
 
 
 def test_smash_cover_n32_box2(n32):
-    cov = smash_cover(n32, n32.group.box(2))
-    assert len(cov.objects) == 15  # 3 vertices x 5 shifts
-    # arrows go (i, g) -> (i+1, g+1)
-    for (name, g) in cov.generators:
-        src = cov.gen_src((name, g))
-        tgt = cov.gen_tgt((name, g))
-        assert tgt[1] == (src[1][0] + 1,)
+    cov = smash_cover(n32)
+    box = n32.group.box(2)
+    assert len(box) == 5
+    # every lift of an arrow is a generator, and arrows go (i, g) -> (i+1, g+1)
+    for g in box:
+        for v in n32.vertices:
+            assert cov.has_object((v, g))
+        for a in n32.arrows:
+            assert cov.has_generator((a.name, g))
+            src, tgt = cov.gen_src((a.name, g)), cov.gen_tgt((a.name, g))
+            assert src == (a.src, g) and tgt[1] == (g[0] + 1,)
+    assert cov.describe().endswith(", group Z^1)")
 
 
 def test_smash_cover_trivial_group(ka2):
-    cov = smash_cover(ka2, ka2.group.box(0))
-    assert len(cov.objects) == len(ka2.vertices)
-    assert len(cov.generators) == len(ka2.arrows)
+    cov = smash_cover(ka2)
+    assert cov.fundamental_domain() == tuple((v, ()) for v in ka2.vertices)
+    gens = [g for x in cov.fundamental_domain() for g in cov.generators_at_source(x)]
+    assert len(gens) == len(ka2.arrows)
+    assert cov.describe().endswith(", group Z^0)")
 
 
 def test_smash_cover_loop_is_line(loop2):
-    cov = smash_cover(loop2, loop2.group.box(3))
+    cov = smash_cover(loop2)
     # 7 shifts, one vertex: a line quiver with rad^2 = 0
-    assert len(cov.objects) == 7
-    assert len(cov.generators) == 6
+    objects = [("v", g) for g in loop2.group.box(3)]
+    assert len(objects) == 7
+    gens = [g for x in objects for g in cov.generators_at_source(x) if cov.gen_tgt(g) in objects]
+    assert len(gens) == 6
     # hom spaces: identity and single arrows only (rad^2 = 0)
     v0 = ("v", (0,))
     v1 = ("v", (1,))
@@ -165,13 +174,12 @@ def test_smash_cover_loop_is_line(loop2):
 
 
 def test_relation_lift_across_the_box_edge_is_checked(n32):
-    # box(0) holds no arrow of n32, yet a module over it still has to kill
-    # every relation lifted at its support, here a1 a2 from (1, 0) to (3, 2)
+    # a module over the cover has to kill every relation lifted at its
+    # support, here a1 a2 from (1, 0) to (3, 2), though box(0) holds no arrow
     from quivercover import FDModule, RelationViolated, validate_module
     from quivercover.field import Mat
 
-    cov = smash_cover(n32, n32.group.box(0))
-    assert cov.generators == ()
+    cov = smash_cover(n32)
     one = Mat.identity(n32.field, 1)
     dims = {("1", (0,)): 1, ("2", (1,)): 1, ("3", (2,)): 1}
     chain = FDModule(cov, dims, {("a1", (0,)): one, ("a2", (1,)): one})
@@ -222,10 +230,10 @@ def test_orbit_six_cycle_rotation():
     assert len(q.arrows) == 3
     assert len(q.relations) == 3
     assert q.total_dimension() == 6  # same hom dimensions as N(3,2)
-    # reconstruct: the smash cover over the full cyclic box is the 6-cycle
-    cov = smash_cover(q, q.group.box(0))
-    assert len(cov.objects) == 6
-    assert len(cov.generators) == 6
+    # reconstruct: the smash cover over the cyclic group is the 6-cycle
+    flat = materialize_presentation(smash_cover(q))[0]
+    assert len(flat.vertices) == 6
+    assert len(flat.arrows) == 6
 
 
 def test_orbit_two_cycle_to_loop():
@@ -272,7 +280,7 @@ def test_smash_then_orbit_round_trip():
     q = orbit_of_finite_action(
         pres, Group.cyclic(2), action["vertex_map"], action["arrow_map"]
     )
-    cov = smash_cover(q, q.group.box(0))
+    cov = smash_cover(q)
     flat, vmap, amap = materialize_presentation(cov)
     q2 = orbit_of_finite_action(flat, Group.cyclic(2), vmap, amap)
     assert len(q2.vertices) == len(q.vertices)

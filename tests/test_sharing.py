@@ -1,4 +1,4 @@
-"""Work shared within one command: one cover per (presentation, window), one
+"""Work shared within one command: one cover per presentation, one
 indecomposable pool per (carrier, dimcap, class_cap, seed), and one
 representable per (carrier, object)."""
 
@@ -45,7 +45,7 @@ def knits(monkeypatch):
 
 def test_suite_knits_each_pool_once(capsys, knits):
     code = main(
-        ["suite", "--input", os.path.join(GOLDEN, "loop2.json"), "--n", "1", "--window", "3"]
+        ["suite", "--input", os.path.join(GOLDEN, "loop2.json"), "--n", "1"]
     )
     capsys.readouterr()
     assert code in (0, 1, 3)
@@ -56,7 +56,7 @@ def test_suite_knits_each_pool_once(capsys, knits):
 
 def test_another_seed_knits_again(knits):
     pres = fresh("loop2")
-    cover = smash_cover(pres, pres.group.box(3))
+    cover = smash_cover(pres)
     first = list_indecomposables(cover)
     list_indecomposables(cover)
     assert len(knits) == 1
@@ -85,34 +85,35 @@ def test_pool_list_is_fresh_but_its_modules_are_shared():
 
 def test_representables_are_built_once():
     pres = fresh("n32")
-    cover = smash_cover(pres, pres.group.box(4))
+    cover = smash_cover(pres)
     for carrier, x in ((pres, "1"), (cover, ("1", (0,)))):
         assert projective_at(carrier, x) is projective_at(carrier, x)
         assert injective_at(carrier, x) is injective_at(carrier, x)
-    # a projective that leaves the window is built once as well
+    # a projective away from the fundamental domain is built once as well
     edge = projective_at(cover, ("1", (-4,)))
     assert edge is projective_at(cover, ("1", (-4,)))
     assert edge.dims == {("1", (-4,)): 1, ("3", (-5,)): 1}
-    assert not cover.in_window(edge.support)
 
 
-def test_one_cover_per_window():
+def test_one_cover_per_presentation():
     pres = fresh("n32")
-    assert smash_cover(pres, pres.group.box(3)) is smash_cover(pres, pres.group.box(3))
-    assert smash_cover(pres, pres.group.box(3)) is not smash_cover(pres, pres.group.box(4))
-    # a box that holds no lift of any relation is a cover like any other
-    tiny = smash_cover(pres, pres.group.box(0))
-    assert tiny is smash_cover(pres, pres.group.box(0))
-    assert pres.memo("covers")[pres.group.box(0)] is tiny
+    cover = smash_cover(pres)
+    assert cover is smash_cover(pres)
+    assert cover is not smash_cover(fresh("n32"))
+    assert cover.opposite().opposite() is cover
 
 
 def test_module_from_json_rejects_unknown_arrows():
     pres = fresh("n32")
-    cover = smash_cover(pres, pres.group.box(3))
+    cover = smash_cover(pres)
     ok = {"dims": {"1@0": 1, "2@1": 1}, "arrowmaps": {"a1@0": [[1]]}}
     assert module_from_json(cover, ok).dims == {("1", (0,)): 1, ("2", (1,)): 1}
-    # an arrow lift off the window, and an arrow the base does not have
-    with pytest.raises(SchemaError, match="unknown arrow"):
-        module_from_json(cover, {"dims": ok["dims"], "arrowmaps": {"a1@3": [[1]]}})
+    # a lift far from the identity shift is an arrow of the cover
+    far = {"dims": {"1@100": 1, "2@101": 1}, "arrowmaps": {"a1@100": [[1]]}}
+    assert module_from_json(cover, far).dims == {("1", (100,)): 1, ("2", (101,)): 1}
+    # an arrow the base does not have, and a shift of the wrong rank
+    for key in ("zz@0", "a1@1,2"):
+        with pytest.raises(SchemaError, match="unknown arrow"):
+            module_from_json(cover, {"dims": ok["dims"], "arrowmaps": {key: [[1]]}})
     with pytest.raises(SchemaError, match="unknown arrow"):
         module_from_json(pres, {"dims": {"1": 1}, "arrowmaps": {"zz": [[1]]}})

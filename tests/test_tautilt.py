@@ -258,7 +258,7 @@ def _ambient(carrier, cover):
 @pytest.mark.parametrize("name", ["ka2", "ka3", "n32", "loop2", "ausl2"])
 def test_enumeration_matches_the_subset_reference(name, cover, request):
     pres = request.getfixturevalue(name)
-    carrier = smash_cover(pres, pres.group.box(3)) if cover else pres
+    carrier = smash_cover(pres) if cover else pres
     ambient, pool = _ambient(carrier, cover)
     pairs = enumerate_support_tilting_pairs(ambient, 1, pool)
     assert pairs  # (Lambda, 0) at least
@@ -315,7 +315,7 @@ def test_tilting_pushdown_on_index_pairs_matches_the_module_path(name, request):
     # the module path: build each pair's sums and ask the module predicate
     # upstairs and on their push-downs
     pres = request.getfixturevalue(name)
-    cover = smash_cover(pres, pres.group.box(3))
+    cover = smash_cover(pres)
     ambient_up, pool_up = _ambient(cover, cover=True)
     ambient_down, pool_down = _ambient(pres, cover=False)
     projs = [projective_at(cover, x) for x in cover.fundamental_domain()]
@@ -341,9 +341,9 @@ def test_tilting_pushdown_claim_pushes_each_summand_down_once(monkeypatch):
 
     pres = load_presentation(golden_doc("n32"))  # nothing pushed down yet
     args = build_parser().parse_args(
-        ["check", "--input", "n32.json", "--claim", "TiltingPushdown", "--window", "6"]
+        ["check", "--input", "n32.json", "--claim", "TiltingPushdown"]
     )
-    cover = smash_cover(pres, pres.group.box(6))  # the claim's cover
+    cover = smash_cover(pres)  # the claim's cover
     ambient_up = _tilting_ambient(cover, args.dimcap)[1]
     projs = [projective_at(cover, x) for x in cover.fundamental_domain()]
     allowed = {id(X) for X in ambient_up.generators + projs}

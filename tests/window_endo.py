@@ -1,11 +1,12 @@
 """Reference: the window endomorphism category that the window-free one
 replaced.
 
-`window_endo(U)` lists every twist of U's generators whose support lies in
-the window and presents their endomorphism category eagerly, with a hom
-basis for every ordered pair of them.  The window truncates mod-U at its
-border, so only the centred generators form its fundamental domain.  Tests
-check the window-free upstairs category of ModPushdown against it.
+`window_endo(U, box)` lists every twist of U's generators whose support
+lies in a window box of shifts and presents their endomorphism category
+eagerly, with a hom basis for every ordered pair of them.  The box truncates
+mod-U at its border, so only the centred generators form its fundamental
+domain.  Tests check the window-free upstairs category of ModPushdown
+against it.
 """
 
 from quivercover.carrier import Carrier, OppositeCarrier
@@ -13,6 +14,7 @@ from quivercover.covering import add_class, twist_module
 from quivercover.errors import ShapeMismatch
 from quivercover.field import Mat, hstack, rref
 from quivercover.modules import hom_basis, identity_morphism, is_isomorphic, morphism_coords
+from window_knit import in_box
 
 
 class WindowEndoCarrier(Carrier):
@@ -100,15 +102,14 @@ class WindowEndoCarrier(Carrier):
         return self._fundamental
 
 
-def window_endo(U) -> tuple:
-    """(keys, carrier): the window twists of U's generators with their keys
-    (generator index, twist), and their endomorphism category."""
-    carrier = U.carrier
+def window_endo(U, box) -> tuple:
+    """(keys, carrier): the twists of U's generators inside the box with
+    their keys (generator index, twist), and their endomorphism category."""
     keys, objs = [], []
     for i, gen in enumerate(U.generators):
-        for a in carrier.window.sorted_elements():
+        for a in box:
             T = twist_module(gen, a)
-            if carrier.in_window(T.support) and add_class(objs, T, twisted=False):
+            if in_box(box, T.support) and add_class(objs, T, twisted=False):
                 keys.append((i, a))
     fundamental = [
         next(k for k, obj in enumerate(objs) if is_isomorphic(gen, obj)) for gen in U.generators

@@ -1,9 +1,11 @@
 """Reference: the window knit that the orbit knit replaced.
 
-`window_knit` lists every indecomposable whose support lies in the window,
-one module per isomorphism class (twists are different classes), seeded
-from every window object.  Tests check the orbit knit and the window counts
-in the reports against it.
+`window_knit(cover, box)` lists every indecomposable whose support lies in a
+window box of shifts (say `group.box(3)`), one module per isomorphism class
+(twists are different classes), seeded from every object of the box.  Tests
+check the orbit knit and the orbit counts in the reports against it.  The
+helpers list the objects and generators of a box, which the cover itself
+does not list.
 """
 
 from quivercover.errors import CapExceeded
@@ -15,6 +17,28 @@ from quivercover.modules import (
     projective_at,
     simple_at,
 )
+
+
+def box_objects(cover, box) -> tuple:
+    """The objects of the cover at the shifts of the box, shift by shift."""
+    return tuple((v, g) for g in box for v in cover.base_presentation.vertices)
+
+
+def box_generators(cover, box) -> tuple:
+    """The generators of the cover with both ends at shifts of the box."""
+    inside = set(box)
+    return tuple(
+        (a.name, g)
+        for g in box
+        for a in cover.base_presentation.arrows
+        if cover.group.op(g, a.weight) in inside
+    )
+
+
+def in_box(box, support) -> bool:
+    """Does the support lie at shifts of the box?"""
+    inside = set(box)
+    return all(g in inside for _, g in support)
 
 
 class _Pool:
@@ -34,7 +58,7 @@ class _Pool:
         return True
 
 
-def window_knit(carrier, dimcap=48, class_cap=512):
+def window_knit(carrier, box, dimcap=48, class_cap=512):
     pool = _Pool(class_cap)
     work = []
 
@@ -42,14 +66,15 @@ def window_knit(carrier, dimcap=48, class_cap=512):
         for piece, _ in decompose(module):
             if (
                 0 < piece.total_dim <= dimcap
-                and carrier.in_window(piece.support)
+                and in_box(box, piece.support)
                 and pool.add(piece)
             ):
                 work.append(piece)
 
-    seeds = [simple_at(carrier, x) for x in carrier.objects]
+    objects = box_objects(carrier, box)
+    seeds = [simple_at(carrier, x) for x in objects]
     for builder in (projective_at, injective_at):
-        seeds += [builder(carrier, x) for x in carrier.objects]
+        seeds += [builder(carrier, x) for x in objects]
     for candidate in seeds:
         gather(candidate)
     while work:
