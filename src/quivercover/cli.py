@@ -66,10 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--input", required=True, help="presentation JSON file")
-        p.add_argument("--cap", type=int, default=32, help="closure/enumeration cap")
         p.add_argument("--seed", type=int, default=0xC0FFEE, help="deterministic seed")
         p.add_argument("--out", default=None, help="write the JSON result to a file")
         p.add_argument("--format", choices=("json", "text"), default="json")
+
+    def cap(p):
+        p.add_argument("--cap", type=int, default=32, help="closure/enumeration cap")
 
     p = sub.add_parser("validate", help="validate a presentation document")
     common(p)
@@ -84,11 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indecs", help="list indecomposables up to isomorphism")
     common(p)
+    cap(p)
     p.add_argument("--cover", action="store_true", help="one centred module per twist orbit of the covering")
     p.add_argument("--dimcap", type=int, default=48)
 
     p = sub.add_parser("check", help="verify one claim")
     common(p)
+    cap(p)
     p.add_argument("--claim", required=True, choices=CLAIM_IDS)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--dimcap", type=int, default=48)
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run every claim")
     common(p)
-    p.add_argument("--all", action="store_true", help="run all claims (default)")
+    cap(p)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--dimcap", type=int, default=48)
     p.add_argument("--timing", action="store_true")

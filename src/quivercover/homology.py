@@ -210,9 +210,15 @@ def is_injective_module(Q: FDModule) -> bool:
 
 
 def strip_summands(M: FDModule, pred) -> FDModule:
-    """M without its indecomposable summands that satisfy pred."""
+    """M without its indecomposable summands that satisfy pred.
+
+    pred must hold for a module exactly when it holds for every indecomposable
+    summand (as projectivity and injectivity do), so a module that satisfies
+    it whole strips to zero without being decomposed."""
     if M.is_zero():
         return M
+    if pred(M):
+        return zero_module(M.carrier)
     parts = decompose(M)
     keep = []
     for piece, mult in parts:

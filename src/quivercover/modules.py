@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from contextvars import ContextVar
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -311,10 +313,6 @@ def validate_module(M: FDModule) -> None:
 # hom spaces
 
 
-def _kron(field, A: Mat, B: Mat) -> np.ndarray:
-    return field._reduce(np.kron(A.a, B.a))
-
-
 def hom_basis(M: FDModule, N: FDModule) -> list:
     """Basis of Hom(M, N) as a list of morphisms (commuting-square solve)."""
     if M.carrier is not N.carrier:
@@ -335,28 +333,29 @@ def hom_basis(M: FDModule, N: FDModule) -> list:
     if nvars == 0:
         M._cache[key] = (N, [])
         return []
-    rows = []
-    for g, x, y in _square_generators(M, N):
-        neq = N.dim(x) * M.dim(y)
-        has_x = x in offsets
-        has_y = y in offsets
-        if not has_x and not has_y:
-            continue
-        block = field.zeros(neq, nvars)
-        if has_x:
-            # vec(Phi_x @ M(g)) = (I ⊗ M(g)^T) vec(Phi_x)   [row-major vec]
-            k = _kron(field, Mat.identity(field, N.dim(x)), M.mat(g).transpose())
-            block[:, offsets[x] : offsets[x] + M.dim(x) * N.dim(x)] = k
-        if has_y:
-            # vec(N(g) @ Phi_y) = (N(g) ⊗ I) vec(Phi_y)
-            k = _kron(field, N.mat(g), Mat.identity(field, M.dim(y)))
-            block[:, offsets[y] : offsets[y] + M.dim(y) * N.dim(y)] = field._reduce(
-                block[:, offsets[y] : offsets[y] + M.dim(y) * N.dim(y)] - k
-            )
-        rows.append(Mat(field, block))
-    if rows:
-        system = vstack(rows)
-        kern = kernel_basis(system)
+    squares = [(g, x, y) for g, x, y in _square_generators(M, N) if x in offsets or y in offsets]
+    if squares:
+        # one block of N(x) M(y) equations per square: Phi_x M(g) = N(g) Phi_y,
+        # each side written into its columns through an (i, j, i', k) view
+        system = field.zeros(sum(N.dim(x) * M.dim(y) for _, x, y in squares), nvars)
+        row = 0
+        for g, x, y in squares:
+            nx, my = N.dim(x), M.dim(y)
+            eqs = system[row : row + nx * my]
+            row += nx * my
+            if x in offsets:
+                # vec(Phi_x @ M(g)) = (I ⊗ M(g)^T) vec(Phi_x)   [row-major vec]
+                mx, o = M.dim(x), offsets[x]
+                view = eqs[:, o : o + nx * mx].reshape(nx, my, nx, mx)
+                i = np.arange(nx)
+                view[i, :, i, :] = M.mat(g).a.T
+            if y in offsets:
+                # vec(N(g) @ Phi_y) = (N(g) ⊗ I) vec(Phi_y)
+                ny, o = N.dim(y), offsets[y]
+                view = eqs[:, o : o + ny * my].reshape(nx, my, ny, my)
+                j = np.arange(my)
+                view[:, j, :, j] -= N.mat(g).a
+        kern = kernel_basis(Mat(field, system))
     else:
         kern = Mat.identity(field, nvars)
     basis = []
@@ -731,12 +730,153 @@ def _single_root(field, coeffs):
     return lam if coeffs[0] == term else None
 
 
+# Below this prime, roots are found by trying every field element.
+_SCAN_PRIMES_BELOW = 64
+# Trial division for the rational-root test gives up above this divisor.
+_TRIAL_DIVISOR_LIMIT = 10**6
+
+
+def _poly_value(field, coeffs, a):
+    acc = field.scalar(0)
+    for c in reversed(coeffs):
+        acc = field.scalar(acc * a + c)
+    return acc
+
+
+def _powmod_p(p, base, e, mod):
+    """base^e mod the monic polynomial mod over F_p, by square-and-multiply
+    on plain int lists (lowest degree first)."""
+    d = len(mod) - 1
+
+    def mulmod(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                prod[i + j] += u * v
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod[k] % p
+            for i in range(d):
+                prod[k - d + i] -= c * mod[i]
+        return [c % p for c in prod[:d]]
+
+    out = [1]
+    while e:
+        if e & 1:
+            out = mulmod(out, base)
+        e >>= 1
+        if e:
+            base = mulmod(base, base)
+    return _poly_trim(None, out)
+
+
+def _split_distinct_roots(field, g):
+    """The roots of a monic g over F_p (p odd) that is a product of distinct
+    linear factors, by equal-degree splitting with (x + a)^((p-1)/2) - 1 for
+    a = 0, 1, ... in turn."""
+    if len(g) <= 2:
+        return [field.neg_scalar(g[0])] if len(g) == 2 else []
+    half = (field.p - 1) // 2
+    a = 0
+    while True:
+        h = _poly_sub(field, _powmod_p(field.p, [a, 1], half, g), [1])
+        d = _poly_ext_gcd(field, g, h)[0]
+        if 1 < len(d) < len(g):
+            rest = _poly_divmod(field, g, d)[0]
+            return _split_distinct_roots(field, d) + _split_distinct_roots(field, rest)
+        a += 1
+
+
+def _roots_mod_p(field, coeffs):
+    """The distinct roots in F_p of a monic polynomial."""
+    p = field.p
+    if p < _SCAN_PRIMES_BELOW:
+        return [a for a in range(p) if _poly_value(field, coeffs, a) == 0]
+    x = [0, 1]
+    # the roots of coeffs are those of gcd(coeffs, x^p - x)
+    g = _poly_ext_gcd(field, coeffs, _poly_sub(field, _powmod_p(p, x, p, coeffs), x))[0]
+    return _split_distinct_roots(field, g)
+
+
+def _divisors(n: int):
+    """The positive divisors of n >= 1, or None when trial division would
+    pass _TRIAL_DIVISOR_LIMIT."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if d > _TRIAL_DIVISOR_LIMIT:
+            return None
+        while n % d == 0:
+            primes.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    divs = {1}
+    for q in primes:
+        divs |= {x * q for x in divs}
+    return divs
+
+
+def _rational_roots(coeffs):
+    """The distinct rational roots of a monic polynomial, by the rational-root
+    test on its integer form; None when a divisor search gives up."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    low = next(i for i, c in enumerate(ints) if c)
+    roots = [Fraction(0)] if low else []
+    ints = ints[low:]
+    nums, dens = _divisors(abs(ints[0])), _divisors(ints[-1])
+    if nums is None or dens is None:
+        return None
+    for a in nums:
+        for b in dens:
+            if gcd(a, b) != 1:
+                continue
+            for num in (a, -a):
+                # b^n f(num / b), in integers
+                acc, bpow = ints[-1], b
+                for c in reversed(ints[:-1]):
+                    acc = acc * num + c * bpow
+                    bpow *= b
+                if acc == 0:
+                    roots.append(Fraction(num, b))
+    return roots
+
+
+def _split_linear(field, coeffs):
+    """sympy's factor_list of a monic polynomial that is a product of linear
+    factors, or None when it has an irreducible factor of degree >= 2."""
+    roots = _roots_mod_p(field, coeffs) if field.is_prime_field else _rational_roots(coeffs)
+    if roots is None:
+        return None
+    rest, out = list(coeffs), []
+    for r in roots:
+        mult = 0
+        while len(rest) > 1:
+            quot, rem = _poly_divmod(field, rest, [field.neg_scalar(r), field.scalar(1)])
+            if rem:
+                break
+            rest, mult = quot, mult + 1
+        # x - a/b as sympy writes it: b x - a, integer coefficients over Q
+        den = 1 if field.is_prime_field else r.denominator
+        out.append(([field.scalar(field.neg_scalar(r) * den), field.scalar(den)], mult))
+    if len(rest) > 1:
+        return None
+    # sympy's order: by multiplicity, then by coefficients, leading first
+    return sorted(out, key=lambda fm: (fm[1], fm[0][::-1]))
+
+
 def _factor_poly(field, coeffs):
     """Factor a monic polynomial into (factor, multiplicity) pairs: a power
-    of one linear factor directly, anything else via sympy."""
+    of one linear factor directly, a product of linear factors by root
+    finding, anything else via sympy.  The last two give sympy's
+    factor_list, in its order."""
     lam = _single_root(field, coeffs)
     if lam is not None:
         return [([field.neg_scalar(lam), field.scalar(1)], len(coeffs) - 1)]
+    split = _split_linear(field, coeffs)
+    if split is not None:
+        return split
     import sympy
 
     x = sympy.Symbol("x")
@@ -758,8 +898,6 @@ def _factor_poly(field, coeffs):
 
 
 def Fraction_from_sympy(value):
-    from fractions import Fraction
-
     return Fraction(int(value.p), int(value.q))
 
 

@@ -45,6 +45,23 @@ def test_no_command_takes_a_window(capsys, argv):
     assert "unrecognized arguments: --window 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--cap", "0"],
+        ["orbit", "--action", os.path.join(GOLDEN, "sixcycle_action.json"), "--cap", "0"],
+        ["pushdown", "--module", "mod.json", "--cap", "0"],
+        ["enumerate-tilting", "--cap", "0"],
+        ["suite", "--all"],
+    ],
+    ids=lambda argv: " ".join([argv[0], argv[-1] if argv[-1] == "--all" else "--cap"]),
+)
+def test_flags_a_command_would_ignore_are_refused(capsys, argv):
+    command, *rest = argv
+    assert main([command, "--input", golden("n32"), *rest]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_validate_ok(capsys):
     code, out, _ = run(capsys, "validate", "--input", golden("n32"))
     assert code == 0
@@ -524,6 +541,30 @@ def _exit_code_and_sympy(argv):
 def test_validate_does_not_import_sympy():
     # sympy is imported lazily, by polynomial factoring only
     proc = _exit_code_and_sympy(["validate", "--input", golden("n32")])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_ka3_suite_does_not_import_sympy():
+    # each minimal polynomial it factors is a product of linear factors
+    proc = _exit_code_and_sympy(["suite", "--input", golden("ka3"), "--n", "1"])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("field", [{"kind": "prime", "p": 32003}, {"kind": "rationals"}], ids=["F_32003", "Q"])
+def test_e6_knit_does_not_import_sympy(tmp_path, field):
+    # E6 with every edge oriented from the smaller Bourbaki label to the larger
+    edges = [(1, 3), (3, 4), (2, 4), (4, 5), (5, 6)]
+    doc = {
+        "field": field,
+        "group": {"kind": "free-abelian", "rank": 1},
+        "vertices": [str(v) for v in range(1, 7)],
+        "arrows": [{"id": f"a{a}_{b}", "src": str(a), "tgt": str(b), "weight": [1]} for a, b in edges],
+        "relations": [],
+        "nilbound": 4,
+    }
+    path = tmp_path / "e6.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = _exit_code_and_sympy(["indecs", "--input", str(path)])
     assert proc.returncode == 0, proc.stderr
 
 

@@ -328,3 +328,70 @@ def test_ar_pairing_oracle_n32(n32):
         for N in noninj:
             expect = 1 if is_isomorphic(N, T) else 0
             assert ext_dim(M, N, 1) == expect
+
+
+def _strip_by_decomposing(M, pred):
+    # strip_summands without its shortcut: always decompose
+    from quivercover import decompose, direct_sum, zero_module
+
+    if M.is_zero():
+        return M
+    keep = [piece for piece, mult in decompose(M) if not pred(piece) for _ in range(mult)]
+    return direct_sum(keep)[0] if keep else zero_module(M.carrier)
+
+
+def _same_summands(A, B):
+    # equal multisets of indecomposable summands, up to isomorphism
+    from quivercover import decompose
+
+    rest = [piece for piece, mult in decompose(B) for _ in range(mult)]
+    for piece, mult in decompose(A):
+        for _ in range(mult):
+            match = next((k for k, other in enumerate(rest) if is_isomorphic(piece, other)), None)
+            if match is None:
+                return False
+            rest.pop(match)
+    return not rest
+
+
+def test_strip_of_projectives_does_not_decompose(n32, ka3, monkeypatch):
+    import quivercover.homology as homology
+    from quivercover import direct_sum
+
+    ka3_pool = list_indecomposables(ka3)
+    calls = []
+    real = homology.decompose
+    monkeypatch.setattr(homology, "decompose", lambda M, *a, **k: calls.append(M) or real(M, *a, **k))
+    P = direct_sum([projective_at(n32, x) for x in n32.vertices] + [projective_at(n32, "1")])[0]
+    assert homology.strip_summands(P, is_projective_module).is_zero()
+    I = direct_sum([injective_at(n32, "2"), injective_at(n32, "2")])[0]
+    assert homology.strip_summands(I, is_injective_module).is_zero()
+    assert calls == []
+    # on the hereditary ka3 every syzygy is projective, so none decomposes
+    for M in ka3_pool:
+        assert syzygy(M, 1).is_zero() and syzygy(M, 2).is_zero()
+    assert calls == []
+    # a non-projective summand still sends the strip through decompose
+    S = nonprojective_simple(n32)
+    kept = homology.strip_summands(direct_sum([P, S])[0], is_projective_module)
+    assert len(calls) == 1 and kept.dims == S.dims
+
+
+@pytest.mark.parametrize("name", ["ka3", "n32"])
+def test_syzygies_match_a_strip_that_always_decomposes(name, request):
+    from quivercover import direct_sum, dual_module
+    from quivercover.homology import _proj_data
+
+    pres = request.getfixturevalue(name)
+    pool = list_indecomposables(pres)
+    mods = pool + [direct_sum([A, B])[0] for k, A in enumerate(pool) for B in pool[k:]]
+    mods.append(direct_sum(pool + pool)[0])
+    for M in mods:
+        for i in (1, 2):
+            ref = _strip_by_decomposing(_proj_data(M, i - 1).stage(i), is_projective_module)
+            got = syzygy(M, i)
+            assert got.dims == ref.dims and _same_summands(got, ref)
+            DM = dual_module(M)
+            ref = _strip_by_decomposing(dual_module(_proj_data(DM, i - 1).stage(i)), is_injective_module)
+            got = cosyzygy(M, i)
+            assert got.dims == ref.dims and _same_summands(got, ref)

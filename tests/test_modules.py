@@ -274,8 +274,8 @@ def _monic(field, factors):
     return sorted(out)
 
 
-def _sympy_factors(field, coeffs):
-    # sympy's factor_list, each factor made monic
+def _sympy_factor_list(field, coeffs):
+    # sympy's factor_list as it stands: its factors, forms and order
     import sympy
 
     x = sympy.Symbol("x")
@@ -287,8 +287,12 @@ def _sympy_factors(field, coeffs):
     def scalar(c):
         return field.scalar(c) if field.is_prime_field else Fraction(int(c.p), int(c.q))
 
-    factors = [([scalar(c) for c in reversed(f.all_coeffs())], int(m)) for f, m in poly.factor_list()[1]]
-    return _monic(field, factors)
+    return [([scalar(c) for c in reversed(f.all_coeffs())], int(m)) for f, m in poly.factor_list()[1]]
+
+
+def _sympy_factors(field, coeffs):
+    # sympy's factor_list, each factor made monic
+    return _monic(field, _sympy_factor_list(field, coeffs))
 
 
 @pytest.mark.parametrize("field", [Field.prime(32003), Field.prime(5), Field.rationals()], ids=str)
@@ -311,3 +315,144 @@ def test_factor_poly_agrees_with_sympy(field):
         pure = _linear_power(field, 1, 5)
         assert _single_root(field, pure) is None
         assert _factor_poly(field, pure) == _sympy_factors(field, pure)
+
+
+def _record_imports(monkeypatch):
+    # every module name imported from now on, in order
+    import builtins
+
+    seen = []
+    real = builtins.__import__
+
+    def spy(name, *args, **kwargs):
+        seen.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", spy)
+    return seen
+
+
+def _random_root(field, rng):
+    if field.is_prime_field:
+        return rng.choice([0, 1, field.p - 1, rng.randrange(field.p)])
+    return Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 4]))
+
+
+@pytest.mark.parametrize(
+    "field", [Field.prime(32003), Field.prime(5), Field.prime(2), Field.rationals()], ids=str
+)
+def test_factor_poly_splits_products_of_linear_factors_as_sympy_does(field, monkeypatch):
+    # a product of at least two distinct linear factors is split without sympy
+    # into exactly sympy's factors, forms and order: by multiplicity, then by
+    # coefficients (over Q, b x - a for the root a / b)
+    import random
+
+    from quivercover.modules import _factor_poly, _poly_mul
+
+    rng = random.Random(12)
+    seen = _record_imports(monkeypatch)
+    checked = 0
+    while checked < 60:
+        roots = [_random_root(field, rng) for _ in range(rng.randint(2, 7))]
+        if len({field.scalar(r) for r in roots}) < 2:
+            continue
+        coeffs = [field.scalar(1)]
+        for r in roots:
+            coeffs = _poly_mul(field, coeffs, _linear_power(field, r, 1))
+        expected = _sympy_factor_list(field, coeffs)
+        seen.clear()
+        assert _factor_poly(field, coeffs) == expected, roots
+        assert "sympy" not in seen
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "field, coeffs",
+    [
+        (Field.rationals(), [Fraction(1), Fraction(0), Fraction(1)]),  # x^2 + 1
+        (Field.prime(5), [3, 0, 1]),  # x^2 - 2
+        (Field.prime(32003), [32002, 0, 0, 0, 1]),  # (x - 1)(x + 1)(x^2 + 1)
+        (Field.rationals(), [Fraction(-2), Fraction(2), Fraction(-1), Fraction(1)]),  # (x - 1)(x^2 + 2)
+    ],
+    ids=["x2+1/Q", "x2-2/F5", "x4-1/F32003", "(x-1)(x2+2)/Q"],
+)
+def test_factor_poly_hands_an_irreducible_quadratic_to_sympy(field, coeffs, monkeypatch):
+    from quivercover.modules import _factor_poly
+
+    expected = _sympy_factor_list(field, coeffs)
+    assert any(len(f) == 3 for f, _ in expected)
+    seen = _record_imports(monkeypatch)
+    assert _factor_poly(field, coeffs) == expected
+    assert "sympy" in seen
+
+
+def _kron_hom_kernel(M, N):
+    # the commuting-square system of hom_basis assembled block by block with
+    # np.kron, and its kernel
+    import numpy as np
+
+    from quivercover.field import kernel_basis
+    from quivercover.modules import _square_generators
+
+    field = M.carrier.field
+    offsets, nvars = {}, 0
+    for x in M.support:
+        if N.dim(x):
+            offsets[x] = nvars
+            nvars += M.dim(x) * N.dim(x)
+    rows = []
+    for g, x, y in _square_generators(M, N):
+        if x not in offsets and y not in offsets:
+            continue
+        block = np.zeros((N.dim(x) * M.dim(y), nvars), dtype=object)
+        if x in offsets:
+            k = np.kron(np.eye(N.dim(x), dtype=object), M.mat(g).a.T)
+            block[:, offsets[x] : offsets[x] + k.shape[1]] += k
+        if y in offsets:
+            k = np.kron(N.mat(g).a, np.eye(M.dim(y), dtype=object))
+            block[:, offsets[y] : offsets[y] + k.shape[1]] -= k
+        rows.append(block)
+    if not rows:
+        return Mat.identity(field, nvars), list(offsets)
+    return kernel_basis(Mat(field, np.vstack(rows))), list(offsets)
+
+
+def _change_basis(M):
+    # M with each space M(x) in the basis given by a unit upper-triangular T_x
+    from quivercover.field import solve_linear
+
+    field = M.carrier.field
+    T = {
+        x: Mat.from_rows(field, [[1 if j >= i else 0 for j in range(M.dim(x))] for i in range(M.dim(x))])
+        for x in M.support
+    }
+    Tinv = {x: solve_linear(t, Mat.identity(field, t.rows)) for x, t in T.items()}
+    mats = {
+        g: T[M.carrier.gen_src(g)] @ m @ Tinv[M.carrier.gen_tgt(g)] for g, m in M.gen_mats.items()
+    }
+    return FDModule(M.carrier, M.dims, mats)
+
+
+@pytest.mark.parametrize("name", ["loop2", "n32"])
+@pytest.mark.parametrize("field", [{"kind": "prime", "p": 32003}, {"kind": "rationals"}], ids=["F_32003", "Q"])
+def test_hom_basis_is_the_kernel_of_the_kron_system(name, field):
+    # loop2 has a loop, where both sides of a square land in the same columns
+    import numpy as np
+
+    from quivercover import list_indecomposables, load_presentation
+
+    from tests.conftest import golden_doc
+
+    pres = load_presentation({**golden_doc(name), "field": field})
+    pool = list_indecomposables(pres)
+    mods = pool + [direct_sum(pool)[0]]
+    # the same modules in other bases, where the loop's matrices have nonzero diagonals
+    mods += [_change_basis(M) for M in mods]
+    for M in mods:
+        for N in mods:
+            kern, objs = _kron_hom_kernel(M, N)
+            basis = hom_basis(M, N)
+            assert len(basis) == kern.cols
+            if basis:
+                cols = [np.concatenate([phi.vertex(x).a.reshape(-1) for x in objs]) for phi in basis]
+                assert Mat(pres.field, np.stack(cols, axis=1)) == Mat(pres.field, kern.a)
