@@ -82,6 +82,8 @@ from .covering import (
     LiftingFamily,
     PullUp,
     canonical_orbit_rep,
+    class_index,
+    ext_vanishes,
     hom_twist_sum,
     ext_twist_sum,
     lift_morphism,

@@ -59,15 +59,20 @@ def twisted_iso(M: FDModule, N: FDModule):
     return None
 
 
-def same_class(M: FDModule, N: FDModule, twisted: bool) -> bool:
-    """M ≅ N, or ^aM ≅ N for some twist a when twisted."""
-    return twisted_iso(M, N) is not None if twisted else is_isomorphic(M, N)
+def class_index(M: FDModule, classes: list, twisted: bool):
+    """The index of the first class C holding M, or None: M ≅ C, or, when
+    twisted, ^aM ≅ C for some twist a.  This is the one class test across
+    the covering."""
+    for j, C in enumerate(classes):
+        if twisted_iso(M, C) is not None if twisted else is_isomorphic(M, C):
+            return j
+    return None
 
 
 def add_class(classes: list, M: FDModule, twisted: bool) -> bool:
-    """Append M to classes unless it is in the same class as a member
-    (see same_class); report whether it was appended."""
-    if any(same_class(M, C, twisted) for C in classes):
+    """Append M to classes unless a member holds it (see class_index);
+    report whether it was appended."""
+    if class_index(M, classes, twisted) is not None:
         return False
     classes.append(M)
     return True
@@ -292,11 +297,18 @@ def ext_twist_sum(X: FDModule, Y: FDModule, i: int) -> tuple:
     return total, used
 
 
-def ext_vanishes(A: FDModule, B: FDModule, n: int, twisted: bool) -> bool:
-    """Ext^i(A, B) = 0 for 0 < i < n; when twisted, Ext^i(A, ^aB) = 0 for
-    every twist a as well."""
-    for i in range(1, n):
-        if ext_twist_sum(A, B, i)[0] if twisted else ext_dim(A, B, i):
+def ext_vanishes(A: FDModule, B: FDModule, degrees, twisted: bool) -> bool:
+    """Ext^i(A, B) = 0 for every i in degrees, Ext^0 being Hom; when twisted,
+    Ext^i(A, ^aB) = 0 for every twist a as well.  This is the one vanishing
+    test across the covering."""
+    if A.is_zero() or B.is_zero():
+        return True
+    for i in degrees:
+        if i == 0:
+            d = hom_twist_sum(A, B)[0] if twisted else hom_dim(A, B)
+        else:
+            d = ext_twist_sum(A, B, i)[0] if twisted else ext_dim(A, B, i)
+        if d:
             return False
     return True
 
@@ -319,10 +331,9 @@ def match_pushdowns(ups: list, downs: list, distinct: bool) -> list:
         if len(parts) != 1 or parts[0][1] != 1:
             out.append("decomposable")
             continue
-        found = next(
-            (j for j, D in enumerate(downs) if j not in used and is_isomorphic(parts[0][0], D)),
-            "unmatched",
-        )
+        free = [j for j in range(len(downs)) if j not in used]
+        k = class_index(parts[0][0], [downs[j] for j in free], False)
+        found = "unmatched" if k is None else free[k]
         if distinct and isinstance(found, int):
             used.add(found)
         out.append(found)
@@ -387,7 +398,7 @@ def verify_indecomposable_preservation(X: FDModule) -> VerificationReport:
 
 def verify_orbit_bijection(cover: CoverCarrier, dimcap: int = 48, class_cap: int = 512) -> VerificationReport:
     """Twist-orbit classes upstairs biject with base indecomposables."""
-    from .knitting import list_indecomposables  # knitting dedupes with add_class
+    from .knitting import list_indecomposables  # knitting dedupes with class_index
 
     classes = list_indecomposables(cover, dimcap=dimcap, class_cap=class_cap)
     base = cover.base_presentation

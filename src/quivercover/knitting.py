@@ -11,7 +11,7 @@ twist orbits and keeps one centred representative per orbit.
 
 from __future__ import annotations
 
-from .covering import add_class, canonical_orbit_rep
+from .covering import canonical_orbit_rep, class_index
 from .errors import CapExceeded
 from .homology import cosyzygy, syzygy, tau, tau_minus
 from .modules import (
@@ -55,16 +55,17 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
 def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
     classes: list = []
     work = []
+    twisted = carrier.is_cover
 
     def gather(module):
         for piece, _ in decompose(module):
-            if 0 < piece.total_dim <= dimcap and add_class(classes, piece, carrier.is_cover):
-                if len(classes) > class_cap:
+            if 0 < piece.total_dim <= dimcap and class_index(piece, classes, twisted) is None:
+                if len(classes) == class_cap:
                     raise CapExceeded(
                         f"more than {class_cap} isomorphism classes; "
                         "carrier may not be representation-finite at this scale"
                     )
-                classes[-1] = canonical_orbit_rep(piece)
+                classes.append(canonical_orbit_rep(piece))
                 work.append(classes[-1])
 
     domain = carrier.fundamental_domain()

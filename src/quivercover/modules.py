@@ -843,6 +843,12 @@ def _rational_roots(coeffs):
     return roots
 
 
+def _linear_factor(field, r):
+    """x - r as sympy writes it: b x - a for r = a/b over Q, in integers."""
+    den = 1 if field.is_prime_field else r.denominator
+    return [field.scalar(field.neg_scalar(r) * den), field.scalar(den)]
+
+
 def _split_linear(field, coeffs):
     """sympy's factor_list of a monic polynomial that is a product of linear
     factors, or None when it has an irreducible factor of degree >= 2."""
@@ -857,9 +863,7 @@ def _split_linear(field, coeffs):
             if rem:
                 break
             rest, mult = quot, mult + 1
-        # x - a/b as sympy writes it: b x - a, integer coefficients over Q
-        den = 1 if field.is_prime_field else r.denominator
-        out.append(([field.scalar(field.neg_scalar(r) * den), field.scalar(den)], mult))
+        out.append((_linear_factor(field, r), mult))
     if len(rest) > 1:
         return None
     # sympy's order: by multiplicity, then by coefficients, leading first
@@ -869,11 +873,11 @@ def _split_linear(field, coeffs):
 def _factor_poly(field, coeffs):
     """Factor a monic polynomial into (factor, multiplicity) pairs: a power
     of one linear factor directly, a product of linear factors by root
-    finding, anything else via sympy.  The last two give sympy's
-    factor_list, in its order."""
+    finding, anything else via sympy.  Each gives sympy's factor_list, in
+    its forms and order."""
     lam = _single_root(field, coeffs)
     if lam is not None:
-        return [([field.neg_scalar(lam), field.scalar(1)], len(coeffs) - 1)]
+        return [(_linear_factor(field, lam), len(coeffs) - 1)]
     split = _split_linear(field, coeffs)
     if split is not None:
         return split
@@ -1318,13 +1322,17 @@ class SubcategorySpec:
         # so that its id cannot be reused
         self.cluster_tilting: dict = {}
         if check and self.generators:
+            from .covering import class_index
+
             for M in self.generators:
                 if not is_indecomposable(M):
                     raise ShapeMismatch("subcategory generators must be indecomposable")
             for i, M in enumerate(self.generators):
-                for N in self.generators[i + 1 :]:
-                    if _certified_indec_iso(M, N):
-                        raise ShapeMismatch("subcategory generators must be pairwise non-isomorphic")
+                if class_index(M, self.generators[:i], self.twisted) is not None:
+                    raise ShapeMismatch(
+                        "subcategory generators must be pairwise non-isomorphic "
+                        "(up to twist when twist-closed)"
+                    )
 
     @property
     def carrier(self):
@@ -1344,20 +1352,9 @@ class SubcategorySpec:
 
     def contains_iso(self, M: FDModule) -> bool:
         """Is M isomorphic to a generator (up to twist when twist_closed)?"""
-        for U in self.generators:
-            if is_isomorphic(U, M):
-                return True
-        if self.twisted:
-            from .covering import twist_module
+        from .covering import class_index
 
-            carrier = self.carrier
-            for U in self.generators:
-                for a in twist_candidates(carrier.group, U.support, M.support):
-                    if carrier.group.is_identity(a):
-                        continue
-                    if is_isomorphic(twist_module(U, a), M):
-                        return True
-        return False
+        return class_index(M, self.generators, self.twisted) is not None
 
 
 def twist_candidates(group, src_support, dst_support) -> list:

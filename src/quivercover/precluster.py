@@ -14,7 +14,6 @@ from .field import invert
 from .homology import (
     _evaluation_map,
     dominant_dimension_upto,
-    ext_dim,
     hom_from_yoneda,
     inj_dim_upto,
     kernel_module,
@@ -40,6 +39,7 @@ from .modules import (
 )
 from .covering import (
     add_class,
+    class_index,
     ext_vanishes,
     hom_twist_sum,
     match_pushdowns,
@@ -122,7 +122,7 @@ def is_n_precluster(U: SubcategorySpec, n: int) -> PreclusterVerdict:
         tau_stable=_translate_stable(U, n, minus=False),
         tau_minus_stable=_translate_stable(U, n, minus=True),
         ext_vanishing=all(
-            ext_vanishes(M, N, n, U.twisted) for M in U.generators for N in U.generators
+            ext_vanishes(M, N, range(1, n), U.twisted) for M in U.generators for N in U.generators
         ),
         finite_type=True,  # a finite generator list, closed under twist by construction
         n=n,
@@ -217,8 +217,9 @@ def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> Verificati
 def perpendiculars(U: SubcategorySpec, pool: list, n: int) -> tuple:
     """(left, right): the pool members M with Ext^i(M, U) = 0, and those with
     Ext^i(U, M) = 0, for 0 < i < n (over every twist when U is twisted)."""
-    left = [M for M in pool if all(ext_vanishes(M, G, n, U.twisted) for G in U.generators)]
-    right = [M for M in pool if all(ext_vanishes(G, M, n, U.twisted) for G in U.generators)]
+    degrees, twisted = range(1, n), U.twisted
+    left = [M for M in pool if all(ext_vanishes(M, G, degrees, twisted) for G in U)]
+    right = [M for M in pool if all(ext_vanishes(G, M, degrees, twisted) for G in U)]
     return left, right
 
 
@@ -271,12 +272,7 @@ def is_gorenstein_projective(E: EndoCarrier, M: FDModule, n: int) -> bool:
             "the endomorphism category is not n-minimal Auslander-Gorenstein; "
             "the finite-horizon Gorenstein-projectivity criterion does not apply"
         )
-    for j in E.objects:
-        P = projective_at(E, j)
-        for i in range(1, n + 2):
-            if ext_dim(M, P, i):
-                return False
-    return True
+    return all(ext_vanishes(M, projective_at(E, j), range(1, n + 2), False) for j in E.objects)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +408,9 @@ def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> Verificat
     injs = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
 
     def ext_free(members, targets) -> bool:
-        return all(ext_vanishes(M, T, n, carrier.is_cover) for M in members for T in targets)
+        return all(
+            ext_vanishes(M, T, range(1, n), carrier.is_cover) for M in members for T in targets
+        )
 
     if not In_stab:
         conds["ii"] = conds["iii"] = INDETERMINATE
@@ -501,15 +499,12 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
         for j, N in enumerate(Z.generators):
             if hom_dim(M, N) != hom_dim(images[i], images[j]):
                 table_ok = False
-            if i < j and is_isomorphic(images[i], images[j]):
-                ok = False
+        if class_index(images[i], images[:i], False) is not None:
+            ok = False
     # surjectivity onto the Gorenstein projectives, up to the cap
     E_pool = list_indecomposables(E, dimcap=dimcap)
     gp = [X for X in E_pool if is_gorenstein_projective(E, X, n)]
-    matched = 0
-    for X in gp:
-        if any(is_isomorphic(X, img) for img in images):
-            matched += 1
+    matched = sum(class_index(X, images, False) is not None for X in gp)
     surjective = matched == len(gp) and len(gp) == len(images)
     return VerificationReport(
         claim="ZGpEquivalence",

@@ -13,14 +13,13 @@ from .modules import (
     FDModule,
     SubcategorySpec,
     decompose,
-    hom_dim,
     projective_at,
 )
 from .covering import (
-    hom_twist_sum,
+    class_index,
+    ext_vanishes,
     match_pushdowns,
     push_down,
-    same_class,
 )
 from .precluster import perpendiculars
 from .report import VerificationReport
@@ -33,12 +32,9 @@ from .report import VerificationReport
 def is_n_cluster_tilting(U: SubcategorySpec, n: int, pool: list) -> bool:
     """U equals both of its (n-1)-perpendiculars inside the (exhaustive) pool,
     one module per twist orbit on a covering carrier."""
-    twisted = U.twisted
 
     def same_as_U(members) -> bool:
-        if len(members) != len(U.generators):
-            return False
-        return all(any(same_class(r, g, twisted) for g in U.generators) for r in members)
+        return len(members) == len(U) and all(U.contains_iso(r) for r in members)
 
     left, right = perpendiculars(U, pool, n)
     return same_as_U(left) and same_as_U(right)
@@ -46,14 +42,6 @@ def is_n_cluster_tilting(U: SubcategorySpec, n: int, pool: list) -> bool:
 
 # ---------------------------------------------------------------------------
 # rigidity
-
-
-def _hom_vanishes_all_twists(A: FDModule, B: FDModule) -> bool:
-    if A.is_zero() or B.is_zero():
-        return True
-    if A.carrier.is_cover:
-        return hom_twist_sum(A, B)[0] == 0
-    return hom_dim(A, B) == 0
 
 
 def _translate(M: FDModule, n: int) -> FDModule:
@@ -72,13 +60,13 @@ def is_G_tau_n_rigid(M: FDModule, n: int) -> bool:
         return True
     key = ("tau_n_rigid", n)
     if key not in M._cache:
-        M._cache[key] = _hom_vanishes_all_twists(M, _translate(M, n))
+        M._cache[key] = ext_vanishes(M, _translate(M, n), (0,), M.carrier.is_cover)
     return M._cache[key]
 
 
 def is_rigid_pair(M: FDModule, P: FDModule, n: int) -> bool:
     """(M, P) with P projective: M rigid and Hom(P, ^a M) = 0 for all a."""
-    return is_G_tau_n_rigid(M, n) and _hom_vanishes_all_twists(P, M)
+    return is_G_tau_n_rigid(M, n) and ext_vanishes(P, M, (0,), P.carrier.is_cover)
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +82,12 @@ class _TiltingGraph:
 
     def __init__(self, ambient: SubcategorySpec, n: int):
         X, carrier = ambient.generators, ambient.carrier
+        twisted = carrier.is_cover
         self.projectives = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
         rigid = self.rigid = [is_G_tau_n_rigid(M, n) for M in X]
 
         def vanish(i, j):  # Hom(X_i, ^a tau_n X_j) = 0 for all a
-            return _hom_vanishes_all_twists(X[i], _translate(X[j], n))
+            return ext_vanishes(X[i], _translate(X[j], n), (0,), twisted)
 
         # compat[i][j] is asked only of rigid generators: no other enters a pair
         self.compat = [[r and s for s in rigid] for r in rigid]
@@ -108,7 +97,9 @@ class _TiltingGraph:
                     self.compat[i][j] = self.compat[j][i] = vanish(i, j) and vanish(j, i)
         # perp[i]: the k with Hom(Q_k, ^a X_i) = 0 for all a
         self.perp = [
-            frozenset(k for k, Q in enumerate(self.projectives) if _hom_vanishes_all_twists(Q, M))
+            frozenset(
+                k for k, Q in enumerate(self.projectives) if ext_vanishes(Q, M, (0,), twisted)
+            )
             for M in X
         ]
 
@@ -149,7 +140,7 @@ def _summand_indices(pieces: list, candidates: list, twisted: bool):
     pieces, or None when some piece lies in no candidate's class."""
     found = set()
     for piece in pieces:
-        j = next((j for j, C in enumerate(candidates) if same_class(piece, C, twisted)), None)
+        j = class_index(piece, candidates, twisted)
         if j is None:
             return None
         found.add(j)

@@ -26,6 +26,12 @@ def loop2():
 
 
 @pytest.fixture(scope="session")
+def n32_z2():
+    """N(3,2) graded by Z/2: the quotient of the six-cycle by its rotation."""
+    return load_presentation(golden_doc("n32_z2"))
+
+
+@pytest.fixture(scope="session")
 def ka2():
     return load_presentation(golden_doc("ka2"))
 

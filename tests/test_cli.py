@@ -376,6 +376,21 @@ def test_mod_pushdown_hom_basis_calls_are_window_independent(capsys, monkeypatch
     assert 0 < len(calls) <= MOD_PUSHDOWN_HOM_BASIS_CALLS[name]
 
 
+@pytest.mark.parametrize("name", ["n32", "loop2", "n32_z2"])
+def test_suite_answers_agree_across_seeds(capsys, name):
+    # the seed drives the randomized searches only: every report is the same
+    # under another seed once the seed it records is dropped
+    reports = []
+    for seed in ("1", "2"):
+        code, out, _ = run(capsys, "suite", "--n", "1", "--input", golden(name), "--seed", seed)
+        assert code == 0
+        doc = json.loads(out)
+        for rep in doc:
+            assert rep["instance"].pop("seed") == int(seed)
+        reports.append(doc)
+    assert reports[0] == reports[1]
+
+
 def test_seed_is_scoped_to_one_command(capsys, n32):
     code, _, _ = run(capsys, "validate", "--input", golden("n32"), "--seed", "7")
     assert code == 0

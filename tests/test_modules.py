@@ -304,7 +304,7 @@ def test_factor_poly_agrees_with_sympy(field):
         for d in range(1, 5):
             pure = _linear_power(field, lam, d)
             assert _single_root(field, pure) == field.scalar(lam)
-            assert _factor_poly(field, pure) == _sympy_factors(field, pure)
+            assert _factor_poly(field, pure) == _sympy_factor_list(field, pure)
         mixed = _poly_mul(field, _linear_power(field, lam, 2), _linear_power(field, 2, 1))
         assert _single_root(field, mixed) is None
         assert _monic(field, _factor_poly(field, mixed)) == _sympy_factors(field, mixed)
@@ -314,7 +314,30 @@ def test_factor_poly_agrees_with_sympy(field):
         # d = p: (x - 1)^5 = x^5 - 1, where d is not invertible
         pure = _linear_power(field, 1, 5)
         assert _single_root(field, pure) is None
-        assert _factor_poly(field, pure) == _sympy_factors(field, pure)
+        assert _factor_poly(field, pure) == _sympy_factor_list(field, pure)
+
+
+@pytest.mark.parametrize("field", [Field.prime(32003), Field.prime(5), Field.rationals()], ids=str)
+def test_factor_poly_writes_a_power_of_one_linear_factor_as_sympy_does(field):
+    # the single-root shortcut gives sympy's form too: b x - a over Q for the
+    # root a / b, so a non-integer root is not written monic
+    import random
+
+    from quivercover.modules import _factor_poly, _single_root
+
+    rng = random.Random(13)
+    checked = 0
+    while checked < 40:
+        lam = _random_root(field, rng)
+        d = rng.randint(1, 6)
+        if field.is_prime_field and d >= field.p:
+            continue
+        if not field.is_prime_field and checked < 20 and lam.denominator == 1:
+            continue  # the first half: non-integer roots only
+        pure = _linear_power(field, lam, d)
+        assert _single_root(field, pure) == field.scalar(lam)
+        assert _factor_poly(field, pure) == _sympy_factor_list(field, pure), (lam, d)
+        checked += 1
 
 
 def _record_imports(monkeypatch):

@@ -27,7 +27,7 @@ from quivercover import (
     verify_tilting_pushdown,
     zero_module,
 )
-from quivercover.covering import same_class
+from quivercover.covering import class_index
 
 
 def pool_of(pres):
@@ -130,9 +130,7 @@ def test_tilting_pushdown_instances(n32, n32_cover):
     ambient_down = SubcategorySpec(pool_down, check=False)
     projs = [projective_at(n32_cover, x) for x in n32_cover.fundamental_domain()]
     # (Lambda, 0): the generators that are twists of the projectives
-    lam = tuple(
-        sorted(next(i for i, R in enumerate(pool_up) if same_class(Q, R, True)) for Q in projs)
-    )
+    lam = tuple(sorted(class_index(Q, pool_up, True) for Q in projs))
     rep = verify_tilting_pushdown(
         (lam, ()), 1, ambient_up, pool_up, ambient_down, pool_down
     )
@@ -216,12 +214,12 @@ def reference_is_pair(M, P, n, ambient):
         return False
     for N in ambient.generators:
         MN = direct_sum([M, N])[0] if not M.is_zero() else N
-        if is_rigid_pair(MN, P, n) and not any(same_class(N, S, twisted) for S in M_summands):
+        if is_rigid_pair(MN, P, n) and class_index(N, M_summands, twisted) is None:
             return False
     P_summands = _summands(P)
     for x in carrier.fundamental_domain():
         Q = projective_at(carrier, x)
-        in_add_P = any(same_class(Q, S, twisted) for S in P_summands)
+        in_add_P = class_index(Q, P_summands, twisted) is not None
         if in_add_P != _hom_vanishes(Q, M):
             return False
     return True
