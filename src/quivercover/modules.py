@@ -603,7 +603,16 @@ class ProjCover:
 
 
 def projective_cover(M: FDModule) -> ProjCover:
-    """Minimal projective cover, built from unit-vector lifts of the top."""
+    """Minimal projective cover, built from unit-vector lifts of the top;
+    memoised on M."""
+    cov = M._cache.get("projcover")
+    if cov is None:
+        cov = _build_projective_cover(M)
+        M._cache["projcover"] = cov
+    return cov
+
+
+def _build_projective_cover(M: FDModule) -> ProjCover:
     carrier = M.carrier
     field = carrier.field
     tops, lifts = top_with_lifts(M)

@@ -1,11 +1,13 @@
 """Exact linear algebra: worked examples plus the spec's algebraic invariants."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quivercover.field as field_module
 from quivercover.field import (
     Field,
     Mat,
@@ -223,3 +225,92 @@ def test_invert_round_trip():
     assert (m @ inv) == Mat.identity(F101, 2)
     assert is_invertible(m)
     assert invert(Mat.from_rows(F101, [[1, 2], [2, 4]])) is None
+
+
+def dense_residue_rref(m):
+    """Reference: dense Gauss-Jordan on the whole residue array, pivot by pivot."""
+    p = m.field.p
+    a = m.a.copy()
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c] != 0)[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], :] = a[[i, r], :]
+        a[r, :] = a[r, :] * pow(int(a[r, c]), -1, p) % p
+        other = a[:, c].copy()
+        other[r] = 0
+        if np.any(other != 0):
+            a = (a - np.outer(other, a[r, :])) % p
+        pivots.append(c)
+        r += 1
+    return Mat._wrap(m.field, a), tuple(pivots)
+
+
+BIG_PRIME = 2**31 - 1
+
+
+def residue_matrices(field, rng):
+    """Seeded matrices over F_p on both sides of the list/numpy cut-off: empty
+    shapes, dense and sparse entries, low rank, zero columns."""
+    p = field.p
+
+    def mat(rows, cols, entry):
+        if not rows:
+            return Mat.zeros(field, 0, cols)
+        return Mat.from_rows(field, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+    def dense():
+        return rng.randrange(p)
+
+    def sparse():
+        return rng.choice([1, p - 1, rng.randrange(p)]) if rng.random() < 0.2 else 0
+
+    out = [Mat.zeros(field, k, 0) for k in range(4)] + [Mat.zeros(field, 0, k) for k in range(1, 4)]
+    for rows, cols in [(1, 1), (2, 2), (3, 5), (5, 3), (8, 8), (16, 16), (31, 33),
+                       (32, 32), (33, 32), (40, 40), (7, 40), (40, 7)]:
+        out += [mat(rows, cols, dense), mat(rows, cols, sparse)]
+        k = rng.randrange(1, min(rows, cols) + 1)
+        out.append(mat(rows, k, dense) @ mat(k, cols, sparse))
+        a = mat(rows, cols, dense).a.copy()
+        a[:, rng.sample(range(cols), (cols + 2) // 3)] = 0
+        out.append(Mat._wrap(field, a))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 5, 32003, BIG_PRIME])
+def test_residue_rref_matches_dense_reference(p, monkeypatch):
+    field = Field.prime(p)
+    rng = random.Random(p)
+    for m in residue_matrices(field, rng):
+        x = Mat.from_rows(field, [[rng.randrange(p)] for _ in range(m.cols)]) if m.cols else None
+        rhs = [Mat.from_rows(field, [[rng.randrange(p)] for _ in range(m.rows)])] if m.rows else []
+        if x is not None and m.rows:
+            rhs.append(m @ x)
+        got = (rref(m), kernel_basis(m), [solve_linear(m, b) for b in rhs])
+        with monkeypatch.context() as patch:
+            patch.setattr(field_module, "rref", dense_residue_rref)
+            want = (dense_residue_rref(m), kernel_basis(m), [solve_linear(m, b) for b in rhs])
+        assert got == want, m.shape
+        assert got[0][0].a.dtype == field._dtype()
+        assert got[1].a.dtype == field._dtype()
+
+
+def test_rref_keeps_object_entries_over_a_large_prime():
+    # Products of two entries near 2^31 overflow int64 once three are summed.
+    field = Field.prime(BIG_PRIME)
+    p = BIG_PRIME
+    for rows, cols in [(2, 6), (3, 9), (20, 60)]:
+        rng = random.Random(rows)
+        m = Mat.from_rows(field, [[p - 1 - rng.randrange(50) for _ in range(cols)] for _ in range(rows)])
+        red, pivots = rref(m)
+        assert red.a.dtype == object and len(pivots) == rows
+        entries = red.tolists()
+        exact = [[sum(x * y for x, y in zip(u, v)) % p for v in entries] for u in entries]
+        assert (red @ red.transpose()).tolists() == exact

@@ -377,6 +377,34 @@ def test_strip_of_projectives_does_not_decompose(n32, ka3, monkeypatch):
     assert len(calls) == 1 and kept.dims == S.dims
 
 
+def test_syzygy_then_tau_build_each_stage_cover_once(monkeypatch):
+    import quivercover.modules as modules
+    from quivercover import FDModule, load_presentation
+    from quivercover.homology import _proj_data
+
+    # E6 with every edge oriented from the smaller Bourbaki label to the larger
+    edges = [(1, 3), (3, 4), (2, 4), (4, 5), (5, 6)]
+    e6 = load_presentation({
+        "field": {"kind": "prime", "p": 32003},
+        "group": {"kind": "free-abelian", "rank": 1},
+        "vertices": [str(v) for v in range(1, 7)],
+        "arrows": [{"id": f"a{a}_{b}", "src": str(a), "tgt": str(b), "weight": [1]} for a, b in edges],
+        "relations": [],
+        "nilbound": 4,
+    })
+    N = next(N for N in list_indecomposables(e6) if N.total_dim >= 3 and not is_projective_module(N))
+    M = FDModule(e6, dict(N.dims), dict(N.gen_mats))  # a copy with nothing memoised
+    built = []
+    real = modules._build_projective_cover
+    monkeypatch.setattr(modules, "_build_projective_cover", lambda X: built.append(X) or real(X))
+    assert syzygy(M).is_zero()  # hereditary: the first syzygy stage is projective
+    assert is_isomorphic(tau(M), tau(N))
+    K = _proj_data(M, 1).stage(1)
+    assert not K.is_zero()
+    assert [sum(X is S for X in built) for S in (M, K)] == [1, 1]
+    assert all(sum(X is S for X in built) == 1 for S in built)
+
+
 @pytest.mark.parametrize("name", ["ka3", "n32"])
 def test_syzygies_match_a_strip_that_always_decomposes(name, request):
     from quivercover import direct_sum, dual_module
