@@ -23,11 +23,6 @@ from .errors import ShapeMismatch
 # Above this, n*p^2 may not fit in int64 for desk-scale n; fall back to objects.
 _INT64_SAFE_PRIME = 2**25
 
-# Largest entry count eliminated on Python int lists rather than numpy arrays.
-# On random n x (n+1) matrices over F_32003 the list path is faster below ~350
-# entries when dense and past 6,000 with 3 nonzeros a row, as in knitting.
-_SMALL_RREF = 1024
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -367,23 +362,18 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; row space preserved.
 
     Over the rationals this is a sparse fraction-free elimination on
-    integers.  Over prime fields a matrix of at most _SMALL_RREF entries is
-    eliminated on Python int lists; a larger one by a dense numpy loop on the
-    residue array.  The reduced row echelon form is unique, so both paths
-    give the same result.
+    integers; over prime fields, a Gauss-Jordan elimination on Python int
+    rows.
     """
     field = m.field
     if field.p is None:
         red, pivots = _rational_rref(m.a)
         return Mat._wrap(field, red), pivots
-    if m.a.size <= _SMALL_RREF:
-        red, pivots = _small_rref(m.a, field)
-    else:
-        red, pivots = _dense_rref(m.a, field.p)
+    red, pivots = _residue_rref(m.a, field)
     return Mat._wrap(field, red), pivots
 
 
-def _small_rref(a: np.ndarray, field: Field) -> tuple[np.ndarray, tuple[int, ...]]:
+def _residue_rref(a: np.ndarray, field: Field) -> tuple[np.ndarray, tuple[int, ...]]:
     """Gauss-Jordan elimination mod p on Python int rows, wrapped once.
 
     A pivot row updates only the rows nonzero in its column, and in them only
@@ -417,35 +407,6 @@ def _small_rref(a: np.ndarray, field: Field) -> tuple[np.ndarray, tuple[int, ...
                     row[j] = (row[j] - x * v) % p
         pivots.append(c)
     return np.array(rows, dtype=field._dtype()), tuple(pivots)
-
-
-def _dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Gauss-Jordan elimination mod p on a copy of the residue array.
-
-    Columns left of a pivot are zero in its row, so normalising and updating
-    touch only the columns from the pivot on, in the rows the pivot column
-    hits."""
-    a = a.copy()
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if len(nz) == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        hit = np.flatnonzero(a[:, c])
-        hit = hit[hit != r]
-        if len(hit):
-            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
 
 
 def rank(m: Mat) -> int:

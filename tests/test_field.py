@@ -257,8 +257,8 @@ BIG_PRIME = 2**31 - 1
 
 
 def residue_matrices(field, rng):
-    """Seeded matrices over F_p on both sides of the list/numpy cut-off: empty
-    shapes, dense and sparse entries, low rank, zero columns."""
+    """Seeded matrices over F_p up to 40 x 40: empty shapes, dense and sparse
+    entries, low rank, zero columns."""
     p = field.p
 
     def mat(rows, cols, entry):
