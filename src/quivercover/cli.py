@@ -57,6 +57,17 @@ from .tautilt import (
 )
 
 
+def _degree(text: str) -> int:
+    """The n of tau_n: an integer, at least 1 (tau_1 is tau)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"n must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quivercover",
@@ -73,6 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     def cap(p):
         p.add_argument("--cap", type=int, default=32, help="closure/enumeration cap")
 
+    def degree(p):
+        p.add_argument("--n", type=_degree, default=1, help="the n of tau_n, at least 1")
+
+    def dimcap(p):
+        p.add_argument(
+            "--dimcap", type=int, default=48,
+            help="largest indecomposable dimension; a larger one stops the knit",
+        )
+
     p = sub.add_parser("validate", help="validate a presentation document")
     common(p)
 
@@ -88,28 +108,28 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     cap(p)
     p.add_argument("--cover", action="store_true", help="one centred module per twist orbit of the covering")
-    p.add_argument("--dimcap", type=int, default=48)
+    dimcap(p)
 
     p = sub.add_parser("check", help="verify one claim")
     common(p)
     cap(p)
     p.add_argument("--claim", required=True, choices=CLAIM_IDS)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--dimcap", type=int, default=48)
+    degree(p)
+    dimcap(p)
     p.add_argument("--timing", action="store_true")
 
     p = sub.add_parser("suite", help="run every claim")
     common(p)
     cap(p)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--dimcap", type=int, default=48)
+    degree(p)
+    dimcap(p)
     p.add_argument("--timing", action="store_true")
 
     p = sub.add_parser("enumerate-tilting", help="enumerate support tilting pairs")
     common(p)
-    p.add_argument("--n", type=int, default=1)
+    degree(p)
     p.add_argument("--cover", action="store_true", help="enumerate upstairs orbit pairs")
-    p.add_argument("--dimcap", type=int, default=48)
+    dimcap(p)
     return parser
 
 
@@ -214,7 +234,7 @@ def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> Verificati
         rep = verify_main1(U, n)
     elif claim == "Main2":
         U = _canonical_subcategory(cover, n, args.cap)
-        rep = verify_main2(_pushdown_spec(U), cover, n, dimcap=dimcap)
+        rep = verify_main2(_pushdown_spec(U), n, dimcap=dimcap)
     elif claim == "DILemma":
         reps = list_indecomposables(cover, dimcap=dimcap)
         subs = []
@@ -251,7 +271,7 @@ def _tilting_ambient(carrier, dimcap) -> tuple:
     """(pool, ambient): the whole indecomposable pool, twist-closed on a
     covering carrier."""
     pool = list_indecomposables(carrier, dimcap=dimcap)
-    return pool, SubcategorySpec(pool, twist_closed=carrier.is_cover, check=False)
+    return pool, SubcategorySpec(pool, check=False)
 
 
 def _run_tilting_pushdown(pres, cover, n, dimcap, instance) -> VerificationReport:

@@ -59,20 +59,21 @@ def twisted_iso(M: FDModule, N: FDModule):
     return None
 
 
-def class_index(M: FDModule, classes: list, twisted: bool):
-    """The index of the first class C holding M, or None: M ≅ C, or, when
-    twisted, ^aM ≅ C for some twist a.  This is the one class test across
-    the covering."""
+def class_index(M: FDModule, classes: list):
+    """The index of the first class C holding M, or None: M ≅ C, or, over a
+    covering carrier, ^aM ≅ C for some twist a.  This is the one class test
+    across the covering."""
+    twisted = M.carrier.is_cover
     for j, C in enumerate(classes):
         if twisted_iso(M, C) is not None if twisted else is_isomorphic(M, C):
             return j
     return None
 
 
-def add_class(classes: list, M: FDModule, twisted: bool) -> bool:
+def add_class(classes: list, M: FDModule) -> bool:
     """Append M to classes unless a member holds it (see class_index);
     report whether it was appended."""
-    if class_index(M, classes, twisted) is not None:
+    if class_index(M, classes) is not None:
         return False
     classes.append(M)
     return True
@@ -297,12 +298,13 @@ def ext_twist_sum(X: FDModule, Y: FDModule, i: int) -> tuple:
     return total, used
 
 
-def ext_vanishes(A: FDModule, B: FDModule, degrees, twisted: bool) -> bool:
-    """Ext^i(A, B) = 0 for every i in degrees, Ext^0 being Hom; when twisted,
-    Ext^i(A, ^aB) = 0 for every twist a as well.  This is the one vanishing
-    test across the covering."""
+def ext_vanishes(A: FDModule, B: FDModule, degrees) -> bool:
+    """Ext^i(A, B) = 0 for every i in degrees, Ext^0 being Hom; over a
+    covering carrier, Ext^i(A, ^aB) = 0 for every twist a as well.  This is
+    the one vanishing test across the covering."""
     if A.is_zero() or B.is_zero():
         return True
+    twisted = A.carrier.is_cover
     for i in degrees:
         if i == 0:
             d = hom_twist_sum(A, B)[0] if twisted else hom_dim(A, B)
@@ -332,7 +334,7 @@ def match_pushdowns(ups: list, downs: list, distinct: bool) -> list:
             out.append("decomposable")
             continue
         free = [j for j in range(len(downs)) if j not in used]
-        k = class_index(parts[0][0], [downs[j] for j in free], False)
+        k = class_index(parts[0][0], [downs[j] for j in free])
         found = "unmatched" if k is None else free[k]
         if distinct and isinstance(found, int):
             used.add(found)

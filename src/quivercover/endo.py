@@ -5,7 +5,7 @@ bases with the identity arranged as the first basis vector of each
 endomorphism space; composition is expanded through exact linear solves.
 Modules over this carrier are exactly finitely presented functors on the
 subcategory, so the whole resolution/Ext machinery applies to mod-U
-unchanged.  For a twist-closed subcategory of a covering the objects are
+unchanged.  For a subcategory of a covering carrier the objects are
 keys (i, a), generator i twisted by a; `objects` lists the untwisted ones,
 one per orbit, and everything else is computed on demand for any key.
 """

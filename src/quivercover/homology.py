@@ -447,8 +447,8 @@ def ext_dim(M: FDModule, N: FDModule, i: int) -> int:
 
 
 def approximation_objects(U: SubcategorySpec, M: FDModule) -> list:
-    """Generators of U (plus their twists whose support meets M's when
-    twist-closed)."""
+    """Generators of U (plus their twists whose support meets M's over a
+    covering carrier)."""
     out = list(U.generators)
     carrier = U.carrier
     if U.twisted:

@@ -37,11 +37,13 @@ def _closure_steps(M: FDModule):
 
 
 def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> list:
-    """Indecomposables of total dimension <= dimcap, up to isomorphism.
+    """The indecomposables, up to isomorphism.
 
     Exhaustive for representation-finite carriers (knitting closure); on a
     covering carrier, one centred module per twist orbit.  Raises
-    CapExceeded when the class count outgrows class_cap.  The carrier keeps
+    CapExceeded when a summand met on the way has total dimension above
+    dimcap, or when the class count outgrows class_cap: a truncated pool
+    would let every check over it pass vacuously.  The carrier keeps
     one pool per (dimcap, class_cap, iso seed), so each is knitted once; the
     caller gets a fresh list over the shared modules.
     """
@@ -55,11 +57,14 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
 def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
     classes: list = []
     work = []
-    twisted = carrier.is_cover
 
     def gather(module):
         for piece, _ in decompose(module):
-            if 0 < piece.total_dim <= dimcap and class_index(piece, classes, twisted) is None:
+            if piece.total_dim > dimcap:
+                raise CapExceeded(
+                    f"an indecomposable of dimension {piece.total_dim} exceeds --dimcap {dimcap}"
+                )
+            if class_index(piece, classes) is None:
                 if len(classes) == class_cap:
                     raise CapExceeded(
                         f"more than {class_cap} isomorphism classes; "

@@ -36,8 +36,8 @@ from .field import (
 
 ISO_SEED = 0xC0FFEE
 
-# The seed decomposition and iso search use when a call passes none; the CLI
-# sets it for the duration of one command.
+# The seed of decomposition and the iso searches; the CLI sets it for the
+# duration of one command.
 iso_seed: ContextVar[int] = ContextVar("iso_seed", default=ISO_SEED)
 
 
@@ -1134,15 +1134,14 @@ def _semisimple_split(M: FDModule, end: _EndAlgebra, rng):
     )
 
 
-def decompose(M: FDModule, seed: int | None = None) -> list:
+def decompose(M: FDModule) -> list:
     """Indecomposable summands with multiplicities, certified by explicit isos.
 
     Returns a list of (indecomposable FDModule, multiplicity).
     """
-    if seed is None:
-        seed = iso_seed.get()
     if M.total_dim == 0:
         return []
+    seed = iso_seed.get()
     key = ("decompose", seed)
     if key in M._cache:
         return M._cache[key]
@@ -1219,10 +1218,8 @@ def _certified_indec_iso(M: FDModule, N: FDModule) -> bool:
     return False
 
 
-def is_isomorphic(M: FDModule, N: FDModule, seed: int | None = None) -> bool:
+def is_isomorphic(M: FDModule, N: FDModule) -> bool:
     """Isomorphism test; exact via decomposition, randomized fast path first."""
-    if seed is None:
-        seed = iso_seed.get()
     if M.carrier is not N.carrier:
         return False
     if M.dims != N.dims:
@@ -1236,13 +1233,13 @@ def is_isomorphic(M: FDModule, N: FDModule, seed: int | None = None) -> bool:
     basis = hom_basis(M, N)
     if not basis:
         return False
-    rng = random.Random(seed)
+    rng = random.Random(iso_seed.get())
     for _ in range(24):
         if random_hom(basis, rng).is_iso():
             return True
     try:
-        dm = decompose(M, seed)
-        dn = decompose(N, seed)
+        dm = decompose(M)
+        dn = decompose(N)
     except DecompositionInconclusive:
         return _iso_lattice_fallback(M, N, basis)
     if sum(m for _, m in dm) != sum(m for _, m in dn):
@@ -1262,7 +1259,7 @@ def is_isomorphic(M: FDModule, N: FDModule, seed: int | None = None) -> bool:
     return all(entry[1] == 0 for entry in remaining)
 
 
-def find_iso(M: FDModule, N: FDModule, seed: int | None = None) -> ModMorphism | None:
+def find_iso(M: FDModule, N: FDModule) -> ModMorphism | None:
     """An explicit isomorphism M -> N, or None.
 
     For indecomposables the composite search is exact; in general a seeded
@@ -1270,8 +1267,6 @@ def find_iso(M: FDModule, N: FDModule, seed: int | None = None) -> ModMorphism |
     left to the caller (None does not certify non-isomorphism unless
     is_isomorphic agrees).
     """
-    if seed is None:
-        seed = iso_seed.get()
     if M.dims != N.dims:
         return None
     if M.total_dim == 0:
@@ -1279,7 +1274,7 @@ def find_iso(M: FDModule, N: FDModule, seed: int | None = None) -> ModMorphism |
     basis = hom_basis(M, N)
     if not basis:
         return None
-    rng = random.Random(seed)
+    rng = random.Random(iso_seed.get())
     for _ in range(32):
         phi = random_hom(basis, rng)
         if phi.is_iso():
@@ -1323,9 +1318,8 @@ def _iso_lattice_fallback(M: FDModule, N: FDModule, basis) -> bool:
 class SubcategorySpec:
     """A finite list of pairwise non-isomorphic indecomposables (add-closure)."""
 
-    def __init__(self, generators: list, twist_closed: bool = False, check: bool = True):
+    def __init__(self, generators: list, check: bool = True):
         self.generators = list(generators)
-        self.twist_closed = twist_closed
         # n-cluster-tilting verdicts, (n, id(pool)) -> (pool, compatibility
         # graph, or None when not cluster tilting); the entry holds the pool
         # so that its id cannot be reused
@@ -1337,10 +1331,10 @@ class SubcategorySpec:
                 if not is_indecomposable(M):
                     raise ShapeMismatch("subcategory generators must be indecomposable")
             for i, M in enumerate(self.generators):
-                if class_index(M, self.generators[:i], self.twisted) is not None:
+                if class_index(M, self.generators[:i]) is not None:
                     raise ShapeMismatch(
                         "subcategory generators must be pairwise non-isomorphic "
-                        "(up to twist when twist-closed)"
+                        "(up to twist over a covering carrier)"
                     )
 
     @property
@@ -1350,8 +1344,8 @@ class SubcategorySpec:
     @property
     def twisted(self) -> bool:
         """Do membership, Ext and iso tests range over every twist of the
-        generators (a twist-closed subcategory of a covering carrier)?"""
-        return self.twist_closed and self.carrier is not None and self.carrier.is_cover
+        generators (is the carrier a covering)?"""
+        return self.carrier is not None and self.carrier.is_cover
 
     def __len__(self):
         return len(self.generators)
@@ -1360,10 +1354,10 @@ class SubcategorySpec:
         return iter(self.generators)
 
     def contains_iso(self, M: FDModule) -> bool:
-        """Is M isomorphic to a generator (up to twist when twist_closed)?"""
+        """Is M isomorphic to a generator (up to twist over a covering)?"""
         from .covering import class_index
 
-        return class_index(M, self.generators, self.twisted) is not None
+        return class_index(M, self.generators) is not None
 
 
 def twist_candidates(group, src_support, dst_support) -> list:

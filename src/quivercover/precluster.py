@@ -122,7 +122,7 @@ def is_n_precluster(U: SubcategorySpec, n: int) -> PreclusterVerdict:
         tau_stable=_translate_stable(U, n, minus=False),
         tau_minus_stable=_translate_stable(U, n, minus=True),
         ext_vanishing=all(
-            ext_vanishes(M, N, range(1, n), U.twisted) for M in U.generators for N in U.generators
+            ext_vanishes(M, N, range(1, n)) for M in U.generators for N in U.generators
         ),
         finite_type=True,  # a finite generator list, closed under twist by construction
         n=n,
@@ -133,14 +133,13 @@ def is_n_precluster(U: SubcategorySpec, n: int) -> PreclusterVerdict:
 # the canonical subcategories P_n and I_n
 
 
-def _closure(carrier, seeds: list, steps, cap: int) -> tuple:
+def _closure(seeds: list, steps, cap: int) -> tuple:
     """(classes, stabilized): close seed classes under the steps."""
-    orbit = carrier.is_cover
     classes: list = []
     frontier = []
     for s in seeds:
         for piece, _ in decompose(s):
-            if add_class(classes, piece, orbit):
+            if add_class(classes, piece):
                 frontier.append(piece)
     iterations = 0
     while frontier and iterations < cap:
@@ -152,7 +151,7 @@ def _closure(carrier, seeds: list, steps, cap: int) -> tuple:
                 if T.is_zero():
                     continue
                 for piece, _ in decompose(T):
-                    if add_class(classes, piece, orbit):
+                    if add_class(classes, piece):
                         new_frontier.append(piece)
         frontier = new_frontier
     return classes, not frontier
@@ -163,14 +162,14 @@ def compute_Pn(carrier, n: int, cap: int = 32) -> tuple:
 
     Returns (SubcategorySpec, stabilized)."""
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
-    classes, stabilized = _closure(carrier, seeds, [lambda M: tau_n_minus(M, n)], cap)
-    return SubcategorySpec(classes, twist_closed=carrier.is_cover, check=False), stabilized
+    classes, stabilized = _closure(seeds, [lambda M: tau_n_minus(M, n)], cap)
+    return SubcategorySpec(classes, check=False), stabilized
 
 
 def compute_In(carrier, n: int, cap: int = 32) -> tuple:
     seeds = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    classes, stabilized = _closure(carrier, seeds, [lambda M: tau_n(M, n)], cap)
-    return SubcategorySpec(classes, twist_closed=carrier.is_cover, check=False), stabilized
+    classes, stabilized = _closure(seeds, [lambda M: tau_n(M, n)], cap)
+    return SubcategorySpec(classes, check=False), stabilized
 
 
 def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> VerificationReport:
@@ -216,10 +215,10 @@ def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> Verificati
 
 def perpendiculars(U: SubcategorySpec, pool: list, n: int) -> tuple:
     """(left, right): the pool members M with Ext^i(M, U) = 0, and those with
-    Ext^i(U, M) = 0, for 0 < i < n (over every twist when U is twisted)."""
-    degrees, twisted = range(1, n), U.twisted
-    left = [M for M in pool if all(ext_vanishes(M, G, degrees, twisted) for G in U)]
-    right = [M for M in pool if all(ext_vanishes(G, M, degrees, twisted) for G in U)]
+    Ext^i(U, M) = 0, for 0 < i < n (over every twist on a covering carrier)."""
+    degrees = range(1, n)
+    left = [M for M in pool if all(ext_vanishes(M, G, degrees) for G in U)]
+    right = [M for M in pool if all(ext_vanishes(G, M, degrees) for G in U)]
     return left, right
 
 
@@ -231,7 +230,7 @@ def compute_Z(U: SubcategorySpec, pool: list, n: int) -> tuple:
     Asymmetry refutes the precluster hypothesis and is reported by callers."""
     left, right = perpendiculars(U, pool, n)
     symmetric = [id(m) for m in left] == [id(m) for m in right]
-    spec = SubcategorySpec(left, twist_closed=U.twist_closed, check=False)
+    spec = SubcategorySpec(left, check=False)
     return spec, symmetric
 
 
@@ -272,7 +271,7 @@ def is_gorenstein_projective(E: EndoCarrier, M: FDModule, n: int) -> bool:
             "the endomorphism category is not n-minimal Auslander-Gorenstein; "
             "the finite-horizon Gorenstein-projectivity criterion does not apply"
         )
-    return all(ext_vanishes(M, projective_at(E, j), range(1, n + 2), False) for j in E.objects)
+    return all(ext_vanishes(M, projective_at(E, j), range(1, n + 2)) for j in E.objects)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +283,8 @@ def _pushdown_spec(U: SubcategorySpec) -> SubcategorySpec:
     classes: list = []
     for gen in U.generators:
         for piece, _ in decompose(push_down(gen)):
-            add_class(classes, piece, twisted=False)
-    return SubcategorySpec(classes, twist_closed=False, check=False)
+            add_class(classes, piece)
+    return SubcategorySpec(classes, check=False)
 
 
 def verify_main1(U: SubcategorySpec, n: int) -> VerificationReport:
@@ -310,8 +309,9 @@ def verify_main1(U: SubcategorySpec, n: int) -> VerificationReport:
     )
 
 
-def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 48) -> VerificationReport:
-    """The preimage of a downstairs n-precluster tilting subcategory is one."""
+def verify_main2(V: SubcategorySpec, n: int, dimcap: int = 48) -> VerificationReport:
+    """The preimage of a downstairs n-precluster tilting subcategory is one,
+    over the covering of V's carrier."""
     down = is_n_precluster(V, n)
     if not down.passes:
         return VerificationReport(
@@ -322,7 +322,7 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             notes=["the downstairs subcategory fails the n-precluster hypothesis"],
         )
     # the twists in one orbit push down to the same generator
-    classes = list_indecomposables(cover, dimcap=dimcap)
+    classes = list_indecomposables(smash_cover(V.carrier), dimcap=dimcap)
     found = match_pushdowns(classes, V.generators, distinct=False)
     preimage = [X for X, j in zip(classes, found) if isinstance(j, int)]
     if len({j for j in found if isinstance(j, int)}) != len(V.generators):
@@ -332,7 +332,7 @@ def verify_main2(V: SubcategorySpec, cover: CoverCarrier, n: int, dimcap: int = 
             outcome=NOT_APPLICABLE,
             notes=["V is not inside the push-down image of the orbit pool"],
         )
-    Uspec = SubcategorySpec(preimage, twist_closed=True, check=False)
+    Uspec = SubcategorySpec(preimage, check=False)
     up = is_n_precluster(Uspec, n)
     return VerificationReport(
         claim="Main2",
@@ -373,12 +373,11 @@ def _tau_closure_candidate(carrier, n: int, cap: int) -> tuple:
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     seeds += [injective_at(carrier, x) for x in carrier.fundamental_domain()]
     classes, stabilized = _closure(
-        carrier,
         seeds,
         [lambda M: tau_n(M, n), lambda M: tau_n_minus(M, n)],
         cap,
     )
-    return SubcategorySpec(classes, twist_closed=carrier.is_cover, check=False), stabilized
+    return SubcategorySpec(classes, check=False), stabilized
 
 
 def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> VerificationReport:
@@ -409,7 +408,7 @@ def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> Verificat
 
     def ext_free(members, targets) -> bool:
         return all(
-            ext_vanishes(M, T, range(1, n), carrier.is_cover) for M in members for T in targets
+            ext_vanishes(M, T, range(1, n)) for M in members for T in targets
         )
 
     if not In_stab:
@@ -499,12 +498,12 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
         for j, N in enumerate(Z.generators):
             if hom_dim(M, N) != hom_dim(images[i], images[j]):
                 table_ok = False
-        if class_index(images[i], images[:i], False) is not None:
+        if class_index(images[i], images[:i]) is not None:
             ok = False
     # surjectivity onto the Gorenstein projectives, up to the cap
     E_pool = list_indecomposables(E, dimcap=dimcap)
     gp = [X for X in E_pool if is_gorenstein_projective(E, X, n)]
-    matched = sum(class_index(X, images, False) is not None for X in gp)
+    matched = sum(class_index(X, images) is not None for X in gp)
     surjective = matched == len(gp) and len(gp) == len(images)
     return VerificationReport(
         claim="ZGpEquivalence",

@@ -60,13 +60,13 @@ def is_G_tau_n_rigid(M: FDModule, n: int) -> bool:
         return True
     key = ("tau_n_rigid", n)
     if key not in M._cache:
-        M._cache[key] = ext_vanishes(M, _translate(M, n), (0,), M.carrier.is_cover)
+        M._cache[key] = ext_vanishes(M, _translate(M, n), (0,))
     return M._cache[key]
 
 
 def is_rigid_pair(M: FDModule, P: FDModule, n: int) -> bool:
     """(M, P) with P projective: M rigid and Hom(P, ^a M) = 0 for all a."""
-    return is_G_tau_n_rigid(M, n) and ext_vanishes(P, M, (0,), P.carrier.is_cover)
+    return is_G_tau_n_rigid(M, n) and ext_vanishes(P, M, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +82,11 @@ class _TiltingGraph:
 
     def __init__(self, ambient: SubcategorySpec, n: int):
         X, carrier = ambient.generators, ambient.carrier
-        twisted = carrier.is_cover
         self.projectives = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
         rigid = self.rigid = [is_G_tau_n_rigid(M, n) for M in X]
 
         def vanish(i, j):  # Hom(X_i, ^a tau_n X_j) = 0 for all a
-            return ext_vanishes(X[i], _translate(X[j], n), (0,), twisted)
+            return ext_vanishes(X[i], _translate(X[j], n), (0,))
 
         # compat[i][j] is asked only of rigid generators: no other enters a pair
         self.compat = [[r and s for s in rigid] for r in rigid]
@@ -98,7 +97,7 @@ class _TiltingGraph:
         # perp[i]: the k with Hom(Q_k, ^a X_i) = 0 for all a
         self.perp = [
             frozenset(
-                k for k, Q in enumerate(self.projectives) if ext_vanishes(Q, M, (0,), twisted)
+                k for k, Q in enumerate(self.projectives) if ext_vanishes(Q, M, (0,))
             )
             for M in X
         ]
@@ -135,12 +134,12 @@ def _tilting_graph(ambient: SubcategorySpec, n: int, pool: list) -> _TiltingGrap
     return entry[1]
 
 
-def _summand_indices(pieces: list, candidates: list, twisted: bool):
+def _summand_indices(pieces: list, candidates: list):
     """The sorted indices of the candidates whose class holds one of the
     pieces, or None when some piece lies in no candidate's class."""
     found = set()
     for piece in pieces:
-        j = class_index(piece, candidates, twisted)
+        j = class_index(piece, candidates)
         if j is None:
             return None
         found.add(j)
@@ -165,9 +164,8 @@ def is_support_tilting_pair(
     pool is the exhaustive indecomposable list that certifies the ambient.
     """
     graph = _tilting_graph(ambient, n, pool)
-    twisted = M.carrier.is_cover
-    S = _summand_indices([piece for piece, _ in decompose(M)], ambient.generators, twisted)
-    Q = _summand_indices([piece for piece, _ in decompose(P)], graph.projectives, twisted)
+    S = _summand_indices([piece for piece, _ in decompose(M)], ambient.generators)
+    Q = _summand_indices([piece for piece, _ in decompose(P)], graph.projectives)
     return _is_support_pair(graph, S, Q)
 
 
@@ -219,7 +217,7 @@ def verify_tilting_pushdown(
 
     def down_indices(modules, candidates):  # push-down is additive
         pieces = [piece for X in modules for piece, _ in decompose(push_down(X))]
-        return _summand_indices(pieces, candidates, False)
+        return _summand_indices(pieces, candidates)
 
     up = _is_support_pair(graph_up, msel, psel)
     S = down_indices(mods, ambient_down.generators)

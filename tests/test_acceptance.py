@@ -61,7 +61,6 @@ def report(num, ok, detail):
 def cover_projective_spec(cover):
     return SubcategorySpec(
         [projective_at(cover, x) for x in cover.fundamental_domain()],
-        twist_closed=True,
         check=False,
     )
 
@@ -144,7 +143,7 @@ def test_acceptance_4_main_round_trip(n32_cover):
     verdict = is_n_precluster(U, 1)
     rep1 = verify_main1(U, 1)
     V = _pushdown_spec(U)
-    rep2 = verify_main2(V, n32_cover, 1, dimcap=8)
+    rep2 = verify_main2(V, 1, dimcap=8)
     recovered = rep2.witnesses[0]["preimage_orbit_classes"] == len(U.generators)
     # the preimage pool consists exactly of the twists of U's generators
     pool = list_indecomposables(n32_cover, dimcap=8)
@@ -178,7 +177,7 @@ def _discover_2_precluster(cover):
     found = []
     for bits in itertools.product((0, 1), repeat=len(optional)):
         gens = mandatory + [optional[i] for i in range(len(optional)) if bits[i]]
-        U = SubcategorySpec(gens, twist_closed=True, check=False)
+        U = SubcategorySpec(gens, check=False)
         if is_n_precluster(U, 2).passes:
             found.append(U)
     return found
@@ -244,7 +243,7 @@ def test_acceptance_9_tilting_transfer(n32, n32_cover):
     ambient_down = SubcategorySpec(pool_down, check=False)
     pairs_down = enumerate_support_tilting_pairs(ambient_down, 1, pool_down)
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    ambient_up = SubcategorySpec(pool_up, twist_closed=True, check=False)
+    ambient_up = SubcategorySpec(pool_up, check=False)
     pairs_up = enumerate_support_tilting_pairs(ambient_up, 1, pool_up)
     projs_up = [projective_at(n32_cover, x) for x in n32_cover.fundamental_domain()]
     projs_down = [projective_at(n32, x) for x in n32.vertices]

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from quivercover import CapExceeded, tautilt, verify_orbit_bijection
+from quivercover import CapExceeded, list_indecomposables, tautilt, verify_orbit_bijection
 from quivercover.cli import main
 from quivercover.modules import ISO_SEED, decompose, direct_sum, projective_at
 from quivercover.report import CLAIM_IDS, VerificationReport, dumps_report, loads_report
@@ -488,6 +488,26 @@ def test_suite_reports_unchanged(capsys, name):
     assert bijection["orbit_classes"] == bijection["base_indecomposables"] == classes
 
 
+# sha256 and exit code of `suite --n 2`, recorded at the commit before the
+# twist of every class and Ext test came from the carrier.  At n = 2 the
+# precluster checks test Ext^1 across every twist, which n = 1 never reaches.
+SUITE_N2_REPORT = {
+    "ausl2": (3, "d81a4a39fa30bf8101bfb73c07f957d7784723ff3b46bb6396b9d5078dac024a"),
+    "ka2": (3, "dbabb6067b852cd10326c27cfb8248d5973fa45e33f188bce266184d83f68448"),
+    "ka3": (3, "9b98e8a455ac6a2726d4fe427aa783e3f6cccca97360834a3dd142745abc26b0"),
+    "loop2": (3, "863545db2401057b51e36d0cac88f836aef05db9eb31ce033400b431045d05bd"),
+    "n32": (3, "90b7fd698f8a9c6b77f0a163b0cfde86d58f9a334274d0aa4589c46f619dfd7b"),
+    "n32_z2": (3, "1453e745a48574d4975204674c8d6b720adf0df9b1ec286174b1d23ae9a40fb9"),
+    "sixcycle": (3, "e3f2a759d1819a45454e57b3fada2505408bd0ef2815ad729959fbd6464bb8f0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_N2_REPORT))
+def test_n2_suite_reports_unchanged(capsys, name):
+    code, out, _ = run(capsys, "suite", "--input", golden(name), "--n", "2")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SUITE_N2_REPORT[name]
+
+
 # sha256 and exit code of runs the window-free carrier leaves unchanged,
 # recorded at the commit before it.  The `indecs --cover` listing was
 # recorded again when the knit began to close twist orbits: it lists one
@@ -520,6 +540,51 @@ def test_corres_class_cap_counts_orbits_not_window_members(n32_cover):
     assert verify_orbit_bijection(n32_cover, class_cap=6).outcome is True
     with pytest.raises(CapExceeded):
         verify_orbit_bijection(n32_cover, class_cap=5)
+
+
+def test_a_dimcap_below_an_indecomposable_stops_the_knit(n32, n32_cover):
+    # N(3,2) has indecomposables of dimension 2: a cap of 1 would cut the
+    # pool, and every check over the cut pool would pass vacuously
+    for carrier in (n32, n32_cover):
+        assert len(list_indecomposables(carrier, dimcap=2)) == 6
+        with pytest.raises(CapExceeded, match="exceeds --dimcap 1"):
+            list_indecomposables(carrier, dimcap=1)
+
+
+# The claims that read an indecomposable pool; the other four never knit.
+POOL_CLAIMS = (
+    "Main2", "DILemma", "Corres", "ZGpEquivalence", "ModPushdown", "TiltingPushdown", "TiltingFinite"
+)
+
+
+@pytest.mark.parametrize("dimcap", ["0", "1"])
+def test_a_dimcap_that_cuts_the_pool_is_indeterminate(capsys, dimcap):
+    code, out, _ = run(capsys, "suite", "--n", "1", "--dimcap", dimcap, "--input", golden("n32"))
+    assert code == 3
+    reports = {r["claim"]: r for r in json.loads(out)}
+    for claim in POOL_CLAIMS:
+        assert reports[claim]["pass"] == "indeterminate"
+        assert reports[claim]["notes"][0].startswith("CapExceeded: an indecomposable of dimension")
+        assert reports[claim]["notes"][0].endswith(f"exceeds --dimcap {dimcap}")
+    assert all(reports[c]["pass"] is True for c in CLAIM_IDS if c not in POOL_CLAIMS)
+
+
+def test_indecs_beyond_the_dimcap_is_an_input_error(capsys):
+    code, out, err = run(capsys, "indecs", "--dimcap", "1", "--input", golden("n32"))
+    assert (code, out) == (2, "")
+    assert err == "CapExceeded: an indecomposable of dimension 2 exceeds --dimcap 1\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--claim", claim] for claim in CLAIM_IDS] + [["suite"], ["enumerate-tilting"]],
+    ids=" ".join,
+)
+def test_n_below_one_is_a_usage_error(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--n", n, "--input", golden("n32"))
+    assert (code, out) == (2, "")
+    assert f"argument --n: n must be at least 1, got {n}" in err
 
 
 # sha256 and exit code of `check --n 1` on sixcycle, recorded at the commit

@@ -409,24 +409,26 @@ def _pools(pres):
 
 @pytest.mark.parametrize("name", ["n32", "loop2", "n32_z2"])
 def test_class_index_matches_the_former_contains_iso_scan(name, request):
-    # twisted or not, class_index finds the first class the former scan
-    # finds; a far twist is in the class of its centred module only when
-    # twisted, so a class_index that ignores twisted fails here
+    # class_index finds the first class the former scan finds, over every
+    # twist on the cover and plainly on the base; a far twist is in the
+    # class of its centred module only up to twist, so a class_index that
+    # ignores carrier.is_cover fails here
     for carrier, classes, queries in _pools(request.getfixturevalue(name)):
-        twisteds = (False, True) if carrier.is_cover else (False,)
-        for twisted in twisteds:
-            spec = SubcategorySpec(classes, twist_closed=twisted, check=False)
-            found_twisted_only = 0
-            for M in queries:
-                expected = next(
-                    (j for j, C in enumerate(classes) if _parent_contains_iso([C], M, twisted)), None
-                )
-                assert class_index(M, classes, twisted) == expected
-                assert spec.contains_iso(M) == _parent_contains_iso(classes, M, twisted)
-                if twisted and expected is not None and class_index(M, classes, False) is None:
-                    found_twisted_only += 1
-            if twisted:
-                assert found_twisted_only >= len(classes)
+        twisted = carrier.is_cover
+        spec = SubcategorySpec(classes, check=False)
+        found_twisted_only = 0
+        for M in queries:
+            expected = next(
+                (j for j, C in enumerate(classes) if _parent_contains_iso([C], M, twisted)), None
+            )
+            assert class_index(M, classes) == expected
+            assert spec.contains_iso(M) == _parent_contains_iso(classes, M, twisted)
+            if expected is not None and not any(is_isomorphic(M, C) for C in classes):
+                found_twisted_only += 1
+        if twisted:
+            assert found_twisted_only >= len(classes)
+        else:
+            assert found_twisted_only == 0
 
 
 @pytest.mark.parametrize("name", ["n32", "loop2", "n32_z2"])
@@ -438,13 +440,13 @@ def test_ext_vanishes_matches_the_former_hom_and_ext_tests(name, request):
         for A in queries[: len(classes) + 1]:
             for B in queries:
                 hom = _parent_hom_vanishes_all_twists(A, B)
-                assert ext_vanishes(A, B, (0,), twisted) == hom
+                assert ext_vanishes(A, B, (0,)) == hom
                 for degrees in ((1,), (0, 1), (0, 1, 2), range(1, 3)):
                     expected = A.is_zero() or B.is_zero() or (
                         (0 not in degrees or hom)
                         and _parent_ext_loop(A, B, [i for i in degrees if i], twisted)
                     )
-                    assert ext_vanishes(A, B, degrees, twisted) == expected
+                    assert ext_vanishes(A, B, degrees) == expected
 
 
 @pytest.mark.parametrize("name", ["n32", "loop2", "ausl2"])
@@ -463,11 +465,10 @@ def test_gorenstein_projectivity_matches_the_former_loop(name, request):
 
 @pytest.mark.parametrize("name, twist", [("n32", (3,)), ("n32_z2", 1)])
 def test_twist_closed_subcategory_refuses_a_twist_of_a_generator(name, twist, request):
-    # a twist of a generator is in its class once the subcategory is twist
-    # closed; without the twist they are two classes
+    # a subcategory of a covering carrier is twist closed, so a twist of a
+    # generator is in its class
     cover = smash_cover(request.getfixturevalue(name))
     P = projective_at(cover, (cover.base_presentation.vertices[0], cover.group.identity()))
     T = twist_module(P, twist)
-    assert len(SubcategorySpec([P, T])) == 2
     with pytest.raises(ShapeMismatch, match="up to twist"):
-        SubcategorySpec([P, T], twist_closed=True)
+        SubcategorySpec([P, T])

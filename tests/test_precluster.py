@@ -51,7 +51,6 @@ def everything(pres):
 def cover_projectives(cover):
     return SubcategorySpec(
         [projective_at(cover, x) for x in cover.fundamental_domain()],
-        twist_closed=True,
         check=False,
     )
 
@@ -244,7 +243,6 @@ def test_main1_hypothesis_gate(ka2):
     cov = smash_cover(ka2)
     U = SubcategorySpec(
         [projective_at(cov, x) for x in cov.fundamental_domain()],
-        twist_closed=True,
         check=False,
     )
     rep = verify_main1(U, 1)
@@ -254,7 +252,7 @@ def test_main1_hypothesis_gate(ka2):
 def test_main2_round_trip(n32_cover):
     U = cover_projectives(n32_cover)
     V = _pushdown_spec(U)
-    rep = verify_main2(V, n32_cover, 1, dimcap=8)
+    rep = verify_main2(V, 1, dimcap=8)
     assert rep.outcome is True
     w = rep.witnesses[0]
     assert w["preimage_orbit_classes"] == len(U.generators)
@@ -325,7 +323,7 @@ def test_main2_preimage_counts_match_a_per_member_count(name, request):
 
     cover = request.getfixturevalue(name + "_cover")
     V = _pushdown_spec(cover_projectives(cover))
-    rep = verify_main2(V, cover, 1, dimcap=8)
+    rep = verify_main2(V, 1, dimcap=8)
     # every member of a window knit whose push-down is one of V's generators
     preimage = []
     for X in window_knit(cover, cover.group.box(6), dimcap=8):

@@ -115,7 +115,7 @@ def test_enumeration_matches_air_shape(n32):
 
 def test_enumeration_cover_matches_base(n32, n32_cover):
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    ambient_up = SubcategorySpec(pool_up, twist_closed=True, check=False)
+    ambient_up = SubcategorySpec(pool_up, check=False)
     pairs_up = enumerate_support_tilting_pairs(ambient_up, 1, pool_up)
     pool_down = pool_of(n32)
     ambient_down = SubcategorySpec(pool_down, check=False)
@@ -125,12 +125,12 @@ def test_enumeration_cover_matches_base(n32, n32_cover):
 
 def test_tilting_pushdown_instances(n32, n32_cover):
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    ambient_up = SubcategorySpec(pool_up, twist_closed=True, check=False)
+    ambient_up = SubcategorySpec(pool_up, check=False)
     pool_down = pool_of(n32)
     ambient_down = SubcategorySpec(pool_down, check=False)
     projs = [projective_at(n32_cover, x) for x in n32_cover.fundamental_domain()]
     # (Lambda, 0): the generators that are twists of the projectives
-    lam = tuple(sorted(class_index(Q, pool_up, True) for Q in projs))
+    lam = tuple(sorted(class_index(Q, pool_up) for Q in projs))
     rep = verify_tilting_pushdown(
         (lam, ()), 1, ambient_up, pool_up, ambient_down, pool_down
     )
@@ -206,7 +206,6 @@ def _summands(M):
 
 def reference_is_pair(M, P, n, ambient):
     carrier = (M if not M.is_zero() else P).carrier
-    twisted = carrier.is_cover
     if not is_rigid_pair(M, P, n):
         return False
     M_summands = _summands(M)
@@ -214,12 +213,12 @@ def reference_is_pair(M, P, n, ambient):
         return False
     for N in ambient.generators:
         MN = direct_sum([M, N])[0] if not M.is_zero() else N
-        if is_rigid_pair(MN, P, n) and class_index(N, M_summands, twisted) is None:
+        if is_rigid_pair(MN, P, n) and class_index(N, M_summands) is None:
             return False
     P_summands = _summands(P)
     for x in carrier.fundamental_domain():
         Q = projective_at(carrier, x)
-        in_add_P = class_index(Q, P_summands, twisted) is not None
+        in_add_P = class_index(Q, P_summands) is not None
         if in_add_P != _hom_vanishes(Q, M):
             return False
     return True
@@ -248,7 +247,7 @@ def reference_pairs(ambient, n, pool):
 def _ambient(carrier, cover):
     pool = list_indecomposables(carrier, dimcap=8)
     if cover:
-        return SubcategorySpec(pool, twist_closed=True, check=False), pool
+        return SubcategorySpec(pool, check=False), pool
     return SubcategorySpec(pool, check=False), pool
 
 

@@ -10,7 +10,7 @@ against it.
 """
 
 from quivercover.carrier import Carrier, OppositeCarrier
-from quivercover.covering import add_class, twist_module
+from quivercover.covering import twist_module
 from quivercover.errors import ShapeMismatch
 from quivercover.field import Mat, hstack, rref
 from quivercover.modules import hom_basis, identity_morphism, is_isomorphic, morphism_coords
@@ -109,7 +109,9 @@ def window_endo(U, box) -> tuple:
     for i, gen in enumerate(U.generators):
         for a in box:
             T = twist_module(gen, a)
-            if in_box(box, T.support) and add_class(objs, T, twisted=False):
+            # one object per isomorphism class; twists are different classes
+            if in_box(box, T.support) and not any(is_isomorphic(T, obj) for obj in objs):
+                objs.append(T)
                 keys.append((i, a))
     fundamental = [
         next(k for k, obj in enumerate(objs) if is_isomorphic(gen, obj)) for gen in U.generators
