@@ -160,12 +160,12 @@ class Carrier:
         cols = self.hom_labels(t, x)
         rows = self.hom_labels(s, x)
         index = {lab: i for i, lab in enumerate(rows)}
-        m = Mat.zeros(self.field, len(rows), len(cols))
+        m = [[0] * len(cols) for _ in rows]
         glab = self.gen_label(g)
         for j, q in enumerate(cols):
             for lab, c in self.compose_labels(s, t, x, glab, q).items():
-                m.a[index[lab], j] = self.field.scalar(c)
-        return m
+                m[index[lab]][j] = c
+        return Mat.from_rows(self.field, m, len(cols))
 
     def right_mult_mat(self, x, g) -> Mat:
         """Matrix of C(x, src g) -> C(x, tgt g), q |-> q.g."""
@@ -173,12 +173,12 @@ class Carrier:
         cols = self.hom_labels(x, s)
         rows = self.hom_labels(x, t)
         index = {lab: i for i, lab in enumerate(rows)}
-        m = Mat.zeros(self.field, len(rows), len(cols))
+        m = [[0] * len(cols) for _ in rows]
         glab = self.gen_label(g)
         for j, q in enumerate(cols):
             for lab, c in self.compose_labels(x, s, t, q, glab).items():
-                m.a[index[lab], j] = self.field.scalar(c)
-        return m
+                m[index[lab]][j] = c
+        return Mat.from_rows(self.field, m, len(cols))
 
     def relations_at(self, x) -> tuple:
         """(index, target, terms) of each validation relation starting at x."""

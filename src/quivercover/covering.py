@@ -120,14 +120,13 @@ def push_down(M: FDModule) -> FDModule:
         dv, dw = dims.get(a.src, 0), dims.get(a.tgt, 0)
         if dv == 0 or dw == 0:
             continue
-        m = field.zeros(dv, dw)
-        col = {g: (d, off) for g, d, off in blocks[a.tgt]}
-        for g, d, off in blocks[a.src]:
+        col = {g: off for g, _, off in blocks[a.tgt]}
+        placed = []
+        for g, _, off in blocks[a.src]:
             h = cover.group.op(g, a.weight)
             if h in col:
-                dcol, coff = col[h]
-                m[off : off + d, coff : coff + dcol] = M.mat((a.name, g)).a
-        mats[a.name] = Mat(field, m)
+                placed.append((off, col[h], M.mat((a.name, g))))
+        mats[a.name] = Mat.from_blocks(field, dv, dw, placed)
     M._cache["push_down"] = FDModule(pres, dims, mats, check_shapes=False)
     return M._cache["push_down"]
 
@@ -144,13 +143,9 @@ def push_down_morphism(f: ModMorphism) -> ModMorphism:
             continue
         sb, _ = _shift_blocks(f.src, v)
         tb, _ = _shift_blocks(f.tgt, v)
-        m = field.zeros(PY.dim(v), PX.dim(v))
-        trow = {g: (d, off) for g, d, off in tb}
-        for g, d, off in sb:
-            if g in trow:
-                dr, roff = trow[g]
-                m[roff : roff + dr, off : off + d] = f.vertex((v, g)).a
-        mats[v] = Mat(field, m)
+        trow = {g: off for g, _, off in tb}
+        placed = [(trow[g], off, f.vertex((v, g))) for g, _, off in sb if g in trow]
+        mats[v] = Mat.from_blocks(field, PY.dim(v), PX.dim(v), placed)
     return ModMorphism(PX, PY, mats)
 
 
@@ -236,7 +231,7 @@ def lift_morphism(theta: ModMorphism, X: FDModule, Y: FDModule) -> LiftingFamily
                 if h not in yb:
                     continue
                 dr, roff = yb[h]
-                block = Mat(field, theta.vertex(v).a[roff : roff + dr, off : off + d])
+                block = theta.vertex(v)[roff : roff + dr, off : off + d]
                 if not block.is_zero():
                     nonzero = True
                 mats[(v, g)] = block
@@ -251,15 +246,14 @@ def lift_morphism(theta: ModMorphism, X: FDModule, Y: FDModule) -> LiftingFamily
     for v in pres.vertices:
         xb, xdim = _shift_blocks(X, v)
         yb, ydim = _shift_blocks(Y, v)
-        m = field.zeros(ydim, xdim)
-        ylook = {g: (d, off) for g, d, off in yb}
+        ylook = {g: off for g, _, off in yb}
+        placed = []
         for a, f in pairs:
-            for g, d, off in xb:
+            for g, _, off in xb:
                 h = group.sub(g, a)
                 if h in ylook:
-                    dr, roff = ylook[h]
-                    m[roff : roff + dr, off : off + d] = f.vertex((v, g)).a
-        if not (Mat(field, m) - theta.vertex(v)).is_zero():
+                    placed.append((ylook[h], off, f.vertex((v, g))))
+        if Mat.from_blocks(field, ydim, xdim, placed) != theta.vertex(v):
             raise ShapeMismatch("lifting family does not reassemble the morphism")
     return LiftingFamily(pairs)
 

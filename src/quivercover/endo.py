@@ -118,7 +118,7 @@ class EndoCarrier(Carrier):
         if coords is None:
             raise ShapeMismatch("composition left the hom space")
         table[key] = {
-            (x, z, k): coords.a[k, 0] for k in range(coords.rows) if coords.a[k, 0] != 0
+            (x, z, k): c for k, c in enumerate(coords.entries()) if c != 0
         }
         return table[key]
 

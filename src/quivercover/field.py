@@ -1,27 +1,25 @@
 """Exact linear algebra over a prime field or the rationals.
 
 Everything else in the package reduces to the operations in this module.
-Matrices are immutable-by-convention wrappers around numpy arrays: int64
-entries reduced mod p for prime fields (with an object-dtype fallback for
-primes too large for safe int64 products), `fractions.Fraction` entries for
-the rationals.  Over the rationals, elimination and products run on Python
-integers (rows and operands cleared of denominators) and only their results
-are boxed as `Fraction`s.  All arithmetic is exact; there are no tolerances
-anywhere.
+A matrix is a list of rows of Python integers.  Over a prime field F_p the
+entries are residues in [0, p), for every p.  Over the rationals the matrix
+is its integer rows over one common denominator `den`, kept canonical:
+den > 0 and gcd(den, every entry) == 1, so that equal matrices have equal
+rows and denominators.  Products, sums and eliminations run on the integers
+alone; entries become `fractions.Fraction`s only where they leave this
+module (indexing, `entries`, `tolists`).  All arithmetic is exact; there
+are no tolerances anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-
-import numpy as np
+from operator import mul
 
 from .errors import ShapeMismatch
-
-# Above this, n*p^2 may not fit in int64 for desk-scale n; fall back to objects.
-_INT64_SAFE_PRIME = 2**25
 
 
 def _is_prime(n: int) -> bool:
@@ -58,10 +56,6 @@ class Field:
     @property
     def is_prime_field(self) -> bool:
         return self.p is not None
-
-    @property
-    def _fast(self) -> bool:
-        return self.p is not None and self.p < _INT64_SAFE_PRIME
 
     # scalar helpers -------------------------------------------------------
 
@@ -100,114 +94,127 @@ class Field:
             return rng.randrange(self.p)
         return Fraction(rng.randrange(-9, 10))
 
-    # array plumbing -------------------------------------------------------
-
-    def _dtype(self):
-        return np.int64 if self._fast else object
-
-    def _reduce(self, a: np.ndarray) -> np.ndarray:
-        if self.p is None:
-            return a
-        return a % self.p
-
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        if self._dtype() is object:
-            return np.zeros((rows, cols), dtype=object)
-        return np.zeros((rows, cols), dtype=np.int64)
-
-    def eye_array(self, n: int) -> np.ndarray:
-        a = self.zeros(n, n)
-        for i in range(n):
-            a[i, i] = 1
-        return a
-
 
 class Mat:
-    """A rows x cols matrix over a field, entries in canonical form."""
+    """A rows x cols matrix over a field: the list `ints` of integer rows
+    over the denominator `den`, in canonical form (residues in [0, p) and
+    den == 1 over F_p; den > 0 and gcd(den, every entry) == 1 over Q).
+    Immutable by convention.  Each row is a tuple: a tuple of ints drops out
+    of the cycle collector's tracking once it has been seen, so the many
+    matrices a knit keeps in its caches cost later collections nothing."""
 
-    __slots__ = ("field", "a")
+    __slots__ = ("field", "ints", "den", "rows", "cols")
 
-    def __init__(self, field: Field, array: np.ndarray):
-        a = np.asarray(array)
-        if a.ndim != 2:
-            raise ShapeMismatch(f"expected a 2d array, got shape {a.shape}")
-        if field._fast:
-            a = np.asarray(a, dtype=np.int64) % field.p
+    def __init__(self, field: Field, ints: list, den: int = 1, cols: int | None = None):
+        """The matrix ints / den, for rows of integers, made canonical; cols
+        is needed only when ints has no rows."""
+        ncols = len(ints[0]) if ints else (cols or 0)
+        if (cols is not None and cols != ncols) or any(len(r) != ncols for r in ints):
+            raise ShapeMismatch("ragged row lengths")
+        if not den:
+            raise ZeroDivisionError("matrix with denominator 0")
+        p = field.p
+        if p is not None:
+            inv = pow(den, -1, p)
+            ints = [tuple([x * inv % p for x in r]) for r in ints]
+            den = 1
         else:
-            b = np.empty(a.shape, dtype=object)
-            for i in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    b[i, j] = field.scalar(a[i, j])
-            a = b
+            ints = [tuple(r) for r in ints]
+        ints, den = _lowest_terms(ints, den)
         self.field = field
-        self.a = a
+        self.ints = ints
+        self.den = den
+        self.rows = len(ints)
+        self.cols = ncols
 
     # constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_rows(field: Field, rows: list[list]) -> "Mat":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ShapeMismatch("ragged row lengths")
-        a = field.zeros(nrows, ncols)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                a[i, j] = field.scalar(v)
-        return Mat._wrap(field, a)
+    def from_rows(field: Field, rows: list[list], cols: int | None = None) -> "Mat":
+        """The matrix of a list of rows of scalars (anything field.scalar takes)."""
+        rows = [[field.scalar(v) for v in r] for r in rows]
+        if field.p is not None:
+            return Mat(field, rows, 1, cols)
+        den = lcm(*(v.denominator for r in rows for v in r))
+        ints = [[v.numerator * (den // v.denominator) for v in r] for r in rows]
+        return Mat(field, ints, den, cols)
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
-        return Mat._wrap(field, field.zeros(rows, cols))
+        return _mat(field, [(0,) * cols] * rows, 1, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        return Mat._wrap(field, field.eye_array(n))
+        return _mat(field, [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)], 1, n)
 
     @staticmethod
-    def _wrap(field: Field, array: np.ndarray) -> "Mat":
-        m = Mat.__new__(Mat)
-        m.field = field
-        m.a = array
-        return m
+    def from_blocks(field: Field, rows: int, cols: int, blocks) -> "Mat":
+        """The rows x cols matrix holding each block of the (row, col, block)
+        triples at that offset, and zeros elsewhere."""
+        blocks = list(blocks)
+        den = lcm(*(b.den for _, _, b in blocks))
+        ints = [[0] * cols for _ in range(rows)]
+        for r, c, b in blocks:
+            f = den // b.den
+            for i, row in enumerate(b.ints, r):
+                ints[i][c : c + b.cols] = row if f == 1 else [x * f for x in row]
+        return _canonical(field, [tuple(r) for r in ints], den, cols)
 
     # views ------------------------------------------------------------------
 
     @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
-        return self.a.shape
+        return self.rows, self.cols
+
+    def _scalar(self, x: int):
+        if self.field.p is not None:
+            return x
+        return Fraction(x, self.den)
+
+    def __getitem__(self, key):
+        """m[i, j] is an entry; with a slice or a list of indices in either
+        place, m[rows, cols] is that submatrix."""
+        i, j = key
+        if isinstance(i, int) and isinstance(j, int):
+            return self._scalar(self.ints[i][j])
+        picked = self.ints[i] if isinstance(i, slice) else [self.ints[k] for k in i]
+        if isinstance(j, slice):
+            ints = [r[j] for r in picked]
+            ncols = len(range(self.cols)[j])
+        else:
+            ints = [tuple([r[k] for k in j]) for r in picked]
+            ncols = len(j)
+        return _canonical(self.field, ints, self.den, ncols)
 
     def entries(self) -> list:
         """Row-major list of canonical scalars."""
-        return [self.a[i, j] for i in range(self.rows) for j in range(self.cols)]
+        return [self._scalar(x) for r in self.ints for x in r]
 
     def tolists(self) -> list[list]:
-        return [[self.a[i, j] for j in range(self.cols)] for i in range(self.rows)]
+        return [[self._scalar(x) for x in r] for r in self.ints]
 
-    def copy(self) -> "Mat":
-        return Mat._wrap(self.field, self.a.copy())
+    def reshape(self, rows: int, cols: int) -> "Mat":
+        """The same entries, read row by row, as a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ShapeMismatch(f"reshape {self.shape} to {(rows, cols)}")
+        flat = tuple(chain.from_iterable(self.ints))
+        ints = [flat[k * cols : (k + 1) * cols] for k in range(rows)]
+        return _mat(self.field, ints, self.den, cols)
 
     def is_zero(self) -> bool:
-        return self.rows == 0 or self.cols == 0 or not np.any(self.a != 0)
+        return not any(map(any, self.ints))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
             and self.field == other.field
-            and self.shape == other.shape
-            and bool(np.all(self.a == other.a))
+            and self.cols == other.cols
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.field, self.shape, tuple(self.entries())))
+        return hash((self.field, self.cols, self.den, tuple(self.ints)))
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {self.tolists()})"
@@ -217,97 +224,168 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-        if self.rows == 0 or other.cols == 0:
-            return Mat.zeros(self.field, self.rows, other.cols)
-        if self.cols == 0:
-            return Mat.zeros(self.field, self.rows, other.cols)
-        if self.field.p is None:
-            return Mat._wrap(self.field, _rational_matmul(self.a, other.a))
-        prod = np.dot(self.a, other.a)
-        return Mat._wrap(self.field, self.field._reduce(prod))
+        ints = _product(self.ints, other.ints, other.cols, self.field.p)
+        return _canonical(self.field, ints, self.den * other.den, other.cols)
+
+    def _combine(self, other: "Mat", sign: int, op: str) -> "Mat":
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"{self.shape} {op} {other.shape}")
+        pairs = zip(self.ints, other.ints)
+        p = self.field.p
+        if p is not None:
+            ints = [tuple([(x + sign * y) % p for x, y in zip(r, s)]) for r, s in pairs]
+            return _mat(self.field, ints, 1, self.cols)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        ints = [tuple([x * fa + y * fb for x, y in zip(r, s)]) for r, s in pairs]
+        return _canonical(self.field, ints, den, self.cols)
 
     def __add__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} + {other.shape}")
-        return Mat._wrap(self.field, self.field._reduce(self.a + other.a))
+        return self._combine(other, 1, "+")
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} - {other.shape}")
-        return Mat._wrap(self.field, self.field._reduce(self.a - other.a))
+        return self._combine(other, -1, "-")
 
     def __neg__(self) -> "Mat":
-        return Mat._wrap(self.field, self.field._reduce(-self.a))
+        p = self.field.p
+        if p is not None:
+            return _mat(self.field, [tuple([-x % p for x in r]) for r in self.ints], 1, self.cols)
+        return _mat(self.field, [tuple([-x for x in r]) for r in self.ints], self.den, self.cols)
 
     def scale(self, c) -> "Mat":
         c = self.field.scalar(c)
-        return Mat._wrap(self.field, self.field._reduce(self.a * c))
+        p = self.field.p
+        if p is not None:
+            ints = [tuple([x * c % p for x in r]) for r in self.ints]
+            return _mat(self.field, ints, 1, self.cols)
+        ints = [tuple([x * c.numerator for x in r]) for r in self.ints]
+        return _canonical(self.field, ints, self.den * c.denominator, self.cols)
 
     def transpose(self) -> "Mat":
-        return Mat._wrap(self.field, self.a.T.copy())
+        ints = list(zip(*self.ints)) if self.rows else [()] * self.cols
+        return _mat(self.field, ints, self.den, self.rows)
+
+
+def _product(a: list, b: list, ncols: int, p: int | None) -> list:
+    """The integer rows of a @ b, for b with ncols columns, reduced mod p
+    unless p is None.  A zero row of a gives a zero row.  When b has 64
+    entries or more and at most half of them are nonzero, a row is summed
+    from the nonzero entries of a and b alone; otherwise each entry is the
+    dot product of a row and a column."""
+    if not b or not ncols:
+        return [(0,) * ncols] * len(a)
+    if len(b) * ncols >= 64 and 2 * sum([r.count(0) for r in b]) >= len(b) * ncols:
+        support = [[(j, y) for j, y in enumerate(r) if y] for r in b]
+        out = []
+        for r in a:
+            acc = [0] * ncols
+            for k, x in enumerate(r):
+                if x:
+                    for j, y in support[k]:
+                        acc[j] += x * y
+            out.append(tuple(acc) if p is None else tuple([v % p for v in acc]))
+        return out
+    if ncols == 1:
+        c = [r[0] for r in b]
+        if p is None:
+            return [(sum(map(mul, r, c)),) if any(r) else (0,) for r in a]
+        return [(sum(map(mul, r, c)) % p,) if any(r) else (0,) for r in a]
+    columns = list(zip(*b))
+    zero = (0,) * ncols
+    if p is None:
+        return [tuple([sum(map(mul, r, c)) for c in columns]) if any(r) else zero for r in a]
+    return [tuple([sum(map(mul, r, c)) % p for c in columns]) if any(r) else zero for r in a]
+
+
+def _mat(field: Field, ints: list, den: int, cols: int) -> Mat:
+    """The Mat ints / den, which must already be canonical."""
+    m = Mat.__new__(Mat)
+    m.field = field
+    m.ints = ints
+    m.den = den
+    m.rows = len(ints)
+    m.cols = cols
+    return m
+
+
+def _lowest_terms(ints: list, den: int) -> tuple[list, int]:
+    """(ints, den) divided through by gcd(den, every entry), den made positive."""
+    if den == 1:
+        return ints, den
+    g = gcd(den, *chain.from_iterable(ints))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return ints, den
+    return [tuple([x // g for x in r]) for r in ints], den // g
+
+
+def _canonical(field: Field, ints: list, den: int, cols: int) -> Mat:
+    """The Mat ints / den, from entries already reduced mod p over F_p (where
+    den is 1) and in any terms over Q."""
+    if den != 1:
+        ints, den = _lowest_terms(ints, den)
+    return _mat(field, ints, den, cols)
+
+
+def _common_denominator(mats: list[Mat]) -> tuple[list, int]:
+    """(the integer rows of each matrix over den, den) for the lcm den of
+    the denominators; a matrix already over den keeps its rows."""
+    den = lcm(*(m.den for m in mats))
+    parts = [
+        m.ints if m.den == den else [tuple([x * (den // m.den) for x in r]) for r in m.ints]
+        for m in mats
+    ]
+    return parts, den
 
 
 def hstack(mats: list[Mat]) -> Mat:
-    field = mats[0].field
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ShapeMismatch("hstack with differing row counts")
-    return Mat._wrap(field, np.hstack([m.a for m in mats]))
+    parts, den = _common_denominator(mats)
+    if len(parts) == 1:
+        ints = parts[0]
+    elif len(parts) == 2:
+        ints = [x + y for x, y in zip(*parts)]
+    else:
+        columns = [c for part in parts for c in zip(*part)]
+        ints = list(zip(*columns)) if columns else [()] * rows
+    return _mat(mats[0].field, ints, den, sum(m.cols for m in mats))
 
 
 def vstack(mats: list[Mat]) -> Mat:
-    field = mats[0].field
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ShapeMismatch("vstack with differing column counts")
-    return Mat._wrap(field, np.vstack([m.a for m in mats]))
+    parts, den = _common_denominator(mats)
+    return _mat(mats[0].field, list(chain.from_iterable(parts)), den, cols)
 
 
 # ---------------------------------------------------------------------------
 # rationals on integers
 
-_ZERO = Fraction(0)
 
-
-def _integer_form(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(ints, den) with a == ints / den: one common denominator for all of a."""
-    flat = a.ravel().tolist()
-    den = lcm(*(x.denominator for x in flat))
-    nums = [x.numerator * (den // x.denominator) for x in flat]
-    ints = np.empty(len(nums), dtype=object)
-    ints[:] = nums
-    return ints.reshape(a.shape), den
-
-
-def _rational_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for Fraction arrays: one integer product, then one Fraction per entry."""
-    ia, da = _integer_form(a)
-    ib, db = _integer_form(b)
-    prod = np.dot(ia, ib)
-    den = da * db
-    entries = [Fraction(v, den) if v else _ZERO for v in prod.ravel().tolist()]
-    out = np.empty(len(entries), dtype=object)
-    out[:] = entries
-    return out.reshape(prod.shape)
-
-
-def _rational_rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Sparse fraction-free Gauss-Jordan elimination of a Fraction array.
+def _rational_rref(ints: list, ncols: int) -> tuple[list, int, tuple[int, ...]]:
+    """Sparse fraction-free Gauss-Jordan elimination of integer rows; the
+    reduced row echelon form of a rational matrix is that of its integer
+    rows, whatever their denominator.
 
     Each row is cleared to a primitive integer vector, kept as {column: value}.
     A pivot row p with pivot entry P updates only the rows r nonzero in its
     column c, as r <- (P/g) r - (r[c]/g) p with g = gcd(P, r[c]), touching only
     p's support when P/g == 1; a row so scaled is divided by the gcd of its
-    entries.  Pivot rows become Fractions once, at the end.  The reduced row
-    echelon form is unique, so this is the dense elimination's result.
+    entries.  Pivot row i, divided by its pivot entry, ends as integers over
+    its own denominator, and all of them over the lcm of those.  The reduced
+    row echelon form is unique, so this is the dense elimination's result.
+    Returns (integer rows, denominator, pivots).
     """
-    nrows, ncols = a.shape
     pending = []
-    for entries in a.tolist():
-        row = {j: x for j, x in enumerate(entries) if x}
+    for r in ints:
+        row = {j: x for j, x in enumerate(r) if x}
         if row:
-            den = lcm(*(x.denominator for x in row.values()))
-            pending.append({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+            g = gcd(*row.values())
+            pending.append({j: x // g for j, x in row.items()} if g != 1 else row)
     done: list[tuple[int, dict]] = []
     while pending:
         c = min(min(row) for row in pending)
@@ -325,12 +403,22 @@ def _rational_rref(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
                 keep.append(row)
         pending = keep
         done.append((c, prow))
-    out = np.full((nrows, ncols), _ZERO, dtype=object)
-    for i, (c, row) in enumerate(done):
-        p = row[c]
+    # row / row[c] in lowest terms is (row / g) / (row[c] / g)
+    lowest = []
+    for c, row in done:
+        g = gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        lowest.append((row, g, row[c] // g))
+    den = lcm(*(d for _, _, d in lowest))
+    out = [(0,) * ncols] * len(ints)
+    for i, (row, g, d) in enumerate(lowest):
+        f = den // d
+        dense = [0] * ncols
         for j, x in row.items():
-            out[i, j] = Fraction(x, p)
-    return out, tuple(c for c, _ in done)
+            dense[j] = x // g * f
+        out[i] = tuple(dense)
+    return out, den, tuple(c for c, _ in done)
 
 
 def _eliminate(row: dict, c: int, prow: dict, p: int) -> None:
@@ -361,28 +449,25 @@ def _eliminate(row: dict, c: int, prow: dict, p: int) -> None:
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; row space preserved.
 
-    Over the rationals this is a sparse fraction-free elimination on
-    integers; over prime fields, a Gauss-Jordan elimination on Python int
-    rows.
+    Over the rationals this is a sparse fraction-free elimination on the
+    integer rows; over prime fields, a Gauss-Jordan elimination on the
+    residue rows.
     """
     field = m.field
     if field.p is None:
-        red, pivots = _rational_rref(m.a)
-        return Mat._wrap(field, red), pivots
-    red, pivots = _residue_rref(m.a, field)
-    return Mat._wrap(field, red), pivots
+        ints, den, pivots = _rational_rref(m.ints, m.cols)
+        return _mat(field, ints, den, m.cols), pivots
+    ints, pivots = _residue_rref(m.ints, m.cols, field.p)
+    return _mat(field, ints, 1, m.cols), pivots
 
 
-def _residue_rref(a: np.ndarray, field: Field) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Gauss-Jordan elimination mod p on Python int rows, wrapped once.
+def _residue_rref(ints: list, ncols: int, p: int) -> tuple[list, tuple[int, ...]]:
+    """Gauss-Jordan elimination mod p on copies of the residue rows.
 
     A pivot row updates only the rows nonzero in its column, and in them only
     the columns where the pivot row is nonzero."""
-    p = field.p
-    nrows, ncols = a.shape
-    if not nrows:
-        return field.zeros(0, ncols), ()
-    rows = a.tolist()
+    rows = [list(r) for r in ints]
+    nrows = len(rows)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -406,7 +491,7 @@ def _residue_rref(a: np.ndarray, field: Field) -> tuple[np.ndarray, tuple[int, .
                 for j, v in support:
                     row[j] = (row[j] - x * v) % p
         pivots.append(c)
-    return np.array(rows, dtype=field._dtype()), tuple(pivots)
+    return [tuple(r) for r in rows], tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -415,39 +500,37 @@ def rank(m: Mat) -> int:
 
 def kernel_basis(m: Mat) -> Mat:
     """Matrix whose columns form a basis of the null space of m."""
-    field = m.field
     red, pivots = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = field.zeros(m.cols, len(free))
+    # column k is e_f minus the reduced rows' entries in column f, over red.den
+    p = m.field.p
+    basis = [[0] * len(free) for _ in range(m.cols)]
     for k, f in enumerate(free):
-        basis[f, k] = 1
+        basis[f][k] = red.den
         for i, pc in enumerate(pivots):
-            basis[pc, k] = field.neg_scalar(red.a[i, f])
-    return Mat._wrap(field, basis)
+            x = red.ints[i][f]
+            basis[pc][k] = -x % p if p is not None else -x
+    return _canonical(m.field, [tuple(r) for r in basis], red.den, len(free))
 
 
 def solve_linear(a: Mat, b: Mat) -> Mat | None:
     """Some x with a @ x = b, or None when the system is inconsistent."""
     if a.rows != b.rows:
         raise ShapeMismatch(f"solve with {a.shape} vs rhs {b.shape}")
-    field = a.field
     red, pivots = rref(hstack([a, b]))
     if any(p >= a.cols for p in pivots):
         return None
-    x = field.zeros(a.cols, b.cols)
+    x = [(0,) * b.cols] * a.cols
     for i, pc in enumerate(pivots):
-        x[pc, :] = red.a[i, a.cols :]
-    return Mat._wrap(field, x)
+        x[pc] = red.ints[i][a.cols :]
+    return _canonical(a.field, x, red.den, b.cols)
 
 
 def column_space_basis(m: Mat) -> Mat:
     """Columns of m restricted to a maximal independent subset."""
     _, pivots = rref(m)
-    cols = [m.a[:, [c]] for c in pivots]
-    if not cols:
-        return Mat.zeros(m.field, m.rows, 0)
-    return Mat._wrap(m.field, np.hstack(cols))
+    return m[:, list(pivots)]
 
 
 def is_invertible(m: Mat) -> bool:

@@ -268,12 +268,12 @@ def hom_from_yoneda(carrier, a, b, combo: dict) -> ModMorphism:
     for y in Pa.support:
         rows = carrier.hom_labels(y, b)
         index = {lab: i for i, lab in enumerate(rows)}
-        m = field.zeros(len(rows), Pa.dim(y))
+        m = [[0] * Pa.dim(y) for _ in rows]
         for j, q in enumerate(carrier.hom_labels(y, a)):
             for lab, c in carrier.compose_combos(y, a, b, {q: field.scalar(1)}, combo).items():
-                m[index[lab], j] = field.scalar(c)
+                m[index[lab]][j] = c
         if len(rows):
-            mats[y] = Mat(field, m)
+            mats[y] = Mat.from_rows(field, m)
     return ModMorphism(Pa, Pb, mats)
 
 
@@ -290,7 +290,6 @@ def transpose(M: FDModule) -> FDModule:
     if not verts1:
         return zero_module(op)
     # Yoneda coefficients of each component P_{b_j} -> P_{a_i}
-    field = carrier.field
     P0cov, P1cov = data.covers[0], data.covers[1]
     combos = {}
     for j, b in enumerate(verts1):
@@ -300,14 +299,14 @@ def transpose(M: FDModule) -> FDModule:
             next(lab for lab in labels_bb if not carrier.label_word(b, b, lab))
         )
         inc = P1cov.inclusions[j].vertex(b)
-        e_vec = Mat(field, inc.a[:, [e_idx]].copy())
+        e_vec = inc[:, [e_idx]]
         img = d1.vertex(b) @ e_vec
         for i, a in enumerate(verts0):
             block = P0cov.projections[i].vertex(b) @ img
             combo = {}
-            for t, lab in enumerate(carrier.hom_labels(b, a)):
-                if block.a[t, 0] != 0:
-                    combo[lab] = block.a[t, 0]
+            for lab, c in zip(carrier.hom_labels(b, a), block.entries()):
+                if c != 0:
+                    combo[lab] = c
             # the Yoneda element lives in C(b, a); render it in the opposite
             # carrier's basis of C^op(a, b)
             combos[(i, j)] = carrier.opposite_combo(b, a, combo)
@@ -406,7 +405,7 @@ def _hom_complex_ext(terms, maps, N, i: int) -> ExtSpace:
         aug = hstack([delta_prev, kern])
         red, pivots = rref(aug)
         chosen = [p - delta_prev.cols for p in pivots if p >= delta_prev.cols]
-        reps = Mat(field, kern.a[:, chosen]) if chosen else Mat.zeros(field, len(H[i]), 0)
+        reps = kern[:, chosen]
     else:
         reps = kern
     cocycles = _combine(H[i], reps)
@@ -418,7 +417,7 @@ def _combine(basis, coeff_cols: Mat):
     for j in range(coeff_cols.cols):
         phi = None
         for k, b in enumerate(basis):
-            c = coeff_cols.a[k, j]
+            c = coeff_cols[k, j]
             if c == 0:
                 continue
             phi = b.scale(c) if phi is None else phi + b.scale(c)

@@ -69,9 +69,8 @@ def module_to_json(M: FDModule) -> dict:
     dims = {_object_key(M.carrier, x): d for x, d in sorted(M.dims.items(), key=str)}
     maps = {}
     for g, m in M.gen_mats.items():
-        maps[_gen_key(M.carrier, g)] = [
-            [_entry_to_json(field, m.a[i, j]) for j in range(m.cols)] for i in range(m.rows)
-        ]
+        rows = m.tolists()
+        maps[_gen_key(M.carrier, g)] = [[_entry_to_json(field, x) for x in row] for row in rows]
     return {"dims": dims, "arrowmaps": dict(sorted(maps.items()))}
 
 

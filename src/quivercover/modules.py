@@ -13,8 +13,6 @@ from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .carrier import Carrier
 from .errors import (
     DecompositionInconclusive,
@@ -266,12 +264,14 @@ def direct_sum(mods: list) -> tuple:
             off[x] = dims.get(x, 0)
             dims[x] = dims.get(x, 0) + M.dim(x)
         offsets.append(off)
-    blocks = {g: field.zeros(dims[s], dims[t]) for g, s, t in _acting_generators(carrier, dims)}
+    blocks = {g: [] for g, _, _ in _acting_generators(carrier, dims)}
     for M, off in zip(mods, offsets):
         for g, m in M.gen_mats.items():
-            rs, cs = off[carrier.gen_src(g)], off[carrier.gen_tgt(g)]
-            blocks[g][rs : rs + m.rows, cs : cs + m.cols] = m.a
-    mats = {g: Mat(field, a) for g, a in blocks.items()}
+            blocks[g].append((off[carrier.gen_src(g)], off[carrier.gen_tgt(g)], m))
+    mats = {
+        g: Mat.from_blocks(field, dims[carrier.gen_src(g)], dims[carrier.gen_tgt(g)], placed)
+        for g, placed in blocks.items()
+    }
     S = FDModule(carrier, dims, mats, check_shapes=False)
     inclusions = []
     projections = []
@@ -279,10 +279,9 @@ def direct_sum(mods: list) -> tuple:
         inc = {}
         prj = {}
         for x in M.support:
-            a = field.zeros(S.dim(x), M.dim(x))
-            a[off[x] : off[x] + M.dim(x), :] = field.eye_array(M.dim(x))
-            inc[x] = Mat(field, a)
-            prj[x] = Mat(field, a.T.copy())
+            block = [(off[x], 0, Mat.identity(field, M.dim(x)))]
+            inc[x] = Mat.from_blocks(field, S.dim(x), M.dim(x), block)
+            prj[x] = inc[x].transpose()
         inclusions.append(ModMorphism(M, S, inc))
         projections.append(ModMorphism(S, M, prj))
     return S, inclusions, projections
@@ -335,27 +334,7 @@ def hom_basis(M: FDModule, N: FDModule) -> list:
         return []
     squares = [(g, x, y) for g, x, y in _square_generators(M, N) if x in offsets or y in offsets]
     if squares:
-        # one block of N(x) M(y) equations per square: Phi_x M(g) = N(g) Phi_y,
-        # each side written into its columns through an (i, j, i', k) view
-        system = field.zeros(sum(N.dim(x) * M.dim(y) for _, x, y in squares), nvars)
-        row = 0
-        for g, x, y in squares:
-            nx, my = N.dim(x), M.dim(y)
-            eqs = system[row : row + nx * my]
-            row += nx * my
-            if x in offsets:
-                # vec(Phi_x @ M(g)) = (I ⊗ M(g)^T) vec(Phi_x)   [row-major vec]
-                mx, o = M.dim(x), offsets[x]
-                view = eqs[:, o : o + nx * mx].reshape(nx, my, nx, mx)
-                i = np.arange(nx)
-                view[i, :, i, :] = M.mat(g).a.T
-            if y in offsets:
-                # vec(N(g) @ Phi_y) = (N(g) ⊗ I) vec(Phi_y)
-                ny, o = N.dim(y), offsets[y]
-                view = eqs[:, o : o + ny * my].reshape(nx, my, ny, my)
-                j = np.arange(my)
-                view[:, j, :, j] -= N.mat(g).a
-        kern = kernel_basis(Mat(field, system))
+        kern = kernel_basis(_commuting_squares(M, N, squares, offsets, nvars))
     else:
         kern = Mat.identity(field, nvars)
     basis = []
@@ -363,11 +342,41 @@ def hom_basis(M: FDModule, N: FDModule) -> list:
         mats = {}
         for x in var_objs:
             n0 = offsets[x]
-            blockvec = kern.a[n0 : n0 + M.dim(x) * N.dim(x), j]
-            mats[x] = Mat(field, np.reshape(blockvec, (N.dim(x), M.dim(x))))
+            blockvec = kern[n0 : n0 + M.dim(x) * N.dim(x), [j]]
+            mats[x] = blockvec.reshape(N.dim(x), M.dim(x))
         basis.append(ModMorphism(M, N, mats))
     M._cache[key] = (N, basis)
     return basis
+
+
+def _commuting_squares(M: FDModule, N: FDModule, squares: list, offsets: dict, nvars: int) -> Mat:
+    """The equations Phi_x M(g) = N(g) Phi_y of the squares (g, x, y), one
+    block of N(x) M(y) rows per square, in the unknowns vec(Phi_x) (row-major,
+    Phi_x at columns offsets[x] on).  Over Q each block is scaled by the
+    product of the denominators of M(g) and N(g), so the rows are integers."""
+    system = []
+    for g, x, y in squares:
+        nx, my = N.dim(x), M.dim(y)
+        A, B = M.mat(g), N.mat(g)
+        block = [[0] * nvars for _ in range(nx * my)]
+        if x in offsets:
+            # equation (i, j) of Phi_x M(g): sum over k of Phi_x[i, k] M(g)[k, j]
+            mx, o, f = M.dim(x), offsets[x], B.den
+            for k, arow in enumerate(A.ints):
+                for j, v in enumerate(arow):
+                    if v:
+                        for i in range(nx):
+                            block[i * my + j][o + i * mx + k] = v * f
+        if y in offsets:
+            # equation (i, j) of N(g) Phi_y: sum over l of N(g)[i, l] Phi_y[l, j]
+            o, f = offsets[y], -A.den
+            for i, brow in enumerate(B.ints):
+                for l, v in enumerate(brow):
+                    if v:
+                        for j in range(my):
+                            block[i * my + j][o + l * my + j] += v * f
+        system += block
+    return Mat(M.carrier.field, system, 1, nvars)
 
 
 def hom_dim(M: FDModule, N: FDModule) -> int:
@@ -382,10 +391,9 @@ def morphism_coords(basis: list, phi: ModMorphism) -> Mat | None:
     objs = [x for x in phi.src.support if phi.tgt.dim(x)]
 
     def flat(psi):
-        parts = [np.reshape(psi.vertex(x).a, (-1, 1)) for x in objs]
-        if not parts:
+        if not objs:
             return Mat.zeros(field, 0, 1)
-        return Mat(field, np.vstack(parts))
+        return vstack([m.reshape(m.rows * m.cols, 1) for m in map(psi.vertex, objs)])
 
     B = hstack([flat(b) for b in basis])
     return solve_linear(B, flat(phi))
@@ -470,15 +478,12 @@ def cokernel_module(phi: ModMorphism) -> tuple:
         dims[x] = len(comp)
         if not comp:
             continue
-        sec = field.zeros(N.dim(x), len(comp))
-        for j, c in enumerate(comp):
-            sec[c, j] = 1
-        section[x] = Mat(field, sec)
+        section[x] = Mat.identity(field, N.dim(x))[:, comp]
         full = hstack([im, section[x]])
         inv = solve_linear(full, Mat.identity(field, N.dim(x)))
         if inv is None:
             raise ShapeMismatch("complement construction failed")
-        proj[x] = Mat(field, inv.a[im.cols :, :])
+        proj[x] = inv[im.cols :, :]
     mats = {
         g: proj[s] @ N.mat(g) @ section[t] for g, s, t in _acting_generators(carrier, dims)
     }
@@ -536,10 +541,7 @@ def top_with_lifts(M: FDModule) -> tuple:
         comp = _complement_columns(field, radbasis)
         if comp:
             tops[x] = len(comp)
-            sec = field.zeros(M.dim(x), len(comp))
-            for j, c in enumerate(comp):
-                sec[c, j] = 1
-            lifts[x] = Mat(field, sec)
+            lifts[x] = Mat.identity(field, M.dim(x))[:, comp]
     return tops, lifts
 
 
@@ -614,14 +616,13 @@ def projective_cover(M: FDModule) -> ProjCover:
 
 def _build_projective_cover(M: FDModule) -> ProjCover:
     carrier = M.carrier
-    field = carrier.field
     tops, lifts = top_with_lifts(M)
     summand_vertices = []
     lift_vectors = []
     for x in sorted(tops, key=carrier.object_index):
         for j in range(tops[x]):
             summand_vertices.append(x)
-            lift_vectors.append(Mat(field, lifts[x].a[:, [j]]))
+            lift_vectors.append(lifts[x][:, [j]])
     if not summand_vertices:
         Z = zero_module(carrier)
         return ProjCover(Z, ModMorphism(Z, M, {}), (), [], [])
@@ -629,15 +630,13 @@ def _build_projective_cover(M: FDModule) -> ProjCover:
     P, incs, prjs = direct_sum(projs)
     mats = {}
     for y in P.support:
-        cols = []
-        for k, x in enumerate(summand_vertices):
-            Px = projs[k]
-            if not Px.dim(y):
-                continue
-            block = field.zeros(M.dim(y), Px.dim(y))
-            for i, q in enumerate(carrier.hom_labels(y, x)):
-                block[:, [i]] = (M.act_label(y, x, q) @ lift_vectors[k]).a
-            cols.append(Mat(field, block))
+        # column q of summand k: the action of the basis path q on the lift
+        cols = [
+            M.act_label(y, x, q) @ lift_vectors[k]
+            for k, x in enumerate(summand_vertices)
+            if projs[k].dim(y)
+            for q in carrier.hom_labels(y, x)
+        ]
         if cols:
             mats[y] = hstack(cols)
     epi = ModMorphism(P, M, mats)
@@ -922,12 +921,11 @@ def _min_poly(field, T: Mat):
     power = Mat.identity(field, n)
     vecs = []
     while True:
-        v = Mat(field, np.reshape(power.a, (-1, 1)))
+        v = power.reshape(n * n, 1)
         if vecs:
-            B = Mat(field, np.hstack([w.a for w in vecs]))
-            sol = solve_linear(B, v)
+            sol = solve_linear(hstack(vecs), v)
             if sol is not None:
-                coeffs = [field.neg_scalar(sol.a[i, 0]) for i in range(sol.rows)]
+                coeffs = [field.neg_scalar(c) for c in sol.entries()]
                 coeffs.append(field.scalar(1))
                 return coeffs
         vecs.append(v)
@@ -966,38 +964,32 @@ class _EndAlgebra:
         self.totals = [self.to_total(b) for b in self.basis]
         self.dim = len(self.basis)
         if self.dim:
-            self._vec_basis = Mat(
-                self.field, np.hstack([np.reshape(t.a, (-1, 1)) for t in self.totals])
-            )
+            self._vec_basis = hstack([t.reshape(self.n * self.n, 1) for t in self.totals])
 
     def to_total(self, phi: ModMorphism) -> Mat:
-        a = self.field.zeros(self.n, self.n)
-        for x in self.objs:
-            o = self.offsets[x]
-            d = self.M.dim(x)
-            a[o : o + d, o : o + d] = phi.vertex(x).a
-        return Mat(self.field, a)
+        blocks = [(self.offsets[x], self.offsets[x], phi.vertex(x)) for x in self.objs]
+        return Mat.from_blocks(self.field, self.n, self.n, blocks)
 
     def from_total(self, T: Mat) -> ModMorphism:
         mats = {}
         for x in self.objs:
             o = self.offsets[x]
             d = self.M.dim(x)
-            mats[x] = Mat(self.field, T.a[o : o + d, o : o + d].copy())
+            mats[x] = T[o : o + d, o : o + d]
         return ModMorphism(self.M, self.M, mats)
 
     def coords(self, T: Mat) -> Mat | None:
-        return solve_linear(self._vec_basis, Mat(self.field, np.reshape(T.a, (-1, 1))))
+        return solve_linear(self._vec_basis, T.reshape(self.n * self.n, 1))
 
     def gram(self) -> Mat:
-        g = self.field.zeros(self.dim, self.dim)
+        g = [[0] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i, self.dim):
                 prod = self.totals[i] @ self.totals[j]
-                tr = self.field.scalar(sum(prod.a[k, k] for k in range(self.n)))
-                g[i, j] = tr
-                g[j, i] = tr
-        return Mat(self.field, g)
+                tr = self.field.scalar(sum(prod[k, k] for k in range(self.n)))
+                g[i][j] = tr
+                g[j][i] = tr
+        return Mat.from_rows(self.field, g, self.dim)
 
 
 def _primary_split(M: FDModule, theta_total: Mat, end: _EndAlgebra):
@@ -1045,24 +1037,21 @@ def _semisimple_split(M: FDModule, end: _EndAlgebra, rng):
         return None  # local: scalars modulo radical
     # complement of the radical inside coordinate space
     comp_idx = _complement_columns(field, radcoords)
-    comp = field.zeros(end.dim, len(comp_idx))
-    for j, c in enumerate(comp_idx):
-        comp[c, j] = 1
-    comp = Mat(field, comp)
+    comp = Mat.identity(field, end.dim)[:, comp_idx]
     full = hstack([comp, radcoords]) if radcoords.cols else comp
     inv = solve_linear(full, Mat.identity(field, end.dim))
 
     def total_from_coords(coords: Mat) -> Mat:
         T = Mat.zeros(field, end.n, end.n)
-        for i in range(end.dim):
-            if coords.a[i, 0] != 0:
-                T = T + end.totals[i].scale(coords.a[i, 0])
+        for i, c in enumerate(coords.entries()):
+            if c != 0:
+                T = T + end.totals[i].scale(c)
         return T
 
     def s_coords(total: Mat) -> Mat:
         c = end.coords(total)
         red = inv @ c
-        return Mat(field, red.a[: len(comp_idx), :])
+        return red[: len(comp_idx), :]
 
     def s_rep_total(svec: Mat) -> Mat:
         coords = comp @ svec
@@ -1078,10 +1067,9 @@ def _semisimple_split(M: FDModule, end: _EndAlgebra, rng):
         cur = one
         while True:
             cur = s_mult(cur, svec)
-            B = Mat(field, np.hstack([p.a for p in powers]))
-            sol = solve_linear(B, cur)
+            sol = solve_linear(hstack(powers), cur)
             if sol is not None:
-                coeffs = [field.neg_scalar(sol.a[i, 0]) for i in range(sol.rows)]
+                coeffs = [field.neg_scalar(c) for c in sol.entries()]
                 coeffs.append(field.scalar(1))
                 return coeffs
             powers.append(cur)
@@ -1108,7 +1096,7 @@ def _semisimple_split(M: FDModule, end: _EndAlgebra, rng):
             for c in reversed(eb_poly):
                 acc = s_mult(acc, svec)
                 if c != 0:
-                    acc = Mat(field, field._reduce(acc.a + one.a * c))
+                    acc = acc + one.scale(c)
             # lift to an honest idempotent in End(M): Newton e <- 3e^2 - 2e^3
             e_total = s_rep_total(acc)
             for _ in range(2 * (M.total_dim.bit_length() + 2)):
@@ -1172,7 +1160,7 @@ def _decompose_rec(M: FDModule, rng) -> list:
     for _ in range(12):
         coeffs = Mat.from_rows(end.field, [[end.field.random_scalar(rng)] for _ in end.totals])
         T = end._vec_basis @ coeffs
-        candidates.append(Mat._wrap(end.field, np.reshape(T.a, (end.n, end.n))))
+        candidates.append(T.reshape(end.n, end.n))
     for T in candidates:
         split = _primary_split(M, T, end)
         if split is not None:

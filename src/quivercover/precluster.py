@@ -575,8 +575,7 @@ def _mod_pushdown_of_phi(E_down: EndoCarrier, V: SubcategorySpec, M: FDModule, U
             down_mor = iso0 @ push_down_morphism(comps01[k][j]) @ _invert_iso(iso1)
             coords = morphism_coords(E_down.basis(o1, o0), down_mor)
             combo = {}
-            for r in range(coords.rows):
-                c = coords.a[r, 0]
+            for r, c in enumerate(coords.entries()):
                 if c != 0:
                     combo[(o1, o0, r)] = c
             if combo:

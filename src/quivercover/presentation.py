@@ -170,9 +170,9 @@ class GradedQuiverPresentation(Carrier):
                         combo = {}
                         if d <= ell:
                             for j, q in enumerate(paths):
-                                if j in pivot_set or red.a[i, j] == 0:
+                                if j in pivot_set or red[i, j] == 0:
                                     continue
-                                combo[q] = self.field.neg_scalar(red.a[i, j])
+                                combo[q] = self.field.neg_scalar(red[i, j])
                         self._reduce[(x, y)][paths[c]] = combo
         if survivors_past_bound:
             x, y, p = survivors_past_bound[0]

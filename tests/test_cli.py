@@ -605,13 +605,14 @@ def test_sixcycle_reports_unchanged(capsys, claim):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == SIXCYCLE_N1_REPORT[claim]
 
 
-def _exit_code_and_sympy(argv):
+def _exit_code_and_imports(argv):
     # run the CLI in a fresh interpreter; 10 + exit code if it imported sympy
+    # or numpy (the package needs neither at run time)
     script = (
         "import sys\n"
         "from quivercover.cli import main\n"
         f"code = main({argv!r})\n"
-        "sys.exit(10 + code if 'sympy' in sys.modules else code)\n"
+        "sys.exit(10 + code if {'sympy', 'numpy'} & set(sys.modules) else code)\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -619,18 +620,22 @@ def _exit_code_and_sympy(argv):
 
 
 def test_validate_does_not_import_sympy():
-    # sympy is imported lazily, by polynomial factoring only
-    proc = _exit_code_and_sympy(["validate", "--input", golden("n32")])
+    # sympy is imported lazily, by polynomial factoring only; numpy never
+    proc = _exit_code_and_imports(["validate", "--input", golden("n32")])
     assert proc.returncode == 0, proc.stderr
 
 
 def test_ka3_suite_does_not_import_sympy():
     # each minimal polynomial it factors is a product of linear factors
-    proc = _exit_code_and_sympy(["suite", "--input", golden("ka3"), "--n", "1"])
+    proc = _exit_code_and_imports(["suite", "--input", golden("ka3"), "--n", "1"])
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("field", [{"kind": "prime", "p": 32003}, {"kind": "rationals"}], ids=["F_32003", "Q"])
+@pytest.mark.parametrize(
+    "field",
+    [{"kind": "prime", "p": 32003}, {"kind": "rationals"}, {"kind": "prime", "p": 2147483647}],
+    ids=["F_32003", "Q", "F_2147483647"],
+)
 def test_e6_knit_does_not_import_sympy(tmp_path, field):
     # E6 with every edge oriented from the smaller Bourbaki label to the larger
     edges = [(1, 3), (3, 4), (2, 4), (4, 5), (5, 6)]
@@ -644,11 +649,11 @@ def test_e6_knit_does_not_import_sympy(tmp_path, field):
     }
     path = tmp_path / "e6.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    proc = _exit_code_and_sympy(["indecs", "--input", str(path)])
+    proc = _exit_code_and_imports(["indecs", "--input", str(path)])
     assert proc.returncode == 0, proc.stderr
 
 
 def test_loop2_suite_does_not_import_sympy():
     # every factorisation on this run is a power of one linear factor
-    proc = _exit_code_and_sympy(["suite", "--input", golden("loop2"), "--n", "1"])
+    proc = _exit_code_and_imports(["suite", "--input", golden("loop2"), "--n", "1"])
     assert proc.returncode == 0, proc.stderr

@@ -320,7 +320,7 @@ def _same_module(A, B):
     return (
         A.dims == B.dims
         and A.gen_mats.keys() == B.gen_mats.keys()
-        and all((A.gen_mats[g].a == B.gen_mats[g].a).all() for g in A.gen_mats)
+        and all(A.gen_mats[g] == B.gen_mats[g] for g in A.gen_mats)
     )
 
 

@@ -429,24 +429,26 @@ def _kron_hom_kernel(M, N):
             continue
         block = np.zeros((N.dim(x) * M.dim(y), nvars), dtype=object)
         if x in offsets:
-            k = np.kron(np.eye(N.dim(x), dtype=object), M.mat(g).a.T)
+            k = np.kron(np.eye(N.dim(x), dtype=object), np.array(M.mat(g).tolists(), dtype=object).T)
             block[:, offsets[x] : offsets[x] + k.shape[1]] += k
         if y in offsets:
-            k = np.kron(N.mat(g).a, np.eye(M.dim(y), dtype=object))
+            k = np.kron(np.array(N.mat(g).tolists(), dtype=object), np.eye(M.dim(y), dtype=object))
             block[:, offsets[y] : offsets[y] + k.shape[1]] -= k
         rows.append(block)
     if not rows:
         return Mat.identity(field, nvars), list(offsets)
-    return kernel_basis(Mat(field, np.vstack(rows))), list(offsets)
+    return kernel_basis(Mat.from_rows(field, np.vstack(rows).tolist())), list(offsets)
 
 
 def _change_basis(M):
-    # M with each space M(x) in the basis given by a unit upper-triangular T_x
+    # M with each space M(x) in the basis given by an upper-triangular T_x
+    # with 2 on the diagonal, so that over Q the new matrices have
+    # denominators
     from quivercover.field import solve_linear
 
     field = M.carrier.field
     T = {
-        x: Mat.from_rows(field, [[1 if j >= i else 0 for j in range(M.dim(x))] for i in range(M.dim(x))])
+        x: Mat.from_rows(field, [[(2 if j == i else 1) if j >= i else 0 for j in range(M.dim(x))] for i in range(M.dim(x))])
         for x in M.support
     }
     Tinv = {x: solve_linear(t, Mat.identity(field, t.rows)) for x, t in T.items()}
@@ -477,5 +479,8 @@ def test_hom_basis_is_the_kernel_of_the_kron_system(name, field):
             basis = hom_basis(M, N)
             assert len(basis) == kern.cols
             if basis:
-                cols = [np.concatenate([phi.vertex(x).a.reshape(-1) for x in objs]) for phi in basis]
-                assert Mat(pres.field, np.stack(cols, axis=1)) == Mat(pres.field, kern.a)
+                cols = [
+                    np.concatenate([np.array(phi.vertex(x).tolists(), dtype=object).reshape(-1) for x in objs])
+                    for phi in basis
+                ]
+                assert Mat.from_rows(pres.field, np.stack(cols, axis=1).tolist()) == kern

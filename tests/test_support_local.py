@@ -56,17 +56,21 @@ def ref_direct_sum(mods, generators):
         ds, dt = dims.get(s, 0), dims.get(t, 0)
         if ds == 0 or dt == 0:
             continue
-        a = field.zeros(ds, dt)
+        a = np.zeros((ds, dt), dtype=object)
         for M, off in zip(mods, offsets):
             if M.dim(s) and M.dim(t):
                 rs, cs = off[s], off[t]
-                a[rs : rs + M.dim(s), cs : cs + M.dim(t)] = M.mat(g).a
-        mats[g] = Mat(field, a)
+                a[rs : rs + M.dim(s), cs : cs + M.dim(t)] = array(M.mat(g))
+        mats[g] = Mat.from_rows(field, a.tolist())
     return FDModule(carrier, dims, mats, check_shapes=False)
 
 
-def kron(field, A, B):
-    return field._reduce(np.kron(A.a, B.a))
+def array(m):
+    return np.array(m.tolists(), dtype=object).reshape(m.shape)
+
+
+def kron(A, B):
+    return np.kron(array(A), array(B))
 
 
 def ref_hom_basis(M, N, objects, generators):
@@ -85,22 +89,22 @@ def ref_hom_basis(M, N, objects, generators):
         neq = N.dim(x) * M.dim(y)
         if neq == 0 or (x not in offsets and y not in offsets):
             continue
-        block = field.zeros(neq, nvars)
+        block = np.zeros((neq, nvars), dtype=object)
         if x in offsets:
-            k = kron(field, Mat.identity(field, N.dim(x)), M.mat(g).transpose())
+            k = kron(Mat.identity(field, N.dim(x)), M.mat(g).transpose())
             block[:, offsets[x] : offsets[x] + M.dim(x) * N.dim(x)] = k
         if y in offsets:
-            k = kron(field, N.mat(g), Mat.identity(field, M.dim(y)))
+            k = kron(N.mat(g), Mat.identity(field, M.dim(y)))
             cols = slice(offsets[y], offsets[y] + M.dim(y) * N.dim(y))
-            block[:, cols] = field._reduce(block[:, cols] - k)
-        rows.append(Mat(field, block))
+            block[:, cols] = block[:, cols] - k
+        rows.append(Mat.from_rows(field, block.tolist()))
     kern = kernel_basis(vstack(rows)) if rows else Mat.identity(field, nvars)
     basis = []
     for j in range(kern.cols):
         mats = {}
         for x in var_objs:
-            vec = kern.a[offsets[x] : offsets[x] + M.dim(x) * N.dim(x), j]
-            mats[x] = Mat(field, np.reshape(vec, (N.dim(x), M.dim(x))))
+            vec = array(kern)[offsets[x] : offsets[x] + M.dim(x) * N.dim(x), j]
+            mats[x] = Mat.from_rows(field, np.reshape(vec, (N.dim(x), M.dim(x))).tolist())
         basis.append(ModMorphism(M, N, mats))
     return basis
 

@@ -68,7 +68,7 @@ class WindowEndoCarrier(Carrier):
             comp = self._bases[g[:2]][g[2]] @ self._bases[f[:2]][f[2]]
             coords = morphism_coords(self._bases[(x, z)], comp)
             self._compose_cache[key] = {
-                (x, z, k): coords.a[k, 0] for k in range(coords.rows) if coords.a[k, 0] != 0
+                (x, z, k): coords[k, 0] for k in range(coords.rows) if coords[k, 0] != 0
             }
         return self._compose_cache[key]
 
