@@ -108,9 +108,7 @@ class Mat:
     def __init__(self, field: Field, ints: list, den: int = 1, cols: int | None = None):
         """The matrix ints / den, for rows of integers, made canonical; cols
         is needed only when ints has no rows."""
-        ncols = len(ints[0]) if ints else (cols or 0)
-        if (cols is not None and cols != ncols) or any(len(r) != ncols for r in ints):
-            raise ShapeMismatch("ragged row lengths")
+        ncols = _row_length(ints, cols)
         if not den:
             raise ZeroDivisionError("matrix with denominator 0")
         p = field.p
@@ -132,12 +130,13 @@ class Mat:
     @staticmethod
     def from_rows(field: Field, rows: list[list], cols: int | None = None) -> "Mat":
         """The matrix of a list of rows of scalars (anything field.scalar takes)."""
-        rows = [[field.scalar(v) for v in r] for r in rows]
         if field.p is not None:
-            return Mat(field, rows, 1, cols)
+            ints = [tuple([field.scalar(v) for v in r]) for r in rows]
+            return _mat(field, ints, 1, _row_length(ints, cols))
+        rows = [[field.scalar(v) for v in r] for r in rows]
         den = lcm(*(v.denominator for r in rows for v in r))
-        ints = [[v.numerator * (den // v.denominator) for v in r] for r in rows]
-        return Mat(field, ints, den, cols)
+        ints = [tuple([v.numerator * (den // v.denominator) for v in r]) for r in rows]
+        return _canonical(field, ints, den, _row_length(ints, cols))
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
@@ -268,33 +267,38 @@ class Mat:
 
 def _product(a: list, b: list, ncols: int, p: int | None) -> list:
     """The integer rows of a @ b, for b with ncols columns, reduced mod p
-    unless p is None.  A zero row of a gives a zero row.  When b has 64
-    entries or more and at most half of them are nonzero, a row is summed
-    from the nonzero entries of a and b alone; otherwise each entry is the
-    dot product of a row and a column."""
-    if not b or not ncols:
-        return [(0,) * ncols] * len(a)
-    if len(b) * ncols >= 64 and 2 * sum([r.count(0) for r in b]) >= len(b) * ncols:
-        support = [[(j, y) for j, y in enumerate(r) if y] for r in b]
-        out = []
-        for r in a:
-            acc = [0] * ncols
-            for k, x in enumerate(r):
-                if x:
-                    for j, y in support[k]:
-                        acc[j] += x * y
-            out.append(tuple(acc) if p is None else tuple([v % p for v in acc]))
-        return out
+    unless p is None; a zero row of a gives a zero row at once.  Each row is
+    summed from the nonzero entries of the row of a and of the rows of b
+    alone, so sparse factors cost only their nonzero entries.  Against one
+    column, the commonest product of a knit, each entry is a dot product."""
+    zero = (0,) * ncols
     if ncols == 1:
         c = [r[0] for r in b]
         if p is None:
-            return [(sum(map(mul, r, c)),) if any(r) else (0,) for r in a]
-        return [(sum(map(mul, r, c)) % p,) if any(r) else (0,) for r in a]
-    columns = list(zip(*b))
-    zero = (0,) * ncols
-    if p is None:
-        return [tuple([sum(map(mul, r, c)) for c in columns]) if any(r) else zero for r in a]
-    return [tuple([sum(map(mul, r, c)) % p for c in columns]) if any(r) else zero for r in a]
+            return [(sum(map(mul, r, c)),) if any(r) else zero for r in a]
+        return [(sum(map(mul, r, c)) % p,) if any(r) else zero for r in a]
+    support = [[(j, y) for j, y in enumerate(r) if y] for r in b]
+    out = []
+    for r in a:
+        if not any(r):
+            out.append(zero)
+            continue
+        acc = [0] * ncols
+        for k, x in enumerate(r):
+            if x:
+                for j, y in support[k]:
+                    acc[j] += x * y
+        out.append(tuple(acc) if p is None else tuple([v % p for v in acc]))
+    return out
+
+
+def _row_length(ints: list, cols: int | None) -> int:
+    """The common length of the rows, which must be cols if that is given;
+    cols is needed only when there are no rows."""
+    ncols = len(ints[0]) if ints else (cols or 0)
+    if (cols is not None and cols != ncols) or any(len(r) != ncols for r in ints):
+        raise ShapeMismatch("ragged row lengths")
+    return ncols
 
 
 def _mat(field: Field, ints: list, den: int, cols: int) -> Mat:
@@ -321,11 +325,9 @@ def _lowest_terms(ints: list, den: int) -> tuple[list, int]:
 
 
 def _canonical(field: Field, ints: list, den: int, cols: int) -> Mat:
-    """The Mat ints / den, from entries already reduced mod p over F_p (where
-    den is 1) and in any terms over Q."""
-    if den != 1:
-        ints, den = _lowest_terms(ints, den)
-    return _mat(field, ints, den, cols)
+    """The Mat ints / den, for tuple rows already reduced mod p over F_p
+    (where den is 1) and in any terms over Q."""
+    return _mat(field, *_lowest_terms(ints, den), cols)
 
 
 def _common_denominator(mats: list[Mat]) -> tuple[list, int]:
@@ -344,13 +346,8 @@ def hstack(mats: list[Mat]) -> Mat:
     if any(m.rows != rows for m in mats):
         raise ShapeMismatch("hstack with differing row counts")
     parts, den = _common_denominator(mats)
-    if len(parts) == 1:
-        ints = parts[0]
-    elif len(parts) == 2:
-        ints = [x + y for x, y in zip(*parts)]
-    else:
-        columns = [c for part in parts for c in zip(*part)]
-        ints = list(zip(*columns)) if columns else [()] * rows
+    columns = [c for part in parts for c in zip(*part)]
+    ints = list(zip(*columns)) if columns else [()] * rows
     return _mat(mats[0].field, ints, den, sum(m.cols for m in mats))
 
 
