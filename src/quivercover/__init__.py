@@ -19,7 +19,6 @@ from .errors import (
     RelationViolated,
     SchemaError,
     ShapeMismatch,
-    WindowTooSmall,
 )
 from .field import Field, Mat, kernel_basis, rank, rref, solve_linear
 from .groups import Group
@@ -80,14 +79,12 @@ from .homology import (
 )
 from .covering import (
     LiftingFamily,
-    PullUp,
     canonical_orbit_rep,
     class_index,
     ext_vanishes,
     hom_twist_sum,
     ext_twist_sum,
     lift_morphism,
-    pull_up,
     push_down,
     push_down_morphism,
     twist_module,

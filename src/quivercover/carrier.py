@@ -52,10 +52,6 @@ class Carrier:
         """Expansion of f.g (f in C(x,y), g in C(y,z)) over hom_labels(x,z)."""
         raise NotImplementedError
 
-    def identity_combo(self, x) -> dict:
-        """The identity of C(x,x) expanded over hom_labels(x,x)."""
-        raise NotImplementedError
-
     @property
     def generators(self) -> tuple:
         """Ordered generator keys."""
@@ -238,9 +234,6 @@ class OppositeCarrier(Carrier):
     def compose_labels(self, x, y, z, f, g):
         # f in C^op(x,y) = C(y,x), g in C^op(y,z) = C(z,y); f.g in C^op = g.f in C
         return self.base.compose_labels(z, y, x, g, f)
-
-    def identity_combo(self, x):
-        return self.base.identity_combo(x)
 
     def gen_src(self, g):
         return self.base.gen_tgt(g)

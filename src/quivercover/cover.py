@@ -81,9 +81,6 @@ class CoverCarrier(Carrier):
     def compose_labels(self, x, y, z, f, g):
         return self.base_presentation.compose_labels(x[0], y[0], z[0], f, g)
 
-    def identity_combo(self, x):
-        return {(): self.field.scalar(1)}
-
     def has_generator(self, gen) -> bool:
         return (
             isinstance(gen, tuple)

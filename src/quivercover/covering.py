@@ -1,12 +1,12 @@
-"""The group machinery on module categories: twists, push-down, pull-up,
-morphism lifting, and the covering-theoretic verifiers."""
+"""The group machinery on module categories: twists, push-down, morphism
+lifting, and the covering-theoretic verifiers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .cover import CoverCarrier
-from .errors import ShapeMismatch, WindowTooSmall
+from .errors import ShapeMismatch
 from .field import Mat
 from .homology import ext_dim, min_proj_resolution
 from .modules import (
@@ -80,7 +80,7 @@ def add_class(classes: list, M: FDModule) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# push-down and pull-up
+# push-down
 
 
 def _shift_blocks(M: FDModule, v):
@@ -147,48 +147,6 @@ def push_down_morphism(f: ModMorphism) -> ModMorphism:
         placed = [(trow[g], off, f.vertex((v, g))) for g, _, off in sb if g in trow]
         mats[v] = Mat.from_blocks(field, PY.dim(v), PX.dim(v), placed)
     return ModMorphism(PX, PY, mats)
-
-
-@dataclass
-class PullUp:
-    """The pull-up truncated to finitely many shifts; barred from module
-    computations unless the shifts are the whole (finite) group."""
-
-    cover: CoverCarrier
-    dims: dict
-    truncated: bool
-    _gen_mats: dict
-
-    def as_module(self) -> FDModule:
-        if self.truncated:
-            raise WindowTooSmall(
-                "the pull-up of a base module is truncated to a window of shifts; "
-                "the truncation is not a module and cannot enter Hom/Ext computations"
-            )
-        return FDModule(self.cover, self.dims, self._gen_mats, check_shapes=False)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-
-def pull_up(N: FDModule, cover: CoverCarrier, shifts) -> PullUp:
-    """The composite with the covering projection, truncated to the given
-    window of shifts (say `group.box(h)`)."""
-    pres = cover.base_presentation
-    if N.carrier is not pres:
-        raise ShapeMismatch("pull-up expects a base module for this cover")
-    group = cover.group
-    inside = set(shifts)
-    dims = {(v, g): N.dim(v) for g in shifts for v in pres.vertices if N.dim(v)}
-    mats = {
-        (a.name, g): N.mat(a.name)
-        for g in shifts
-        for a in pres.arrows
-        if N.dim(a.src) and N.dim(a.tgt) and group.op(g, a.weight) in inside
-    }
-    whole = group.is_finite and inside == set(group.all_elements())
-    return PullUp(cover, dims, not whole, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,6 @@ class EndoCarrier(Carrier):
         }
         return table[key]
 
-    def identity_combo(self, x):
-        return {(x, x, 0): self.field.scalar(1)}
-
     def gen_src(self, g):
         return g[0]
 

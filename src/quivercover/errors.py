@@ -29,10 +29,6 @@ class NotFreeAction(QuiverCoverError):
     """A non-identity group element fixes a vertex."""
 
 
-class WindowTooSmall(QuiverCoverError):
-    """A pull-up truncated to a window of shifts is not a module."""
-
-
 class RelationViolated(QuiverCoverError):
     """A module does not annihilate a relation."""
 

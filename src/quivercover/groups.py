@@ -1,4 +1,4 @@
-"""Grading groups (free abelian or cyclic) and finite boxes of their elements.
+"""Grading groups (free abelian or cyclic) and their elements.
 
 Group elements are plain hashable values: int r-tuples for free-abelian
 groups of rank r (the rank-0 case is the trivial group) and residues
@@ -7,7 +7,6 @@ groups of rank r (the rank-0 case is the trivial group) and residues
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -102,12 +101,3 @@ class Group:
         if self.rank == 0:
             return [()]
         raise SchemaError("infinite group has no element listing")
-
-    # boxes ----------------------------------------------------------------
-
-    def box(self, halfwidth: int) -> tuple:
-        """The sorted window box [-w..w]^rank of shifts; every element of a
-        finite group."""
-        if self.is_finite:
-            return tuple(self.all_elements())
-        return tuple(itertools.product(*[range(-halfwidth, halfwidth + 1)] * self.rank))

@@ -18,6 +18,7 @@ from .modules import (
     ModMorphism,
     ProjCover,
     SubcategorySpec,
+    combine,
     decompose,
     direct_sum,
     dual_module,
@@ -389,7 +390,7 @@ def _hom_complex_ext(terms, maps, N, i: int) -> ExtSpace:
             return ExtSpace(0, len(H[0]), list(H[0]))
         delta0 = _coords_matrix(H[1], [phi @ maps[0] for phi in H[0]])
         kern = kernel_basis(delta0)
-        cocycles = _combine(H[0], kern)
+        cocycles = [combine(H[0], col) for col in kern.transpose().tolists()]
         return ExtSpace(0, len(cocycles), cocycles)
     if len(H[i]) == 0:
         return ExtSpace(i, 0, [])
@@ -408,23 +409,8 @@ def _hom_complex_ext(terms, maps, N, i: int) -> ExtSpace:
         reps = kern[:, chosen]
     else:
         reps = kern
-    cocycles = _combine(H[i], reps)
+    cocycles = [combine(H[i], col) for col in reps.transpose().tolists()]
     return ExtSpace(i, len(cocycles), cocycles)
-
-
-def _combine(basis, coeff_cols: Mat):
-    out = []
-    for j in range(coeff_cols.cols):
-        phi = None
-        for k, b in enumerate(basis):
-            c = coeff_cols[k, j]
-            if c == 0:
-                continue
-            phi = b.scale(c) if phi is None else phi + b.scale(c)
-        if phi is None and basis:
-            phi = basis[0].scale(0)
-        out.append(phi)
-    return out
 
 
 def ext_space(M: FDModule, N: FDModule, i: int) -> ExtSpace:

@@ -8,6 +8,7 @@ to the commuting-square conditions against every generator.
 
 from __future__ import annotations
 
+import itertools
 import random
 from contextvars import ContextVar
 from fractions import Fraction
@@ -399,12 +400,18 @@ def morphism_coords(basis: list, phi: ModMorphism) -> Mat | None:
     return solve_linear(B, flat(phi))
 
 
+def combine(basis: list, coeffs) -> ModMorphism:
+    """The combination of a nonempty hom basis with these coefficients."""
+    out = None
+    for b, c in zip(basis, coeffs):
+        if c != 0:
+            out = b.scale(c) if out is None else out + b.scale(c)
+    return basis[0].scale(0) if out is None else out
+
+
 def random_hom(basis: list, rng) -> ModMorphism:
     field = basis[0].src.carrier.field
-    out = basis[0].scale(field.random_scalar(rng))
-    for b in basis[1:]:
-        out = out + b.scale(field.random_scalar(rng))
-    return out
+    return combine(basis, [field.random_scalar(rng) for _ in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -904,43 +911,50 @@ def _factor_poly(field, coeffs):
     out = []
     for f, mult in factors:
         cs = f.all_coeffs()
-        low_first = [field.scalar(c if field.is_prime_field else Fraction_from_sympy(c)) for c in reversed(cs)]
+        low_first = [
+            field.scalar(c if field.is_prime_field else Fraction(int(c.p), int(c.q)))
+            for c in reversed(cs)
+        ]
         out.append((low_first, int(mult)))
     return out
 
 
-def Fraction_from_sympy(value):
-    return Fraction(int(value.p), int(value.q))
+def _coprime_pair(field, factors):
+    """(A, B): the first primary factor g^e of a factorisation, and the
+    product of the others."""
+    powers = []
+    for g, e in factors:
+        power = [field.scalar(1)]
+        for _ in range(e):
+            power = _poly_mul(field, power, g)
+        powers.append(power)
+    B = powers[1]
+    for power in powers[2:]:
+        B = _poly_mul(field, B, power)
+    return powers[0], B
 
 
-def _min_poly(field, T: Mat):
-    """Minimal polynomial (monic, lowest degree first) of a square matrix."""
-    n = T.rows
-    if n == 0:
-        return [field.scalar(1)]
-    power = Mat.identity(field, n)
-    vecs = []
+def _min_poly(field, one, step, flat):
+    """The minimal polynomial (monic, lowest degree first) of an element x of
+    a finite-dimensional algebra, by Krylov iteration: one is the unit,
+    step(y) is y x and flat(y) is y as a column.  Returns it with K, the
+    columns flat(x^0), ..., flat(x^(d-1)) for d its degree, so that a
+    polynomial q of degree below d has flat(q(x)) = K @ q (_krylov_eval)."""
+    power = one
+    vecs = [flat(one)]
     while True:
-        v = power.reshape(n * n, 1)
-        if vecs:
-            sol = solve_linear(hstack(vecs), v)
-            if sol is not None:
-                coeffs = [field.neg_scalar(c) for c in sol.entries()]
-                coeffs.append(field.scalar(1))
-                return coeffs
+        power = step(power)
+        v = flat(power)
+        K = hstack(vecs)
+        sol = solve_linear(K, v)
+        if sol is not None:
+            return [field.neg_scalar(c) for c in sol.entries()] + [field.scalar(1)], K
         vecs.append(v)
-        power = power @ T
 
 
-def _poly_eval_mat(field, coeffs, T: Mat) -> Mat:
-    n = T.rows
-    out = Mat.zeros(field, n, n)
-    power = Mat.identity(field, n)
-    for c in coeffs:
-        if c != 0:
-            out = out + power.scale(c)
-        power = power @ T
-    return out
+def _krylov_eval(field, K: Mat, poly) -> Mat:
+    """flat(q(x)) for the coefficients poly of q, from the K of _min_poly."""
+    return K @ Mat.from_rows(field, [[c] for c in poly] + [[0]] * (K.cols - len(poly)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +978,7 @@ class _EndAlgebra:
         self.totals = [self.to_total(b) for b in self.basis]
         self.dim = len(self.basis)
         if self.dim:
-            self._vec_basis = hstack([t.reshape(self.n * self.n, 1) for t in self.totals])
+            self._vec_basis = hstack([self.flat(t) for t in self.totals])
 
     def to_total(self, phi: ModMorphism) -> Mat:
         blocks = [(self.offsets[x], self.offsets[x], phi.vertex(x)) for x in self.objs]
@@ -978,8 +992,15 @@ class _EndAlgebra:
             mats[x] = T[o : o + d, o : o + d]
         return ModMorphism(self.M, self.M, mats)
 
+    def flat(self, T: Mat) -> Mat:
+        return T.reshape(self.n * self.n, 1)
+
+    def total(self, coords: Mat) -> Mat:
+        """The total matrix of the combination of the basis with these coordinates."""
+        return (self._vec_basis @ coords).reshape(self.n, self.n)
+
     def coords(self, T: Mat) -> Mat | None:
-        return solve_linear(self._vec_basis, T.reshape(self.n * self.n, 1))
+        return solve_linear(self._vec_basis, self.flat(T))
 
     def gram(self) -> Mat:
         g = [[0] * self.dim for _ in range(self.dim)]
@@ -992,25 +1013,16 @@ class _EndAlgebra:
         return Mat.from_rows(self.field, g, self.dim)
 
 
-def _primary_split(M: FDModule, theta_total: Mat, end: _EndAlgebra):
-    """Split M along a generalized eigenspace decomposition of theta, if any."""
+def _primary_split(M: FDModule, T: Mat, end: _EndAlgebra):
+    """Split M along a generalized eigenspace decomposition of T, if any."""
     field = end.field
-    minp = _min_poly(field, theta_total)
+    minp, K = _min_poly(field, Mat.identity(field, end.n), lambda P: P @ T, end.flat)
     factors = _factor_poly(field, minp)
     if len(factors) < 2:
         return None
-    g0, e0 = factors[0]
-    A = g0
-    for _ in range(e0 - 1):
-        A = _poly_mul(field, A, g0)
-    B = [field.scalar(1)]
-    for g, e in factors[1:]:
-        for _ in range(e):
-            B = _poly_mul(field, B, g)
-    phiA = end.from_total(_poly_eval_mat(field, A, theta_total))
-    phiB = end.from_total(_poly_eval_mat(field, B, theta_total))
-    K1, _ = kernel_module(phiA)
-    K2, _ = kernel_module(phiB)
+    A, B = _coprime_pair(field, factors)
+    K1, _ = kernel_module(end.from_total(_krylov_eval(field, K, A).reshape(end.n, end.n)))
+    K2, _ = kernel_module(end.from_total(_krylov_eval(field, K, B).reshape(end.n, end.n)))
     if K1.total_dim == 0 or K2.total_dim == 0:
         return None
     if K1.total_dim + K2.total_dim != M.total_dim:
@@ -1035,70 +1047,34 @@ def _semisimple_split(M: FDModule, end: _EndAlgebra, rng):
     sdim = end.dim - radcoords.cols
     if sdim == 1:
         return None  # local: scalars modulo radical
-    # complement of the radical inside coordinate space
+    # S = End(M)/rad, in the coordinates of a complement of the radical
     comp_idx = _complement_columns(field, radcoords)
     comp = Mat.identity(field, end.dim)[:, comp_idx]
     full = hstack([comp, radcoords]) if radcoords.cols else comp
     inv = solve_linear(full, Mat.identity(field, end.dim))
 
-    def total_from_coords(coords: Mat) -> Mat:
-        T = Mat.zeros(field, end.n, end.n)
-        for i, c in enumerate(coords.entries()):
-            if c != 0:
-                T = T + end.totals[i].scale(c)
-        return T
-
     def s_coords(total: Mat) -> Mat:
-        c = end.coords(total)
-        red = inv @ c
-        return red[: len(comp_idx), :]
+        return (inv @ end.coords(total))[: len(comp_idx), :]
 
     def s_rep_total(svec: Mat) -> Mat:
-        coords = comp @ svec
-        return total_from_coords(coords)
-
-    def s_mult(u: Mat, v: Mat) -> Mat:
-        return s_coords(s_rep_total(u) @ s_rep_total(v))
-
-    def s_minpoly(svec: Mat):
-        # powers of s in the quotient algebra S, lowest first
-        one = s_coords(Mat.identity(field, end.n))
-        powers = [one]
-        cur = one
-        while True:
-            cur = s_mult(cur, svec)
-            sol = solve_linear(hstack(powers), cur)
-            if sol is not None:
-                coeffs = [field.neg_scalar(c) for c in sol.entries()]
-                coeffs.append(field.scalar(1))
-                return coeffs
-            powers.append(cur)
+        return end.total(comp @ svec)
 
     one = s_coords(Mat.identity(field, end.n))
     for _ in range(40):
         svec = Mat.from_rows(
             field, [[field.random_scalar(rng)] for _ in range(len(comp_idx))]
         )
-        minp = s_minpoly(svec)
+        minp, K = _min_poly(
+            field, one, lambda u: s_coords(s_rep_total(u) @ s_rep_total(svec)), lambda u: u
+        )
         factors = _factor_poly(field, minp)
         if len(factors) >= 2:
-            A = factors[0][0]
-            for _ in range(factors[0][1] - 1):
-                A = _poly_mul(field, A, factors[0][0])
-            B = [field.scalar(1)]
-            for g, e in factors[1:]:
-                for _ in range(e):
-                    B = _poly_mul(field, B, g)
+            A, B = _coprime_pair(field, factors)
             _, _, v = _poly_ext_gcd(field, A, B)
             # vB = 1 mod A, 0 mod B: the (1, 0) idempotent of k[s]/(A) x k[s]/(B)
             eb_poly = _poly_divmod(field, _poly_mul(field, v, B), minp)[1]
-            acc = Mat.zeros(field, len(comp_idx), 1)
-            for c in reversed(eb_poly):
-                acc = s_mult(acc, svec)
-                if c != 0:
-                    acc = acc + one.scale(c)
             # lift to an honest idempotent in End(M): Newton e <- 3e^2 - 2e^3
-            e_total = s_rep_total(acc)
+            e_total = s_rep_total(_krylov_eval(field, K, eb_poly))
             for _ in range(2 * (M.total_dim.bit_length() + 2)):
                 e2 = e_total @ e_total
                 if e2 == e_total:
@@ -1155,13 +1131,13 @@ def _decompose_rec(M: FDModule, rng) -> list:
     if end.dim == 1:
         M._cache["indec"] = True
         return [M]
-    # deterministic stream: basis elements first, then random combinations
-    candidates = list(end.totals)
-    for _ in range(12):
-        coeffs = Mat.from_rows(end.field, [[end.field.random_scalar(rng)] for _ in end.totals])
-        T = end._vec_basis @ coeffs
-        candidates.append(T.reshape(end.n, end.n))
-    for T in candidates:
+    # deterministic stream: basis elements first, then random combinations,
+    # whose coefficients are drawn before any is tried
+    field = end.field
+    draws = [
+        Mat.from_rows(field, [[field.random_scalar(rng)] for _ in end.totals]) for _ in range(12)
+    ]
+    for T in itertools.chain(end.totals, map(end.total, draws)):
         split = _primary_split(M, T, end)
         if split is not None:
             return _decompose_rec(split[0], rng) + _decompose_rec(split[1], rng)
@@ -1183,27 +1159,27 @@ def is_indecomposable(M: FDModule) -> bool:
     return out
 
 
-def _certified_indec_iso(M: FDModule, N: FDModule) -> bool:
-    """Exact isomorphism test for modules known to be indecomposable.
+def _composite_iso(M: FDModule, N: FDModule) -> ModMorphism | None:
+    """A basis morphism phi: M -> N with psi∘phi invertible for some basis
+    morphism psi: N -> M, or None.  For M indecomposable End(M) is local, so
+    the span of the composites psi∘phi holds an invertible element iff one of
+    them is invertible: such a phi exists iff M ≅ N, and is then an iso."""
+    fwd = hom_basis(M, N)
+    bwd = hom_basis(N, M)
+    for phi in fwd:
+        for psi in bwd:
+            if (psi @ phi).is_iso():
+                return phi
+    return None
 
-    M ≅ N iff some composite N -> M -> N ... precisely: iff the span of
-    {psi∘phi} over phi in Hom(M,N), psi in Hom(N,M) contains an invertible
-    element; since End(M) is local, it does iff one of the products of basis
-    elements is invertible.
-    """
+
+def _certified_indec_iso(M: FDModule, N: FDModule) -> bool:
+    """Exact isomorphism test for modules known to be indecomposable."""
     if M.dims != N.dims:
         return False
     if M.total_dim == 0:
         return True
-    fwd = hom_basis(M, N)
-    bwd = hom_basis(N, M)
-    if not fwd or not bwd:
-        return False
-    for phi in fwd:
-        for psi in bwd:
-            if (psi @ phi).is_iso():
-                return True
-    return False
+    return _composite_iso(M, N) is not None
 
 
 def is_isomorphic(M: FDModule, N: FDModule) -> bool:
@@ -1267,17 +1243,10 @@ def find_iso(M: FDModule, N: FDModule) -> ModMorphism | None:
         phi = random_hom(basis, rng)
         if phi.is_iso():
             return phi
-    bwd = hom_basis(N, M)
-    for phi in basis:
-        for psi in bwd:
-            if (psi @ phi).is_iso():
-                return phi
-    return None
+    return _composite_iso(M, N)
 
 
 def _iso_lattice_fallback(M: FDModule, N: FDModule, basis) -> bool:
-    import itertools
-
     field = M.carrier.field
     values = range(min(field.p, 5)) if field.is_prime_field else range(-2, 3)
     count = 0
@@ -1285,12 +1254,7 @@ def _iso_lattice_fallback(M: FDModule, N: FDModule, basis) -> bool:
         count += 1
         if count > 4096:
             break
-        if all(c == 0 for c in coeffs):
-            continue
-        phi = basis[0].scale(coeffs[0])
-        for b, c in zip(basis[1:], coeffs[1:]):
-            phi = phi + b.scale(c)
-        if phi.is_iso():
+        if any(coeffs) and combine(basis, coeffs).is_iso():
             return True
     if hom_dim(M, N) and hom_dim(N, M):
         raise IsoInconclusive(

@@ -244,9 +244,6 @@ class GradedQuiverPresentation(Carrier):
             cur = nxt
         return combo
 
-    def identity_combo(self, x):
-        return {(): self.field.scalar(1)}
-
     @property
     def generators(self) -> tuple:
         return self._generators

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -11,6 +12,14 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 def golden_doc(name: str) -> dict:
     with open(os.path.join(GOLDEN_DIR, name + ".json"), "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def shift_box(group, halfwidth: int) -> tuple:
+    """A reference window of shifts: the sorted box [-w..w]^rank of a free
+    abelian group, or every element of a finite group."""
+    if group.is_finite:
+        return tuple(group.all_elements())
+    return tuple(itertools.product(range(-halfwidth, halfwidth + 1), repeat=group.rank))
 
 
 @pytest.fixture(scope="session")

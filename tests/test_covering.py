@@ -1,4 +1,4 @@
-"""Twists, push-down, pull-up, morphism lifting, covering isomorphisms."""
+"""Twists, push-down, morphism lifting, covering isomorphisms."""
 
 import itertools
 
@@ -7,7 +7,6 @@ import pytest
 from quivercover import (
     ShapeMismatch,
     SubcategorySpec,
-    WindowTooSmall,
     canonical_orbit_rep,
     class_index,
     direct_sum,
@@ -22,7 +21,6 @@ from quivercover import (
     lift_morphism,
     list_indecomposables,
     projective_at,
-    pull_up,
     push_down,
     push_down_morphism,
     simple_at,
@@ -36,6 +34,7 @@ from quivercover import (
     zero_module,
 )
 from quivercover.modules import identity_morphism, twist_candidates, zero_morphism
+from tests.conftest import shift_box
 from window_knit import box_objects, in_box, window_knit
 
 
@@ -59,7 +58,7 @@ def test_twist_action_axiom(n32_cover):
 def test_twist_window_bound(n32, n32_cover):
     # no window bounds the cover: a twist past any box exists, is the
     # shifted projective, and lies on objects of the cover
-    box = n32.group.box(6)
+    box = shift_box(n32.group, 6)
     P = projective_at(n32_cover, ("1", (0,)))
     T = twist_module(P, (100,))
     assert in_box(box, P.support) and not in_box(box, T.support)
@@ -119,43 +118,6 @@ def test_push_down_exactness_on_cover_sequence(n32_cover):
     down_inc = push_down_morphism(incs[0])
     comp = down_prj @ down_inc
     assert comp.is_iso()
-
-
-def test_pull_up_shape(n32, n32_cover):
-    box = n32.group.box(6)
-    S = simple_at(n32, "2")
-    up = pull_up(S, n32_cover, box)
-    assert up.truncated  # infinite group
-    # one copy of S at every shift
-    assert up.total_dim == len(box)
-    with pytest.raises(WindowTooSmall):
-        up.as_module()
-    P = projective_at(n32, "1")
-    up2 = pull_up(P, n32_cover, box)
-    assert up2.total_dim == 2 * len(box)
-
-
-def test_pull_up_finite_group_is_module():
-    from quivercover import Group, load_presentation
-
-    from tests.conftest import golden_doc
-
-    pres = load_presentation(golden_doc("sixcycle"))
-    from quivercover import orbit_of_finite_action
-
-    action = golden_doc("sixcycle_action")
-    q = orbit_of_finite_action(
-        pres, Group.cyclic(2), action["vertex_map"], action["arrow_map"]
-    )
-    cov = smash_cover(q)
-    S = simple_at(q, q.vertices[0])
-    assert pull_up(S, cov, (0,)).truncated  # one of the two shifts
-    up = pull_up(S, cov, q.group.box(0))
-    assert not up.truncated
-    M = up.as_module()
-    validate_module(M)
-    # P^* P_* X = sum of the twists of X over the group
-    assert is_isomorphic(push_down(M), direct_sum([S, S])[0])
 
 
 def test_lift_single_and_zero(n32_cover):
@@ -225,7 +187,7 @@ def test_canonical_rep_and_twisted_iso(n32_cover):
 
 def test_window_freeness(n32, n32_cover):
     # no nonidentity group element fixes an object of a box
-    for v in box_objects(n32_cover, n32.group.box(1)):
+    for v in box_objects(n32_cover, shift_box(n32.group, 1)):
         for a in [(1,), (-1,), (3,)]:
             moved = n32_cover.twist_object(a, v)
             assert moved != v
@@ -332,7 +294,7 @@ def test_orbit_classes_match_the_parent_groupings(name, request):
     cover = smash_cover(pres)
     pool = list_indecomposables(cover)
     for halfwidth in (3, 6):
-        box = pres.group.box(halfwidth)
+        box = shift_box(pres.group, halfwidth)
         window_pool = window_knit(cover, box)
         old_reps = _parent_orbit_representatives(window_pool, box)
         assert len(pool) == len(old_reps)

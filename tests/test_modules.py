@@ -8,6 +8,7 @@ paths into x, and hom-space values are pinned by the Yoneda identities.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivercover import (
     Field,
@@ -34,6 +35,8 @@ from quivercover import (
     validate_module,
     zero_module,
 )
+from quivercover import modules
+from quivercover.field import rank
 from quivercover.modules import ModMorphism, identity_morphism, kernel_module
 
 
@@ -169,6 +172,47 @@ def test_decompose_certificate(n32):
     rebuilt = direct_sum([m for m, k in parts for _ in range(k)])[0]
     iso = find_iso(rebuilt, M)
     assert iso is not None and iso.is_iso() and iso.check()
+
+
+@pytest.mark.parametrize("name", ["ka2", "n32", "loop2", "ausl2"])
+@pytest.mark.parametrize("build", [simple_at, projective_at], ids=["simple", "projective"])
+def test_semisimple_split_splits_three_copies(name, build, monkeypatch, request):
+    # with no split along an eigenspace, X + X + X is split by idempotents
+    # lifted from End/rad, a matrix algebra over End(X)/rad
+    pres = request.getfixturevalue(name)
+    X = build(pres, pres.vertices[0])
+    monkeypatch.setattr(modules, "_primary_split", lambda M, T, end: None)
+    parts = decompose(direct_sum([X, X, X])[0])
+    assert len(parts) == 1 and parts[0][1] == 3
+    assert is_isomorphic(parts[0][0], X)
+
+
+def _horner(field, coeffs, T):
+    out = Mat.zeros(field, T.rows, T.cols)
+    for c in reversed(coeffs):
+        out = out @ T + Mat.identity(field, T.rows).scale(c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_min_poly_is_minimal_and_its_powers_evaluate_polynomials(data):
+    field = data.draw(st.sampled_from([Field.prime(2), Field.prime(32003), Field.rationals()]))
+    values = st.integers(-2, 2)
+    if field.p is None:
+        values = st.one_of(values, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    n = data.draw(st.integers(1, 4))
+    T = Mat.from_rows(field, [[data.draw(values) for _ in range(n)] for _ in range(n)])
+    flat = lambda P: P.reshape(n * n, 1)
+    minp, K = modules._min_poly(field, Mat.identity(field, n), lambda P: P @ T, flat)
+    d = len(minp) - 1
+    assert minp[-1] == 1 and K.shape == (n * n, d)
+    assert _horner(field, minp, T).is_zero()
+    # the powers below d are independent, so no polynomial of lower degree
+    # vanishes at T
+    assert rank(K) == d
+    q = [data.draw(values) for _ in range(data.draw(st.integers(0, d)))]
+    assert modules._krylov_eval(field, K, q) == flat(_horner(field, q, T))
 
 
 def test_is_isomorphic_basics(n32, ka2):

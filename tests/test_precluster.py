@@ -36,6 +36,7 @@ from quivercover import (
 )
 from quivercover.cli import _canonical_subcategory
 from quivercover.precluster import _pushdown_spec
+from tests.conftest import shift_box
 from window_endo import window_endo
 from window_knit import window_knit
 
@@ -191,7 +192,7 @@ def test_upstairs_category_matches_the_window_reference(name, n, request):
     U = _canonical_subcategory(smash_cover(pres), n, 32)
     E = endo_category(U)
     for halfwidth in (3, 6):
-        keys, reference = window_endo(U, pres.group.box(halfwidth))
+        keys, reference = window_endo(U, shift_box(pres.group, halfwidth))
         assert check_nMAG(E, n).witnesses == check_nMAG(reference, n).witnesses
         index = {key: k for k, key in enumerate(keys)}
         for x in E.objects:
@@ -326,7 +327,7 @@ def test_main2_preimage_counts_match_a_per_member_count(name, request):
     rep = verify_main2(V, 1, dimcap=8)
     # every member of a window knit whose push-down is one of V's generators
     preimage = []
-    for X in window_knit(cover, cover.group.box(6), dimcap=8):
+    for X in window_knit(cover, shift_box(cover.group, 6), dimcap=8):
         parts = decompose(push_down(X))
         if len(parts) == 1 and parts[0][1] == 1:
             if any(is_isomorphic(parts[0][0], D) for D in V.generators):

@@ -14,7 +14,7 @@ from quivercover import (
     smash_cover,
 )
 from quivercover.cover import materialize_presentation
-from tests.conftest import golden_doc
+from tests.conftest import golden_doc, shift_box
 
 
 def _doc(vertices, arrows, relations, nilbound, rank=0):
@@ -136,7 +136,7 @@ def test_square_free(n32, kronecker):
 
 def test_smash_cover_n32_box2(n32):
     cov = smash_cover(n32)
-    box = n32.group.box(2)
+    box = shift_box(n32.group, 2)
     assert len(box) == 5
     # every lift of an arrow is a generator, and arrows go (i, g) -> (i+1, g+1)
     for g in box:
@@ -160,7 +160,7 @@ def test_smash_cover_trivial_group(ka2):
 def test_smash_cover_loop_is_line(loop2):
     cov = smash_cover(loop2)
     # 7 shifts, one vertex: a line quiver with rad^2 = 0
-    objects = [("v", g) for g in loop2.group.box(3)]
+    objects = [("v", g) for g in shift_box(loop2.group, 3)]
     assert len(objects) == 7
     gens = [g for x in objects for g in cov.generators_at_source(x) if cov.gen_tgt(g) in objects]
     assert len(gens) == 6
@@ -175,7 +175,8 @@ def test_smash_cover_loop_is_line(loop2):
 
 def test_relation_lift_across_the_box_edge_is_checked(n32):
     # a module over the cover has to kill every relation lifted at its
-    # support, here a1 a2 from (1, 0) to (3, 2), though box(0) holds no arrow
+    # support, here a1 a2 from (1, 0) to (3, 2), though the box of half-width 0
+    # holds no arrow
     from quivercover import FDModule, RelationViolated, validate_module
     from quivercover.field import Mat
 

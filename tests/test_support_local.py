@@ -23,7 +23,7 @@ from quivercover import (
 )
 from quivercover.field import Mat, kernel_basis, vstack
 from quivercover.modules import FDModule, ModMorphism
-from tests.conftest import golden_doc
+from tests.conftest import golden_doc, shift_box
 from window_knit import box_generators, box_objects
 
 GOLDEN = ["ausl2", "ka2", "ka3", "loop2", "n32", "sixcycle"]
@@ -123,7 +123,7 @@ def carriers():
     for name in GOLDEN:
         pres = load_presentation(golden_doc(name))
         yield f"{name}-base", pres, pres.objects, pres.generators
-        cover, box = smash_cover(pres), pres.group.box(3)
+        cover, box = smash_cover(pres), shift_box(pres.group, 3)
         yield f"{name}-cover3", cover, box_objects(cover, box), box_generators(cover, box)
 
 

@@ -72,9 +72,6 @@ class WindowEndoCarrier(Carrier):
             }
         return self._compose_cache[key]
 
-    def identity_combo(self, x):
-        return {(x, x, 0): self.field.scalar(1)}
-
     @property
     def generators(self) -> tuple:
         return self._generators

@@ -1,11 +1,11 @@
 """Reference: the window knit that the orbit knit replaced.
 
 `window_knit(cover, box)` lists every indecomposable whose support lies in a
-window box of shifts (say `group.box(3)`), one module per isomorphism class
-(twists are different classes), seeded from every object of the box.  Tests
-check the orbit knit and the orbit counts in the reports against it.  The
-helpers list the objects and generators of a box, which the cover itself
-does not list.
+window box of shifts (say `conftest.shift_box(group, 3)`), one module per
+isomorphism class (twists are different classes), seeded from every object
+of the box.  Tests check the orbit knit and the orbit counts in the reports
+against it.  The helpers list the objects and generators of a box, which the
+cover itself does not list.
 """
 
 from quivercover.errors import CapExceeded
