@@ -5,7 +5,6 @@ desk-scale algebras."""
 
 from .errors import (
     AmbientNotClusterTilting,
-    ApproximationNotSurjective,
     CapExceeded,
     DecompositionInconclusive,
     HypothesisUnverified,
@@ -31,7 +30,6 @@ from .presentation import (
 from .cover import CoverCarrier, smash_cover
 from .modules import (
     FDModule,
-    injective_envelope,
     ModMorphism,
     SubcategorySpec,
     decompose,
@@ -64,11 +62,9 @@ from .homology import (
     inj_dim_upto,
     is_injective_module,
     is_projective_module,
-    left_approximation,
     min_inj_coresolution,
     min_proj_resolution,
     proj_dim_upto,
-    relative_ext,
     right_approximation,
     syzygy,
     tau,
@@ -78,13 +74,11 @@ from .homology import (
     transpose,
 )
 from .covering import (
-    LiftingFamily,
     canonical_orbit_rep,
     class_index,
     ext_vanishes,
     hom_twist_sum,
     ext_twist_sum,
-    lift_morphism,
     push_down,
     push_down_morphism,
     twist_module,

@@ -76,16 +76,11 @@ class Carrier:
         raise NotImplementedError
 
     def opposite(self) -> "Carrier":
-        raise NotImplementedError
-
-    def opposite_generator_key(self, g):
-        """The key of the reversed generator in the opposite carrier."""
-        return g
-
-    def opposite_combo(self, x, y, combo: dict) -> dict:
-        """Re-express an element of C(x,y) in the opposite carrier's basis of
-        C^op(y,x).  Default: hom bases are shared (wrapper opposites)."""
-        return combo
+        """The opposite category, built once per carrier."""
+        op = self.__dict__.get("_opposite")
+        if op is None:
+            op = self._opposite = OppositeCarrier(self)
+        return op
 
     def describe(self) -> str:
         return type(self).__name__
@@ -213,8 +208,8 @@ class OppositeCarrier(Carrier):
     C^op(x,y) uses the basis labels of C(y,x); generator keys are reused with
     source and target exchanged, and the supports and incidence lists are
     the base's with the directions exchanged, so no object or generator list
-    is needed (the endomorphism categories use it; presentations and covers
-    have their own opposites).
+    is needed.  Every carrier's opposite is one of these, so no basis of
+    C^op is ever recomputed.
     """
 
     def __init__(self, base: Carrier):
@@ -246,6 +241,10 @@ class OppositeCarrier(Carrier):
 
     def label_word(self, x, y, label) -> tuple:
         return tuple(reversed(self.base.label_word(y, x, label)))
+
+    def validation_relations(self):
+        for src, tgt, terms in self.base.validation_relations():
+            yield tgt, src, [(c, tuple(reversed(word))) for c, word in terms]
 
     def projective_support(self, x) -> tuple:
         return self.base.injective_support(x)

@@ -31,7 +31,6 @@ class CoverCarrier(Carrier):
         self._at_target = {}
         self._words = {}
         self._relations_at = {}
-        self._op = None
 
     def _lift_path(self, path, g) -> tuple:
         """The generator word lifting a base path that starts at shift g."""
@@ -150,22 +149,6 @@ class CoverCarrier(Carrier):
             )
             self._relations_at[x] = rels
         return rels
-
-    def opposite(self) -> "CoverCarrier":
-        if self._op is None:
-            op = CoverCarrier(self.base_presentation.opposite())
-            op._op = self
-            self._op = op
-        return self._op
-
-    def opposite_generator_key(self, gen):
-        # the reversed lift starts at the original target shift
-        name, g = gen
-        return (name, self.group.op(g, self.base_presentation.arrow(name).weight))
-
-    def opposite_combo(self, x, y, combo: dict) -> dict:
-        # labels are base paths; translate through the base presentation
-        return self.base_presentation.opposite_combo(x[0], y[0], combo)
 
     def describe(self) -> str:
         return f"cover({self.base_presentation.describe()}, group {self.group.describe()})"

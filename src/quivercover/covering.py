@@ -1,9 +1,7 @@
-"""The group machinery on module categories: twists, push-down, morphism
-lifting, and the covering-theoretic verifiers."""
+"""The group machinery on module categories: twists, push-down and the
+covering-theoretic verifiers."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cover import CoverCarrier
 from .errors import ShapeMismatch
@@ -147,73 +145,6 @@ def push_down_morphism(f: ModMorphism) -> ModMorphism:
         placed = [(trow[g], off, f.vertex((v, g))) for g, _, off in sb if g in trow]
         mats[v] = Mat.from_blocks(field, PY.dim(v), PX.dim(v), placed)
     return ModMorphism(PX, PY, mats)
-
-
-# ---------------------------------------------------------------------------
-# morphism lifting
-
-
-@dataclass
-class LiftingFamily:
-    """Finitely many twists a with morphisms f_a: X -> ^aY assembling theta."""
-
-    pairs: list  # (a, ModMorphism)
-
-    def nonzero(self):
-        return [(a, f) for a, f in self.pairs if not f.is_zero()]
-
-
-def lift_morphism(theta: ModMorphism, X: FDModule, Y: FDModule) -> LiftingFamily:
-    """Decompose a morphism of push-downs along the covering.
-
-    theta: push_down(X) -> push_down(Y).  The block structure of theta is cut
-    along the shift grading; each piece is verified to be a genuine morphism
-    X -> ^aY and the assembly is verified to reproduce theta exactly.  A
-    failure aborts: it would signal an internal inconsistency in the covering
-    isomorphism.
-    """
-    cover = X.carrier
-    group = cover.group
-    pres = cover.base_presentation
-    field = pres.field
-    pairs = []
-    for a in twist_candidates(group, Y.support, X.support):
-        aY = twist_module(Y, a)  # (^aY)(v,g) = Y(v, g-a)
-        mats = {}
-        nonzero = False
-        for v in pres.vertices:
-            xb, _ = _shift_blocks(X, v)
-            yb = {g: (d, off) for g, d, off in _shift_blocks(Y, v)[0]}
-            for g, d, off in xb:
-                h = group.sub(g, a)
-                if h not in yb:
-                    continue
-                dr, roff = yb[h]
-                block = theta.vertex(v)[roff : roff + dr, off : off + d]
-                if not block.is_zero():
-                    nonzero = True
-                mats[(v, g)] = block
-        f = ModMorphism(X, aY, mats)
-        if nonzero and not f.check():
-            raise ShapeMismatch(
-                "lifted block is not a morphism; covering data is inconsistent"
-            )
-        if nonzero:
-            pairs.append((a, f))
-    # reassemble and compare against theta
-    for v in pres.vertices:
-        xb, xdim = _shift_blocks(X, v)
-        yb, ydim = _shift_blocks(Y, v)
-        ylook = {g: off for g, _, off in yb}
-        placed = []
-        for a, f in pairs:
-            for g, _, off in xb:
-                h = group.sub(g, a)
-                if h in ylook:
-                    placed.append((ylook[h], off, f.vertex((v, g))))
-        if Mat.from_blocks(field, ydim, xdim, placed) != theta.vertex(v):
-            raise ShapeMismatch("lifting family does not reassemble the morphism")
-    return LiftingFamily(pairs)
 
 
 def hom_twist_sum(X: FDModule, Y: FDModule) -> tuple:

@@ -12,7 +12,7 @@ one per orbit, and everything else is computed on demand for any key.
 
 from __future__ import annotations
 
-from .carrier import Carrier, OppositeCarrier
+from .carrier import Carrier
 from .covering import twist_module
 from .errors import ShapeMismatch
 from .field import Mat, hstack, rref
@@ -43,7 +43,6 @@ class EndoCarrier(Carrier):
             self._objects = tuple((i, e) for i in range(len(self.modules)))
         else:
             self._objects = tuple(range(len(self.modules)))
-        self._op = None
 
     def module(self, x) -> FDModule:
         """The module of object x (generator x[0] twisted by x[1] on a cover)."""
@@ -180,11 +179,6 @@ class EndoCarrier(Carrier):
                     rels.append(((f, g), g[1], terms))
             table[x] = tuple(rels)
         return table[x]
-
-    def opposite(self) -> Carrier:
-        if self._op is None:
-            self._op = OppositeCarrier(self)
-        return self._op
 
     def describe(self) -> str:
         dims = [m.total_dim for m in self.modules]

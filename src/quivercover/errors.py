@@ -56,10 +56,6 @@ class CapExceeded(QuiverCoverError):
     """An enumeration or closure did not stabilize within its cap."""
 
 
-class ApproximationNotSurjective(QuiverCoverError):
-    """Cannot build a relative projective resolution: the subcategory does not generate."""
-
-
 class HypothesisUnverified(QuiverCoverError):
     """A checker's standing hypothesis failed; the result would be meaningless."""
 

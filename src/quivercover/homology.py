@@ -1,5 +1,5 @@
 """Minimal resolutions, syzygies, transpose, AR translates, Ext spaces,
-approximations, relative Ext, and injective/dominant dimension.
+approximations, and injective/dominant dimension.
 
 Resolutions are cached per module (get-or-compute on the module's private
 cache; safe under CPython since recomputation is idempotent).  All dimension
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ApproximationNotSurjective, ShapeMismatch
+from .errors import ShapeMismatch
 from .field import Mat, hstack, kernel_basis, rank, rref
 from .modules import (
     FDModule,
@@ -308,9 +308,8 @@ def transpose(M: FDModule) -> FDModule:
             for lab, c in zip(carrier.hom_labels(b, a), block.entries()):
                 if c != 0:
                     combo[lab] = c
-            # the Yoneda element lives in C(b, a); render it in the opposite
-            # carrier's basis of C^op(a, b)
-            combos[(i, j)] = carrier.opposite_combo(b, a, combo)
+            # the Yoneda element of C(b, a) is also an element of C^op(a, b)
+            combos[(i, j)] = combo
     Qa, Qa_inc, Qa_prj = _sum_of_projectives(op, verts0)
     Qb, Qb_inc, Qb_prj = _sum_of_projectives(op, verts1)
     t = zero_morphism(Qa, Qb)
@@ -428,7 +427,7 @@ def ext_dim(M: FDModule, N: FDModule, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# approximations and relative homological algebra
+# approximations
 
 
 def approximation_objects(U: SubcategorySpec, M: FDModule) -> list:
@@ -470,23 +469,6 @@ def _evaluation_map(U: SubcategorySpec, M: FDModule) -> tuple:
     return f, pieces
 
 
-def left_approximation(U: SubcategorySpec, M: FDModule) -> ModMorphism:
-    objs = approximation_objects(U, M)
-    pieces = []
-    comps = []
-    for Uo in objs:
-        for phi in hom_basis(M, Uo):
-            pieces.append(Uo)
-            comps.append(phi)
-    if not pieces:
-        return zero_morphism(M, zero_module(M.carrier))
-    S, incs, prjs = direct_sum(pieces)
-    f = zero_morphism(M, S)
-    for phi, inc in zip(comps, incs):
-        f = f + (inc @ phi)
-    return f
-
-
 def is_right_approximation(U: SubcategorySpec, f: ModMorphism) -> bool:
     """Every morphism from U (and its twists) factors through f."""
     M = f.tgt
@@ -501,46 +483,6 @@ def is_right_approximation(U: SubcategorySpec, f: ModMorphism) -> bool:
         if rank(mat) < len(target):
             return False
     return True
-
-
-def relative_ext(U: SubcategorySpec, M: FDModule, N: FDModule, i: int) -> ExtSpace:
-    """Ext relative to the exact structure of Hom(U, -)-exact sequences.
-
-    Computed from an F-projective resolution with terms in add{U, projectives}.
-    """
-    if M.is_zero() or N.is_zero():
-        return ExtSpace(i, 0, [])
-    terms = []
-    maps = []
-    carrier = M.carrier
-    current = M
-    prev_incl = None
-    for k in range(i + 2):
-        if current.is_zero():
-            A = zero_module(carrier)
-            terms.append(A)
-            if k:
-                maps.append(zero_morphism(A, terms[k - 1]))
-            continue
-        app = right_approximation(U, current)
-        cov = projective_cover(current)
-        if app.src.is_zero():
-            A, f = cov.module, cov.epi
-        else:
-            A, _, prjs = direct_sum([app.src, cov.module])
-            f = (app @ prjs[0]) + (cov.epi @ prjs[1])
-        for x in current.support:
-            if rank(f.vertex(x)) != current.dim(x):
-                raise ApproximationNotSurjective(
-                    f"relative cover misses part of the module at {x!r}"
-                )
-        terms.append(A)
-        if k:
-            maps.append(prev_incl @ f)
-        K, incl = kernel_module(f)
-        current = K
-        prev_incl = incl
-    return _hom_complex_ext(terms, maps, N, i)
 
 
 # ---------------------------------------------------------------------------

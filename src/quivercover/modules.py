@@ -584,12 +584,8 @@ def socle_inclusion(M: FDModule) -> tuple:
 
 def dual_module(M: FDModule) -> FDModule:
     """The k-dual, a module over the opposite carrier."""
-    carrier = M.carrier
-    op = carrier.opposite()
-    mats = {
-        carrier.opposite_generator_key(g): M.mat(g).transpose() for g in M.gen_mats
-    }
-    return FDModule(op, dict(M.dims), mats, check_shapes=False)
+    mats = {g: m.transpose() for g, m in M.gen_mats.items()}
+    return FDModule(M.carrier.opposite(), dict(M.dims), mats, check_shapes=False)
 
 
 def dual_morphism(phi: ModMorphism) -> ModMorphism:
@@ -651,16 +647,6 @@ def _build_projective_cover(M: FDModule) -> ProjCover:
         if rank(epi.vertex(x)) != M.dim(x):
             raise ShapeMismatch("projective cover failed to surject")
     return ProjCover(P, epi, tuple(summand_vertices), incs, prjs)
-
-
-def injective_envelope(M: FDModule) -> tuple:
-    """(E, mono M -> E, socle summand vertices), via the dual projective cover."""
-    DM = dual_module(M)
-    cov = projective_cover(DM)
-    E = dual_module(cov.module)
-    # dual of the epi P -> DM is a mono M = DDM -> DP = E
-    mono = ModMorphism(M, E, {x: m.transpose() for x, m in cov.epi.mats.items()})
-    return E, mono, cov.vertices
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ class GradedQuiverPresentation(Carrier):
             tuple((field.scalar(c), tuple(path)) for c, path in rel) for rel in relations
         )
         self.nilbound = int(nilbound)
-        self._op = None
         self._validate_shape()
         self._build_path_spaces()
 
@@ -266,32 +265,6 @@ class GradedQuiverPresentation(Carrier):
             s = self._arrow_map[path0[0]].src
             t = self._arrow_map[path0[-1]].tgt
             yield s, t, [(c, path) for c, path in rel]
-
-    def opposite_combo(self, x, y, combo: dict) -> dict:
-        # normal-form bases are chosen independently on each side; re-reduce
-        # the reversed raw paths in the opposite presentation
-        op = self.opposite()
-        out: dict = {}
-        for p, c in combo.items():
-            for q, c2 in op.reduce_raw(y, x, tuple(reversed(p))).items():
-                val = self.field.scalar(out.get(q, 0) + c * c2)
-                out[q] = val
-        return {q: c for q, c in out.items() if c != 0}
-
-    def opposite(self) -> "GradedQuiverPresentation":
-        if self._op is None:
-            arrows = [
-                Arrow(a.name, a.tgt, a.src, self.group.inv(a.weight)) for a in self._arrow_list
-            ]
-            relations = [
-                [(c, tuple(reversed(path))) for c, path in rel] for rel in self.relations
-            ]
-            op = GradedQuiverPresentation(
-                self.field, self.group, self._vertices, arrows, relations, self.nilbound
-            )
-            op._op = self
-            self._op = op
-        return self._op
 
     def describe(self) -> str:
         return (

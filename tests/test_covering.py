@@ -1,4 +1,4 @@
-"""Twists, push-down, morphism lifting, covering isomorphisms."""
+"""Twists, push-down, covering isomorphisms."""
 
 import itertools
 
@@ -13,12 +13,10 @@ from quivercover import (
     ext_dim,
     ext_twist_sum,
     ext_vanishes,
-    hom_basis,
     hom_dim,
     hom_twist_sum,
     injective_at,
     is_isomorphic,
-    lift_morphism,
     list_indecomposables,
     projective_at,
     push_down,
@@ -120,19 +118,6 @@ def test_push_down_exactness_on_cover_sequence(n32_cover):
     assert comp.is_iso()
 
 
-def test_lift_single_and_zero(n32_cover):
-    X = simple_at(n32_cover, ("1", (0,)))
-    Y = projective_at(n32_cover, ("2", (0,)))
-    theta_basis = hom_basis(push_down(X), push_down(Y))
-    fam = lift_morphism(zero_morphism(push_down(X), push_down(Y)), X, Y)
-    assert fam.nonzero() == []
-    for theta in theta_basis:
-        fam = lift_morphism(theta, X, Y)
-        assert len(fam.nonzero()) >= 1
-        for a, f in fam.nonzero():
-            assert f.check()
-
-
 def test_hom_twist_sum_identity(n32_cover):
     reps = list_indecomposables(n32_cover, dimcap=8)
     for X, Y in itertools.product(reps, reps):
@@ -214,15 +199,17 @@ def test_pushdown_commutes_with_translates(n32_cover):
 
 
 def test_pushdown_commutes_with_transpose_and_sums(n32_cover):
-    from quivercover import transpose
+    from quivercover import dual_module, transpose
 
     X = projective_at(n32_cover, ("1", (0,)))
     S = simple_at(n32_cover, ("1", (0,)))
     D = direct_sum([X, S])[0]
     assert is_isomorphic(push_down(D), direct_sum([push_down(X), push_down(S)])[0])
-    up_tr = transpose(S)
-    down_tr = transpose(push_down(S))
-    assert is_isomorphic(push_down(up_tr), down_tr)
+    # Tr S lives over the opposite of the cover, which is not itself a cover;
+    # D commutes with push-down entrywise, so compare D Tr on both sides
+    up_dtr = dual_module(transpose(S))
+    down_dtr = dual_module(transpose(push_down(S)))
+    assert is_isomorphic(push_down(up_dtr), down_dtr)
 
 
 def test_pushdown_exactness_of_sequences(n32_cover):

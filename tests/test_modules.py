@@ -23,7 +23,6 @@ from quivercover import (
     hom_basis,
     hom_dim,
     injective_at,
-    injective_envelope,
     is_indecomposable,
     is_isomorphic,
     projective_at,
@@ -131,20 +130,6 @@ def test_projective_cover_of_simple(n32):
         assert K.total_dim == cov.module.total_dim - 1
 
 
-def test_injective_envelope(n32):
-    for x in n32.vertices:
-        S = simple_at(n32, x)
-        E, mono, verts = injective_envelope(S)
-        assert verts == (x,)
-        assert is_isomorphic(E, injective_at(n32, x))
-        # mono really embeds
-        assert all(
-            mono.vertex(v).cols == 0 or mono.vertex(v).rows >= mono.vertex(v).cols
-            for v in S.support
-        )
-        assert mono.check()
-
-
 def test_top_of_projective_is_simple(ausl2):
     for x in ausl2.vertices:
         T, _ = top_module(projective_at(ausl2, x))
@@ -238,7 +223,7 @@ def test_dual_module_duality(n32):
     D = dual_module(P1)
     validate_module(D)
     op = n32.opposite()
-    assert any(is_isomorphic(D, injective_at(op, x)) for x in op.vertices)
+    assert any(is_isomorphic(D, injective_at(op, x)) for x in op.objects)
 
 
 def test_subcategory_spec_checks(n32):

@@ -9,8 +9,11 @@ from quivercover import (
     NotFreeAction,
     NotLocallyBounded,
     SchemaError,
+    SubcategorySpec,
+    endo_category,
     load_presentation,
     orbit_of_finite_action,
+    projective_at,
     smash_cover,
 )
 from quivercover.cover import materialize_presentation
@@ -292,9 +295,20 @@ def test_smash_then_orbit_round_trip():
     assert dims1 == dims2
 
 
-def test_opposite_round_trip(n32):
-    op = n32.opposite()
-    assert op.opposite() is n32
-    for x in n32.vertices:
-        for y in n32.vertices:
-            assert len(op.path_basis(x, y)) == len(n32.path_basis(y, x))
+def _projectives_endo(n32):
+    return endo_category(SubcategorySpec([projective_at(n32, x) for x in n32.vertices]))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda n32: n32, smash_cover, _projectives_endo], ids=["n32", "cover", "endo"]
+)
+def test_opposite_round_trip(n32, build):
+    # one opposite per carrier, sharing the base's hom bases
+    C = build(n32)
+    op = C.opposite()
+    assert op is C.opposite()
+    assert op.opposite() is C
+    domain = C.fundamental_domain()
+    for x in domain:
+        for y in domain:
+            assert op.hom_labels(x, y) == C.hom_labels(y, x)

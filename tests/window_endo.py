@@ -9,7 +9,7 @@ domain.  Tests check the window-free upstairs category of ModPushdown
 against it.
 """
 
-from quivercover.carrier import Carrier, OppositeCarrier
+from quivercover.carrier import Carrier
 from quivercover.covering import twist_module
 from quivercover.errors import ShapeMismatch
 from quivercover.field import Mat, hstack, rref
@@ -41,7 +41,6 @@ class WindowEndoCarrier(Carrier):
             if not (i == j and k == 0)
         )
         self._compose_cache = {}
-        self._op = None
 
     def _identity_first(self, M, basis: list) -> list:
         coords = morphism_coords(basis, identity_morphism(M))
@@ -89,11 +88,6 @@ class WindowEndoCarrier(Carrier):
         if label[0] == label[1] and label[2] == 0:
             return ()
         return (label,)
-
-    def opposite(self) -> Carrier:
-        if self._op is None:
-            self._op = OppositeCarrier(self)
-        return self._op
 
     def fundamental_domain(self) -> tuple:
         return self._fundamental
