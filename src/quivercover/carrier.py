@@ -16,7 +16,10 @@ A carrier consists of:
 * a distinguished generating set of basis elements ("generators", the
   arrows of a quiver) such that every basis element is a word in them;
 * validation relations: k-linear combinations of generator words that must
-  act as zero on every module, listed per source object by relations_at.
+  act as zero on every module, listed per source object by relations_at;
+* the seed of the random candidates that decomposition and the iso tests
+  try, fixed when a presentation is loaded and copied by every carrier
+  built from another, so work memoised on a carrier is seeded alike.
 
 A carrier need not list everything: a covering category lists neither its
 objects nor its `generators`, and an endomorphism category lists one object
@@ -32,11 +35,14 @@ from __future__ import annotations
 
 from .field import Field, Mat
 
+ISO_SEED = 0xC0FFEE
+
 
 class Carrier:
     """Base class; subclasses fill the hom-basis and composition data."""
 
     field: Field
+    seed: int = ISO_SEED
 
     # ---- interface to implement ------------------------------------------
 
@@ -173,13 +179,22 @@ class Carrier:
 
     def relations_at(self, x) -> tuple:
         """(index, target, terms) of each validation relation starting at x."""
-        table = self.__dict__.get("_relations_by_source")
-        if table is None:
-            table = {}
+        return self._relation_tables()[0].get(x, ())
+
+    def relations_into(self, x) -> tuple:
+        """(index, source, terms) of each validation relation ending at x."""
+        return self._relation_tables()[1].get(x, ())
+
+    def _relation_tables(self) -> tuple:
+        tables = self.__dict__.get("_relations_by_end")
+        if tables is None:
+            by_src: dict = {}
+            by_tgt: dict = {}
             for index, (src, tgt, terms) in enumerate(self.validation_relations()):
-                table.setdefault(src, []).append((index, tgt, terms))
-            self._relations_by_source = table
-        return table.get(x, ())
+                by_src.setdefault(src, []).append((index, tgt, terms))
+                by_tgt.setdefault(tgt, []).append((index, src, terms))
+            tables = self._relations_by_end = (by_src, by_tgt)
+        return tables
 
     def generators_at_source(self, x) -> tuple:
         """The generators starting at x, in generator order."""
@@ -215,6 +230,7 @@ class OppositeCarrier(Carrier):
     def __init__(self, base: Carrier):
         self.base = base
         self.field = base.field
+        self.seed = base.seed
 
     @property
     def objects(self) -> tuple:
@@ -242,9 +258,18 @@ class OppositeCarrier(Carrier):
     def label_word(self, x, y, label) -> tuple:
         return tuple(reversed(self.base.label_word(y, x, label)))
 
-    def validation_relations(self):
-        for src, tgt, terms in self.base.validation_relations():
-            yield tgt, src, [(c, tuple(reversed(word))) for c, word in terms]
+    def relations_at(self, x) -> tuple:
+        """The base's relations ending at x, with their words reversed."""
+        return tuple(
+            (index, src, [(c, tuple(reversed(word))) for c, word in terms])
+            for index, src, terms in self.base.relations_into(x)
+        )
+
+    def has_object(self, x) -> bool:
+        return self.base.has_object(x)
+
+    def fundamental_domain(self) -> tuple:
+        return self.base.fundamental_domain()
 
     def projective_support(self, x) -> tuple:
         return self.base.injective_support(x)

@@ -17,6 +17,7 @@ import json
 import sys
 import time
 
+from .carrier import ISO_SEED
 from .cover import smash_cover
 from .covering import (
     push_down,
@@ -36,7 +37,7 @@ from .errors import (
 from .groups import Group
 from .knitting import list_indecomposables
 from .module_io import listing_to_json, module_from_json, module_to_json
-from .modules import SubcategorySpec, iso_seed, validate_module
+from .modules import SubcategorySpec, validate_module
 from .precluster import (
     _pushdown_spec,
     _tau_closure_candidate,
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--input", required=True, help="presentation JSON file")
-        p.add_argument("--seed", type=int, default=0xC0FFEE, help="deterministic seed")
+        p.add_argument("--seed", type=int, default=ISO_SEED, help="deterministic seed")
         p.add_argument("--out", default=None, help="write the JSON result to a file")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -167,7 +168,7 @@ def _fingerprint(pres) -> str:
 
 
 def _load(args):
-    return load_presentation_file(args.input)
+    return load_presentation_file(args.input, args.seed)
 
 
 def _canonical_subcategory(carrier, n: int, cap: int) -> SubcategorySpec:
@@ -412,7 +413,6 @@ def main(argv=None) -> int:
         "suite": _cmd_suite,
         "enumerate-tilting": _cmd_enumerate_tilting,
     }
-    token = iso_seed.set(args.seed)
     try:
         return handlers[args.command](args)
     except QuiverCoverError as exc:
@@ -421,8 +421,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"FileNotFound: {exc}", file=sys.stderr)
         return 2
-    finally:
-        iso_seed.reset(token)
 
 
 if __name__ == "__main__":  # pragma: no cover

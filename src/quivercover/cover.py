@@ -23,6 +23,7 @@ class CoverCarrier(Carrier):
         self.base_presentation = pres
         self.group = pres.group
         self.field = pres.field
+        self.seed = pres.seed
         self._vertex_position = {v: i for i, v in enumerate(pres.vertices)}
         # on-demand tables: generator ends, incidence, path words, relations
         self._gen_src = {}
@@ -31,6 +32,7 @@ class CoverCarrier(Carrier):
         self._at_target = {}
         self._words = {}
         self._relations_at = {}
+        self._relations_into = {}
 
     def _lift_path(self, path, g) -> tuple:
         """The generator word lifting a base path that starts at shift g."""
@@ -150,6 +152,19 @@ class CoverCarrier(Carrier):
             self._relations_at[x] = rels
         return rels
 
+    def relations_into(self, x) -> tuple:
+        """The base relations into x's vertex, lifted whole to end at x."""
+        rels = self._relations_into.get(x)
+        if rels is None:
+            w, h = x
+            pres = self.base_presentation
+            rels = []
+            for index, v, terms in pres.relations_into(w):
+                g = self.group.sub(h, pres.path_weight(terms[0][1]))
+                rels.append((index, (v, g), [(c, self._lift_path(path, g)) for c, path in terms]))
+            rels = self._relations_into[x] = tuple(rels)
+        return rels
+
     def describe(self) -> str:
         return f"cover({self.base_presentation.describe()}, group {self.group.describe()})"
 
@@ -252,7 +267,7 @@ def materialize_presentation(cover: CoverCarrier):
         for g in shifts
     ]
     flat = GradedQuiverPresentation(
-        pres.field, Group.trivial(), vertices, arrows, relations, pres.nilbound
+        pres.field, Group.trivial(), vertices, arrows, relations, pres.nilbound, cover.seed
     )
     shift = 1 if group.kind == "cyclic" else group.identity()
     vertex_map = {vname(x): vname(cover.twist_object(shift, x)) for x in objects}

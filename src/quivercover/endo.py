@@ -37,6 +37,7 @@ class EndoCarrier(Carrier):
             raise ShapeMismatch("endomorphism category needs at least one object")
         self.modules = list(U.generators)
         self.field = U.carrier.field
+        self.seed = U.carrier.seed
         self.twisted = U.twisted
         if self.twisted:
             e = U.carrier.group.identity()

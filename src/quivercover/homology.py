@@ -147,13 +147,18 @@ def min_proj_resolution(M: FDModule, k: int) -> Resolution:
     )
 
 
-def min_inj_coresolution(M: FDModule, k: int) -> Resolution:
-    """Minimal injective coresolution of length k, via the dual module."""
+def _dual(M: FDModule) -> FDModule:
+    """D M, memoised on M for the injective coresolution and dimension only:
+    keeping the dual of every cosyzygy and translate raises peak memory."""
     DM = M._cache.get("dual")
     if DM is None:
-        DM = dual_module(M)
-        M._cache["dual"] = DM
-    res = min_proj_resolution(DM, k)
+        DM = M._cache["dual"] = dual_module(M)
+    return DM
+
+
+def min_inj_coresolution(M: FDModule, k: int) -> Resolution:
+    """Minimal injective coresolution of length k, via the dual module."""
+    res = min_proj_resolution(_dual(M), k)
     terms = [dual_module(P) for P in res.terms]
     maps = [dual_morphism(d) for d in res.maps]
     aug = dual_morphism(res.augmentation)
@@ -278,6 +283,19 @@ def hom_from_yoneda(carrier, a, b, combo: dict) -> ModMorphism:
     return ModMorphism(Pa, Pb, mats)
 
 
+def yoneda_cokernel(carrier, srcs: list, tgts: list, combos: dict) -> FDModule:
+    """The cokernel of the map from the sum of the representables at srcs to
+    the sum of those at tgts whose (i, j) component is given by the Yoneda
+    element combos[(i, j)] of C(srcs[i], tgts[j]) (absent or empty: zero)."""
+    S, _, S_prj = _sum_of_projectives(carrier, srcs)
+    T, T_inc, _ = _sum_of_projectives(carrier, tgts)
+    t = zero_morphism(S, T)
+    for (i, j), combo in combos.items():
+        if combo:
+            t = t + (T_inc[j] @ hom_from_yoneda(carrier, srcs[i], tgts[j], combo) @ S_prj[i])
+    return cokernel_module(t)[0]
+
+
 def transpose(M: FDModule) -> FDModule:
     """Tr M over the opposite carrier, from a minimal projective presentation."""
     carrier = M.carrier
@@ -310,16 +328,7 @@ def transpose(M: FDModule) -> FDModule:
                     combo[lab] = c
             # the Yoneda element of C(b, a) is also an element of C^op(a, b)
             combos[(i, j)] = combo
-    Qa, Qa_inc, Qa_prj = _sum_of_projectives(op, verts0)
-    Qb, Qb_inc, Qb_prj = _sum_of_projectives(op, verts1)
-    t = zero_morphism(Qa, Qb)
-    for (i, j), combo in combos.items():
-        if not combo:
-            continue
-        comp = hom_from_yoneda(op, verts0[i], verts1[j], combo)
-        t = t + (Qb_inc[j] @ comp @ Qa_prj[i])
-    Tr, _ = cokernel_module(t)
-    return Tr
+    return yoneda_cokernel(op, verts0, verts1, combos)
 
 
 def tau(M: FDModule) -> FDModule:
@@ -502,11 +511,7 @@ def proj_dim_upto(M: FDModule, bound: int) -> DimBound:
 def inj_dim_upto(M: FDModule, bound: int) -> DimBound:
     if M.is_zero():
         return DimBound.exact(-1)
-    DM = M._cache.get("dual")
-    if DM is None:
-        DM = dual_module(M)
-        M._cache["dual"] = DM
-    return proj_dim_upto(DM, bound)
+    return proj_dim_upto(_dual(M), bound)
 
 
 def dominant_dimension_upto(carrier, bound: int) -> DimBound:

@@ -19,7 +19,6 @@ from .modules import (
     cokernel_module,
     decompose,
     injective_at,
-    iso_seed,
     projective_at,
     radical_inclusion,
     simple_at,
@@ -44,11 +43,11 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
     CapExceeded when a summand met on the way has total dimension above
     dimcap, or when the class count outgrows class_cap: a truncated pool
     would let every check over it pass vacuously.  The carrier keeps
-    one pool per (dimcap, class_cap, iso seed), so each is knitted once; the
+    one pool per (dimcap, class_cap), so each is knitted once; the
     caller gets a fresh list over the shared modules.
     """
     pools = carrier.memo("indecomposables")
-    key = (dimcap, class_cap, iso_seed.get())
+    key = (dimcap, class_cap)
     if key not in pools:
         pools[key] = _knit(carrier, dimcap, class_cap)
     return list(pools[key])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -32,12 +31,6 @@ from .field import (
     solve_linear,
     vstack,
 )
-
-ISO_SEED = 0xC0FFEE
-
-# The seed of decomposition and the iso searches; the CLI sets it for the
-# duration of one command.
-iso_seed: ContextVar[int] = ContextVar("iso_seed", default=ISO_SEED)
 
 
 class FDModule:
@@ -418,49 +411,31 @@ def random_hom(basis: list, rng) -> ModMorphism:
 # kernels, images, cokernels, submodule machinery
 
 
-def kernel_module(phi: ModMorphism) -> tuple:
-    """(K, inclusion K -> src)."""
-    M = phi.src
+def _submodule(M: FDModule, bases: dict) -> tuple:
+    """(S, inclusion S -> M) for the subspaces of M spanned by the columns of
+    each bases[x]; ShapeMismatch when the generators do not preserve them."""
     carrier = M.carrier
-    bases = {}
-    dims = {}
-    for x in M.support:
-        kb = kernel_basis(phi.vertex(x))
-        if kb.cols:
-            bases[x] = kb
-            dims[x] = kb.cols
+    dims = {x: b.cols for x, b in bases.items() if b.cols}
     mats = {}
     for g, s, t in _acting_generators(carrier, dims):
-        image = M.mat(g) @ bases[t]
-        sol = solve_linear(bases[s], image)
+        sol = solve_linear(bases[s], M.mat(g) @ bases[t])
         if sol is None:
-            raise ShapeMismatch("kernel is not arrow-stable; morphism is invalid")
+            raise ShapeMismatch("submodule is not arrow-stable")
         mats[g] = sol
-    K = FDModule(carrier, dims, mats, check_shapes=False)
-    incl = ModMorphism(K, M, bases)
-    return K, incl
+    S = FDModule(carrier, dims, mats, check_shapes=False)
+    return S, ModMorphism(S, M, {x: bases[x] for x in dims})
+
+
+def kernel_module(phi: ModMorphism) -> tuple:
+    """(K, inclusion K -> src)."""
+    return _submodule(phi.src, {x: kernel_basis(phi.vertex(x)) for x in phi.src.support})
 
 
 def image_module(phi: ModMorphism) -> tuple:
     """(Im, inclusion Im -> tgt)."""
-    N = phi.tgt
-    carrier = N.carrier
-    bases = {}
-    dims = {}
-    for x in phi.src.support:
-        cb = column_space_basis(phi.vertex(x))
-        if cb.cols:
-            bases[x] = cb
-            dims[x] = cb.cols
-    mats = {}
-    for g, s, t in _acting_generators(carrier, dims):
-        sol = solve_linear(bases[s], N.mat(g) @ bases[t])
-        if sol is None:
-            raise ShapeMismatch("image is not arrow-stable; morphism is invalid")
-        mats[g] = sol
-    I = FDModule(carrier, dims, mats, check_shapes=False)
-    incl = ModMorphism(I, N, bases)
-    return I, incl
+    return _submodule(
+        phi.tgt, {x: column_space_basis(phi.vertex(x)) for x in phi.src.support}
+    )
 
 
 def _complement_columns(field, inside: Mat) -> list:
@@ -503,48 +478,36 @@ def cokernel_module(phi: ModMorphism) -> tuple:
 # radical, top, socle, covers, envelopes, duality
 
 
-def radical_inclusion(M: FDModule) -> tuple:
-    """(rad M, inclusion): spanned by the images of all generator actions."""
+def _radical_bases(M: FDModule) -> dict:
+    """A basis of (rad M)(x) for each object x of M's support: the span of
+    the images of the generators out of x."""
     carrier = M.carrier
     bases = {}
-    dims = {}
     for x in M.support:
         blocks = [
             M.mat(g)
             for g in carrier.generators_at_source(x)
             if M.dim(carrier.gen_tgt(g))
         ]
-        if not blocks:
-            continue
-        span = column_space_basis(hstack(blocks))
-        if span.cols:
-            bases[x] = span
-            dims[x] = span.cols
-    mats = {}
-    for g, s, t in _acting_generators(carrier, dims):
-        sol = solve_linear(bases[s], M.mat(g) @ bases[t])
-        if sol is None:
-            raise ShapeMismatch("radical is not arrow-stable")
-        mats[g] = sol
-    R = FDModule(carrier, dims, mats, check_shapes=False)
-    return R, ModMorphism(R, M, bases)
+        bases[x] = (
+            column_space_basis(hstack(blocks))
+            if blocks
+            else Mat.zeros(carrier.field, M.dim(x), 0)
+        )
+    return bases
+
+
+def radical_inclusion(M: FDModule) -> tuple:
+    """(rad M, inclusion): spanned by the images of all generator actions."""
+    return _submodule(M, _radical_bases(M))
 
 
 def top_with_lifts(M: FDModule) -> tuple:
     """(top dims, lifts): unit-vector lifts of a basis of M/rad M per object."""
-    carrier = M.carrier
-    field = carrier.field
+    field = M.carrier.field
     tops = {}
     lifts = {}
-    for x in M.support:
-        blocks = [
-            M.mat(g)
-            for g in carrier.generators_at_source(x)
-            if M.dim(carrier.gen_tgt(g))
-        ]
-        radbasis = (
-            column_space_basis(hstack(blocks)) if blocks else Mat.zeros(field, M.dim(x), 0)
-        )
+    for x, radbasis in _radical_bases(M).items():
         comp = _complement_columns(field, radbasis)
         if comp:
             tops[x] = len(comp)
@@ -1091,11 +1054,9 @@ def decompose(M: FDModule) -> list:
     """
     if M.total_dim == 0:
         return []
-    seed = iso_seed.get()
-    key = ("decompose", seed)
-    if key in M._cache:
-        return M._cache[key]
-    rng = random.Random(seed)
+    if "decompose" in M._cache:
+        return M._cache["decompose"]
+    rng = random.Random(M.carrier.seed)
     pieces = _decompose_rec(M, rng)
     groups: list = []
     for piece in pieces:
@@ -1106,7 +1067,7 @@ def decompose(M: FDModule) -> list:
         else:
             groups.append([piece, 1])
     result = [(m, mult) for m, mult in groups]
-    M._cache[key] = result
+    M._cache["decompose"] = result
     return result
 
 
@@ -1183,7 +1144,7 @@ def is_isomorphic(M: FDModule, N: FDModule) -> bool:
     basis = hom_basis(M, N)
     if not basis:
         return False
-    rng = random.Random(iso_seed.get())
+    rng = random.Random(M.carrier.seed)
     for _ in range(24):
         if random_hom(basis, rng).is_iso():
             return True
@@ -1224,7 +1185,7 @@ def find_iso(M: FDModule, N: FDModule) -> ModMorphism | None:
     basis = hom_basis(M, N)
     if not basis:
         return None
-    rng = random.Random(iso_seed.get())
+    rng = random.Random(M.carrier.seed)
     for _ in range(32):
         phi = random_hom(basis, rng)
         if phi.is_iso():

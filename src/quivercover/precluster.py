@@ -14,18 +14,17 @@ from .field import invert
 from .homology import (
     _evaluation_map,
     dominant_dimension_upto,
-    hom_from_yoneda,
     inj_dim_upto,
     kernel_module,
     tau_n,
     tau_n_minus,
+    yoneda_cokernel,
 )
 from .knitting import list_indecomposables
 from .modules import (
     FDModule,
     ModMorphism,
     SubcategorySpec,
-    cokernel_module,
     decompose,
     direct_sum,
     find_iso,
@@ -34,8 +33,6 @@ from .modules import (
     is_isomorphic,
     morphism_coords,
     projective_at,
-    zero_module,
-    zero_morphism,
 )
 from .covering import (
     add_class,
@@ -561,27 +558,14 @@ def _mod_pushdown_of_phi(E_down: EndoCarrier, V: SubcategorySpec, M: FDModule, U
     down0, down1 = [down[id(T)] for T in p0], [down[id(T)] for T in p1]
 
     # downstairs: cokernel of the pushed matrix between E_down projectives
-    def down_proj_sum(down):
-        if not down:
-            return zero_module(E_down), [], []
-        return direct_sum([projective_at(E_down, o) for o, _ in down])
-
-    Q0, q0_inc, q0_prj = down_proj_sum(down0)
-    Q1, q1_inc, q1_prj = down_proj_sum(down1)
-    t = zero_morphism(Q1, Q0)
+    combos = {}
     for k, (o0, iso0) in enumerate(down0):
         for j, (o1, iso1) in enumerate(down1):
             # downstairs morphism between pushed generators
             down_mor = iso0 @ push_down_morphism(comps01[k][j]) @ _invert_iso(iso1)
             coords = morphism_coords(E_down.basis(o1, o0), down_mor)
-            combo = {}
-            for r, c in enumerate(coords.entries()):
-                if c != 0:
-                    combo[(o1, o0, r)] = c
-            if combo:
-                t = t + (q0_inc[k] @ hom_from_yoneda(E_down, o1, o0, combo) @ q1_prj[j])
-    T, _ = cokernel_module(t)
-    return T
+            combos[(j, k)] = {(o1, o0, r): c for r, c in enumerate(coords.entries()) if c != 0}
+    return yoneda_cokernel(E_down, [o for o, _ in down1], [o for o, _ in down0], combos)
 
 
 def _invert_iso(phi):

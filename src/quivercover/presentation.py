@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .carrier import Carrier
+from .carrier import ISO_SEED, Carrier
 from .errors import (
     InhomogeneousRelation,
     NotAdmissible,
@@ -41,9 +41,13 @@ Relation = tuple
 class GradedQuiverPresentation(Carrier):
     """A validated graded quiver presentation, usable directly as a carrier."""
 
-    def __init__(self, field: Field, group: Group, vertices, arrows, relations, nilbound: int):
+    def __init__(
+        self, field: Field, group: Group, vertices, arrows, relations, nilbound: int,
+        seed: int = ISO_SEED,
+    ):
         self.field = field
         self.group = group
+        self.seed = seed
         self._vertices = tuple(vertices)
         self._arrow_list = tuple(arrows)
         self._arrow_map = {a.name: a for a in self._arrow_list}
@@ -345,8 +349,9 @@ def _parse_group(doc) -> Group:
     raise SchemaError(f"unknown group kind {doc['kind']!r}")
 
 
-def load_presentation(document: dict) -> GradedQuiverPresentation:
-    """Validate a JSON document (already parsed) into a presentation."""
+def load_presentation(document: dict, seed: int = ISO_SEED) -> GradedQuiverPresentation:
+    """Validate a JSON document (already parsed) into a presentation whose
+    decomposition and iso tests draw their random candidates from seed."""
     if not isinstance(document, dict):
         raise SchemaError("presentation document must be a JSON object")
     for key in ("field", "group", "vertices", "arrows", "nilbound"):
@@ -386,16 +391,16 @@ def load_presentation(document: dict) -> GradedQuiverPresentation:
     nilbound = document["nilbound"]
     if not isinstance(nilbound, int):
         raise SchemaError("nilbound must be an integer")
-    return GradedQuiverPresentation(field, group, vertices, arrows, relations, nilbound)
+    return GradedQuiverPresentation(field, group, vertices, arrows, relations, nilbound, seed)
 
 
-def load_presentation_file(path) -> GradedQuiverPresentation:
+def load_presentation_file(path, seed: int = ISO_SEED) -> GradedQuiverPresentation:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
-    return load_presentation(doc)
+    return load_presentation(doc, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -537,5 +542,5 @@ def orbit_of_finite_action(
             chosen.append([(c, tuple(arrow_orbit_rep[n] for n in p)) for c, p in based])
 
     return GradedQuiverPresentation(
-        pres.field, acting, quotient_vertices, quotient_arrows, chosen, pres.nilbound
+        pres.field, acting, quotient_vertices, quotient_arrows, chosen, pres.nilbound, pres.seed
     )

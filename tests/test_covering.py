@@ -10,6 +10,7 @@ from quivercover import (
     canonical_orbit_rep,
     class_index,
     direct_sum,
+    dual_module,
     ext_dim,
     ext_twist_sum,
     ext_vanishes,
@@ -23,6 +24,8 @@ from quivercover import (
     push_down_morphism,
     simple_at,
     smash_cover,
+    tau,
+    tau_minus,
     twist_module,
     twisted_iso,
     validate_module,
@@ -421,3 +424,20 @@ def test_twist_closed_subcategory_refuses_a_twist_of_a_generator(name, twist, re
     T = twist_module(P, twist)
     with pytest.raises(ShapeMismatch, match="up to twist"):
         SubcategorySpec([P, T])
+
+
+@pytest.mark.parametrize("name", ["n32", "loop2", "n32_z2", "sixcycle"])
+@pytest.mark.parametrize("upstairs", [False, True], ids=["base", "cover"])
+def test_duals_and_translates_validate(name, upstairs, request):
+    # a relation of C^op starting at x is a relation of C ending at x,
+    # reversed; a cover lifts the base relations into x's vertex
+    pres = request.getfixturevalue(name)
+    carrier = smash_cover(pres) if upstairs else pres
+    assert carrier.opposite().fundamental_domain() == carrier.fundamental_domain()
+    for x in carrier.fundamental_domain():
+        assert carrier.opposite().has_object(x)
+        for build in (projective_at, injective_at, simple_at):
+            validate_module(dual_module(build(carrier, x)))
+    for M in list_indecomposables(carrier):
+        validate_module(tau(M))
+        validate_module(tau_minus(M))

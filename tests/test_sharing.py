@@ -1,24 +1,33 @@
 """Work shared within one command: one cover per presentation, one
-indecomposable pool per (carrier, dimcap, class_cap, seed), and one
+indecomposable pool per (carrier, dimcap, class_cap), and one
 representable per (carrier, object)."""
 
+import importlib
 import json
 import os
+import pkgutil
+from contextvars import ContextVar
 
 import pytest
 
+import quivercover
 from quivercover import (
+    Group,
     SchemaError,
+    SubcategorySpec,
+    endo_category,
     injective_at,
     list_indecomposables,
     load_presentation,
     module_from_json,
+    orbit_of_finite_action,
     projective_at,
     smash_cover,
 )
 from quivercover import knitting
+from quivercover.carrier import ISO_SEED
+from quivercover.cover import materialize_presentation
 from quivercover.cli import main
-from quivercover.modules import iso_seed
 from tests.conftest import golden_doc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
@@ -36,7 +45,7 @@ def knits(monkeypatch):
     original = knitting._knit
 
     def counting(carrier, dimcap, class_cap):
-        calls.append((carrier, dimcap, class_cap, iso_seed.get()))
+        calls.append((carrier, dimcap, class_cap, carrier.seed))
         return original(carrier, dimcap, class_cap)
 
     monkeypatch.setattr(knitting, "_knit", counting)
@@ -60,13 +69,13 @@ def test_another_seed_knits_again(knits):
     first = list_indecomposables(cover)
     list_indecomposables(cover)
     assert len(knits) == 1
-    token = iso_seed.set(7)
-    try:
-        again = list_indecomposables(cover)
-    finally:
-        iso_seed.reset(token)
+    other = smash_cover(load_presentation(golden_doc("loop2"), seed=7))
+    again = list_indecomposables(other)
     assert len(knits) == 2
+    assert knits[-1][0] is other and knits[-1][3] == 7
     assert len(again) == len(first)
+    assert all(a is b for a, b in zip(list_indecomposables(cover), first))
+    assert len(knits) == 2
     list_indecomposables(cover, dimcap=4)
     assert len(knits) == 3
 
@@ -117,3 +126,40 @@ def test_module_from_json_rejects_unknown_arrows():
             module_from_json(cover, {"dims": ok["dims"], "arrowmaps": {key: [[1]]}})
     with pytest.raises(SchemaError, match="unknown arrow"):
         module_from_json(pres, {"dims": {"1": 1}, "arrowmaps": {"zz": [[1]]}})
+
+
+def test_the_seed_travels_with_the_carrier():
+    pres = load_presentation(golden_doc("n32"), seed=7)
+    default = load_presentation(golden_doc("n32"))
+    cover = smash_cover(pres)
+    base_U = SubcategorySpec([projective_at(pres, x) for x in pres.vertices])
+    cover_U = SubcategorySpec([projective_at(cover, x) for x in cover.fundamental_domain()])
+    six = load_presentation(golden_doc("sixcycle"), seed=7)
+    with open(os.path.join(GOLDEN, "sixcycle_action.json"), encoding="utf-8") as fh:
+        action = json.load(fh)
+    quotient = orbit_of_finite_action(
+        six, Group.cyclic(action["m"]), action["vertex_map"], action["arrow_map"]
+    )
+    carriers = [
+        pres,
+        cover,
+        pres.opposite(),
+        cover.opposite(),
+        endo_category(base_U),
+        endo_category(cover_U),
+        quotient,
+        smash_cover(quotient),
+        materialize_presentation(smash_cover(quotient))[0],
+    ]
+    assert [C.seed for C in carriers] == [7] * len(carriers)
+    assert default.seed == smash_cover(default).seed == default.opposite().seed == ISO_SEED
+
+
+def test_no_module_holds_process_global_state():
+    found = []
+    for info in pkgutil.iter_modules(quivercover.__path__):
+        module = importlib.import_module(f"quivercover.{info.name}")
+        for name, value in vars(module).items():
+            if not name.startswith("__") and isinstance(value, (ContextVar, dict, list, set)):
+                found.append(f"{info.name}.{name}")
+    assert found == []
