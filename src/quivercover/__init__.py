@@ -62,7 +62,6 @@ from .homology import (
     inj_dim_upto,
     is_injective_module,
     is_projective_module,
-    min_inj_coresolution,
     min_proj_resolution,
     proj_dim_upto,
     right_approximation,

@@ -164,19 +164,6 @@ class Carrier:
                 m[index[lab]][j] = c
         return Mat.from_rows(self.field, m, len(cols))
 
-    def right_mult_mat(self, x, g) -> Mat:
-        """Matrix of C(x, src g) -> C(x, tgt g), q |-> q.g."""
-        s, t = self.gen_src(g), self.gen_tgt(g)
-        cols = self.hom_labels(x, s)
-        rows = self.hom_labels(x, t)
-        index = {lab: i for i, lab in enumerate(rows)}
-        m = [[0] * len(cols) for _ in rows]
-        glab = self.gen_label(g)
-        for j, q in enumerate(cols):
-            for lab, c in self.compose_labels(x, s, t, q, glab).items():
-                m[index[lab]][j] = c
-        return Mat.from_rows(self.field, m, len(cols))
-
     def relations_at(self, x) -> tuple:
         """(index, target, terms) of each validation relation starting at x."""
         return self._relation_tables()[0].get(x, ())
@@ -267,6 +254,9 @@ class OppositeCarrier(Carrier):
 
     def has_object(self, x) -> bool:
         return self.base.has_object(x)
+
+    def has_generator(self, g) -> bool:
+        return self.base.has_generator(g)
 
     def fundamental_domain(self) -> tuple:
         return self.base.fundamental_domain()

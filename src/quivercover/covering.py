@@ -168,8 +168,8 @@ def ext_twist_sum(X: FDModule, Y: FDModule, i: int) -> tuple:
     only carriers of Ext classes)."""
     res = min_proj_resolution(X, i + 1)
     term_support = set(X.support)
-    for t in res.terms:
-        term_support.update(t.support)
+    for j in range(i + 2):
+        term_support.update(res.term(j).support)
     total = 0
     used = []
     for a in twist_candidates(X.carrier.group, Y.support, term_support):

@@ -168,18 +168,31 @@ class EndoCarrier(Carrier):
     def relations_at(self, x) -> tuple:
         """The composition table at x: every composable generator pair (f, g)
         from x must expand into the chosen basis."""
+        return tuple(
+            ((f, g), g[1], self._composition_terms(f, g))
+            for f in self.generators_at_source(x)
+            for g in self.generators_at_source(f[1])
+        )
+
+    def relations_into(self, x) -> tuple:
+        """The composition table indexed by target: every composable
+        generator pair (f, g) ending at x, as relations_at lists it."""
+        return tuple(
+            ((f, g), f[0], self._composition_terms(f, g))
+            for g in self.generators_at_target(x)
+            for f in self.generators_at_target(g[0])
+        )
+
+    def _composition_terms(self, f, g) -> list:
+        """f.g minus its expansion in the chosen basis of C(src f, tgt g)."""
         table = self.memo("relations")
-        if x not in table:
-            one = self.field.scalar(1)
-            rels = []
-            for f in self.generators_at_source(x):
-                for g in self.generators_at_source(f[1]):
-                    terms = [(one, (f, g))]
-                    for lab, c in self.compose_labels(x, f[1], g[1], f, g).items():
-                        terms.append((self.field.neg_scalar(c), self.label_word(x, g[1], lab)))
-                    rels.append(((f, g), g[1], terms))
-            table[x] = tuple(rels)
-        return table[x]
+        if (f, g) not in table:
+            x, z = f[0], g[1]
+            terms = [(self.field.scalar(1), (f, g))]
+            for lab, c in self.compose_labels(x, f[1], z, f, g).items():
+                terms.append((self.field.neg_scalar(c), self.label_word(x, z, lab)))
+            table[(f, g)] = terms
+        return table[(f, g)]
 
     def describe(self) -> str:
         dims = [m.total_dim for m in self.modules]

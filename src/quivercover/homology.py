@@ -22,8 +22,8 @@ from .modules import (
     decompose,
     direct_sum,
     dual_module,
-    dual_morphism,
     hom_basis,
+    injective_at,
     kernel_module,
     morphism_coords,
     projective_at,
@@ -74,36 +74,16 @@ class DimBound:
 # resolutions
 
 
-@dataclass
 class Resolution:
-    """A finite stretch of a minimal (co)resolution with its certificates."""
-
-    direction: str  # "projective" | "injective"
-    base: FDModule
-    terms: list  # FDModule
-    maps: list  # ModMorphism between consecutive terms
-    augmentation: ModMorphism
-    summand_vertices: list
-    minimal: bool = True
-
-    def term(self, i: int) -> FDModule:
-        if i < len(self.terms):
-            return self.terms[i]
-        return zero_module(self.base.carrier)
-
-
-class _ProjData:
-    """Internal minimal-projective-resolution state, extendable on demand."""
+    """The minimal projective resolution of a module, memoised on it and
+    extended on demand: stage i is the i-th kernel (stage 0 is the module),
+    term i its projective cover P_i, and diff i the differential."""
 
     def __init__(self, M: FDModule):
         self.base = M
-        self.covers: list[ProjCover] = []
+        self.covers: list[ProjCover] = []  # covers[i]: P_i -> stage(i)
         self.kernels: list[FDModule] = []  # kernels[i] = ker(covers[i].epi)
         self.inclusions: list[ModMorphism] = []
-
-    def stage(self, i: int) -> FDModule:
-        """The i-th syzygy-with-projective-summands (stage 0 is M itself)."""
-        return self.base if i == 0 else self.kernels[i - 1]
 
     def extend_to(self, k: int):
         while len(self.covers) <= k:
@@ -118,85 +98,67 @@ class _ProjData:
             self.kernels.append(K)
             self.inclusions.append(incl)
 
+    def stage(self, i: int) -> FDModule:
+        """The i-th syzygy-with-projective-summands (stage 0 is M itself)."""
+        if i == 0:
+            return self.base
+        self.extend_to(i - 1)
+        return self.kernels[i - 1]
+
+    def term(self, i: int) -> FDModule:
+        """P_i."""
+        self.extend_to(i)
+        return self.covers[i].module
+
+    def vertices(self, i: int) -> tuple:
+        """The objects x of the summands C(-, x) of P_i, in order."""
+        self.extend_to(i)
+        return self.covers[i].vertices
+
     def diff(self, i: int) -> ModMorphism:
-        """d_i: P_i -> P_{i-1} (i >= 1)."""
+        """d_i: P_i -> P_{i-1} (i >= 1); d_0 is the augmentation P_0 -> M."""
+        self.extend_to(i)
+        if i == 0:
+            return self.covers[0].epi
         return self.inclusions[i - 1] @ self.covers[i].epi
 
 
-def _proj_data(M: FDModule, k: int) -> _ProjData:
-    data = M._cache.get("projdata")
-    if data is None:
-        data = _ProjData(M)
-        M._cache["projdata"] = data
-    data.extend_to(k)
-    return data
-
-
 def min_proj_resolution(M: FDModule, k: int) -> Resolution:
-    """Minimal projective resolution of length k (terms P_0 .. P_k)."""
-    data = _proj_data(M, k)
-    terms = [data.covers[i].module for i in range(k + 1)]
-    maps = [data.diff(i) for i in range(1, k + 1)]
-    return Resolution(
-        "projective",
-        M,
-        terms,
-        maps,
-        data.covers[0].epi,
-        [data.covers[i].vertices for i in range(k + 1)],
-    )
+    """The minimal projective resolution of M, built at least to P_k."""
+    res = M._cache.get("resolution")
+    if res is None:
+        res = M._cache["resolution"] = Resolution(M)
+    res.extend_to(k)
+    return res
 
 
 def _dual(M: FDModule) -> FDModule:
-    """D M, memoised on M for the injective coresolution and dimension only:
-    keeping the dual of every cosyzygy and translate raises peak memory."""
+    """D M, memoised on M for the injective dimensions only: keeping the
+    dual of every cosyzygy and translate raises peak memory."""
     DM = M._cache.get("dual")
     if DM is None:
         DM = M._cache["dual"] = dual_module(M)
     return DM
 
 
-def min_inj_coresolution(M: FDModule, k: int) -> Resolution:
-    """Minimal injective coresolution of length k, via the dual module."""
-    res = min_proj_resolution(_dual(M), k)
-    terms = [dual_module(P) for P in res.terms]
-    maps = [dual_morphism(d) for d in res.maps]
-    aug = dual_morphism(res.augmentation)
-    return Resolution("injective", M, terms, maps, aug, res.summand_vertices)
-
-
-def check_resolution(res: Resolution) -> bool:
-    """Exactness, zero composites, and minimality certificates."""
-    if res.direction == "injective":
-        dual_res = Resolution(
-            "projective",
-            dual_module(res.base),
-            [dual_module(t) for t in res.terms],
-            [dual_morphism(d) for d in res.maps],
-            dual_morphism(res.augmentation),
-            res.summand_vertices,
-            res.minimal,
-        )
-        return check_resolution(dual_res)
-    seq = [res.augmentation] + res.maps
-    for f, g in zip(seq, seq[1:]):
-        if not (f @ g).is_zero():
+def check_resolution(res: Resolution, k: int) -> bool:
+    """Exactness, zero composites and minimality of P_k -> ... -> P_0 -> M."""
+    for i in range(k):
+        if not (res.diff(i) @ res.diff(i + 1)).is_zero():
             return False
-    for i, incoming in enumerate(res.maps):
-        outgoing = seq[i]
-        P = res.terms[i]
+        P = res.term(i)
         for x in P.support:
-            if rank(incoming.vertex(x)) != P.dim(x) - rank(outgoing.vertex(x)):
+            if rank(res.diff(i + 1).vertex(x)) != P.dim(x) - rank(res.diff(i).vertex(x)):
                 return False
-    if res.minimal:
-        for d in res.maps:
-            _, incl = radical_inclusion(d.tgt)
-            for x in d.mats:
-                radb = incl.vertex(x)
-                m = d.vertex(x)
-                combined = hstack([radb, m]) if radb.cols else m
-                if rank(combined) != rank(radb):
-                    return False
+    for i in range(1, k + 1):
+        d = res.diff(i)
+        _, incl = radical_inclusion(d.tgt)
+        for x in d.mats:
+            radb = incl.vertex(x)
+            m = d.vertex(x)
+            combined = hstack([radb, m]) if radb.cols else m
+            if rank(combined) != rank(radb):
+                return False
     return True
 
 
@@ -241,17 +203,14 @@ def syzygy(M: FDModule, i: int = 1) -> FDModule:
     """Stable i-th syzygy (no projective summands)."""
     if i == 0:
         return M
-    data = _proj_data(M, i - 1)
-    return strip_summands(data.stage(i), is_projective_module)
+    return strip_summands(min_proj_resolution(M, i - 1).stage(i), is_projective_module)
 
 
 def cosyzygy(M: FDModule, i: int = 1) -> FDModule:
-    """Stable i-th cosyzygy (no injective summands)."""
+    """Stable i-th cosyzygy (no injective summands): D of the syzygy of D M."""
     if i == 0:
         return M
-    DM = dual_module(M)
-    data = _proj_data(DM, i - 1)
-    return strip_summands(dual_module(data.stage(i)), is_injective_module)
+    return dual_module(syzygy(dual_module(M), i))
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +261,14 @@ def transpose(M: FDModule) -> FDModule:
     op = carrier.opposite()
     if M.is_zero():
         return zero_module(op)
-    data = _proj_data(M, 1)
-    verts0 = list(data.covers[0].vertices)
-    verts1 = list(data.covers[1].vertices)
-    d1 = data.diff(1)
+    res = min_proj_resolution(M, 1)
+    verts0 = list(res.vertices(0))
+    verts1 = list(res.vertices(1))
     if not verts1:
         return zero_module(op)
+    d1 = res.diff(1)
     # Yoneda coefficients of each component P_{b_j} -> P_{a_i}
-    P0cov, P1cov = data.covers[0], data.covers[1]
+    P0cov, P1cov = res.covers[0], res.covers[1]
     combos = {}
     for j, b in enumerate(verts1):
         # basis vector of P1(b) that is the identity path of summand j
@@ -347,18 +306,12 @@ def tau_n(M: FDModule, n: int) -> FDModule:
         raise ShapeMismatch("tau_n needs n >= 1")
     if n == 1:
         return tau(M)
-    data = _proj_data(M, n - 2)
-    return tau(data.stage(n - 1))
+    return tau(min_proj_resolution(M, n - 2).stage(n - 1))
 
 
 def tau_n_minus(M: FDModule, n: int) -> FDModule:
-    if n < 1:
-        raise ShapeMismatch("tau_n_minus needs n >= 1")
-    if n == 1:
-        return tau_minus(M)
-    DM = dual_module(M)
-    data = _proj_data(DM, n - 2)
-    return tau_minus(dual_module(data.stage(n - 1)))
+    """Higher inverse translate D tau_n D."""
+    return dual_module(tau_n(dual_module(M), n))
 
 
 # ---------------------------------------------------------------------------
@@ -384,40 +337,23 @@ def _coords_matrix(basis, morphisms) -> Mat:
     return hstack(cols) if cols else Mat.zeros(field, len(basis), 0)
 
 
-def _hom_complex_ext(terms, maps, N, i: int) -> ExtSpace:
-    """Cohomology at degree i of Hom(term_., N) for a resolution.
-
-    terms = [A_0 .. A_{i+1}], maps[j]: A_{j+1} -> A_j.
-    """
-    field = N.carrier.field
-    H = [hom_basis(t, N) for t in terms]
-    if i == 0:
-        if not H[0]:
-            return ExtSpace(0, 0, [])
-        if len(terms) == 1 or not H[1]:
-            return ExtSpace(0, len(H[0]), list(H[0]))
-        delta0 = _coords_matrix(H[1], [phi @ maps[0] for phi in H[0]])
-        kern = kernel_basis(delta0)
-        cocycles = [combine(H[0], col) for col in kern.transpose().tolists()]
-        return ExtSpace(0, len(cocycles), cocycles)
-    if len(H[i]) == 0:
+def _hom_complex_ext(res: Resolution, N: FDModule, i: int) -> ExtSpace:
+    """Cohomology at degree i of Hom(P_., N) for the resolution P_. of M."""
+    H = hom_basis(res.term(i), N)
+    if not H:
         return ExtSpace(i, 0, [])
-    if len(terms) > i + 1 and H[i + 1]:
-        delta_i = _coords_matrix(H[i + 1], [phi @ maps[i] for phi in H[i]])
-        kern = kernel_basis(delta_i)
+    after = hom_basis(res.term(i + 1), N)
+    if after:
+        kern = kernel_basis(_coords_matrix(after, [phi @ res.diff(i + 1) for phi in H]))
     else:
-        kern = Mat.identity(field, len(H[i]))
-    if H[i - 1]:
-        delta_prev = _coords_matrix(H[i], [phi @ maps[i - 1] for phi in H[i - 1]])
-        img_rank = rank(delta_prev)
+        kern = Mat.identity(N.carrier.field, len(H))
+    before = hom_basis(res.term(i - 1), N) if i > 0 else []
+    if before:
         # representatives: kernel vectors modulo the image
-        aug = hstack([delta_prev, kern])
-        red, pivots = rref(aug)
-        chosen = [p - delta_prev.cols for p in pivots if p >= delta_prev.cols]
-        reps = kern[:, chosen]
-    else:
-        reps = kern
-    cocycles = [combine(H[i], col) for col in reps.transpose().tolists()]
+        delta_prev = _coords_matrix(H, [phi @ res.diff(i) for phi in before])
+        _, pivots = rref(hstack([delta_prev, kern]))
+        kern = kern[:, [p - delta_prev.cols for p in pivots if p >= delta_prev.cols]]
+    cocycles = [combine(H, col) for col in kern.transpose().tolists()]
     return ExtSpace(i, len(cocycles), cocycles)
 
 
@@ -427,8 +363,7 @@ def ext_space(M: FDModule, N: FDModule, i: int) -> ExtSpace:
         raise ShapeMismatch("ext degree must be >= 0")
     if M.is_zero() or N.is_zero():
         return ExtSpace(i, 0, [])
-    res = min_proj_resolution(M, i + 1)
-    return _hom_complex_ext(res.terms, res.maps, N, i)
+    return _hom_complex_ext(min_proj_resolution(M, i + 1), N, i)
 
 
 def ext_dim(M: FDModule, N: FDModule, i: int) -> int:
@@ -501,9 +436,9 @@ def is_right_approximation(U: SubcategorySpec, f: ModMorphism) -> bool:
 def proj_dim_upto(M: FDModule, bound: int) -> DimBound:
     if M.is_zero():
         return DimBound.exact(-1)
-    data = _proj_data(M, bound)
+    res = min_proj_resolution(M, bound)
     for d in range(bound + 1):
-        if data.kernels[d].is_zero():
+        if res.stage(d + 1).is_zero():
             return DimBound.exact(d)
     return DimBound.at_least(bound + 1)
 
@@ -516,29 +451,22 @@ def inj_dim_upto(M: FDModule, bound: int) -> DimBound:
 
 def dominant_dimension_upto(carrier, bound: int) -> DimBound:
     """max d <= bound with the first d injective-coresolution terms of every
-    projective being projective; computed on the fundamental domain."""
-    best = None
+    projective being projective; computed on the fundamental domain.  Term j
+    of the coresolution of P is the sum of injective_at(x) over the objects x
+    of term j of the projective resolution of D P."""
+    best = bound
     for x in carrier.fundamental_domain():
-        P = projective_at(carrier, x)
-        res = min_inj_coresolution(P, bound)
+        res = min_proj_resolution(_dual(projective_at(carrier, x)), bound)
         d = 0
         for j in range(bound):
-            term = res.term(j)
-            if term.is_zero():
+            verts = res.vertices(j)
+            if not verts:
                 d = bound  # coresolution ended; remaining terms are zero
                 break
-            if all(
-                is_projective_module(piece) for piece, _ in decompose(term)
-            ):
-                d = j + 1
-            else:
+            if not all(is_projective_module(injective_at(carrier, v)) for v in verts):
                 break
-        if best is None or d < best:
-            best = d
+            d = j + 1
+        best = min(best, d)
         if best == 0:
             return DimBound.exact(0)
-    if best is None:
-        return DimBound.at_least(bound)
-    if best >= bound:
-        return DimBound.at_least(bound)
-    return DimBound.exact(best)
+    return DimBound.exact(best) if best < bound else DimBound.at_least(bound)

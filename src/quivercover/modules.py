@@ -206,15 +206,11 @@ def projective_at(carrier: Carrier, x) -> FDModule:
 
 
 def injective_at(carrier: Carrier, x) -> FDModule:
-    """The dual representable D C(x, -), built once per carrier."""
+    """The dual representable D C(x, -), the dual of the projective at x over
+    the opposite; built once per carrier."""
     built = carrier.memo("injective")
     if x not in built:
-        dims = {y: carrier.hom_dim(x, y) for y in carrier.injective_support(x)}
-        mats = {
-            g: carrier.right_mult_mat(x, g).transpose()
-            for g, _, _ in _acting_generators(carrier, dims)
-        }
-        built[x] = FDModule(carrier, dims, mats)
+        built[x] = dual_module(projective_at(carrier.opposite(), x))
     return built[x]
 
 
@@ -549,12 +545,6 @@ def dual_module(M: FDModule) -> FDModule:
     """The k-dual, a module over the opposite carrier."""
     mats = {g: m.transpose() for g, m in M.gen_mats.items()}
     return FDModule(M.carrier.opposite(), dict(M.dims), mats, check_shapes=False)
-
-
-def dual_morphism(phi: ModMorphism) -> ModMorphism:
-    Dsrc = dual_module(phi.tgt)
-    Dtgt = dual_module(phi.src)
-    return ModMorphism(Dsrc, Dtgt, {x: m.transpose() for x, m in phi.mats.items()})
 
 
 class ProjCover:

@@ -7,6 +7,8 @@ import pytest
 from quivercover import load_presentation, smash_cover
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
+# the shipped golden algebras, each also a fixture below
+GOLDENS = ("ausl2", "ka2", "ka3", "loop2", "n32", "n32_z2", "sixcycle")
 
 
 def golden_doc(name: str) -> dict:

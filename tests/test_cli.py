@@ -705,3 +705,49 @@ def test_dynkin_listings_unchanged(capsys, tmp_path, diagram, field):
     path = _write_dynkin(tmp_path, diagram, {"F_32003": F_32003, "Q": Q}[field])
     code, out, _ = run(capsys, "indecs", "--input", path)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, DYNKIN_LISTING_SHA256[(diagram, field)])
+
+
+# sha256 of the `indecs --cover` listing (n32's is in WINDOW_FREE_REPORT)
+# and of `enumerate-tilting --n 1`, without and with `--cover`, recorded at
+# the commit before the injective side (representables, cosyzygies, tau_n^-
+# and dominant dimension) was read through the duality over the opposite;
+# every run exits 0
+COVER_LISTING_SHA256 = {
+    "ausl2": "e2a9eba3f5e21578ad961e1e625a8908c60cacb82fd404d3fd631b6602ed6111",
+    "ka2": "7e5844412424d0d57a8bb84c81875b7a527ac4145790c231418d501ce08a5554",
+    "ka3": "5fc1e18477358691a510358ac316e7006edfe538820d12fd5dc47e72c40e1e97",
+    "loop2": "9a77f6ea05e62045f4c353173863584acf5cb71ba0982f8cf5ae6f70e128f3fd",
+    "n32_z2": "3ec67b648e46c4064c77e2f022055f9964f070018562cbc8b30d7d50f3ba0637",
+    "sixcycle": "d762be5fa866c7ee6c0ef8759188491e7abbafec95fcbb82c17321abe3c2c892",
+}
+TILTING_LISTING_SHA256 = {
+    ("ausl2", False): "34acdb7d212e3ca7759ac593b0d24403fd5342bc69ab78e5b0f3c0cef7f8121f",
+    ("ka2", False): "89ff133c9a2da26c73ae504279036d078e8394b11e0fd924da5287ed587da2a0",
+    ("ka3", False): "91aad52d2ef228a8356e6c4e3919d235a3ccdb73fc8386dccbc194460f543dae",
+    ("loop2", False): "86273612696899572dd9cf8dbd1fcaf89a059566461825095248548127ebfd99",
+    ("n32", False): "5037feaa3a02b94b9d2de75e3f7bd482ab6ef6710525e90d46325096bb57f80f",
+    ("n32_z2", False): "92232307cc3f8cbee8953b2979babfcf1297415431eff3aba4634167626c47ad",
+    ("sixcycle", False): "d4d0aff33992c5f3cdb6e7233ebe099049c7a91d794c4d64af636cee2e38cc90",
+    ("ausl2", True): "46ca8e04c6ded9a2db9febf92b967ee1d4e7b65a363f9ac2cc3c651a7a7d8899",
+    ("ka2", True): "e6b438638d14376827f1061ea52fc88673b2f37cfa2eee0320686bac77b86249",
+    ("ka3", True): "1c97fe48cb331ab830703a39d82d9a95819acfb26b72e8053e6baf130320e3c7",
+    ("loop2", True): "2d1a1612623bfc969a5975b935272f6cc596c8f0305e768194e6e23cd8ae86df",
+    ("n32", True): "88a78a9d9c04c3fb06a37b2aa3070bcee4feacbe886c717218d2254ba84b4fd4",
+    ("n32_z2", True): "9a0a72cede2c29c2d5f29336e40dd0ebf66e87cab283e0ecd14c0961c503c1e0",
+    ("sixcycle", True): "95d9d76c97079f35e0596844acb262056bb038056605f9b7135440a6d40c417d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVER_LISTING_SHA256))
+def test_cover_listings_unchanged(capsys, name):
+    code, out, _ = run(capsys, "indecs", "--input", golden(name), "--cover")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, COVER_LISTING_SHA256[name])
+
+
+@pytest.mark.parametrize(
+    "name, cover", sorted(TILTING_LISTING_SHA256), ids=[f"{n}-{'cover' if c else 'base'}" for n, c in sorted(TILTING_LISTING_SHA256)]
+)
+def test_tilting_listings_unchanged(capsys, name, cover):
+    argv = ["enumerate-tilting", "--input", golden(name), "--n", "1"] + ["--cover"] * cover
+    code, out, _ = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, TILTING_LISTING_SHA256[(name, cover)])

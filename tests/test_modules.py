@@ -37,6 +37,7 @@ from quivercover import (
 from quivercover import modules
 from quivercover.field import rank
 from quivercover.modules import ModMorphism, identity_morphism, kernel_module
+from tests.conftest import GOLDENS
 
 
 def all_simples(pres):
@@ -513,3 +514,37 @@ def test_hom_basis_is_the_kernel_of_the_kron_system(name, field):
                     for phi in basis
                 ]
                 assert Mat.from_rows(pres.field, np.stack(cols, axis=1).tolist()) == kern
+
+
+
+def _injective_by_right_multiplication(carrier, x):
+    # D C(x, -) from the structure constants: a generator g acts by the
+    # transpose of q |-> q.g, C(x, src g) -> C(x, tgt g)
+    dims = {y: carrier.hom_dim(x, y) for y in carrier.injective_support(x)}
+    mats = {}
+    for g, s, t in modules._acting_generators(carrier, dims):
+        cols, rows = carrier.hom_labels(x, s), carrier.hom_labels(x, t)
+        index = {lab: i for i, lab in enumerate(rows)}
+        m = [[0] * len(cols) for _ in rows]
+        for j, q in enumerate(cols):
+            for lab, c in carrier.compose_labels(x, s, t, q, carrier.gen_label(g)).items():
+                m[index[lab]][j] = c
+        mats[g] = Mat.from_rows(carrier.field, m, len(cols)).transpose()
+    return FDModule(carrier, dims, mats)
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_injectives_match_right_multiplication(name, request):
+    from quivercover import endo_category, smash_cover
+    from quivercover.precluster import _tau_closure_candidate
+
+    pres = request.getfixturevalue(name)
+    carriers = [pres, smash_cover(pres)]
+    for C in list(carriers):
+        for n in (1, 2):
+            carriers.append(endo_category(_tau_closure_candidate(C, n, 32)[0]))
+    for C in carriers:
+        for x in C.fundamental_domain():
+            I, ref = injective_at(C, x), _injective_by_right_multiplication(C, x)
+            assert I.carrier is C
+            assert I.dims == ref.dims and I.gen_mats == ref.gen_mats

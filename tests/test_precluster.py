@@ -340,3 +340,20 @@ def test_main2_preimage_counts_match_a_per_member_count(name, request):
     assert rep.outcome is True
     assert w["preimage_orbit_classes"] == len(classes)
     assert "preimage_members" not in w
+
+
+def test_modules_over_the_opposite_of_an_endomorphism_category_validate(n32, n32_cover):
+    from quivercover import dual_module, validate_module
+    from quivercover.precluster import _tau_closure_candidate
+
+    E_base = endo_category(add_lambda(n32))
+    E_cover = endo_category(_tau_closure_candidate(n32_cover, 1, 32)[0])
+    assert E_cover.twisted
+    for E in (E_base, E_cover):
+        for y in E.objects:
+            validate_module(dual_module(projective_at(E, y)))
+    # the composition table read by target lists each composable pair once,
+    # with the terms the table by source lists for it
+    by_src = {index: (x, tgt, terms) for x in E_base.objects for index, tgt, terms in E_base.relations_at(x)}
+    by_tgt = {index: (src, x, terms) for x in E_base.objects for index, src, terms in E_base.relations_into(x)}
+    assert by_src and by_src == by_tgt

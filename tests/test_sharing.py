@@ -18,11 +18,14 @@ from quivercover import (
     endo_category,
     injective_at,
     list_indecomposables,
+    dual_module,
     load_presentation,
     module_from_json,
+    module_to_json,
     orbit_of_finite_action,
     projective_at,
     smash_cover,
+    validate_module,
 )
 from quivercover import knitting
 from quivercover.carrier import ISO_SEED
@@ -126,6 +129,21 @@ def test_module_from_json_rejects_unknown_arrows():
             module_from_json(cover, {"dims": ok["dims"], "arrowmaps": {key: [[1]]}})
     with pytest.raises(SchemaError, match="unknown arrow"):
         module_from_json(pres, {"dims": {"1": 1}, "arrowmaps": {"zz": [[1]]}})
+
+
+def test_an_opposite_shares_the_generator_keys_of_its_base():
+    pres = fresh("n32")
+    cover = smash_cover(pres)
+    assert pres.opposite().has_generator("a1")
+    assert cover.opposite().has_generator(("a1", (0,)))
+    assert not pres.opposite().has_generator("zz")
+    assert not cover.opposite().has_generator(("zz", (0,)))
+    # so a module over the opposite reads back from its JSON
+    D = dual_module(projective_at(pres, "1"))
+    read = module_from_json(pres.opposite(), module_to_json(D))
+    validate_module(read)
+    assert read.carrier is D.carrier
+    assert read.dims == D.dims and read.gen_mats == D.gen_mats
 
 
 def test_the_seed_travels_with_the_carrier():
