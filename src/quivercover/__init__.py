@@ -13,7 +13,6 @@ from .errors import (
     NotAdmissible,
     NotFreeAction,
     NotLocallyBounded,
-    NotSquareFree,
     QuiverCoverError,
     RelationViolated,
     SchemaError,
@@ -46,7 +45,6 @@ from .modules import (
     radical_inclusion,
     simple_at,
     socle_inclusion,
-    top_module,
     validate_module,
     zero_module,
 )
@@ -54,17 +52,14 @@ from .homology import (
     DimBound,
     ExtSpace,
     Resolution,
-    check_resolution,
     cosyzygy,
     dominant_dimension_upto,
     ext_dim,
     ext_space,
     inj_dim_upto,
-    is_injective_module,
     is_projective_module,
     min_proj_resolution,
     proj_dim_upto,
-    right_approximation,
     syzygy,
     tau,
     tau_minus,
@@ -109,12 +104,11 @@ from .tautilt import (
     enumerate_support_tilting_pairs,
     is_G_tau_n_rigid,
     is_n_cluster_tilting,
-    is_rigid_pair,
     is_support_tilting_pair,
     scan_tau_n_tilting_finite,
     verify_tilting_pushdown,
 )
 from .module_io import listing_to_json, module_from_json, module_to_json
-from .report import VerificationReport, dumps_report, loads_report
+from .report import VerificationReport
 
 __version__ = "0.1.0"

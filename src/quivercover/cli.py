@@ -31,8 +31,8 @@ from .errors import (
     DecompositionInconclusive,
     HypothesisUnverified,
     IsoInconclusive,
-    NotSquareFree,
     QuiverCoverError,
+    SchemaError,
 )
 from .groups import Group
 from .knitting import list_indecomposables
@@ -206,7 +206,7 @@ def _aggregate(claim: str, instance: dict, reports: list, caps=None) -> Verifica
 
 # Errors a claim can raise on a valid input: an unmet hypothesis, or a cap
 # or search bound that ran out.  Each becomes that claim's outcome.
-_NOT_APPLICABLE_ERRORS = (HypothesisUnverified, NotSquareFree, AmbientNotClusterTilting)
+_NOT_APPLICABLE_ERRORS = (HypothesisUnverified, AmbientNotClusterTilting)
 _INDETERMINATE_ERRORS = (CapExceeded, DecompositionInconclusive, IsoInconclusive)
 
 
@@ -272,7 +272,7 @@ def _tilting_ambient(carrier, dimcap) -> tuple:
     """(pool, ambient): the whole indecomposable pool, twist-closed on a
     covering carrier."""
     pool = list_indecomposables(carrier, dimcap=dimcap)
-    return pool, SubcategorySpec(pool, check=False)
+    return pool, SubcategorySpec(pool)
 
 
 def _run_tilting_pushdown(pres, cover, n, dimcap, instance) -> VerificationReport:
@@ -322,8 +322,8 @@ def _cmd_orbit(args) -> int:
     with open(args.action, "r", encoding="utf-8") as fh:
         action = json.load(fh)
     for key in ("m", "vertex_map", "arrow_map"):
-        if key not in action:
-            raise QuiverCoverError(f"action file missing {key!r}")
+        if not isinstance(action, dict) or key not in action:
+            raise SchemaError(f"action file missing {key!r}")
     quotient = orbit_of_finite_action(
         pres, Group.cyclic(action["m"]), action["vertex_map"], action["arrow_map"]
     )

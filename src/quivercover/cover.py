@@ -229,47 +229,3 @@ def smash_cover(pres: GradedQuiverPresentation) -> CoverCarrier:
         memo["cover"] = CoverCarrier(pres)
     return memo["cover"]
 
-
-def materialize_presentation(cover: CoverCarrier):
-    """Flatten the cover of a finitely graded presentation into a trivially
-    graded presentation.
-
-    Returns (presentation, vertex_map, arrow_map) where the maps describe the
-    shift action of a generator of the (cyclic) grading group, suitable for
-    orbit reconstruction.  An infinite group has no element listing
-    (SchemaError).
-    """
-    from .groups import Group
-    from .presentation import Arrow
-
-    group = cover.group
-    pres = cover.base_presentation
-    shifts = group.all_elements()
-    objects = [(v, g) for g in shifts for v in pres.vertices]
-    generators = [(a.name, g) for g in shifts for a in pres.arrows]
-
-    def vname(x):
-        v, g = x
-        return f"{v}@{group.element_to_json(g)}"
-
-    def aname(gen):
-        name, g = gen
-        return f"{name}@{group.element_to_json(g)}"
-
-    vertices = [vname(x) for x in objects]
-    arrows = [
-        Arrow(aname(gen), vname(cover.gen_src(gen)), vname(cover.gen_tgt(gen)), ())
-        for gen in generators
-    ]
-    relations = [
-        [(c, tuple(aname(gen) for gen in cover._lift_path(path, g))) for c, path in rel]
-        for rel in pres.relations
-        for g in shifts
-    ]
-    flat = GradedQuiverPresentation(
-        pres.field, Group.trivial(), vertices, arrows, relations, pres.nilbound, cover.seed
-    )
-    shift = 1 if group.kind == "cyclic" else group.identity()
-    vertex_map = {vname(x): vname(cover.twist_object(shift, x)) for x in objects}
-    arrow_map = {aname(gen): aname(cover.twist_generator(shift, gen)) for gen in generators}
-    return flat, vertex_map, arrow_map

@@ -60,9 +60,5 @@ class HypothesisUnverified(QuiverCoverError):
     """A checker's standing hypothesis failed; the result would be meaningless."""
 
 
-class NotSquareFree(QuiverCoverError):
-    """The square-free hypothesis of the transfer result is not met."""
-
-
 class AmbientNotClusterTilting(QuiverCoverError):
     """The ambient subcategory handed to a tilting check is not n-cluster tilting."""

@@ -21,6 +21,8 @@ class Group:
     def __post_init__(self):
         if self.kind not in ("free-abelian", "cyclic"):
             raise SchemaError(f"unknown group kind {self.kind!r}")
+        if not (_is_integer(self.rank) and _is_integer(self.order)):
+            raise SchemaError("group rank and modulus must be integers")
         if self.kind == "cyclic" and self.order < 1:
             raise SchemaError("cyclic group needs modulus >= 1")
         if self.kind == "free-abelian" and self.rank < 0:
@@ -53,10 +55,6 @@ class Group:
             self.kind == "cyclic" and self.order == 1
         )
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "cyclic" or self.rank == 0
-
     # element arithmetic ----------------------------------------------------
 
     def identity(self):
@@ -64,17 +62,17 @@ class Group:
 
     def coerce(self, value):
         """Canonical element from JSON data (int or list of ints)."""
-        if self.kind == "cyclic":
-            if isinstance(value, (list, tuple)):
-                if len(value) != 1:
-                    raise SchemaError(f"cyclic weight must be one integer, got {value}")
-                value = value[0]
-            return int(value) % self.order
-        if isinstance(value, int):
+        if _is_integer(value):
             value = [value]
+        if not isinstance(value, (list, tuple)) or not all(_is_integer(v) for v in value):
+            raise SchemaError(f"weight must be an integer or a list of integers, got {value!r}")
+        if self.kind == "cyclic":
+            if len(value) != 1:
+                raise SchemaError(f"cyclic weight must be one integer, got {value}")
+            return value[0] % self.order
         if len(value) != self.rank:
             raise SchemaError(f"weight {value} has wrong rank (expected {self.rank})")
-        return tuple(int(v) for v in value)
+        return tuple(value)
 
     def op(self, a, b):
         if self.kind == "cyclic":
@@ -101,3 +99,8 @@ class Group:
         if self.rank == 0:
             return [()]
         raise SchemaError("infinite group has no element listing")
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)

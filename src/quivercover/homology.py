@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ShapeMismatch
-from .field import Mat, hstack, kernel_basis, rank, rref
+from .field import Mat, hstack, kernel_basis, rref
 from .modules import (
     FDModule,
     ModMorphism,
@@ -28,7 +28,6 @@ from .modules import (
     morphism_coords,
     projective_at,
     projective_cover,
-    radical_inclusion,
     cokernel_module,
     twist_candidates,
     zero_module,
@@ -62,9 +61,6 @@ class DimBound:
     def at_least_value(self, n: int) -> bool:
         """Certainly >= n?  An exact value or a lower bound of at least n."""
         return self.value >= n
-
-    def to_json(self):
-        return {"kind": self.kind, "value": self.value}
 
     def __str__(self):
         return str(self.value) if self.kind == "exact" else f">={self.value}"
@@ -141,27 +137,6 @@ def _dual(M: FDModule) -> FDModule:
     return DM
 
 
-def check_resolution(res: Resolution, k: int) -> bool:
-    """Exactness, zero composites and minimality of P_k -> ... -> P_0 -> M."""
-    for i in range(k):
-        if not (res.diff(i) @ res.diff(i + 1)).is_zero():
-            return False
-        P = res.term(i)
-        for x in P.support:
-            if rank(res.diff(i + 1).vertex(x)) != P.dim(x) - rank(res.diff(i).vertex(x)):
-                return False
-    for i in range(1, k + 1):
-        d = res.diff(i)
-        _, incl = radical_inclusion(d.tgt)
-        for x in d.mats:
-            radb = incl.vertex(x)
-            m = d.vertex(x)
-            combined = hstack([radb, m]) if radb.cols else m
-            if rank(combined) != rank(radb):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # syzygies and stable representatives
 
@@ -171,10 +146,6 @@ def is_projective_module(Q: FDModule) -> bool:
         return True
     cov = projective_cover(Q)
     return cov.module.dims == Q.dims and cov.epi.is_iso()
-
-
-def is_injective_module(Q: FDModule) -> bool:
-    return is_projective_module(dual_module(Q))
 
 
 def strip_summands(M: FDModule, pred) -> FDModule:
@@ -390,13 +361,9 @@ def approximation_objects(U: SubcategorySpec, M: FDModule) -> list:
     return out
 
 
-def right_approximation(U: SubcategorySpec, M: FDModule) -> ModMorphism:
-    """The evaluation map ⊕ U_i ⊗ Hom(U_i, M) -> M."""
-    return _evaluation_map(U, M)[0]
-
-
 def _evaluation_map(U: SubcategorySpec, M: FDModule) -> tuple:
-    """The evaluation map, with the module of each summand of its source in
+    """The evaluation map ⊕ U_i ⊗ Hom(U_i, M) -> M, a right
+    U-approximation of M, with the module of each summand of its source in
     direct-sum order."""
     pieces = []
     comps = []
@@ -411,22 +378,6 @@ def _evaluation_map(U: SubcategorySpec, M: FDModule) -> tuple:
     for phi, prj in zip(comps, prjs):
         f = f + (phi @ prj)
     return f, pieces
-
-
-def is_right_approximation(U: SubcategorySpec, f: ModMorphism) -> bool:
-    """Every morphism from U (and its twists) factors through f."""
-    M = f.tgt
-    for Uo in approximation_objects(U, M):
-        if not hom_basis(Uo, M):
-            continue
-        through = [f @ g for g in hom_basis(Uo, f.src)]
-        target = hom_basis(Uo, M)
-        if not through:
-            return False
-        mat = _coords_matrix(target, through)
-        if rank(mat) < len(target):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

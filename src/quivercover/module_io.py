@@ -2,13 +2,16 @@
 
 Base modules use plain vertex and arrow ids; covering modules suffix the
 shift: "v@g" and "arrow@g", where g renders as a comma-separated integer
-tuple for free-abelian groups and a single residue for cyclic ones.
+tuple for free-abelian groups and a single residue for cyclic ones.  A
+module over an opposite spells the keys of its base.
 """
 
 from __future__ import annotations
 
+from .carrier import OppositeCarrier
 from .errors import SchemaError
 from .field import Mat
+from .groups import _is_integer
 from .modules import FDModule
 
 
@@ -26,6 +29,11 @@ def _shift_from_str(group, text: str):
         return tuple(int(c) for c in text.split(",")) if text else ()
     except ValueError:
         raise SchemaError(f"bad shift {text!r}") from None
+
+
+def _keyed(carrier):
+    """The carrier whose objects and generators the keys spell."""
+    return carrier.base if isinstance(carrier, OppositeCarrier) else carrier
 
 
 def _object_key(carrier, x) -> str:
@@ -66,32 +74,41 @@ def _entry_to_json(field, value):
 
 def module_to_json(M: FDModule) -> dict:
     field = M.carrier.field
-    dims = {_object_key(M.carrier, x): d for x, d in sorted(M.dims.items(), key=str)}
+    keyed = _keyed(M.carrier)
+    dims = {_object_key(keyed, x): d for x, d in sorted(M.dims.items(), key=str)}
     maps = {}
     for g, m in M.gen_mats.items():
         rows = m.tolists()
-        maps[_gen_key(M.carrier, g)] = [[_entry_to_json(field, x) for x in row] for row in rows]
+        maps[_gen_key(keyed, g)] = [[_entry_to_json(field, x) for x in row] for row in rows]
     return {"dims": dims, "arrowmaps": dict(sorted(maps.items()))}
 
 
 def module_from_json(carrier, doc: dict) -> FDModule:
-    if not isinstance(doc, dict) or "dims" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("dims"), dict):
         raise SchemaError("module document needs a 'dims' object")
+    if not isinstance(doc.get("arrowmaps", {}), dict):
+        raise SchemaError("module 'arrowmaps' must be an object")
     field = carrier.field
+    keyed = _keyed(carrier)
     dims = {}
     for key, d in doc["dims"].items():
-        x = _object_from_key(carrier, key)
+        x = _object_from_key(keyed, key)
         if not carrier.has_object(x):
             raise SchemaError(f"unknown object {key!r}")
-        if not isinstance(d, int) or d < 0:
+        if not _is_integer(d) or d < 0:
             raise SchemaError(f"bad dimension {d!r} at {key!r}")
         dims[x] = d
     mats = {}
     for key, rows in doc.get("arrowmaps", {}).items():
-        g = _gen_from_key(carrier, key)
+        g = _gen_from_key(keyed, key)
         if not carrier.has_generator(g):
             raise SchemaError(f"unknown arrow {key!r}")
-        entries = [[field.scalar_from_string(str(v)) for v in row] for row in rows]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise SchemaError(f"map {key!r} must be a list of rows")
+        try:
+            entries = [[field.scalar_from_string(str(v)) for v in row] for row in rows]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"bad entry in map {key!r}: {exc}") from exc
         s, t = carrier.gen_src(g), carrier.gen_tgt(g)
         ds, dt = dims.get(s, 0), dims.get(t, 0)
         if ds and dt:

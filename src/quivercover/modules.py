@@ -82,11 +82,6 @@ class FDModule:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def dims_key(self) -> tuple:
-        """Iso-invariant fingerprint: the dimension vector."""
-        idx = self.carrier.object_index
-        return tuple(sorted((idx(x), d) for x, d in self.dims.items()))
-
     def __repr__(self):
         return f"FDModule(dim {self.total_dim} on {len(self.dims)} objects)"
 
@@ -154,21 +149,6 @@ class ModMorphism:
         if self.src.dims != self.tgt.dims:
             return False
         return all(is_invertible(self.vertex(x)) for x in self.src.support)
-
-    def equal(self, other: "ModMorphism") -> bool:
-        return all(
-            self.vertex(x) == other.vertex(x) for x in set(self.mats) | set(other.mats)
-        )
-
-    def check(self) -> bool:
-        """Verify the commuting squares (used in tests and certificates)."""
-        M, N = self.src, self.tgt
-        for g, x, y in _square_generators(M, N):
-            lhs = self.vertex(x) @ M.mat(g)
-            rhs = N.mat(g) @ self.vertex(y)
-            if not (lhs - rhs).is_zero():
-                return False
-        return True
 
     def __repr__(self):
         return f"ModMorphism({self.src!r} -> {self.tgt!r})"
@@ -509,12 +489,6 @@ def top_with_lifts(M: FDModule) -> tuple:
             tops[x] = len(comp)
             lifts[x] = Mat.identity(field, M.dim(x))[:, comp]
     return tops, lifts
-
-
-def top_module(M: FDModule) -> tuple:
-    """(top M, projection M -> top)."""
-    R, incl = radical_inclusion(M)
-    return cokernel_module(incl)
 
 
 def socle_inclusion(M: FDModule) -> tuple:
@@ -1205,26 +1179,18 @@ def _iso_lattice_fallback(M: FDModule, N: FDModule, basis) -> bool:
 
 
 class SubcategorySpec:
-    """A finite list of pairwise non-isomorphic indecomposables (add-closure)."""
+    """A finite list of pairwise non-isomorphic indecomposables (add-closure).
 
-    def __init__(self, generators: list, check: bool = True):
+    The generators are trusted: every caller takes them from a knitted pool
+    or a closure of classes, which are indecomposable and pairwise
+    non-isomorphic (up to twist over a covering carrier) by construction."""
+
+    def __init__(self, generators: list):
         self.generators = list(generators)
         # n-cluster-tilting verdicts, (n, id(pool)) -> (pool, compatibility
         # graph, or None when not cluster tilting); the entry holds the pool
         # so that its id cannot be reused
         self.cluster_tilting: dict = {}
-        if check and self.generators:
-            from .covering import class_index
-
-            for M in self.generators:
-                if not is_indecomposable(M):
-                    raise ShapeMismatch("subcategory generators must be indecomposable")
-            for i, M in enumerate(self.generators):
-                if class_index(M, self.generators[:i]) is not None:
-                    raise ShapeMismatch(
-                        "subcategory generators must be pairwise non-isomorphic "
-                        "(up to twist over a covering carrier)"
-                    )
 
     @property
     def carrier(self):

@@ -160,13 +160,13 @@ def compute_Pn(carrier, n: int, cap: int = 32) -> tuple:
     Returns (SubcategorySpec, stabilized)."""
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     classes, stabilized = _closure(seeds, [lambda M: tau_n_minus(M, n)], cap)
-    return SubcategorySpec(classes, check=False), stabilized
+    return SubcategorySpec(classes), stabilized
 
 
 def compute_In(carrier, n: int, cap: int = 32) -> tuple:
     seeds = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
     classes, stabilized = _closure(seeds, [lambda M: tau_n(M, n)], cap)
-    return SubcategorySpec(classes, check=False), stabilized
+    return SubcategorySpec(classes), stabilized
 
 
 def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> VerificationReport:
@@ -227,7 +227,7 @@ def compute_Z(U: SubcategorySpec, pool: list, n: int) -> tuple:
     Asymmetry refutes the precluster hypothesis and is reported by callers."""
     left, right = perpendiculars(U, pool, n)
     symmetric = [id(m) for m in left] == [id(m) for m in right]
-    spec = SubcategorySpec(left, check=False)
+    spec = SubcategorySpec(left)
     return spec, symmetric
 
 
@@ -281,7 +281,7 @@ def _pushdown_spec(U: SubcategorySpec) -> SubcategorySpec:
     for gen in U.generators:
         for piece, _ in decompose(push_down(gen)):
             add_class(classes, piece)
-    return SubcategorySpec(classes, check=False)
+    return SubcategorySpec(classes)
 
 
 def verify_main1(U: SubcategorySpec, n: int) -> VerificationReport:
@@ -329,7 +329,7 @@ def verify_main2(V: SubcategorySpec, n: int, dimcap: int = 48) -> VerificationRe
             outcome=NOT_APPLICABLE,
             notes=["V is not inside the push-down image of the orbit pool"],
         )
-    Uspec = SubcategorySpec(preimage, check=False)
+    Uspec = SubcategorySpec(preimage)
     up = is_n_precluster(Uspec, n)
     return VerificationReport(
         claim="Main2",
@@ -374,7 +374,7 @@ def _tau_closure_candidate(carrier, n: int, cap: int) -> tuple:
         [lambda M: tau_n(M, n), lambda M: tau_n_minus(M, n)],
         cap,
     )
-    return SubcategorySpec(classes, check=False), stabilized
+    return SubcategorySpec(classes), stabilized
 
 
 def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> VerificationReport:

@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
 )
 from .field import Field, Mat, rref, solve_linear
-from .groups import Group
+from .groups import Group, _is_integer
 
 
 @dataclass(frozen=True)
@@ -362,15 +362,19 @@ def load_presentation(document: dict, seed: int = ISO_SEED) -> GradedQuiverPrese
     vertices = document["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise SchemaError("vertices must be a list of strings")
+    if not isinstance(document["arrows"], list):
+        raise SchemaError("arrows must be a list of objects")
     arrows = []
     for entry in document["arrows"]:
         if not isinstance(entry, dict):
             raise SchemaError("each arrow must be an object")
         for key in ("id", "src", "tgt"):
-            if key not in entry:
-                raise SchemaError(f"arrow missing {key!r}")
+            if not isinstance(entry.get(key), str):
+                raise SchemaError(f"arrow needs a string {key!r}")
         weight = group.coerce(entry.get("weight", group.element_to_json(group.identity())))
         arrows.append(Arrow(entry["id"], entry["src"], entry["tgt"], weight))
+    if not isinstance(document.get("relations", []), list):
+        raise SchemaError("relations must be a list")
     relations = []
     for rel_doc in document.get("relations", []):
         if not isinstance(rel_doc, list):
@@ -379,17 +383,20 @@ def load_presentation(document: dict, seed: int = ISO_SEED) -> GradedQuiverPrese
         for term in rel_doc:
             if not isinstance(term, dict) or "coeff" not in term or "path" not in term:
                 raise SchemaError("relation terms need 'coeff' and 'path'")
+            path = term["path"]
+            if not isinstance(path, list) or not all(isinstance(a, str) for a in path):
+                raise SchemaError(f"path {path!r} must be a list of arrow ids")
             try:
                 coeff = field.scalar_from_string(str(term["coeff"]))
             except (ValueError, ZeroDivisionError) as exc:
                 raise SchemaError(f"bad coefficient {term['coeff']!r}: {exc}") from exc
-            terms.append((coeff, tuple(term["path"])))
+            terms.append((coeff, tuple(path)))
         terms = [(c, p) for c, p in terms if c != 0]
         if not terms:
             raise SchemaError("relation is identically zero")
         relations.append(terms)
     nilbound = document["nilbound"]
-    if not isinstance(nilbound, int):
+    if not _is_integer(nilbound):
         raise SchemaError("nilbound must be an integer")
     return GradedQuiverPresentation(field, group, vertices, arrows, relations, nilbound, seed)
 
@@ -425,6 +432,8 @@ def orbit_of_finite_action(
         raise SchemaError("finite actions are cyclic (use m=1 for the trivial action)")
     m = acting.order
     verts = pres.vertices
+    if not isinstance(vertex_map, dict) or not isinstance(arrow_map, dict):
+        raise SchemaError("vertex_map and arrow_map must be objects")
     if sorted(vertex_map) != sorted(verts) or sorted(vertex_map.values()) != sorted(verts):
         raise SchemaError("vertex_map must be a permutation of the vertices")
     names = [a.name for a in pres.arrows]

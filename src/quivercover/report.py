@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 CLAIM_IDS = (
@@ -58,24 +57,3 @@ class VerificationReport:
             "timing": self.timing,
             "notes": self.notes,
         }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "VerificationReport":
-        return VerificationReport(
-            claim=doc["claim"],
-            instance=doc["instance"],
-            outcome=doc["pass"],
-            witnesses=doc.get("witnesses", []),
-            caps=doc.get("caps", {}),
-            timing=doc.get("timing"),
-            notes=doc.get("notes", []),
-        )
-
-
-def dumps_report(report: VerificationReport) -> str:
-    """Deterministic JSON serialization (byte-identical for identical inputs)."""
-    return json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def loads_report(text: str) -> VerificationReport:
-    return VerificationReport.from_json_dict(json.loads(text))

@@ -64,11 +64,6 @@ def is_G_tau_n_rigid(M: FDModule, n: int) -> bool:
     return M._cache[key]
 
 
-def is_rigid_pair(M: FDModule, P: FDModule, n: int) -> bool:
-    """(M, P) with P projective: M rigid and Hom(P, ^a M) = 0 for all a."""
-    return is_G_tau_n_rigid(M, n) and ext_vanishes(P, M, (0,))
-
-
 # ---------------------------------------------------------------------------
 # support tilting pairs as cliques of the compatibility graph
 

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
-from quivercover import load_presentation, smash_cover
+from quivercover import Group, load_presentation, smash_cover
+from quivercover.modules import cokernel_module, radical_inclusion
+from quivercover.presentation import Arrow, GradedQuiverPresentation
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 # the shipped golden algebras, each also a fixture below
@@ -19,9 +21,62 @@ def golden_doc(name: str) -> dict:
 def shift_box(group, halfwidth: int) -> tuple:
     """A reference window of shifts: the sorted box [-w..w]^rank of a free
     abelian group, or every element of a finite group."""
-    if group.is_finite:
+    if group.kind == "cyclic" or group.rank == 0:
         return tuple(group.all_elements())
     return tuple(itertools.product(range(-halfwidth, halfwidth + 1), repeat=group.rank))
+
+
+def commutes(phi) -> bool:
+    """phi commutes with the action of every generator: a module map."""
+    M, N = phi.src, phi.tgt
+    for y in M.support:
+        for g in M.carrier.generators_at_target(y):
+            x = M.carrier.gen_src(g)
+            if not (phi.vertex(x) @ M.mat(g) - N.mat(g) @ phi.vertex(y)).is_zero():
+                return False
+    return True
+
+
+def top_module(M) -> tuple:
+    """(top M, projection M -> top M): the cokernel of rad M -> M."""
+    return cokernel_module(radical_inclusion(M)[1])
+
+
+def materialize_presentation(cover) -> tuple:
+    """The cover of a finitely graded presentation flattened into a
+    trivially graded presentation, with the shift action of a generator of
+    the grading group: (presentation, vertex_map, arrow_map)."""
+    group = cover.group
+    pres = cover.base_presentation
+    shifts = group.all_elements()
+    objects = [(v, g) for g in shifts for v in pres.vertices]
+    generators = [(a.name, g) for g in shifts for a in pres.arrows]
+
+    def vname(x):
+        v, g = x
+        return f"{v}@{group.element_to_json(g)}"
+
+    def aname(gen):
+        name, g = gen
+        return f"{name}@{group.element_to_json(g)}"
+
+    vertices = [vname(x) for x in objects]
+    arrows = [
+        Arrow(aname(gen), vname(cover.gen_src(gen)), vname(cover.gen_tgt(gen)), ())
+        for gen in generators
+    ]
+    relations = [
+        [(c, tuple(aname(gen) for gen in cover._lift_path(path, g))) for c, path in rel]
+        for rel in pres.relations
+        for g in shifts
+    ]
+    flat = GradedQuiverPresentation(
+        pres.field, Group.trivial(), vertices, arrows, relations, pres.nilbound, cover.seed
+    )
+    shift = 1 if group.kind == "cyclic" else group.identity()
+    vertex_map = {vname(x): vname(cover.twist_object(shift, x)) for x in objects}
+    arrow_map = {aname(gen): aname(cover.twist_generator(shift, gen)) for gen in generators}
+    return flat, vertex_map, arrow_map
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,7 @@ from quivercover import (
     zero_module,
 )
 from quivercover.precluster import _pushdown_spec
+from tests.conftest import commutes
 
 
 def report(num, ok, detail):
@@ -59,10 +60,7 @@ def report(num, ok, detail):
 
 
 def cover_projective_spec(cover):
-    return SubcategorySpec(
-        [projective_at(cover, x) for x in cover.fundamental_domain()],
-        check=False,
-    )
+    return SubcategorySpec([projective_at(cover, x) for x in cover.fundamental_domain()])
 
 
 def test_acceptance_1_gabriel_bijection(n32_cover):
@@ -83,11 +81,11 @@ def test_acceptance_2_pushdown_representables(n32, n32_cover, loop2, loop2_cover
             P = push_down(projective_at(cover, x))
             base_P = projective_at(pres, x[0])
             iso = find_iso(P, base_P)
-            assert iso is not None and iso.is_iso() and iso.check()
+            assert iso is not None and iso.is_iso() and commutes(iso)
             I = push_down(injective_at(cover, x))
             base_I = injective_at(pres, x[0])
             iso2 = find_iso(I, base_I)
-            assert iso2 is not None and iso2.is_iso() and iso2.check()
+            assert iso2 is not None and iso2.is_iso() and commutes(iso2)
             checked += 2
     report(2, checked == 8, f"{checked} exact iso certificates for pushed representables")
 
@@ -177,7 +175,7 @@ def _discover_2_precluster(cover):
     found = []
     for bits in itertools.product((0, 1), repeat=len(optional)):
         gens = mandatory + [optional[i] for i in range(len(optional)) if bits[i]]
-        U = SubcategorySpec(gens, check=False)
+        U = SubcategorySpec(gens)
         if is_n_precluster(U, 2).passes:
             found.append(U)
     return found
@@ -226,7 +224,7 @@ def test_acceptance_7_bongab_transfer(n32, loop2, kronecker):
 
 
 def test_acceptance_8_z_gp_equivalence(n32):
-    U = SubcategorySpec([projective_at(n32, x) for x in n32.vertices], check=False)
+    U = SubcategorySpec([projective_at(n32, x) for x in n32.vertices])
     rep = verify_equivalence_Z_Gp(U, 1, dimcap=8)
     w = rep.witnesses[0]
     ok = (
@@ -240,10 +238,10 @@ def test_acceptance_8_z_gp_equivalence(n32):
 
 def test_acceptance_9_tilting_transfer(n32, n32_cover):
     pool_down = list_indecomposables(n32, dimcap=8)
-    ambient_down = SubcategorySpec(pool_down, check=False)
+    ambient_down = SubcategorySpec(pool_down)
     pairs_down = enumerate_support_tilting_pairs(ambient_down, 1, pool_down)
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    ambient_up = SubcategorySpec(pool_up, check=False)
+    ambient_up = SubcategorySpec(pool_up)
     pairs_up = enumerate_support_tilting_pairs(ambient_up, 1, pool_up)
     projs_up = [projective_at(n32_cover, x) for x in n32_cover.fundamental_domain()]
     projs_down = [projective_at(n32, x) for x in n32.vertices]

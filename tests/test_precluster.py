@@ -42,26 +42,21 @@ from window_knit import window_knit
 
 
 def add_lambda(pres):
-    return SubcategorySpec([projective_at(pres, x) for x in pres.vertices], check=False)
+    return SubcategorySpec([projective_at(pres, x) for x in pres.vertices])
 
 
 def everything(pres):
-    return SubcategorySpec(list_indecomposables(pres), check=False)
+    return SubcategorySpec(list_indecomposables(pres))
 
 
 def cover_projectives(cover):
-    return SubcategorySpec(
-        [projective_at(cover, x) for x in cover.fundamental_domain()],
-        check=False,
-    )
+    return SubcategorySpec([projective_at(cover, x) for x in cover.fundamental_domain()])
 
 
 def test_generator_cogenerator(n32, ka2):
     assert is_generator_cogenerator(everything(n32))
     assert is_generator_cogenerator(add_lambda(n32))  # self-injective
-    simples_only = SubcategorySpec(
-        [simple_at(ka2, x) for x in ka2.vertices], check=False
-    )
+    simples_only = SubcategorySpec([simple_at(ka2, x) for x in ka2.vertices])
     assert not is_generator_cogenerator(simples_only)
 
 
@@ -83,7 +78,7 @@ def test_precluster_n2_per_condition(ka2):
         for M in (projective_at(ka2, x), injective_at(ka2, x)):
             if not any(is_isomorphic(M, g) for g in gens):
                 gens.append(M)
-    U = SubcategorySpec(gens, check=False)
+    U = SubcategorySpec(gens)
     v = is_n_precluster(U, 2)
     # oracle: independent evaluation of the conditions
     assert v.generator_cogenerator is True
@@ -128,7 +123,7 @@ def test_compute_Z(n32, ka2):
     assert len(Z2.generators) == len(pool)  # self-injective: Ext^1(-, proj) = 0
     # U = pool is the n-cluster-tilting limit: Z(U) = U (semisimple at n=2)
     pool_ka2 = list_indecomposables(ka2)
-    U_ka2 = SubcategorySpec(pool_ka2, check=False)
+    U_ka2 = SubcategorySpec(pool_ka2)
     # kA_2's whole module category is NOT 2-cluster tilting; the left and
     # right perpendiculars genuinely differ and the asymmetry is reported
     _, sym_bad = compute_Z(U_ka2, pool_ka2, 2)
@@ -137,7 +132,7 @@ def test_compute_Z(n32, ka2):
 
 def test_compute_Z_cluster_tilting_limit(semisimple):
     pool = list_indecomposables(semisimple)
-    U = SubcategorySpec(pool, check=False)
+    U = SubcategorySpec(pool)
     Z, sym = compute_Z(U, pool, 2)
     assert sym
     assert {id(m) for m in Z.generators} == {id(m) for m in pool}
@@ -242,10 +237,7 @@ def test_main1_n32(n32_cover):
 
 def test_main1_hypothesis_gate(ka2):
     cov = smash_cover(ka2)
-    U = SubcategorySpec(
-        [projective_at(cov, x) for x in cov.fundamental_domain()],
-        check=False,
-    )
+    U = SubcategorySpec([projective_at(cov, x) for x in cov.fundamental_domain()])
     rep = verify_main1(U, 1)
     assert rep.outcome == "not-applicable"
 

@@ -16,8 +16,7 @@ from quivercover import (
     projective_at,
     smash_cover,
 )
-from quivercover.cover import materialize_presentation
-from tests.conftest import golden_doc, shift_box
+from tests.conftest import golden_doc, materialize_presentation, shift_box
 
 
 def _doc(vertices, arrows, relations, nilbound, rank=0):

@@ -29,7 +29,6 @@ from quivercover import (
 )
 from quivercover import knitting
 from quivercover.carrier import ISO_SEED
-from quivercover.cover import materialize_presentation
 from quivercover.cli import main
 from tests.conftest import golden_doc
 
@@ -146,6 +145,17 @@ def test_an_opposite_shares_the_generator_keys_of_its_base():
     assert read.dims == D.dims and read.gen_mats == D.gen_mats
 
 
+def test_a_module_over_the_opposite_of_a_cover_round_trips_through_json():
+    cover = smash_cover(fresh("n32"))
+    D = dual_module(projective_at(cover, ("1", (0,))))
+    doc = json.loads(json.dumps(module_to_json(D)))
+    assert all("@" in key for key in [*doc["dims"], *doc["arrowmaps"]])
+    read = module_from_json(cover.opposite(), doc)
+    validate_module(read)
+    assert read.carrier is D.carrier
+    assert read.dims == D.dims and read.gen_mats == D.gen_mats
+
+
 def test_the_seed_travels_with_the_carrier():
     pres = load_presentation(golden_doc("n32"), seed=7)
     default = load_presentation(golden_doc("n32"))
@@ -167,7 +177,6 @@ def test_the_seed_travels_with_the_carrier():
         endo_category(cover_U),
         quotient,
         smash_cover(quotient),
-        materialize_presentation(smash_cover(quotient))[0],
     ]
     assert [C.seed for C in carriers] == [7] * len(carriers)
     assert default.seed == smash_cover(default).seed == default.opposite().seed == ISO_SEED

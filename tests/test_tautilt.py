@@ -10,12 +10,12 @@ from quivercover import (
     decompose,
     direct_sum,
     enumerate_support_tilting_pairs,
+    ext_vanishes,
     hom_dim,
     hom_twist_sum,
     is_G_tau_n_rigid,
     is_isomorphic,
     is_n_cluster_tilting,
-    is_rigid_pair,
     is_support_tilting_pair,
     list_indecomposables,
     projective_at,
@@ -30,17 +30,22 @@ from quivercover import (
 from quivercover.covering import class_index
 
 
+def is_rigid_pair(M, P, n):
+    """(M, P) with P projective: M rigid and Hom(P, ^a M) = 0 for all a."""
+    return is_G_tau_n_rigid(M, n) and ext_vanishes(P, M, (0,))
+
+
 def pool_of(pres):
     return list_indecomposables(pres, dimcap=12)
 
 
 def test_cluster_tilting_n1_is_everything(n32, semisimple):
     pool = pool_of(n32)
-    assert is_n_cluster_tilting(SubcategorySpec(pool, check=False), 1, pool)
-    part = SubcategorySpec(pool[:4], check=False)
+    assert is_n_cluster_tilting(SubcategorySpec(pool), 1, pool)
+    part = SubcategorySpec(pool[:4])
     assert not is_n_cluster_tilting(part, 1, pool)
     spool = pool_of(semisimple)
-    assert is_n_cluster_tilting(SubcategorySpec(spool, check=False), 2, spool)
+    assert is_n_cluster_tilting(SubcategorySpec(spool), 2, spool)
 
 
 def test_rigidity_examples(n32):
@@ -74,7 +79,7 @@ def test_rigid_pairs(n32):
 
 def test_support_pair_lambda(n32):
     pool = pool_of(n32)
-    ambient = SubcategorySpec(pool, check=False)
+    ambient = SubcategorySpec(pool)
     lam = direct_sum([projective_at(n32, x) for x in n32.vertices])[0]
     assert is_support_tilting_pair(lam, zero_module(n32), 1, ambient, pool)
     # (0, Lambda): every projective lies in add(P), no homs into M = 0
@@ -86,14 +91,14 @@ def test_support_pair_lambda(n32):
 
 def test_ambient_gate(n32):
     pool = pool_of(n32)
-    part = SubcategorySpec(pool[:2], check=False)
+    part = SubcategorySpec(pool[:2])
     with pytest.raises(AmbientNotClusterTilting):
         is_support_tilting_pair(pool[0], zero_module(n32), 1, part, pool)
 
 
 def test_enumeration_semisimple(semisimple):
     pool = pool_of(semisimple)
-    ambient = SubcategorySpec(pool, check=False)
+    ambient = SubcategorySpec(pool)
     pairs = enumerate_support_tilting_pairs(ambient, 1, pool)
     # for a semisimple algebra every module is projective and rigid; the
     # support pairs are exactly the (complementary) subsets: brute oracle
@@ -106,7 +111,7 @@ def test_enumeration_matches_air_shape(n32):
     # every support tilting pair has |M| + |P| = number of simples (an
     # independent structural fact for tau-tilting theory at n=1)
     pool = pool_of(n32)
-    ambient = SubcategorySpec(pool, check=False)
+    ambient = SubcategorySpec(pool)
     pairs = enumerate_support_tilting_pairs(ambient, 1, pool)
     assert len(pairs) == 14
     for msel, psel in pairs:
@@ -115,19 +120,19 @@ def test_enumeration_matches_air_shape(n32):
 
 def test_enumeration_cover_matches_base(n32, n32_cover):
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    ambient_up = SubcategorySpec(pool_up, check=False)
+    ambient_up = SubcategorySpec(pool_up)
     pairs_up = enumerate_support_tilting_pairs(ambient_up, 1, pool_up)
     pool_down = pool_of(n32)
-    ambient_down = SubcategorySpec(pool_down, check=False)
+    ambient_down = SubcategorySpec(pool_down)
     pairs_down = enumerate_support_tilting_pairs(ambient_down, 1, pool_down)
     assert len(pairs_up) == len(pairs_down) == 14
 
 
 def test_tilting_pushdown_instances(n32, n32_cover):
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    ambient_up = SubcategorySpec(pool_up, check=False)
+    ambient_up = SubcategorySpec(pool_up)
     pool_down = pool_of(n32)
-    ambient_down = SubcategorySpec(pool_down, check=False)
+    ambient_down = SubcategorySpec(pool_down)
     projs = [projective_at(n32_cover, x) for x in n32_cover.fundamental_domain()]
     # (Lambda, 0): the generators that are twists of the projectives
     lam = tuple(sorted(class_index(Q, pool_up) for Q in projs))
@@ -247,8 +252,8 @@ def reference_pairs(ambient, n, pool):
 def _ambient(carrier, cover):
     pool = list_indecomposables(carrier, dimcap=8)
     if cover:
-        return SubcategorySpec(pool, check=False), pool
-    return SubcategorySpec(pool, check=False), pool
+        return SubcategorySpec(pool), pool
+    return SubcategorySpec(pool), pool
 
 
 @pytest.mark.parametrize("cover", [False, True], ids=["base", "cover"])

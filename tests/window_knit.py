@@ -48,7 +48,7 @@ class _Pool:
         self.class_cap = class_cap
 
     def add(self, M):
-        bucket = self.by_key.setdefault(M.dims_key(), [])
+        bucket = self.by_key.setdefault(frozenset(M.dims.items()), [])
         if any(_certified_indec_iso(rep, M) for rep in bucket):
             return False
         bucket.append(M)
