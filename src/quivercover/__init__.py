@@ -62,7 +62,6 @@ from .homology import (
     proj_dim_upto,
     syzygy,
     tau,
-    tau_minus,
     tau_n,
     tau_n_minus,
     transpose,

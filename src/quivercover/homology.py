@@ -188,42 +188,37 @@ def cosyzygy(M: FDModule, i: int = 1) -> FDModule:
 # transpose and the AR translates
 
 
-def _sum_of_projectives(carrier, verts):
-    if not verts:
-        Z = zero_module(carrier)
-        return Z, [], []
-    return direct_sum([projective_at(carrier, v) for v in verts])
-
-
-def hom_from_yoneda(carrier, a, b, combo: dict) -> ModMorphism:
-    """The morphism C(-, a) -> C(-, b) represented by combo in C(a, b)."""
-    Pa = projective_at(carrier, a)
-    Pb = projective_at(carrier, b)
-    field = carrier.field
-    mats = {}
-    for y in Pa.support:
-        rows = carrier.hom_labels(y, b)
-        index = {lab: i for i, lab in enumerate(rows)}
-        m = [[0] * Pa.dim(y) for _ in rows]
-        for j, q in enumerate(carrier.hom_labels(y, a)):
-            for lab, c in carrier.compose_combos(y, a, b, {q: field.scalar(1)}, combo).items():
-                m[index[lab]][j] = c
-        if len(rows):
-            mats[y] = Mat.from_rows(field, m)
-    return ModMorphism(Pa, Pb, mats)
-
-
 def yoneda_cokernel(carrier, srcs: list, tgts: list, combos: dict) -> FDModule:
     """The cokernel of the map from the sum of the representables at srcs to
     the sum of those at tgts whose (i, j) component is given by the Yoneda
-    element combos[(i, j)] of C(srcs[i], tgts[j]) (absent or empty: zero)."""
-    S, _, S_prj = _sum_of_projectives(carrier, srcs)
-    T, T_inc, _ = _sum_of_projectives(carrier, tgts)
-    t = zero_morphism(S, T)
+    element combos[(i, j)] of C(srcs[i], tgts[j]) (absent or empty: zero).
+    At y that component, q -> q followed by the element, is the block at the
+    offsets of its two summands."""
+    if not tgts:
+        return zero_module(carrier)
+    T, t_offsets = direct_sum([projective_at(carrier, b) for b in tgts])
+    if not srcs:
+        return T
+    S, s_offsets = direct_sum([projective_at(carrier, a) for a in srcs])
+    field = carrier.field
+    placed = {}
     for (i, j), combo in combos.items():
-        if combo:
-            t = t + (T_inc[j] @ hom_from_yoneda(carrier, srcs[i], tgts[j], combo) @ S_prj[i])
-    return cokernel_module(t)[0]
+        if not combo:
+            continue
+        a, b = srcs[i], tgts[j]
+        for y, col in s_offsets[i].items():
+            row = t_offsets[j].get(y)
+            if row is None:
+                continue
+            index = {lab: r for r, lab in enumerate(carrier.hom_labels(y, b))}
+            paths = carrier.hom_labels(y, a)
+            m = [[0] * len(paths) for _ in index]
+            for k, q in enumerate(paths):
+                for lab, c in carrier.compose_combos(y, a, b, {q: field.scalar(1)}, combo).items():
+                    m[index[lab]][k] = c
+            placed.setdefault(y, []).append((row, col, Mat.from_rows(field, m)))
+    mats = {y: Mat.from_blocks(field, T.dim(y), S.dim(y), blocks) for y, blocks in placed.items()}
+    return cokernel_module(ModMorphism(S, T, mats))[0]
 
 
 def transpose(M: FDModule) -> FDModule:
@@ -238,37 +233,29 @@ def transpose(M: FDModule) -> FDModule:
     if not verts1:
         return zero_module(op)
     d1 = res.diff(1)
+    offsets0, offsets1 = res.covers[0].offsets, res.covers[1].offsets
     # Yoneda coefficients of each component P_{b_j} -> P_{a_i}
-    P0cov, P1cov = res.covers[0], res.covers[1]
     combos = {}
     for j, b in enumerate(verts1):
-        # basis vector of P1(b) that is the identity path of summand j
+        # the column of d1 at b that is the image of the identity path of summand j
         labels_bb = carrier.hom_labels(b, b)
         e_idx = labels_bb.index(
             next(lab for lab in labels_bb if not carrier.label_word(b, b, lab))
         )
-        inc = P1cov.inclusions[j].vertex(b)
-        e_vec = inc[:, [e_idx]]
-        img = d1.vertex(b) @ e_vec
+        img = d1.vertex(b)[:, [offsets1[j][b] + e_idx]].entries()
         for i, a in enumerate(verts0):
-            block = P0cov.projections[i].vertex(b) @ img
-            combo = {}
-            for lab, c in zip(carrier.hom_labels(b, a), block.entries()):
-                if c != 0:
-                    combo[lab] = c
+            o = offsets0[i].get(b)
+            if o is None:
+                continue
+            labels = carrier.hom_labels(b, a)
             # the Yoneda element of C(b, a) is also an element of C^op(a, b)
-            combos[(i, j)] = combo
+            combos[(i, j)] = {lab: c for lab, c in zip(labels, img[o : o + len(labels)]) if c != 0}
     return yoneda_cokernel(op, verts0, verts1, combos)
 
 
 def tau(M: FDModule) -> FDModule:
     """The AR translate D Tr."""
     return dual_module(transpose(M))
-
-
-def tau_minus(M: FDModule) -> FDModule:
-    """The inverse AR translate Tr D."""
-    return transpose(dual_module(M))
 
 
 def tau_n(M: FDModule, n: int) -> FDModule:
@@ -364,7 +351,8 @@ def approximation_objects(U: SubcategorySpec, M: FDModule) -> list:
 def _evaluation_map(U: SubcategorySpec, M: FDModule) -> tuple:
     """The evaluation map ⊕ U_i ⊗ Hom(U_i, M) -> M, a right
     U-approximation of M, with the module of each summand of its source in
-    direct-sum order."""
+    direct-sum order and the summands' offsets in that source; each basis
+    morphism is a block of columns at its summand's offset."""
     pieces = []
     comps = []
     for Uo in approximation_objects(U, M):
@@ -372,12 +360,14 @@ def _evaluation_map(U: SubcategorySpec, M: FDModule) -> tuple:
             pieces.append(Uo)
             comps.append(phi)
     if not pieces:
-        return zero_morphism(zero_module(M.carrier), M), []
-    S, incs, prjs = direct_sum(pieces)
-    f = zero_morphism(S, M)
-    for phi, prj in zip(comps, prjs):
-        f = f + (phi @ prj)
-    return f, pieces
+        return zero_morphism(zero_module(M.carrier), M), [], []
+    S, offsets = direct_sum(pieces)
+    mats = {}
+    for x in S.support:
+        if M.dim(x):
+            blocks = [(0, off[x], phi.vertex(x)) for phi, off in zip(comps, offsets) if x in off]
+            mats[x] = Mat.from_blocks(M.carrier.field, M.dim(x), S.dim(x), blocks)
+    return ModMorphism(S, M, mats), pieces, offsets
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from .covering import canonical_orbit_rep, class_index
 from .errors import CapExceeded
-from .homology import cosyzygy, syzygy, tau, tau_minus
+from .homology import syzygy, transpose
 from .modules import (
     FDModule,
     cokernel_module,
     decompose,
+    dual_module,
     injective_at,
     projective_at,
     radical_inclusion,
@@ -27,12 +28,17 @@ from .modules import (
 
 
 def _closure_steps(M: FDModule):
-    yield lambda: radical_inclusion(M)[0]
-    yield lambda: cokernel_module(socle_inclusion(M)[1])[0]
-    yield lambda: syzygy(M, 1)
-    yield lambda: cosyzygy(M, 1)
-    yield lambda: tau(M)
-    yield lambda: tau_minus(M)
+    """The modules the closure takes from M, in order: rad M, M / soc M,
+    Ω M, Ω⁻ M = D Ω D M, τ M = D Tr M and τ⁻ M = Tr D M.  One D M serves
+    Ω⁻ and τ⁻, so its cover, kernel and the kernel's cover are built once
+    and dropped with the steps; a result over the opposite is dualised."""
+    yield radical_inclusion(M)[0]
+    yield cokernel_module(socle_inclusion(M)[1])[0]
+    DM = dual_module(M)
+    for step in (syzygy, transpose):
+        for X in (M, DM):
+            result = step(X)
+            yield result if result.carrier is M.carrier else dual_module(result)
 
 
 def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> list:
@@ -80,8 +86,7 @@ def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
         gather(candidate)
     while work:
         M = work.pop(0)
-        for step in _closure_steps(M):
-            result = step()
+        for result in _closure_steps(M):
             if not result.is_zero():
                 gather(result)
     return tuple(classes)

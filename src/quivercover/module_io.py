@@ -111,11 +111,10 @@ def module_from_json(carrier, doc: dict) -> FDModule:
             raise SchemaError(f"bad entry in map {key!r}: {exc}") from exc
         s, t = carrier.gen_src(g), carrier.gen_tgt(g)
         ds, dt = dims.get(s, 0), dims.get(t, 0)
+        # every given map is ds x dt, so [] when ds = 0 and [[], ...] when dt = 0
+        if len(entries) != ds or any(len(r) != dt for r in entries):
+            raise SchemaError(f"map {key!r} has shape {len(entries)}x?, expected {ds}x{dt}")
         if ds and dt:
-            if len(entries) != ds or any(len(r) != dt for r in entries):
-                raise SchemaError(
-                    f"map {key!r} has shape {len(entries)}x?, expected {ds}x{dt}"
-                )
             mats[g] = Mat.from_rows(field, entries)
     return FDModule(carrier, dims, mats)
 

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .field import (
     Mat,
+    _canonical,
     column_space_basis,
     hstack,
     is_invertible,
@@ -221,7 +222,8 @@ def _square_generators(M: FDModule, N: FDModule) -> list:
 
 
 def direct_sum(mods: list) -> tuple:
-    """Direct sum with inclusion and projection morphisms."""
+    """(S, offsets): the direct sum S, and for each summand k the offset
+    offsets[k][x] at which it sits in S(x), for each x of its support."""
     if not mods:
         raise ShapeMismatch("direct_sum of an empty list needs a carrier")
     carrier = mods[0].carrier
@@ -242,19 +244,7 @@ def direct_sum(mods: list) -> tuple:
         g: Mat.from_blocks(field, dims[carrier.gen_src(g)], dims[carrier.gen_tgt(g)], placed)
         for g, placed in blocks.items()
     }
-    S = FDModule(carrier, dims, mats, check_shapes=False)
-    inclusions = []
-    projections = []
-    for M, off in zip(mods, offsets):
-        inc = {}
-        prj = {}
-        for x in M.support:
-            block = [(off[x], 0, Mat.identity(field, M.dim(x)))]
-            inc[x] = Mat.from_blocks(field, S.dim(x), M.dim(x), block)
-            prj[x] = inc[x].transpose()
-        inclusions.append(ModMorphism(M, S, inc))
-        projections.append(ModMorphism(S, M, prj))
-    return S, inclusions, projections
+    return FDModule(carrier, dims, mats, check_shapes=False), offsets
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +298,14 @@ def hom_basis(M: FDModule, N: FDModule) -> list:
     else:
         kern = Mat.identity(field, nvars)
     basis = []
-    for j in range(kern.cols):
+    # row j of kern's transpose is basis vector j, and Phi_x is its N(x)
+    # rows of M(x) entries from offsets[x] on
+    for vec in kern.transpose().ints:
         mats = {}
         for x in var_objs:
-            n0 = offsets[x]
-            blockvec = kern[n0 : n0 + M.dim(x) * N.dim(x), [j]]
-            mats[x] = blockvec.reshape(N.dim(x), M.dim(x))
+            o, mx = offsets[x], M.dim(x)
+            rows = [vec[o + r * mx : o + (r + 1) * mx] for r in range(N.dim(x))]
+            mats[x] = _canonical(field, rows, kern.den, mx)
         basis.append(ModMorphism(M, N, mats))
     M._cache[key] = (N, basis)
     return basis
@@ -522,16 +514,16 @@ def dual_module(M: FDModule) -> FDModule:
 
 
 class ProjCover:
-    """A projective cover: the covering module, the epi, and its summand list."""
+    """A projective cover: the covering module, the epi, its summand list,
+    and the offsets of the summands in the module (as direct_sum gives them)."""
 
-    __slots__ = ("module", "epi", "vertices", "inclusions", "projections")
+    __slots__ = ("module", "epi", "vertices", "offsets")
 
-    def __init__(self, module, epi, vertices, inclusions, projections):
+    def __init__(self, module, epi, vertices, offsets):
         self.module = module
         self.epi = epi
         self.vertices = vertices
-        self.inclusions = inclusions
-        self.projections = projections
+        self.offsets = offsets
 
 
 def projective_cover(M: FDModule) -> ProjCover:
@@ -555,9 +547,9 @@ def _build_projective_cover(M: FDModule) -> ProjCover:
             lift_vectors.append(lifts[x][:, [j]])
     if not summand_vertices:
         Z = zero_module(carrier)
-        return ProjCover(Z, ModMorphism(Z, M, {}), (), [], [])
+        return ProjCover(Z, ModMorphism(Z, M, {}), (), [])
     projs = [projective_at(carrier, x) for x in summand_vertices]
-    P, incs, prjs = direct_sum(projs)
+    P, offsets = direct_sum(projs)
     mats = {}
     for y in P.support:
         # column q of summand k: the action of the basis path q on the lift
@@ -573,7 +565,7 @@ def _build_projective_cover(M: FDModule) -> ProjCover:
     for x in M.support:
         if rank(epi.vertex(x)) != M.dim(x):
             raise ShapeMismatch("projective cover failed to surject")
-    return ProjCover(P, epi, tuple(summand_vertices), incs, prjs)
+    return ProjCover(P, epi, tuple(summand_vertices), offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -888,9 +880,11 @@ class _EndAlgebra:
             n += M.dim(x)
         self.n = n
         self.basis = hom_basis(M, M)
-        self.totals = [self.to_total(b) for b in self.basis]
         self.dim = len(self.basis)
-        if self.dim:
+        # End(M) of dimension 1 is the scalars: M is indecomposable, and
+        # decompose reads nothing more
+        if self.dim > 1:
+            self.totals = [self.to_total(b) for b in self.basis]
             self._vec_basis = hstack([self.flat(t) for t in self.totals])
 
     def to_total(self, phi: ModMorphism) -> Mat:

@@ -26,7 +26,6 @@ from .modules import (
     ModMorphism,
     SubcategorySpec,
     decompose,
-    direct_sum,
     find_iso,
     hom_dim,
     injective_at,
@@ -538,18 +537,17 @@ def _mod_pushdown_of_phi(E_down: EndoCarrier, V: SubcategorySpec, M: FDModule, U
     contains the projectives); each of its summands, a twist of a generator
     of U, is matched to the downstairs generator V_j it pushes down to, the
     object j of E_down."""
-    f0, p0 = _evaluation_map(U, M)
+    f0, p0, offsets0 = _evaluation_map(U, M)
     K, incl = kernel_module(f0)
     if K.is_zero():
         p1, comps01 = [], []
     else:
-        f1, p1 = _evaluation_map(U, K)
+        f1, p1, offsets1 = _evaluation_map(U, K)
         d = incl @ f1
-        # components d_{kj}: piece1_j -> piece0_k
-        _, _, prjs0 = direct_sum(p0)
-        _, incs1, _ = direct_sum(p1)
+        # components d_{kj}: piece1_j -> piece0_k, the blocks of d at the summand offsets
         comps01 = [
-            [(prjs0[k] @ d @ incs1[j]) for j in range(len(p1))] for k in range(len(p0))
+            [_block(d, B, o1, A, o0) for B, o1 in zip(p1, offsets1)]
+            for A, o0 in zip(p0, offsets0)
         ]
     # a summand is a twist of a generator, which the caller matched downstairs
     down = {}
@@ -566,6 +564,14 @@ def _mod_pushdown_of_phi(E_down: EndoCarrier, V: SubcategorySpec, M: FDModule, U
             coords = morphism_coords(E_down.basis(o1, o0), down_mor)
             combos[(j, k)] = {(o1, o0, r): c for r, c in enumerate(coords.entries()) if c != 0}
     return yoneda_cokernel(E_down, [o for o, _ in down1], [o for o, _ in down0], combos)
+
+
+def _block(d: ModMorphism, B: FDModule, b_off: dict, A: FDModule, a_off: dict) -> ModMorphism:
+    """The component B -> A of d, for summands of its source and target at these offsets."""
+    return ModMorphism(B, A, {
+        x: d.vertex(x)[a_off[x] : a_off[x] + A.dim(x), b_off[x] : b_off[x] + B.dim(x)]
+        for x in B.support if x in a_off
+    })
 
 
 def _invert_iso(phi):

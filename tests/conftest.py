@@ -5,7 +5,9 @@ import os
 import pytest
 
 from quivercover import Group, load_presentation, smash_cover
-from quivercover.modules import cokernel_module, radical_inclusion
+from quivercover.field import Mat
+from quivercover.homology import transpose
+from quivercover.modules import ModMorphism, cokernel_module, dual_module, radical_inclusion
 from quivercover.presentation import Arrow, GradedQuiverPresentation
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
@@ -35,6 +37,24 @@ def commutes(phi) -> bool:
             if not (phi.vertex(x) @ M.mat(g) - N.mat(g) @ phi.vertex(y)).is_zero():
                 return False
     return True
+
+
+def tau_minus(M):
+    """The inverse AR translate Tr D M."""
+    return transpose(dual_module(M))
+
+
+def summand_morphisms(S, mods, offsets) -> tuple:
+    """(inclusions, projections) of the summands mods of the direct sum S,
+    placed at the offsets direct_sum gave for them."""
+    field = S.carrier.field
+    inclusions, projections = [], []
+    for M, off in zip(mods, offsets):
+        inc = {x: Mat.from_blocks(field, S.dim(x), M.dim(x), [(o, 0, Mat.identity(field, M.dim(x)))])
+               for x, o in off.items()}
+        inclusions.append(ModMorphism(M, S, inc))
+        projections.append(ModMorphism(S, M, {x: m.transpose() for x, m in inc.items()}))
+    return inclusions, projections
 
 
 def top_module(M) -> tuple:

@@ -39,7 +39,6 @@ from quivercover import (
     scan_tau_n_tilting_finite,
     syzygy,
     tau,
-    tau_minus,
     twist_module,
     twisted_iso,
     verify_bongab,
@@ -51,7 +50,7 @@ from quivercover import (
     zero_module,
 )
 from quivercover.precluster import _pushdown_spec
-from tests.conftest import commutes
+from tests.conftest import commutes, tau_minus
 
 
 def report(num, ok, detail):

@@ -279,13 +279,28 @@ def test_pushdown_of_a_far_twist_is_that_of_the_centred_twist(tmp_path, capsys):
         {"dims": {"1@x": 1}},
         {"dims": {"9@0": 1}},
         {"dims": {"1@0": 1, "2@1": 1}, "arrowmaps": {"zz@0": [[1]]}},
+        # a1@0: 1@0 -> 2@1 must be 1 x 0 and a2@0: 2@0 -> 3@1 must be 0 x 0
+        {"dims": {"1@0": 1}, "arrowmaps": {"a1@0": [[1, 2, 3]]}},
+        {"dims": {"1@0": 1}, "arrowmaps": {"a2@0": [[7]]}},
+        {"dims": {"1@0": 1}, "arrowmaps": {"a1@0": []}},
     ],
-    ids=["wrong-rank", "bad-shift", "unknown-vertex", "unknown-arrow"],
+    ids=[
+        "wrong-rank", "bad-shift", "unknown-vertex", "unknown-arrow",
+        "misshapen-at-zero-target", "misshapen-at-zero-source", "rows-missing-at-zero-target",
+    ],
 )
 def test_pushdown_rejects_bad_module_literals(tmp_path, capsys, module):
     code, _, err = _pushdown(capsys, tmp_path, module)
     assert code == 2
     assert err.startswith("SchemaError: ")
+
+
+def test_pushdown_accepts_empty_maps_at_zero_endpoints(tmp_path, capsys):
+    # the maps of a1@0 (1 x 0) and a2@0 (0 x 0) spelled out as empty rows
+    module = {"dims": {"1@0": 1}, "arrowmaps": {"a1@0": [[]], "a2@0": []}}
+    code, out, _ = _pushdown(capsys, tmp_path, module)
+    assert code == 0
+    assert json.loads(out) == {"dims": {"1": 1}, "arrowmaps": {}}
 
 
 def test_enumerate_tilting_command(capsys):

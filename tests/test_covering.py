@@ -24,7 +24,6 @@ from quivercover import (
     simple_at,
     smash_cover,
     tau,
-    tau_minus,
     twist_module,
     twisted_iso,
     validate_module,
@@ -34,7 +33,7 @@ from quivercover import (
     zero_module,
 )
 from quivercover.modules import identity_morphism, twist_candidates, zero_morphism
-from tests.conftest import shift_box, top_module
+from tests.conftest import shift_box, summand_morphisms, tau_minus, top_module
 from window_knit import box_objects, in_box, window_knit
 
 
@@ -113,7 +112,8 @@ def test_push_down_morphism_functorial(n32_cover):
 def test_push_down_exactness_on_cover_sequence(n32_cover):
     # a split epi pushes down to a split epi (sections push down)
     X = projective_at(n32_cover, ("1", (0,)))
-    S, incs, prjs = direct_sum([X, X])
+    S, offsets = direct_sum([X, X])
+    incs, prjs = summand_morphisms(S, [X, X], offsets)
     down_prj = push_down_morphism(prjs[0])
     down_inc = push_down_morphism(incs[0])
     comp = down_prj @ down_inc

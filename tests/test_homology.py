@@ -30,7 +30,6 @@ from quivercover import (
     simple_at,
     syzygy,
     tau,
-    tau_minus,
     tau_n,
     tau_n_minus,
     transpose,
@@ -39,7 +38,7 @@ from quivercover import (
 )
 from quivercover.field import hstack, rank
 from quivercover.homology import _coords_matrix, _evaluation_map, approximation_objects
-from tests.conftest import GOLDENS
+from tests.conftest import GOLDENS, summand_morphisms, tau_minus
 
 
 def check_resolution(res, k):
@@ -499,3 +498,137 @@ def test_tau_n_minus_is_tr_of_the_dual_resolution(name, request):
             ref = transpose(_stage(dual_module(M), n - 1))
             assert got.carrier is M.carrier
             assert got.dims == ref.dims and got.gen_mats == ref.gen_mats
+
+
+def _yoneda_cokernel_by_composites(carrier, srcs, tgts, combos):
+    # the former yoneda_cokernel: the map is the sum of the composites
+    # T_inc[j] @ h_ij @ S_prj[i], each h_ij built vertex by vertex from its
+    # Yoneda element
+    from quivercover import ModMorphism, direct_sum
+    from quivercover.field import Mat
+    from quivercover.modules import cokernel_module, zero_morphism
+
+    field = carrier.field
+
+    def summed(objs):
+        if not objs:
+            return zero_module(carrier), [], []
+        mods = [projective_at(carrier, v) for v in objs]
+        S, offsets = direct_sum(mods)
+        return (S, *summand_morphisms(S, mods, offsets))
+
+    def hom_from_yoneda(a, b, combo):
+        Pa, Pb = projective_at(carrier, a), projective_at(carrier, b)
+        mats = {}
+        for y in Pa.support:
+            rows = carrier.hom_labels(y, b)
+            index = {lab: i for i, lab in enumerate(rows)}
+            m = [[0] * Pa.dim(y) for _ in rows]
+            for j, q in enumerate(carrier.hom_labels(y, a)):
+                for lab, c in carrier.compose_combos(y, a, b, {q: field.scalar(1)}, combo).items():
+                    m[index[lab]][j] = c
+            if len(rows):
+                mats[y] = Mat.from_rows(field, m)
+        return ModMorphism(Pa, Pb, mats)
+
+    S, _, S_prj = summed(srcs)
+    T, T_inc, _ = summed(tgts)
+    t = zero_morphism(S, T)
+    for (i, j), combo in combos.items():
+        if combo:
+            t = t + (T_inc[j] @ hom_from_yoneda(srcs[i], tgts[j], combo) @ S_prj[i])
+    return cokernel_module(t)[0]
+
+
+def _yoneda_carrier(name, field):
+    """(carrier, objects to draw from) for the Yoneda reference test."""
+    from quivercover import endo_category, load_presentation, smash_cover
+    from tests.conftest import golden_doc
+    from tests.test_square import square_doc
+
+    if name == "square":
+        square = load_presentation(square_doc(field))
+        return square, square.objects
+    n32 = load_presentation({**golden_doc("n32"), "field": field})
+    if name == "n32":
+        return n32, n32.objects
+    if name == "n32-cover":
+        return smash_cover(n32), [(v, (s,)) for s in range(3) for v in n32.vertices]
+    E = endo_category(SubcategorySpec(list_indecomposables(n32)))
+    return E, E.objects
+
+
+@pytest.mark.parametrize("field", [{"kind": "prime", "p": 32003}, {"kind": "rationals"}], ids=["F_32003", "Q"])
+@pytest.mark.parametrize("name", ["n32", "n32-cover", "square", "endo"])
+def test_yoneda_cokernel_matches_the_sum_of_composites(name, field):
+    import random
+
+    from quivercover.homology import yoneda_cokernel
+
+    carrier, objects = _yoneda_carrier(name, field)
+    rng = random.Random(20261019)
+    proper = 0
+    for _ in range(16):
+        srcs = rng.choices(objects, k=rng.randint(0, 3))
+        tgts = rng.choices(objects, k=rng.randint(1, 3))
+        combos = {}
+        for i, a in enumerate(srcs):
+            for j, b in enumerate(tgts):
+                labels = carrier.hom_labels(a, b)
+                if labels and rng.random() < 0.8:
+                    combos[(i, j)] = {lab: carrier.field.random_scalar(rng) for lab in labels}
+        got = yoneda_cokernel(carrier, srcs, tgts, combos)
+        ref = _yoneda_cokernel_by_composites(carrier, srcs, tgts, combos)
+        assert got.dims == ref.dims
+        assert all(got.mat(g) == ref.mat(g) for g in set(got.gen_mats) | set(ref.gen_mats))
+        proper += got.total_dim < sum(projective_at(carrier, b).total_dim for b in tgts)
+    assert proper  # some map was nonzero
+
+
+@pytest.mark.parametrize("name", ["ka3", "n32", "ausl2", "loop2"])
+def test_closure_steps_are_rad_socle_quotient_and_the_four_translates(name, request):
+    # entry for entry: rad M, M / soc M, Omega M, Omega^- M, tau M, tau^- M
+    from quivercover.knitting import _closure_steps
+    from quivercover.modules import cokernel_module, socle_inclusion
+
+    for M in list_indecomposables(request.getfixturevalue(name)):
+        refs = [
+            radical_inclusion(M)[0],
+            cokernel_module(socle_inclusion(M)[1])[0],
+            syzygy(M),
+            cosyzygy(M),
+            tau(M),
+            tau_minus(M),
+        ]
+        got = list(_closure_steps(M))
+        assert [X.carrier for X in got] == [M.carrier] * 6
+        assert [(X.dims, X.gen_mats) for X in got] == [(X.dims, X.gen_mats) for X in refs]
+
+
+def test_e6_knit_resolves_each_dual_once(monkeypatch):
+    # Omega^- M and tau^- M share one D M, so its cover, kernel and the
+    # kernel's cover are built once per class; deterministic counts
+    import quivercover.field as field
+    import quivercover.modules as modules
+    from quivercover import load_presentation
+    from quivercover.carrier import OppositeCarrier
+
+    edges = [(1, 3), (3, 4), (2, 4), (4, 5), (5, 6)]
+    e6 = load_presentation({
+        "field": {"kind": "prime", "p": 32003},
+        "group": {"kind": "free-abelian", "rank": 1},
+        "vertices": [str(v) for v in range(1, 7)],
+        "arrows": [{"id": f"a{a}_{b}", "src": str(a), "tgt": str(b), "weight": [1]} for a, b in edges],
+        "relations": [],
+        "nilbound": 4,
+    })
+    covers, rrefs = [], []
+    real_cover, real_rref = modules._build_projective_cover, field._residue_rref
+    monkeypatch.setattr(
+        modules, "_build_projective_cover",
+        lambda M: covers.append(isinstance(M.carrier, OppositeCarrier)) or real_cover(M),
+    )
+    monkeypatch.setattr(field, "_residue_rref", lambda *args: rrefs.append(1) or real_rref(*args))
+    assert len(list_indecomposables(e6)) == 36
+    # before the shared D M: 210 covers, 138 over the opposite, 4,719 eliminations
+    assert (len(covers), sum(covers), len(rrefs)) == (144, 72, 3997)

@@ -142,10 +142,10 @@ def test_decompose_trivial_cases(n32):
     P1 = projective_at(n32, "1")
     assert [(m.total_dim, k) for m, k in decompose(P1)] == [(2, 1)]
     S2 = simple_at(n32, "2")
-    D, _, _ = direct_sum([S2, S2])
+    D, _ = direct_sum([S2, S2])
     parts = decompose(D)
     assert len(parts) == 1 and parts[0][1] == 2
-    M, _, _ = direct_sum([P1, S2])
+    M, _ = direct_sum([P1, S2])
     parts = decompose(M)
     assert sorted((m.total_dim, k) for m, k in parts) == [(1, 1), (2, 1)]
 

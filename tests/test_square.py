@@ -21,10 +21,10 @@ from quivercover import (
     module_from_json,
     smash_cover,
     tau,
-    tau_minus,
     validate_module,
 )
 from quivercover.cli import main
+from tests.conftest import tau_minus
 
 FIELDS = {"F_32003": {"kind": "prime", "p": 32003}, "Q": {"kind": "rationals"}}
 ARROWS = (("a", "1", "2"), ("d", "3", "4"), ("c", "1", "3"), ("b", "2", "4"))

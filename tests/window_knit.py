@@ -79,8 +79,7 @@ def window_knit(carrier, box, dimcap=48, class_cap=512):
         gather(candidate)
     while work:
         M = work.pop(0)
-        for step in _closure_steps(M):
-            result = step()
+        for result in _closure_steps(M):
             if not result.is_zero():
                 gather(result)
     return pool.classes
