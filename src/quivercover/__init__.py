@@ -30,7 +30,6 @@ from .cover import CoverCarrier, smash_cover
 from .modules import (
     FDModule,
     ModMorphism,
-    SubcategorySpec,
     decompose,
     direct_sum,
     dual_module,
@@ -81,7 +80,7 @@ from .covering import (
     verify_orbit_bijection,
 )
 from .knitting import list_indecomposables
-from .endo import EndoCarrier, endo_category, phi_module
+from .endo import EndoCarrier, phi_module
 from .precluster import (
     PreclusterVerdict,
     check_nMAG,
@@ -100,6 +99,7 @@ from .precluster import (
     verify_selfinjectivity_criteria,
 )
 from .tautilt import (
+    TiltingGraph,
     enumerate_support_tilting_pairs,
     is_G_tau_n_rigid,
     is_n_cluster_tilting,

@@ -37,7 +37,7 @@ from .errors import (
 from .groups import Group
 from .knitting import list_indecomposables
 from .module_io import listing_to_json, module_from_json, module_to_json
-from .modules import SubcategorySpec, validate_module
+from .modules import validate_module
 from .precluster import (
     _pushdown_spec,
     _tau_closure_candidate,
@@ -52,6 +52,7 @@ from .precluster import (
 from .presentation import load_presentation_file, orbit_of_finite_action
 from .report import CLAIM_IDS, INDETERMINATE, NOT_APPLICABLE, VerificationReport
 from .tautilt import (
+    TiltingGraph,
     enumerate_support_tilting_pairs,
     scan_tau_n_tilting_finite,
     verify_tilting_pushdown,
@@ -171,18 +172,18 @@ def _load(args):
     return load_presentation_file(args.input, args.seed)
 
 
-def _canonical_subcategory(carrier, n: int, cap: int) -> SubcategorySpec:
+def _canonical_subcategory(carrier, n: int, cap: int) -> list:
     """The minimal candidate subcategory: the closure of the projectives and
     injectives under both higher translates.  This is n-precluster tilting
     iff the carrier admits any (G,)n-precluster tilting module, so it is the
     canonical instance for the transfer claims."""
-    spec, stabilized = _tau_closure_candidate(carrier, n, cap)
+    classes, stabilized = _tau_closure_candidate(carrier, n, cap)
     if not stabilized:
         raise CapExceeded(
             "the translate closure of projectives and injectives did not "
             f"stabilize within {cap} iterations; raise --cap"
         )
-    return spec
+    return classes
 
 
 def _aggregate(claim: str, instance: dict, reports: list, caps=None) -> VerificationReport:
@@ -229,7 +230,7 @@ def run_claim(pres, claim: str, n: int, args) -> VerificationReport:
 
 
 def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> VerificationReport:
-    dimcap = getattr(args, "dimcap", 48)
+    dimcap = args.dimcap
     if claim == "Main1":
         U = _canonical_subcategory(cover, n, args.cap)
         rep = verify_main1(U, n)
@@ -268,22 +269,19 @@ def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> Verificati
     return rep
 
 
-def _tilting_ambient(carrier, dimcap) -> tuple:
-    """(pool, ambient): the whole indecomposable pool, twist-closed on a
-    covering carrier."""
+def _tilting_graph(carrier, n: int, dimcap: int) -> TiltingGraph:
+    """The graph of the whole indecomposable pool as the ambient, one class
+    per twist orbit on a covering carrier, certified n-cluster tilting."""
     pool = list_indecomposables(carrier, dimcap=dimcap)
-    return pool, SubcategorySpec(pool)
+    return TiltingGraph(pool, n, pool)
 
 
 def _run_tilting_pushdown(pres, cover, n, dimcap, instance) -> VerificationReport:
-    pool_up, ambient_up = _tilting_ambient(cover, dimcap)
-    pool_down, ambient_down = _tilting_ambient(pres, dimcap)
-    pairs_up = enumerate_support_tilting_pairs(ambient_up, n, pool_up)
-    pairs_down = enumerate_support_tilting_pairs(ambient_down, n, pool_down)
-    subs = [
-        verify_tilting_pushdown(pair, n, ambient_up, pool_up, ambient_down, pool_down)
-        for pair in pairs_up
-    ]
+    up = _tilting_graph(cover, n, dimcap)
+    down = _tilting_graph(pres, n, dimcap)
+    pairs_up = enumerate_support_tilting_pairs(up)
+    pairs_down = enumerate_support_tilting_pairs(down)
+    subs = [verify_tilting_pushdown(pair, up, down) for pair in pairs_up]
     agg = _aggregate("TiltingPushdown", instance, subs)
     agg.witnesses.append(
         {"upstairs_orbit_pairs": len(pairs_up), "downstairs_pairs": len(pairs_down)}
@@ -385,10 +383,10 @@ def _cmd_suite(args) -> int:
 def _cmd_enumerate_tilting(args) -> int:
     pres = _load(args)
     carrier = smash_cover(pres) if args.cover else pres
-    pool, ambient = _tilting_ambient(carrier, args.dimcap)
-    pairs = enumerate_support_tilting_pairs(ambient, args.n, pool)
+    graph = _tilting_graph(carrier, args.n, args.dimcap)
+    pairs = enumerate_support_tilting_pairs(graph)
     payload = {
-        "ambient": listing_to_json(ambient.generators),
+        "ambient": listing_to_json(graph.ambient),
         "projectives": [str(x) for x in carrier.fundamental_domain()],
         "pairs": [
             {"module_ids": list(msel), "projective_ids": list(psel)} for msel, psel in pairs

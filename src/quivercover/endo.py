@@ -20,7 +20,6 @@ from .modules import (
     _acting_generators,
     FDModule,
     ModMorphism,
-    SubcategorySpec,
     hom_basis,
     identity_morphism,
     morphism_coords,
@@ -30,17 +29,19 @@ from .modules import (
 
 
 class EndoCarrier(Carrier):
-    """The k-category presented by the hom bases of a subcategory's objects."""
+    """The k-category presented by the hom bases of a subcategory's objects,
+    given as a list of its classes."""
 
-    def __init__(self, U: SubcategorySpec):
-        if not U.generators:
+    def __init__(self, U: list):
+        if not U:
             raise ShapeMismatch("endomorphism category needs at least one object")
-        self.modules = list(U.generators)
-        self.field = U.carrier.field
-        self.seed = U.carrier.seed
-        self.twisted = U.twisted
+        self.modules = list(U)
+        carrier = U[0].carrier
+        self.field = carrier.field
+        self.seed = carrier.seed
+        self.twisted = carrier.is_cover
         if self.twisted:
-            e = U.carrier.group.identity()
+            e = carrier.group.identity()
             self._objects = tuple((i, e) for i in range(len(self.modules)))
         else:
             self._objects = tuple(range(len(self.modules)))
@@ -198,11 +199,6 @@ class EndoCarrier(Carrier):
         dims = [m.total_dim for m in self.modules]
         count = "twist orbits" if self.twisted else "objects"
         return f"endo({len(self.modules)} {count}, module dims {dims})"
-
-
-def endo_category(U: SubcategorySpec) -> EndoCarrier:
-    """mod-U carrier of a subcategory given by its generator list."""
-    return EndoCarrier(U)
 
 
 def phi_module(E: EndoCarrier, X: FDModule) -> FDModule:

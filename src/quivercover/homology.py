@@ -17,7 +17,6 @@ from .modules import (
     FDModule,
     ModMorphism,
     ProjCover,
-    SubcategorySpec,
     combine,
     decompose,
     direct_sum,
@@ -332,15 +331,15 @@ def ext_dim(M: FDModule, N: FDModule, i: int) -> int:
 # approximations
 
 
-def approximation_objects(U: SubcategorySpec, M: FDModule) -> list:
-    """Generators of U (plus their twists whose support meets M's over a
+def approximation_objects(U: list, M: FDModule) -> list:
+    """The classes of U (plus their twists whose support meets M's over a
     covering carrier)."""
-    out = list(U.generators)
-    carrier = U.carrier
-    if U.twisted:
+    out = list(U)
+    carrier = M.carrier
+    if carrier.is_cover:
         from .covering import twist_module
 
-        for gen in U.generators:
+        for gen in U:
             for a in twist_candidates(carrier.group, gen.support, M.support):
                 if carrier.group.is_identity(a):
                     continue
@@ -348,7 +347,7 @@ def approximation_objects(U: SubcategorySpec, M: FDModule) -> list:
     return out
 
 
-def _evaluation_map(U: SubcategorySpec, M: FDModule) -> tuple:
+def _evaluation_map(U: list, M: FDModule) -> tuple:
     """The evaluation map ⊕ U_i ⊗ Hom(U_i, M) -> M, a right
     U-approximation of M, with the module of each summand of its source in
     direct-sum order and the summands' offsets in that source; each basis

@@ -1168,47 +1168,6 @@ def _iso_lattice_fallback(M: FDModule, N: FDModule, basis) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# subcategory specifications
-
-
-class SubcategorySpec:
-    """A finite list of pairwise non-isomorphic indecomposables (add-closure).
-
-    The generators are trusted: every caller takes them from a knitted pool
-    or a closure of classes, which are indecomposable and pairwise
-    non-isomorphic (up to twist over a covering carrier) by construction."""
-
-    def __init__(self, generators: list):
-        self.generators = list(generators)
-        # n-cluster-tilting verdicts, (n, id(pool)) -> (pool, compatibility
-        # graph, or None when not cluster tilting); the entry holds the pool
-        # so that its id cannot be reused
-        self.cluster_tilting: dict = {}
-
-    @property
-    def carrier(self):
-        return self.generators[0].carrier if self.generators else None
-
-    @property
-    def twisted(self) -> bool:
-        """Do membership, Ext and iso tests range over every twist of the
-        generators (is the carrier a covering)?"""
-        return self.carrier is not None and self.carrier.is_cover
-
-    def __len__(self):
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def contains_iso(self, M: FDModule) -> bool:
-        """Is M isomorphic to a generator (up to twist over a covering)?"""
-        from .covering import class_index
-
-        return class_index(M, self.generators) is not None
-
-
 def twist_candidates(group, src_support, dst_support) -> list:
     """The sorted twists a moving some (v, g) of src_support onto some
     (v, h) of dst_support, that is a = h - g at a common base vertex.

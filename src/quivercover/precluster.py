@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import CoverCarrier, smash_cover
-from .endo import EndoCarrier, endo_category, phi_module
+from .endo import EndoCarrier, phi_module
 from .errors import HypothesisUnverified
 from .field import invert
 from .homology import (
@@ -24,7 +24,6 @@ from .knitting import list_indecomposables
 from .modules import (
     FDModule,
     ModMorphism,
-    SubcategorySpec,
     decompose,
     find_iso,
     hom_dim,
@@ -89,37 +88,33 @@ class PreclusterVerdict:
 # the Def n-precluster conditions
 
 
-def is_generator_cogenerator(U: SubcategorySpec) -> bool:
-    carrier = U.carrier
-    if carrier is None:
-        return False
+def is_generator_cogenerator(U: list) -> bool:
+    carrier = U[0].carrier
     for x in carrier.fundamental_domain():
-        if not U.contains_iso(projective_at(carrier, x)):
+        if class_index(projective_at(carrier, x), U) is None:
             return False
-        if not U.contains_iso(injective_at(carrier, x)):
+        if class_index(injective_at(carrier, x), U) is None:
             return False
     return True
 
 
-def _translate_stable(U: SubcategorySpec, n: int, minus: bool) -> bool:
-    for M in U.generators:
+def _translate_stable(U: list, n: int, minus: bool) -> bool:
+    for M in U:
         T = tau_n_minus(M, n) if minus else tau_n(M, n)
         if T.is_zero():
             continue
         for piece, _ in decompose(T):
-            if not U.contains_iso(piece):
+            if class_index(piece, U) is None:
                 return False
     return True
 
 
-def is_n_precluster(U: SubcategorySpec, n: int) -> PreclusterVerdict:
+def is_n_precluster(U: list, n: int) -> PreclusterVerdict:
     return PreclusterVerdict(
         generator_cogenerator=is_generator_cogenerator(U),
         tau_stable=_translate_stable(U, n, minus=False),
         tau_minus_stable=_translate_stable(U, n, minus=True),
-        ext_vanishing=all(
-            ext_vanishes(M, N, range(1, n)) for M in U.generators for N in U.generators
-        ),
+        ext_vanishing=all(ext_vanishes(M, N, range(1, n)) for M in U for N in U),
         finite_type=True,  # a finite generator list, closed under twist by construction
         n=n,
     )
@@ -156,16 +151,14 @@ def _closure(seeds: list, steps, cap: int) -> tuple:
 def compute_Pn(carrier, n: int, cap: int = 32) -> tuple:
     """Closure of the projectives under the inverse higher translate.
 
-    Returns (SubcategorySpec, stabilized)."""
+    Returns (classes, stabilized)."""
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
-    classes, stabilized = _closure(seeds, [lambda M: tau_n_minus(M, n)], cap)
-    return SubcategorySpec(classes), stabilized
+    return _closure(seeds, [lambda M: tau_n_minus(M, n)], cap)
 
 
 def compute_In(carrier, n: int, cap: int = 32) -> tuple:
     seeds = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    classes, stabilized = _closure(seeds, [lambda M: tau_n(M, n)], cap)
-    return SubcategorySpec(classes), stabilized
+    return _closure(seeds, [lambda M: tau_n(M, n)], cap)
 
 
 def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> VerificationReport:
@@ -185,18 +178,18 @@ def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> Verificati
             caps=caps,
             notes=["closure did not stabilize within the cap"],
         )
-    found = match_pushdowns(up.generators, down.generators, distinct=True)
+    found = match_pushdowns(up, down, distinct=True)
     matching = ["decomposable-pushdown" if j == "decomposable" else j for j in found]
     matched = sum(isinstance(j, int) for j in found)
-    ok = matched == len(up.generators) == len(down.generators)
+    ok = matched == len(up) == len(down)
     return VerificationReport(
         claim="PnPushdown",
         instance={"n": n, "carrier": cover.describe()},
         outcome=ok,
         witnesses=[
             {
-                "upstairs_classes": len(up.generators),
-                "downstairs_classes": len(down.generators),
+                "upstairs_classes": len(up),
+                "downstairs_classes": len(down),
                 "matching": matching,
             }
         ],
@@ -209,7 +202,7 @@ def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> Verificati
 # perpendicular categories
 
 
-def perpendiculars(U: SubcategorySpec, pool: list, n: int) -> tuple:
+def perpendiculars(U: list, pool: list, n: int) -> tuple:
     """(left, right): the pool members M with Ext^i(M, U) = 0, and those with
     Ext^i(U, M) = 0, for 0 < i < n (over every twist on a covering carrier)."""
     degrees = range(1, n)
@@ -218,16 +211,15 @@ def perpendiculars(U: SubcategorySpec, pool: list, n: int) -> tuple:
     return left, right
 
 
-def compute_Z(U: SubcategorySpec, pool: list, n: int) -> tuple:
-    """(Z(U) as a SubcategorySpec over the pool, symmetric: bool).
+def compute_Z(U: list, pool: list, n: int) -> tuple:
+    """(Z(U) as a list of pool classes, symmetric: bool).
 
     Z = the common left/right (n-1)-perpendicular of U inside the pool; the
     left and right computations are performed independently and compared.
     Asymmetry refutes the precluster hypothesis and is reported by callers."""
     left, right = perpendiculars(U, pool, n)
     symmetric = [id(m) for m in left] == [id(m) for m in right]
-    spec = SubcategorySpec(left)
-    return spec, symmetric
+    return left, symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +266,22 @@ def is_gorenstein_projective(E: EndoCarrier, M: FDModule, n: int) -> bool:
 # theorem verifiers
 
 
-def _pushdown_spec(U: SubcategorySpec) -> SubcategorySpec:
-    """Push down the generators, decompose, deduplicate."""
+def _pushdown_spec(U: list) -> list:
+    """Push down the classes, decompose, deduplicate."""
     classes: list = []
-    for gen in U.generators:
+    for gen in U:
         for piece, _ in decompose(push_down(gen)):
             add_class(classes, piece)
-    return SubcategorySpec(classes)
+    return classes
 
 
-def verify_main1(U: SubcategorySpec, n: int) -> VerificationReport:
+def verify_main1(U: list, n: int) -> VerificationReport:
     """Push-down of an n-precluster tilting subcategory stays one."""
     up = is_n_precluster(U, n)
     if not up.passes:
         return VerificationReport(
             claim="Main1",
-            instance={"n": n, "generators": len(U.generators)},
+            instance={"n": n, "generators": len(U)},
             outcome=NOT_APPLICABLE,
             witnesses=[{"upstairs": up.to_json()}],
             notes=["the upstairs subcategory fails the n-precluster hypothesis"],
@@ -298,41 +290,40 @@ def verify_main1(U: SubcategorySpec, n: int) -> VerificationReport:
     down = is_n_precluster(V, n)
     return VerificationReport(
         claim="Main1",
-        instance={"n": n, "generators": len(U.generators)},
+        instance={"n": n, "generators": len(U)},
         outcome=down.passes,
         witnesses=[{"upstairs": up.to_json(), "downstairs": down.to_json(),
-                    "downstairs_classes": len(V.generators)}],
+                    "downstairs_classes": len(V)}],
     )
 
 
-def verify_main2(V: SubcategorySpec, n: int, dimcap: int = 48) -> VerificationReport:
+def verify_main2(V: list, n: int, dimcap: int = 48) -> VerificationReport:
     """The preimage of a downstairs n-precluster tilting subcategory is one,
     over the covering of V's carrier."""
     down = is_n_precluster(V, n)
     if not down.passes:
         return VerificationReport(
             claim="Main2",
-            instance={"n": n, "generators": len(V.generators)},
+            instance={"n": n, "generators": len(V)},
             outcome=NOT_APPLICABLE,
             witnesses=[{"downstairs": down.to_json()}],
             notes=["the downstairs subcategory fails the n-precluster hypothesis"],
         )
     # the twists in one orbit push down to the same generator
-    classes = list_indecomposables(smash_cover(V.carrier), dimcap=dimcap)
-    found = match_pushdowns(classes, V.generators, distinct=False)
+    classes = list_indecomposables(smash_cover(V[0].carrier), dimcap=dimcap)
+    found = match_pushdowns(classes, V, distinct=False)
     preimage = [X for X, j in zip(classes, found) if isinstance(j, int)]
-    if len({j for j in found if isinstance(j, int)}) != len(V.generators):
+    if len({j for j in found if isinstance(j, int)}) != len(V):
         return VerificationReport(
             claim="Main2",
-            instance={"n": n, "generators": len(V.generators)},
+            instance={"n": n, "generators": len(V)},
             outcome=NOT_APPLICABLE,
             notes=["V is not inside the push-down image of the orbit pool"],
         )
-    Uspec = SubcategorySpec(preimage)
-    up = is_n_precluster(Uspec, n)
+    up = is_n_precluster(preimage, n)
     return VerificationReport(
         claim="Main2",
-        instance={"n": n, "generators": len(V.generators)},
+        instance={"n": n, "generators": len(V)},
         outcome=up.passes,
         witnesses=[
             {
@@ -368,12 +359,7 @@ def _tau_closure_candidate(carrier, n: int, cap: int) -> tuple:
     """Closure of projectives+injectives under both higher translates."""
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     seeds += [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    classes, stabilized = _closure(
-        seeds,
-        [lambda M: tau_n(M, n), lambda M: tau_n_minus(M, n)],
-        cap,
-    )
-    return SubcategorySpec(classes), stabilized
+    return _closure(seeds, [lambda M: tau_n(M, n), lambda M: tau_n_minus(M, n)], cap)
 
 
 def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> VerificationReport:
@@ -397,8 +383,8 @@ def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> Verificat
     else:
         conds["i"] = is_n_precluster(cand, n).passes
 
-    In_spec, In_stab = compute_In(carrier, n, cap)
-    Pn_spec, Pn_stab = compute_Pn(carrier, n, cap)
+    In, In_stab = compute_In(carrier, n, cap)
+    Pn, Pn_stab = compute_Pn(carrier, n, cap)
     projs = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     injs = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
 
@@ -410,15 +396,15 @@ def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> Verificat
     if not In_stab:
         conds["ii"] = conds["iii"] = INDETERMINATE
     else:
-        ext_ok = ext_free(In_spec.generators, In_spec.generators)
-        conds["ii"] = ext_free(In_spec.generators, projs) and ext_ok
-        conds["iii"] = all(In_spec.contains_iso(P) for P in projs) and ext_ok
+        ext_ok = ext_free(In, In)
+        conds["ii"] = ext_free(In, projs) and ext_ok
+        conds["iii"] = all(class_index(P, In) is not None for P in projs) and ext_ok
     if not Pn_stab:
         conds["iv"] = conds["v"] = INDETERMINATE
     else:
-        ext_ok = ext_free(Pn_spec.generators, Pn_spec.generators)
-        conds["iv"] = ext_free(injs, Pn_spec.generators) and ext_ok
-        conds["v"] = all(Pn_spec.contains_iso(I) for I in injs) and ext_ok
+        ext_ok = ext_free(Pn, Pn)
+        conds["iv"] = ext_free(injs, Pn) and ext_ok
+        conds["v"] = all(class_index(I, Pn) is not None for I in injs) and ext_ok
     determinate = [v for v in conds.values() if v is not INDETERMINATE]
     if not determinate:
         outcome = INDETERMINATE
@@ -441,15 +427,15 @@ def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> Verificat
     )
 
 
-def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> VerificationReport:
+def verify_equivalence_Z_Gp(U: list, n: int, dimcap: int = 48) -> VerificationReport:
     """The perpendicular category embeds as the Gorenstein projectives of mod-U.
 
     Checks, over the full indecomposable pool of a base carrier: every
     perpendicular member maps to a Gorenstein projective functor; the map is
     injective on isomorphism classes and preserves hom dimensions; and every
     Gorenstein projective over the endomorphism category is hit."""
-    carrier = U.carrier
-    if carrier is None or carrier.is_cover:
+    carrier = U[0].carrier
+    if carrier.is_cover:
         return VerificationReport(
             claim="ZGpEquivalence",
             instance={"n": n},
@@ -463,7 +449,7 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
     if not up.passes:
         return VerificationReport(
             claim="ZGpEquivalence",
-            instance={"n": n, "generators": len(U.generators)},
+            instance={"n": n, "generators": len(U)},
             outcome=NOT_APPLICABLE,
             witnesses=[{"precluster": up.to_json()}],
             notes=["the subcategory fails the n-precluster hypothesis"],
@@ -474,15 +460,15 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
     if not symmetric:
         return VerificationReport(
             claim="ZGpEquivalence",
-            instance={"n": n, "generators": len(U.generators)},
+            instance={"n": n, "generators": len(U)},
             outcome=False,
             witnesses=[{"left_right_perp_symmetric": False}],
             notes=notes + ["left and right perpendicular pools differ"],
         )
-    E = endo_category(U)
+    E = EndoCarrier(U)
     images = []
     ok = True
-    for M in Z.generators:
+    for M in Z:
         PhiM = phi_module(E, M)
         # Yoneda sanity: dim Phi(M)(U_i) = dim Hom(U_i, M) holds by construction
         if not is_gorenstein_projective(E, PhiM, n):
@@ -490,8 +476,8 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
         images.append(PhiM)
     # injectivity on iso-classes and hom-dimension preservation
     table_ok = True
-    for i, M in enumerate(Z.generators):
-        for j, N in enumerate(Z.generators):
+    for i, M in enumerate(Z):
+        for j, N in enumerate(Z):
             if hom_dim(M, N) != hom_dim(images[i], images[j]):
                 table_ok = False
         if class_index(images[i], images[:i]) is not None:
@@ -503,11 +489,11 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
     surjective = matched == len(gp) and len(gp) == len(images)
     return VerificationReport(
         claim="ZGpEquivalence",
-        instance={"n": n, "generators": len(U.generators)},
+        instance={"n": n, "generators": len(U)},
         outcome=bool(ok and table_ok and surjective),
         witnesses=[
             {
-                "Z_pool": len(Z.generators),
+                "Z_pool": len(Z),
                 "Gp_pool": len(gp),
                 "hom_tables_equal": table_ok,
                 "all_images_gorenstein_projective": ok,
@@ -519,18 +505,18 @@ def verify_equivalence_Z_Gp(U: SubcategorySpec, n: int, dimcap: int = 48) -> Ver
     )
 
 
-def _match_down(V: SubcategorySpec, T: FDModule):
-    """(j, iso P_*(T) -> V_j) for the downstairs generator V_j that T pushes
+def _match_down(V: list, T: FDModule):
+    """(j, iso P_*(T) -> V_j) for the downstairs class V_j that T pushes
     down to, or None."""
     P = push_down(T)
-    for j, gen in enumerate(V.generators):
+    for j, gen in enumerate(V):
         iso = find_iso(P, gen)
         if iso is not None:
             return j, iso
     return None
 
 
-def _mod_pushdown_of_phi(E_down: EndoCarrier, V: SubcategorySpec, M: FDModule, U: SubcategorySpec):
+def _mod_pushdown_of_phi(E_down: EndoCarrier, V: list, M: FDModule, U: list):
     """mod-P_* applied to Phi(M): push a two-step U-presentation of M down.
 
     The presentation comes from right approximations by U (epi because U
@@ -582,13 +568,13 @@ def _invert_iso(phi):
     return ModMorphism(phi.tgt, phi.src, mats)
 
 
-def verify_mod_pushdown(U: SubcategorySpec, n: int, dimcap: int = 48) -> VerificationReport:
+def verify_mod_pushdown(U: list, n: int, dimcap: int = 48) -> VerificationReport:
     """The induced functor between the endomorphism categories: both sides are
     n-minimal Auslander-Gorenstein, the covering hom-isomorphism holds on the
     generating set, and the functor square with the perpendicular embedding
     commutes on the indecomposable pool."""
-    carrier = U.carrier
-    if carrier is None or not carrier.is_cover:
+    carrier = U[0].carrier
+    if not carrier.is_cover:
         return VerificationReport(
             claim="ModPushdown",
             instance={"n": n},
@@ -599,27 +585,27 @@ def verify_mod_pushdown(U: SubcategorySpec, n: int, dimcap: int = 48) -> Verific
     if not up.passes:
         return VerificationReport(
             claim="ModPushdown",
-            instance={"n": n, "generators": len(U.generators)},
+            instance={"n": n, "generators": len(U)},
             outcome=NOT_APPLICABLE,
             witnesses=[{"upstairs": up.to_json()}],
             notes=["the upstairs subcategory fails the n-precluster hypothesis"],
         )
     V = _pushdown_spec(U)
-    E_down = endo_category(V)
-    if any(_match_down(V, gen) is None for gen in U.generators):
+    E_down = EndoCarrier(V)
+    if any(_match_down(V, gen) is None for gen in U):
         return VerificationReport(
             claim="ModPushdown",
             instance={"n": n},
             outcome=False,
             notes=["a pushed generator did not match the downstairs category"],
         )
-    a_up = check_nMAG(endo_category(U), n)
+    a_up = check_nMAG(EndoCarrier(U), n)
     a_down = check_nMAG(E_down, n)
     # (b) the covering hom-isomorphism on the generating set
     hom_ok = True
     hom_table = []
-    for i, A in enumerate(U.generators):
-        for j, B in enumerate(U.generators):
+    for i, A in enumerate(U):
+        for j, B in enumerate(U):
             upsum, _ = hom_twist_sum(A, B)
             downdim = hom_dim(push_down(A), push_down(B))
             hom_table.append({"pair": [i, j], "upstairs_sum": upsum, "downstairs": downdim})
@@ -631,7 +617,7 @@ def verify_mod_pushdown(U: SubcategorySpec, n: int, dimcap: int = 48) -> Verific
     Zpool, _ = compute_Z(U, pool, n)
     square_ok = True
     checked = 0
-    for M in Zpool.generators:
+    for M in Zpool:
         T1 = _mod_pushdown_of_phi(E_down, V, M, U)
         T2 = phi_module(E_down, push_down(M))
         checked += 1
@@ -640,7 +626,7 @@ def verify_mod_pushdown(U: SubcategorySpec, n: int, dimcap: int = 48) -> Verific
     outcome = bool(a_up.passed and a_down.passed and hom_ok and square_ok)
     return VerificationReport(
         claim="ModPushdown",
-        instance={"n": n, "generators": len(U.generators)},
+        instance={"n": n, "generators": len(U)},
         outcome=outcome,
         witnesses=[
             {

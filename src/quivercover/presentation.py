@@ -62,6 +62,8 @@ class GradedQuiverPresentation(Carrier):
     # -- construction-time validation ---------------------------------------
 
     def _validate_shape(self):
+        if not self._vertices:
+            raise SchemaError("a presentation needs at least one vertex")
         if len(set(self._vertices)) != len(self._vertices):
             raise SchemaError("duplicate vertex ids")
         if len(self._arrow_map) != len(self._arrow_list):

@@ -9,12 +9,7 @@ from .cover import CoverCarrier
 from .errors import AmbientNotClusterTilting
 from .homology import tau_n
 from .knitting import list_indecomposables
-from .modules import (
-    FDModule,
-    SubcategorySpec,
-    decompose,
-    projective_at,
-)
+from .modules import FDModule, decompose, projective_at
 from .covering import (
     class_index,
     ext_vanishes,
@@ -29,12 +24,12 @@ from .report import VerificationReport
 # ambient checks
 
 
-def is_n_cluster_tilting(U: SubcategorySpec, n: int, pool: list) -> bool:
+def is_n_cluster_tilting(U: list, n: int, pool: list) -> bool:
     """U equals both of its (n-1)-perpendiculars inside the (exhaustive) pool,
     one module per twist orbit on a covering carrier."""
 
     def same_as_U(members) -> bool:
-        return len(members) == len(U) and all(U.contains_iso(r) for r in members)
+        return len(members) == len(U) and all(class_index(r, U) is not None for r in members)
 
     left, right = perpendiculars(U, pool, n)
     return same_as_U(left) and same_as_U(right)
@@ -68,15 +63,21 @@ def is_G_tau_n_rigid(M: FDModule, n: int) -> bool:
 # support tilting pairs as cliques of the compatibility graph
 
 
-class _TiltingGraph:
+class TiltingGraph:
     """The compatibility graph of an n-cluster tilting ambient X_0, X_1, ...
+    inside the exhaustive pool, certified when it is built:
+    AmbientNotClusterTilting otherwise.
 
     tau_n and Hom are additive, so (M, P) is a rigid pair exactly when the
     summands of M are rigid and pairwise compatible and no summand of P maps
     to a twist of them: no direct sum is ever built."""
 
-    def __init__(self, ambient: SubcategorySpec, n: int):
-        X, carrier = ambient.generators, ambient.carrier
+    def __init__(self, ambient: list, n: int, pool: list):
+        if not is_n_cluster_tilting(ambient, n, pool):
+            raise AmbientNotClusterTilting("the ambient subcategory is not n-cluster tilting")
+        X = self.ambient = ambient
+        self.n = n
+        carrier = X[0].carrier
         self.projectives = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
         rigid = self.rigid = [is_G_tau_n_rigid(M, n) for M in X]
 
@@ -114,19 +115,12 @@ class _TiltingGraph:
                 return None
         return S, tuple(sorted(P))
 
-
-def _tilting_graph(ambient: SubcategorySpec, n: int, pool: list) -> _TiltingGraph:
-    """The ambient's graph, built and certified n-cluster tilting inside the
-    pool once per (ambient, n, pool); AmbientNotClusterTilting otherwise."""
-    key = (n, id(pool))
-    entry = ambient.cluster_tilting.get(key)
-    if entry is None or entry[0] is not pool:
-        graph = _TiltingGraph(ambient, n) if is_n_cluster_tilting(ambient, n, pool) else None
-        entry = (pool, graph)
-        ambient.cluster_tilting[key] = entry
-    if entry[1] is None:
-        raise AmbientNotClusterTilting("the ambient subcategory is not n-cluster tilting")
-    return entry[1]
+    def is_support_pair(self, S, Q) -> bool:
+        """Is (S, Q), generator and projective indices or None, a support
+        tilting pair of the ambient?"""
+        if S is None or Q is None or not all(self.fits(i, S[:a]) for a, i in enumerate(S)):
+            return False
+        return self.support_pair(S) == (S, Q)
 
 
 def _summand_indices(pieces: list, candidates: list):
@@ -141,39 +135,25 @@ def _summand_indices(pieces: list, candidates: list):
     return tuple(sorted(found))
 
 
-def _is_support_pair(graph: _TiltingGraph, S, Q) -> bool:
-    """Is (S, Q), generator and projective indices or None, a support
-    tilting pair of the graph's ambient?"""
-    if S is None or Q is None or not all(graph.fits(i, S[:a]) for a, i in enumerate(S)):
-        return False
-    return graph.support_pair(S) == (S, Q)
+def is_support_tilting_pair(M: FDModule, P: FDModule, graph: TiltingGraph) -> bool:
+    """The maximality and projective-support conditions over the graph's
+    ambient.
 
-
-def is_support_tilting_pair(
-    M: FDModule, P: FDModule, n: int, ambient: SubcategorySpec, pool: list
-) -> bool:
-    """The maximality and projective-support conditions over the ambient.
-
-    ambient generators are orbit representatives upstairs, and summands are
-    matched to them and to the fundamental-domain projectives up to twist;
-    pool is the exhaustive indecomposable list that certifies the ambient.
+    Ambient classes are orbit representatives upstairs, and summands are
+    matched to them and to the fundamental-domain projectives up to twist.
     """
-    graph = _tilting_graph(ambient, n, pool)
-    S = _summand_indices([piece for piece, _ in decompose(M)], ambient.generators)
+    S = _summand_indices([piece for piece, _ in decompose(M)], graph.ambient)
     Q = _summand_indices([piece for piece, _ in decompose(P)], graph.projectives)
-    return _is_support_pair(graph, S, Q)
+    return graph.is_support_pair(S, Q)
 
 
-def enumerate_support_tilting_pairs(ambient: SubcategorySpec, n: int, pool: list) -> list:
-    """The support tilting pairs (M_indices, P_indices) of the ambient.
+def enumerate_support_tilting_pairs(graph: TiltingGraph) -> list:
+    """The support tilting pairs (M_indices, P_indices) of the graph's ambient.
 
-    Backtracking over the generators in index order, absent branch first,
-    visits only rigid cliques, so pairs come in the lexicographic order of
-    their 0/1 module selections.  The indices refer to the ambient's
-    generators and the fundamental-domain projectives."""
-    if ambient.carrier is None:
-        return []
-    graph = _tilting_graph(ambient, n, pool)
+    Backtracking over the ambient classes in index order, absent branch
+    first, visits only rigid cliques, so pairs come in the lexicographic
+    order of their 0/1 module selections.  The indices refer to the
+    ambient's classes and the fundamental-domain projectives."""
     out = []
 
     def extend(i: int, S: tuple) -> None:
@@ -194,38 +174,29 @@ def enumerate_support_tilting_pairs(ambient: SubcategorySpec, n: int, pool: list
 # transfer verifiers
 
 
-def verify_tilting_pushdown(
-    pair: tuple,
-    n: int,
-    ambient_up: SubcategorySpec,
-    pool_up: list,
-    ambient_down: SubcategorySpec,
-    pool_down: list,
-) -> VerificationReport:
+def verify_tilting_pushdown(pair: tuple, up: TiltingGraph, down: TiltingGraph) -> VerificationReport:
     """The upstairs support-pair predicate and the downstairs one agree on
-    pair = (generator indices, projective indices) of the upstairs ambient."""
+    pair = (class indices, projective indices) of the upstairs ambient."""
     msel, psel = pair
-    graph_up = _tilting_graph(ambient_up, n, pool_up)
-    graph_down = _tilting_graph(ambient_down, n, pool_down)
-    mods = [ambient_up.generators[i] for i in msel]
-    projs = [graph_up.projectives[k] for k in psel]
+    mods = [up.ambient[i] for i in msel]
+    projs = [up.projectives[k] for k in psel]
 
     def down_indices(modules, candidates):  # push-down is additive
         pieces = [piece for X in modules for piece, _ in decompose(push_down(X))]
         return _summand_indices(pieces, candidates)
 
-    up = _is_support_pair(graph_up, msel, psel)
-    S = down_indices(mods, ambient_down.generators)
-    down = _is_support_pair(graph_down, S, down_indices(projs, graph_down.projectives))
+    upstairs = up.is_support_pair(msel, psel)
+    S = down_indices(mods, down.ambient)
+    downstairs = down.is_support_pair(S, down_indices(projs, down.projectives))
     return VerificationReport(
         claim="TiltingPushdown",
         instance={
-            "n": n,
+            "n": up.n,
             "M_dim": sum(X.total_dim for X in mods),
             "P_dim": sum(Q.total_dim for Q in projs),
         },
-        outcome=(up == down),
-        witnesses=[{"upstairs": up, "downstairs": down}],
+        outcome=(upstairs == downstairs),
+        witnesses=[{"upstairs": upstairs, "downstairs": downstairs}],
         notes=[
             "support condition: the membership twist and the hom-vanishing "
             "twist are quantified independently"

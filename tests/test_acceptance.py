@@ -17,11 +17,11 @@ import random
 
 from quivercover import (
     DimBound,
-    SubcategorySpec,
+    EndoCarrier,
+    TiltingGraph,
     check_nMAG,
     direct_sum,
     dominant_dimension_upto,
-    endo_category,
     enumerate_support_tilting_pairs,
     ext_dim,
     ext_twist_sum,
@@ -59,7 +59,7 @@ def report(num, ok, detail):
 
 
 def cover_projective_spec(cover):
-    return SubcategorySpec([projective_at(cover, x) for x in cover.fundamental_domain()])
+    return [projective_at(cover, x) for x in cover.fundamental_domain()]
 
 
 def test_acceptance_1_gabriel_bijection(n32_cover):
@@ -141,16 +141,16 @@ def test_acceptance_4_main_round_trip(n32_cover):
     rep1 = verify_main1(U, 1)
     V = _pushdown_spec(U)
     rep2 = verify_main2(V, 1, dimcap=8)
-    recovered = rep2.witnesses[0]["preimage_orbit_classes"] == len(U.generators)
+    recovered = rep2.witnesses[0]["preimage_orbit_classes"] == len(U)
     # the preimage pool consists exactly of the twists of U's generators
     pool = list_indecomposables(n32_cover, dimcap=8)
     preimage = [
         X
         for X in pool
-        if any(is_isomorphic(push_down(X), gen) for gen in V.generators)
+        if any(is_isomorphic(push_down(X), gen) for gen in V)
     ]
     exact = all(
-        any(twisted_iso(X, g) is not None for g in U.generators) for X in preimage
+        any(twisted_iso(X, g) is not None for g in U) for X in preimage
     )
     ok = verdict.passes and rep1.outcome is True and rep2.outcome is True and recovered and exact
     report(4, ok, "Main1/Main2 round trip at n=1 recovers add(covering projectives)")
@@ -173,8 +173,7 @@ def _discover_2_precluster(cover):
     assert 2 ** len(optional) <= 2**16
     found = []
     for bits in itertools.product((0, 1), repeat=len(optional)):
-        gens = mandatory + [optional[i] for i in range(len(optional)) if bits[i]]
-        U = SubcategorySpec(gens)
+        U = mandatory + [optional[i] for i in range(len(optional)) if bits[i]]
         if is_n_precluster(U, 2).passes:
             found.append(U)
     return found
@@ -192,7 +191,7 @@ def test_acceptance_5_n2_discovery(n32_cover, loop2_cover):
             m1 = verify_main1(U, 2)
             V = _pushdown_spec(U)
             zgp = verify_equivalence_Z_Gp(V, 2, dimcap=8)
-            nmag = check_nMAG(endo_category(V), 2)
+            nmag = check_nMAG(EndoCarrier(V), 2)
             if not (m1.outcome is True and zgp.outcome is True and nmag.passed):
                 ok = False
         details.append(f"{name}: {len(found)} instance(s), all transfers pass")
@@ -223,7 +222,7 @@ def test_acceptance_7_bongab_transfer(n32, loop2, kronecker):
 
 
 def test_acceptance_8_z_gp_equivalence(n32):
-    U = SubcategorySpec([projective_at(n32, x) for x in n32.vertices])
+    U = [projective_at(n32, x) for x in n32.vertices]
     rep = verify_equivalence_Z_Gp(U, 1, dimcap=8)
     w = rep.witnesses[0]
     ok = (
@@ -237,11 +236,11 @@ def test_acceptance_8_z_gp_equivalence(n32):
 
 def test_acceptance_9_tilting_transfer(n32, n32_cover):
     pool_down = list_indecomposables(n32, dimcap=8)
-    ambient_down = SubcategorySpec(pool_down)
-    pairs_down = enumerate_support_tilting_pairs(ambient_down, 1, pool_down)
+    down = TiltingGraph(pool_down, 1, pool_down)
+    pairs_down = enumerate_support_tilting_pairs(down)
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    ambient_up = SubcategorySpec(pool_up)
-    pairs_up = enumerate_support_tilting_pairs(ambient_up, 1, pool_up)
+    up = TiltingGraph(pool_up, 1, pool_up)
+    pairs_up = enumerate_support_tilting_pairs(up)
     projs_up = [projective_at(n32_cover, x) for x in n32_cover.fundamental_domain()]
     projs_down = [projective_at(n32, x) for x in n32.vertices]
 
@@ -254,9 +253,7 @@ def test_acceptance_9_tilting_transfer(n32, n32_cover):
     for msel, psel in pairs_up:
         M = direct_sum([pool_up[i] for i in msel])[0] if msel else zero_module(n32_cover)
         P = direct_sum([projs_up[i] for i in psel])[0] if psel else zero_module(n32_cover)
-        rep = verify_tilting_pushdown(
-            (msel, psel), 1, ambient_up, pool_up, ambient_down, pool_down
-        )
+        rep = verify_tilting_pushdown((msel, psel), up, down)
         assert rep.outcome is True and rep.witnesses[0]["upstairs"] is True
         PM, PP = push_down(M), push_down(P)
         for dmsel, dpsel in pairs_down:

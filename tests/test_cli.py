@@ -100,6 +100,26 @@ def test_validate_schema_error(tmp_path, capsys):
     assert "InhomogeneousRelation" in err
 
 
+EMPTY_PRESENTATION = {
+    "field": {"kind": "prime", "p": 32003},
+    "group": {"kind": "free-abelian", "rank": 1},
+    "vertices": [],
+    "arrows": [],
+    "relations": [],
+    "nilbound": 0,
+}
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["suite", "--n", "1"]], ids=["validate", "suite"])
+def test_a_presentation_without_vertices_is_a_schema_error(argv, tmp_path, capsys):
+    # its empty subcategory would fail the generator-cogenerator test and
+    # read as a SelfinjCriteria FAIL (exit 1)
+    path = _write(tmp_path, "empty.json", EMPTY_PRESENTATION)
+    code, out, err = run(capsys, argv[0], "--input", path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "SchemaError: a presentation needs at least one vertex\n"
+
+
 def test_usage_error(capsys):
     assert main(["check", "--input", golden("n32")]) == 2  # missing --claim
 

@@ -10,7 +10,6 @@ import pytest
 
 from quivercover import (
     DimBound,
-    SubcategorySpec,
     cosyzygy,
     dominant_dimension_upto,
     dual_module,
@@ -261,7 +260,7 @@ def test_dimension_shifting(n32, ausl2):
 
 def test_right_approximation_split_for_members(n32):
     P1 = projective_at(n32, "1")
-    U = SubcategorySpec([P1])
+    U = [P1]
     f = _evaluation_map(U, P1)[0]
     # a right approximation of a member is a split epi
     assert all(
@@ -273,7 +272,7 @@ def test_right_approximation_split_for_members(n32):
 
 def test_right_approximation_generators_surject(n32):
     projs = [projective_at(n32, x) for x in n32.vertices]
-    U = SubcategorySpec(projs)
+    U = projs
     for x in n32.vertices:
         S = simple_at(n32, x)
         f = _evaluation_map(U, S)[0]
@@ -283,7 +282,7 @@ def test_right_approximation_generators_surject(n32):
 
 def test_approximation_zero_map_example(ka2):
     # U = add(P_1), M = S_2: Hom(P_1, S_2) = 0, so the approximation is zero
-    U = SubcategorySpec([projective_at(ka2, "1")])
+    U = [projective_at(ka2, "1")]
     f = _evaluation_map(U, simple_at(ka2, "2"))[0]
     assert f.src.is_zero() or f.is_zero()
 
@@ -291,9 +290,9 @@ def test_approximation_zero_map_example(ka2):
 def test_relative_ext_detects_Z_membership(n32):
     # on a self-injective algebra Ext into add(Lambda) vanishes for every
     # module: everything lies in the perpendicular category of the projectives
-    U = SubcategorySpec([projective_at(n32, x) for x in n32.vertices])
+    U = [projective_at(n32, x) for x in n32.vertices]
     for M in list_indecomposables(n32):
-        for Ugen in U.generators:
+        for Ugen in U:
             for i in (1, 2):
                 assert ext_dim(M, Ugen, i) == 0
 
@@ -315,6 +314,37 @@ def test_dominant_dimension(n32, ka2, ausl2, semisimple):
     assert dominant_dimension_upto(n32, 4) == DimBound.at_least(4)
     assert dominant_dimension_upto(ausl2, 5) == DimBound.exact(2)
     assert dominant_dimension_upto(ka2, 3) == DimBound.exact(1)
+
+
+def mixed_term_doc(vertices, field):
+    """1 -> 2 -> 3 -> 4 and 5 -> 3, with the composites 1 -> 2 -> 3 and
+    2 -> 3 -> 4 zero and every weight 1 in Z.  Term 0 of the injective
+    coresolution of P(3) is I(2) + I(5), and only I(5) is projective."""
+    arrows = [("x0", "1", "2"), ("x1", "2", "3"), ("x2", "3", "4"), ("x3", "5", "3")]
+    return {
+        "field": field,
+        "group": {"kind": "free-abelian", "rank": 1},
+        "vertices": vertices,
+        "arrows": [{"id": a, "src": s, "tgt": t, "weight": [1]} for a, s, t in arrows],
+        "relations": [
+            [{"coeff": "1", "path": ["x0", "x1"]}],
+            [{"coeff": "1", "path": ["x1", "x2"]}],
+        ],
+        "nilbound": 2,
+    }
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["base", "cover"])
+@pytest.mark.parametrize("field", [{"kind": "prime", "p": 32003}, {"kind": "rationals"}], ids=["F_32003", "Q"])
+@pytest.mark.parametrize("vertices", [list("12345"), list("54321")], ids=["1-5", "5-1"])
+def test_dominant_dimension_tests_every_summand_of_a_mixed_term(vertices, field, cover):
+    # in either vertex order, testing only the first or only the last
+    # summand of a term would see I(5) alone and answer 1
+    from quivercover import load_presentation, smash_cover
+
+    pres = load_presentation(mixed_term_doc(vertices, field))
+    carrier = smash_cover(pres) if cover else pres
+    assert dominant_dimension_upto(carrier, 4) == DimBound.exact(0)
 
 
 def test_edge_resolution_is_the_twisted_centre_resolution(loop2):
@@ -542,7 +572,7 @@ def _yoneda_cokernel_by_composites(carrier, srcs, tgts, combos):
 
 def _yoneda_carrier(name, field):
     """(carrier, objects to draw from) for the Yoneda reference test."""
-    from quivercover import endo_category, load_presentation, smash_cover
+    from quivercover import EndoCarrier, load_presentation, smash_cover
     from tests.conftest import golden_doc
     from tests.test_square import square_doc
 
@@ -554,7 +584,7 @@ def _yoneda_carrier(name, field):
         return n32, n32.objects
     if name == "n32-cover":
         return smash_cover(n32), [(v, (s,)) for s in range(3) for v in n32.vertices]
-    E = endo_category(SubcategorySpec(list_indecomposables(n32)))
+    E = EndoCarrier(list_indecomposables(n32))
     return E, E.objects
 
 

@@ -16,7 +16,7 @@ from quivercover import (
     IsoInconclusive,
     Mat,
     RelationViolated,
-    SubcategorySpec,
+    class_index,
     decompose,
     direct_sum,
     dual_module,
@@ -246,9 +246,9 @@ def test_dual_module_duality(n32):
 
 def test_subcategory_spec_checks(n32):
     P1 = projective_at(n32, "1")
-    U = SubcategorySpec([P1, simple_at(n32, "2")])
-    assert U.contains_iso(projective_at(n32, "1"))
-    assert not U.contains_iso(simple_at(n32, "3"))
+    U = [P1, simple_at(n32, "2")]
+    assert class_index(projective_at(n32, "1"), U) == 0
+    assert class_index(simple_at(n32, "3"), U) is None
 
 
 def test_hom_composition_is_morphism(n32):
@@ -550,14 +550,14 @@ def _injective_by_right_multiplication(carrier, x):
 
 @pytest.mark.parametrize("name", GOLDENS)
 def test_injectives_match_right_multiplication(name, request):
-    from quivercover import endo_category, smash_cover
+    from quivercover import EndoCarrier, smash_cover
     from quivercover.precluster import _tau_closure_candidate
 
     pres = request.getfixturevalue(name)
     carriers = [pres, smash_cover(pres)]
     for C in list(carriers):
         for n in (1, 2):
-            carriers.append(endo_category(_tau_closure_candidate(C, n, 32)[0]))
+            carriers.append(EndoCarrier(_tau_closure_candidate(C, n, 32)[0]))
     for C in carriers:
         for x in C.fundamental_domain():
             I, ref = injective_at(C, x), _injective_by_right_multiplication(C, x)

@@ -5,14 +5,13 @@ import pytest
 
 from quivercover import (
     DimBound,
+    EndoCarrier,
     HypothesisUnverified,
-    SubcategorySpec,
     check_nMAG,
     compute_In,
     compute_Pn,
     compute_Z,
     dominant_dimension_upto,
-    endo_category,
     ext_dim,
     hom_dim,
     injective_at,
@@ -42,21 +41,21 @@ from window_knit import window_knit
 
 
 def add_lambda(pres):
-    return SubcategorySpec([projective_at(pres, x) for x in pres.vertices])
+    return [projective_at(pres, x) for x in pres.vertices]
 
 
 def everything(pres):
-    return SubcategorySpec(list_indecomposables(pres))
+    return list_indecomposables(pres)
 
 
 def cover_projectives(cover):
-    return SubcategorySpec([projective_at(cover, x) for x in cover.fundamental_domain()])
+    return [projective_at(cover, x) for x in cover.fundamental_domain()]
 
 
 def test_generator_cogenerator(n32, ka2):
     assert is_generator_cogenerator(everything(n32))
     assert is_generator_cogenerator(add_lambda(n32))  # self-injective
-    simples_only = SubcategorySpec([simple_at(ka2, x) for x in ka2.vertices])
+    simples_only = [simple_at(ka2, x) for x in ka2.vertices]
     assert not is_generator_cogenerator(simples_only)
 
 
@@ -78,8 +77,7 @@ def test_precluster_n2_per_condition(ka2):
         for M in (projective_at(ka2, x), injective_at(ka2, x)):
             if not any(is_isomorphic(M, g) for g in gens):
                 gens.append(M)
-    U = SubcategorySpec(gens)
-    v = is_n_precluster(U, 2)
+    v = is_n_precluster(gens, 2)
     # oracle: independent evaluation of the conditions
     assert v.generator_cogenerator is True
     from quivercover import tau_n
@@ -96,13 +94,13 @@ def test_precluster_n2_per_condition(ka2):
 
 def test_compute_Pn_examples(n32, ka2, semisimple):
     spec, stab = compute_Pn(semisimple, 1)
-    assert stab and len(spec.generators) == 2  # projectives only
+    assert stab and len(spec) == 2  # projectives only
     spec, stab = compute_Pn(n32, 1)
-    assert stab and len(spec.generators) == 3  # tau-inverse of proj-inj dies
+    assert stab and len(spec) == 3  # tau-inverse of proj-inj dies
     spec, stab = compute_Pn(ka2, 1)
-    assert stab and len(spec.generators) == 3  # hereditary: everything
+    assert stab and len(spec) == 3  # hereditary: everything
     spec, stab = compute_In(n32, 1)
-    assert stab and len(spec.generators) == 3
+    assert stab and len(spec) == 3
 
 
 def test_Pn_pushdown(n32_cover, loop2_cover):
@@ -117,44 +115,42 @@ def test_compute_Z(n32, ka2):
     pool = list_indecomposables(n32)
     U = add_lambda(n32)
     Z, symmetric = compute_Z(U, pool, 1)
-    assert symmetric and len(Z.generators) == len(pool)  # n=1: vacuous range
+    assert symmetric and len(Z) == len(pool)  # n=1: vacuous range
     Z2, symmetric2 = compute_Z(U, pool, 2)
     assert symmetric2
-    assert len(Z2.generators) == len(pool)  # self-injective: Ext^1(-, proj) = 0
+    assert len(Z2) == len(pool)  # self-injective: Ext^1(-, proj) = 0
     # U = pool is the n-cluster-tilting limit: Z(U) = U (semisimple at n=2)
     pool_ka2 = list_indecomposables(ka2)
-    U_ka2 = SubcategorySpec(pool_ka2)
     # kA_2's whole module category is NOT 2-cluster tilting; the left and
     # right perpendiculars genuinely differ and the asymmetry is reported
-    _, sym_bad = compute_Z(U_ka2, pool_ka2, 2)
+    _, sym_bad = compute_Z(pool_ka2, pool_ka2, 2)
     assert not sym_bad
 
 
 def test_compute_Z_cluster_tilting_limit(semisimple):
     pool = list_indecomposables(semisimple)
-    U = SubcategorySpec(pool)
-    Z, sym = compute_Z(U, pool, 2)
+    Z, sym = compute_Z(pool, pool, 2)
     assert sym
-    assert {id(m) for m in Z.generators} == {id(m) for m in pool}
+    assert {id(m) for m in Z} == {id(m) for m in pool}
 
 
 def test_endo_category_and_phi(n32):
     U = add_lambda(n32)
-    E = endo_category(U)
+    E = EndoCarrier(U)
     # Phi of a generator is the corresponding projective of the endo category
-    for j, Uj in enumerate(U.generators):
+    for j, Uj in enumerate(U):
         P = phi_module(E, Uj)
         assert is_isomorphic(P, projective_at(E, j))
     assert phi_module(E, zero_module(n32)).is_zero()
     # dim Phi(X) = sum of hom dimensions from the generators
     X = simple_at(n32, "1")
     P = phi_module(E, X)
-    assert P.total_dim == sum(hom_dim(Uj, X) for Uj in U.generators)
+    assert P.total_dim == sum(hom_dim(Uj, X) for Uj in U)
 
 
 def test_endo_category_yoneda(n32):
     U = add_lambda(n32)
-    E = endo_category(U)
+    E = EndoCarrier(U)
     for j in E.objects:
         P = projective_at(E, j)
         for X in [simple_at(n32, "1"), projective_at(n32, "2")]:
@@ -165,7 +161,7 @@ def test_endo_category_yoneda(n32):
 def test_endo_category_yoneda_on_a_cover(n32_cover):
     # phi_module reads every twist of a generator that maps into X, not only
     # the listed untwisted objects
-    E = endo_category(cover_projectives(n32_cover))
+    E = EndoCarrier(cover_projectives(n32_cover))
     e = n32_cover.group.identity()
     for X in [simple_at(n32_cover, ("1", e)), projective_at(n32_cover, ("2", e))]:
         Phi = phi_module(E, X)
@@ -185,7 +181,7 @@ def test_upstairs_category_matches_the_window_reference(name, n, request):
     # translates of its generators, whose centred objects it trusted
     pres = request.getfixturevalue(name)
     U = _canonical_subcategory(smash_cover(pres), n, 32)
-    E = endo_category(U)
+    E = EndoCarrier(U)
     for halfwidth in (3, 6):
         keys, reference = window_endo(U, shift_box(pres.group, halfwidth))
         assert check_nMAG(E, n).witnesses == check_nMAG(reference, n).witnesses
@@ -201,7 +197,7 @@ def test_upstairs_category_matches_the_window_reference(name, n, request):
 
 def test_gorenstein_projective(n32, ka2):
     U = add_lambda(n32)
-    E = endo_category(U)  # E is Lambda itself: self-injective
+    E = EndoCarrier(U)  # E is Lambda itself: self-injective
     for j in E.objects:
         assert is_gorenstein_projective(E, projective_at(E, j), 1)
     # over a self-injective endo category everything is Gorenstein projective
@@ -213,7 +209,7 @@ def test_gorenstein_hypothesis_guard(ka2):
     # add(Lambda) over kA_2 is not precluster; its endo category is kA_2
     # itself, which is not 1-minimal Auslander-Gorenstein
     U = add_lambda(ka2)
-    E = endo_category(U)
+    E = EndoCarrier(U)
     with pytest.raises(HypothesisUnverified):
         is_gorenstein_projective(E, projective_at(E, 0), 1)
 
@@ -237,7 +233,7 @@ def test_main1_n32(n32_cover):
 
 def test_main1_hypothesis_gate(ka2):
     cov = smash_cover(ka2)
-    U = SubcategorySpec([projective_at(cov, x) for x in cov.fundamental_domain()])
+    U = [projective_at(cov, x) for x in cov.fundamental_domain()]
     rep = verify_main1(U, 1)
     assert rep.outcome == "not-applicable"
 
@@ -248,7 +244,7 @@ def test_main2_round_trip(n32_cover):
     rep = verify_main2(V, 1, dimcap=8)
     assert rep.outcome is True
     w = rep.witnesses[0]
-    assert w["preimage_orbit_classes"] == len(U.generators)
+    assert w["preimage_orbit_classes"] == len(U)
 
 
 def test_bongab(n32, loop2, kronecker):
@@ -304,10 +300,10 @@ def test_precluster_endo_is_nmag(n32, ka3):
     # n-minimal Auslander-Gorenstein
     U1 = add_lambda(n32)
     assert is_n_precluster(U1, 1).passes
-    assert check_nMAG(endo_category(U1), 1).passed
+    assert check_nMAG(EndoCarrier(U1), 1).passed
     U2 = everything(ka3)
     assert is_n_precluster(U2, 1).passes
-    assert check_nMAG(endo_category(U2), 1).passed
+    assert check_nMAG(EndoCarrier(U2), 1).passed
 
 
 @pytest.mark.parametrize("name", ["n32", "loop2"])
@@ -322,7 +318,7 @@ def test_main2_preimage_counts_match_a_per_member_count(name, request):
     for X in window_knit(cover, shift_box(cover.group, 6), dimcap=8):
         parts = decompose(push_down(X))
         if len(parts) == 1 and parts[0][1] == 1:
-            if any(is_isomorphic(parts[0][0], D) for D in V.generators):
+            if any(is_isomorphic(parts[0][0], D) for D in V):
                 preimage.append(X)
     classes = []
     for X in preimage:
@@ -338,8 +334,8 @@ def test_modules_over_the_opposite_of_an_endomorphism_category_validate(n32, n32
     from quivercover import dual_module, validate_module
     from quivercover.precluster import _tau_closure_candidate
 
-    E_base = endo_category(add_lambda(n32))
-    E_cover = endo_category(_tau_closure_candidate(n32_cover, 1, 32)[0])
+    E_base = EndoCarrier(add_lambda(n32))
+    E_cover = EndoCarrier(_tau_closure_candidate(n32_cover, 1, 32)[0])
     assert E_cover.twisted
     for E in (E_base, E_cover):
         for y in E.objects:

@@ -3,14 +3,13 @@
 import pytest
 
 from quivercover import (
+    EndoCarrier,
     Group,
     InhomogeneousRelation,
     NotAdmissible,
     NotFreeAction,
     NotLocallyBounded,
     SchemaError,
-    SubcategorySpec,
-    endo_category,
     load_presentation,
     orbit_of_finite_action,
     projective_at,
@@ -295,7 +294,7 @@ def test_smash_then_orbit_round_trip():
 
 
 def _projectives_endo(n32):
-    return endo_category(SubcategorySpec([projective_at(n32, x) for x in n32.vertices]))
+    return EndoCarrier([projective_at(n32, x) for x in n32.vertices])
 
 
 @pytest.mark.parametrize(

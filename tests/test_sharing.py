@@ -12,10 +12,9 @@ import pytest
 
 import quivercover
 from quivercover import (
+    EndoCarrier,
     Group,
     SchemaError,
-    SubcategorySpec,
-    endo_category,
     injective_at,
     list_indecomposables,
     dual_module,
@@ -160,8 +159,8 @@ def test_the_seed_travels_with_the_carrier():
     pres = load_presentation(golden_doc("n32"), seed=7)
     default = load_presentation(golden_doc("n32"))
     cover = smash_cover(pres)
-    base_U = SubcategorySpec([projective_at(pres, x) for x in pres.vertices])
-    cover_U = SubcategorySpec([projective_at(cover, x) for x in cover.fundamental_domain()])
+    base_U = [projective_at(pres, x) for x in pres.vertices]
+    cover_U = [projective_at(cover, x) for x in cover.fundamental_domain()]
     six = load_presentation(golden_doc("sixcycle"), seed=7)
     with open(os.path.join(GOLDEN, "sixcycle_action.json"), encoding="utf-8") as fh:
         action = json.load(fh)
@@ -173,8 +172,8 @@ def test_the_seed_travels_with_the_carrier():
         cover,
         pres.opposite(),
         cover.opposite(),
-        endo_category(base_U),
-        endo_category(cover_U),
+        EndoCarrier(base_U),
+        EndoCarrier(cover_U),
         quotient,
         smash_cover(quotient),
     ]

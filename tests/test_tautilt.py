@@ -6,7 +6,7 @@ import pytest
 
 from quivercover import (
     AmbientNotClusterTilting,
-    SubcategorySpec,
+    TiltingGraph,
     decompose,
     direct_sum,
     enumerate_support_tilting_pairs,
@@ -39,13 +39,17 @@ def pool_of(pres):
     return list_indecomposables(pres, dimcap=12)
 
 
+def graph_of(pool):
+    """The graph of the whole pool as the ambient at n = 1."""
+    return TiltingGraph(pool, 1, pool)
+
+
 def test_cluster_tilting_n1_is_everything(n32, semisimple):
     pool = pool_of(n32)
-    assert is_n_cluster_tilting(SubcategorySpec(pool), 1, pool)
-    part = SubcategorySpec(pool[:4])
-    assert not is_n_cluster_tilting(part, 1, pool)
+    assert is_n_cluster_tilting(pool, 1, pool)
+    assert not is_n_cluster_tilting(pool[:4], 1, pool)
     spool = pool_of(semisimple)
-    assert is_n_cluster_tilting(SubcategorySpec(spool), 2, spool)
+    assert is_n_cluster_tilting(spool, 2, spool)
 
 
 def test_rigidity_examples(n32):
@@ -78,28 +82,24 @@ def test_rigid_pairs(n32):
 
 
 def test_support_pair_lambda(n32):
-    pool = pool_of(n32)
-    ambient = SubcategorySpec(pool)
+    graph = graph_of(pool_of(n32))
     lam = direct_sum([projective_at(n32, x) for x in n32.vertices])[0]
-    assert is_support_tilting_pair(lam, zero_module(n32), 1, ambient, pool)
+    assert is_support_tilting_pair(lam, zero_module(n32), graph)
     # (0, Lambda): every projective lies in add(P), no homs into M = 0
     lamP = direct_sum([projective_at(n32, x) for x in n32.vertices])[0]
-    assert is_support_tilting_pair(zero_module(n32), lamP, 1, ambient, pool)
+    assert is_support_tilting_pair(zero_module(n32), lamP, graph)
     # (Lambda, P_1) fails: Hom(P_1, Lambda) is nonzero
-    assert not is_support_tilting_pair(lam, projective_at(n32, "1"), 1, ambient, pool)
+    assert not is_support_tilting_pair(lam, projective_at(n32, "1"), graph)
 
 
 def test_ambient_gate(n32):
     pool = pool_of(n32)
-    part = SubcategorySpec(pool[:2])
     with pytest.raises(AmbientNotClusterTilting):
-        is_support_tilting_pair(pool[0], zero_module(n32), 1, part, pool)
+        TiltingGraph(pool[:2], 1, pool)
 
 
 def test_enumeration_semisimple(semisimple):
-    pool = pool_of(semisimple)
-    ambient = SubcategorySpec(pool)
-    pairs = enumerate_support_tilting_pairs(ambient, 1, pool)
+    pairs = enumerate_support_tilting_pairs(graph_of(pool_of(semisimple)))
     # for a semisimple algebra every module is projective and rigid; the
     # support pairs are exactly the (complementary) subsets: brute oracle
     assert len(pairs) == 2 ** len(semisimple.vertices)
@@ -110,35 +110,24 @@ def test_enumeration_semisimple(semisimple):
 def test_enumeration_matches_air_shape(n32):
     # every support tilting pair has |M| + |P| = number of simples (an
     # independent structural fact for tau-tilting theory at n=1)
-    pool = pool_of(n32)
-    ambient = SubcategorySpec(pool)
-    pairs = enumerate_support_tilting_pairs(ambient, 1, pool)
+    pairs = enumerate_support_tilting_pairs(graph_of(pool_of(n32)))
     assert len(pairs) == 14
     for msel, psel in pairs:
         assert len(msel) + len(psel) == 3
 
 
 def test_enumeration_cover_matches_base(n32, n32_cover):
-    pool_up = list_indecomposables(n32_cover, dimcap=8)
-    ambient_up = SubcategorySpec(pool_up)
-    pairs_up = enumerate_support_tilting_pairs(ambient_up, 1, pool_up)
-    pool_down = pool_of(n32)
-    ambient_down = SubcategorySpec(pool_down)
-    pairs_down = enumerate_support_tilting_pairs(ambient_down, 1, pool_down)
+    pairs_up = enumerate_support_tilting_pairs(graph_of(list_indecomposables(n32_cover, dimcap=8)))
+    pairs_down = enumerate_support_tilting_pairs(graph_of(pool_of(n32)))
     assert len(pairs_up) == len(pairs_down) == 14
 
 
 def test_tilting_pushdown_instances(n32, n32_cover):
     pool_up = list_indecomposables(n32_cover, dimcap=8)
-    ambient_up = SubcategorySpec(pool_up)
-    pool_down = pool_of(n32)
-    ambient_down = SubcategorySpec(pool_down)
     projs = [projective_at(n32_cover, x) for x in n32_cover.fundamental_domain()]
     # (Lambda, 0): the generators that are twists of the projectives
     lam = tuple(sorted(class_index(Q, pool_up) for Q in projs))
-    rep = verify_tilting_pushdown(
-        (lam, ()), 1, ambient_up, pool_up, ambient_down, pool_down
-    )
+    rep = verify_tilting_pushdown((lam, ()), graph_of(pool_up), graph_of(pool_of(n32)))
     assert rep.outcome is True
     assert rep.witnesses[0]["upstairs"] is True
     assert rep.instance["M_dim"] == direct_sum(projs)[0].total_dim
@@ -214,9 +203,9 @@ def reference_is_pair(M, P, n, ambient):
     if not is_rigid_pair(M, P, n):
         return False
     M_summands = _summands(M)
-    if not all(ambient.contains_iso(S) for S in M_summands):
+    if not all(class_index(S, ambient) is not None for S in M_summands):
         return False
-    for N in ambient.generators:
+    for N in ambient:
         MN = direct_sum([M, N])[0] if not M.is_zero() else N
         if is_rigid_pair(MN, P, n) and class_index(N, M_summands) is None:
             return False
@@ -231,12 +220,11 @@ def reference_is_pair(M, P, n, ambient):
 
 def reference_pairs(ambient, n, pool):
     assert is_n_cluster_tilting(ambient, n, pool)
-    carrier = ambient.carrier
-    items = ambient.generators
+    carrier = ambient[0].carrier
     projs = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     out = []
-    for msel in itertools.product((0, 1), repeat=len(items)):
-        M = _sum([X for X, s in zip(items, msel) if s], carrier)
+    for msel in itertools.product((0, 1), repeat=len(ambient)):
+        M = _sum([X for X, s in zip(ambient, msel) if s], carrier)
         for psel in itertools.product((0, 1), repeat=len(projs)):
             P = _sum([Q for Q, s in zip(projs, psel) if s], carrier)
             if reference_is_pair(M, P, n, ambient):
@@ -249,36 +237,33 @@ def reference_pairs(ambient, n, pool):
     return out
 
 
-def _ambient(carrier, cover):
-    pool = list_indecomposables(carrier, dimcap=8)
-    if cover:
-        return SubcategorySpec(pool), pool
-    return SubcategorySpec(pool), pool
+def _graph(carrier):
+    return graph_of(list_indecomposables(carrier, dimcap=8))
 
 
 @pytest.mark.parametrize("cover", [False, True], ids=["base", "cover"])
 @pytest.mark.parametrize("name", ["ka2", "ka3", "n32", "loop2", "ausl2"])
 def test_enumeration_matches_the_subset_reference(name, cover, request):
     pres = request.getfixturevalue(name)
-    carrier = smash_cover(pres) if cover else pres
-    ambient, pool = _ambient(carrier, cover)
-    pairs = enumerate_support_tilting_pairs(ambient, 1, pool)
+    graph = _graph(smash_cover(pres) if cover else pres)
+    pairs = enumerate_support_tilting_pairs(graph)
     assert pairs  # (Lambda, 0) at least
-    assert pairs == reference_pairs(ambient, 1, pool)
+    assert pairs == reference_pairs(graph.ambient, 1, graph.ambient)
 
 
 def test_pair_predicate_matches_the_reference_on_every_subset(n32):
-    ambient, pool = _ambient(n32, cover=False)
+    graph = _graph(n32)
+    ambient = graph.ambient
     projs = [projective_at(n32, x) for x in n32.vertices]
     Ps = [
         _sum([Q for Q, s in zip(projs, psel) if s], n32)
         for psel in itertools.product((0, 1), repeat=len(projs))
     ]
     verdicts = []
-    for msel in itertools.product((0, 1), repeat=len(ambient.generators)):
-        M = _sum([X for X, s in zip(ambient.generators, msel) if s], n32)
+    for msel in itertools.product((0, 1), repeat=len(ambient)):
+        M = _sum([X for X, s in zip(ambient, msel) if s], n32)
         for P in Ps:
-            verdict = is_support_tilting_pair(M, P, 1, ambient, pool)
+            verdict = is_support_tilting_pair(M, P, graph)
             assert verdict == reference_is_pair(M, P, 1, ambient)
             verdicts.append(verdict)
     assert sum(verdicts) == 14
@@ -286,8 +271,7 @@ def test_pair_predicate_matches_the_reference_on_every_subset(n32):
 
 def test_sixcycle_enumeration_finishes(sixcycle):
     # 2^12 module subsets times 2^6 projective subsets for a subset search
-    ambient, pool = _ambient(sixcycle, cover=False)
-    pairs = enumerate_support_tilting_pairs(ambient, 1, pool)
+    pairs = enumerate_support_tilting_pairs(_graph(sixcycle))
     assert len(pairs) == 198
     for msel, psel in pairs:
         assert len(msel) + len(psel) == 6
@@ -307,9 +291,9 @@ def test_enumeration_translates_each_generator_once(monkeypatch):
 
     monkeypatch.setattr(tautilt, "tau_n", counting)
     n32 = load_presentation(golden_doc("n32"))  # fresh modules, nothing kept on them
-    ambient, pool = _ambient(n32, cover=False)
-    assert len(enumerate_support_tilting_pairs(ambient, 1, pool)) == 14
-    assert 0 < len(calls) <= len(ambient.generators)
+    graph = _graph(n32)
+    assert len(enumerate_support_tilting_pairs(graph)) == 14
+    assert 0 < len(calls) <= len(graph.ambient)
 
 
 @pytest.mark.parametrize("name", ["n32", "loop2", "ka2"])
@@ -318,19 +302,16 @@ def test_tilting_pushdown_on_index_pairs_matches_the_module_path(name, request):
     # upstairs and on their push-downs
     pres = request.getfixturevalue(name)
     cover = smash_cover(pres)
-    ambient_up, pool_up = _ambient(cover, cover=True)
-    ambient_down, pool_down = _ambient(pres, cover=False)
+    graph_up, graph_down = _graph(cover), _graph(pres)
     projs = [projective_at(cover, x) for x in cover.fundamental_domain()]
-    pairs = enumerate_support_tilting_pairs(ambient_up, 1, pool_up)
+    pairs = enumerate_support_tilting_pairs(graph_up)
     assert pairs
     for msel, psel in pairs:
-        M = _sum([ambient_up.generators[i] for i in msel], cover)
+        M = _sum([graph_up.ambient[i] for i in msel], cover)
         P = _sum([projs[k] for k in psel], cover)
-        up = is_support_tilting_pair(M, P, 1, ambient_up, pool_up)
-        down = is_support_tilting_pair(push_down(M), push_down(P), 1, ambient_down, pool_down)
-        rep = verify_tilting_pushdown(
-            (msel, psel), 1, ambient_up, pool_up, ambient_down, pool_down
-        )
+        up = is_support_tilting_pair(M, P, graph_up)
+        down = is_support_tilting_pair(push_down(M), push_down(P), graph_down)
+        rep = verify_tilting_pushdown((msel, psel), graph_up, graph_down)
         assert rep.witnesses[0] == {"upstairs": up, "downstairs": down}
         assert (rep.instance["M_dim"], rep.instance["P_dim"]) == (M.total_dim, P.total_dim)
         assert rep.outcome is True
@@ -338,7 +319,7 @@ def test_tilting_pushdown_on_index_pairs_matches_the_module_path(name, request):
 
 def test_tilting_pushdown_claim_pushes_each_summand_down_once(monkeypatch):
     from quivercover import covering, load_presentation
-    from quivercover.cli import _tilting_ambient, build_parser, run_claim
+    from quivercover.cli import _tilting_graph, build_parser, run_claim
     from tests.conftest import golden_doc
 
     pres = load_presentation(golden_doc("n32"))  # nothing pushed down yet
@@ -346,9 +327,9 @@ def test_tilting_pushdown_claim_pushes_each_summand_down_once(monkeypatch):
         ["check", "--input", "n32.json", "--claim", "TiltingPushdown"]
     )
     cover = smash_cover(pres)  # the claim's cover
-    ambient_up = _tilting_ambient(cover, args.dimcap)[1]
+    ambient_up = _tilting_graph(cover, 1, args.dimcap).ambient
     projs = [projective_at(cover, x) for x in cover.fundamental_domain()]
-    allowed = {id(X) for X in ambient_up.generators + projs}
+    allowed = {id(X) for X in ambient_up + projs}
     computed = []
     original = covering._shift_blocks
 

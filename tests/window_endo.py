@@ -97,7 +97,7 @@ def window_endo(U, box) -> tuple:
     """(keys, carrier): the twists of U's generators inside the box with
     their keys (generator index, twist), and their endomorphism category."""
     keys, objs = [], []
-    for i, gen in enumerate(U.generators):
+    for i, gen in enumerate(U):
         for a in box:
             T = twist_module(gen, a)
             # one object per isomorphism class; twists are different classes
@@ -105,6 +105,6 @@ def window_endo(U, box) -> tuple:
                 objs.append(T)
                 keys.append((i, a))
     fundamental = [
-        next(k for k, obj in enumerate(objs) if is_isomorphic(gen, obj)) for gen in U.generators
+        next(k for k, obj in enumerate(objs) if is_isomorphic(gen, obj)) for gen in U
     ]
     return keys, WindowEndoCarrier(objs, fundamental)
