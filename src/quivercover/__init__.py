@@ -9,7 +9,6 @@ from .errors import (
     DecompositionInconclusive,
     HypothesisUnverified,
     InhomogeneousRelation,
-    IsoInconclusive,
     NotAdmissible,
     NotFreeAction,
     NotLocallyBounded,
@@ -51,7 +50,6 @@ from .homology import (
     DimBound,
     ExtSpace,
     Resolution,
-    cosyzygy,
     dominant_dimension_upto,
     ext_dim,
     ext_space,

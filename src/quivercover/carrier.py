@@ -17,9 +17,9 @@ A carrier consists of:
   arrows of a quiver) such that every basis element is a word in them;
 * validation relations: k-linear combinations of generator words that must
   act as zero on every module, listed per source object by relations_at;
-* the seed of the random candidates that decomposition and the iso tests
-  try, fixed when a presentation is loaded and copied by every carrier
-  built from another, so work memoised on a carrier is seeded alike.
+* the seed of the random candidates that decomposition tries, fixed when a
+  presentation is loaded and copied by every carrier built from another,
+  so work memoised on a carrier is seeded alike.
 
 A carrier need not list everything: a covering category lists neither its
 objects nor its `generators`, and an endomorphism category lists one object
@@ -166,22 +166,13 @@ class Carrier:
 
     def relations_at(self, x) -> tuple:
         """(index, target, terms) of each validation relation starting at x."""
-        return self._relation_tables()[0].get(x, ())
-
-    def relations_into(self, x) -> tuple:
-        """(index, source, terms) of each validation relation ending at x."""
-        return self._relation_tables()[1].get(x, ())
-
-    def _relation_tables(self) -> tuple:
-        tables = self.__dict__.get("_relations_by_end")
-        if tables is None:
-            by_src: dict = {}
-            by_tgt: dict = {}
+        table = self.__dict__.get("_relations_by_src")
+        if table is None:
+            table = {}
             for index, (src, tgt, terms) in enumerate(self.validation_relations()):
-                by_src.setdefault(src, []).append((index, tgt, terms))
-                by_tgt.setdefault(tgt, []).append((index, src, terms))
-            tables = self._relations_by_end = (by_src, by_tgt)
-        return tables
+                table.setdefault(src, []).append((index, tgt, terms))
+            self._relations_by_src = table
+        return table.get(x, ())
 
     def generators_at_source(self, x) -> tuple:
         """The generators starting at x, in generator order."""
@@ -244,13 +235,6 @@ class OppositeCarrier(Carrier):
 
     def label_word(self, x, y, label) -> tuple:
         return tuple(reversed(self.base.label_word(y, x, label)))
-
-    def relations_at(self, x) -> tuple:
-        """The base's relations ending at x, with their words reversed."""
-        return tuple(
-            (index, src, [(c, tuple(reversed(word))) for c, word in terms])
-            for index, src, terms in self.base.relations_into(x)
-        )
 
     def has_object(self, x) -> bool:
         return self.base.has_object(x)

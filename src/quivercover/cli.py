@@ -30,7 +30,6 @@ from .errors import (
     CapExceeded,
     DecompositionInconclusive,
     HypothesisUnverified,
-    IsoInconclusive,
     QuiverCoverError,
     SchemaError,
 )
@@ -49,7 +48,7 @@ from .precluster import (
     verify_Pn_pushdown,
     verify_selfinjectivity_criteria,
 )
-from .presentation import load_presentation_file, orbit_of_finite_action
+from .presentation import load_presentation_file, orbit_of_finite_action, read_json
 from .report import CLAIM_IDS, INDETERMINATE, NOT_APPLICABLE, VerificationReport
 from .tautilt import (
     TiltingGraph,
@@ -208,7 +207,7 @@ def _aggregate(claim: str, instance: dict, reports: list, caps=None) -> Verifica
 # Errors a claim can raise on a valid input: an unmet hypothesis, or a cap
 # or search bound that ran out.  Each becomes that claim's outcome.
 _NOT_APPLICABLE_ERRORS = (HypothesisUnverified, AmbientNotClusterTilting)
-_INDETERMINATE_ERRORS = (CapExceeded, DecompositionInconclusive, IsoInconclusive)
+_INDETERMINATE_ERRORS = (CapExceeded, DecompositionInconclusive)
 
 
 def run_claim(pres, claim: str, n: int, args) -> VerificationReport:
@@ -317,8 +316,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_orbit(args) -> int:
     pres = _load(args)
-    with open(args.action, "r", encoding="utf-8") as fh:
-        action = json.load(fh)
+    action = read_json(args.action)
     for key in ("m", "vertex_map", "arrow_map"):
         if not isinstance(action, dict) or key not in action:
             raise SchemaError(f"action file missing {key!r}")
@@ -332,9 +330,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_pushdown(args) -> int:
     pres = _load(args)
     cover = smash_cover(pres)
-    with open(args.module, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    M = module_from_json(cover, doc)
+    M = module_from_json(cover, read_json(args.module))
     validate_module(M)
     _emit(args, module_to_json(push_down(M)))
     return 0
@@ -418,6 +414,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"FileNotFound: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

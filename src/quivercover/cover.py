@@ -32,7 +32,6 @@ class CoverCarrier(Carrier):
         self._at_target = {}
         self._words = {}
         self._relations_at = {}
-        self._relations_into = {}
 
     def _lift_path(self, path, g) -> tuple:
         """The generator word lifting a base path that starts at shift g."""
@@ -150,19 +149,6 @@ class CoverCarrier(Carrier):
                 for index, w, terms in pres.relations_at(v)
             )
             self._relations_at[x] = rels
-        return rels
-
-    def relations_into(self, x) -> tuple:
-        """The base relations into x's vertex, lifted whole to end at x."""
-        rels = self._relations_into.get(x)
-        if rels is None:
-            w, h = x
-            pres = self.base_presentation
-            rels = []
-            for index, v, terms in pres.relations_into(w):
-                g = self.group.sub(h, pres.path_weight(terms[0][1]))
-                rels.append((index, (v, g), [(c, self._lift_path(path, g)) for c, path in terms]))
-            rels = self._relations_into[x] = tuple(rels)
         return rels
 
     def describe(self) -> str:

@@ -175,15 +175,6 @@ class EndoCarrier(Carrier):
             for g in self.generators_at_source(f[1])
         )
 
-    def relations_into(self, x) -> tuple:
-        """The composition table indexed by target: every composable
-        generator pair (f, g) ending at x, as relations_at lists it."""
-        return tuple(
-            ((f, g), f[0], self._composition_terms(f, g))
-            for g in self.generators_at_target(x)
-            for f in self.generators_at_target(g[0])
-        )
-
     def _composition_terms(self, f, g) -> list:
         """f.g minus its expansion in the chosen basis of C(src f, tgt g)."""
         table = self.memo("relations")

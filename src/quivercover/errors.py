@@ -48,10 +48,6 @@ class DecompositionInconclusive(QuiverCoverError):
     """Could not split the module nor certify indecomposability."""
 
 
-class IsoInconclusive(QuiverCoverError):
-    """Isomorphism search exhausted its trial cap without a certificate."""
-
-
 class CapExceeded(QuiverCoverError):
     """An enumeration or closure did not stabilize within its cap."""
 

@@ -176,13 +176,6 @@ def syzygy(M: FDModule, i: int = 1) -> FDModule:
     return strip_summands(min_proj_resolution(M, i - 1).stage(i), is_projective_module)
 
 
-def cosyzygy(M: FDModule, i: int = 1) -> FDModule:
-    """Stable i-th cosyzygy (no injective summands): D of the syzygy of D M."""
-    if i == 0:
-        return M
-    return dual_module(syzygy(dual_module(M), i))
-
-
 # ---------------------------------------------------------------------------
 # transpose and the AR translates
 

@@ -13,10 +13,9 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from .carrier import Carrier
+from .carrier import Carrier, OppositeCarrier
 from .errors import (
     DecompositionInconclusive,
-    IsoInconclusive,
     RelationViolated,
     ShapeMismatch,
 )
@@ -253,7 +252,14 @@ def direct_sum(mods: list) -> tuple:
 
 def validate_module(M: FDModule) -> None:
     """Check that every relation starting in the support of M vanishes on M
-    (a relation out of an object where M is zero acts as zero)."""
+    (a relation out of an object where M is zero acts as zero).
+
+    Over an opposite carrier a reversed word acts on M as the transpose of
+    the word on D M, so M is checked as D M over the base; a RelationViolated
+    then names the relation's source vertex in the base's direction."""
+    if isinstance(M.carrier, OppositeCarrier):
+        validate_module(dual_module(M))
+        return
     field = M.carrier.field
     for src in M.support:
         ds = M.dim(src)
@@ -368,11 +374,6 @@ def combine(basis: list, coeffs) -> ModMorphism:
         if c != 0:
             out = b.scale(c) if out is None else out + b.scale(c)
     return basis[0].scale(0) if out is None else out
-
-
-def random_hom(basis: list, rng) -> ModMorphism:
-    field = basis[0].src.carrier.field
-    return combine(basis, [field.random_scalar(rng) for _ in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -1019,7 +1020,7 @@ def decompose(M: FDModule) -> list:
     groups: list = []
     for piece in pieces:
         for entry in groups:
-            if _certified_indec_iso(entry[0], piece):
+            if find_iso(entry[0], piece) is not None:
                 entry[1] += 1
                 break
         else:
@@ -1064,108 +1065,40 @@ def is_indecomposable(M: FDModule) -> bool:
     return out
 
 
-def _composite_iso(M: FDModule, N: FDModule) -> ModMorphism | None:
-    """A basis morphism phi: M -> N with psi∘phi invertible for some basis
-    morphism psi: N -> M, or None.  For M indecomposable End(M) is local, so
-    the span of the composites psi∘phi holds an invertible element iff one of
-    them is invertible: such a phi exists iff M ≅ N, and is then an iso."""
-    fwd = hom_basis(M, N)
-    bwd = hom_basis(N, M)
-    for phi in fwd:
-        for psi in bwd:
-            if (psi @ phi).is_iso():
-                return phi
-    return None
-
-
-def _certified_indec_iso(M: FDModule, N: FDModule) -> bool:
-    """Exact isomorphism test for modules known to be indecomposable."""
-    if M.dims != N.dims:
-        return False
-    if M.total_dim == 0:
-        return True
-    return _composite_iso(M, N) is not None
-
-
 def is_isomorphic(M: FDModule, N: FDModule) -> bool:
-    """Isomorphism test; exact via decomposition, randomized fast path first."""
-    if M.carrier is not N.carrier:
+    """Exact isomorphism test: an iso in a basis of Hom(M, N) (find_iso),
+    then, when neither module is known indecomposable, the summands of the
+    two decompositions matched one by one with find_iso."""
+    if M.carrier is not N.carrier or M.dims != N.dims:
         return False
-    if M.dims != N.dims:
-        return False
-    if M.total_dim == 0:
+    if M is N or find_iso(M, N) is not None:
         return True
-    if M is N:
-        return True
-    if M._cache.get("indec") and N._cache.get("indec"):
-        return _certified_indec_iso(M, N)
-    basis = hom_basis(M, N)
-    if not basis:
+    if M._cache.get("indec") or N._cache.get("indec"):
         return False
-    rng = random.Random(M.carrier.seed)
-    for _ in range(24):
-        if random_hom(basis, rng).is_iso():
-            return True
-    try:
-        dm = decompose(M)
-        dn = decompose(N)
-    except DecompositionInconclusive:
-        return _iso_lattice_fallback(M, N, basis)
-    if sum(m for _, m in dm) != sum(m for _, m in dn):
-        return False
-    remaining = [[piece, mult] for piece, mult in dn]
+    dm = decompose(M)
+    remaining = list(decompose(N))
     for piece, mult in dm:
-        matched = False
-        for entry in remaining:
-            if entry[1] and _certified_indec_iso(piece, entry[0]):
-                if entry[1] < mult:
-                    return False
-                entry[1] -= mult
-                matched = True
-                break
-        if not matched:
+        entry = next((e for e in remaining if find_iso(piece, e[0]) is not None), None)
+        if entry is None or entry[1] != mult:
             return False
-    return all(entry[1] == 0 for entry in remaining)
+        remaining.remove(entry)
+    return not remaining
 
 
 def find_iso(M: FDModule, N: FDModule) -> ModMorphism | None:
-    """An explicit isomorphism M -> N, or None.
+    """The first map of a basis of Hom(M, N) that is an isomorphism, or None.
 
-    For indecomposables the composite search is exact; in general a seeded
-    random search over Hom(M, N) is tried first, then summand matching is
-    left to the caller (None does not certify non-isomorphism unless
-    is_isomorphic agrees).
+    Exact when M or N is indecomposable: if then M ≅ N, End(N) is local, so
+    the maps M -> N that are not isos (rad End(N) composed with one iso)
+    form a proper subspace of Hom(M, N), and some basis map lies outside it.
+    For two decomposable modules None does not rule out M ≅ N;
+    is_isomorphic decides that case.
     """
     if M.dims != N.dims:
         return None
     if M.total_dim == 0:
         return zero_morphism(M, N)
-    basis = hom_basis(M, N)
-    if not basis:
-        return None
-    rng = random.Random(M.carrier.seed)
-    for _ in range(32):
-        phi = random_hom(basis, rng)
-        if phi.is_iso():
-            return phi
-    return _composite_iso(M, N)
-
-
-def _iso_lattice_fallback(M: FDModule, N: FDModule, basis) -> bool:
-    field = M.carrier.field
-    values = range(min(field.p, 5)) if field.is_prime_field else range(-2, 3)
-    count = 0
-    for coeffs in itertools.product(values, repeat=len(basis)):
-        count += 1
-        if count > 4096:
-            break
-        if any(coeffs) and combine(basis, coeffs).is_iso():
-            return True
-    if hom_dim(M, N) and hom_dim(N, M):
-        raise IsoInconclusive(
-            "iso search cap reached and hom dimensions permit an isomorphism"
-        )
-    return False
+    return next((phi for phi in hom_basis(M, N) if phi.is_iso()), None)
 
 
 def twist_candidates(group, src_support, dst_support) -> list:

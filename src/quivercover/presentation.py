@@ -353,7 +353,7 @@ def _parse_group(doc) -> Group:
 
 def load_presentation(document: dict, seed: int = ISO_SEED) -> GradedQuiverPresentation:
     """Validate a JSON document (already parsed) into a presentation whose
-    decomposition and iso tests draw their random candidates from seed."""
+    decomposition draws its random candidates from seed."""
     if not isinstance(document, dict):
         raise SchemaError("presentation document must be a JSON object")
     for key in ("field", "group", "vertices", "arrows", "nilbound"):
@@ -403,13 +403,17 @@ def load_presentation(document: dict, seed: int = ISO_SEED) -> GradedQuiverPrese
     return GradedQuiverPresentation(field, group, vertices, arrows, relations, nilbound, seed)
 
 
-def load_presentation_file(path, seed: int = ISO_SEED) -> GradedQuiverPresentation:
+def read_json(path):
+    """The JSON document in a file; a file that is not JSON is a SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
             raise SchemaError(f"invalid JSON: {exc}") from exc
-    return load_presentation(doc, seed)
+
+
+def load_presentation_file(path, seed: int = ISO_SEED) -> GradedQuiverPresentation:
+    return load_presentation(read_json(path), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +440,8 @@ def orbit_of_finite_action(
     verts = pres.vertices
     if not isinstance(vertex_map, dict) or not isinstance(arrow_map, dict):
         raise SchemaError("vertex_map and arrow_map must be objects")
+    if not all(isinstance(v, str) for m in (vertex_map, arrow_map) for v in m.values()):
+        raise SchemaError("vertex_map and arrow_map must map names to names")
     if sorted(vertex_map) != sorted(verts) or sorted(vertex_map.values()) != sorted(verts):
         raise SchemaError("vertex_map must be a permutation of the vertices")
     names = [a.name for a in pres.arrows]

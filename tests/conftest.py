@@ -1,13 +1,21 @@
 import itertools
 import json
 import os
+import random
 
 import pytest
 
 from quivercover import Group, load_presentation, smash_cover
 from quivercover.field import Mat
-from quivercover.homology import transpose
-from quivercover.modules import ModMorphism, cokernel_module, dual_module, radical_inclusion
+from quivercover.homology import syzygy, transpose
+from quivercover.modules import (
+    ModMorphism,
+    cokernel_module,
+    combine,
+    dual_module,
+    hom_basis,
+    radical_inclusion,
+)
 from quivercover.presentation import Arrow, GradedQuiverPresentation
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
@@ -42,6 +50,25 @@ def commutes(phi) -> bool:
 def tau_minus(M):
     """The inverse AR translate Tr D M."""
     return transpose(dual_module(M))
+
+
+def cosyzygy(M, i=1):
+    """The stable i-th cosyzygy (no injective summands): D of the syzygy of D M."""
+    return dual_module(syzygy(dual_module(M), i))
+
+
+def random_iso(M, N, tries=32):
+    """An isomorphism M -> N among random combinations of a basis of
+    Hom(M, N), drawn from the carrier's seed, or None.  An oracle for two
+    decomposable modules, where no single basis map need be an iso; None
+    certifies nothing."""
+    basis = hom_basis(M, N) if M.dims == N.dims else []
+    rng = random.Random(M.carrier.seed)
+    for _ in range(tries if basis else 0):
+        phi = combine(basis, [M.carrier.field.random_scalar(rng) for _ in basis])
+        if phi.is_iso():
+            return phi
+    return None
 
 
 def summand_morphisms(S, mods, offsets) -> tuple:

@@ -158,30 +158,48 @@ def _bad_action(**changes):
     return argv
 
 
+def _not_json(command, option):
+    def argv(tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        return [command, "--input", golden("sixcycle" if command == "orbit" else "n32"), option, str(path)]
+    return argv
+
+
+def _directory_input(tmp_path):
+    return ["validate", "--input", str(tmp_path)]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,error",
     [
-        _bad_weight("x"),
-        _bad_weight(1.5),
-        _bad_weight(True),
-        _bad_presentation(arrows=5),
-        _bad_presentation(relations=[[{"coeff": "1", "path": [["a1"]]}]]),
-        _bad_presentation(nilbound=True),
-        _bad_module({"dims": [1]}),
-        _bad_module({"dims": {"1@0": 1}, "arrowmaps": []}),
-        _bad_action(m="x"),
-        _bad_action(vertex_map=["u1", "u2"]),
+        (_bad_weight("x"), "SchemaError"),
+        (_bad_weight(1.5), "SchemaError"),
+        (_bad_weight(True), "SchemaError"),
+        (_bad_presentation(arrows=5), "SchemaError"),
+        (_bad_presentation(relations=[[{"coeff": "1", "path": [["a1"]]}]]), "SchemaError"),
+        (_bad_presentation(nilbound=True), "SchemaError"),
+        (_bad_module({"dims": [1]}), "SchemaError"),
+        (_bad_module({"dims": {"1@0": 1}, "arrowmaps": []}), "SchemaError"),
+        (_not_json("pushdown", "--module"), "SchemaError"),
+        (_bad_action(m="x"), "SchemaError"),
+        (_bad_action(vertex_map=["u1", "u2"]), "SchemaError"),
+        (_bad_action(vertex_map={**golden_doc("sixcycle_action")["vertex_map"], "u1": 4}), "SchemaError"),
+        (_not_json("orbit", "--action"), "SchemaError"),
+        (_directory_input, "IsADirectoryError"),
     ],
     ids=[
         "weight-string", "weight-float", "weight-bool", "arrows-int", "path-of-lists", "nilbound-bool",
-        "dims-list", "arrowmaps-list", "action-m-string", "vertex-map-list",
+        "dims-list", "arrowmaps-list", "module-not-json", "action-m-string", "vertex-map-list",
+        "vertex-map-int-value", "action-not-json", "input-directory",
     ],
 )
-def test_malformed_input_files_are_schema_errors(argv, tmp_path, capsys):
-    # exit 1 means a claim failed, so a malformed file must exit 2, never 1
+def test_malformed_input_files_are_schema_errors(argv, error, tmp_path, capsys):
+    # exit 1 means a claim failed, so a malformed file must exit 2, never 1;
+    # a path that names no readable file is an input error too
     code, _, err = run(capsys, *argv(tmp_path))
     assert code == 2
-    assert err.startswith("SchemaError:")
+    assert err.startswith(f"{error}:")
 
 
 def test_check_exit_zero_and_report_roundtrip(capsys):

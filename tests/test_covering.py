@@ -414,8 +414,7 @@ def test_gorenstein_projectivity_matches_the_former_loop(name, request):
 @pytest.mark.parametrize("name", ["n32", "loop2", "n32_z2", "sixcycle"])
 @pytest.mark.parametrize("upstairs", [False, True], ids=["base", "cover"])
 def test_duals_and_translates_validate(name, upstairs, request):
-    # a relation of C^op starting at x is a relation of C ending at x,
-    # reversed; a cover lifts the base relations into x's vertex
+    # a module over C^op validates as its dual over C, on a cover too
     pres = request.getfixturevalue(name)
     carrier = smash_cover(pres) if upstairs else pres
     assert carrier.opposite().fundamental_domain() == carrier.fundamental_domain()

@@ -10,7 +10,6 @@ import pytest
 
 from quivercover import (
     DimBound,
-    cosyzygy,
     dominant_dimension_upto,
     dual_module,
     ext_dim,
@@ -37,7 +36,7 @@ from quivercover import (
 )
 from quivercover.field import hstack, rank
 from quivercover.homology import _coords_matrix, _evaluation_map, approximation_objects
-from tests.conftest import GOLDENS, summand_morphisms, tau_minus
+from tests.conftest import GOLDENS, cosyzygy, summand_morphisms, tau_minus
 
 
 def check_resolution(res, k):
@@ -660,5 +659,6 @@ def test_e6_knit_resolves_each_dual_once(monkeypatch):
     )
     monkeypatch.setattr(field, "_residue_rref", lambda *args: rrefs.append(1) or real_rref(*args))
     assert len(list_indecomposables(e6)) == 36
-    # before the shared D M: 210 covers, 138 over the opposite, 4,719 eliminations
-    assert (len(covers), sum(covers), len(rrefs)) == (144, 72, 3997)
+    # before the shared D M: 210 covers, 138 over the opposite, 4,719
+    # eliminations; before the basis-scan iso test, 3,997
+    assert (len(covers), sum(covers), len(rrefs)) == (144, 72, 3913)

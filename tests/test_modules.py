@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivercover import (
+    DecompositionInconclusive,
     Field,
     FDModule,
-    IsoInconclusive,
     Mat,
     RelationViolated,
     class_index,
@@ -26,11 +26,13 @@ from quivercover import (
     injective_at,
     is_indecomposable,
     is_isomorphic,
+    list_indecomposables,
     load_presentation,
     projective_at,
     projective_cover,
     radical_inclusion,
     simple_at,
+    smash_cover,
     socle_inclusion,
     validate_module,
     zero_module,
@@ -38,7 +40,7 @@ from quivercover import (
 from quivercover import modules
 from quivercover.field import rank
 from quivercover.modules import ModMorphism, identity_morphism, kernel_module
-from tests.conftest import GOLDENS, commutes, golden_doc, top_module
+from tests.conftest import GOLDENS, commutes, golden_doc, random_iso, top_module
 
 
 def all_simples(pres):
@@ -56,6 +58,27 @@ def test_validate_rejects_loop_violation(loop2):
     M = FDModule(loop2, {"v": 1}, {"x": Mat.from_rows(loop2.field, [[1]])})
     with pytest.raises(RelationViolated):
         validate_module(M)
+
+
+@pytest.mark.parametrize("kind", ["presentation", "cover", "endo"])
+def test_validate_rejects_a_broken_reversed_relation_over_an_opposite(kind, n32):
+    # f g = 0 in C, so g f = 0 in C^op; the module over C^op on x <- y <- z
+    # (in C's direction x -> y -> z) where f and g both act as 1 breaks it,
+    # and the violation is named at x, the relation's source in C
+    from quivercover.endo import EndoCarrier
+
+    carrier, x = {
+        "presentation": (n32, "1"),
+        "cover": (smash_cover(n32), ("1", (0,))),
+        "endo": (EndoCarrier([projective_at(n32, v) for v in n32.vertices]), 0),
+    }[kind]
+    _, z, [(_, (f, g))] = carrier.relations_at(x)[0]
+    one = Mat.identity(n32.field, 1)
+    M = FDModule(carrier.opposite(), {x: 1, carrier.gen_tgt(f): 1, z: 1}, {f: one, g: one})
+    with pytest.raises(RelationViolated) as err:
+        validate_module(M)
+    assert err.value.vertex == x
+    validate_module(FDModule(carrier.opposite(), dict(M.dims), {f: one}))
 
 
 def test_hom_simples(n32):
@@ -157,7 +180,8 @@ def test_decompose_certificate(n32):
     M = direct_sum([P1, S2, S2])[0]
     parts = decompose(M)
     rebuilt = direct_sum([m for m, k in parts for _ in range(k)])[0]
-    iso = find_iso(rebuilt, M)
+    # both sides decompose, so no single basis map need be an iso
+    iso = random_iso(rebuilt, M)
     assert iso is not None and iso.is_iso() and commutes(iso)
 
 
@@ -209,20 +233,44 @@ def test_is_isomorphic_basics(n32, ka2):
     assert not is_isomorphic(projective_at(ka2, "1"), simple_at(ka2, "2"))
 
 
-def test_iso_test_is_inconclusive_where_characteristic_defeats_decomposition(monkeypatch):
-    # over F_2, k[x]/(x^2) and S + S share dimensions and both hom spaces are
-    # nonzero; no sampled map is invertible and decompose refuses p <= dim,
-    # so the bounded lattice search decides, and it cannot certify "no"
+def test_iso_test_is_inconclusive_where_characteristic_defeats_decomposition():
+    # over F_2, k[x]/(x^2) and S + S share dimensions and neither is known
+    # indecomposable; no basis map is an iso, so the summands decide, and
+    # decompose refuses p <= dim
     doc = golden_doc("loop2")
     doc["field"] = {"kind": "prime", "p": 2}
     L = load_presentation(doc)
     S = simple_at(L, "v")
-    calls = []
-    real = modules._iso_lattice_fallback
-    monkeypatch.setattr(modules, "_iso_lattice_fallback", lambda *a: calls.append(a) or real(*a))
-    with pytest.raises(IsoInconclusive):
+    with pytest.raises(DecompositionInconclusive):
         is_isomorphic(projective_at(L, "v"), direct_sum([S, S])[0])
-    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name,upstairs", [(name, False) for name in GOLDENS] + [("n32", True), ("loop2", True)])
+def test_find_iso_is_exact_on_the_pools(name, upstairs, request):
+    # each class is indecomposable, so a basis scan finds an iso exactly
+    # between a class and a copy of itself in another basis
+    pres = request.getfixturevalue(name)
+    pool = list_indecomposables(smash_cover(pres) if upstairs else pres)
+    copies = [_change_basis(Y) for Y in pool]
+    for i, X in enumerate(pool):
+        for j, Y in enumerate(copies):
+            iso = find_iso(X, Y)
+            assert (iso is not None) == (i == j)
+            if iso is not None:
+                assert iso.is_iso() and commutes(iso)
+
+
+def test_iso_tests_draw_no_random_scalar(n32, monkeypatch):
+    def refuse(self, rng):
+        raise AssertionError("an iso test drew a random scalar")
+
+    monkeypatch.setattr(Field, "random_scalar", refuse)
+    for x in n32.vertices:
+        P = projective_at(n32, x)
+        copy = _change_basis(P)
+        assert "indec" not in copy._cache
+        assert is_isomorphic(P, copy)
+        assert find_iso(P, copy) is not None
 
 
 def test_indecomposability(n32):

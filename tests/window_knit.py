@@ -11,8 +11,8 @@ cover itself does not list.
 from quivercover.errors import CapExceeded
 from quivercover.knitting import _closure_steps
 from quivercover.modules import (
-    _certified_indec_iso,
     decompose,
+    find_iso,
     injective_at,
     projective_at,
     simple_at,
@@ -49,7 +49,7 @@ class _Pool:
 
     def add(self, M):
         bucket = self.by_key.setdefault(frozenset(M.dims.items()), [])
-        if any(_certified_indec_iso(rep, M) for rep in bucket):
+        if any(find_iso(rep, M) is not None for rep in bucket):
             return False
         bucket.append(M)
         self.classes.append(M)
