@@ -15,8 +15,8 @@ A carrier consists of:
   g in C(y,z) lands in C(x,z));
 * a distinguished generating set of basis elements ("generators", the
   arrows of a quiver) such that every basis element is a word in them;
-* validation relations: k-linear combinations of generator words that must
-  act as zero on every module, listed per source object by relations_at;
+* relations: k-linear combinations of generator words that must act as
+  zero on every module, listed per source object by relations_at;
 * the seed of the random candidates that decomposition tries, fixed when a
   presentation is loaded and copied by every carrier built from another,
   so work memoised on a carrier is seeded alike.
@@ -77,8 +77,9 @@ class Carrier:
         """A generator word evaluating to the given basis element."""
         raise NotImplementedError
 
-    def validation_relations(self):
-        """Iterable of (src, tgt, [(coeff, generator word)]) that modules kill."""
+    def relations_at(self, x) -> tuple:
+        """The relations modules kill, by source: (index, target, terms) for
+        each relation starting at x, its terms (coefficient, generator word)."""
         raise NotImplementedError
 
     def opposite(self) -> "Carrier":
@@ -163,16 +164,6 @@ class Carrier:
             for lab, c in self.compose_labels(s, t, x, glab, q).items():
                 m[index[lab]][j] = c
         return Mat.from_rows(self.field, m, len(cols))
-
-    def relations_at(self, x) -> tuple:
-        """(index, target, terms) of each validation relation starting at x."""
-        table = self.__dict__.get("_relations_by_src")
-        if table is None:
-            table = {}
-            for index, (src, tgt, terms) in enumerate(self.validation_relations()):
-                table.setdefault(src, []).append((index, tgt, terms))
-            self._relations_by_src = table
-        return table.get(x, ())
 
     def generators_at_source(self, x) -> tuple:
         """The generators starting at x, in generator order."""

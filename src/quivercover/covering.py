@@ -32,7 +32,7 @@ def twist_module(M: FDModule, a) -> FDModule:
         return M
     dims = {carrier.twist_object(a, x): d for x, d in M.dims.items()}
     mats = {carrier.twist_generator(a, g): m for g, m in M.gen_mats.items()}
-    return FDModule(carrier, dims, mats, check_shapes=False)
+    return FDModule(carrier, dims, mats)
 
 
 def canonical_orbit_rep(M: FDModule) -> FDModule:
@@ -125,7 +125,7 @@ def push_down(M: FDModule) -> FDModule:
             if h in col:
                 placed.append((off, col[h], M.mat((a.name, g))))
         mats[a.name] = Mat.from_blocks(field, dv, dw, placed)
-    M._cache["push_down"] = FDModule(pres, dims, mats, check_shapes=False)
+    M._cache["push_down"] = FDModule(pres, dims, mats)
     return M._cache["push_down"]
 
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 from .carrier import Carrier
 from .covering import twist_module
 from .errors import ShapeMismatch
-from .field import Mat, hstack, rref
+from .field import hstack
 from .modules import (
     _acting_generators,
+    _complement_columns,
     FDModule,
     ModMorphism,
     hom_basis,
@@ -76,21 +77,7 @@ class EndoCarrier(Carrier):
         if coords is None:
             raise ShapeMismatch("identity not in its own endomorphism space")
         # keep the identity first, then a complement chosen from the basis
-        field = self.field
-        cols = [coords] + [
-            Mat.from_rows(field, [[1 if t == k else 0] for t in range(len(basis))])
-            for k in range(len(basis))
-        ]
-        aug = hstack(cols)
-        _, pivots = rref(aug)
-        chosen = [ident]
-        for p in pivots:
-            if p == 0:
-                continue
-            chosen.append(basis[p - 1])
-        if len(chosen) != len(basis):
-            raise ShapeMismatch("failed to rebase the endomorphism space")
-        return chosen
+        return [ident] + [basis[k] for k in _complement_columns(self.field, coords)]
 
     # -- Carrier interface ----------------------------------------------------
 
@@ -206,6 +193,6 @@ def phi_module(E: EndoCarrier, X: FDModule) -> FDModule:
                 raise ShapeMismatch("precomposition left the hom space")
             cols.append(coords)
         mats[g] = hstack(cols)
-    Phi = FDModule(E, dims, mats, check_shapes=False)
+    Phi = FDModule(E, dims, mats)
     validate_module(Phi)  # functoriality against the composition table
     return Phi

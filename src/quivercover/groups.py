@@ -93,13 +93,6 @@ class Group:
     def element_to_json(self, a):
         return a if self.kind == "cyclic" else list(a)
 
-    def all_elements(self):
-        if self.kind == "cyclic":
-            return list(range(self.order))
-        if self.rank == 0:
-            return [()]
-        raise SchemaError("infinite group has no element listing")
-
 
 def _is_integer(value) -> bool:
     """A JSON integer: an int that is not a bool."""

@@ -38,7 +38,7 @@ class FDModule:
 
     __slots__ = ("carrier", "dims", "gen_mats", "_cache")
 
-    def __init__(self, carrier: Carrier, dims: dict, gen_mats: dict, check_shapes: bool = True):
+    def __init__(self, carrier: Carrier, dims: dict, gen_mats: dict):
         self.carrier = carrier
         self.dims = {x: int(d) for x, d in dims.items() if d}
         mats = {}
@@ -47,7 +47,7 @@ class FDModule:
             ds, dt = self.dims.get(s, 0), self.dims.get(t, 0)
             if ds == 0 or dt == 0:
                 continue
-            if check_shapes and m.shape != (ds, dt):
+            if m.shape != (ds, dt):
                 raise ShapeMismatch(
                     f"map for generator {g!r} has shape {m.shape}, expected {(ds, dt)}"
                 )
@@ -176,21 +176,28 @@ def simple_at(carrier: Carrier, x) -> FDModule:
 
 
 def projective_at(carrier: Carrier, x) -> FDModule:
-    """The representable projective C(-, x), built once per carrier."""
+    """The representable projective C(-, x), built once per carrier.
+
+    It is marked indecomposable: End C(-, x) = C(x, x) is local on every
+    carrier here.  A presentation's ideal is admissible; a cover's C(x, x)
+    is the weight-0 paths of its base; an endomorphism category's objects
+    are indecomposable classes; an opposite has its base's C(x, x)."""
     built = carrier.memo("projective")
     if x not in built:
         dims = {y: carrier.hom_dim(y, x) for y in carrier.projective_support(x)}
         mats = {g: carrier.left_mult_mat(g, x) for g, _, _ in _acting_generators(carrier, dims)}
         built[x] = FDModule(carrier, dims, mats)
+        built[x]._cache["indec"] = True
     return built[x]
 
 
 def injective_at(carrier: Carrier, x) -> FDModule:
     """The dual representable D C(x, -), the dual of the projective at x over
-    the opposite; built once per carrier."""
+    the opposite; built once per carrier, and indecomposable like it."""
     built = carrier.memo("injective")
     if x not in built:
         built[x] = dual_module(projective_at(carrier.opposite(), x))
+        built[x]._cache["indec"] = True
     return built[x]
 
 
@@ -243,7 +250,7 @@ def direct_sum(mods: list) -> tuple:
         g: Mat.from_blocks(field, dims[carrier.gen_src(g)], dims[carrier.gen_tgt(g)], placed)
         for g, placed in blocks.items()
     }
-    return FDModule(carrier, dims, mats, check_shapes=False), offsets
+    return FDModule(carrier, dims, mats), offsets
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +398,7 @@ def _submodule(M: FDModule, bases: dict) -> tuple:
         if sol is None:
             raise ShapeMismatch("submodule is not arrow-stable")
         mats[g] = sol
-    S = FDModule(carrier, dims, mats, check_shapes=False)
+    S = FDModule(carrier, dims, mats)
     return S, ModMorphism(S, M, {x: bases[x] for x in dims})
 
 
@@ -438,7 +445,7 @@ def cokernel_module(phi: ModMorphism) -> tuple:
     mats = {
         g: proj[s] @ N.mat(g) @ section[t] for g, s, t in _acting_generators(carrier, dims)
     }
-    C = FDModule(carrier, dims, mats, check_shapes=False)
+    C = FDModule(carrier, dims, mats)
     pr = ModMorphism(N, C, proj)
     return C, pr
 
@@ -504,14 +511,14 @@ def socle_inclusion(M: FDModule) -> tuple:
             bases[x] = kb
             dims[x] = kb.cols
     # all generator actions vanish on the socle
-    S = FDModule(carrier, dims, {}, check_shapes=False)
+    S = FDModule(carrier, dims, {})
     return S, ModMorphism(S, M, bases)
 
 
 def dual_module(M: FDModule) -> FDModule:
     """The k-dual, a module over the opposite carrier."""
     mats = {g: m.transpose() for g, m in M.gen_mats.items()}
-    return FDModule(M.carrier.opposite(), dict(M.dims), mats, check_shapes=False)
+    return FDModule(M.carrier.opposite(), dict(M.dims), mats)
 
 
 class ProjCover:

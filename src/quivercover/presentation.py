@@ -21,7 +21,7 @@ from .errors import (
     NotLocallyBounded,
     SchemaError,
 )
-from .field import Field, Mat, rref, solve_linear
+from .field import Field, Mat, rref
 from .groups import Group, _is_integer
 
 
@@ -31,11 +31,6 @@ class Arrow:
     src: str
     tgt: str
     weight: object  # a group element
-
-
-# A relation is a tuple of (coefficient, path) terms; a path is a tuple of
-# arrow names composing left to right.
-Relation = tuple
 
 
 class GradedQuiverPresentation(Carrier):
@@ -73,6 +68,7 @@ class GradedQuiverPresentation(Carrier):
         for a in self._arrow_list:
             if a.src not in self._vertices or a.tgt not in self._vertices:
                 raise SchemaError(f"arrow {a.name} has unknown endpoint")
+        self._relations_at: dict = {}
         for k, rel in enumerate(self.relations):
             if not rel:
                 raise SchemaError(f"relation {k} is empty")
@@ -93,6 +89,8 @@ class GradedQuiverPresentation(Carrier):
                 lengths.add(len(path))
             if len(endpoints) != 1:
                 raise InhomogeneousRelation(f"relation {k}: paths have different endpoints")
+            [(s, t)] = endpoints
+            self._relations_at.setdefault(s, []).append((k, t, rel))
             if len(weights) != 1:
                 raise InhomogeneousRelation(f"relation {k}: paths have different weights")
             if min(lengths) < 2:
@@ -126,13 +124,6 @@ class GradedQuiverPresentation(Carrier):
         for key in raw:
             raw[key].sort(key=lambda p: tuple(arrow_pos[n] for n in p))
 
-        rel_by_endpoints: dict = {}
-        for rel in self.relations:
-            _, path0 = rel[0]
-            s = self._arrow_map[path0[0]].src
-            t = self._arrow_map[path0[-1]].tgt
-            rel_by_endpoints.setdefault((s, t), []).append(rel)
-
         self._normal: dict = {}
         self._reduce: dict = {}
         survivors_past_bound = []
@@ -148,8 +139,8 @@ class GradedQuiverPresentation(Carrier):
                         continue
                     index = {p: i for i, p in enumerate(paths)}
                     rows = []
-                    for (s, t), rels in rel_by_endpoints.items():
-                        for rel in rels:
+                    for s in self._vertices:
+                        for _, t, rel in self.relations_at(s):
                             rlen = len(rel[0][1])
                             for du in range(d - rlen + 1):
                                 dv = d - rlen - du
@@ -219,13 +210,6 @@ class GradedQuiverPresentation(Carrier):
         """Basis of the path space from x to y modulo the relation ideal."""
         return self._normal[(x, y)]
 
-    def reduce_raw(self, x, y, raw_path) -> dict:
-        """Normal form of a raw path of length <= nilbound + 1."""
-        table = self._reduce[(x, y)]
-        if raw_path in table:
-            return table[raw_path]
-        raise SchemaError(f"path {raw_path!r} is not a raw path from {x} to {y}")
-
     # -- Carrier interface ------------------------------------------------------
 
     @property
@@ -236,17 +220,16 @@ class GradedQuiverPresentation(Carrier):
         return self._normal[(x, y)]
 
     def compose_labels(self, x, y, z, f, g):
+        # each step appends one arrow to a normal path of length <= nilbound,
+        # so the raw path has a row in the reduction table
         combo = {f: self.field.scalar(1)}
-        cur = y
         for name in g:
-            nxt = self._arrow_map[name].tgt
+            table = self._reduce[(x, self._arrow_map[name].tgt)]
             out: dict = {}
             for p, c in combo.items():
-                for q, c2 in self.reduce_raw(x, nxt, p + (name,)).items():
-                    val = self.field.scalar(out.get(q, 0) + c * c2)
-                    out[q] = val
+                for q, c2 in table[p + (name,)].items():
+                    out[q] = self.field.scalar(out.get(q, 0) + c * c2)
             combo = {p: c for p, c in out.items() if c != 0}
-            cur = nxt
         return combo
 
     @property
@@ -265,12 +248,11 @@ class GradedQuiverPresentation(Carrier):
     def label_word(self, x, y, label) -> tuple:
         return label
 
-    def validation_relations(self):
-        for rel in self.relations:
-            _, path0 = rel[0]
-            s = self._arrow_map[path0[0]].src
-            t = self._arrow_map[path0[-1]].tgt
-            yield s, t, [(c, path) for c, path in rel]
+    def relations_at(self, x) -> tuple:
+        """(index, target, terms) of each relation starting at x; a term is
+        (coefficient, path), a path a tuple of arrow names composing left to
+        right."""
+        return self._relations_at.get(x, ())
 
     def describe(self) -> str:
         return (
@@ -472,42 +454,17 @@ def orbit_of_finite_action(
         if a_power(name, m) != name:
             raise SchemaError(f"arrow action has order > {m} at {name}")
 
-    # the action must permute the relation span, endpoint pair by endpoint pair
-    def relation_key(rel):
-        _, path0 = rel[0]
-        return (pres.arrow(path0[0]).src, pres.arrow(path0[-1]).tgt)
-
-    def relation_vector(rel, path_index):
-        row = [0] * len(path_index)
-        for c, p in rel:
-            row[path_index[p]] += c
-        return row
-
-    rel_groups: dict = {}
-    for rel in pres.relations:
-        rel_groups.setdefault(relation_key(rel), []).append(rel)
-    for (s, t), rels in list(rel_groups.items()):
-        paths = sorted({p for rel in rels for _, p in rel} | {
-            tuple(a_power(n, 1) for n in p) for rel in rels for _, p in rel
-        })
-        path_index = {p: i for i, p in enumerate(paths)}
-        base_rows = [relation_vector(rel, path_index) for rel in rels]
-        other_key = (v_power(s, 1), v_power(t, 1))
-        other = rel_groups.get(other_key, [])
-        other_paths = sorted({p for rel in other for _, p in rel} | set(paths))
-        # image of each relation must lie in the span of relations at the image pair
-        full_index = {p: i for i, p in enumerate(other_paths)}
-        span_rows = [relation_vector(rel, full_index) for rel in other]
-        span = Mat.from_rows(pres.field, span_rows) if span_rows else None
-        for rel in rels:
-            image = [(c, tuple(a_power(n, 1) for n in p)) for c, p in rel]
-            vec = relation_vector(image, full_index)
-            if span is None:
-                if any(v != 0 for v in vec):
-                    raise SchemaError("action does not permute the relation ideal")
-                continue
-            sol = solve_linear(span.transpose(), Mat.from_rows(pres.field, [[v] for v in vec]))
-            if sol is None:
+    # the action must map the relation ideal I into itself (then onto it, as
+    # it has finite order): each relation's image must reduce to zero
+    for v in verts:
+        sv = vertex_map[v]
+        for _, t, terms in pres.relations_at(v):
+            image: dict = {}
+            for c, path in terms:
+                word = tuple(arrow_map[n] for n in path)
+                for q, c2 in pres.compose_labels(sv, sv, vertex_map[t], (), word).items():
+                    image[q] = pres.field.scalar(image.get(q, 0) + c * c2)
+            if any(image.values()):
                 raise SchemaError("action does not permute the relation ideal")
 
     # orbits and the fundamental-domain section
@@ -550,8 +507,7 @@ def orbit_of_finite_action(
     chosen = []
     seen_vectors: dict = {}
     for rel in pres.relations:
-        s, _ = relation_key(rel)
-        k = (-shift[s]) % m
+        k = (-shift[pres.arrow(rel[0][1][0]).src]) % m
         based = [(c, tuple(a_power(n, k) for n in p)) for c, p in rel]
         image = tuple(sorted(((c, tuple(arrow_orbit_rep[n] for n in p)) for c, p in based)))
         if image not in seen_vectors:

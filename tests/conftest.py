@@ -28,11 +28,32 @@ def golden_doc(name: str) -> dict:
         return json.load(fh)
 
 
+def sixcycle_variant(redundant: bool) -> dict:
+    """The six-cycle with the redundant relation c1*c2*c3 added, or with its
+    first relation c1*c2 dropped (and nilbound 3)."""
+    doc = golden_doc("sixcycle")
+    if redundant:
+        doc["relations"].append([{"coeff": "1", "path": ["c1", "c2", "c3"]}])
+    else:
+        doc["relations"] = doc["relations"][1:]
+        doc["nilbound"] = 3
+    return doc
+
+
+def all_elements(group) -> list:
+    """Every element of a finite group: a cyclic one, or the rank-0 free
+    abelian group."""
+    if group.kind == "cyclic":
+        return list(range(group.order))
+    assert group.rank == 0, "an infinite group has no element listing"
+    return [()]
+
+
 def shift_box(group, halfwidth: int) -> tuple:
     """A reference window of shifts: the sorted box [-w..w]^rank of a free
     abelian group, or every element of a finite group."""
     if group.kind == "cyclic" or group.rank == 0:
-        return tuple(group.all_elements())
+        return tuple(all_elements(group))
     return tuple(itertools.product(range(-halfwidth, halfwidth + 1), repeat=group.rank))
 
 
@@ -95,7 +116,7 @@ def materialize_presentation(cover) -> tuple:
     the grading group: (presentation, vertex_map, arrow_map)."""
     group = cover.group
     pres = cover.base_presentation
-    shifts = group.all_elements()
+    shifts = all_elements(group)
     objects = [(v, g) for g in shifts for v in pres.vertices]
     generators = [(a.name, g) for g in shifts for a in pres.arrows]
 

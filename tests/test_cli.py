@@ -13,7 +13,7 @@ from quivercover.carrier import ISO_SEED
 from quivercover.cli import main
 from quivercover.modules import decompose, direct_sum, projective_at
 from quivercover.report import CLAIM_IDS, VerificationReport
-from tests.conftest import golden_doc
+from tests.conftest import golden_doc, sixcycle_variant
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -158,6 +158,12 @@ def _bad_action(**changes):
     return argv
 
 
+def _action_off_the_ideal(tmp_path):
+    # the six-cycle without its relation c1*c2: the image of c4*c5 is not in the ideal
+    doc = sixcycle_variant(redundant=False)
+    return ["orbit", "--input", _write(tmp_path, "input.json", doc), "--action", golden("sixcycle_action")]
+
+
 def _not_json(command, option):
     def argv(tmp_path):
         path = tmp_path / "broken.json"
@@ -186,12 +192,13 @@ def _directory_input(tmp_path):
         (_bad_action(vertex_map=["u1", "u2"]), "SchemaError"),
         (_bad_action(vertex_map={**golden_doc("sixcycle_action")["vertex_map"], "u1": 4}), "SchemaError"),
         (_not_json("orbit", "--action"), "SchemaError"),
+        (_action_off_the_ideal, "SchemaError"),
         (_directory_input, "IsADirectoryError"),
     ],
     ids=[
         "weight-string", "weight-float", "weight-bool", "arrows-int", "path-of-lists", "nilbound-bool",
         "dims-list", "arrowmaps-list", "module-not-json", "action-m-string", "vertex-map-list",
-        "vertex-map-int-value", "action-not-json", "input-directory",
+        "vertex-map-int-value", "action-not-json", "action-off-the-ideal", "input-directory",
     ],
 )
 def test_malformed_input_files_are_schema_errors(argv, error, tmp_path, capsys):

@@ -234,15 +234,18 @@ def test_is_isomorphic_basics(n32, ka2):
 
 
 def test_iso_test_is_inconclusive_where_characteristic_defeats_decomposition():
-    # over F_2, k[x]/(x^2) and S + S share dimensions and neither is known
-    # indecomposable; no basis map is an iso, so the summands decide, and
-    # decompose refuses p <= dim
+    # over F_2, k[x]/(x^2) and S + S share dimensions and no basis map is an
+    # iso.  The representable is known indecomposable, so that settles it;
+    # an unflagged copy leaves the summands to decide, and decompose
+    # refuses p <= dim
     doc = golden_doc("loop2")
     doc["field"] = {"kind": "prime", "p": 2}
     L = load_presentation(doc)
     S = simple_at(L, "v")
+    P = projective_at(L, "v")
+    assert is_isomorphic(P, direct_sum([S, S])[0]) is False
     with pytest.raises(DecompositionInconclusive):
-        is_isomorphic(projective_at(L, "v"), direct_sum([S, S])[0])
+        is_isomorphic(FDModule(L, P.dims, P.gen_mats), direct_sum([S, S])[0])
 
 
 @pytest.mark.parametrize("name,upstairs", [(name, False) for name in GOLDENS] + [("n32", True), ("loop2", True)])

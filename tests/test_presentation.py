@@ -10,12 +10,13 @@ from quivercover import (
     NotFreeAction,
     NotLocallyBounded,
     SchemaError,
+    list_indecomposables,
     load_presentation,
     orbit_of_finite_action,
     projective_at,
     smash_cover,
 )
-from tests.conftest import golden_doc, materialize_presentation, shift_box
+from tests.conftest import golden_doc, materialize_presentation, shift_box, sixcycle_variant
 
 
 def _doc(vertices, arrows, relations, nilbound, rank=0):
@@ -236,6 +237,25 @@ def test_orbit_six_cycle_rotation():
     flat = materialize_presentation(smash_cover(q))[0]
     assert len(flat.vertices) == 6
     assert len(flat.arrows) == 6
+
+
+def test_orbit_accepts_a_redundant_relation():
+    # c1*c2*c3 lies in the ideal (c1*c2 does), and so does its image c4*c5*c6,
+    # though no relation is listed from u4 to u1
+    action = golden_doc("sixcycle_action")
+    pres = load_presentation(sixcycle_variant(redundant=True))
+    q = orbit_of_finite_action(pres, Group.cyclic(2), action["vertex_map"], action["arrow_map"])
+    assert len(q.relations) == 4
+    assert q.total_dimension() == 6
+    assert len(list_indecomposables(q)) == 6
+
+
+def test_orbit_refuses_an_action_off_the_ideal():
+    # c4*c5 is a relation, but its image c1*c2 is not in the ideal
+    action = golden_doc("sixcycle_action")
+    pres = load_presentation(sixcycle_variant(redundant=False))
+    with pytest.raises(SchemaError, match="does not permute"):
+        orbit_of_finite_action(pres, Group.cyclic(2), action["vertex_map"], action["arrow_map"])
 
 
 def test_orbit_two_cycle_to_loop():

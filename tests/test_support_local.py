@@ -62,7 +62,7 @@ def ref_direct_sum(mods, generators):
                 rs, cs = off[s], off[t]
                 a[rs : rs + M.dim(s), cs : cs + M.dim(t)] = array(M.mat(g))
         mats[g] = Mat.from_rows(field, a.tolist())
-    return FDModule(carrier, dims, mats, check_shapes=False)
+    return FDModule(carrier, dims, mats)
 
 
 def array(m):

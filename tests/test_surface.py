@@ -1,9 +1,10 @@
 """The package ships only what the package itself or the benchmark reaches.
 
-Every public module-level function and class of `quivercover.*` must be
-named in some module of the package or of `bench/`, outside its own `def`
-or `class` line and outside `__init__.py` (whose exports alone reach
-nothing).  A name that only the tests use belongs in the tests."""
+Every public module-level function and class of `quivercover.*`, and every
+public method or property of such a class, must be named in some module of
+the package or of `bench/`, outside its own `def` or `class` lines and
+outside `__init__.py` (whose exports alone reach nothing).  A name that
+only the tests use belongs in the tests."""
 
 import importlib
 import inspect
@@ -27,6 +28,13 @@ def test_every_public_name_is_reached_outside_the_tests():
         module = importlib.import_module(f"quivercover.{info.name}")
         for name, value in vars(module).items():
             public = not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
-            if public and value.__module__ == module.__name__ and words[name] <= defined[name]:
+            if not public or value.__module__ != module.__name__:
+                continue
+            if words[name] <= defined[name]:
                 unreached.append(f"{info.name}.{name}")
+            if inspect.isclass(value):
+                for attr, member in vars(value).items():
+                    method = inspect.isfunction(member) or isinstance(member, property)
+                    if method and not attr.startswith("_") and words[attr] <= defined[attr]:
+                        unreached.append(f"{info.name}.{name}.{attr}")
     assert unreached == []
