@@ -68,15 +68,6 @@ def class_index(M: FDModule, classes: list):
     return None
 
 
-def add_class(classes: list, M: FDModule) -> bool:
-    """Append M to classes unless a member holds it (see class_index);
-    report whether it was appended."""
-    if class_index(M, classes) is not None:
-        return False
-    classes.append(M)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # push-down
 

@@ -1,15 +1,24 @@
-"""Closure-based enumeration of indecomposables (knitting).
+"""One closure loop, and the knit of the indecomposables built on it.
 
-Starting from the simples, projectives and injectives at the fundamental
-domain, the pool is closed under radicals, socle quotients, syzygies,
-cosyzygies, the AR translates, and summand extraction, until no new
-isomorphism class appears.  Complete for the representation-finite carriers
-this toolkit targets.  On a covering carrier the group acts freely, so the
+Every class list a claim is checked on is closed under some steps: the pool
+of indecomposables, P_n and I_n, the τ_n-closure of the projectives and
+injectives, and the push-down class list.  `close` is that one closure: it
+keeps one class per isomorphism class (per twist orbit on a covering
+carrier) of the summands it meets, breadth first, under a round cap and the
+knit's dimension and class caps.
+
+The knit starts from the simples, projectives and injectives at the
+fundamental domain and closes them under radicals, socle quotients,
+syzygies, cosyzygies and the AR translates, until no new isomorphism class
+appears.  Complete for the representation-finite carriers this toolkit
+targets.  On a covering carrier the group acts freely, so the
 indecomposables up to twist are those of the base (Gabriel): the pool closes
 twist orbits and keeps one centred representative per orbit.
 """
 
 from __future__ import annotations
+
+import math
 
 from .covering import canonical_orbit_rep, class_index
 from .errors import CapExceeded
@@ -25,6 +34,44 @@ from .modules import (
     simple_at,
     socle_inclusion,
 )
+
+
+def close(seeds, steps, rounds=math.inf, dimcap=math.inf, class_cap=math.inf) -> tuple:
+    """(classes, closed): one class per isomorphism class (per twist orbit
+    on a covering carrier, see class_index) of the summands of the seeds,
+    then of steps(M) for each new class M, breadth first in discovery order;
+    zero results are skipped.  At most `rounds` rounds follow the seeding,
+    and closed says whether the last one found nothing new.  Raises
+    CapExceeded when a summand's total dimension is above dimcap, or when
+    the class count would pass class_cap."""
+    classes: list = []
+
+    def new_classes(modules) -> list:
+        found = []
+        for module in modules:
+            if module.is_zero():
+                continue
+            for piece, _ in decompose(module):
+                if piece.total_dim > dimcap:
+                    raise CapExceeded(
+                        f"an indecomposable of dimension {piece.total_dim} exceeds --dimcap {dimcap}"
+                    )
+                if class_index(piece, classes) is None:
+                    if len(classes) == class_cap:
+                        raise CapExceeded(
+                            f"more than {class_cap} isomorphism classes; "
+                            "carrier may not be representation-finite at this scale"
+                        )
+                    classes.append(piece)
+                    found.append(piece)
+        return found
+
+    frontier = new_classes(seeds)
+    done = 0
+    while frontier and done < rounds:
+        done += 1
+        frontier = new_classes(X for M in frontier for X in steps(M))
+    return classes, not frontier
 
 
 def _closure_steps(M: FDModule):
@@ -60,33 +107,11 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
 
 
 def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
-    classes: list = []
-    work = []
-
-    def gather(module):
-        for piece, _ in decompose(module):
-            if piece.total_dim > dimcap:
-                raise CapExceeded(
-                    f"an indecomposable of dimension {piece.total_dim} exceeds --dimcap {dimcap}"
-                )
-            if class_index(piece, classes) is None:
-                if len(classes) == class_cap:
-                    raise CapExceeded(
-                        f"more than {class_cap} isomorphism classes; "
-                        "carrier may not be representation-finite at this scale"
-                    )
-                classes.append(canonical_orbit_rep(piece))
-                work.append(classes[-1])
-
+    """The closure of the simples, projectives and injectives at the
+    fundamental domain under `_closure_steps`, each class centred after the
+    closure ends.  `close` itself never centres, so the translate closures
+    keep the modules their steps return."""
     domain = carrier.fundamental_domain()
-    seeds = [simple_at(carrier, x) for x in domain]
-    for builder in (projective_at, injective_at):
-        seeds += [builder(carrier, x) for x in domain]
-    for candidate in seeds:
-        gather(candidate)
-    while work:
-        M = work.pop(0)
-        for result in _closure_steps(M):
-            if not result.is_zero():
-                gather(result)
-    return tuple(classes)
+    seeds = [build(carrier, x) for build in (simple_at, projective_at, injective_at) for x in domain]
+    classes, _ = close(seeds, _closure_steps, dimcap=dimcap, class_cap=class_cap)
+    return tuple(map(canonical_orbit_rep, classes))

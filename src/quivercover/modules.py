@@ -809,7 +809,13 @@ def _factor_poly(field, coeffs):
     split = _split_linear(field, coeffs)
     if split is not None:
         return split
-    import sympy
+    try:
+        import sympy
+    except ImportError as exc:
+        raise DecompositionInconclusive(
+            "factoring a polynomial with a non-linear factor needs sympy; "
+            "install the extra: pip install 'quivercover[factor]'"
+        ) from exc
 
     x = sympy.Symbol("x")
     if field.is_prime_field:

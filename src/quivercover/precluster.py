@@ -20,7 +20,7 @@ from .homology import (
     tau_n_minus,
     yoneda_cokernel,
 )
-from .knitting import list_indecomposables
+from .knitting import close, list_indecomposables
 from .modules import (
     FDModule,
     ModMorphism,
@@ -33,7 +33,6 @@ from .modules import (
     projective_at,
 )
 from .covering import (
-    add_class,
     class_index,
     ext_vanishes,
     hom_twist_sum,
@@ -124,41 +123,17 @@ def is_n_precluster(U: list, n: int) -> PreclusterVerdict:
 # the canonical subcategories P_n and I_n
 
 
-def _closure(seeds: list, steps, cap: int) -> tuple:
-    """(classes, stabilized): close seed classes under the steps."""
-    classes: list = []
-    frontier = []
-    for s in seeds:
-        for piece, _ in decompose(s):
-            if add_class(classes, piece):
-                frontier.append(piece)
-    iterations = 0
-    while frontier and iterations < cap:
-        iterations += 1
-        new_frontier = []
-        for M in frontier:
-            for step in steps:
-                T = step(M)
-                if T.is_zero():
-                    continue
-                for piece, _ in decompose(T):
-                    if add_class(classes, piece):
-                        new_frontier.append(piece)
-        frontier = new_frontier
-    return classes, not frontier
-
-
 def compute_Pn(carrier, n: int, cap: int = 32) -> tuple:
     """Closure of the projectives under the inverse higher translate.
 
     Returns (classes, stabilized)."""
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
-    return _closure(seeds, [lambda M: tau_n_minus(M, n)], cap)
+    return close(seeds, lambda M: (tau_n_minus(M, n),), rounds=cap)
 
 
 def compute_In(carrier, n: int, cap: int = 32) -> tuple:
     seeds = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    return _closure(seeds, [lambda M: tau_n(M, n)], cap)
+    return close(seeds, lambda M: (tau_n(M, n),), rounds=cap)
 
 
 def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> VerificationReport:
@@ -267,12 +242,8 @@ def is_gorenstein_projective(E: EndoCarrier, M: FDModule, n: int) -> bool:
 
 
 def _pushdown_spec(U: list) -> list:
-    """Push down the classes, decompose, deduplicate."""
-    classes: list = []
-    for gen in U:
-        for piece, _ in decompose(push_down(gen)):
-            add_class(classes, piece)
-    return classes
+    """The classes of the summands of the push-downs of U."""
+    return close(map(push_down, U), None, rounds=0)[0]
 
 
 def verify_main1(U: list, n: int) -> VerificationReport:
@@ -359,7 +330,7 @@ def _tau_closure_candidate(carrier, n: int, cap: int) -> tuple:
     """Closure of projectives+injectives under both higher translates."""
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     seeds += [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    return _closure(seeds, [lambda M: tau_n(M, n), lambda M: tau_n_minus(M, n)], cap)
+    return close(seeds, lambda M: (tau(M, n) for tau in (tau_n, tau_n_minus)), rounds=cap)
 
 
 def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> VerificationReport:

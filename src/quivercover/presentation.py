@@ -148,7 +148,7 @@ class GradedQuiverPresentation(Carrier):
                                     for v in raw.get((t, y, dv), []):
                                         row = [0] * len(paths)
                                         for c, p in rel:
-                                            row[index[u + p + v]] = c
+                                            row[index[u + p + v]] += c
                                         rows.append(row)
                     if rows:
                         red, pivots = rref(Mat.from_rows(self.field, rows))
@@ -435,12 +435,12 @@ def orbit_of_finite_action(
             raise SchemaError(f"arrow_map is not equivariant at {a.name}")
 
     def v_power(v, k):
-        for _ in range(k % m):
+        for _ in range(k):
             v = vertex_map[v]
         return v
 
     def a_power(name, k):
-        for _ in range(k % m):
+        for _ in range(k):
             name = arrow_map[name]
         return name
 

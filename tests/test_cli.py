@@ -13,7 +13,7 @@ from quivercover.carrier import ISO_SEED
 from quivercover.cli import main
 from quivercover.modules import decompose, direct_sum, projective_at
 from quivercover.report import CLAIM_IDS, VerificationReport
-from tests.conftest import golden_doc, sixcycle_variant
+from tests.conftest import block_sympy, golden_doc, sixcycle_variant
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -290,6 +290,27 @@ def test_orbit_command(capsys):
     # golden/n32_z2.json is this quotient, N(3,2) graded by Z/2
     with open(golden("n32_z2"), encoding="utf-8") as fh:
         assert doc == json.load(fh)
+
+
+@pytest.mark.parametrize("m,code", [(2, 2), (3, 0)])
+def test_orbit_checks_the_order_of_the_action(tmp_path, capsys, m, code):
+    # u_i -> u_{i+2}, c_i -> c_{i+2} has order 3 on the six-cycle
+    step = {f"{k}{i}": f"{k}{(i + 1) % 6 + 1}" for k in "uc" for i in range(1, 7)}
+    action = {
+        "m": m,
+        "vertex_map": {k: v for k, v in step.items() if k[0] == "u"},
+        "arrow_map": {k: v for k, v in step.items() if k[0] == "c"},
+    }
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(action))
+    got, out, err = run(capsys, "orbit", "--input", golden("sixcycle"), "--action", str(path))
+    assert got == code
+    if code:
+        assert "vertex action has order > 2" in err
+    else:
+        doc = json.loads(out)
+        assert doc["group"] == {"kind": "cyclic", "m": 3}
+        assert len(doc["vertices"]) == 2
 
 
 def _pushdown(capsys, tmp_path, module):
@@ -648,6 +669,33 @@ def test_reports_unchanged_by_the_window_free_carrier(capsys, argv):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == WINDOW_FREE_REPORT[argv]
 
 
+# sha256 and exit code of `suite --n 1 --cap K` on ka3, recorded when the
+# translate closures moved onto `knitting.close`; the commit before gave the
+# same bytes.  Below cap 2 the τ_n-closure candidate does not stabilize, and
+# P_n does not stabilize within cap 2 on either side of the covering.
+SUITE_KA3_CAP_REPORT = {
+    0: (3, "9c272e4e4b2a15341de975f7541973ed5c93411e6d9c5317a76fbacd3560a3ca"),
+    1: (3, "38ab3d9b48884d68da8e79135098aa3cfa4279b986c3bace37bbe0bcbf3fe03b"),
+    2: (3, "09238420bacc3b4e04a0e1bcc5f8918739c98c51cdaf3d8ec89b6dd69d3c9bfd"),
+}
+
+
+@pytest.mark.parametrize("cap", sorted(SUITE_KA3_CAP_REPORT))
+def test_a_cap_that_stops_a_translate_closure_is_indeterminate(capsys, cap):
+    code, out, _ = run(capsys, "suite", "--n", "1", "--cap", str(cap), "--input", golden("ka3"))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SUITE_KA3_CAP_REPORT[cap]
+    reports = {r["claim"]: r for r in json.loads(out)}
+    for claim in ("Main1", "Main2", "ZGpEquivalence", "ModPushdown"):
+        if cap < 2:
+            assert reports[claim]["pass"] == "indeterminate"
+            assert f"did not stabilize within {cap} iterations; raise --cap" in reports[claim]["notes"][0]
+        else:
+            assert reports[claim]["pass"] is True
+    pn = reports["PnPushdown"]
+    assert pn["pass"] == "indeterminate"
+    assert pn["caps"] == {"cap": cap, "upstairs_stabilized": False, "downstairs_stabilized": False}
+
+
 def test_corres_class_cap_counts_orbits_not_window_members(n32_cover):
     # the cap bounds the 6 twist orbits; the twists of each orbit are
     # infinitely many and never counted
@@ -788,6 +836,22 @@ def test_loop2_suite_does_not_import_sympy():
     # every factorisation on this run is a power of one linear factor
     proc = _exit_code_and_imports(["suite", "--input", golden("loop2"), "--n", "1"])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_missing_sympy_makes_a_claim_indeterminate(capsys, monkeypatch):
+    # with the root-finding shortcuts off, every factorisation of this run
+    # reaches the sympy branch; without sympy the decomposition is
+    # inconclusive, and run_claim reports the claim indeterminate
+    from quivercover import modules
+
+    monkeypatch.setattr(modules, "_single_root", lambda field, coeffs: None)
+    monkeypatch.setattr(modules, "_split_linear", lambda field, coeffs: None)
+    block_sympy(monkeypatch)
+    code, out, _ = run(capsys, "check", "--claim", "Corres", "--n", "1", "--input", golden("loop2"))
+    report = json.loads(out)
+    assert (code, report["pass"]) == (3, "indeterminate")
+    assert report["notes"][0].startswith("DecompositionInconclusive: ")
+    assert "quivercover[factor]" in report["notes"][0]
 
 
 # sha256 of the `indecs` listing, recorded at the commit before the

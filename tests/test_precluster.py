@@ -4,6 +4,7 @@ Gorenstein projectivity, nMAG detection, and the transfer verifiers."""
 import pytest
 
 from quivercover import (
+    CapExceeded,
     DimBound,
     EndoCarrier,
     HypothesisUnverified,
@@ -34,6 +35,7 @@ from quivercover import (
     zero_module,
 )
 from quivercover.cli import _canonical_subcategory
+from quivercover.knitting import close
 from quivercover.precluster import _pushdown_spec
 from tests.conftest import shift_box
 from window_endo import window_endo
@@ -101,6 +103,19 @@ def test_compute_Pn_examples(n32, ka2, semisimple):
     assert stab and len(spec) == 3  # hereditary: everything
     spec, stab = compute_In(n32, 1)
     assert stab and len(spec) == 3
+
+
+def test_close_counts_its_rounds_after_the_seeds(n32):
+    seeds = 2 * [projective_at(n32, x) for x in n32.vertices]
+    classes, closed = close(seeds, None, rounds=0)
+    assert len(classes) == 3 and not closed
+    for steps in (lambda M: (), lambda M: (zero_module(n32),)):
+        classes, closed = close(seeds, steps, rounds=1)
+        assert len(classes) == 3 and closed
+    with pytest.raises(CapExceeded, match="more than 2 isomorphism classes"):
+        close(seeds, None, rounds=0, class_cap=2)
+    with pytest.raises(CapExceeded, match="exceeds --dimcap 1"):
+        close(seeds, None, rounds=0, dimcap=1)
 
 
 def test_Pn_pushdown(n32_cover, loop2_cover):

@@ -4,7 +4,9 @@ import pytest
 
 from quivercover import (
     EndoCarrier,
+    FDModule,
     Group,
+    Mat,
     InhomogeneousRelation,
     NotAdmissible,
     NotFreeAction,
@@ -15,6 +17,7 @@ from quivercover import (
     orbit_of_finite_action,
     projective_at,
     smash_cover,
+    validate_module,
 )
 from tests.conftest import golden_doc, materialize_presentation, shift_box, sixcycle_variant
 
@@ -34,6 +37,34 @@ def test_load_n32_valid(n32):
     assert len(n32.vertices) == 3
     assert n32.ell_star == 1
     assert n32.total_dimension() == 6
+
+
+def _n32_with_zero_sum_relation() -> dict:
+    # n32 with its relation a1*a2 written as a1*a2 - a1*a2, which is zero
+    doc = golden_doc("n32")
+    doc["relations"][0] = [
+        {"coeff": "1", "path": ["a1", "a2"]},
+        {"coeff": "-1", "path": ["a1", "a2"]},
+    ]
+    return doc
+
+
+@pytest.mark.parametrize("zero_sum", [True, False], ids=["zero-sum", "dropped"])
+def test_a_path_repeated_in_a_relation_sums_its_coefficients(zero_sum):
+    # the zero-sum relation kills nothing, so n32 loads as without a1*a2
+    doc = _n32_with_zero_sum_relation() if zero_sum else golden_doc("n32")
+    if not zero_sum:
+        del doc["relations"][0]
+    pres = load_presentation(doc)
+    assert (pres.total_dimension(), pres.ell_star) == (7, 2)
+
+
+def test_a_zero_sum_relation_lets_its_path_act():
+    pres = load_presentation(_n32_with_zero_sum_relation())
+    one = Mat.from_rows(pres.field, [[1]])
+    M = FDModule(pres, {"1": 1, "2": 1, "3": 1}, {"a1": one, "a2": one})
+    assert not M.evaluate_word(("a1", "a2"), "1", "3").is_zero()
+    validate_module(M)
 
 
 def test_loop_presentation_valid(loop2):
