@@ -809,13 +809,7 @@ def _factor_poly(field, coeffs):
     split = _split_linear(field, coeffs)
     if split is not None:
         return split
-    try:
-        import sympy
-    except ImportError as exc:
-        raise DecompositionInconclusive(
-            "factoring a polynomial with a non-linear factor needs sympy; "
-            "install the extra: pip install 'quivercover[factor]'"
-        ) from exc
+    import sympy
 
     x = sympy.Symbol("x")
     if field.is_prime_field:

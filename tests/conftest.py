@@ -1,4 +1,3 @@
-import builtins
 import itertools
 import json
 import os
@@ -39,19 +38,6 @@ def sixcycle_variant(redundant: bool) -> dict:
         doc["relations"] = doc["relations"][1:]
         doc["nilbound"] = 3
     return doc
-
-
-def block_sympy(monkeypatch):
-    """Make every later import of sympy fail, as on an install without the
-    `factor` extra."""
-    real = builtins.__import__
-
-    def block(name, *args, **kwargs):
-        if name.split(".")[0] == "sympy":
-            raise ImportError("No module named 'sympy'")
-        return real(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", block)
 
 
 def all_elements(group) -> list:

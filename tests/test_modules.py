@@ -40,7 +40,7 @@ from quivercover import (
 from quivercover import modules
 from quivercover.field import rank
 from quivercover.modules import ModMorphism, identity_morphism, kernel_module
-from tests.conftest import GOLDENS, block_sympy, commutes, golden_doc, random_iso, top_module
+from tests.conftest import GOLDENS, commutes, golden_doc, random_iso, top_module
 
 
 def all_simples(pres):
@@ -503,15 +503,6 @@ def test_factor_poly_hands_an_irreducible_quadratic_to_sympy(field, coeffs, monk
     seen = _record_imports(monkeypatch)
     assert _factor_poly(field, coeffs) == expected
     assert "sympy" in seen
-
-
-def test_factor_poly_without_sympy_is_inconclusive(monkeypatch):
-    from quivercover.modules import _factor_poly
-
-    field = Field.rationals()
-    block_sympy(monkeypatch)
-    with pytest.raises(DecompositionInconclusive, match=r"sympy.*quivercover\[factor\]"):
-        _factor_poly(field, [Fraction(1), Fraction(0), Fraction(1)])  # x^2 + 1
 
 
 def _kron_hom_kernel(M, N):
