@@ -17,14 +17,10 @@ import json
 import sys
 import time
 
+# Only what parsing, loading and reporting need is imported here.  Each
+# command imports the layers it runs, so `validate` loads no module layer
+# and `indecs` no precluster or tilting one.
 from .carrier import ISO_SEED
-from .cover import smash_cover
-from .covering import (
-    push_down,
-    verify_ext_iso,
-    verify_indecomposable_preservation,
-    verify_orbit_bijection,
-)
 from .errors import (
     AmbientNotClusterTilting,
     CapExceeded,
@@ -34,28 +30,8 @@ from .errors import (
     SchemaError,
 )
 from .groups import Group
-from .knitting import list_indecomposables
-from .module_io import listing_to_json, module_from_json, module_to_json
-from .modules import validate_module
-from .precluster import (
-    _pushdown_spec,
-    _tau_closure_candidate,
-    verify_bongab,
-    verify_equivalence_Z_Gp,
-    verify_main1,
-    verify_main2,
-    verify_mod_pushdown,
-    verify_Pn_pushdown,
-    verify_selfinjectivity_criteria,
-)
 from .presentation import load_presentation_file, orbit_of_finite_action, read_json
 from .report import CLAIM_IDS, INDETERMINATE, NOT_APPLICABLE, VerificationReport
-from .tautilt import (
-    TiltingGraph,
-    enumerate_support_tilting_pairs,
-    scan_tau_n_tilting_finite,
-    verify_tilting_pushdown,
-)
 
 
 def _degree(text: str) -> int:
@@ -176,6 +152,8 @@ def _canonical_subcategory(carrier, n: int, cap: int) -> list:
     injectives under both higher translates.  This is n-precluster tilting
     iff the carrier admits any (G,)n-precluster tilting module, so it is the
     canonical instance for the transfer claims."""
+    from .precluster import _tau_closure_candidate
+
     classes, stabilized = _tau_closure_candidate(carrier, n, cap)
     if not stabilized:
         raise CapExceeded(
@@ -211,6 +189,8 @@ _INDETERMINATE_ERRORS = (CapExceeded, DecompositionInconclusive)
 
 
 def run_claim(pres, claim: str, n: int, args) -> VerificationReport:
+    from .cover import smash_cover
+
     cover = smash_cover(pres)
     instance = {
         "input": _fingerprint(pres),
@@ -229,6 +209,24 @@ def run_claim(pres, claim: str, n: int, args) -> VerificationReport:
 
 
 def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> VerificationReport:
+    from .covering import (
+        verify_ext_iso,
+        verify_indecomposable_preservation,
+        verify_orbit_bijection,
+    )
+    from .knitting import list_indecomposables
+    from .precluster import (
+        _pushdown_spec,
+        verify_bongab,
+        verify_equivalence_Z_Gp,
+        verify_main1,
+        verify_main2,
+        verify_mod_pushdown,
+        verify_Pn_pushdown,
+        verify_selfinjectivity_criteria,
+    )
+    from .tautilt import scan_tau_n_tilting_finite
+
     dimcap = args.dimcap
     if claim == "Main1":
         U = _canonical_subcategory(cover, n, args.cap)
@@ -268,14 +266,19 @@ def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> Verificati
     return rep
 
 
-def _tilting_graph(carrier, n: int, dimcap: int) -> TiltingGraph:
+def _tilting_graph(carrier, n: int, dimcap: int):
     """The graph of the whole indecomposable pool as the ambient, one class
     per twist orbit on a covering carrier, certified n-cluster tilting."""
+    from .knitting import list_indecomposables
+    from .tautilt import TiltingGraph
+
     pool = list_indecomposables(carrier, dimcap=dimcap)
     return TiltingGraph(pool, n, pool)
 
 
 def _run_tilting_pushdown(pres, cover, n, dimcap, instance) -> VerificationReport:
+    from .tautilt import enumerate_support_tilting_pairs, verify_tilting_pushdown
+
     up = _tilting_graph(cover, n, dimcap)
     down = _tilting_graph(pres, n, dimcap)
     pairs_up = enumerate_support_tilting_pairs(up)
@@ -328,6 +331,11 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_pushdown(args) -> int:
+    from .cover import smash_cover
+    from .covering import push_down
+    from .module_io import module_from_json, module_to_json
+    from .modules import validate_module
+
     pres = _load(args)
     cover = smash_cover(pres)
     M = module_from_json(cover, read_json(args.module))
@@ -337,6 +345,10 @@ def _cmd_pushdown(args) -> int:
 
 
 def _cmd_indecs(args) -> int:
+    from .cover import smash_cover
+    from .knitting import list_indecomposables
+    from .module_io import listing_to_json
+
     pres = _load(args)
     carrier = smash_cover(pres) if args.cover else pres
     mods = list_indecomposables(carrier, dimcap=args.dimcap, class_cap=max(args.cap, 32) * 16)
@@ -377,6 +389,10 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_enumerate_tilting(args) -> int:
+    from .cover import smash_cover
+    from .module_io import listing_to_json
+    from .tautilt import enumerate_support_tilting_pairs
+
     pres = _load(args)
     carrier = smash_cover(pres) if args.cover else pres
     graph = _tilting_graph(carrier, args.n, args.dimcap)

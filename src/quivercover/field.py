@@ -19,19 +19,38 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .errors import ShapeMismatch
+from .errors import SchemaError, ShapeMismatch
+
+
+# Miller-Rabin with the prime bases 2..41 is exact below this bound
+# (Sorenson-Webster, Strong pseudoprimes to twelve prime bases, Math. Comp.
+# 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic primality of n < _MR_BOUND; SchemaError beyond it."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        raise SchemaError(f"cannot certify that {n} is prime: moduli must be below {_MR_BOUND}")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

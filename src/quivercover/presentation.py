@@ -110,19 +110,13 @@ class GradedQuiverPresentation(Carrier):
             arrows_by_src.setdefault(a.src, []).append(a)
         arrow_pos = {a.name: i for i, a in enumerate(self._arrow_list)}
 
-        # raw[(x, y, d)] = ordered list of raw paths of length d
+        # raw[(x, y, d)] = ordered list of raw paths of length d, built one
+        # degree ahead of the reduction.  Once a whole degree lies in the
+        # ideal, so does every longer path (the ideal is two-sided), so the
+        # loop stops there and an overstated nilbound costs nothing.
         raw: dict = {}
         for x in self._vertices:
             raw[(x, x, 0)] = [()]
-        for d in range(ell + 1):
-            for (x, y, dd), paths in list(raw.items()):
-                if dd != d:
-                    continue
-                for p in paths:
-                    for a in arrows_by_src.get(y, []):
-                        raw.setdefault((x, a.tgt, d + 1), []).append(p + (a.name,))
-        for key in raw:
-            raw[key].sort(key=lambda p: tuple(arrow_pos[n] for n in p))
 
         self._normal: dict = {}
         self._reduce: dict = {}
@@ -132,6 +126,15 @@ class GradedQuiverPresentation(Carrier):
                 self._normal[(x, y)] = []
                 self._reduce[(x, y)] = {}
         for d in range(ell + 2):
+            grown: dict = {}
+            for (x, y, dd), paths in raw.items():
+                if dd == d - 1:
+                    for p in paths:
+                        for a in arrows_by_src.get(y, []):
+                            grown.setdefault((x, a.tgt, d), []).append(p + (a.name,))
+            for key, paths in grown.items():
+                raw[key] = sorted(paths, key=lambda p: tuple(arrow_pos[n] for n in p))
+            any_normal = False
             for x in self._vertices:
                 for y in self._vertices:
                     paths = raw.get((x, y, d), [])
@@ -156,6 +159,7 @@ class GradedQuiverPresentation(Carrier):
                     else:
                         red, pivots, pivot_set = None, (), set()
                     normal_here = [p for i, p in enumerate(paths) if i not in pivot_set]
+                    any_normal = any_normal or bool(normal_here)
                     if d <= ell:
                         self._normal[(x, y)].extend(normal_here)
                         for p in normal_here:
@@ -170,6 +174,8 @@ class GradedQuiverPresentation(Carrier):
                                     continue
                                 combo[q] = self.field.neg_scalar(red[i, j])
                         self._reduce[(x, y)][paths[c]] = combo
+            if not any_normal:
+                break
         if survivors_past_bound:
             x, y, p = survivors_past_bound[0]
             raise NotLocallyBounded(

@@ -13,7 +13,7 @@ from quivercover.carrier import ISO_SEED
 from quivercover.cli import main
 from quivercover.modules import decompose, direct_sum, projective_at
 from quivercover.report import CLAIM_IDS, VerificationReport
-from tests.conftest import golden_doc, sixcycle_variant
+from tests.conftest import GOLDENS, golden_doc, sixcycle_variant
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -823,14 +823,18 @@ def _write_dynkin(tmp_path, diagram, field) -> str:
     return str(path)
 
 
-def _exit_code_and_imports(argv):
+def _exit_code_and_imports(argv, unused=()):
     # run the CLI in a fresh interpreter; 10 + exit code if it imported sympy
-    # or numpy (the package needs neither at run time)
+    # or numpy (the package needs neither at run time) or a `quivercover`
+    # module named in `unused`; it lists those it loaded on stderr
+    banned = {"sympy", "numpy", *(f"quivercover.{name}" for name in unused)}
     script = (
         "import sys\n"
         "from quivercover.cli import main\n"
         f"code = main({argv!r})\n"
-        "sys.exit(10 + code if {'sympy', 'numpy'} & set(sys.modules) else code)\n"
+        f"loaded = sorted({banned!r} & set(sys.modules))\n"
+        "print('loaded:', *loaded, file=sys.stderr)\n"
+        "sys.exit(10 + code if loaded else code)\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -858,6 +862,85 @@ def test_e6_knit_does_not_import_sympy(tmp_path, field):
     path = _write_dynkin(tmp_path, "E6", field)
     proc = _exit_code_and_imports(["indecs", "--input", path])
     assert proc.returncode == 0, proc.stderr
+
+
+# the layers `validate` never runs, and those of them `indecs` never runs
+VALIDATE_UNUSED = (
+    "cover", "modules", "homology", "covering", "knitting", "endo", "precluster", "tautilt",
+    "module_io",
+)
+INDECS_UNUSED = ("endo", "precluster", "tautilt")
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_validate_loads_no_module_layer(name):
+    proc = _exit_code_and_imports(["validate", "--input", golden(name)], VALIDATE_UNUSED)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_indecs_loads_no_precluster_or_tilting_layer(tmp_path):
+    path = _write_dynkin(tmp_path, "E6", F_32003)
+    proc = _exit_code_and_imports(["indecs", "--input", path], INDECS_UNUSED)
+    assert proc.returncode == 0, proc.stderr
+
+
+# what `from quivercover import *` bound in a fresh interpreter when
+# `__init__` imported every layer: each export and each submodule it loaded
+STAR_NAMES = (
+    "AmbientNotClusterTilting CapExceeded CoverCarrier DecompositionInconclusive DimBound "
+    "EndoCarrier ExtSpace FDModule Field GradedQuiverPresentation Group HypothesisUnverified "
+    "InhomogeneousRelation Mat ModMorphism NotAdmissible NotFreeAction NotLocallyBounded "
+    "PreclusterVerdict QuiverCoverError RelationViolated Resolution SchemaError ShapeMismatch "
+    "TiltingGraph VerificationReport canonical_orbit_rep carrier check_nMAG class_index "
+    "compute_In compute_Pn compute_Z cover covering decompose direct_sum "
+    "dominant_dimension_upto dual_module endo enumerate_support_tilting_pairs errors ext_dim "
+    "ext_space ext_twist_sum ext_vanishes field find_iso groups hom_basis hom_dim "
+    "hom_twist_sum homology inj_dim_upto injective_at is_G_tau_n_rigid "
+    "is_generator_cogenerator is_gorenstein_projective is_indecomposable is_isomorphic "
+    "is_n_cluster_tilting is_n_precluster is_projective_module is_support_tilting_pair "
+    "kernel_basis knitting list_indecomposables listing_to_json load_presentation "
+    "load_presentation_file min_proj_resolution module_from_json module_io module_to_json "
+    "modules orbit_of_finite_action phi_module precluster presentation proj_dim_upto "
+    "projective_at projective_cover push_down push_down_morphism radical_inclusion rank report "
+    "rref scan_tau_n_tilting_finite simple_at smash_cover socle_inclusion solve_linear syzygy "
+    "tau tau_n tau_n_minus tautilt transpose twist_module twisted_iso validate_module "
+    "verify_Pn_pushdown verify_bongab verify_equivalence_Z_Gp verify_ext_iso "
+    "verify_indecomposable_preservation verify_main1 verify_main2 verify_mod_pushdown "
+    "verify_orbit_bijection verify_selfinjectivity_criteria verify_tilting_pushdown zero_module"
+).split()
+
+
+def test_every_export_is_its_submodules_object():
+    import importlib
+
+    import quivercover
+
+    for name in quivercover.__all__:
+        module = importlib.import_module(f"quivercover.{quivercover._EXPORTS[name]}")
+        want = module if module.__name__ == f"quivercover.{name}" else getattr(module, name)
+        assert getattr(quivercover, name) is want, name
+    assert set(quivercover.__all__) <= set(dir(quivercover))
+    with pytest.raises(AttributeError):
+        quivercover.not_an_export
+
+
+def test_star_import_binds_what_the_eager_package_bound():
+    namespace = {}
+    exec("from quivercover import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(STAR_NAMES)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"field": {"kind": "prime", "p": 2**61 - 1}}, {"nilbound": 1000}],
+    ids=["p = 2^61 - 1", "nilbound 1000"],
+)
+def test_n32_validates_with_a_large_prime_or_an_overstated_nilbound(capsys, tmp_path, change):
+    path = tmp_path / "n32.json"
+    path.write_text(json.dumps({**golden_doc("n32"), **change}), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", "--input", str(path))
+    assert code == 0
+    assert (json.loads(out)["total_dimension"], json.loads(out)["tight_nilbound"]) == (6, 1)
 
 
 def test_loop2_suite_does_not_import_sympy():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quivercover.field as field_module
+from quivercover.errors import SchemaError
 from quivercover.field import (
     Field,
     Mat,
@@ -315,3 +316,30 @@ def test_rref_keeps_object_entries_over_a_large_prime():
         entries = red.tolists()
         exact = [[sum(x * y for x, y in zip(u, v)) % p for v in entries] for u in entries]
         assert (red @ red.transpose()).tolists() == exact
+
+
+def test_primality_agrees_with_a_sieve_below_1e5():
+    sieve = [False, False] + [True] * (10**5 - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    assert [field_module._is_prime(n) for n in range(10**5)] == sieve
+
+
+@pytest.mark.parametrize("n", [3215031751, 561, 41041], ids=["strong pseudoprime", "561", "41041"])
+def test_pseudoprimes_are_not_fields(n):
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7; 561 and
+    # 41041 are Carmichael numbers
+    with pytest.raises(ValueError, match="is not prime"):
+        Field.prime(n)
+
+
+@pytest.mark.parametrize("p", [2**50 - 27, 2**61 - 1])
+def test_a_large_prime_is_a_field(p):
+    # trial division took seconds at 2^50 and did not end at 2^61
+    assert Field.prime(p).is_prime_field
+
+
+def test_a_modulus_past_the_certified_bound_is_refused():
+    with pytest.raises(SchemaError, match="3317044064679887385961981"):
+        Field.prime(2**127 - 1)

@@ -78,6 +78,27 @@ def test_loop_without_relations_rejected():
         load_presentation(doc)
 
 
+def _two_loops_rad2_zero(nilbound):
+    loops = [{"id": x, "src": "v", "tgt": "v", "weight": [1]} for x in "ab"]
+    return _doc(
+        ["v"], loops, [[{"coeff": "1", "path": [x, y]}] for x in "ab" for y in "ab"], nilbound, rank=1
+    )
+
+
+@pytest.mark.parametrize(
+    "build, nilbound",
+    [(lambda ell: dict(golden_doc("n32"), nilbound=ell), 1000), (_two_loops_rad2_zero, 12)],
+    ids=["n32", "two loops"],
+)
+def test_an_overstated_nilbound_loads_the_same_algebra(build, nilbound):
+    # the paths stop at the first degree that lies in the ideal, so a
+    # declared nilbound far past the tight one loads the same algebra
+    loaded = load_presentation(build(nilbound))
+    tight = load_presentation(build(loaded.ell_star + 1))
+    assert (loaded.total_dimension(), loaded.ell_star) == (tight.total_dimension(), tight.ell_star)
+    assert (loaded.nilbound, loaded.ell_star) == (nilbound, 1)
+
+
 def test_inhomogeneous_weight_rejected():
     # two parallel length-2 paths with different total weights
     doc = _doc(
