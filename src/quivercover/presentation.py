@@ -104,85 +104,72 @@ class GradedQuiverPresentation(Carrier):
     # -- path spaces ----------------------------------------------------------
 
     def _build_path_spaces(self):
-        ell = self.nilbound
-        arrows_by_src = {}
+        # Modulo I_{d-1}*arrows, degree d has the basis of words p*a, p a
+        # normal path of degree d - 1 and a an arrow; in the degree-
+        # lexicographic column order the leading paths of I_{d-1}*a are those
+        # of I_{d-1} followed by a, so every normal path is such a word.  The
+        # relations are the rows u*r, u a normal path of degree d - |r|, as
+        # u*r*v*a lies in I_{d-1}*a.  A degree wholly in the ideal leaves the
+        # next no words, so an overstated nilbound costs nothing.
+        verts = self._vertices
+        arrows_by_src, relations_into = {}, {}
         for a in self._arrow_list:
             arrows_by_src.setdefault(a.src, []).append(a)
+        for s in verts:
+            for _, t, rel in self.relations_at(s):
+                relations_into.setdefault(t, []).append((s, rel))
         arrow_pos = {a.name: i for i, a in enumerate(self._arrow_list)}
-
-        # raw[(x, y, d)] = ordered list of raw paths of length d, built one
-        # degree ahead of the reduction.  Once a whole degree lies in the
-        # ideal, so does every longer path (the ideal is two-sided), so the
-        # loop stops there and an overstated nilbound costs nothing.
-        raw: dict = {}
-        for x in self._vertices:
-            raw[(x, x, 0)] = [()]
-
-        self._normal: dict = {}
-        self._reduce: dict = {}
-        survivors_past_bound = []
-        for x in self._vertices:
-            for y in self._vertices:
-                self._normal[(x, y)] = []
-                self._reduce[(x, y)] = {}
-        for d in range(ell + 2):
-            grown: dict = {}
-            for (x, y, dd), paths in raw.items():
-                if dd == d - 1:
-                    for p in paths:
-                        for a in arrows_by_src.get(y, []):
-                            grown.setdefault((x, a.tgt, d), []).append(p + (a.name,))
-            for key, paths in grown.items():
-                raw[key] = sorted(paths, key=lambda p: tuple(arrow_pos[n] for n in p))
-            any_normal = False
-            for x in self._vertices:
-                for y in self._vertices:
-                    paths = raw.get((x, y, d), [])
+        self._normal = {(x, y): [()] if x == y else [] for x in verts for y in verts}
+        # _reduce[(x, y)][p + (a,)]: the normal form of a normal path p from
+        # x followed by an arrow a to y, the only words compose_labels reads
+        self._reduce = {key: {} for key in self._normal}
+        # layers[d][(x, y)]: the normal paths of length d from x to y
+        layers = [{(x, x): [()] for x in verts}]
+        for d in range(1, self.nilbound + 2):
+            words: dict = {}
+            for (x, s), paths in layers[-1].items():
+                for a in arrows_by_src.get(s, ()):
+                    words.setdefault((x, a.tgt), []).extend(p + (a.name,) for p in paths)
+            layers.append({})
+            for x in verts:
+                for y in verts:
+                    paths = sorted(
+                        words.get((x, y), ()), key=lambda p: tuple(arrow_pos[n] for n in p)
+                    )
                     if not paths:
                         continue
                     index = {p: i for i, p in enumerate(paths)}
                     rows = []
-                    for s in self._vertices:
-                        for _, t, rel in self.relations_at(s):
-                            rlen = len(rel[0][1])
-                            for du in range(d - rlen + 1):
-                                dv = d - rlen - du
-                                for u in raw.get((x, s, du), []):
-                                    for v in raw.get((t, y, dv), []):
-                                        row = [0] * len(paths)
-                                        for c, p in rel:
-                                            row[index[u + p + v]] += c
-                                        rows.append(row)
-                    if rows:
-                        red, pivots = rref(Mat.from_rows(self.field, rows))
-                        pivot_set = set(pivots)
-                    else:
-                        red, pivots, pivot_set = None, (), set()
+                    for s, rel in relations_into.get(y, ()):
+                        du = d - len(rel[0][1])
+                        for u in layers[du].get((x, s), ()) if du >= 0 else ():
+                            # u*r, each path reduced but for its last arrow
+                            rows.append([0] * len(paths))
+                            for c, path in rel:
+                                mid = self._arrow_map[path[-1]].src
+                                for q, c2 in self.compose_labels(x, s, mid, u, path[:-1]).items():
+                                    rows[-1][index[q + path[-1:]]] += c * c2
+                    red, pivots = rref(Mat.from_rows(self.field, rows)) if rows else (None, ())
+                    pivot_set = set(pivots)
                     normal_here = [p for i, p in enumerate(paths) if i not in pivot_set]
-                    any_normal = any_normal or bool(normal_here)
-                    if d <= ell:
+                    if normal_here and d > self.nilbound:
+                        raise NotLocallyBounded(
+                            f"path {'*'.join(normal_here[0])} from {x} to {y} of length "
+                            f"{self.nilbound + 1} does not reduce to zero; the path spaces "
+                            "are infinite-dimensional or the declared nilbound is understated"
+                        )
+                    if normal_here:
+                        layers[d][(x, y)] = normal_here
                         self._normal[(x, y)].extend(normal_here)
-                        for p in normal_here:
-                            self._reduce[(x, y)][p] = {p: self.field.scalar(1)}
-                    elif normal_here:
-                        survivors_past_bound.append((x, y, normal_here[0]))
+                    self._reduce[(x, y)].update({p: {p: self.field.scalar(1)} for p in normal_here})
                     for i, c in enumerate(pivots):
-                        combo = {}
-                        if d <= ell:
-                            for j, q in enumerate(paths):
-                                if j in pivot_set or red[i, j] == 0:
-                                    continue
-                                combo[q] = self.field.neg_scalar(red[i, j])
-                        self._reduce[(x, y)][paths[c]] = combo
-            if not any_normal:
+                        self._reduce[(x, y)][paths[c]] = {
+                            q: self.field.neg_scalar(red[i, j])
+                            for j, q in enumerate(paths)
+                            if j not in pivot_set and red[i, j] != 0
+                        }
+            if not layers[d]:
                 break
-        if survivors_past_bound:
-            x, y, p = survivors_past_bound[0]
-            raise NotLocallyBounded(
-                f"path {'*'.join(p)} from {x} to {y} of length {self.nilbound + 1} "
-                "does not reduce to zero; the path spaces are infinite-dimensional "
-                "or the declared nilbound is understated"
-            )
         for key in self._normal:
             self._normal[key] = tuple(self._normal[key])
         self.ell_star = max(
@@ -227,7 +214,7 @@ class GradedQuiverPresentation(Carrier):
 
     def compose_labels(self, x, y, z, f, g):
         # each step appends one arrow to a normal path of length <= nilbound,
-        # so the raw path has a row in the reduction table
+        # a word the reduction table holds
         combo = {f: self.field.scalar(1)}
         for name in g:
             table = self._reduce[(x, self._arrow_map[name].tgt)]
@@ -314,7 +301,7 @@ def _parse_field(doc) -> Field:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("field must be an object with a 'kind'")
     if doc["kind"] == "prime":
-        if "p" not in doc or not isinstance(doc["p"], int):
+        if "p" not in doc or not _is_integer(doc["p"]):
             raise SchemaError("prime field needs an integer 'p'")
         try:
             return Field.prime(doc["p"])
@@ -329,11 +316,11 @@ def _parse_group(doc) -> Group:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("group must be an object with a 'kind'")
     if doc["kind"] == "free-abelian":
-        if "rank" not in doc or not isinstance(doc["rank"], int):
+        if "rank" not in doc or not _is_integer(doc["rank"]):
             raise SchemaError("free-abelian group needs an integer 'rank'")
         return Group.free_abelian(doc["rank"])
     if doc["kind"] == "cyclic":
-        if "m" not in doc or not isinstance(doc["m"], int):
+        if "m" not in doc or not _is_integer(doc["m"]):
             raise SchemaError("cyclic group needs an integer 'm'")
         return Group.cyclic(doc["m"])
     raise SchemaError(f"unknown group kind {doc['kind']!r}")

@@ -226,3 +226,52 @@ def n32_cover(n32):
 @pytest.fixture(scope="session")
 def loop2_cover(loop2):
     return smash_cover(loop2)
+
+
+def _at(i, j) -> str:
+    return f"{i},{j}"
+
+
+def _trivially_graded(vertices, arrows, relations, nilbound) -> dict:
+    return {
+        "field": {"kind": "prime", "p": 32003},
+        "group": {"kind": "free-abelian", "rank": 0},
+        "vertices": vertices,
+        "arrows": [{"id": name, "src": s, "tgt": t, "weight": []} for name, s, t in arrows],
+        "relations": [
+            [{"coeff": c, "path": path} for c, path in rel] for rel in relations
+        ],
+        "nilbound": nilbound,
+    }
+
+
+def grid_doc(n: int) -> dict:
+    """The n x n commutative grid: the incidence algebra of a product of two
+    n-chains, of total dimension (n(n+1)/2)^2 and tight nilbound 2(n - 1)."""
+    arrows = [(f"r{i},{j}", _at(i, j), _at(i, j + 1)) for i in range(n) for j in range(n - 1)]
+    arrows += [(f"d{i},{j}", _at(i, j), _at(i + 1, j)) for i in range(n - 1) for j in range(n)]
+    relations = [
+        [("1", [f"r{i},{j}", f"d{i},{j + 1}"]), ("-1", [f"d{i},{j}", f"r{i + 1},{j}"])]
+        for i in range(n - 1)
+        for j in range(n - 1)
+    ]
+    vertices = [_at(i, j) for i in range(n) for j in range(n)]
+    return _trivially_graded(vertices, arrows, relations, 2 * (n - 1))
+
+
+def auslander_doc(m: int) -> dict:
+    """The Auslander algebra of linear kA_m: its AR quiver, the triangle of
+    intervals [i, j] with arrows [i, j] -> [i, j + 1] and [i, j] -> [i + 1, j],
+    bound by the mesh relations.  Total dimension C(m + 3, 4), tight
+    nilbound m - 1."""
+    arrows = [(f"a{i},{j}", _at(i, j), _at(i, j + 1)) for j in range(1, m) for i in range(1, j + 1)]
+    arrows += [(f"b{i},{j}", _at(i, j), _at(i + 1, j)) for j in range(2, m + 1) for i in range(1, j)]
+    relations = []
+    for j in range(1, m):
+        for i in range(1, j + 1):
+            rel = [("1", [f"a{i},{j}", f"b{i},{j + 1}"])]
+            if i < j:  # the mesh through [i + 1, j]; at i = j it is a zero relation
+                rel.append(("-1", [f"b{i},{j}", f"a{i + 1},{j}"]))
+            relations.append(rel)
+    vertices = [_at(i, j) for j in range(1, m + 1) for i in range(1, j + 1)]
+    return _trivially_graded(vertices, arrows, relations, m - 1)

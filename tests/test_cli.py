@@ -177,36 +177,42 @@ def _directory_input(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv,error",
+    "argv,error,message",
     [
-        (_bad_weight("x"), "SchemaError"),
-        (_bad_weight(1.5), "SchemaError"),
-        (_bad_weight(True), "SchemaError"),
-        (_bad_presentation(arrows=5), "SchemaError"),
-        (_bad_presentation(relations=[[{"coeff": "1", "path": [["a1"]]}]]), "SchemaError"),
-        (_bad_presentation(nilbound=True), "SchemaError"),
-        (_bad_module({"dims": [1]}), "SchemaError"),
-        (_bad_module({"dims": {"1@0": 1}, "arrowmaps": []}), "SchemaError"),
-        (_not_json("pushdown", "--module"), "SchemaError"),
-        (_bad_action(m="x"), "SchemaError"),
-        (_bad_action(vertex_map=["u1", "u2"]), "SchemaError"),
-        (_bad_action(vertex_map={**golden_doc("sixcycle_action")["vertex_map"], "u1": 4}), "SchemaError"),
-        (_not_json("orbit", "--action"), "SchemaError"),
-        (_action_off_the_ideal, "SchemaError"),
-        (_directory_input, "IsADirectoryError"),
+        (_bad_weight("x"), "SchemaError", None),
+        (_bad_weight(1.5), "SchemaError", None),
+        (_bad_weight(True), "SchemaError", None),
+        (_bad_presentation(arrows=5), "SchemaError", None),
+        (_bad_presentation(relations=[[{"coeff": "1", "path": [["a1"]]}]]), "SchemaError", None),
+        (_bad_presentation(nilbound=True), "SchemaError", None),
+        (_bad_module({"dims": [1]}), "SchemaError", None),
+        (_bad_module({"dims": {"1@0": 1}, "arrowmaps": []}), "SchemaError", None),
+        (_not_json("pushdown", "--module"), "SchemaError", None),
+        (_bad_action(m="x"), "SchemaError", None),
+        (_bad_action(vertex_map=["u1", "u2"]), "SchemaError", None),
+        (_bad_action(vertex_map={**golden_doc("sixcycle_action")["vertex_map"], "u1": 4}), "SchemaError", None),
+        (_not_json("orbit", "--action"), "SchemaError", None),
+        (_action_off_the_ideal, "SchemaError", None),
+        (_directory_input, "IsADirectoryError", None),
+        (_bad_presentation(field={"kind": "prime", "p": True}), "SchemaError", "prime field needs an integer 'p'"),
+        (_bad_presentation(group={"kind": "free-abelian", "rank": True}), "SchemaError",
+         "free-abelian group needs an integer 'rank'"),
+        (_bad_presentation(group={"kind": "cyclic", "m": True}), "SchemaError", "cyclic group needs an integer 'm'"),
     ],
     ids=[
         "weight-string", "weight-float", "weight-bool", "arrows-int", "path-of-lists", "nilbound-bool",
         "dims-list", "arrowmaps-list", "module-not-json", "action-m-string", "vertex-map-list",
         "vertex-map-int-value", "action-not-json", "action-off-the-ideal", "input-directory",
+        "field-p-bool", "group-rank-bool", "group-m-bool",
     ],
 )
-def test_malformed_input_files_are_schema_errors(argv, error, tmp_path, capsys):
+def test_malformed_input_files_are_schema_errors(argv, error, message, tmp_path, capsys):
     # exit 1 means a claim failed, so a malformed file must exit 2, never 1;
     # a path that names no readable file is an input error too
     code, _, err = run(capsys, *argv(tmp_path))
     assert code == 2
     assert err.startswith(f"{error}:")
+    assert message is None or err == f"{error}: {message}\n"
 
 
 def test_check_exit_zero_and_report_roundtrip(capsys):

@@ -1,10 +1,15 @@
 """Presentations: validation, path spaces, coverings, orbit quotients."""
 
+from math import comb
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quivercover import (
     EndoCarrier,
     FDModule,
+    Field,
+    GradedQuiverPresentation,
     Group,
     Mat,
     InhomogeneousRelation,
@@ -15,11 +20,21 @@ from quivercover import (
     list_indecomposables,
     load_presentation,
     orbit_of_finite_action,
+    presentation,
     projective_at,
+    rref,
     smash_cover,
     validate_module,
 )
-from tests.conftest import golden_doc, materialize_presentation, shift_box, sixcycle_variant
+from quivercover.presentation import Arrow
+from tests.conftest import (
+    auslander_doc,
+    golden_doc,
+    grid_doc,
+    materialize_presentation,
+    shift_box,
+    sixcycle_variant,
+)
 
 
 def _doc(vertices, arrows, relations, nilbound, rank=0):
@@ -83,6 +98,36 @@ def _two_loops_rad2_zero(nilbound):
     return _doc(
         ["v"], loops, [[{"coeff": "1", "path": [x, y]}] for x in "ab" for y in "ab"], nilbound, rank=1
     )
+
+
+@pytest.mark.parametrize(
+    "doc, dimension, tight",
+    [(grid_doc(8), (8 * 9 // 2) ** 2, 2 * (8 - 1)), (auslander_doc(12), comb(12 + 3, 4), 12 - 1)],
+    ids=["8x8 grid", "Auslander kA12"],
+)
+def test_known_algebras_load_with_their_dimension_and_nilbound(doc, dimension, tight):
+    pres = load_presentation(doc)
+    assert (pres.total_dimension(), pres.ell_star) == (dimension, tight)
+
+
+@pytest.mark.parametrize(
+    "doc, bound", [(grid_doc(6), 225), (auslander_doc(8), 210)], ids=["6x6 grid", "Auslander kA8"]
+)
+def test_loading_reduces_one_row_per_relation_and_normal_path_into_it(doc, bound, monkeypatch):
+    # at most one row u*r for each relation r and normal path u ending at
+    # its source; the rows u*r*v over raw u and v numbered 5,199 and 4,802
+    rows = []
+
+    def counting_rref(m):
+        rows.append(m.rows)
+        return rref(m)
+
+    monkeypatch.setattr(presentation, "rref", counting_rref)
+    pres = load_presentation(doc)
+    assert bound == sum(
+        len(pres.path_basis(x, s)) for s in pres.vertices for _ in pres.relations_at(s) for x in pres.vertices
+    )
+    assert sum(rows) <= bound
 
 
 @pytest.mark.parametrize(
@@ -382,3 +427,171 @@ def test_opposite_round_trip(n32, build):
     for x in domain:
         for y in domain:
             assert op.hom_labels(x, y) == C.hom_labels(y, x)
+
+
+# ---------------------------------------------------------------------------
+# path spaces against the raw-path reference
+
+
+# The raw-path builder, the reference for the normal-path one: it lists every
+# raw path and writes a row for each u*r*v over raw u and v, so its cost is
+# exponential in the nilbound.
+def _raw_path_build(self):
+    ell = self.nilbound
+    arrows_by_src = {}
+    for a in self._arrow_list:
+        arrows_by_src.setdefault(a.src, []).append(a)
+    arrow_pos = {a.name: i for i, a in enumerate(self._arrow_list)}
+
+    # raw[(x, y, d)] = ordered list of raw paths of length d, built one
+    # degree ahead of the reduction.  Once a whole degree lies in the
+    # ideal, so does every longer path (the ideal is two-sided), so the
+    # loop stops there and an overstated nilbound costs nothing.
+    raw: dict = {}
+    for x in self._vertices:
+        raw[(x, x, 0)] = [()]
+
+    self._normal: dict = {}
+    self._reduce: dict = {}
+    survivors_past_bound = []
+    for x in self._vertices:
+        for y in self._vertices:
+            self._normal[(x, y)] = []
+            self._reduce[(x, y)] = {}
+    for d in range(ell + 2):
+        grown: dict = {}
+        for (x, y, dd), paths in raw.items():
+            if dd == d - 1:
+                for p in paths:
+                    for a in arrows_by_src.get(y, []):
+                        grown.setdefault((x, a.tgt, d), []).append(p + (a.name,))
+        for key, paths in grown.items():
+            raw[key] = sorted(paths, key=lambda p: tuple(arrow_pos[n] for n in p))
+        any_normal = False
+        for x in self._vertices:
+            for y in self._vertices:
+                paths = raw.get((x, y, d), [])
+                if not paths:
+                    continue
+                index = {p: i for i, p in enumerate(paths)}
+                rows = []
+                for s in self._vertices:
+                    for _, t, rel in self.relations_at(s):
+                        rlen = len(rel[0][1])
+                        for du in range(d - rlen + 1):
+                            dv = d - rlen - du
+                            for u in raw.get((x, s, du), []):
+                                for v in raw.get((t, y, dv), []):
+                                    row = [0] * len(paths)
+                                    for c, p in rel:
+                                        row[index[u + p + v]] += c
+                                    rows.append(row)
+                if rows:
+                    red, pivots = rref(Mat.from_rows(self.field, rows))
+                    pivot_set = set(pivots)
+                else:
+                    red, pivots, pivot_set = None, (), set()
+                normal_here = [p for i, p in enumerate(paths) if i not in pivot_set]
+                any_normal = any_normal or bool(normal_here)
+                if d <= ell:
+                    self._normal[(x, y)].extend(normal_here)
+                    for p in normal_here:
+                        self._reduce[(x, y)][p] = {p: self.field.scalar(1)}
+                elif normal_here:
+                    survivors_past_bound.append((x, y, normal_here[0]))
+                for i, c in enumerate(pivots):
+                    combo = {}
+                    if d <= ell:
+                        for j, q in enumerate(paths):
+                            if j in pivot_set or red[i, j] == 0:
+                                continue
+                            combo[q] = self.field.neg_scalar(red[i, j])
+                    self._reduce[(x, y)][paths[c]] = combo
+        if not any_normal:
+            break
+    if survivors_past_bound:
+        x, y, p = survivors_past_bound[0]
+        raise NotLocallyBounded(
+            f"path {'*'.join(p)} from {x} to {y} of length {self.nilbound + 1} "
+            "does not reduce to zero; the path spaces are infinite-dimensional "
+            "or the declared nilbound is understated"
+        )
+    for key in self._normal:
+        self._normal[key] = tuple(self._normal[key])
+    self.ell_star = max(
+        (len(p) for labels in self._normal.values() for p in labels), default=0
+    )
+    self._path_weights = {}
+    for (x, y), labels in self._normal.items():
+        for p in labels:
+            self._path_weights[p] = self.path_weight(p)
+
+
+class _RawPathPresentation(GradedQuiverPresentation):
+    _build_path_spaces = _raw_path_build
+
+
+def _raw_paths(arrows, src, length):
+    paths = [((), src)]
+    for _ in range(length):
+        paths = [(p + (a.name,), a.tgt) for p, y in paths for a in arrows if a.src == y]
+    return paths
+
+
+@st.composite
+def _small_presentations(draw):
+    """(field, vertices, arrows, relations, nilbound) of a trivially graded
+    presentation with at most 3 vertices and 4 arrows, relations of length
+    2 or 3 and nilbound at most 5: the reference is exponential."""
+    field = Field.prime(draw(st.sampled_from([2, 3, 5, 7])))
+    vertices = [str(i) for i in range(draw(st.integers(1, 3)))]
+    ends = st.sampled_from(vertices)
+    arrows = [
+        Arrow(f"a{k}", draw(ends), draw(ends), ()) for k in range(draw(st.integers(0, 4)))
+    ]
+    parallel = {}
+    for length in (2, 3):
+        for x in vertices:
+            for p, y in _raw_paths(arrows, x, length):
+                parallel.setdefault((x, y, length), []).append(p)
+    # a relation of several terms where there are parallel paths, or else a
+    # monomial one
+    classes = [ps for ps in parallel.values() if len(ps) > 1] or list(parallel.values())
+    relations = []
+    for _ in range(draw(st.integers(0, 4)) if classes else 0):
+        paths = draw(st.sampled_from(classes))
+        chosen = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True))
+        relations.append([(draw(st.integers(1, field.p - 1)), p) for p in chosen])
+    # a truncated algebra, every path of length 3 zero, loads at nilbound 2
+    truncated = draw(st.booleans())
+    if truncated:
+        relations += [[(1, p)] for (_, _, length), ps in parallel.items() if length == 3 for p in ps]
+    nilbound = draw(st.integers(2 if truncated else 0, 5))
+    # the reference lists the raw paths up to the first degree in the ideal
+    assume(truncated or sum(len(_raw_paths(arrows, x, nilbound + 1)) for x in vertices) <= 256)
+    return field, vertices, arrows, relations, nilbound
+
+
+def _path_spaces(cls, field, vertices, arrows, relations, nilbound):
+    """What a builder leaves: the normal paths of every pair of vertices,
+    ell_star and the reduction of every normal path followed by an arrow,
+    or the text of its NotLocallyBounded."""
+    try:
+        pres = cls(field, Group.trivial(), vertices, arrows, relations, nilbound)
+    except NotLocallyBounded as exc:
+        return str(exc)
+    bases = {(x, y): pres.path_basis(x, y) for x in vertices for y in vertices}
+    reductions = {
+        (x, p, a.name): list(pres.compose_labels(x, y, a.tgt, p, (a.name,)).items())
+        for (x, y), basis in bases.items()
+        for p in basis
+        for a in arrows
+        if a.src == y
+    }
+    return bases, pres.ell_star, reductions
+
+
+@given(_small_presentations())
+@settings(max_examples=300, deadline=None)
+def test_normal_path_builder_matches_the_raw_path_reference(args):
+    assert _path_spaces(GradedQuiverPresentation, *args) == _path_spaces(_RawPathPresentation, *args)
