@@ -3,10 +3,14 @@ indecomposable listings, single-claim checks, the verification suite, and
 tilting-pair enumeration.
 
 Exit codes: 0 pass/ok, 1 fail, 2 usage or input error, 3 not-applicable or
-indeterminate.  A claim whose hypothesis is unmet, or that runs out of a cap
-or a search bound, is reported not-applicable or indeterminate without
-stopping the other claims.  JSON output is byte-deterministic for
-identical inputs and seed; wall-clock timing is only recorded under --timing.
+indeterminate.  A claim whose declared hypothesis is unmet raises
+HypothesisUnverified and is reported not-applicable with its own note and
+witnesses; any other error a claim raises on a valid input is noted as
+`Name: message`, not-applicable for an ambient that is not n-cluster
+tilting and indeterminate for a cap or search bound that ran out.  Neither
+stops the other claims.  --dimcap caps the knit and the tau_n closures
+alike.  JSON output is byte-deterministic for identical inputs and seed;
+wall-clock timing is only recorded under --timing.
 """
 
 from __future__ import annotations
@@ -147,14 +151,14 @@ def _load(args):
     return load_presentation_file(args.input, args.seed)
 
 
-def _canonical_subcategory(carrier, n: int, cap: int) -> list:
+def _canonical_subcategory(carrier, n: int, cap: int, dimcap: int = 48) -> list:
     """The minimal candidate subcategory: the closure of the projectives and
     injectives under both higher translates.  This is n-precluster tilting
     iff the carrier admits any (G,)n-precluster tilting module, so it is the
     canonical instance for the transfer claims."""
     from .precluster import _tau_closure_candidate
 
-    classes, stabilized = _tau_closure_candidate(carrier, n, cap)
+    classes, stabilized = _tau_closure_candidate(carrier, n, cap, dimcap)
     if not stabilized:
         raise CapExceeded(
             "the translate closure of projectives and injectives did not "
@@ -163,32 +167,19 @@ def _canonical_subcategory(carrier, n: int, cap: int) -> list:
     return classes
 
 
-def _aggregate(claim: str, instance: dict, reports: list, caps=None) -> VerificationReport:
-    outcomes = [r.outcome for r in reports]
-    if any(o is False for o in outcomes):
-        outcome = False
-    elif any(o == INDETERMINATE for o in outcomes):
-        outcome = INDETERMINATE
-    elif outcomes and all(o == NOT_APPLICABLE for o in outcomes):
-        outcome = NOT_APPLICABLE
-    else:
-        outcome = True
+def _aggregate(reports: list, caps=None) -> VerificationReport:
+    """One report over sub-reports, each of which answers True or False."""
     return VerificationReport(
-        claim=claim,
-        instance=instance,
-        outcome=outcome,
+        outcome=all(r.passed for r in reports),
         witnesses=[r.to_json_dict() for r in reports],
         caps=caps or {},
     )
 
 
-# Errors a claim can raise on a valid input: an unmet hypothesis, or a cap
-# or search bound that ran out.  Each becomes that claim's outcome.
-_NOT_APPLICABLE_ERRORS = (HypothesisUnverified, AmbientNotClusterTilting)
-_INDETERMINATE_ERRORS = (CapExceeded, DecompositionInconclusive)
-
-
 def run_claim(pres, claim: str, n: int, args) -> VerificationReport:
+    """The claim's report: the one place that writes a report's claim and
+    instance, and that turns an error a claim raises on a valid input into
+    its outcome, as the module docstring says."""
     from .cover import smash_cover
 
     cover = smash_cover(pres)
@@ -201,14 +192,18 @@ def run_claim(pres, claim: str, n: int, args) -> VerificationReport:
     }
     try:
         rep = _verify(pres, cover, claim, n, args, instance)
-    except _NOT_APPLICABLE_ERRORS + _INDETERMINATE_ERRORS as exc:
-        outcome = NOT_APPLICABLE if isinstance(exc, _NOT_APPLICABLE_ERRORS) else INDETERMINATE
-        rep = VerificationReport(claim, {}, outcome, notes=[f"{type(exc).__name__}: {exc}"])
-    rep.instance = {**instance, **(rep.instance or {})}
+    except HypothesisUnverified as exc:
+        rep = VerificationReport(outcome=NOT_APPLICABLE, witnesses=exc.witnesses, notes=[str(exc)])
+    except (AmbientNotClusterTilting, CapExceeded, DecompositionInconclusive) as exc:
+        outcome = NOT_APPLICABLE if isinstance(exc, AmbientNotClusterTilting) else INDETERMINATE
+        rep = VerificationReport(outcome=outcome, notes=[f"{type(exc).__name__}: {exc}"])
+    rep.claim, rep.instance = claim, instance
     return rep
 
 
 def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> VerificationReport:
+    """The claim's verdict on this input.  It adds to the instance what it
+    builds the verdict on: the generator count of U or V, or the carrier."""
     from .covering import (
         verify_ext_iso,
         verify_indecomposable_preservation,
@@ -228,12 +223,18 @@ def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> Verificati
     from .tautilt import scan_tau_n_tilting_finite
 
     dimcap = args.dimcap
+    if claim in ("Main1", "Main2", "ZGpEquivalence", "ModPushdown"):
+        U = _canonical_subcategory(pres if claim == "ZGpEquivalence" else cover, n, args.cap, dimcap)
+        if claim == "Main2":
+            U = _pushdown_spec(U)  # V, the downstairs subcategory
+        instance["generators"] = len(U)
+    elif claim in ("PnPushdown", "BonGab", "SelfinjCriteria", "TiltingFinite"):
+        instance["carrier"] = (pres if claim == "BonGab" else cover).describe()
+
     if claim == "Main1":
-        U = _canonical_subcategory(cover, n, args.cap)
         rep = verify_main1(U, n)
     elif claim == "Main2":
-        U = _canonical_subcategory(cover, n, args.cap)
-        rep = verify_main2(_pushdown_spec(U), n, dimcap=dimcap)
+        rep = verify_main2(U, n, dimcap=dimcap)
     elif claim == "DILemma":
         reps = list_indecomposables(cover, dimcap=dimcap)
         subs = []
@@ -241,24 +242,24 @@ def _verify(pres, cover, claim: str, n: int, args, instance: dict) -> Verificati
             for Y in reps:
                 for i in (0, 1, 2):
                     subs.append(verify_ext_iso(X, Y, i))
-        rep = _aggregate(claim, instance, subs, caps={"pairs": len(reps) ** 2, "degrees": [0, 1, 2]})
+        rep = _aggregate(subs, caps={"pairs": len(reps) ** 2, "degrees": [0, 1, 2]})
     elif claim == "Corres":
         subs = [verify_orbit_bijection(cover, dimcap=dimcap)]
         for X in list_indecomposables(cover, dimcap=dimcap):
             subs.append(verify_indecomposable_preservation(X))
-        rep = _aggregate(claim, instance, subs)
+        rep = _aggregate(subs)
     elif claim == "PnPushdown":
-        rep = verify_Pn_pushdown(cover, n, cap=args.cap)
+        rep = verify_Pn_pushdown(cover, n, cap=args.cap, dimcap=dimcap)
     elif claim == "BonGab":
         rep = verify_bongab(pres, n)
     elif claim == "SelfinjCriteria":
-        rep = verify_selfinjectivity_criteria(cover, n, cap=args.cap)
+        rep = verify_selfinjectivity_criteria(cover, n, cap=args.cap, dimcap=dimcap)
     elif claim == "ZGpEquivalence":
-        rep = verify_equivalence_Z_Gp(_canonical_subcategory(pres, n, args.cap), n, dimcap=dimcap)
+        rep = verify_equivalence_Z_Gp(U, n, dimcap=dimcap)
     elif claim == "ModPushdown":
-        rep = verify_mod_pushdown(_canonical_subcategory(cover, n, args.cap), n, dimcap=dimcap)
+        rep = verify_mod_pushdown(U, n, dimcap=dimcap)
     elif claim == "TiltingPushdown":
-        rep = _run_tilting_pushdown(pres, cover, n, dimcap, instance)
+        rep = _run_tilting_pushdown(pres, cover, n, dimcap)
     elif claim == "TiltingFinite":
         rep = scan_tau_n_tilting_finite(cover, n, dimcap=dimcap)
     else:  # pragma: no cover
@@ -276,7 +277,7 @@ def _tilting_graph(carrier, n: int, dimcap: int):
     return TiltingGraph(pool, n, pool)
 
 
-def _run_tilting_pushdown(pres, cover, n, dimcap, instance) -> VerificationReport:
+def _run_tilting_pushdown(pres, cover, n, dimcap) -> VerificationReport:
     from .tautilt import enumerate_support_tilting_pairs, verify_tilting_pushdown
 
     up = _tilting_graph(cover, n, dimcap)
@@ -284,7 +285,7 @@ def _run_tilting_pushdown(pres, cover, n, dimcap, instance) -> VerificationRepor
     pairs_up = enumerate_support_tilting_pairs(up)
     pairs_down = enumerate_support_tilting_pairs(down)
     subs = [verify_tilting_pushdown(pair, up, down) for pair in pairs_up]
-    agg = _aggregate("TiltingPushdown", instance, subs)
+    agg = _aggregate(subs)
     agg.witnesses.append(
         {"upstairs_orbit_pairs": len(pairs_up), "downstairs_pairs": len(pairs_down)}
     )

@@ -4,7 +4,7 @@ covering-theoretic verifiers."""
 from __future__ import annotations
 
 from .cover import CoverCarrier
-from .errors import ShapeMismatch
+from .errors import HypothesisUnverified, ShapeMismatch
 from .field import Mat
 from .homology import ext_dim, min_proj_resolution
 from .modules import (
@@ -16,7 +16,7 @@ from .modules import (
     is_isomorphic,
     twist_candidates,
 )
-from .report import NOT_APPLICABLE, VerificationReport
+from .report import VerificationReport
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +254,9 @@ def verify_ext_iso(X: FDModule, Y: FDModule, i: int) -> VerificationReport:
 def verify_indecomposable_preservation(X: FDModule) -> VerificationReport:
     cover = X.carrier
     if not is_indecomposable(X):
-        return VerificationReport(
-            claim="Corres",
-            instance=_instance_descriptor(cover),
-            outcome=NOT_APPLICABLE,
-            notes=["input is decomposable; the claim only covers indecomposables"],
+        raise HypothesisUnverified(
+            "input is decomposable; the claim only covers indecomposables",
+            {"summands": [(m.total_dim, mult) for m, mult in decompose(X)]},
         )
     parts = decompose(push_down(X))
     ok = len(parts) == 1 and parts[0][1] == 1

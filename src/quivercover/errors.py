@@ -53,7 +53,13 @@ class CapExceeded(QuiverCoverError):
 
 
 class HypothesisUnverified(QuiverCoverError):
-    """A checker's standing hypothesis failed; the result would be meaningless."""
+    """A claim's standing hypothesis failed; the result would be meaningless.
+
+    The message is the claim's note, and the witnesses show what failed."""
+
+    def __init__(self, message, *witnesses):
+        self.witnesses = list(witnesses)
+        super().__init__(message)
 
 
 class AmbientNotClusterTilting(QuiverCoverError):

@@ -40,7 +40,7 @@ from .covering import (
     push_down,
     push_down_morphism,
 )
-from .report import INDETERMINATE, NOT_APPLICABLE, VerificationReport
+from .report import INDETERMINATE, VerificationReport
 
 
 TRANSLATE_NOTE = (
@@ -123,23 +123,23 @@ def is_n_precluster(U: list, n: int) -> PreclusterVerdict:
 # the canonical subcategories P_n and I_n
 
 
-def compute_Pn(carrier, n: int, cap: int = 32) -> tuple:
+def compute_Pn(carrier, n: int, cap: int = 32, dimcap: int = 48) -> tuple:
     """Closure of the projectives under the inverse higher translate.
 
-    Returns (classes, stabilized)."""
+    Returns (classes, stabilized); raises CapExceeded on a class above dimcap."""
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
-    return close(seeds, lambda M: (tau_n_minus(M, n),), rounds=cap)
+    return close(seeds, lambda M: (tau_n_minus(M, n),), rounds=cap, dimcap=dimcap)
 
 
-def compute_In(carrier, n: int, cap: int = 32) -> tuple:
+def compute_In(carrier, n: int, cap: int = 32, dimcap: int = 48) -> tuple:
     seeds = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    return close(seeds, lambda M: (tau_n(M, n),), rounds=cap)
+    return close(seeds, lambda M: (tau_n(M, n),), rounds=cap, dimcap=dimcap)
 
 
-def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> VerificationReport:
+def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32, dimcap: int = 48) -> VerificationReport:
     """Push-downs of the upstairs P_n classes biject with the downstairs ones."""
-    up, up_stab = compute_Pn(cover, n, cap)
-    down, down_stab = compute_Pn(cover.base_presentation, n, cap)
+    up, up_stab = compute_Pn(cover, n, cap, dimcap)
+    down, down_stab = compute_Pn(cover.base_presentation, n, cap, dimcap)
     caps = {
         "cap": cap,
         "upstairs_stabilized": up_stab,
@@ -147,8 +147,6 @@ def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> Verificati
     }
     if not (up_stab and down_stab):
         return VerificationReport(
-            claim="PnPushdown",
-            instance={"n": n, "carrier": cover.describe()},
             outcome=INDETERMINATE,
             caps=caps,
             notes=["closure did not stabilize within the cap"],
@@ -158,8 +156,6 @@ def verify_Pn_pushdown(cover: CoverCarrier, n: int, cap: int = 32) -> Verificati
     matched = sum(isinstance(j, int) for j in found)
     ok = matched == len(up) == len(down)
     return VerificationReport(
-        claim="PnPushdown",
-        instance={"n": n, "carrier": cover.describe()},
         outcome=ok,
         witnesses=[
             {
@@ -246,22 +242,24 @@ def _pushdown_spec(U: list) -> list:
     return close(map(push_down, U), None, rounds=0)[0]
 
 
+def _require_precluster(U: list, n: int, key: str) -> PreclusterVerdict:
+    """U's n-precluster verdict; raises HypothesisUnverified, with the
+    verdict under key as its witness, when U fails it."""
+    verdict = is_n_precluster(U, n)
+    if not verdict.passes:
+        which = "" if key == "precluster" else f"{key} "
+        raise HypothesisUnverified(
+            f"the {which}subcategory fails the n-precluster hypothesis", {key: verdict.to_json()}
+        )
+    return verdict
+
+
 def verify_main1(U: list, n: int) -> VerificationReport:
     """Push-down of an n-precluster tilting subcategory stays one."""
-    up = is_n_precluster(U, n)
-    if not up.passes:
-        return VerificationReport(
-            claim="Main1",
-            instance={"n": n, "generators": len(U)},
-            outcome=NOT_APPLICABLE,
-            witnesses=[{"upstairs": up.to_json()}],
-            notes=["the upstairs subcategory fails the n-precluster hypothesis"],
-        )
+    up = _require_precluster(U, n, "upstairs")
     V = _pushdown_spec(U)
     down = is_n_precluster(V, n)
     return VerificationReport(
-        claim="Main1",
-        instance={"n": n, "generators": len(U)},
         outcome=down.passes,
         witnesses=[{"upstairs": up.to_json(), "downstairs": down.to_json(),
                     "downstairs_classes": len(V)}],
@@ -271,30 +269,15 @@ def verify_main1(U: list, n: int) -> VerificationReport:
 def verify_main2(V: list, n: int, dimcap: int = 48) -> VerificationReport:
     """The preimage of a downstairs n-precluster tilting subcategory is one,
     over the covering of V's carrier."""
-    down = is_n_precluster(V, n)
-    if not down.passes:
-        return VerificationReport(
-            claim="Main2",
-            instance={"n": n, "generators": len(V)},
-            outcome=NOT_APPLICABLE,
-            witnesses=[{"downstairs": down.to_json()}],
-            notes=["the downstairs subcategory fails the n-precluster hypothesis"],
-        )
+    down = _require_precluster(V, n, "downstairs")
     # the twists in one orbit push down to the same generator
     classes = list_indecomposables(smash_cover(V[0].carrier), dimcap=dimcap)
     found = match_pushdowns(classes, V, distinct=False)
     preimage = [X for X, j in zip(classes, found) if isinstance(j, int)]
     if len({j for j in found if isinstance(j, int)}) != len(V):
-        return VerificationReport(
-            claim="Main2",
-            instance={"n": n, "generators": len(V)},
-            outcome=NOT_APPLICABLE,
-            notes=["V is not inside the push-down image of the orbit pool"],
-        )
+        raise HypothesisUnverified("V is not inside the push-down image of the orbit pool")
     up = is_n_precluster(preimage, n)
     return VerificationReport(
-        claim="Main2",
-        instance={"n": n, "generators": len(V)},
         outcome=up.passes,
         witnesses=[
             {
@@ -310,30 +293,25 @@ def verify_main2(V: list, n: int, dimcap: int = 48) -> VerificationReport:
 def verify_bongab(pres, n: int) -> VerificationReport:
     """nMAG transfers between the base and the covering (square-free case)."""
     if not pres.is_square_free():
-        return VerificationReport(
-            claim="BonGab",
-            instance={"n": n, "carrier": pres.describe()},
-            outcome=NOT_APPLICABLE,
-            notes=["NotSquareFree: the square-free hypothesis is not met"],
-        )
+        raise HypothesisUnverified("NotSquareFree: the square-free hypothesis is not met")
     base = check_nMAG(pres, n)
     cover = check_nMAG(smash_cover(pres), n)
     return VerificationReport(
-        claim="BonGab",
-        instance={"n": n, "carrier": pres.describe()},
         outcome=(base.outcome == cover.outcome),
         witnesses=[{"base_nMAG": base.to_json_dict(), "cover_nMAG": cover.to_json_dict()}],
     )
 
 
-def _tau_closure_candidate(carrier, n: int, cap: int) -> tuple:
+def _tau_closure_candidate(carrier, n: int, cap: int, dimcap: int = 48) -> tuple:
     """Closure of projectives+injectives under both higher translates."""
     seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     seeds += [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    return close(seeds, lambda M: (tau(M, n) for tau in (tau_n, tau_n_minus)), rounds=cap)
+    return close(
+        seeds, lambda M: (tau(M, n) for tau in (tau_n, tau_n_minus)), rounds=cap, dimcap=dimcap
+    )
 
 
-def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> VerificationReport:
+def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32, dimcap: int = 48) -> VerificationReport:
     """The five equivalent characterizations evaluated independently.
 
     Conditions with a non-stabilizing closure are marked indeterminate; the
@@ -348,14 +326,14 @@ def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> Verificat
 
     # (i) existence of an (G,) n-precluster tilting module: the tau-closure of
     # projectives+injectives is the minimal candidate; it works iff anything does
-    cand, stab = _tau_closure_candidate(carrier, n, cap)
+    cand, stab = _tau_closure_candidate(carrier, n, cap, dimcap)
     if not stab:
         conds["i"] = INDETERMINATE
     else:
         conds["i"] = is_n_precluster(cand, n).passes
 
-    In, In_stab = compute_In(carrier, n, cap)
-    Pn, Pn_stab = compute_Pn(carrier, n, cap)
+    In, In_stab = compute_In(carrier, n, cap, dimcap)
+    Pn, Pn_stab = compute_Pn(carrier, n, cap, dimcap)
     projs = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
     injs = [injective_at(carrier, x) for x in carrier.fundamental_domain()]
 
@@ -383,14 +361,12 @@ def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32) -> Verificat
         outcome = all(v == determinate[0] for v in determinate)
     witnesses = [{"conditions": {k: v for k, v in conds.items()}}]
     if carrier.is_cover and outcome is True:
-        base_rep = verify_selfinjectivity_criteria(carrier.base_presentation, n, cap)
+        base_rep = verify_selfinjectivity_criteria(carrier.base_presentation, n, cap, dimcap)
         agree = base_rep.witnesses[0]["conditions"].get("i")
         witnesses.append({"base_conditions": base_rep.witnesses[0]["conditions"]})
         if agree is not INDETERMINATE and conds["i"] is not INDETERMINATE:
             outcome = outcome and (agree == conds["i"])
     return VerificationReport(
-        claim="SelfinjCriteria",
-        instance={"n": n, "carrier": carrier.describe()},
         outcome=outcome,
         witnesses=witnesses,
         caps={"cap": cap},
@@ -407,31 +383,16 @@ def verify_equivalence_Z_Gp(U: list, n: int, dimcap: int = 48) -> VerificationRe
     Gorenstein projective over the endomorphism category is hit."""
     carrier = U[0].carrier
     if carrier.is_cover:
-        return VerificationReport(
-            claim="ZGpEquivalence",
-            instance={"n": n},
-            outcome=NOT_APPLICABLE,
-            notes=[
-                "checked on base carriers only; mod-U of a cover is not yet "
-                "knitted one twist orbit at a time"
-            ],
+        raise HypothesisUnverified(
+            "checked on base carriers only; mod-U of a cover is not yet "
+            "knitted one twist orbit at a time"
         )
-    up = is_n_precluster(U, n)
-    if not up.passes:
-        return VerificationReport(
-            claim="ZGpEquivalence",
-            instance={"n": n, "generators": len(U)},
-            outcome=NOT_APPLICABLE,
-            witnesses=[{"precluster": up.to_json()}],
-            notes=["the subcategory fails the n-precluster hypothesis"],
-        )
+    _require_precluster(U, n, "precluster")
     pool = list_indecomposables(carrier, dimcap=dimcap)
     Z, symmetric = compute_Z(U, pool, n)
     notes = ["perpendicular degrees 0<i<n tested against the generator list"]
     if not symmetric:
         return VerificationReport(
-            claim="ZGpEquivalence",
-            instance={"n": n, "generators": len(U)},
             outcome=False,
             witnesses=[{"left_right_perp_symmetric": False}],
             notes=notes + ["left and right perpendicular pools differ"],
@@ -459,8 +420,6 @@ def verify_equivalence_Z_Gp(U: list, n: int, dimcap: int = 48) -> VerificationRe
     matched = sum(class_index(X, images) is not None for X in gp)
     surjective = matched == len(gp) and len(gp) == len(images)
     return VerificationReport(
-        claim="ZGpEquivalence",
-        instance={"n": n, "generators": len(U)},
         outcome=bool(ok and table_ok and surjective),
         witnesses=[
             {
@@ -546,27 +505,12 @@ def verify_mod_pushdown(U: list, n: int, dimcap: int = 48) -> VerificationReport
     commutes on the indecomposable pool."""
     carrier = U[0].carrier
     if not carrier.is_cover:
-        return VerificationReport(
-            claim="ModPushdown",
-            instance={"n": n},
-            outcome=NOT_APPLICABLE,
-            notes=["needs a covering carrier with a twist-closed subcategory"],
-        )
-    up = is_n_precluster(U, n)
-    if not up.passes:
-        return VerificationReport(
-            claim="ModPushdown",
-            instance={"n": n, "generators": len(U)},
-            outcome=NOT_APPLICABLE,
-            witnesses=[{"upstairs": up.to_json()}],
-            notes=["the upstairs subcategory fails the n-precluster hypothesis"],
-        )
+        raise HypothesisUnverified("needs a covering carrier with a twist-closed subcategory")
+    _require_precluster(U, n, "upstairs")
     V = _pushdown_spec(U)
     E_down = EndoCarrier(V)
     if any(_match_down(V, gen) is None for gen in U):
         return VerificationReport(
-            claim="ModPushdown",
-            instance={"n": n},
             outcome=False,
             notes=["a pushed generator did not match the downstairs category"],
         )
@@ -596,8 +540,6 @@ def verify_mod_pushdown(U: list, n: int, dimcap: int = 48) -> VerificationReport
             square_ok = False
     outcome = bool(a_up.passed and a_down.passed and hom_ok and square_ok)
     return VerificationReport(
-        claim="ModPushdown",
-        instance={"n": n, "generators": len(U)},
         outcome=outcome,
         witnesses=[
             {

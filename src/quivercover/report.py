@@ -22,10 +22,13 @@ NOT_APPLICABLE = "not-applicable"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class VerificationReport:
-    claim: str
-    instance: dict
+    """A claim's verdict.  `cli.run_claim` writes the claim and the instance
+    of a top-level report; a nested check writes its own."""
+
+    claim: str = ""
+    instance: dict = field(default_factory=dict)
     outcome: object  # True | False | "not-applicable" | "indeterminate"
     witnesses: list = field(default_factory=list)
     caps: dict = field(default_factory=dict)

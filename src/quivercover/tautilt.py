@@ -223,8 +223,6 @@ def scan_tau_n_tilting_finite(cover: CoverCarrier, n: int, dimcap: int = 48) -> 
         if up_count != down_count:
             ok = False
     return VerificationReport(
-        claim="TiltingFinite",
-        instance={"n": n, "carrier": cover.describe()},
         outcome=ok,
         witnesses=[
             {

@@ -15,9 +15,12 @@ pairs.
 import itertools
 import random
 
+import pytest
+
 from quivercover import (
     DimBound,
     EndoCarrier,
+    HypothesisUnverified,
     TiltingGraph,
     check_nMAG,
     direct_sum,
@@ -216,8 +219,10 @@ def test_acceptance_7_bongab_transfer(n32, loop2, kronecker):
             rep = verify_bongab(pres, n)
             if rep.outcome is not True:
                 ok = False
-    kro = verify_bongab(kronecker, 1)
-    ok = ok and kro.outcome == "not-applicable"
+    with pytest.raises(HypothesisUnverified) as caught:
+        verify_bongab(kronecker, 1)
+    ok = ok and str(caught.value) == "NotSquareFree: the square-free hypothesis is not met"
+    ok = ok and caught.value.witnesses == []
     report(7, ok, "nMAG verdicts agree across both coverings (n=1,2); Kronecker not-applicable")
 
 

@@ -411,10 +411,49 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_exit_code_mapping():
-    assert VerificationReport("Main1", {}, True).exit_code() == 0
-    assert VerificationReport("Main1", {}, False).exit_code() == 1
-    assert VerificationReport("Main1", {}, "not-applicable").exit_code() == 3
-    assert VerificationReport("Main1", {}, "indeterminate").exit_code() == 3
+    assert VerificationReport(outcome=True).exit_code() == 0
+    assert VerificationReport(outcome=False).exit_code() == 1
+    assert VerificationReport(outcome="not-applicable").exit_code() == 3
+    assert VerificationReport(outcome="indeterminate").exit_code() == 3
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "quivercover")
+
+# The verifiers whose reports run_claim returns; the nested checks
+# (verify_ext_iso, the Corres and TiltingPushdown sub-reports, check_nMAG)
+# write their own claim and instance.
+TOP_LEVEL_VERIFIERS = {
+    "precluster.py": (
+        "verify_main1", "verify_main2", "verify_Pn_pushdown", "verify_bongab",
+        "verify_selfinjectivity_criteria", "verify_equivalence_Z_Gp", "verify_mod_pushdown",
+    ),
+    "tautilt.py": ("scan_tau_n_tilting_finite",),
+    "cli.py": ("_aggregate",),
+}
+
+
+def test_only_the_report_and_the_cli_name_not_applicable():
+    # a claim raises HypothesisUnverified; run_claim alone turns it into the verdict
+    naming = sorted(
+        name for name in os.listdir(SRC)
+        if name.endswith(".py") and "NOT_APPLICABLE" in open(os.path.join(SRC, name)).read()
+    )
+    assert naming == ["cli.py", "report.py"]
+
+
+def test_no_top_level_verifier_writes_its_claim_or_instance():
+    import ast
+
+    written = []
+    for name, functions in TOP_LEVEL_VERIFIERS.items():
+        tree = ast.parse(open(os.path.join(SRC, name)).read())
+        bodies = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in functions]
+        assert sorted(f.name for f in bodies) == sorted(functions)
+        for f in bodies:
+            for call in ast.walk(f):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "VerificationReport":
+                    written += [(f.name, k.arg) for k in call.keywords if k.arg in ("claim", "instance")]
+    assert written == []
 
 
 def test_suite_reports_every_claim_when_claims_raise(capsys):
@@ -747,10 +786,9 @@ def test_a_dimcap_below_an_indecomposable_stops_the_knit(n32, n32_cover):
             list_indecomposables(carrier, dimcap=1)
 
 
-# The claims that read an indecomposable pool; the other four never knit.
-POOL_CLAIMS = (
-    "Main2", "DILemma", "Corres", "ZGpEquivalence", "ModPushdown", "TiltingPushdown", "TiltingFinite"
-)
+# The claims that read an indecomposable pool or a translate closure, both
+# of which --dimcap caps; BonGab reads neither.
+CAPPED_CLAIMS = tuple(claim for claim in CLAIM_IDS if claim != "BonGab")
 
 
 @pytest.mark.parametrize("dimcap", ["0", "1"])
@@ -758,11 +796,24 @@ def test_a_dimcap_that_cuts_the_pool_is_indeterminate(capsys, dimcap):
     code, out, _ = run(capsys, "suite", "--n", "1", "--dimcap", dimcap, "--input", golden("n32"))
     assert code == 3
     reports = {r["claim"]: r for r in json.loads(out)}
-    for claim in POOL_CLAIMS:
+    for claim in CAPPED_CLAIMS:
         assert reports[claim]["pass"] == "indeterminate"
         assert reports[claim]["notes"][0].startswith("CapExceeded: an indecomposable of dimension")
         assert reports[claim]["notes"][0].endswith(f"exceeds --dimcap {dimcap}")
-    assert all(reports[c]["pass"] is True for c in CLAIM_IDS if c not in POOL_CLAIMS)
+    assert reports["BonGab"]["pass"] is True
+
+
+@pytest.mark.parametrize("claim", ["PnPushdown", "Main1", "SelfinjCriteria"])
+def test_a_dimcap_stops_a_translate_closure_that_keeps_growing(capsys, tmp_path, kronecker, claim):
+    # τ⁻ of the Kronecker quiver's projectives grows without end; the
+    # dimcap stops the closure long before its round cap runs out
+    path = tmp_path / "kronecker.json"
+    path.write_text(json.dumps(kronecker.to_json_dict()))
+    argv = ["check", "--claim", claim, "--dimcap", "12", "--input", str(path)]
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    assert (code, report["pass"]) == (3, "indeterminate")
+    assert report["notes"] == ["CapExceeded: an indecomposable of dimension 13 exceeds --dimcap 12"]
 
 
 def test_indecs_beyond_the_dimcap_is_an_input_error(capsys):

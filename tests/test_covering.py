@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from quivercover import (
+    HypothesisUnverified,
     canonical_orbit_rep,
     class_index,
     direct_sum,
@@ -145,7 +146,10 @@ def test_indec_preservation(n32_cover):
     S = simple_at(n32_cover, ("1", (0,)))
     assert verify_indecomposable_preservation(S).outcome is True
     D = direct_sum([S, S])[0]
-    assert verify_indecomposable_preservation(D).outcome == "not-applicable"
+    with pytest.raises(HypothesisUnverified) as caught:
+        verify_indecomposable_preservation(D)
+    assert str(caught.value) == "input is decomposable; the claim only covers indecomposables"
+    assert caught.value.witnesses == [{"summands": [(1, 2)]}]
 
 
 def test_orbit_bijection_trivial_group(ka2):

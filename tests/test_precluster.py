@@ -249,8 +249,11 @@ def test_main1_n32(n32_cover):
 def test_main1_hypothesis_gate(ka2):
     cov = smash_cover(ka2)
     U = [projective_at(cov, x) for x in cov.fundamental_domain()]
-    rep = verify_main1(U, 1)
-    assert rep.outcome == "not-applicable"
+    with pytest.raises(HypothesisUnverified) as caught:
+        verify_main1(U, 1)
+    assert str(caught.value) == "the upstairs subcategory fails the n-precluster hypothesis"
+    [witness] = caught.value.witnesses
+    assert witness["upstairs"]["generator_cogenerator"] is False
 
 
 def test_main2_round_trip(n32_cover):
@@ -267,8 +270,10 @@ def test_bongab(n32, loop2, kronecker):
         for n in (1, 2):
             rep = verify_bongab(pres, n)
             assert rep.outcome is True
-    rep = verify_bongab(kronecker, 1)
-    assert rep.outcome == "not-applicable"
+    with pytest.raises(HypothesisUnverified) as caught:
+        verify_bongab(kronecker, 1)
+    assert str(caught.value) == "NotSquareFree: the square-free hypothesis is not met"
+    assert caught.value.witnesses == []
 
 
 def test_selfinj_criteria(n32, semisimple, ka2, n32_cover):
@@ -295,12 +300,13 @@ def test_z_gp_equivalence(n32):
 
 def test_z_gp_equivalence_refuses_a_cover_subcategory(n32_cover):
     # the claim runs downstairs only; the CLI never passes it a cover
-    rep = verify_equivalence_Z_Gp(cover_projectives(n32_cover), 1, dimcap=8)
-    assert rep.outcome == "not-applicable"
-    assert rep.notes == [
+    with pytest.raises(HypothesisUnverified) as caught:
+        verify_equivalence_Z_Gp(cover_projectives(n32_cover), 1, dimcap=8)
+    assert str(caught.value) == (
         "checked on base carriers only; mod-U of a cover is not yet knitted one "
         "twist orbit at a time"
-    ]
+    )
+    assert caught.value.witnesses == []
 
 
 def test_mod_pushdown(n32_cover, loop2_cover):
