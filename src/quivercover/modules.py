@@ -423,7 +423,14 @@ def _complement_columns(field, inside: Mat) -> list:
 
 
 def cokernel_module(phi: ModMorphism) -> tuple:
-    """(C, projection tgt -> C)."""
+    """(C, projection tgt -> C): C(x) is spanned by the unit vectors that
+    complete the column space of phi at x, and the projection reads off
+    their coordinates along that column space.
+
+    One elimination of [phi_x | I] per object gives all three: its pivots
+    left of the bar pick a basis `im` of the column space, those right of it
+    the complement `comp`, and since the right block E has E [im | e_comp]
+    = I, its rows below the rank are the projection."""
     N = phi.tgt
     carrier = N.carrier
     field = carrier.field
@@ -431,17 +438,15 @@ def cokernel_module(phi: ModMorphism) -> tuple:
     section = {}
     dims = {}
     for x in N.support:
-        im = column_space_basis(phi.vertex(x))
-        comp = _complement_columns(field, im)
+        A = phi.vertex(x)
+        red, pivots = rref(hstack([A, Mat.identity(field, N.dim(x))]))
+        r = sum(1 for c in pivots if c < A.cols)
+        comp = [c - A.cols for c in pivots[r:]]
         dims[x] = len(comp)
         if not comp:
             continue
         section[x] = Mat.identity(field, N.dim(x))[:, comp]
-        full = hstack([im, section[x]])
-        inv = solve_linear(full, Mat.identity(field, N.dim(x)))
-        if inv is None:
-            raise ShapeMismatch("complement construction failed")
-        proj[x] = inv[im.cols :, :]
+        proj[x] = red[r:, A.cols :]
     mats = {
         g: proj[s] @ N.mat(g) @ section[t] for g, s, t in _acting_generators(carrier, dims)
     }
@@ -660,6 +665,9 @@ def _single_root(field, coeffs):
 
 # Below this prime, roots are found by trying every field element.
 _SCAN_PRIMES_BELOW = 64
+# Roots below this are found by evaluation before any gcd with x^p - x:
+# the minimal polynomials of the knit's endomorphisms mostly split there.
+_SMALL_ROOTS = 4
 # Trial division for the rational-root test gives up above this divisor.
 _TRIAL_DIVISOR_LIMIT = 10**6
 
@@ -715,14 +723,24 @@ def _split_distinct_roots(field, g):
 
 
 def _roots_mod_p(field, coeffs):
-    """The distinct roots in F_p of a monic polynomial."""
+    """The distinct roots in F_p of a monic polynomial: the small roots
+    0, ..., _SMALL_ROOTS - 1 by evaluation, then the others of what is left
+    once those are divided out."""
     p = field.p
     if p < _SCAN_PRIMES_BELOW:
         return [a for a in range(p) if _poly_value(field, coeffs, a) == 0]
+    roots, rest = [], coeffs
+    for a in range(_SMALL_ROOTS):
+        if _poly_value(field, rest, a) == 0:
+            roots.append(a)
+            while _poly_value(field, rest, a) == 0:
+                rest = _poly_divmod(field, rest, [field.neg_scalar(a), field.scalar(1)])[0]
+    if len(rest) == 1:
+        return roots
     x = [0, 1]
-    # the roots of coeffs are those of gcd(coeffs, x^p - x)
-    g = _poly_ext_gcd(field, coeffs, _poly_sub(field, _powmod_p(p, x, p, coeffs), x))[0]
-    return _split_distinct_roots(field, g)
+    # the roots of rest are those of gcd(rest, x^p - x)
+    g = _poly_ext_gcd(field, rest, _poly_sub(field, _powmod_p(p, x, p, rest), x))[0]
+    return roots + _split_distinct_roots(field, g)
 
 
 def _divisors(n: int):
@@ -875,69 +893,68 @@ def _krylov_eval(field, K: Mat, poly) -> Mat:
 
 
 class _EndAlgebra:
-    """End(M) with block-diagonal total matrices and coordinate arithmetic."""
+    """End(M) on per-vertex blocks: an element is a morphism M -> M, and its
+    coordinates are the entries of its blocks M(x) -> M(x), row by row and
+    object by object, so an element has sum dim M(x)^2 of them and no total
+    matrix of M is built."""
 
     def __init__(self, M: FDModule):
         self.M = M
         self.field = M.carrier.field
         self.objs = list(M.support)
-        self.offsets = {}
-        n = 0
-        for x in self.objs:
-            self.offsets[x] = n
-            n += M.dim(x)
-        self.n = n
         self.basis = hom_basis(M, M)
         self.dim = len(self.basis)
         # End(M) of dimension 1 is the scalars: M is indecomposable, and
         # decompose reads nothing more
         if self.dim > 1:
-            self.totals = [self.to_total(b) for b in self.basis]
-            self._vec_basis = hstack([self.flat(t) for t in self.totals])
+            self.one = identity_morphism(M)
+            self._vec_basis = hstack([self.flat(b) for b in self.basis])
 
-    def to_total(self, phi: ModMorphism) -> Mat:
-        blocks = [(self.offsets[x], self.offsets[x], phi.vertex(x)) for x in self.objs]
-        return Mat.from_blocks(self.field, self.n, self.n, blocks)
+    def flat(self, phi: ModMorphism) -> Mat:
+        """phi's coordinates, as a column."""
+        return vstack([phi.vertex(x).reshape(self.M.dim(x) ** 2, 1) for x in self.objs])
 
-    def from_total(self, T: Mat) -> ModMorphism:
+    def element(self, column: Mat) -> ModMorphism:
+        """The element with these coordinates."""
         mats = {}
+        o = 0
         for x in self.objs:
-            o = self.offsets[x]
             d = self.M.dim(x)
-            mats[x] = T[o : o + d, o : o + d]
+            mats[x] = column[o : o + d * d, :].reshape(d, d)
+            o += d * d
         return ModMorphism(self.M, self.M, mats)
 
-    def flat(self, T: Mat) -> Mat:
-        return T.reshape(self.n * self.n, 1)
+    def combination(self, coords: Mat) -> ModMorphism:
+        """The combination of the basis with these coordinates."""
+        return self.element(self._vec_basis @ coords)
 
-    def total(self, coords: Mat) -> Mat:
-        """The total matrix of the combination of the basis with these coordinates."""
-        return (self._vec_basis @ coords).reshape(self.n, self.n)
-
-    def coords(self, T: Mat) -> Mat | None:
-        return solve_linear(self._vec_basis, self.flat(T))
+    def coords(self, phi: ModMorphism) -> Mat | None:
+        return solve_linear(self._vec_basis, self.flat(phi))
 
     def gram(self) -> Mat:
+        """The trace form: tr(b_i b_j) for the basis, summed over the blocks."""
         g = [[0] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i, self.dim):
-                prod = self.totals[i] @ self.totals[j]
-                tr = self.field.scalar(sum(prod[k, k] for k in range(self.n)))
+                prod = self.basis[i] @ self.basis[j]
+                tr = self.field.scalar(
+                    sum(m[k, k] for m in prod.mats.values() for k in range(m.rows))
+                )
                 g[i][j] = tr
                 g[j][i] = tr
         return Mat.from_rows(self.field, g, self.dim)
 
 
-def _primary_split(M: FDModule, T: Mat, end: _EndAlgebra):
+def _primary_split(M: FDModule, T: ModMorphism, end: _EndAlgebra):
     """Split M along a generalized eigenspace decomposition of T, if any."""
     field = end.field
-    minp, K = _min_poly(field, Mat.identity(field, end.n), lambda P: P @ T, end.flat)
+    minp, K = _min_poly(field, end.one, lambda P: P @ T, end.flat)
     factors = _factor_poly(field, minp)
     if len(factors) < 2:
         return None
     A, B = _coprime_pair(field, factors)
-    K1, _ = kernel_module(end.from_total(_krylov_eval(field, K, A).reshape(end.n, end.n)))
-    K2, _ = kernel_module(end.from_total(_krylov_eval(field, K, B).reshape(end.n, end.n)))
+    K1, _ = kernel_module(end.element(_krylov_eval(field, K, A)))
+    K2, _ = kernel_module(end.element(_krylov_eval(field, K, B)))
     if K1.total_dim == 0 or K2.total_dim == 0:
         return None
     if K1.total_dim + K2.total_dim != M.total_dim:
@@ -968,19 +985,19 @@ def _semisimple_split(M: FDModule, end: _EndAlgebra, rng):
     full = hstack([comp, radcoords]) if radcoords.cols else comp
     inv = solve_linear(full, Mat.identity(field, end.dim))
 
-    def s_coords(total: Mat) -> Mat:
-        return (inv @ end.coords(total))[: len(comp_idx), :]
+    def s_coords(phi: ModMorphism) -> Mat:
+        return (inv @ end.coords(phi))[: len(comp_idx), :]
 
-    def s_rep_total(svec: Mat) -> Mat:
-        return end.total(comp @ svec)
+    def s_rep(svec: Mat) -> ModMorphism:
+        return end.combination(comp @ svec)
 
-    one = s_coords(Mat.identity(field, end.n))
+    one = s_coords(end.one)
     for _ in range(40):
         svec = Mat.from_rows(
             field, [[field.random_scalar(rng)] for _ in range(len(comp_idx))]
         )
         minp, K = _min_poly(
-            field, one, lambda u: s_coords(s_rep_total(u) @ s_rep_total(svec)), lambda u: u
+            field, one, lambda u: s_coords(s_rep(u) @ s_rep(svec)), lambda u: u
         )
         factors = _factor_poly(field, minp)
         if len(factors) >= 2:
@@ -989,19 +1006,18 @@ def _semisimple_split(M: FDModule, end: _EndAlgebra, rng):
             # vB = 1 mod A, 0 mod B: the (1, 0) idempotent of k[s]/(A) x k[s]/(B)
             eb_poly = _poly_divmod(field, _poly_mul(field, v, B), minp)[1]
             # lift to an honest idempotent in End(M): Newton e <- 3e^2 - 2e^3
-            e_total = s_rep_total(_krylov_eval(field, K, eb_poly))
+            e = s_rep(_krylov_eval(field, K, eb_poly))
             for _ in range(2 * (M.total_dim.bit_length() + 2)):
-                e2 = e_total @ e_total
-                if e2 == e_total:
+                e2 = e @ e
+                if (e2 - e).is_zero():
                     break
-                e_total = e2.scale(3) - (e2 @ e_total).scale(2)
+                e = e2.scale(3) - (e2 @ e).scale(2)
             else:
                 continue
-            if e_total.is_zero() or e_total == Mat.identity(field, end.n):
+            if e.is_zero() or (e - end.one).is_zero():
                 continue
-            phi = end.from_total(e_total)
-            K1, _ = image_module(phi)
-            K2, _ = kernel_module(phi)
+            K1, _ = image_module(e)
+            K2, _ = kernel_module(e)
             if K1.total_dim and K2.total_dim and K1.total_dim + K2.total_dim == M.total_dim:
                 return K1, K2
             continue
@@ -1048,9 +1064,9 @@ def _decompose_rec(M: FDModule, rng) -> list:
     # whose coefficients are drawn before any is tried
     field = end.field
     draws = [
-        Mat.from_rows(field, [[field.random_scalar(rng)] for _ in end.totals]) for _ in range(12)
+        Mat.from_rows(field, [[field.random_scalar(rng)] for _ in end.basis]) for _ in range(12)
     ]
-    for T in itertools.chain(end.totals, map(end.total, draws)):
+    for T in itertools.chain(end.basis, map(end.combination, draws)):
         split = _primary_split(M, T, end)
         if split is not None:
             return _decompose_rec(split[0], rng) + _decompose_rec(split[1], rng)

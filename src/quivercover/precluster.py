@@ -20,7 +20,7 @@ from .homology import (
     tau_n_minus,
     yoneda_cokernel,
 )
-from .knitting import close, list_indecomposables
+from .knitting import _kept, close, list_indecomposables
 from .modules import (
     FDModule,
     ModMorphism,
@@ -303,12 +303,20 @@ def verify_bongab(pres, n: int) -> VerificationReport:
 
 
 def _tau_closure_candidate(carrier, n: int, cap: int, dimcap: int = 48) -> tuple:
-    """Closure of projectives+injectives under both higher translates."""
-    seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
-    seeds += [injective_at(carrier, x) for x in carrier.fundamental_domain()]
-    return close(
-        seeds, lambda M: (tau(M, n) for tau in (tau_n, tau_n_minus)), rounds=cap, dimcap=dimcap
-    )
+    """Closure of projectives+injectives under both higher translates:
+    (a fresh list of its classes, stabilized).  The carrier keeps it, or the
+    CapExceeded it raised, per (n, cap, dimcap), so every claim of a suite
+    shares one closure."""
+
+    def build():
+        seeds = [projective_at(carrier, x) for x in carrier.fundamental_domain()]
+        seeds += [injective_at(carrier, x) for x in carrier.fundamental_domain()]
+        return close(
+            seeds, lambda M: (tau(M, n) for tau in (tau_n, tau_n_minus)), rounds=cap, dimcap=dimcap
+        )
+
+    classes, stabilized = _kept(carrier, "tau_closure", (n, cap, dimcap), build)
+    return list(classes), stabilized
 
 
 def verify_selfinjectivity_criteria(carrier, n: int, cap: int = 32, dimcap: int = 48) -> VerificationReport:

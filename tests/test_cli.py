@@ -556,11 +556,13 @@ def test_mod_pushdown_hom_basis_calls_are_window_independent(capsys, monkeypatch
 
 
 # kernel_basis calls of `suite --n 1`, the two runs of the cover-suite-wide
-# benchmark workload, recorded when the translate closures moved onto
-# `knitting.close`.  The commit before made 708 and 228: its knit compared
-# new pieces with centred classes, so hom bases cached then were hit again by
-# the class tests of `is_generator_cogenerator`.
-SUITE_KERNEL_BASIS_CALLS = {"n32": 711, "loop2": 229}
+# benchmark workload, recorded when the claims of a suite came to share one
+# τ_n-closure per carrier and the knit to skip the steps its pool
+# determines.  Before, 711 and 229, and when the translate closures moved
+# onto `knitting.close`, from 708 and 228: that knit compared new pieces
+# with centred classes, so hom bases cached then were hit again by the
+# class tests of `is_generator_cogenerator`.
+SUITE_KERNEL_BASIS_CALLS = {"n32": 675, "loop2": 207}
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_KERNEL_BASIS_CALLS))

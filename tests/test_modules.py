@@ -614,3 +614,40 @@ def test_injectives_match_right_multiplication(name, request):
             I, ref = injective_at(C, x), _injective_by_right_multiplication(C, x)
             assert I.carrier is C
             assert I.dims == ref.dims and I.gen_mats == ref.gen_mats
+
+
+def _cokernel_by_three_eliminations(phi):
+    """Reference: the cokernel as built when its column space, complement
+    and projection each took their own elimination."""
+    from quivercover.field import column_space_basis, hstack, solve_linear
+
+    N = phi.tgt
+    field = N.carrier.field
+    proj, section, dims = {}, {}, {}
+    for x in N.support:
+        im = column_space_basis(phi.vertex(x))
+        comp = modules._complement_columns(field, im)
+        dims[x] = len(comp)
+        if comp:
+            section[x] = Mat.identity(field, N.dim(x))[:, comp]
+            inv = solve_linear(hstack([im, section[x]]), Mat.identity(field, N.dim(x)))
+            proj[x] = inv[im.cols :, :]
+    gens = modules._acting_generators(N.carrier, dims)
+    C = FDModule(N.carrier, dims, {g: proj[s] @ N.mat(g) @ section[t] for g, s, t in gens})
+    return C, proj
+
+
+@pytest.mark.parametrize("rationals", [False, True], ids=["F_32003", "Q"])
+@pytest.mark.parametrize("name", GOLDENS)
+def test_cokernel_matches_the_three_elimination_reference(name, rationals):
+    # every basis map between the first classes of the pool, and each
+    # radical and socle inclusion, over the base
+    doc = golden_doc(name)
+    pres = load_presentation(dict(doc, field={"kind": "rationals"}) if rationals else doc)
+    pool = list_indecomposables(pres)[:6]
+    maps = [phi for M in pool for N in pool for phi in hom_basis(M, N)]
+    maps += [radical_inclusion(M)[1] for M in pool] + [socle_inclusion(M)[1] for M in pool]
+    for phi in maps:
+        (C, projection), (ref, ref_proj) = modules.cokernel_module(phi), _cokernel_by_three_eliminations(phi)
+        assert (C.dims, C.gen_mats) == (ref.dims, ref.gen_mats)
+        assert projection.mats == {x: m for x, m in ref_proj.items() if m.rows and m.cols}
