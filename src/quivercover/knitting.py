@@ -20,10 +20,10 @@ twist orbits and keeps one centred representative per orbit.
 
 The knit computes no step whose result its pool already determines:
 
-- Ω and Ω⁻, when the carrier and its opposite have global dimension at
-  most 1 (certified once per carrier from the simples at the fundamental
-  domain).  There every submodule of a projective is projective, so Ω M and
-  Ω⁻ M = D Ω D M strip to zero.
+- Ω and Ω⁻, when the carrier has global dimension at most 1 (certified
+  once per carrier from the simples at the fundamental domain), and so has
+  its opposite.  There every submodule of a projective is projective, so
+  Ω M and Ω⁻ M = D Ω D M strip to zero.
 - τ on a class that entered the pool as the whole result τ⁻M, and τ⁻ on
   one that entered as the whole result τM: that result is M again, since τ
   and τ⁻ are inverse bijections between the indecomposable non-projectives
@@ -33,7 +33,6 @@ The knit computes no step whose result its pool already determines:
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .covering import canonical_orbit_rep, class_index
@@ -144,16 +143,14 @@ def _closure_steps(M: FDModule):
 
 
 def _hereditary(carrier, simples) -> bool:
-    """Do the carrier and its opposite have global dimension at most 1?
-    The global dimension is the largest projective dimension of a simple,
-    and twists preserve it, so the simples at the fundamental domain decide:
-    `simples` over the carrier (the knit passes its seeds, whose resolutions
-    then serve its steps) and those over the opposite.  Memoised on the
-    carrier."""
+    """Does the carrier have global dimension at most 1?  The global
+    dimension is the largest projective dimension of a simple, and twists
+    preserve it, so `simples`, those at the fundamental domain, decide (the
+    knit passes its seeds, whose resolutions then serve its steps).  The
+    opposite has the same global dimension, since Ext²_C(S_x, S_y) ≅
+    Ext²_{C^op}(D S_y, D S_x).  Memoised on the carrier."""
     memo = carrier.memo("knit")
     if "hereditary" not in memo:
-        op = carrier.opposite()
-        simples = itertools.chain(simples, (simple_at(op, x) for x in carrier.fundamental_domain()))
         memo["hereditary"] = all(proj_dim_upto(S, 1).at_most(1) for S in simples)
     return memo["hereditary"]
 
@@ -200,15 +197,12 @@ def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
     seeds = [build(carrier, x) for build in (simple_at, projective_at, injective_at) for x in domain]
     no_syzygies = {"syzygy", "cosyzygy"} if _hereditary(carrier, seeds[: len(domain)]) else set()
     inverse = {"tau": "tau-", "tau-": "tau"}
-    # each τ or τ⁻ result -> the translate it skips should it become a class
-    # whole; keyed by the module itself, which the table keeps alive, so no
-    # key is reused
-    skips = {}
 
     def steps(M):
-        for name, X in _named_steps(M, no_syzygies | skips.pop(M, set())):
+        for name, X in _named_steps(M, no_syzygies | {M._cache.get("knit_skip")}):
             if name in inverse:
-                skips[X] = {inverse[name]}
+                # should X become a class whole, its translate back is M
+                X._cache["knit_skip"] = inverse[name]
             yield X
 
     classes, _ = close(seeds, steps, dimcap=dimcap, class_cap=class_cap)

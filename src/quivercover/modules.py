@@ -665,9 +665,6 @@ def _single_root(field, coeffs):
 
 # Below this prime, roots are found by trying every field element.
 _SCAN_PRIMES_BELOW = 64
-# Roots below this are found by evaluation before any gcd with x^p - x:
-# the minimal polynomials of the knit's endomorphisms mostly split there.
-_SMALL_ROOTS = 4
 # Trial division for the rational-root test gives up above this divisor.
 _TRIAL_DIVISOR_LIMIT = 10**6
 
@@ -723,24 +720,14 @@ def _split_distinct_roots(field, g):
 
 
 def _roots_mod_p(field, coeffs):
-    """The distinct roots in F_p of a monic polynomial: the small roots
-    0, ..., _SMALL_ROOTS - 1 by evaluation, then the others of what is left
-    once those are divided out."""
+    """The distinct roots in F_p of a monic polynomial."""
     p = field.p
     if p < _SCAN_PRIMES_BELOW:
         return [a for a in range(p) if _poly_value(field, coeffs, a) == 0]
-    roots, rest = [], coeffs
-    for a in range(_SMALL_ROOTS):
-        if _poly_value(field, rest, a) == 0:
-            roots.append(a)
-            while _poly_value(field, rest, a) == 0:
-                rest = _poly_divmod(field, rest, [field.neg_scalar(a), field.scalar(1)])[0]
-    if len(rest) == 1:
-        return roots
     x = [0, 1]
-    # the roots of rest are those of gcd(rest, x^p - x)
-    g = _poly_ext_gcd(field, rest, _poly_sub(field, _powmod_p(p, x, p, rest), x))[0]
-    return roots + _split_distinct_roots(field, g)
+    # the roots of coeffs are those of gcd(coeffs, x^p - x)
+    g = _poly_ext_gcd(field, coeffs, _poly_sub(field, _powmod_p(p, x, p, coeffs), x))[0]
+    return _split_distinct_roots(field, g)
 
 
 def _divisors(n: int):
