@@ -156,9 +156,9 @@ def _canonical_subcategory(carrier, n: int, cap: int, dimcap: int = 48) -> list:
     injectives under both higher translates.  This is n-precluster tilting
     iff the carrier admits any (G,)n-precluster tilting module, so it is the
     canonical instance for the transfer claims."""
-    from .precluster import _tau_closure_candidate
+    from .precluster import _translate_closure
 
-    classes, stabilized = _tau_closure_candidate(carrier, n, cap, dimcap)
+    classes, stabilized = _translate_closure(carrier, "both", n, cap, dimcap)
     if not stabilized:
         raise CapExceeded(
             "the translate closure of projectives and injectives did not "

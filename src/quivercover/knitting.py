@@ -111,8 +111,11 @@ def close(seeds, steps, rounds=math.inf, dimcap=math.inf, class_cap=math.inf) ->
 
 
 def _named_steps(M: FDModule, skip):
-    """(name, result) for the steps of _closure_steps, leaving out the
-    translates named in skip."""
+    """(name, result) for the modules the closure takes from M, in order:
+    rad M, M / soc M, Ω M, Ω⁻ M = D Ω D M, τ M = D Tr M and τ⁻ M = Tr D M,
+    leaving out the translates named in skip.  One D M serves Ω⁻ and τ⁻,
+    so its cover, kernel and the kernel's cover are built once and dropped
+    with the steps; a result over the opposite is dualised."""
     yield "rad", radical_inclusion(M)[0]
     yield "top", cokernel_module(socle_inclusion(M)[1])[0]
     DM = None
@@ -132,14 +135,6 @@ def _named_steps(M: FDModule, skip):
             DM = dual_module(M)
         result = step(DM if on_dual else M)
         yield name, result if result.carrier is M.carrier else dual_module(result)
-
-
-def _closure_steps(M: FDModule):
-    """The modules the closure takes from M, in order: rad M, M / soc M,
-    Ω M, Ω⁻ M = D Ω D M, τ M = D Tr M and τ⁻ M = Tr D M.  One D M serves
-    Ω⁻ and τ⁻, so its cover, kernel and the kernel's cover are built once
-    and dropped with the steps; a result over the opposite is dualised."""
-    return (X for _, X in _named_steps(M, ()))
 
 
 def _hereditary(carrier, simples) -> bool:
@@ -189,7 +184,7 @@ def _kept(carrier, table: str, key, build):
 
 def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
     """The closure of the simples, projectives and injectives at the
-    fundamental domain under `_closure_steps`, less the steps the module
+    fundamental domain under `_named_steps`, less the steps the module
     docstring shows redundant, each class centred after the closure ends.
     `close` itself never centres, so the translate closures keep the
     modules their steps return."""

@@ -8,7 +8,6 @@ to the commuting-square conditions against every generator.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -407,13 +406,6 @@ def kernel_module(phi: ModMorphism) -> tuple:
     return _submodule(phi.src, {x: kernel_basis(phi.vertex(x)) for x in phi.src.support})
 
 
-def image_module(phi: ModMorphism) -> tuple:
-    """(Im, inclusion Im -> tgt)."""
-    return _submodule(
-        phi.tgt, {x: column_space_basis(phi.vertex(x)) for x in phi.src.support}
-    )
-
-
 def _complement_columns(field, inside: Mat) -> list:
     """Indices of unit vectors completing the column space of `inside`."""
     n = inside.rows
@@ -630,21 +622,15 @@ def _poly_sub(field, a, b):
     return _poly_trim(field, out)
 
 
-def _poly_ext_gcd(field, a, b):
-    """(g, u, v) monic with u a + v b = g."""
+def _poly_gcd(field, a, b):
+    """The monic gcd of a and b ([] when both are zero)."""
     r0, r1 = list(a), list(b)
-    s0, s1 = [field.scalar(1)], []
-    t0, t1 = [], [field.scalar(1)]
     while r1:
-        q, r = _poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(field, s0, _poly_mul(field, q, s1))
-        t0, t1 = t1, _poly_sub(field, t0, _poly_mul(field, q, t1))
+        r0, r1 = r1, _poly_divmod(field, r0, r1)[1]
     if not r0:
-        return [], [], []
+        return []
     lead = field.inv_scalar(r0[-1])
-    scalef = lambda poly: [field.scalar(c * lead) for c in poly]
-    return scalef(r0), scalef(s0), scalef(t0)
+    return [field.scalar(c * lead) for c in r0]
 
 
 def _single_root(field, coeffs):
@@ -712,7 +698,7 @@ def _split_distinct_roots(field, g):
     a = 0
     while True:
         h = _poly_sub(field, _powmod_p(field.p, [a, 1], half, g), [1])
-        d = _poly_ext_gcd(field, g, h)[0]
+        d = _poly_gcd(field, g, h)
         if 1 < len(d) < len(g):
             rest = _poly_divmod(field, g, d)[0]
             return _split_distinct_roots(field, d) + _split_distinct_roots(field, rest)
@@ -726,7 +712,7 @@ def _roots_mod_p(field, coeffs):
         return [a for a in range(p) if _poly_value(field, coeffs, a) == 0]
     x = [0, 1]
     # the roots of coeffs are those of gcd(coeffs, x^p - x)
-    g = _poly_ext_gcd(field, coeffs, _poly_sub(field, _powmod_p(p, x, p, coeffs), x))[0]
+    g = _poly_gcd(field, coeffs, _poly_sub(field, _powmod_p(p, x, p, coeffs), x))
     return _split_distinct_roots(field, g)
 
 
@@ -915,9 +901,6 @@ class _EndAlgebra:
         """The combination of the basis with these coordinates."""
         return self.element(self._vec_basis @ coords)
 
-    def coords(self, phi: ModMorphism) -> Mat | None:
-        return solve_linear(self._vec_basis, self.flat(phi))
-
     def gram(self) -> Mat:
         """The trace form: tr(b_i b_j) for the basis, summed over the blocks."""
         g = [[0] * self.dim for _ in range(self.dim)]
@@ -932,88 +915,33 @@ class _EndAlgebra:
         return Mat.from_rows(self.field, g, self.dim)
 
 
-def _primary_split(M: FDModule, T: ModMorphism, end: _EndAlgebra):
-    """Split M along a generalized eigenspace decomposition of T, if any."""
+def _primary_split(M: FDModule, T: ModMorphism, end: _EndAlgebra) -> tuple:
+    """(split, factors): factors is the factorisation of T's minimal
+    polynomial, and split is (K1, K2), M split along a generalized
+    eigenspace decomposition of T, or None when that has one part."""
     field = end.field
     minp, K = _min_poly(field, end.one, lambda P: P @ T, end.flat)
     factors = _factor_poly(field, minp)
     if len(factors) < 2:
-        return None
+        return None, factors
     A, B = _coprime_pair(field, factors)
     K1, _ = kernel_module(end.element(_krylov_eval(field, K, A)))
     K2, _ = kernel_module(end.element(_krylov_eval(field, K, B)))
     if K1.total_dim == 0 or K2.total_dim == 0:
-        return None
+        return None, factors
     if K1.total_dim + K2.total_dim != M.total_dim:
         raise DecompositionInconclusive("primary decomposition dimensions do not add up")
-    return K1, K2
+    return (K1, K2), factors
 
 
-def _semisimple_split(M: FDModule, end: _EndAlgebra, rng):
-    """Split via an idempotent lifted from End(M)/rad, or certify locality.
+def _top_dim(end: _EndAlgebra) -> int:
+    """dim End(M)/rad End(M): the rank of the trace form, whose kernel is
+    the radical when the characteristic is 0 or above dim M."""
+    return end.dim - kernel_basis(end.gram()).cols
 
-    Returns (K1, K2), or None when End(M) is certified local (M indecomposable).
-    Raises DecompositionInconclusive when neither outcome can be certified.
-    """
-    field = end.field
-    if field.is_prime_field and field.p <= M.total_dim:
-        raise DecompositionInconclusive(
-            f"characteristic {field.p} too small for the trace-form radical "
-            f"(total dimension {M.total_dim})"
-        )
-    gram = end.gram()
-    radcoords = kernel_basis(gram)  # columns: radical elements in basis coords
-    sdim = end.dim - radcoords.cols
-    if sdim == 1:
-        return None  # local: scalars modulo radical
-    # S = End(M)/rad, in the coordinates of a complement of the radical
-    comp_idx = _complement_columns(field, radcoords)
-    comp = Mat.identity(field, end.dim)[:, comp_idx]
-    full = hstack([comp, radcoords]) if radcoords.cols else comp
-    inv = solve_linear(full, Mat.identity(field, end.dim))
 
-    def s_coords(phi: ModMorphism) -> Mat:
-        return (inv @ end.coords(phi))[: len(comp_idx), :]
-
-    def s_rep(svec: Mat) -> ModMorphism:
-        return end.combination(comp @ svec)
-
-    one = s_coords(end.one)
-    for _ in range(40):
-        svec = Mat.from_rows(
-            field, [[field.random_scalar(rng)] for _ in range(len(comp_idx))]
-        )
-        minp, K = _min_poly(
-            field, one, lambda u: s_coords(s_rep(u) @ s_rep(svec)), lambda u: u
-        )
-        factors = _factor_poly(field, minp)
-        if len(factors) >= 2:
-            A, B = _coprime_pair(field, factors)
-            _, _, v = _poly_ext_gcd(field, A, B)
-            # vB = 1 mod A, 0 mod B: the (1, 0) idempotent of k[s]/(A) x k[s]/(B)
-            eb_poly = _poly_divmod(field, _poly_mul(field, v, B), minp)[1]
-            # lift to an honest idempotent in End(M): Newton e <- 3e^2 - 2e^3
-            e = s_rep(_krylov_eval(field, K, eb_poly))
-            for _ in range(2 * (M.total_dim.bit_length() + 2)):
-                e2 = e @ e
-                if (e2 - e).is_zero():
-                    break
-                e = e2.scale(3) - (e2 @ e).scale(2)
-            else:
-                continue
-            if e.is_zero() or (e - end.one).is_zero():
-                continue
-            K1, _ = image_module(e)
-            K2, _ = kernel_module(e)
-            if K1.total_dim and K2.total_dim and K1.total_dim + K2.total_dim == M.total_dim:
-                return K1, K2
-            continue
-        g, e = factors[0]
-        if e == 1 and len(g) - 1 == sdim:
-            return None  # S is a field of degree sdim over the prime field: local
-    raise DecompositionInconclusive(
-        "no split found and locality not certified within the trial cap"
-    )
+# Random endomorphisms tried, after the basis, before decompose gives up.
+_TRIALS = 40
 
 
 def decompose(M: FDModule) -> list:
@@ -1044,24 +972,50 @@ def _decompose_rec(M: FDModule, rng) -> list:
     if M.total_dim == 0:
         return []
     end = _EndAlgebra(M)
-    if end.dim == 1:
-        M._cache["indec"] = True
-        return [M]
-    # deterministic stream: basis elements first, then random combinations,
-    # whose coefficients are drawn before any is tried
-    field = end.field
-    draws = [
-        Mat.from_rows(field, [[field.random_scalar(rng)] for _ in end.basis]) for _ in range(12)
-    ]
-    for T in itertools.chain(end.basis, map(end.combination, draws)):
-        split = _primary_split(M, T, end)
-        if split is not None:
-            return _decompose_rec(split[0], rng) + _decompose_rec(split[1], rng)
-    split = _semisimple_split(M, end, rng)
+    split = _find_split(M, end, rng) if end.dim > 1 else None
     if split is None:
         M._cache["indec"] = True
         return [M]
     return _decompose_rec(split[0], rng) + _decompose_rec(split[1], rng)
+
+
+def _find_split(M: FDModule, end: _EndAlgebra, rng):
+    """(K1, K2), M split along the primary decomposition of the first
+    endomorphism whose minimal polynomial has two coprime factors: a basis
+    of End(M), then up to _TRIALS random combinations of it; or None once M
+    is certified indecomposable.
+
+    No idempotent is needed: rad End(M) is nilpotent, so a lift T of s in
+    End(M)/rad has the irreducible factors of s, and T splits M whenever an
+    idempotent of k[s] would.  When the trace form gives rad End(M)
+    (characteristic 0 or above dim M), M is indecomposable once End(M)/rad
+    is a field: of dimension 1, or k[T] for a T whose minimal polynomial is
+    g^e with g irreducible of degree dim End(M)/rad.  Raises
+    DecompositionInconclusive when neither outcome is found."""
+    for T in end.basis:
+        split, _ = _primary_split(M, T, end)
+        if split is not None:
+            return split
+    field = end.field
+    certifiable = not (field.is_prime_field and field.p <= M.total_dim)
+    top = _top_dim(end) if certifiable else None
+    if top == 1:
+        return None
+    for _ in range(_TRIALS):
+        T = end.combination(Mat.from_rows(field, [[field.random_scalar(rng)] for _ in end.basis]))
+        split, factors = _primary_split(M, T, end)
+        if split is not None:
+            return split
+        if certifiable and len(factors) == 1 and len(factors[0][0]) - 1 == top:
+            return None
+    if not certifiable:
+        raise DecompositionInconclusive(
+            f"characteristic {field.p} too small for the trace-form radical "
+            f"(total dimension {M.total_dim})"
+        )
+    raise DecompositionInconclusive(
+        "no split found and locality not certified within the trial cap"
+    )
 
 
 def is_indecomposable(M: FDModule) -> bool:

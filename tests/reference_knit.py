@@ -2,7 +2,7 @@
 
 `reference_knit(carrier, dimcap, class_cap)` closes the simples,
 projectives and injectives at the fundamental domain under all six steps of
-`_closure_steps`, on every class, and decomposes every step result before
+`closure_steps`, on every class, and decomposes every step result before
 its summands are matched with the pool, one class test against each class
 in turn.  Tests check `knitting._knit`, which leaves out Ω and Ω⁻ on
 hereditary carriers, τ and τ⁻ on a class that came whole from τ⁻ or τ, and
@@ -12,8 +12,13 @@ class and in order.
 
 from quivercover.covering import canonical_orbit_rep, class_index
 from quivercover.errors import CapExceeded
-from quivercover.knitting import _closure_steps
+from quivercover.knitting import _named_steps
 from quivercover.modules import decompose, injective_at, projective_at, simple_at
+
+
+def closure_steps(M):
+    """All six steps of the closure from M, in order, none skipped."""
+    return (X for _, X in _named_steps(M, ()))
 
 
 def reference_knit(carrier, dimcap=48, class_cap=512) -> tuple:
@@ -44,5 +49,5 @@ def reference_knit(carrier, dimcap=48, class_cap=512) -> tuple:
         build(carrier, x) for build in (simple_at, projective_at, injective_at) for x in domain
     )
     while frontier:
-        frontier = new_classes(X for M in frontier for X in _closure_steps(M))
+        frontier = new_classes(X for M in frontier for X in closure_steps(M))
     return tuple(map(canonical_orbit_rep, classes))

@@ -404,10 +404,10 @@ def test_ext_vanishes_matches_the_former_hom_and_ext_tests(name, request):
 @pytest.mark.parametrize("name", ["n32", "loop2", "ausl2"])
 def test_gorenstein_projectivity_matches_the_former_loop(name, request):
     from quivercover import EndoCarrier, is_gorenstein_projective
-    from quivercover.precluster import _tau_closure_candidate
+    from quivercover.precluster import _translate_closure
 
     # the subcategory ZGpEquivalence checks, as the suite builds it
-    U, _ = _tau_closure_candidate(request.getfixturevalue(name), 1, 32)
+    U, _ = _translate_closure(request.getfixturevalue(name), "both", 1, 32)
     E = EndoCarrier(U)
     projectives = [projective_at(E, j) for j in E.objects]
     for X in list_indecomposables(E, dimcap=12) + [zero_module(E)]:

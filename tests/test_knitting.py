@@ -131,10 +131,16 @@ def test_the_translate_closure_is_kept_per_carrier(kronecker, ka3, monkeypatch):
     stopped = load_presentation(kronecker.to_json_dict())
     for _ in range(2):
         with pytest.raises(CapExceeded):
-            precluster._tau_closure_candidate(stopped, 1, 32, dimcap=12)
+            precluster._translate_closure(stopped, "both", 1, 32, dimcap=12)
     carrier = load_presentation(ka3.to_json_dict())
-    first, closed = precluster._tau_closure_candidate(carrier, 1, 32)
+    first, closed = precluster._translate_closure(carrier, "both", 1, 32)
     first.pop()
-    again, _ = precluster._tau_closure_candidate(carrier, 1, 32)
+    again, _ = precluster._translate_closure(carrier, "both", 1, 32)
     assert closures == [1, 1]
     assert closed and len(again) == len(first) + 1
+    # P_n and I_n are kept apart from it, each built once
+    for _ in range(2):
+        Pn, _ = precluster.compute_Pn(carrier, 1)
+        In, _ = precluster.compute_In(carrier, 1)
+    assert closures == [1, 1, 1, 1]
+    assert Pn is not precluster.compute_Pn(carrier, 1)[0]

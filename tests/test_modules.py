@@ -187,15 +187,57 @@ def test_decompose_certificate(n32):
 
 @pytest.mark.parametrize("name", ["ka2", "n32", "loop2", "ausl2"])
 @pytest.mark.parametrize("build", [simple_at, projective_at], ids=["simple", "projective"])
-def test_semisimple_split_splits_three_copies(name, build, monkeypatch, request):
-    # with no split along an eigenspace, X + X + X is split by idempotents
-    # lifted from End/rad, a matrix algebra over End(X)/rad
+def test_random_endomorphisms_split_three_copies(name, build, monkeypatch, request):
+    # with no split along an eigenspace of a basis element, X + X + X is
+    # split by random endomorphisms: End is a matrix algebra over End(X),
+    # whose End/rad has dimension 9, so a minimal polynomial irreducible of
+    # lower degree certifies nothing
     pres = request.getfixturevalue(name)
     X = build(pres, pres.vertices[0])
-    monkeypatch.setattr(modules, "_primary_split", lambda M, T, end: None)
+    primary_split = modules._primary_split
+
+    def refuse_basis(M, T, end):
+        split, factors = primary_split(M, T, end)
+        return (None if any(T is b for b in end.basis) else split), factors
+
+    monkeypatch.setattr(modules, "_primary_split", refuse_basis)
     parts = decompose(direct_sum([X, X, X])[0])
     assert len(parts) == 1 and parts[0][1] == 3
     assert is_isomorphic(parts[0][0], X)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"kind": "rationals"}, {"kind": "prime", "p": 32003}, {"kind": "prime", "p": 7}],
+    ids=["Q", "F32003", "F7"],
+)
+def test_a_module_whose_endomorphisms_are_a_field_stays_whole(kronecker, field):
+    # a = 1 and b = i on k^2 at both vertices: End(M) = k[i], a field of
+    # degree 2 where -1 is not a square, so no endomorphism splits M, and
+    # locality needs the certificate of a minimal polynomial of degree
+    # dim End(M)/rad
+    K = load_presentation(dict(kronecker.to_json_dict(), field=field))
+    mat = lambda rows: Mat.from_rows(K.field, rows)
+    M = FDModule(K, {"1": 2, "2": 2}, {"a": mat([[1, 0], [0, 1]]), "b": mat([[0, -1], [1, 0]])})
+    validate_module(M)
+    assert hom_dim(M, M) == 2
+    assert decompose(M) == [(M, 1)]
+    parts = decompose(direct_sum([M, M])[0])
+    assert len(parts) == 1 and parts[0][1] == 2
+    assert is_isomorphic(parts[0][0], M)
+
+
+def test_a_local_endomorphism_ring_is_certified_without_a_draw(loop2, monkeypatch):
+    # End(k[x]/(x^2)) is k[x]/(x^2): no basis element splits it, and the
+    # trace form finds End/rad of dimension 1 before any random draw
+    def refuse(self, rng):
+        raise AssertionError("decompose drew a random scalar")
+
+    monkeypatch.setattr(Field, "random_scalar", refuse)
+    P = projective_at(loop2, "v")
+    M = FDModule(loop2, P.dims, P.gen_mats)
+    assert "indec" not in M._cache and hom_dim(M, M) == 2
+    assert decompose(M) == [(M, 1)]
 
 
 def _horner(field, coeffs, T):
@@ -602,13 +644,13 @@ def _injective_by_right_multiplication(carrier, x):
 @pytest.mark.parametrize("name", GOLDENS)
 def test_injectives_match_right_multiplication(name, request):
     from quivercover import EndoCarrier, smash_cover
-    from quivercover.precluster import _tau_closure_candidate
+    from quivercover.precluster import _translate_closure
 
     pres = request.getfixturevalue(name)
     carriers = [pres, smash_cover(pres)]
     for C in list(carriers):
         for n in (1, 2):
-            carriers.append(EndoCarrier(_tau_closure_candidate(C, n, 32)[0]))
+            carriers.append(EndoCarrier(_translate_closure(C, "both", n, 32)[0]))
     for C in carriers:
         for x in C.fundamental_domain():
             I, ref = injective_at(C, x), _injective_by_right_multiplication(C, x)

