@@ -18,12 +18,28 @@ targets.  On a covering carrier the group acts freely, so the
 indecomposables up to twist are those of the base (Gabriel): the pool closes
 twist orbits and keeps one centred representative per orbit.
 
+On a hereditary carrier, one of global dimension at most 1 (certified once
+per carrier from the simples at the fundamental domain; its opposite then
+has it too), the knit takes τ and τ⁻ alone:
+
+- Ω M and Ω⁻ M = D Ω D M strip to zero, since every submodule of a
+  projective is projective.
+- τ and τ⁻ reach every class the other steps would.  Over a hereditary
+  algebra the component of the AR quiver holding the projectives consists
+  of the modules τ⁻ᵏP, and a finite component is the whole AR quiver
+  (Auslander's theorem; Assem–Simson–Skowroński, Elements of the
+  Representation Theory of Associative Algebras 1, Thm IV.5.4 and §VIII.2).
+  So when the τ/τ⁻ closure of the seeds ends, it holds every
+  indecomposable, and the pool is complete.  On a covering carrier
+  push-down commutes with τ and reaches every indecomposable of the base
+  (Gabriel, The universal cover of a representation-finite algebra,
+  LNM 903, 1981), so the same holds up to twist.  A closure that does not
+  end, as on a representation-infinite carrier, still stops at the
+  dimension cap.
+
 The knit computes no step whose result its pool already determines:
 
-- Ω and Ω⁻, when the carrier has global dimension at most 1 (certified
-  once per carrier from the simples at the fundamental domain), and so has
-  its opposite.  There every submodule of a projective is projective, so
-  Ω M and Ω⁻ M = D Ω D M strip to zero.
+- rad, M / soc M, Ω and Ω⁻ on a hereditary carrier, as above.
 - τ on a class that entered the pool as the whole result τ⁻M, and τ⁻ on
   one that entered as the whole result τM: that result is M again, since τ
   and τ⁻ are inverse bijections between the indecomposable non-projectives
@@ -36,7 +52,7 @@ from __future__ import annotations
 import math
 
 from .covering import canonical_orbit_rep, class_index
-from .errors import CapExceeded
+from .errors import CapExceeded, DecompositionInconclusive
 from .homology import proj_dim_upto, syzygy, transpose
 from .modules import (
     FDModule,
@@ -49,6 +65,9 @@ from .modules import (
     simple_at,
     socle_inclusion,
 )
+
+
+_KEPT_ERRORS = (CapExceeded, DecompositionInconclusive)
 
 
 def _dims_key(M: FDModule):
@@ -113,11 +132,13 @@ def close(seeds, steps, rounds=math.inf, dimcap=math.inf, class_cap=math.inf) ->
 def _named_steps(M: FDModule, skip):
     """(name, result) for the modules the closure takes from M, in order:
     rad M, M / soc M, Ω M, Ω⁻ M = D Ω D M, τ M = D Tr M and τ⁻ M = Tr D M,
-    leaving out the translates named in skip.  One D M serves Ω⁻ and τ⁻,
+    leaving out the steps named in skip.  One D M serves Ω⁻ and τ⁻,
     so its cover, kernel and the kernel's cover are built once and dropped
     with the steps; a result over the opposite is dualised."""
-    yield "rad", radical_inclusion(M)[0]
-    yield "top", cokernel_module(socle_inclusion(M)[1])[0]
+    if "rad" not in skip:
+        yield "rad", radical_inclusion(M)[0]
+    if "top" not in skip:
+        yield "top", cokernel_module(socle_inclusion(M)[1])[0]
     DM = None
     # (name, step, applied to D M), in order; built on each call, so that a
     # wrapper bound over `syzygy` or `transpose` in this module, as the
@@ -158,9 +179,9 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
     CapExceeded when a summand met on the way has total dimension above
     dimcap, or when the class count outgrows class_cap: a truncated pool
     would let every check over it pass vacuously.  The carrier keeps
-    one pool per (dimcap, class_cap), or the CapExceeded its knit raised,
-    so each is knitted once; the caller gets a fresh list over the shared
-    modules.
+    one pool per (dimcap, class_cap), or the CapExceeded or
+    DecompositionInconclusive its knit raised, so each is knitted once;
+    the caller gets a fresh list over the shared modules.
     """
     return list(_kept(carrier, "indecomposables", (dimcap, class_cap),
                       lambda: _knit(carrier, dimcap, class_cap)))
@@ -168,16 +189,16 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
 
 def _kept(carrier, table: str, key, build):
     """build(), kept in the carrier's memo table under key, so it runs once
-    per carrier and key; a CapExceeded it raised is kept too, and raised
-    again on every later call."""
+    per carrier and key; a CapExceeded or DecompositionInconclusive it
+    raised is kept too, and raised again on every later call."""
     memo = carrier.memo(table)
     if key not in memo:
         try:
             memo[key] = build()
-        except CapExceeded as exc:
+        except _KEPT_ERRORS as exc:
             memo[key] = exc
     found = memo[key]
-    if isinstance(found, CapExceeded):
+    if isinstance(found, _KEPT_ERRORS):
         raise found.with_traceback(None)
     return found
 
@@ -190,11 +211,12 @@ def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
     modules their steps return."""
     domain = carrier.fundamental_domain()
     seeds = [build(carrier, x) for build in (simple_at, projective_at, injective_at) for x in domain]
-    no_syzygies = {"syzygy", "cosyzygy"} if _hereditary(carrier, seeds[: len(domain)]) else set()
+    hereditary = _hereditary(carrier, seeds[: len(domain)])
+    translates_only = {"rad", "top", "syzygy", "cosyzygy"} if hereditary else set()
     inverse = {"tau": "tau-", "tau-": "tau"}
 
     def steps(M):
-        for name, X in _named_steps(M, no_syzygies | {M._cache.get("knit_skip")}):
+        for name, X in _named_steps(M, translates_only | {M._cache.get("knit_skip")}):
             if name in inverse:
                 # should X become a class whole, its translate back is M
                 X._cache["knit_skip"] = inverse[name]

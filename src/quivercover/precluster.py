@@ -139,8 +139,9 @@ def _translate_closure(carrier, sides: str, n: int, cap: int, dimcap: int = 48) 
     """(a fresh list of its classes, stabilized): the closure of the
     projectives under τ_n⁻ (sides "projective"), of the injectives under
     τ_n ("injective"), or of both under both, τ_n first ("both").  The
-    carrier keeps it, or the CapExceeded it raised, per (sides, n, cap,
-    dimcap), so every claim of a suite shares each closure."""
+    carrier keeps it, or the CapExceeded or DecompositionInconclusive it
+    raised, per (sides, n, cap, dimcap), so every claim of a suite shares
+    each closure."""
 
     def build():
         # looked up on each call, so that the benchmark's tracer, which

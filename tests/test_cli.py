@@ -1067,11 +1067,14 @@ INDECS_LISTING_SHA256 = {
     "n32_z2": "4bbb1a2bf52481b8c428efd9dc228bde7393d48b9d2a6bc20ffe537f91ab453b",
     "sixcycle": "341bc0932fdf6a70878a0457e612679f1ad66267698dbeff8211fdd2db0f9261",
 }
+# the Dynkin listings were re-recorded when the knit of a hereditary carrier
+# came to take τ and τ⁻ alone: the same dimension vectors, one per positive
+# root, met in another order
 DYNKIN_LISTING_SHA256 = {
-    ("E6", "F_32003"): "09992c6e53eb7071b87b3f5a0ded4b27258ca4a0f51bd55a1c17129a66768c72",
-    ("E7", "F_32003"): "8b0fd43477b66e2ca0ddf791cf81be1dce62c69582c82081eba20a556c10e3d8",
-    ("E6", "Q"): "9de79ff19a5cbc913055d6f66044c153ef13a425742010a94ecba447a085fb4f",
-    ("D8", "Q"): "565b8ed429d212e9ecde07a242e06220a442db5208415af3843936cdfb14fc7c",
+    ("E6", "F_32003"): "5984f471ff2797ba6b05ab722135be6520136a238ea57a95a212db79d5d0d469",
+    ("E7", "F_32003"): "aee9a9227c50631d3a9ee06d2c5cadf3de35e020a24241763bf1949b85256c41",
+    ("E6", "Q"): "48120ec67cec80e5853df6d6eca00b18ca3210b0108f0dc44b6a2d32405d628f",
+    ("D8", "Q"): "ac18efe89e4af8b6bf336c1ada9495575ce7dc90f634d4f100c8de3df33dac36",
 }
 
 

@@ -3,16 +3,22 @@
 `knitting._knit` leaves out the steps whose results its pool already
 determines, and drops a result isomorphic to a class before decomposing it;
 `tests/reference_knit.py` does neither.  The two must give the same classes,
-as modules, in the same order, and stop with the same CapExceeded.
+as modules, in the same order, and stop with the same CapExceeded.  On a
+hereditary carrier the knit takes τ and τ⁻ alone and meets the classes in
+another order, so there the two must give the same isomorphism classes,
+one each.
 """
+
+import json
 
 import pytest
 
 from quivercover import load_presentation, smash_cover
+from quivercover.cli import main
 from quivercover.errors import CapExceeded
 from quivercover.knitting import _hereditary, _knit
-from quivercover.modules import simple_at
-from tests.conftest import GOLDENS, auslander_doc
+from quivercover.modules import find_iso, simple_at
+from tests.conftest import GOLDENS, auslander_doc, golden_doc
 from tests.reference_knit import reference_knit
 from tests.test_square import FIELDS, square_doc
 
@@ -23,7 +29,12 @@ DYNKIN = {"E6": (E6, 4), "E7": (E6 + [(6, 7)], 5), "D8": ([(i, i + 1) for i in r
 
 def dynkin_doc(name: str, field: dict) -> dict:
     """The path algebra of the Dynkin quiver, Z-graded with every arrow of weight 1."""
-    edges, nilbound = DYNKIN[name]
+    return path_algebra_doc(*DYNKIN[name], field)
+
+
+def path_algebra_doc(edges, nilbound: int, field: dict) -> dict:
+    """The path algebra of the quiver with these edges, each from its first
+    vertex to its second, Z-graded with every arrow of weight 1."""
     return {
         "field": field,
         "group": {"kind": "free-abelian", "rank": 1},
@@ -40,6 +51,20 @@ def assert_same_pool(carrier):
     assert [(M.dims, M.gen_mats) for M in got] == [(M.dims, M.gen_mats) for M in ref]
 
 
+def assert_same_classes(carrier, dimcap=48):
+    """Each class of the knit is isomorphic to exactly one of the reference
+    knit, and the counts agree.  Both knits centre their classes, so two
+    classes of one twist orbit have one support, and find_iso is exact on
+    indecomposables."""
+    got, ref = _knit(carrier, dimcap, 512), reference_knit(carrier, dimcap)
+    assert all(M.carrier is carrier for M in got)
+    assert len(got) == len(ref)
+    matches = [[j for j, R in enumerate(ref) if find_iso(M, R) is not None] for M in got]
+    assert all(len(js) == 1 for js in matches)
+    assert sorted(js[0] for js in matches) == list(range(len(ref)))
+    return got
+
+
 @pytest.mark.parametrize("cover", [False, True], ids=["base", "cover"])
 @pytest.mark.parametrize("name", GOLDENS)
 def test_knit_matches_the_reference_on_every_golden(name, cover, request):
@@ -50,7 +75,40 @@ def test_knit_matches_the_reference_on_every_golden(name, cover, request):
 @pytest.mark.parametrize("field", sorted(FIELDS))
 @pytest.mark.parametrize("name", sorted(DYNKIN))
 def test_knit_matches_the_reference_on_dynkin_quivers(name, field):
-    assert_same_pool(load_presentation(dynkin_doc(name, FIELDS[field])))
+    # hereditary: the knit takes tau and tau^- alone
+    assert_same_classes(load_presentation(dynkin_doc(name, FIELDS[field])))
+
+
+# (edges, nilbound, classes); None for a representation-infinite quiver,
+# whose knit the dimcap stops.  A_6 and D_n have as many classes as
+# positive roots (Gabriel): 21, n(n - 1).
+KNOWN_ANSWERS = {
+    "A6 linear": ([(i, i + 1) for i in range(1, 6)], 5, 21),
+    "A6 alternating": ([(1, 2), (3, 2), (3, 4), (5, 4), (5, 6)], 1, 21),
+    "D5": ([(1, 2), (2, 3), (3, 4), (3, 5)], 3, 20),
+    "D6": ([(1, 2), (2, 3), (3, 4), (4, 5), (4, 6)], 4, 30),
+    "A3 extended": ([(1, 2), (2, 3), (3, 4), (1, 4)], 3, None),
+    "D4 extended": ([(1, 5), (2, 5), (3, 5), (4, 5)], 1, None),
+}
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["base", "cover"])
+@pytest.mark.parametrize("name", sorted(KNOWN_ANSWERS))
+def test_a_hereditary_knit_finds_every_class_or_stops_at_the_dimcap(name, cover):
+    # the tau/tau^- closure ends exactly on the representation-finite
+    # quivers, and there holds one class per positive root
+    edges, nilbound, classes = KNOWN_ANSWERS[name]
+    pres = load_presentation(path_algebra_doc(edges, nilbound, FIELDS["F_32003"]))
+    carrier = smash_cover(pres) if cover else pres
+    assert _hereditary(carrier, [simple_at(carrier, x) for x in carrier.fundamental_domain()])
+    if classes is not None:
+        assert len(assert_same_classes(carrier, dimcap=24)) == classes
+        return
+    with pytest.raises(CapExceeded) as ref:
+        reference_knit(carrier, dimcap=24)
+    with pytest.raises(CapExceeded) as got:
+        _knit(carrier, 24, 512)
+    assert str(got.value) == str(ref.value) == "an indecomposable of dimension 25 exceeds --dimcap 24"
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -91,7 +149,7 @@ def test_e6_is_hereditary_and_its_knit_takes_no_syzygy(monkeypatch):
 
     e6 = load_presentation(dynkin_doc("E6", FIELDS["F_32003"]))
     assert _hereditary(e6, [simple_at(e6, x) for x in e6.fundamental_domain()])
-    calls = {"syzygy": 0, "transpose": 0}
+    calls = {"radical_inclusion": 0, "socle_inclusion": 0, "syzygy": 0, "transpose": 0}
     for name in calls:
         real = getattr(knitting, name)
 
@@ -102,8 +160,9 @@ def test_e6_is_hereditary_and_its_knit_takes_no_syzygy(monkeypatch):
         monkeypatch.setattr(knitting, name, counting)
     assert len(_knit(e6, 48, 512)) == 36
     # every class took tau and tau^- (72 transposes) before a class that
-    # came whole from one translate skipped the other
-    assert calls == {"syzygy": 0, "transpose": 55}
+    # came whole from one translate skipped the other (55 while the knit
+    # also took rad M and M / soc M)
+    assert calls == {"radical_inclusion": 0, "socle_inclusion": 0, "syzygy": 0, "transpose": 51}
 
 
 def test_a_knit_that_stops_is_kept_with_its_error(kronecker, monkeypatch):
@@ -120,6 +179,24 @@ def test_a_knit_that_stops_is_kept_with_its_error(kronecker, monkeypatch):
         notes.append(str(err.value))
     assert len(knits) == 1
     assert notes == ["an indecomposable of dimension 13 exceeds --dimcap 12"] * 2
+
+
+def test_an_inconclusive_knit_is_kept_with_its_error(capsys, tmp_path, monkeypatch):
+    # over F_2 decompose can neither split nor certify a module of loop2's
+    # knit, so each claim that reads a pool meets the same error; each of
+    # the suite's two pools is knitted once
+    from quivercover import knitting
+
+    knits = []
+    real = knitting._knit
+    monkeypatch.setattr(knitting, "_knit", lambda *args: knits.append(args) or real(*args))
+    doc = dict(golden_doc("loop2"), field={"kind": "prime", "p": 2})
+    path = tmp_path / "loop2.json"
+    path.write_text(json.dumps(doc))
+    assert main(["suite", "--n", "1", "--input", str(path)]) == 3
+    notes = {note for r in json.loads(capsys.readouterr().out) for note in r["notes"]}
+    assert any(note.startswith("DecompositionInconclusive") for note in notes)
+    assert len(knits) == len({(id(carrier), *caps) for carrier, *caps in knits}) == 2
 
 
 def test_the_translate_closure_is_kept_per_carrier(kronecker, ka3, monkeypatch):
