@@ -36,12 +36,12 @@ _EXPORTS = {
             "socle_inclusion", "validate_module", "zero_module",
         ),
         "homology": (
-            "DimBound", "ExtSpace", "Resolution", "dominant_dimension_upto", "ext_dim", "ext_space",
-            "inj_dim_upto", "is_projective_module", "min_proj_resolution", "proj_dim_upto",
-            "syzygy", "tau", "tau_n", "tau_n_minus", "transpose",
+            "DimBound", "Resolution", "dominant_dimension_upto", "ext_dim", "inj_dim_upto",
+            "is_projective_module", "min_proj_resolution", "proj_dim_upto", "syzygy", "tau",
+            "tau_n", "tau_n_minus", "transpose",
         ),
         "covering": (
-            "canonical_orbit_rep", "class_index", "ext_vanishes", "hom_twist_sum", "ext_twist_sum",
+            "canonical_orbit_rep", "class_index", "ext_twist_sum", "ext_vanishes",
             "push_down", "push_down_morphism", "twist_module", "twisted_iso", "verify_ext_iso",
             "verify_indecomposable_preservation", "verify_orbit_bijection",
         ),

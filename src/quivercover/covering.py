@@ -11,7 +11,6 @@ from .modules import (
     FDModule,
     ModMorphism,
     decompose,
-    hom_dim,
     is_indecomposable,
     is_isomorphic,
     twist_candidates,
@@ -138,34 +137,18 @@ def push_down_morphism(f: ModMorphism) -> ModMorphism:
     return ModMorphism(PX, PY, mats)
 
 
-def hom_twist_sum(X: FDModule, Y: FDModule) -> tuple:
-    """(sum over a of dim Hom(X, ^aY), contributing twist list)."""
-    total = 0
-    used = []
-    for a in twist_candidates(X.carrier.group, Y.support, X.support):
-        aY = twist_module(Y, a)
-        d = hom_dim(X, aY)
-        if d:
-            used.append(a)
-        total += d
-    return total, used
-
-
 def ext_twist_sum(X: FDModule, Y: FDModule, i: int) -> tuple:
-    """(sum over a of dim Ext^i(X, ^aY), contributing twist list).
+    """(sum over a of dim Ext^i(X, ^aY), contributing twist list), Ext^0
+    being Hom.
 
-    Twists are cut off by support arithmetic against the first i+2 terms of
-    the minimal resolution of X (morphism spaces out of those terms are the
-    only carriers of Ext classes)."""
-    res = min_proj_resolution(X, i + 1)
-    term_support = set(X.support)
-    for j in range(i + 2):
-        term_support.update(res.term(j).support)
+    Ext^i(X, N) is a subquotient of Hom(P_i, N), the sum of N(x) over the
+    objects x of the summands of P_i, so only the twists that move Y onto
+    one of those objects can contribute."""
     total = 0
     used = []
-    for a in twist_candidates(X.carrier.group, Y.support, term_support):
-        aY = twist_module(Y, a)
-        d = ext_dim(X, aY, i)
+    objects = min_proj_resolution(X, i).vertices(i)
+    for a in twist_candidates(X.carrier.group, Y.support, objects):
+        d = ext_dim(X, twist_module(Y, a), i)
         if d:
             used.append(a)
         total += d
@@ -180,11 +163,7 @@ def ext_vanishes(A: FDModule, B: FDModule, degrees) -> bool:
         return True
     twisted = A.carrier.is_cover
     for i in degrees:
-        if i == 0:
-            d = hom_twist_sum(A, B)[0] if twisted else hom_dim(A, B)
-        else:
-            d = ext_twist_sum(A, B, i)[0] if twisted else ext_dim(A, B, i)
-        if d:
+        if ext_twist_sum(A, B, i)[0] if twisted else ext_dim(A, B, i):
             return False
     return True
 
@@ -229,11 +208,8 @@ def _instance_descriptor(carrier, extra=None) -> dict:
 def verify_ext_iso(X: FDModule, Y: FDModule, i: int) -> VerificationReport:
     """dim Ext^i downstairs between push-downs equals the finite twist sum."""
     cover = X.carrier
-    down = ext_dim(push_down(X), push_down(Y), i) if i else hom_dim(push_down(X), push_down(Y))
-    if i == 0:
-        up, used = hom_twist_sum(X, Y)
-    else:
-        up, used = ext_twist_sum(X, Y, i)
+    down = ext_dim(push_down(X), push_down(Y), i)
+    up, used = ext_twist_sum(X, Y, i)
     group = cover.group
     return VerificationReport(
         claim="DILemma",

@@ -1,4 +1,4 @@
-"""Minimal resolutions, syzygies, transpose, AR translates, Ext spaces,
+"""Minimal resolutions, syzygies, transpose, AR translates, Ext dimensions,
 approximations, and injective/dominant dimension.
 
 Resolutions are cached per module (get-or-compute on the module's private
@@ -9,22 +9,21 @@ marker instead of an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import ShapeMismatch
-from .field import Mat, hstack, kernel_basis, rref
+from .field import Mat, rank
 from .modules import (
     FDModule,
     ModMorphism,
     ProjCover,
-    combine,
     decompose,
     direct_sum,
     dual_module,
     hom_basis,
+    hom_dim,
     injective_at,
     kernel_module,
-    morphism_coords,
     projective_at,
     projective_cover,
     cokernel_module,
@@ -213,36 +212,43 @@ def yoneda_cokernel(carrier, srcs: list, tgts: list, combos: dict) -> FDModule:
     return cokernel_module(ModMorphism(S, T, mats))[0]
 
 
-def transpose(M: FDModule) -> FDModule:
-    """Tr M over the opposite carrier, from a minimal projective presentation."""
-    carrier = M.carrier
-    op = carrier.opposite()
-    if M.is_zero():
-        return zero_module(op)
-    res = min_proj_resolution(M, 1)
-    verts0 = list(res.vertices(0))
-    verts1 = list(res.vertices(1))
-    if not verts1:
-        return zero_module(op)
-    d1 = res.diff(1)
-    offsets0, offsets1 = res.covers[0].offsets, res.covers[1].offsets
-    # Yoneda coefficients of each component P_{b_j} -> P_{a_i}
+def _components(res: Resolution, i: int) -> dict:
+    """The components of d_i: P_i -> P_{i-1} (i >= 1) as Yoneda elements:
+    combos[(k, j)] is the element of C(b_j, a_k) to which the component of
+    summand C(-, b_j) of P_i in summand C(-, a_k) of P_{i-1} sends the
+    identity of b_j, as {label: coefficient} (absent: zero)."""
+    carrier = res.base.carrier
+    d = res.diff(i)
+    offsets_src, offsets_tgt = res.covers[i].offsets, res.covers[i - 1].offsets
+    targets = res.vertices(i - 1)
     combos = {}
-    for j, b in enumerate(verts1):
-        # the column of d1 at b that is the image of the identity path of summand j
+    for j, b in enumerate(res.vertices(i)):
+        # the column of d_i at b that is the image of the identity path of summand j
         labels_bb = carrier.hom_labels(b, b)
         e_idx = labels_bb.index(
             next(lab for lab in labels_bb if not carrier.label_word(b, b, lab))
         )
-        img = d1.vertex(b)[:, [offsets1[j][b] + e_idx]].entries()
-        for i, a in enumerate(verts0):
-            o = offsets0[i].get(b)
+        img = d.vertex(b)[:, [offsets_src[j][b] + e_idx]].entries()
+        for k, a in enumerate(targets):
+            o = offsets_tgt[k].get(b)
             if o is None:
                 continue
             labels = carrier.hom_labels(b, a)
-            # the Yoneda element of C(b, a) is also an element of C^op(a, b)
-            combos[(i, j)] = {lab: c for lab, c in zip(labels, img[o : o + len(labels)]) if c != 0}
-    return yoneda_cokernel(op, verts0, verts1, combos)
+            combos[(k, j)] = {lab: c for lab, c in zip(labels, img[o : o + len(labels)]) if c != 0}
+    return combos
+
+
+def transpose(M: FDModule) -> FDModule:
+    """Tr M over the opposite carrier, from a minimal projective presentation."""
+    op = M.carrier.opposite()
+    if M.is_zero():
+        return zero_module(op)
+    res = min_proj_resolution(M, 1)
+    verts1 = list(res.vertices(1))
+    if not verts1:
+        return zero_module(op)
+    # the Yoneda element of C(b, a) is also an element of C^op(a, b)
+    return yoneda_cokernel(op, list(res.vertices(0)), verts1, _components(res, 1))
 
 
 def tau(M: FDModule) -> FDModule:
@@ -265,59 +271,50 @@ def tau_n_minus(M: FDModule, n: int) -> FDModule:
 
 
 # ---------------------------------------------------------------------------
-# Ext spaces
+# Ext dimensions
 
 
-@dataclass
-class ExtSpace:
-    degree: int
-    dim: int
-    cocycles: list = dc_field(default_factory=list)  # morphisms P_degree -> N
+def _offsets(N: FDModule, objects) -> tuple:
+    """(offsets, total): where N(x) sits in the sum of N over objects."""
+    offsets, total = [], 0
+    for x in objects:
+        offsets.append(total)
+        total += N.dim(x)
+    return offsets, total
 
 
-def _coords_matrix(basis, morphisms) -> Mat:
-    """Columns: coordinates of each morphism in the given hom basis."""
-    field = (basis[0] if basis else morphisms[0]).src.carrier.field
-    cols = []
-    for phi in morphisms:
-        c = morphism_coords(basis, phi)
-        if c is None:
-            raise ShapeMismatch("morphism outside the hom space")
-        cols.append(c if c.cols else Mat.zeros(field, 0, 1))
-    return hstack(cols) if cols else Mat.zeros(field, len(basis), 0)
-
-
-def _hom_complex_ext(res: Resolution, N: FDModule, i: int) -> ExtSpace:
-    """Cohomology at degree i of Hom(P_., N) for the resolution P_. of M."""
-    H = hom_basis(res.term(i), N)
-    if not H:
-        return ExtSpace(i, 0, [])
-    after = hom_basis(res.term(i + 1), N)
-    if after:
-        kern = kernel_basis(_coords_matrix(after, [phi @ res.diff(i + 1) for phi in H]))
-    else:
-        kern = Mat.identity(N.carrier.field, len(H))
-    before = hom_basis(res.term(i - 1), N) if i > 0 else []
-    if before:
-        # representatives: kernel vectors modulo the image
-        delta_prev = _coords_matrix(H, [phi @ res.diff(i) for phi in before])
-        _, pivots = rref(hstack([delta_prev, kern]))
-        kern = kern[:, [p - delta_prev.cols for p in pivots if p >= delta_prev.cols]]
-    cocycles = [combine(H, col) for col in kern.transpose().tolists()]
-    return ExtSpace(i, len(cocycles), cocycles)
-
-
-def ext_space(M: FDModule, N: FDModule, i: int) -> ExtSpace:
-    """Ext^i(M, N) from the minimal projective resolution of M."""
-    if i < 0:
-        raise ShapeMismatch("ext degree must be >= 0")
-    if M.is_zero() or N.is_zero():
-        return ExtSpace(i, 0, [])
-    return _hom_complex_ext(min_proj_resolution(M, i + 1), N, i)
+def _hom_diff_rank(res: Resolution, N: FDModule, i: int) -> int:
+    """The rank of Hom(d_i, N): Hom(P_{i-1}, N) -> Hom(P_i, N) (i >= 1).
+    By Yoneda, Hom(P_i, N) is the sum of N(b) over the objects b of the
+    summands of P_i, and the block of a component of d_i with Yoneda element
+    u in C(b, a) is N(u): N(a) -> N(b)."""
+    src, tgt = res.vertices(i), res.vertices(i - 1)
+    rows, nrows = _offsets(N, src)
+    cols, ncols = _offsets(N, tgt)
+    if not nrows or not ncols:
+        return 0
+    blocks = []
+    for (k, j), combo in _components(res, i).items():
+        b, a = src[j], tgt[k]
+        if combo and N.dim(a) and N.dim(b):
+            terms = [N.act_label(b, a, lab).scale(c) for lab, c in combo.items()]
+            blocks.append((rows[j], cols[k], sum(terms[1:], terms[0])))
+    return rank(Mat.from_blocks(N.carrier.field, nrows, ncols, blocks)) if blocks else 0
 
 
 def ext_dim(M: FDModule, N: FDModule, i: int) -> int:
-    return ext_space(M, N, i).dim
+    """dim Ext^i(M, N): Hom for i = 0; for i >= 1 the cohomology at degree
+    i of Hom(P_., N) over the minimal projective resolution P_. of M,
+    dim Hom(P_i, N) - rank Hom(d_{i+1}, N) - rank Hom(d_i, N)."""
+    if i < 0:
+        raise ShapeMismatch("ext degree must be >= 0")
+    if i == 0:
+        return hom_dim(M, N)
+    if M.is_zero() or N.is_zero():
+        return 0
+    res = min_proj_resolution(M, i + 1)
+    dim = _offsets(N, res.vertices(i))[1]
+    return dim - _hom_diff_rank(res, N, i + 1) - _hom_diff_rank(res, N, i)
 
 
 # ---------------------------------------------------------------------------

@@ -373,15 +373,6 @@ def morphism_coords(basis: list, phi: ModMorphism) -> Mat | None:
     return solve_linear(B, flat(phi))
 
 
-def combine(basis: list, coeffs) -> ModMorphism:
-    """The combination of a nonempty hom basis with these coefficients."""
-    out = None
-    for b, c in zip(basis, coeffs):
-        if c != 0:
-            out = b.scale(c) if out is None else out + b.scale(c)
-    return basis[0].scale(0) if out is None else out
-
-
 # ---------------------------------------------------------------------------
 # kernels, images, cokernels, submodule machinery
 
@@ -947,14 +938,22 @@ _TRIALS = 40
 def decompose(M: FDModule) -> list:
     """Indecomposable summands with multiplicities, certified by explicit isos.
 
-    Returns a list of (indecomposable FDModule, multiplicity).
+    Returns a list of (indecomposable FDModule, multiplicity).  A
+    DecompositionInconclusive is kept on M like a result, and raised again
+    on every later call.
     """
     if M.total_dim == 0:
         return []
-    if "decompose" in M._cache:
-        return M._cache["decompose"]
-    rng = random.Random(M.carrier.seed)
-    pieces = _decompose_rec(M, rng)
+    found = M._cache.get("decompose")
+    if isinstance(found, DecompositionInconclusive):
+        raise found.with_traceback(None)
+    if found is not None:
+        return found
+    try:
+        pieces = _decompose_rec(M, random.Random(M.carrier.seed))
+    except DecompositionInconclusive as exc:
+        M._cache["decompose"] = exc
+        raise
     groups: list = []
     for piece in pieces:
         for entry in groups:

@@ -34,8 +34,8 @@ from .modules import (
 )
 from .covering import (
     class_index,
+    ext_twist_sum,
     ext_vanishes,
-    hom_twist_sum,
     match_pushdowns,
     push_down,
     push_down_morphism,
@@ -534,7 +534,7 @@ def verify_mod_pushdown(U: list, n: int, dimcap: int = 48) -> VerificationReport
     hom_table = []
     for i, A in enumerate(U):
         for j, B in enumerate(U):
-            upsum, _ = hom_twist_sum(A, B)
+            upsum, _ = ext_twist_sum(A, B, 0)
             downdim = hom_dim(push_down(A), push_down(B))
             hom_table.append({"pair": [i, j], "upstairs_sum": upsum, "downstairs": downdim})
             if upsum != downdim:

@@ -11,7 +11,6 @@ from quivercover.homology import syzygy, transpose
 from quivercover.modules import (
     ModMorphism,
     cokernel_module,
-    combine,
     dual_module,
     hom_basis,
     radical_inclusion,
@@ -76,6 +75,15 @@ def tau_minus(M):
 def cosyzygy(M, i=1):
     """The stable i-th cosyzygy (no injective summands): D of the syzygy of D M."""
     return dual_module(syzygy(dual_module(M), i))
+
+
+def combine(basis: list, coeffs):
+    """The combination of a nonempty hom basis with these coefficients."""
+    out = None
+    for b, c in zip(basis, coeffs):
+        if c != 0:
+            out = b.scale(c) if out is None else out + b.scale(c)
+    return basis[0].scale(0) if out is None else out
 
 
 def random_iso(M, N, tries=32):

@@ -30,7 +30,6 @@ from quivercover import (
     ext_twist_sum,
     find_iso,
     hom_dim,
-    hom_twist_sum,
     inj_dim_upto,
     injective_at,
     is_isomorphic,
@@ -105,7 +104,7 @@ def test_acceptance_3_hom_ext_covering_iso(n32_cover, loop2_cover):
                     if i == 0
                     else ext_dim(push_down(X), push_down(Y), i)
                 )
-                up = hom_twist_sum(X, Y)[0] if i == 0 else ext_twist_sum(X, Y, i)[0]
+                up = ext_twist_sum(X, Y, i)[0]
                 pairs_checked += 1
                 if down != up:
                     failures += 1
@@ -116,8 +115,8 @@ def test_acceptance_3_hom_ext_covering_iso(n32_cover, loop2_cover):
             b = (rng.randrange(1, 3),)
             Xb = twist_module(X, b)
             for i in (0, 1):
-                up0 = hom_twist_sum(X, Y)[0] if i == 0 else ext_twist_sum(X, Y, i)[0]
-                up1 = hom_twist_sum(Xb, Y)[0] if i == 0 else ext_twist_sum(Xb, Y, i)[0]
+                up0 = ext_twist_sum(X, Y, i)[0]
+                up1 = ext_twist_sum(Xb, Y, i)[0]
                 down0 = (
                     hom_dim(push_down(X), push_down(Y))
                     if i == 0

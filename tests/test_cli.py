@@ -563,8 +563,10 @@ def test_mod_pushdown_hom_basis_calls_are_window_independent(capsys, monkeypatch
 # with centred classes, so hom bases cached then were hit again by the
 # class tests of `is_generator_cogenerator`.  Lowered from 675 and 207 when
 # P_n and I_n came to be kept on the carrier like the τ_n-closure, so that
-# PnPushdown and SelfinjCriteria share them.
-SUITE_KERNEL_BASIS_CALLS = {"n32": 663, "loop2": 204}
+# PnPushdown and SelfinjCriteria share them.  Lowered from 663 and 204 when
+# Ext came to be read off the resolution by Yoneda, with no hom basis of a
+# resolution term.
+SUITE_KERNEL_BASIS_CALLS = {"n32": 513, "loop2": 161}
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_KERNEL_BASIS_CALLS))
@@ -763,6 +765,28 @@ SUITE_N2_REPORT = {
 def test_n2_suite_reports_unchanged(capsys, name):
     code, out, _ = run(capsys, "suite", "--input", golden(name), "--n", "2")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == SUITE_N2_REPORT[name]
+
+
+# sha256 and exit code of `suite --n 3`, recorded at the commit before Ext
+# was read off the resolution by Yoneda.  At n = 3 the precluster checks test
+# Ext^1 and Ext^2 across every twist; every verdict is pass or
+# not-applicable.
+SUITE_N3_REPORT = {
+    "ausl2": (3, "aa1d4a2323e772693d7eb42f17be796700b0f902122b654d8a9dd6c515513813"),
+    "ka2": (3, "1c99d09c42a76089028e146dc81aa4eddb1213ce104df1aa49e0e051de46e7d8"),
+    "ka3": (3, "989a34fc1279703c14477bd71725a1f401b49e0bd4ccfdedf2c3ca76b345dbf4"),
+    "loop2": (3, "80d89fc002f66733edb8c77a0c866fec4ad27bb5b166c65833a2a35159d03104"),
+    "n32": (3, "4e856802293ad92c46d2cb8d1d481d186c12e06ba7abd4cdf35bfd7b092e4eea"),
+    "n32_z2": (3, "cc3e2305bb70ebb620fe50395fe7423a94d30e810025d35bb6485f5c1cb9ab03"),
+    "sixcycle": (3, "b59765fd198f442cfa892a71beaf6fc7768a384448414661e4ecfb22849419c9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_N3_REPORT))
+def test_n3_suite_reports_unchanged(capsys, name):
+    code, out, _ = run(capsys, "suite", "--input", golden(name), "--n", "3")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SUITE_N3_REPORT[name]
+    assert {r["pass"] for r in json.loads(out)} <= {True, "not-applicable"}
 
 
 # sha256 and exit code of runs the window-free carrier leaves unchanged,
@@ -994,14 +1018,14 @@ def test_indecs_loads_no_precluster_or_tilting_layer(tmp_path):
 # `__init__` imported every layer: each export and each submodule it loaded
 STAR_NAMES = (
     "AmbientNotClusterTilting CapExceeded CoverCarrier DecompositionInconclusive DimBound "
-    "EndoCarrier ExtSpace FDModule Field GradedQuiverPresentation Group HypothesisUnverified "
+    "EndoCarrier FDModule Field GradedQuiverPresentation Group HypothesisUnverified "
     "InhomogeneousRelation Mat ModMorphism NotAdmissible NotFreeAction NotLocallyBounded "
     "PreclusterVerdict QuiverCoverError RelationViolated Resolution SchemaError ShapeMismatch "
     "TiltingGraph VerificationReport canonical_orbit_rep carrier check_nMAG class_index "
     "compute_In compute_Pn compute_Z cover covering decompose direct_sum "
     "dominant_dimension_upto dual_module endo enumerate_support_tilting_pairs errors ext_dim "
-    "ext_space ext_twist_sum ext_vanishes field find_iso groups hom_basis hom_dim "
-    "hom_twist_sum homology inj_dim_upto injective_at is_G_tau_n_rigid "
+    "ext_twist_sum ext_vanishes field find_iso groups hom_basis hom_dim "
+    "homology inj_dim_upto injective_at is_G_tau_n_rigid "
     "is_generator_cogenerator is_gorenstein_projective is_indecomposable is_isomorphic "
     "is_n_cluster_tilting is_n_precluster is_projective_module is_support_tilting_pair "
     "kernel_basis knitting list_indecomposables listing_to_json load_presentation "

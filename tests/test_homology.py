@@ -1,4 +1,4 @@
-"""Resolutions, translates, Ext spaces, approximations, dimensions.
+"""Resolutions, translates, Ext dimensions, approximations, dimensions.
 
 Oracles: hereditary Ext^1 between simples counts arrows (independent of the
 resolution machinery); tau on the self-injective Nakayama algebra permutes
@@ -13,7 +13,6 @@ from quivercover import (
     dominant_dimension_upto,
     dual_module,
     ext_dim,
-    ext_space,
     hom_basis,
     hom_dim,
     inj_dim_upto,
@@ -35,8 +34,9 @@ from quivercover import (
     zero_module,
 )
 from quivercover.field import hstack, rank
-from quivercover.homology import _coords_matrix, _evaluation_map, approximation_objects
+from quivercover.homology import _evaluation_map, approximation_objects
 from tests.conftest import GOLDENS, cosyzygy, summand_morphisms, tau_minus
+from tests.reference_ext import _coords_matrix
 
 
 def check_resolution(res, k):
@@ -227,7 +227,7 @@ def test_ext_degree_zero_is_hom(n32):
     mods = list_indecomposables(n32)
     for M in mods[:4]:
         for N in mods[:4]:
-            assert ext_space(M, N, 0).dim == hom_dim(M, N)
+            assert ext_dim(M, N, 0) == hom_dim(M, N)
 
 
 def test_hereditary_ext_oracle(ka2, ka3, kronecker):

@@ -199,6 +199,24 @@ def test_an_inconclusive_knit_is_kept_with_its_error(capsys, tmp_path, monkeypat
     assert len(knits) == len({(id(carrier), *caps) for carrier, *caps in knits}) == 2
 
 
+def test_an_inconclusive_decomposition_is_kept_on_its_module(capsys, tmp_path, monkeypatch):
+    # the same run fails on two modules: a push-down of U that Main1, Main2
+    # and ModPushdown each decompose, and a module that the knit and the
+    # translate closure meet; each is tried once, where each was tried three
+    # times while decompose kept only its results
+    from quivercover import modules
+
+    splits = []
+    real = modules._find_split
+    monkeypatch.setattr(modules, "_find_split", lambda M, *args: splits.append(M) or real(M, *args))
+    doc = dict(golden_doc("loop2"), field={"kind": "prime", "p": 2})
+    path = tmp_path / "loop2.json"
+    path.write_text(json.dumps(doc))
+    assert main(["suite", "--n", "1", "--input", str(path)]) == 3
+    capsys.readouterr()
+    assert len(splits) == len({id(M) for M in splits}) == 2
+
+
 def test_the_translate_closure_is_kept_per_carrier(kronecker, ka3, monkeypatch):
     from quivercover import precluster
 

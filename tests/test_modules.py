@@ -290,6 +290,23 @@ def test_iso_test_is_inconclusive_where_characteristic_defeats_decomposition():
         is_isomorphic(FDModule(L, P.dims, P.gen_mats), direct_sum([S, S])[0])
 
 
+def test_an_inconclusive_decomposition_is_raised_again_without_a_second_search(monkeypatch):
+    doc = golden_doc("loop2")
+    doc["field"] = {"kind": "prime", "p": 2}
+    L = load_presentation(doc)
+    P = projective_at(L, "v")
+    M = FDModule(L, P.dims, P.gen_mats)
+    splits = []
+    real = modules._find_split
+    monkeypatch.setattr(modules, "_find_split", lambda *args: splits.append(1) or real(*args))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(DecompositionInconclusive) as info:
+            decompose(M)
+        errors.append(info.value)
+    assert splits == [1] and errors[0] is errors[1]
+
+
 @pytest.mark.parametrize("name,upstairs", [(name, False) for name in GOLDENS] + [("n32", True), ("loop2", True)])
 def test_find_iso_is_exact_on_the_pools(name, upstairs, request):
     # each class is indecomposable, so a basis scan finds an iso exactly

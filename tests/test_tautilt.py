@@ -10,9 +10,9 @@ from quivercover import (
     decompose,
     direct_sum,
     enumerate_support_tilting_pairs,
+    ext_twist_sum,
     ext_vanishes,
     hom_dim,
-    hom_twist_sum,
     is_G_tau_n_rigid,
     is_isomorphic,
     is_n_cluster_tilting,
@@ -190,7 +190,7 @@ def _hom_vanishes(A, B):
     if A.is_zero() or B.is_zero():
         return True
     if A.carrier.is_cover:
-        return hom_twist_sum(A, B)[0] == 0
+        return ext_twist_sum(A, B, 0)[0] == 0
     return hom_dim(A, B) == 0
 
 
