@@ -71,7 +71,8 @@ class DimBound:
 class Resolution:
     """The minimal projective resolution of a module, memoised on it and
     extended on demand: stage i is the i-th kernel (stage 0 is the module),
-    term i its projective cover P_i, and diff i the differential."""
+    covers[i] its projective cover P_i -> stage i, and diff i the
+    differential."""
 
     def __init__(self, M: FDModule):
         self.base = M
@@ -98,11 +99,6 @@ class Resolution:
             return self.base
         self.extend_to(i - 1)
         return self.kernels[i - 1]
-
-    def term(self, i: int) -> FDModule:
-        """P_i."""
-        self.extend_to(i)
-        return self.covers[i].module
 
     def vertices(self, i: int) -> tuple:
         """The objects x of the summands C(-, x) of P_i, in order."""

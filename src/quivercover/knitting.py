@@ -11,40 +11,29 @@ vector (up to twist on a covering carrier), and `class_index` against an
 indecomposable class is exact.
 
 The knit starts from the simples, projectives and injectives at the
-fundamental domain and closes them under radicals, socle quotients,
-syzygies, cosyzygies and the AR translates, until no new isomorphism class
-appears.  Complete for the representation-finite carriers this toolkit
-targets.  On a covering carrier the group acts freely, so the
-indecomposables up to twist are those of the base (Gabriel): the pool closes
-twist orbits and keeps one centred representative per orbit.
+fundamental domain and closes them under one list of steps until no new
+isomorphism class appears.  On a covering carrier the group acts freely, so
+the indecomposables up to twist are those of the base (Gabriel): the pool
+closes twist orbits and keeps one centred representative per orbit.  The
+list depends on the carrier alone:
 
-On a hereditary carrier, one of global dimension at most 1 (certified once
-per carrier from the simples at the fundamental domain; its opposite then
-has it too), the knit takes τ and τ⁻ alone:
-
-- Ω M and Ω⁻ M = D Ω D M strip to zero, since every submodule of a
-  projective is projective.
-- τ and τ⁻ reach every class the other steps would.  Over a hereditary
+- On a hereditary carrier, one of global dimension at most 1 (certified
+  once per carrier from the simples at the fundamental domain; its
+  opposite then has it too), the knit takes τ⁻ alone.  Over a hereditary
   algebra the component of the AR quiver holding the projectives consists
   of the modules τ⁻ᵏP, and a finite component is the whole AR quiver
   (Auslander's theorem; Assem–Simson–Skowroński, Elements of the
   Representation Theory of Associative Algebras 1, Thm IV.5.4 and §VIII.2).
-  So when the τ/τ⁻ closure of the seeds ends, it holds every
-  indecomposable, and the pool is complete.  On a covering carrier
-  push-down commutes with τ and reaches every indecomposable of the base
-  (Gabriel, The universal cover of a representation-finite algebra,
-  LNM 903, 1981), so the same holds up to twist.  A closure that does not
-  end, as on a representation-infinite carrier, still stops at the
-  dimension cap.
-
-The knit computes no step whose result its pool already determines:
-
-- rad, M / soc M, Ω and Ω⁻ on a hereditary carrier, as above.
-- τ on a class that entered the pool as the whole result τ⁻M, and τ⁻ on
-  one that entered as the whole result τM: that result is M again, since τ
-  and τ⁻ are inverse bijections between the indecomposable non-projectives
-  and the non-injectives (Auslander–Reiten–Smalø, Representation Theory of
-  Artin Algebras, IV.1.9).
+  The seeds hold every projective, so when their τ⁻-closure ends it holds
+  the preprojective component, which is then finite, and so every
+  indecomposable: the pool is complete.  On a covering carrier push-down
+  commutes with τ⁻ and reaches every indecomposable of the base (Gabriel,
+  The universal cover of a representation-finite algebra, LNM 903, 1981),
+  so the same holds up to twist.  A closure that does not end, as on a
+  representation-infinite carrier, still stops at the dimension cap.
+- On any other carrier, the knit takes radicals, socle quotients, syzygies,
+  cosyzygies and both AR translates of every class.  Complete for the
+  representation-finite carriers this toolkit targets.
 """
 
 from __future__ import annotations
@@ -129,33 +118,23 @@ def close(seeds, steps, rounds=math.inf, dimcap=math.inf, class_cap=math.inf) ->
     return classes, not frontier
 
 
-def _named_steps(M: FDModule, skip):
-    """(name, result) for the modules the closure takes from M, in order:
-    rad M, M / soc M, Ω M, Ω⁻ M = D Ω D M, τ M = D Tr M and τ⁻ M = Tr D M,
-    leaving out the steps named in skip.  One D M serves Ω⁻ and τ⁻,
-    so its cover, kernel and the kernel's cover are built once and dropped
-    with the steps; a result over the opposite is dualised."""
-    if "rad" not in skip:
-        yield "rad", radical_inclusion(M)[0]
-    if "top" not in skip:
-        yield "top", cokernel_module(socle_inclusion(M)[1])[0]
-    DM = None
-    # (name, step, applied to D M), in order; built on each call, so that a
-    # wrapper bound over `syzygy` or `transpose` in this module, as the
-    # benchmark's tracer binds one, is the function called
-    translates = (
-        ("syzygy", syzygy, False),
-        ("cosyzygy", syzygy, True),
-        ("tau", transpose, False),
-        ("tau-", transpose, True),
-    )
-    for name, step, on_dual in translates:
-        if name in skip:
-            continue
-        if on_dual and DM is None:
-            DM = dual_module(M)
-        result = step(DM if on_dual else M)
-        yield name, result if result.carrier is M.carrier else dual_module(result)
+def _steps(M: FDModule):
+    """The modules the closure takes from M, in order: rad M, M / soc M,
+    Ω M, Ω⁻ M = D Ω D M, τ M = D Tr M and τ⁻ M = Tr D M.  One D M serves
+    Ω⁻ and τ⁻, so its cover, kernel and the kernel's cover are built once
+    and dropped with the steps; a result over the opposite is dualised."""
+    yield radical_inclusion(M)[0]
+    yield cokernel_module(socle_inclusion(M)[1])[0]
+    yield syzygy(M)
+    DM = dual_module(M)
+    yield dual_module(syzygy(DM))
+    yield dual_module(transpose(M))
+    yield transpose(DM)
+
+
+def _tau_minus(M: FDModule):
+    """τ⁻ M = Tr D M, the one step of the knit on a hereditary carrier."""
+    yield transpose(dual_module(M))
 
 
 def _hereditary(carrier, simples) -> bool:
@@ -205,22 +184,12 @@ def _kept(carrier, table: str, key, build):
 
 def _knit(carrier, dimcap: int, class_cap: int) -> tuple:
     """The closure of the simples, projectives and injectives at the
-    fundamental domain under `_named_steps`, less the steps the module
-    docstring shows redundant, each class centred after the closure ends.
+    fundamental domain under `_tau_minus` on a hereditary carrier and under
+    `_steps` on any other, each class centred after the closure ends.
     `close` itself never centres, so the translate closures keep the
     modules their steps return."""
     domain = carrier.fundamental_domain()
     seeds = [build(carrier, x) for build in (simple_at, projective_at, injective_at) for x in domain]
-    hereditary = _hereditary(carrier, seeds[: len(domain)])
-    translates_only = {"rad", "top", "syzygy", "cosyzygy"} if hereditary else set()
-    inverse = {"tau": "tau-", "tau-": "tau"}
-
-    def steps(M):
-        for name, X in _named_steps(M, translates_only | {M._cache.get("knit_skip")}):
-            if name in inverse:
-                # should X become a class whole, its translate back is M
-                X._cache["knit_skip"] = inverse[name]
-            yield X
-
+    steps = _tau_minus if _hereditary(carrier, seeds[: len(domain)]) else _steps
     classes, _ = close(seeds, steps, dimcap=dimcap, class_cap=class_cap)
     return tuple(map(canonical_orbit_rep, classes))

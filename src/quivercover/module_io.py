@@ -25,7 +25,7 @@ def _shift_from_str(group, text: str):
     """The shift a key spells, checked against the group by the carrier."""
     try:
         if group.kind == "cyclic":
-            return int(text) % group.order
+            return int(text)
         return tuple(int(c) for c in text.split(",")) if text else ()
     except ValueError:
         raise SchemaError(f"bad shift {text!r}") from None
@@ -93,7 +93,9 @@ def module_from_json(carrier, doc: dict) -> FDModule:
     dims = {}
     for key, d in doc["dims"].items():
         x = _object_from_key(keyed, key)
-        if not carrier.has_object(x):
+        # a key names its object only as module_to_json spells it, so no
+        # two keys name one object
+        if not carrier.has_object(x) or _object_key(keyed, x) != key:
             raise SchemaError(f"unknown object {key!r}")
         if not _is_integer(d) or d < 0:
             raise SchemaError(f"bad dimension {d!r} at {key!r}")
@@ -101,7 +103,7 @@ def module_from_json(carrier, doc: dict) -> FDModule:
     mats = {}
     for key, rows in doc.get("arrowmaps", {}).items():
         g = _gen_from_key(keyed, key)
-        if not carrier.has_generator(g):
+        if not carrier.has_generator(g) or _gen_key(keyed, g) != key:
             raise SchemaError(f"unknown arrow {key!r}")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise SchemaError(f"map {key!r} must be a list of rows")

@@ -72,6 +72,12 @@ def tau_minus(M):
     return transpose(dual_module(M))
 
 
+def resolution_term(res, i):
+    """P_i, the i-th term of a projective resolution."""
+    res.extend_to(i)
+    return res.covers[i].module
+
+
 def cosyzygy(M, i=1):
     """The stable i-th cosyzygy (no injective summands): D of the syzygy of D M."""
     return dual_module(syzygy(dual_module(M), i))

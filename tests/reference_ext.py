@@ -17,7 +17,7 @@ from quivercover.errors import ShapeMismatch
 from quivercover.field import Mat, hstack, kernel_basis, rref
 from quivercover.homology import Resolution, min_proj_resolution
 from quivercover.modules import FDModule, hom_basis, hom_dim, morphism_coords, twist_candidates
-from tests.conftest import combine
+from tests.conftest import combine, resolution_term
 
 
 @dataclass
@@ -41,15 +41,15 @@ def _coords_matrix(basis, morphisms) -> Mat:
 
 def _hom_complex_ext(res: Resolution, N: FDModule, i: int) -> ExtSpace:
     """Cohomology at degree i of Hom(P_., N) for the resolution P_. of M."""
-    H = hom_basis(res.term(i), N)
+    H = hom_basis(resolution_term(res, i), N)
     if not H:
         return ExtSpace(i, 0, [])
-    after = hom_basis(res.term(i + 1), N)
+    after = hom_basis(resolution_term(res, i + 1), N)
     if after:
         kern = kernel_basis(_coords_matrix(after, [phi @ res.diff(i + 1) for phi in H]))
     else:
         kern = Mat.identity(N.carrier.field, len(H))
-    before = hom_basis(res.term(i - 1), N) if i > 0 else []
+    before = hom_basis(resolution_term(res, i - 1), N) if i > 0 else []
     if before:
         # representatives: kernel vectors modulo the image
         delta_prev = _coords_matrix(H, [phi @ res.diff(i) for phi in before])
@@ -94,7 +94,7 @@ def ext_twist_sum(X: FDModule, Y: FDModule, i: int) -> tuple:
     res = min_proj_resolution(X, i + 1)
     term_support = set(X.support)
     for j in range(i + 2):
-        term_support.update(res.term(j).support)
+        term_support.update(resolution_term(res, j).support)
     total = 0
     used = []
     for a in twist_candidates(X.carrier.group, Y.support, term_support):

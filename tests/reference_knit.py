@@ -1,24 +1,24 @@
-"""Reference: the knit before it skipped the steps its pool determines.
+"""Reference: the six-step knit on every carrier, matching each summand
+against the pool one class at a time.
 
 `reference_knit(carrier, dimcap, class_cap)` closes the simples,
 projectives and injectives at the fundamental domain under all six steps of
-`closure_steps`, on every class, and decomposes every step result before
-its summands are matched with the pool, one class test against each class
-in turn.  Tests check `knitting._knit`, which leaves out Ω and Ω⁻ on
-hereditary carriers, τ and τ⁻ on a class that came whole from τ⁻ or τ, and
-the decomposition of a result isomorphic to a class, against it class by
-class and in order.
+`closure_steps`, on every class, hereditary or not, and decomposes every
+step result before its summands are matched with the pool, one class test
+against each class in turn.  Tests check `knitting._knit`, which takes τ⁻
+alone on a hereditary carrier and drops a result isomorphic to a class
+before decomposing it, against it: class by class and in order on a
+carrier with relations, class for class in any order on a hereditary one.
 """
 
 from quivercover.covering import canonical_orbit_rep, class_index
 from quivercover.errors import CapExceeded
-from quivercover.knitting import _named_steps
+from quivercover.knitting import _steps
 from quivercover.modules import decompose, injective_at, projective_at, simple_at
 
 
-def closure_steps(M):
-    """All six steps of the closure from M, in order, none skipped."""
-    return (X for _, X in _named_steps(M, ()))
+# all six steps of the closure from M, in order
+closure_steps = _steps
 
 
 def reference_knit(carrier, dimcap=48, class_cap=512) -> tuple:

@@ -367,6 +367,32 @@ def test_pushdown_rejects_bad_module_literals(tmp_path, capsys, module):
     assert err.startswith("SchemaError: ")
 
 
+@pytest.mark.parametrize(
+    "name, module, message",
+    [
+        # c1@2 is c1@0 over Z/2, and would overwrite its map
+        ("n32_z2", {"dims": {"u1@0": 1, "u2@0": 1}, "arrowmaps": {"c1@0": [[1]], "c1@2": [[0]]}},
+         "unknown arrow 'c1@2'"),
+        # u1@3 is u1@1 over Z/2, and would overwrite its dimension
+        ("n32_z2", {"dims": {"u1@1": 1, "u1@3": 2}}, "unknown object 'u1@3'"),
+        ("n32_z2", {"dims": {"u1@01": 1}}, "unknown object 'u1@01'"),
+        ("n32_z2", {"dims": {"u1@+1": 1}}, "unknown object 'u1@+1'"),
+        ("n32", {"dims": {"1@01": 1}}, "unknown object '1@01'"),
+        ("n32", {"dims": {"1@ 1": 1}}, "unknown object '1@ 1'"),
+    ],
+    ids=["cyclic-arrow-mod-m", "cyclic-object-mod-m", "cyclic-leading-zero", "cyclic-plus-sign",
+         "free-abelian-leading-zero", "free-abelian-space"],
+)
+def test_pushdown_refuses_a_key_it_would_not_write(tmp_path, capsys, name, module, message):
+    # a key that names an object or arrow another key can name too is
+    # refused, so no entry silently wins over another
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(module))
+    code, _, err = run(capsys, "pushdown", "--input", golden(name), "--module", str(path))
+    assert code == 2
+    assert err.startswith(f"SchemaError: {message}")
+
+
 def test_pushdown_accepts_empty_maps_at_zero_endpoints(tmp_path, capsys):
     # the maps of a1@0 (1 x 0) and a2@0 (0 x 0) spelled out as empty rows
     module = {"dims": {"1@0": 1}, "arrowmaps": {"a1@0": [[]], "a2@0": []}}
@@ -1092,13 +1118,13 @@ INDECS_LISTING_SHA256 = {
     "sixcycle": "341bc0932fdf6a70878a0457e612679f1ad66267698dbeff8211fdd2db0f9261",
 }
 # the Dynkin listings were re-recorded when the knit of a hereditary carrier
-# came to take τ and τ⁻ alone: the same dimension vectors, one per positive
-# root, met in another order
+# came to take τ and τ⁻ alone, and again when it came to take τ⁻ alone: the
+# same dimension vectors, one per positive root, met in another order
 DYNKIN_LISTING_SHA256 = {
-    ("E6", "F_32003"): "5984f471ff2797ba6b05ab722135be6520136a238ea57a95a212db79d5d0d469",
-    ("E7", "F_32003"): "aee9a9227c50631d3a9ee06d2c5cadf3de35e020a24241763bf1949b85256c41",
-    ("E6", "Q"): "48120ec67cec80e5853df6d6eca00b18ca3210b0108f0dc44b6a2d32405d628f",
-    ("D8", "Q"): "ac18efe89e4af8b6bf336c1ada9495575ce7dc90f634d4f100c8de3df33dac36",
+    ("E6", "F_32003"): "765a5967274c279944f6478ecdf6288c33a83c1f98133a21d8c9b7fb2fba8fee",
+    ("E7", "F_32003"): "f6b379341bac6bb31ec6315ce03b3b8ec083414934a6ae90a228d9a1b0ae0fe8",
+    ("E6", "Q"): "c1c09ac60c45d6ae10c916c0d3fa7e895fe98acb23fc98db8d841583fb260c37",
+    ("D8", "Q"): "36849ee27f84ffeace9f92d6cd4a383e7cd04d8b20fc85c19ef3f5f169290b51",
 }
 
 

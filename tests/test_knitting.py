@@ -1,24 +1,31 @@
-"""The knit against the reference knit that takes every step.
+"""The knit against the reference knit that takes every step, and the
+hereditary knit against the positive roots and the Coxeter matrix.
 
-`knitting._knit` leaves out the steps whose results its pool already
-determines, and drops a result isomorphic to a class before decomposing it;
-`tests/reference_knit.py` does neither.  The two must give the same classes,
-as modules, in the same order, and stop with the same CapExceeded.  On a
-hereditary carrier the knit takes τ and τ⁻ alone and meets the classes in
-another order, so there the two must give the same isomorphism classes,
-one each.
+On a carrier with relations `knitting._knit` takes the six steps of
+`tests/reference_knit.py` and drops a result isomorphic to a class before
+decomposing it; the reference decomposes every result.  The two must give
+the same classes, as modules, in the same order, and stop with the same
+CapExceeded.  On a hereditary carrier the knit takes τ⁻ alone and meets the
+classes in another order, so there the two must give the same isomorphism
+classes, one each, and the knit is checked against oracles that need no
+knit: one class per positive root (Gabriel), and dim τM = dim M·Φ for the
+Coxeter matrix Φ of the Cartan matrix.
 """
 
 import json
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from bench.checks import positive_roots
 from quivercover import load_presentation, smash_cover
 from quivercover.cli import main
 from quivercover.errors import CapExceeded
+from quivercover.homology import is_projective_module, tau
 from quivercover.knitting import _hereditary, _knit
-from quivercover.modules import find_iso, simple_at
-from tests.conftest import GOLDENS, auslander_doc, golden_doc
+from quivercover.modules import dual_module, find_iso, simple_at
+from tests.conftest import GOLDENS, auslander_doc, golden_doc, tau_minus
 from tests.reference_knit import reference_knit
 from tests.test_square import FIELDS, square_doc
 
@@ -75,7 +82,7 @@ def test_knit_matches_the_reference_on_every_golden(name, cover, request):
 @pytest.mark.parametrize("field", sorted(FIELDS))
 @pytest.mark.parametrize("name", sorted(DYNKIN))
 def test_knit_matches_the_reference_on_dynkin_quivers(name, field):
-    # hereditary: the knit takes tau and tau^- alone
+    # hereditary: the knit takes tau^- alone
     assert_same_classes(load_presentation(dynkin_doc(name, FIELDS[field])))
 
 
@@ -92,11 +99,20 @@ KNOWN_ANSWERS = {
 }
 
 
+# the message of the knit's CapExceeded at dimcap 24 on a
+# representation-infinite quiver; the six-step reference meets dimension 25
+# first on both
+STOPPED_AT = {
+    "A3 extended": "an indecomposable of dimension 25 exceeds --dimcap 24",
+    "D4 extended": "an indecomposable of dimension 29 exceeds --dimcap 24",
+}
+
+
 @pytest.mark.parametrize("cover", [False, True], ids=["base", "cover"])
 @pytest.mark.parametrize("name", sorted(KNOWN_ANSWERS))
 def test_a_hereditary_knit_finds_every_class_or_stops_at_the_dimcap(name, cover):
-    # the tau/tau^- closure ends exactly on the representation-finite
-    # quivers, and there holds one class per positive root
+    # the tau^- closure ends exactly on the representation-finite quivers,
+    # and there holds one class per positive root
     edges, nilbound, classes = KNOWN_ANSWERS[name]
     pres = load_presentation(path_algebra_doc(edges, nilbound, FIELDS["F_32003"]))
     carrier = smash_cover(pres) if cover else pres
@@ -108,7 +124,87 @@ def test_a_hereditary_knit_finds_every_class_or_stops_at_the_dimcap(name, cover)
         reference_knit(carrier, dimcap=24)
     with pytest.raises(CapExceeded) as got:
         _knit(carrier, 24, 512)
-    assert str(got.value) == str(ref.value) == "an indecomposable of dimension 25 exceeds --dimcap 24"
+    assert str(ref.value) == "an indecomposable of dimension 25 exceeds --dimcap 24"
+    assert str(got.value) == STOPPED_AT[name]
+
+
+# (edges, nilbound) of the representation-finite hereditary test inputs
+HEREDITARY = {
+    "ka2": ([(1, 2)], 1),
+    "ka3": ([(1, 2), (2, 3)], 2),
+    **{name: KNOWN_ANSWERS[name][:2] for name in ("A6 linear", "A6 alternating", "D5", "D6")},
+    **DYNKIN,
+}
+
+
+def _inverse(A: list) -> list:
+    """The inverse of an invertible square matrix of Fractions, by
+    Gauss-Jordan elimination."""
+    n = len(A)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _product(A: list, B: list) -> list:
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def coxeter_matrices(pres, n: int) -> tuple:
+    """(Φ, Φ⁻¹) for the Cartan matrix C[x][y] = dim C(y, x) on vertices
+    1..n: Φ = -C⁻¹Cᵀ, so dim τM = dim M·Φ for M indecomposable and not
+    projective, as row vectors."""
+    C = [[Fraction(pres.hom_dim(str(y), str(x))) for y in range(1, n + 1)] for x in range(1, n + 1)]
+    Ct = [list(col) for col in zip(*C)]
+    Ci, Cti = _inverse(C), _inverse(Ct)
+    phi = [[-x for x in row] for row in _product(Ci, Ct)]
+    phi_inv = [[-x for x in row] for row in _product(Cti, C)]
+    return phi, phi_inv
+
+
+def pushed_down_dims(M, n: int) -> tuple:
+    """dim M on vertices 1..n, summed over the shifts on a covering carrier."""
+    dims = Counter()
+    for x, d in M.dims.items():
+        dims[x[0] if M.carrier.is_cover else x] += d
+    return tuple(dims[str(v)] for v in range(1, n + 1))
+
+
+@pytest.mark.parametrize("cover", [False, True], ids=["base", "cover"])
+@pytest.mark.parametrize("name", sorted(HEREDITARY))
+def test_a_hereditary_knit_meets_the_positive_roots_and_the_coxeter_matrix(name, cover, monkeypatch):
+    from quivercover import knitting
+
+    edges, nilbound = HEREDITARY[name]
+    n = max(max(edge) for edge in edges)
+    pres = load_presentation(path_algebra_doc(edges, nilbound, FIELDS["F_32003"]))
+    carrier = smash_cover(pres) if cover else pres
+    calls = Counter()
+    for step in ("radical_inclusion", "socle_inclusion", "syzygy", "transpose"):
+        real = getattr(knitting, step)
+        monkeypatch.setattr(knitting, step, lambda M, real=real, step=step: calls.update([step]) or real(M))
+    classes = _knit(carrier, 48, 512)
+    monkeypatch.undo()
+    # one transpose per class, tau^- of it, and no other step
+    assert calls == {"transpose": len(classes)}
+    vectors = [pushed_down_dims(M, n) for M in classes]
+    assert sorted(vectors) == sorted(positive_roots(edges, n))
+    phi, phi_inv = coxeter_matrices(pres, n)
+    for M, dim in zip(classes, vectors):
+        if is_projective_module(M):
+            assert tau(M).is_zero()
+        else:
+            assert pushed_down_dims(tau(M), n) == tuple(_product([dim], phi)[0])
+        if is_projective_module(dual_module(M)):
+            assert tau_minus(M).is_zero()
+        else:
+            assert pushed_down_dims(tau_minus(M), n) == tuple(_product([dim], phi_inv)[0])
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -159,10 +255,10 @@ def test_e6_is_hereditary_and_its_knit_takes_no_syzygy(monkeypatch):
 
         monkeypatch.setattr(knitting, name, counting)
     assert len(_knit(e6, 48, 512)) == 36
-    # every class took tau and tau^- (72 transposes) before a class that
-    # came whole from one translate skipped the other (55 while the knit
-    # also took rad M and M / soc M)
-    assert calls == {"radical_inclusion": 0, "socle_inclusion": 0, "syzygy": 0, "transpose": 51}
+    # one transpose per class, tau^- of it; 51 while the knit also took tau
+    # and skipped the translate back to a class that came whole from the
+    # other, 55 while it also took rad M and M / soc M
+    assert calls == {"radical_inclusion": 0, "socle_inclusion": 0, "syzygy": 0, "transpose": 36}
 
 
 def test_a_knit_that_stops_is_kept_with_its_error(kronecker, monkeypatch):
