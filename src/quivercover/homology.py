@@ -26,6 +26,7 @@ from .modules import (
     kernel_module,
     projective_at,
     projective_cover,
+    projective_sum,
     cokernel_module,
     twist_candidates,
     zero_module,
@@ -72,7 +73,8 @@ class Resolution:
     """The minimal projective resolution of a module, memoised on it and
     extended on demand: stage i is the i-th kernel (stage 0 is the module),
     covers[i] its projective cover P_i -> stage i, and diff i the
-    differential."""
+    differential.  A kernel is built only when its stage is asked for, so a
+    presentation P_1 -> P_0 -> M builds no second syzygy."""
 
     def __init__(self, M: FDModule):
         self.base = M
@@ -81,24 +83,22 @@ class Resolution:
         self.inclusions: list[ModMorphism] = []
 
     def extend_to(self, k: int):
+        """Build the covers of the stages up to k."""
         while len(self.covers) <= k:
-            current = self.stage(len(self.covers))
-            cov = projective_cover(current)
-            self.covers.append(cov)
-            if current.is_zero():
-                self.kernels.append(current)
-                self.inclusions.append(zero_morphism(current, current))
-                continue
-            K, incl = kernel_module(cov.epi)
-            self.kernels.append(K)
-            self.inclusions.append(incl)
+            self.covers.append(projective_cover(self.stage(len(self.covers))))
 
     def stage(self, i: int) -> FDModule:
         """The i-th syzygy-with-projective-summands (stage 0 is M itself)."""
-        if i == 0:
-            return self.base
-        self.extend_to(i - 1)
-        return self.kernels[i - 1]
+        while len(self.kernels) < i:
+            self.extend_to(len(self.kernels))
+            epi = self.covers[len(self.kernels)].epi
+            if epi.tgt.is_zero():
+                K, incl = epi.tgt, zero_morphism(epi.tgt, epi.tgt)
+            else:
+                K, incl = kernel_module(epi)
+            self.kernels.append(K)
+            self.inclusions.append(incl)
+        return self.kernels[i - 1] if i else self.base
 
     def vertices(self, i: int) -> tuple:
         """The objects x of the summands C(-, x) of P_i, in order."""
@@ -180,13 +180,15 @@ def yoneda_cokernel(carrier, srcs: list, tgts: list, combos: dict) -> FDModule:
     the sum of those at tgts whose (i, j) component is given by the Yoneda
     element combos[(i, j)] of C(srcs[i], tgts[j]) (absent or empty: zero).
     At y that component, q -> q followed by the element, is the block at the
-    offsets of its two summands."""
+    offsets of its two summands.  With no srcs the cokernel is the sum at
+    tgts itself, which projective_sum shares, so a caller must not change
+    it."""
     if not tgts:
         return zero_module(carrier)
-    T, t_offsets = direct_sum([projective_at(carrier, b) for b in tgts])
+    T, t_offsets = projective_sum(carrier, tuple(tgts))
     if not srcs:
         return T
-    S, s_offsets = direct_sum([projective_at(carrier, a) for a in srcs])
+    S, s_offsets = projective_sum(carrier, tuple(srcs))
     field = carrier.field
     placed = {}
     for (i, j), combo in combos.items():
@@ -235,7 +237,12 @@ def _components(res: Resolution, i: int) -> dict:
 
 
 def transpose(M: FDModule) -> FDModule:
-    """Tr M over the opposite carrier, from a minimal projective presentation."""
+    """Tr M over the opposite carrier, from a minimal projective presentation.
+
+    Tr is a bijection from the indecomposable non-projectives to those over
+    the opposite, and kills the projectives (Auslander–Reiten–Smalø,
+    Representation Theory of Artin Algebras, §IV.1), so a nonzero Tr M of a
+    module marked indecomposable is marked too."""
     op = M.carrier.opposite()
     if M.is_zero():
         return zero_module(op)
@@ -244,7 +251,10 @@ def transpose(M: FDModule) -> FDModule:
     if not verts1:
         return zero_module(op)
     # the Yoneda element of C(b, a) is also an element of C^op(a, b)
-    return yoneda_cokernel(op, list(res.vertices(0)), verts1, _components(res, 1))
+    out = yoneda_cokernel(op, list(res.vertices(0)), verts1, _components(res, 1))
+    if M._cache.get("indec") and not out.is_zero():
+        out._cache["indec"] = True
+    return out
 
 
 def tau(M: FDModule) -> FDModule:

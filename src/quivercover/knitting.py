@@ -10,6 +10,18 @@ is dropped before it is decomposed: the classes are indexed by dimension
 vector (up to twist on a covering carrier), and `class_index` against an
 indecomposable class is exact.
 
+A translate of a class is taken whole, as one class, without building its
+endomorphism algebra.  Tr is a bijection from the indecomposable
+non-projectives over C to those over C^op, and kills the projectives
+(Auslander–Reiten–Smalø, Representation Theory of Artin Algebras, §IV.1;
+Assem–Simson–Skowroński, Elements 1, §IV.2), and D is a duality.  So
+`transpose` marks a nonzero Tr M indecomposable when M is marked,
+`dual_module` carries the mark, and `decompose` returns a marked module as
+its one summand.  The seeds are marked (a simple by its dimension, a
+representable by its local endomorphism ring), and so is each piece of a
+certified decomposition: on a hereditary carrier the knit decomposes
+nothing.
+
 The knit starts from the simples, projectives and injectives at the
 fundamental domain and closes them under one list of steps until no new
 isomorphism class appears.  On a covering carrier the group acts freely, so

@@ -171,7 +171,10 @@ def zero_module(carrier: Carrier) -> FDModule:
 
 
 def simple_at(carrier: Carrier, x) -> FDModule:
-    return FDModule(carrier, {x: 1}, {})
+    """The simple at x, marked indecomposable: its total dimension is 1."""
+    S = FDModule(carrier, {x: 1}, {})
+    S._cache["indec"] = True
+    return S
 
 
 def projective_at(carrier: Carrier, x) -> FDModule:
@@ -192,12 +195,22 @@ def projective_at(carrier: Carrier, x) -> FDModule:
 
 def injective_at(carrier: Carrier, x) -> FDModule:
     """The dual representable D C(x, -), the dual of the projective at x over
-    the opposite; built once per carrier, and indecomposable like it."""
+    the opposite; built once per carrier, and marked indecomposable like it
+    (dual_module carries the mark)."""
     built = carrier.memo("injective")
     if x not in built:
         built[x] = dual_module(projective_at(carrier.opposite(), x))
-        built[x]._cache["indec"] = True
     return built[x]
+
+
+def projective_sum(carrier: Carrier, vertices: tuple) -> tuple:
+    """(P, offsets): the direct sum of the projectives at the vertices, in
+    order, as direct_sum gives it; built once per carrier and vertex tuple,
+    so neither may be changed by a caller."""
+    built = carrier.memo("projective_sum")
+    if vertices not in built:
+        built[vertices] = direct_sum([projective_at(carrier, x) for x in vertices])
+    return built[vertices]
 
 
 def _acting_generators(carrier: Carrier, dims: dict) -> list:
@@ -442,22 +455,21 @@ def cokernel_module(phi: ModMorphism) -> tuple:
 # radical, top, socle, covers, envelopes, duality
 
 
+def _generator_images(M: FDModule, x) -> Mat:
+    """The matrices M(g) of the generators g out of x, side by side (no
+    columns when none acts): their column space is (rad M)(x)."""
+    carrier = M.carrier
+    blocks = [M.mat(g) for g in carrier.generators_at_source(x) if M.dim(carrier.gen_tgt(g))]
+    return hstack(blocks) if blocks else Mat.zeros(carrier.field, M.dim(x), 0)
+
+
 def _radical_bases(M: FDModule) -> dict:
     """A basis of (rad M)(x) for each object x of M's support: the span of
     the images of the generators out of x."""
-    carrier = M.carrier
     bases = {}
     for x in M.support:
-        blocks = [
-            M.mat(g)
-            for g in carrier.generators_at_source(x)
-            if M.dim(carrier.gen_tgt(g))
-        ]
-        bases[x] = (
-            column_space_basis(hstack(blocks))
-            if blocks
-            else Mat.zeros(carrier.field, M.dim(x), 0)
-        )
+        images = _generator_images(M, x)
+        bases[x] = column_space_basis(images) if images.cols else images
     return bases
 
 
@@ -467,12 +479,14 @@ def radical_inclusion(M: FDModule) -> tuple:
 
 
 def top_with_lifts(M: FDModule) -> tuple:
-    """(top dims, lifts): unit-vector lifts of a basis of M/rad M per object."""
+    """(top dims, lifts): unit-vector lifts of a basis of M/rad M per object,
+    the unit vectors that complete the generator images at x, which span
+    (rad M)(x), in one elimination per object."""
     field = M.carrier.field
     tops = {}
     lifts = {}
-    for x, radbasis in _radical_bases(M).items():
-        comp = _complement_columns(field, radbasis)
+    for x in M.support:
+        comp = _complement_columns(field, _generator_images(M, x))
         if comp:
             tops[x] = len(comp)
             lifts[x] = Mat.identity(field, M.dim(x))[:, comp]
@@ -504,14 +518,20 @@ def socle_inclusion(M: FDModule) -> tuple:
 
 
 def dual_module(M: FDModule) -> FDModule:
-    """The k-dual, a module over the opposite carrier."""
+    """The k-dual, a module over the opposite carrier; D is a duality, so
+    it carries M's indecomposable mark."""
     mats = {g: m.transpose() for g, m in M.gen_mats.items()}
-    return FDModule(M.carrier.opposite(), dict(M.dims), mats)
+    DM = FDModule(M.carrier.opposite(), dict(M.dims), mats)
+    if M._cache.get("indec"):
+        DM._cache["indec"] = True
+    return DM
 
 
 class ProjCover:
     """A projective cover: the covering module, the epi, its summand list,
-    and the offsets of the summands in the module (as direct_sum gives them)."""
+    and the offsets of the summands in the module (as direct_sum gives them;
+    the module and offsets are projective_sum's, shared by every cover with
+    the same summand list)."""
 
     __slots__ = ("module", "epi", "vertices", "offsets")
 
@@ -544,15 +564,24 @@ def _build_projective_cover(M: FDModule) -> ProjCover:
     if not summand_vertices:
         Z = zero_module(carrier)
         return ProjCover(Z, ModMorphism(Z, M, {}), (), [])
-    projs = [projective_at(carrier, x) for x in summand_vertices]
-    P, offsets = direct_sum(projs)
+    P, offsets = projective_sum(carrier, tuple(summand_vertices))
+    # images[k][w]: the lift of summand k acted on by the generator word w,
+    # M(w[0]) applied to the image of w[1:], so each suffix is evaluated once
+    images = [{(): v} for v in lift_vectors]
+
+    def image(k, word):
+        found = images[k].get(word)
+        if found is None:
+            found = images[k][word] = M.mat(word[0]) @ image(k, word[1:])
+        return found
+
     mats = {}
     for y in P.support:
         # column q of summand k: the action of the basis path q on the lift
         cols = [
-            M.act_label(y, x, q) @ lift_vectors[k]
+            image(k, carrier.label_word(y, x, q))
             for k, x in enumerate(summand_vertices)
-            if projs[k].dim(y)
+            if y in offsets[k]
             for q in carrier.hom_labels(y, x)
         ]
         if cols:
@@ -941,9 +970,17 @@ def decompose(M: FDModule) -> list:
     Returns a list of (indecomposable FDModule, multiplicity).  A
     DecompositionInconclusive is kept on M like a result, and raised again
     on every later call.
+
+    A module marked indecomposable is returned whole, with no End(M) built.
+    The mark is set only where theory or a certificate gives it: by
+    simple_at, projective_at and injective_at, on the pieces of a certified
+    decomposition, and carried by dual_module and by homology.transpose;
+    never on a kernel, cokernel, syzygy or radical.
     """
     if M.total_dim == 0:
         return []
+    if M._cache.get("indec"):
+        return [(M, 1)]
     found = M._cache.get("decompose")
     if isinstance(found, DecompositionInconclusive):
         raise found.with_traceback(None)

@@ -591,8 +591,11 @@ def test_mod_pushdown_hom_basis_calls_are_window_independent(capsys, monkeypatch
 # P_n and I_n came to be kept on the carrier like the τ_n-closure, so that
 # PnPushdown and SelfinjCriteria share them.  Lowered from 663 and 204 when
 # Ext came to be read off the resolution by Yoneda, with no hom basis of a
-# resolution term.
-SUITE_KERNEL_BASIS_CALLS = {"n32": 513, "loop2": 161}
+# resolution term.  Lowered from 513 and 161 when a resolution came to
+# build a kernel only when its stage is asked for, so a transpose builds no
+# second syzygy, and a translate of a class came to be marked
+# indecomposable, so decompose builds no End of it.
+SUITE_KERNEL_BASIS_CALLS = {"n32": 458, "loop2": 145}
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_KERNEL_BASIS_CALLS))
@@ -734,10 +737,17 @@ def test_suite_reports_unchanged(capsys, name):
 # where decompose draws random endomorphisms: where p <= dim M the trace
 # form gives no radical, so a module that no endomorphism splits stays
 # undecided.  ausl2 over F_2 and F_3 and loop2 over F_2 are indeterminate
-# for that reason; the other inputs pass.
+# for that reason; the other inputs pass.  Those three were recorded again
+# when a translate of a class came to be marked indecomposable (Tr is a
+# bijection on the indecomposable non-projectives), so their knits no longer
+# decompose it: a field-wise JSON diff showed DILemma, SelfinjCriteria and
+# ZGpEquivalence passing, each report then equal to its F_32003 report but
+# for instance.input, and Main1 and ModPushdown naming instance.generators,
+# their F_32003 value, as they now fail later, on a push-down of U, with
+# the same note; nothing else changed.
 SMALL_CHARACTERISTIC_SUITE_N1 = {
-    ("ausl2", 2): (3, "ccc0ee28f9dcaa17028a1907679434d44ab9ceeccec7ce4c52d729acd2bb13f1"),
-    ("ausl2", 3): (3, "260e2195b9e277810031b173c8d9844da23c90537371e3c0a305d28f865d1603"),
+    ("ausl2", 2): (3, "38d1622e432fa664569e93a83c364380f1874e569fa76de2c30dfd92bec1a604"),
+    ("ausl2", 3): (3, "fff4e77ddf2dcbdd336726da339037185ff0a1c492bd625d9a0a63b9aa97e2c4"),
     ("ausl2", 5): (0, "9996201fe9489bbe614fb060742cf3122f0f042533af47b83d2bbb7f5ddfe454"),
     ("ka2", 2): (0, "fd54e3548cbb4531a056a5cfabf09fe96b2aea41ad05ad7b3838e365ec8f5d8c"),
     ("ka2", 3): (0, "fd5bb347cf36e58cb574539b69d73ac71ffae3aea3616b9dadf60b3eee135cfd"),
@@ -745,7 +755,7 @@ SMALL_CHARACTERISTIC_SUITE_N1 = {
     ("ka3", 2): (0, "64e2c7cf04ec5782fdfacbfe5a692569811b9a36508fa99dd144b75a7d0fddfd"),
     ("ka3", 3): (0, "623c2edee0abd516edb679d2eeb0ce709c7b9e496456490cdd8c3c2adbd1648c"),
     ("ka3", 5): (0, "1a8a3d53c381b9ed13c40e0993ec7e03aff25bdf6cb8866a67d38f1651e30f11"),
-    ("loop2", 2): (3, "5a07f773c49549bb332fd31b3822da9fb66d17d9027cf96d8d679f0bcba670c2"),
+    ("loop2", 2): (3, "34c38ba071bd66adfc74793d3c7675c9c7777210771463f4ee55edffbcb52cba"),
     ("loop2", 3): (0, "22879fba0572c8c06eb545d83721d2760e854422513a7908846941f182d42e12"),
     ("loop2", 5): (0, "4ce13974ac0a4bc7ee26129394c6aaf314d9644ac9f0f10b7ae342f18d8b437c"),
     ("n32", 2): (0, "ae8611383a4889b253437ec9e641a356818b16b03ee5fb14fe2a95b4af0137f7"),

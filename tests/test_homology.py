@@ -668,5 +668,73 @@ def test_e6_knit_resolves_each_dual_once(monkeypatch):
     # elimination per object, 144, 72 and 3,913; while the hereditary
     # certificate also resolved the simples over the opposite, 122, 70 and
     # 2,474; while the hereditary knit also took rad M and M / soc M, 110,
-    # 58 and 2,388; while it also took tau M, 102, 54 and 1,409
-    assert (len(covers), sum(covers), len(rrefs)) == (84, 72, 1093)
+    # 58 and 2,388; while it also took tau M, 102, 54 and 1,409; while a
+    # transpose also built the second syzygy, decompose built End of each
+    # translate and a top took two eliminations per object, 84, 72 and 1,093
+    assert (len(covers), sum(covers), len(rrefs)) == (84, 72, 870)
+
+
+def _theorem_docs():
+    """The inputs of the transpose theorem test, each a presentation
+    document over its own field: the goldens, the square, and E6 and D5
+    with every edge from the smaller label to the larger."""
+    from tests.conftest import golden_doc
+    from tests.test_knitting import KNOWN_ANSWERS, dynkin_doc, path_algebra_doc
+    from tests.test_square import square_doc
+
+    docs = {name: golden_doc(name) for name in GOLDENS}
+    docs["square"] = square_doc({"kind": "prime", "p": 32003})
+    docs["E6"] = dynkin_doc("E6", {"kind": "prime", "p": 32003})
+    docs["D5"] = path_algebra_doc(*KNOWN_ANSWERS["D5"][:2], {"kind": "prime", "p": 32003})
+    return docs
+
+
+@pytest.mark.parametrize("field", [None, {"kind": "rationals"}, {"kind": "prime", "p": 5}], ids=["input", "Q", "F_5"])
+@pytest.mark.parametrize("cover", [False, True], ids=["base", "cover"])
+@pytest.mark.parametrize("name", [*GOLDENS, "square", "E6", "D5"])
+def test_a_translate_of_a_class_is_indecomposable_or_zero(name, cover, field):
+    # Tr is a bijection from the indecomposable non-projectives to those
+    # over the opposite, and kills the projectives (ARS IV.1), which is why
+    # transpose marks its result; here the theorem is checked on an
+    # unmarked copy of Tr M and of Tr D M, by a decomposition that reads no
+    # mark: the copy is zero exactly when M is projective (injective), and
+    # else one indecomposable
+    from quivercover import FDModule, decompose, load_presentation, smash_cover
+
+    doc = _theorem_docs()[name]
+    if field is not None:
+        doc = {**doc, "field": field}
+    pres = load_presentation(doc)
+    for M in list_indecomposables(smash_cover(pres) if cover else pres):
+        for X in (M, dual_module(M)):
+            T = transpose(X)
+            marked = bool(X._cache.get("indec")) and not T.is_zero()
+            assert T._cache.get("indec", False) == marked
+            copy = FDModule(T.carrier, dict(T.dims), dict(T.gen_mats))
+            if is_projective_module(X):
+                assert copy.is_zero()
+                continue
+            parts = decompose(copy)
+            assert len(parts) == 1 and parts[0][1] == 1
+
+
+def test_a_syzygy_or_radical_of_a_class_can_split():
+    # radical square zero on a -> y -> x <- z <- b: rad P_x = Omega S_x is
+    # S_y + S_z, neither projective, so no syzygy or radical may inherit
+    # the indecomposable mark of the module it comes from
+    from quivercover import decompose, load_presentation
+
+    arrows = [("p", "a", "y"), ("q", "y", "x"), ("r", "b", "z"), ("s", "z", "x")]
+    carrier = load_presentation({
+        "field": {"kind": "prime", "p": 32003},
+        "group": {"kind": "free-abelian", "rank": 0},
+        "vertices": ["a", "y", "b", "z", "x"],
+        "arrows": [{"id": name, "src": s, "tgt": t} for name, s, t in arrows],
+        "relations": [[{"coeff": 1, "path": ["p", "q"]}], [{"coeff": 1, "path": ["r", "s"]}]],
+        "nilbound": 1,
+    })
+    expected = sorted([{"y": 1}, {"z": 1}], key=str)
+    for X in (syzygy(simple_at(carrier, "x")), radical_inclusion(projective_at(carrier, "x"))[0]):
+        parts = decompose(X)
+        assert sorted((piece.dims for piece, _ in parts), key=str) == expected
+        assert [mult for _, mult in parts] == [1, 1]

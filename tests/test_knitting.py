@@ -261,6 +261,19 @@ def test_e6_is_hereditary_and_its_knit_takes_no_syzygy(monkeypatch):
     assert calls == {"radical_inclusion": 0, "socle_inclusion": 0, "syzygy": 0, "transpose": 36}
 
 
+def test_the_e6_knit_builds_no_endomorphism_algebra(monkeypatch):
+    # every seed is marked indecomposable, the simples by their dimension,
+    # and tau^- of a marked module is marked, so decompose never builds End
+    from quivercover import modules
+
+    built = []
+    real = modules._EndAlgebra
+    monkeypatch.setattr(modules, "_EndAlgebra", lambda M: built.append(M) or real(M))
+    e6 = load_presentation(dynkin_doc("E6", FIELDS["F_32003"]))
+    assert len(_knit(e6, 48, 512)) == 36
+    assert built == []
+
+
 def test_a_knit_that_stops_is_kept_with_its_error(kronecker, monkeypatch):
     from quivercover import knitting
 
@@ -278,9 +291,12 @@ def test_a_knit_that_stops_is_kept_with_its_error(kronecker, monkeypatch):
 
 
 def test_an_inconclusive_knit_is_kept_with_its_error(capsys, tmp_path, monkeypatch):
-    # over F_2 decompose can neither split nor certify a module of loop2's
-    # knit, so each claim that reads a pool meets the same error; each of
-    # the suite's two pools is knitted once
+    # over F_2 decompose can neither split nor certify a module that some
+    # claims of loop2's suite meet, so each of them reports the same error;
+    # each of the suite's three pools, the cover's, the base's and an
+    # endomorphism category's, is knitted once.  The base's knit succeeds
+    # since a translate of a class is marked indecomposable; before, it
+    # failed, and no claim reached the third pool
     from quivercover import knitting
 
     knits = []
@@ -292,7 +308,27 @@ def test_an_inconclusive_knit_is_kept_with_its_error(capsys, tmp_path, monkeypat
     assert main(["suite", "--n", "1", "--input", str(path)]) == 3
     notes = {note for r in json.loads(capsys.readouterr().out) for note in r["notes"]}
     assert any(note.startswith("DecompositionInconclusive") for note in notes)
-    assert len(knits) == len({(id(carrier), *caps) for carrier, *caps in knits}) == 2
+    assert len(knits) == len({(id(carrier), *caps) for carrier, *caps in knits}) == 3
+
+
+def test_a_knit_that_cannot_decompose_is_kept_with_its_error(n32, monkeypatch):
+    # no golden knit is inconclusive over F_2, F_3 or F_5 since a translate
+    # of a class is marked indecomposable, so the error is forced
+    from quivercover import knitting
+    from quivercover.errors import DecompositionInconclusive
+
+    def refuse(M):
+        raise DecompositionInconclusive("refused")
+
+    knits = []
+    real = knitting._knit
+    monkeypatch.setattr(knitting, "_knit", lambda *args: knits.append(args) or real(*args))
+    monkeypatch.setattr(knitting, "decompose", refuse)
+    carrier = load_presentation(n32.to_json_dict())
+    for _ in range(2):
+        with pytest.raises(DecompositionInconclusive, match="refused"):
+            knitting.list_indecomposables(carrier)
+    assert len(knits) == 1
 
 
 def test_an_inconclusive_decomposition_is_kept_on_its_module(capsys, tmp_path, monkeypatch):

@@ -710,3 +710,64 @@ def test_cokernel_matches_the_three_elimination_reference(name, rationals):
         (C, projection), (ref, ref_proj) = modules.cokernel_module(phi), _cokernel_by_three_eliminations(phi)
         assert (C.dims, C.gen_mats) == (ref.dims, ref.gen_mats)
         assert projection.mats == {x: m for x, m in ref_proj.items() if m.rows and m.cols}
+
+
+def _reference_projective_cover(M):
+    # the former cover: a basis of the radical, then its completion by unit
+    # vectors, each a separate elimination, and every column q.v the whole
+    # matrix chain of the path q applied to the lift v
+    from quivercover.field import Mat, column_space_basis, hstack, rref
+
+    carrier, field = M.carrier, M.carrier.field
+    vertices, lifts = [], []
+    for x in sorted(M.support, key=carrier.object_index):
+        blocks = [M.mat(g) for g in carrier.generators_at_source(x) if M.dim(carrier.gen_tgt(g))]
+        rad = column_space_basis(hstack(blocks)) if blocks else Mat.zeros(field, M.dim(x), 0)
+        _, pivots = rref(hstack([rad, Mat.identity(field, M.dim(x))]))
+        for p in pivots:
+            if p >= rad.cols:
+                vertices.append(x)
+                lifts.append(Mat.identity(field, M.dim(x))[:, [p - rad.cols]])
+    projs = [projective_at(carrier, x) for x in vertices]
+    P, offsets = direct_sum(projs)
+    mats = {}
+    for y in P.support:
+        cols = [
+            M.act_label(y, x, q) @ lifts[k]
+            for k, x in enumerate(vertices)
+            if projs[k].dim(y)
+            for q in carrier.hom_labels(y, x)
+        ]
+        if cols:
+            mats[y] = hstack(cols)
+    return P, ModMorphism(P, M, mats).mats, tuple(vertices), offsets
+
+
+def _cover_carriers(name, field):
+    """The base, its cover, its opposite and the endomorphism category of
+    its tau-closure, each with modules over it: its pool, their radicals
+    and their sum."""
+    from quivercover import EndoCarrier, load_presentation, radical_inclusion, smash_cover
+    from quivercover.precluster import _translate_closure
+
+    base = load_presentation({**golden_doc(name), "field": field})
+    carriers = [base, smash_cover(base), EndoCarrier(_translate_closure(base, "both", 1, 32)[0])]
+    out = [(C, list_indecomposables(C)) for C in carriers]
+    out.append((base.opposite(), [dual_module(M) for M in out[0][1]]))
+    return [(C, mods + [radical_inclusion(M)[0] for M in mods] + [direct_sum(mods)[0]]) for C, mods in out]
+
+
+@pytest.mark.parametrize("field", [{"kind": "prime", "p": 32003}, {"kind": "rationals"}], ids=["F_32003", "Q"])
+@pytest.mark.parametrize("name", GOLDENS)
+def test_a_cover_evaluates_each_path_once_with_the_same_matrices(name, field):
+    for carrier, mods in _cover_carriers(name, field):
+        for M in mods:
+            cov = modules._build_projective_cover(M)
+            if M.is_zero():
+                assert cov.vertices == () and cov.module.is_zero()
+                continue
+            P, mats, vertices, offsets = _reference_projective_cover(M)
+            assert cov.module.carrier is carrier
+            assert (cov.module.dims, cov.module.gen_mats) == (P.dims, P.gen_mats)
+            assert cov.epi.mats == mats
+            assert (cov.vertices, cov.offsets) == (vertices, offsets)
