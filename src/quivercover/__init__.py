@@ -55,8 +55,7 @@ _EXPORTS = {
         ),
         "tautilt": (
             "TiltingGraph", "enumerate_support_tilting_pairs", "is_G_tau_n_rigid",
-            "is_n_cluster_tilting", "is_support_tilting_pair", "scan_tau_n_tilting_finite",
-            "verify_tilting_pushdown",
+            "is_n_cluster_tilting", "scan_tau_n_tilting_finite", "verify_tilting_pushdown",
         ),
         "module_io": ("listing_to_json", "module_from_json", "module_to_json"),
         "report": ("VerificationReport",),

@@ -16,10 +16,7 @@ A carrier consists of:
 * a distinguished generating set of basis elements ("generators", the
   arrows of a quiver) such that every basis element is a word in them;
 * relations: k-linear combinations of generator words that must act as
-  zero on every module, listed per source object by relations_at;
-* the seed of the random candidates that decomposition tries, fixed when a
-  presentation is loaded and copied by every carrier built from another,
-  so work memoised on a carrier is seeded alike.
+  zero on every module, listed per source object by relations_at.
 
 A carrier need not list everything: a covering category lists neither its
 objects nor its `generators`, and an endomorphism category lists one object
@@ -35,14 +32,11 @@ from __future__ import annotations
 
 from .field import Field, Mat
 
-ISO_SEED = 0xC0FFEE
-
 
 class Carrier:
     """Base class; subclasses fill the hom-basis and composition data."""
 
     field: Field
-    seed: int = ISO_SEED
 
     # ---- interface to implement ------------------------------------------
 
@@ -199,7 +193,6 @@ class OppositeCarrier(Carrier):
     def __init__(self, base: Carrier):
         self.base = base
         self.field = base.field
-        self.seed = base.seed
 
     @property
     def objects(self) -> tuple:

@@ -23,7 +23,6 @@ class CoverCarrier(Carrier):
         self.base_presentation = pres
         self.group = pres.group
         self.field = pres.field
-        self.seed = pres.seed
         self._vertex_position = {v: i for i, v in enumerate(pres.vertices)}
         # on-demand tables: generator ends, incidence, path words, relations
         self._gen_src = {}

@@ -39,7 +39,6 @@ class EndoCarrier(Carrier):
         self.modules = list(U)
         carrier = U[0].carrier
         self.field = carrier.field
-        self.seed = carrier.seed
         self.twisted = carrier.is_cover
         if self.twisted:
             e = carrier.group.identity()

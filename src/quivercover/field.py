@@ -108,11 +108,6 @@ class Field:
             return (-int(value)) % self.p
         return -value
 
-    def random_scalar(self, rng):
-        if self.p is not None:
-            return rng.randrange(self.p)
-        return Fraction(rng.randrange(-9, 10))
-
 
 class Mat:
     """A rows x cols matrix over a field: the list `ints` of integer rows

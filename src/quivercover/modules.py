@@ -8,8 +8,8 @@ to the commuting-square conditions against every generator.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from .carrier import Carrier, OppositeCarrier
@@ -960,7 +960,10 @@ def _top_dim(end: _EndAlgebra) -> int:
     return end.dim - kernel_basis(end.gram()).cols
 
 
-# Random endomorphisms tried, after the basis, before decompose gives up.
+# Where the trace form gives no radical, End(M) is listed element by
+# element when it has at most _LISTED elements.  Elsewhere _TRIALS fixed
+# combinations are tried, after the basis, before decompose gives up.
+_LISTED = 2**12
 _TRIALS = 40
 
 
@@ -969,13 +972,14 @@ def decompose(M: FDModule) -> list:
 
     Returns a list of (indecomposable FDModule, multiplicity).  A
     DecompositionInconclusive is kept on M like a result, and raised again
-    on every later call.
+    on every later call; _find_split raises it only when one of its two
+    bounds runs out, and is exact otherwise, in every characteristic.
 
-    A module marked indecomposable is returned whole, with no End(M) built.
-    The mark is set only where theory or a certificate gives it: by
-    simple_at, projective_at and injective_at, on the pieces of a certified
-    decomposition, and carried by dual_module and by homology.transpose;
-    never on a kernel, cokernel, syzygy or radical.
+    A module marked indecomposable, or of total dimension 1, is returned
+    whole, with no End(M) built.  The mark is set only where theory or a
+    certificate gives it: by simple_at, projective_at and injective_at, on
+    the pieces of a certified decomposition, and carried by dual_module and
+    by homology.transpose; never on a kernel, cokernel, syzygy or radical.
     """
     if M.total_dim == 0:
         return []
@@ -987,7 +991,7 @@ def decompose(M: FDModule) -> list:
     if found is not None:
         return found
     try:
-        pieces = _decompose_rec(M, random.Random(M.carrier.seed))
+        pieces = _decompose_rec(M)
     except DecompositionInconclusive as exc:
         M._cache["decompose"] = exc
         raise
@@ -1004,53 +1008,70 @@ def decompose(M: FDModule) -> list:
     return result
 
 
-def _decompose_rec(M: FDModule, rng) -> list:
+def _decompose_rec(M: FDModule) -> list:
     if M.total_dim == 0:
         return []
-    end = _EndAlgebra(M)
-    split = _find_split(M, end, rng) if end.dim > 1 else None
-    if split is None:
-        M._cache["indec"] = True
-        return [M]
-    return _decompose_rec(split[0], rng) + _decompose_rec(split[1], rng)
+    if M.total_dim > 1:
+        end = _EndAlgebra(M)
+        split = _find_split(M, end) if end.dim > 1 else None
+        if split is not None:
+            return _decompose_rec(split[0]) + _decompose_rec(split[1])
+    M._cache["indec"] = True
+    return [M]
 
 
-def _find_split(M: FDModule, end: _EndAlgebra, rng):
+def _find_split(M: FDModule, end: _EndAlgebra):
     """(K1, K2), M split along the primary decomposition of the first
-    endomorphism whose minimal polynomial has two coprime factors: a basis
-    of End(M), then up to _TRIALS random combinations of it; or None once M
-    is certified indecomposable.
+    endomorphism whose minimal polynomial has two coprime factors, or None
+    once M is certified indecomposable.  A basis of End(M) is tried first.
 
-    No idempotent is needed: rad End(M) is nilpotent, so a lift T of s in
-    End(M)/rad has the irreducible factors of s, and T splits M whenever an
-    idempotent of k[s] would.  When the trace form gives rad End(M)
+    No idempotent is needed there: rad End(M) is nilpotent, so a lift T of s
+    in End(M)/rad has the irreducible factors of s, and T splits M whenever
+    an idempotent of k[s] would.  When the trace form gives rad End(M)
     (characteristic 0 or above dim M), M is indecomposable once End(M)/rad
     is a field: of dimension 1, or k[T] for a T whose minimal polynomial is
-    g^e with g irreducible of degree dim End(M)/rad.  Raises
-    DecompositionInconclusive when neither outcome is found."""
+    g^e with g irreducible of degree dim End(M)/rad.  Such a T is sought
+    among the combinations sum c^i b_i of the basis for c = 2, 3, ...: any
+    dim End(M) of them with distinct c are independent (Vandermonde), so a
+    proper subspace of End(M) holds fewer than dim End(M) of them.
+
+    In characteristic p <= dim M the listing is exact instead: End(M) is
+    local exactly when 0 and 1 are its only idempotents, so its p^dim
+    elements are tested one by one, and a nontrivial idempotent (minimal
+    polynomial x(x - 1)) splits M.  Raises DecompositionInconclusive, naming
+    the bound, when End(M) is past _LISTED elements there, or when _TRIALS
+    combinations neither split nor certify M."""
     for T in end.basis:
         split, _ = _primary_split(M, T, end)
         if split is not None:
             return split
     field = end.field
-    certifiable = not (field.is_prime_field and field.p <= M.total_dim)
-    top = _top_dim(end) if certifiable else None
+    if field.is_prime_field and field.p <= M.total_dim:
+        if field.p**end.dim > _LISTED:
+            raise DecompositionInconclusive(
+                f"characteristic {field.p} too small for the trace-form radical "
+                f"(total dimension {M.total_dim}), and End(M) has {field.p}^{end.dim} "
+                f"elements, past the listing bound of {_LISTED}"
+            )
+        one = end.flat(end.one)
+        for coords in product(range(field.p), repeat=end.dim):
+            T = end.combination(Mat.from_rows(field, [[c] for c in coords]))
+            flat = end.flat(T)
+            if any(coords) and flat != one and end.flat(T @ T) == flat:
+                return _primary_split(M, T, end)[0]
+        return None
+    top = _top_dim(end)
     if top == 1:
         return None
-    for _ in range(_TRIALS):
-        T = end.combination(Mat.from_rows(field, [[field.random_scalar(rng)] for _ in end.basis]))
+    for c in range(2, 2 + _TRIALS):
+        T = end.combination(Mat.from_rows(field, [[c**i] for i in range(end.dim)]))
         split, factors = _primary_split(M, T, end)
         if split is not None:
             return split
-        if certifiable and len(factors) == 1 and len(factors[0][0]) - 1 == top:
+        if len(factors) == 1 and len(factors[0][0]) - 1 == top:
             return None
-    if not certifiable:
-        raise DecompositionInconclusive(
-            f"characteristic {field.p} too small for the trace-form radical "
-            f"(total dimension {M.total_dim})"
-        )
     raise DecompositionInconclusive(
-        "no split found and locality not certified within the trial cap"
+        f"no split found and locality not certified by {_TRIALS} combinations of End(M)"
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .carrier import ISO_SEED, Carrier
+from .carrier import Carrier
 from .errors import (
     InhomogeneousRelation,
     NotAdmissible,
@@ -36,13 +36,9 @@ class Arrow:
 class GradedQuiverPresentation(Carrier):
     """A validated graded quiver presentation, usable directly as a carrier."""
 
-    def __init__(
-        self, field: Field, group: Group, vertices, arrows, relations, nilbound: int,
-        seed: int = ISO_SEED,
-    ):
+    def __init__(self, field: Field, group: Group, vertices, arrows, relations, nilbound: int):
         self.field = field
         self.group = group
-        self.seed = seed
         self._vertices = tuple(vertices)
         self._arrow_list = tuple(arrows)
         self._arrow_map = {a.name: a for a in self._arrow_list}
@@ -326,9 +322,8 @@ def _parse_group(doc) -> Group:
     raise SchemaError(f"unknown group kind {doc['kind']!r}")
 
 
-def load_presentation(document: dict, seed: int = ISO_SEED) -> GradedQuiverPresentation:
-    """Validate a JSON document (already parsed) into a presentation whose
-    decomposition draws its random candidates from seed."""
+def load_presentation(document: dict) -> GradedQuiverPresentation:
+    """Validate a JSON document (already parsed) into a presentation."""
     if not isinstance(document, dict):
         raise SchemaError("presentation document must be a JSON object")
     for key in ("field", "group", "vertices", "arrows", "nilbound"):
@@ -375,7 +370,7 @@ def load_presentation(document: dict, seed: int = ISO_SEED) -> GradedQuiverPrese
     nilbound = document["nilbound"]
     if not _is_integer(nilbound):
         raise SchemaError("nilbound must be an integer")
-    return GradedQuiverPresentation(field, group, vertices, arrows, relations, nilbound, seed)
+    return GradedQuiverPresentation(field, group, vertices, arrows, relations, nilbound)
 
 
 def read_json(path):
@@ -387,8 +382,8 @@ def read_json(path):
             raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
-def load_presentation_file(path, seed: int = ISO_SEED) -> GradedQuiverPresentation:
-    return load_presentation(read_json(path), seed)
+def load_presentation_file(path) -> GradedQuiverPresentation:
+    return load_presentation(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -508,5 +503,5 @@ def orbit_of_finite_action(
             chosen.append([(c, tuple(arrow_orbit_rep[n] for n in p)) for c, p in based])
 
     return GradedQuiverPresentation(
-        pres.field, acting, quotient_vertices, quotient_arrows, chosen, pres.nilbound, pres.seed
+        pres.field, acting, quotient_vertices, quotient_arrows, chosen, pres.nilbound
     )

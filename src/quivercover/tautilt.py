@@ -135,18 +135,6 @@ def _summand_indices(pieces: list, candidates: list):
     return tuple(sorted(found))
 
 
-def is_support_tilting_pair(M: FDModule, P: FDModule, graph: TiltingGraph) -> bool:
-    """The maximality and projective-support conditions over the graph's
-    ambient.
-
-    Ambient classes are orbit representatives upstairs, and summands are
-    matched to them and to the fundamental-domain projectives up to twist.
-    """
-    S = _summand_indices([piece for piece, _ in decompose(M)], graph.ambient)
-    Q = _summand_indices([piece for piece, _ in decompose(P)], graph.projectives)
-    return graph.is_support_pair(S, Q)
-
-
 def enumerate_support_tilting_pairs(graph: TiltingGraph) -> list:
     """The support tilting pairs (M_indices, P_indices) of the graph's ambient.
 

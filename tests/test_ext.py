@@ -17,13 +17,11 @@ import pytest
 
 import quivercover
 from quivercover import (
-    DecompositionInconclusive,
     EndoCarrier,
     direct_sum,
     dual_module,
     ext_dim,
     ext_twist_sum,
-    injective_at,
     list_indecomposables,
     load_presentation,
     min_proj_resolution,
@@ -44,30 +42,17 @@ FIELDS = {
 DEGREES = range(4)
 
 
-def _modules(carrier) -> list:
-    """The knitted classes of carrier or, where decompose cannot finish
-    them (ausl2 over F_3), its simples, projectives and injectives."""
-    try:
-        return list_indecomposables(carrier)
-    except DecompositionInconclusive:
-        dom = carrier.fundamental_domain()
-        return [f(carrier, x) for f in (simple_at, projective_at, injective_at) for x in dom]
-
-
 def _families(pres) -> list:
     """(carrier, modules): the base, its opposite (the duals of the base's
     modules), the cover, and the endomorphism category of the τ-closure of
     base and cover with Hom(-, M) of each module M and its projectives."""
     out = []
     for carrier in (pres, smash_cover(pres)):
-        mods = _modules(carrier)
+        mods = list_indecomposables(carrier)
         out.append((carrier, mods))
         if carrier is pres:
             out.append((pres.opposite(), [dual_module(M) for M in mods]))
-        try:
-            U, _ = _translate_closure(carrier, "both", 1, 32)
-        except DecompositionInconclusive:
-            continue
+        U, _ = _translate_closure(carrier, "both", 1, 32)
         E = EndoCarrier(U)
         out.append((E, [phi_module(E, M) for M in mods] + [projective_at(E, x) for x in E.objects]))
     return out

@@ -593,6 +593,7 @@ def test_yoneda_cokernel_matches_the_sum_of_composites(name, field):
     import random
 
     from quivercover.homology import yoneda_cokernel
+    from tests.conftest import random_scalar
 
     carrier, objects = _yoneda_carrier(name, field)
     rng = random.Random(20261019)
@@ -605,7 +606,7 @@ def test_yoneda_cokernel_matches_the_sum_of_composites(name, field):
             for j, b in enumerate(tgts):
                 labels = carrier.hom_labels(a, b)
                 if labels and rng.random() < 0.8:
-                    combos[(i, j)] = {lab: carrier.field.random_scalar(rng) for lab in labels}
+                    combos[(i, j)] = {lab: random_scalar(carrier.field, rng) for lab in labels}
         got = yoneda_cokernel(carrier, srcs, tgts, combos)
         ref = _yoneda_cokernel_by_composites(carrier, srcs, tgts, combos)
         assert got.dims == ref.dims

@@ -290,30 +290,41 @@ def test_a_knit_that_stops_is_kept_with_its_error(kronecker, monkeypatch):
     assert notes == ["an indecomposable of dimension 13 exceeds --dimcap 12"] * 2
 
 
+# The note of a claim whose module over F_2 has End(M) of dimension 2 past a
+# listing bound lowered to 1.
+LISTING_BOUND_NOTE = (
+    "DecompositionInconclusive: characteristic 2 too small for the trace-form radical "
+    "(total dimension 2), and End(M) has 2^2 elements, past the listing bound of 1"
+)
+
+
 def test_an_inconclusive_knit_is_kept_with_its_error(capsys, tmp_path, monkeypatch):
-    # over F_2 decompose can neither split nor certify a module that some
-    # claims of loop2's suite meet, so each of them reports the same error;
-    # each of the suite's three pools, the cover's, the base's and an
-    # endomorphism category's, is knitted once.  The base's knit succeeds
-    # since a translate of a class is marked indecomposable; before, it
-    # failed, and no claim reached the third pool
-    from quivercover import knitting
+    # over F_2, with End(M) of every module past a lowered listing bound,
+    # decompose can neither split nor certify a module that some claims of
+    # loop2's suite meet, so each of them reports the same error; each of
+    # the suite's three pools, the cover's, the base's and an endomorphism
+    # category's, is knitted once.  The base's knit succeeds since a
+    # translate of a class is marked indecomposable; before, it failed, and
+    # no claim reached the third pool
+    from quivercover import knitting, modules
 
     knits = []
     real = knitting._knit
     monkeypatch.setattr(knitting, "_knit", lambda *args: knits.append(args) or real(*args))
+    monkeypatch.setattr(modules, "_LISTED", 1)
     doc = dict(golden_doc("loop2"), field={"kind": "prime", "p": 2})
     path = tmp_path / "loop2.json"
     path.write_text(json.dumps(doc))
     assert main(["suite", "--n", "1", "--input", str(path)]) == 3
     notes = {note for r in json.loads(capsys.readouterr().out) for note in r["notes"]}
-    assert any(note.startswith("DecompositionInconclusive") for note in notes)
+    assert {note for note in notes if note.startswith("DecompositionInconclusive")} == {LISTING_BOUND_NOTE}
     assert len(knits) == len({(id(carrier), *caps) for carrier, *caps in knits}) == 3
 
 
 def test_a_knit_that_cannot_decompose_is_kept_with_its_error(n32, monkeypatch):
     # no golden knit is inconclusive over F_2, F_3 or F_5 since a translate
-    # of a class is marked indecomposable, so the error is forced
+    # of a class is marked indecomposable and End(M) is listed where p <=
+    # dim M, so the error is forced
     from quivercover import knitting
     from quivercover.errors import DecompositionInconclusive
 
@@ -332,8 +343,9 @@ def test_a_knit_that_cannot_decompose_is_kept_with_its_error(n32, monkeypatch):
 
 
 def test_an_inconclusive_decomposition_is_kept_on_its_module(capsys, tmp_path, monkeypatch):
-    # the same run fails on two modules: a push-down of U that Main1, Main2
-    # and ModPushdown each decompose, and a module that the knit and the
+    # with End(M) of every module past a lowered listing bound, the same
+    # run fails on two modules: a push-down of U that Main1, Main2 and
+    # ModPushdown each decompose, and a module that the knit and the
     # translate closure meet; each is tried once, where each was tried three
     # times while decompose kept only its results
     from quivercover import modules
@@ -341,11 +353,13 @@ def test_an_inconclusive_decomposition_is_kept_on_its_module(capsys, tmp_path, m
     splits = []
     real = modules._find_split
     monkeypatch.setattr(modules, "_find_split", lambda M, *args: splits.append(M) or real(M, *args))
+    monkeypatch.setattr(modules, "_LISTED", 1)
     doc = dict(golden_doc("loop2"), field={"kind": "prime", "p": 2})
     path = tmp_path / "loop2.json"
     path.write_text(json.dumps(doc))
     assert main(["suite", "--n", "1", "--input", str(path)]) == 3
-    capsys.readouterr()
+    notes = {note for r in json.loads(capsys.readouterr().out) for note in r["notes"]}
+    assert LISTING_BOUND_NOTE in notes
     assert len(splits) == len({id(M) for M in splits}) == 2
 
 

@@ -185,15 +185,8 @@ def test_decompose_certificate(n32):
     assert iso is not None and iso.is_iso() and commutes(iso)
 
 
-@pytest.mark.parametrize("name", ["ka2", "n32", "loop2", "ausl2"])
-@pytest.mark.parametrize("build", [simple_at, projective_at], ids=["simple", "projective"])
-def test_random_endomorphisms_split_three_copies(name, build, monkeypatch, request):
-    # with no split along an eigenspace of a basis element, X + X + X is
-    # split by random endomorphisms: End is a matrix algebra over End(X),
-    # whose End/rad has dimension 9, so a minimal polynomial irreducible of
-    # lower degree certifies nothing
-    pres = request.getfixturevalue(name)
-    X = build(pres, pres.vertices[0])
+def _refuse_basis_splits(monkeypatch):
+    """Make every split along an element of a basis of End(M) fail."""
     primary_split = modules._primary_split
 
     def refuse_basis(M, T, end):
@@ -201,6 +194,18 @@ def test_random_endomorphisms_split_three_copies(name, build, monkeypatch, reque
         return (None if any(T is b for b in end.basis) else split), factors
 
     monkeypatch.setattr(modules, "_primary_split", refuse_basis)
+
+
+@pytest.mark.parametrize("name", ["ka2", "n32", "loop2", "ausl2"])
+@pytest.mark.parametrize("build", [simple_at, projective_at], ids=["simple", "projective"])
+def test_random_endomorphisms_split_three_copies(name, build, monkeypatch, request):
+    # with no split along an eigenspace of a basis element, X + X + X is
+    # split by a fixed combination of the basis: End is a matrix algebra
+    # over End(X), whose End/rad has dimension 9, so a minimal polynomial
+    # irreducible of lower degree certifies nothing
+    pres = request.getfixturevalue(name)
+    X = build(pres, pres.vertices[0])
+    _refuse_basis_splits(monkeypatch)
     parts = decompose(direct_sum([X, X, X])[0])
     assert len(parts) == 1 and parts[0][1] == 3
     assert is_isomorphic(parts[0][0], X)
@@ -227,17 +232,88 @@ def test_a_module_whose_endomorphisms_are_a_field_stays_whole(kronecker, field):
     assert is_isomorphic(parts[0][0], M)
 
 
+def _refuse_combinations(monkeypatch, what):
+    def refuse(self, coords):
+        raise AssertionError(f"{what} tried a combination of a basis of End(M)")
+
+    monkeypatch.setattr(modules._EndAlgebra, "combination", refuse)
+
+
 def test_a_local_endomorphism_ring_is_certified_without_a_draw(loop2, monkeypatch):
     # End(k[x]/(x^2)) is k[x]/(x^2): no basis element splits it, and the
-    # trace form finds End/rad of dimension 1 before any random draw
-    def refuse(self, rng):
-        raise AssertionError("decompose drew a random scalar")
-
-    monkeypatch.setattr(Field, "random_scalar", refuse)
+    # trace form finds End/rad of dimension 1 before any combination is
+    # tried, so neither the listing bound nor the combination bound is met
+    _refuse_combinations(monkeypatch, "decompose")
+    monkeypatch.setattr(modules, "_LISTED", 1)
     P = projective_at(loop2, "v")
     M = FDModule(loop2, P.dims, P.gen_mats)
     assert "indec" not in M._cache and hom_dim(M, M) == 2
     assert decompose(M) == [(M, 1)]
+
+
+@pytest.mark.parametrize("name", ["ka2", "n32", "loop2", "ausl2"])
+@pytest.mark.parametrize("build", [simple_at, projective_at], ids=["simple", "projective"])
+def test_listing_splits_two_copies_in_small_characteristic(name, build, monkeypatch):
+    # over F_2, X + X has p <= dim, so the trace form gives no radical; with
+    # every split along a basis element refused, only the listing of
+    # End(X + X), a matrix algebra over End(X), finds an idempotent
+    pres = load_presentation(dict(golden_doc(name), field={"kind": "prime", "p": 2}))
+    X = build(pres, pres.vertices[0])
+    _refuse_basis_splits(monkeypatch)
+    parts = decompose(direct_sum([X, X])[0])
+    assert len(parts) == 1 and parts[0][1] == 2
+    assert is_isomorphic(parts[0][0], X)
+
+
+def test_the_listing_passes_over_the_identity(monkeypatch):
+    # with a basis of End(S + S) over F_2 whose last element is the
+    # identity, the listing meets 1 before any other idempotent; 1 splits
+    # nothing, and with every basis split refused S + S still splits
+    L = load_presentation(dict(golden_doc("loop2"), field={"kind": "prime", "p": 2}))
+    S = simple_at(L, "v")
+    M = direct_sum([S, S])[0]
+    one = identity_morphism(M)
+    hom_basis = modules.hom_basis
+
+    def identity_last(A, B):
+        basis = hom_basis(A, B)
+        if A is not M or B is not M:
+            return basis
+        coords = modules.morphism_coords(basis, one)
+        j = max(i for i in range(len(basis)) if coords[i, 0] != 0)
+        return basis[:j] + basis[j + 1 :] + [one]
+
+    monkeypatch.setattr(modules, "hom_basis", identity_last)
+    _refuse_basis_splits(monkeypatch)
+    assert modules._EndAlgebra(M).basis[-1] is one
+    parts = decompose(M)
+    assert len(parts) == 1 and parts[0][1] == 2
+    assert is_isomorphic(parts[0][0], S)
+
+
+def test_listing_certifies_a_local_endomorphism_ring_in_characteristic_two():
+    # over F_2 an unmarked copy of k[x]/(x^2) has End = k[x]/(x^2), whose
+    # four elements hold no idempotent but 0 and 1: it stays whole, and so
+    # is not S + S, which shares its dimensions
+    L = load_presentation(dict(golden_doc("loop2"), field={"kind": "prime", "p": 2}))
+    P = projective_at(L, "v")
+    M = FDModule(L, P.dims, P.gen_mats)
+    S = simple_at(L, "v")
+    assert "indec" not in M._cache
+    assert decompose(M) == [(M, 1)]
+    assert is_isomorphic(M, direct_sum([S, S])[0]) is False
+    assert is_isomorphic(FDModule(L, P.dims, P.gen_mats), direct_sum([S, S])[0]) is False
+
+
+def _past_the_listing_bound(monkeypatch):
+    """Lower the listing bound so that End(M) of k[x]/(x^2) over F_2 is
+    past it, as every End(M) of dimension above one is; the error's
+    message."""
+    monkeypatch.setattr(modules, "_LISTED", 1)
+    return (
+        "characteristic 2 too small for the trace-form radical (total dimension 2), "
+        "and End(M) has 2^2 elements, past the listing bound of 1"
+    )
 
 
 def _horner(field, coeffs, T):
@@ -275,22 +351,25 @@ def test_is_isomorphic_basics(n32, ka2):
     assert not is_isomorphic(projective_at(ka2, "1"), simple_at(ka2, "2"))
 
 
-def test_iso_test_is_inconclusive_where_characteristic_defeats_decomposition():
+def test_iso_test_is_inconclusive_where_characteristic_defeats_decomposition(monkeypatch):
     # over F_2, k[x]/(x^2) and S + S share dimensions and no basis map is an
     # iso.  The representable is known indecomposable, so that settles it;
     # an unflagged copy leaves the summands to decide, and decompose
-    # refuses p <= dim
+    # refuses p <= dim once End(M) is past the listing bound
+    message = _past_the_listing_bound(monkeypatch)
     doc = golden_doc("loop2")
     doc["field"] = {"kind": "prime", "p": 2}
     L = load_presentation(doc)
     S = simple_at(L, "v")
     P = projective_at(L, "v")
     assert is_isomorphic(P, direct_sum([S, S])[0]) is False
-    with pytest.raises(DecompositionInconclusive):
+    with pytest.raises(DecompositionInconclusive) as info:
         is_isomorphic(FDModule(L, P.dims, P.gen_mats), direct_sum([S, S])[0])
+    assert str(info.value) == message
 
 
 def test_an_inconclusive_decomposition_is_raised_again_without_a_second_search(monkeypatch):
+    message = _past_the_listing_bound(monkeypatch)
     doc = golden_doc("loop2")
     doc["field"] = {"kind": "prime", "p": 2}
     L = load_presentation(doc)
@@ -305,6 +384,18 @@ def test_an_inconclusive_decomposition_is_raised_again_without_a_second_search(m
             decompose(M)
         errors.append(info.value)
     assert splits == [1] and errors[0] is errors[1]
+    assert str(errors[0]) == message
+
+
+def test_the_combination_bound_is_named_when_it_runs_out(monkeypatch):
+    # over F_32003 the trace form certifies k[x]/(x^2) at once; with it
+    # reporting a top of dimension 2, no combination can certify locality
+    monkeypatch.setattr(modules, "_top_dim", lambda end: 2)
+    L = load_presentation(golden_doc("loop2"))
+    P = projective_at(L, "v")
+    with pytest.raises(DecompositionInconclusive) as info:
+        decompose(FDModule(L, P.dims, P.gen_mats))
+    assert str(info.value) == "no split found and locality not certified by 40 combinations of End(M)"
 
 
 @pytest.mark.parametrize("name,upstairs", [(name, False) for name in GOLDENS] + [("n32", True), ("loop2", True)])
@@ -323,10 +414,9 @@ def test_find_iso_is_exact_on_the_pools(name, upstairs, request):
 
 
 def test_iso_tests_draw_no_random_scalar(n32, monkeypatch):
-    def refuse(self, rng):
-        raise AssertionError("an iso test drew a random scalar")
-
-    monkeypatch.setattr(Field, "random_scalar", refuse)
+    # an iso test between indecomposables scans a hom basis and combines no
+    # basis of End(M)
+    _refuse_combinations(monkeypatch, "an iso test")
     for x in n32.vertices:
         P = projective_at(n32, x)
         copy = _change_basis(P)

@@ -12,8 +12,6 @@ import pytest
 
 import quivercover
 from quivercover import (
-    EndoCarrier,
-    Group,
     SchemaError,
     injective_at,
     list_indecomposables,
@@ -21,13 +19,11 @@ from quivercover import (
     load_presentation,
     module_from_json,
     module_to_json,
-    orbit_of_finite_action,
     projective_at,
     smash_cover,
     validate_module,
 )
 from quivercover import knitting
-from quivercover.carrier import ISO_SEED
 from quivercover.cli import main
 from tests.conftest import golden_doc
 
@@ -41,12 +37,12 @@ def fresh(name):
 
 @pytest.fixture
 def knits(monkeypatch):
-    """Every inner knit as (carrier, dimcap, class_cap, seed)."""
+    """Every inner knit as (carrier, dimcap, class_cap)."""
     calls = []
     original = knitting._knit
 
     def counting(carrier, dimcap, class_cap):
-        calls.append((carrier, dimcap, class_cap, carrier.seed))
+        calls.append((carrier, dimcap, class_cap))
         return original(carrier, dimcap, class_cap)
 
     monkeypatch.setattr(knitting, "_knit", counting)
@@ -64,16 +60,14 @@ def test_suite_knits_each_pool_once(capsys, knits):
     assert len(knits) == len(set(knits))
 
 
-def test_another_seed_knits_again(knits):
-    pres = fresh("loop2")
-    cover = smash_cover(pres)
+def test_another_carrier_or_dimcap_knits_again(knits):
+    cover = smash_cover(fresh("loop2"))
     first = list_indecomposables(cover)
     list_indecomposables(cover)
     assert len(knits) == 1
-    other = smash_cover(load_presentation(golden_doc("loop2"), seed=7))
+    other = smash_cover(fresh("loop2"))
     again = list_indecomposables(other)
-    assert len(knits) == 2
-    assert knits[-1][0] is other and knits[-1][3] == 7
+    assert len(knits) == 2 and knits[-1][0] is other
     assert len(again) == len(first)
     assert all(a is b for a, b in zip(list_indecomposables(cover), first))
     assert len(knits) == 2
@@ -153,32 +147,6 @@ def test_a_module_over_the_opposite_of_a_cover_round_trips_through_json():
     validate_module(read)
     assert read.carrier is D.carrier
     assert read.dims == D.dims and read.gen_mats == D.gen_mats
-
-
-def test_the_seed_travels_with_the_carrier():
-    pres = load_presentation(golden_doc("n32"), seed=7)
-    default = load_presentation(golden_doc("n32"))
-    cover = smash_cover(pres)
-    base_U = [projective_at(pres, x) for x in pres.vertices]
-    cover_U = [projective_at(cover, x) for x in cover.fundamental_domain()]
-    six = load_presentation(golden_doc("sixcycle"), seed=7)
-    with open(os.path.join(GOLDEN, "sixcycle_action.json"), encoding="utf-8") as fh:
-        action = json.load(fh)
-    quotient = orbit_of_finite_action(
-        six, Group.cyclic(action["m"]), action["vertex_map"], action["arrow_map"]
-    )
-    carriers = [
-        pres,
-        cover,
-        pres.opposite(),
-        cover.opposite(),
-        EndoCarrier(base_U),
-        EndoCarrier(cover_U),
-        quotient,
-        smash_cover(quotient),
-    ]
-    assert [C.seed for C in carriers] == [7] * len(carriers)
-    assert default.seed == smash_cover(default).seed == default.opposite().seed == ISO_SEED
 
 
 def test_no_module_holds_process_global_state():

@@ -16,7 +16,6 @@ from quivercover import (
     is_G_tau_n_rigid,
     is_isomorphic,
     is_n_cluster_tilting,
-    is_support_tilting_pair,
     list_indecomposables,
     projective_at,
     push_down,
@@ -28,11 +27,21 @@ from quivercover import (
     zero_module,
 )
 from quivercover.covering import class_index
+from quivercover.tautilt import _summand_indices
 
 
 def is_rigid_pair(M, P, n):
     """(M, P) with P projective: M rigid and Hom(P, ^a M) = 0 for all a."""
     return is_G_tau_n_rigid(M, n) and ext_vanishes(P, M, (0,))
+
+
+def is_support_tilting_pair(M, P, graph):
+    """The maximality and projective-support conditions over the graph's
+    ambient, on the summands of M and P matched to its classes and
+    projectives up to twist."""
+    S = _summand_indices([piece for piece, _ in decompose(M)], graph.ambient)
+    Q = _summand_indices([piece for piece, _ in decompose(P)], graph.projectives)
+    return graph.is_support_pair(S, Q)
 
 
 def pool_of(pres):
