@@ -30,7 +30,32 @@ module M by a matrix M(g): M(y) -> M(x) of shape dims(x) x dims(y).
 
 from __future__ import annotations
 
+from .errors import CapExceeded, DecompositionInconclusive
 from .field import Field, Mat
+
+
+_KEPT_ERRORS = (CapExceeded, DecompositionInconclusive)
+_UNBUILT = object()
+
+
+def kept(table: dict, key, build):
+    """table[key], built by build() on first use: every cache of the package
+    is a table on the carrier or module that owns it, read through here.
+
+    A CapExceeded or DecompositionInconclusive that build raised is kept in
+    its place and raised again on every later call, so a stopped knit or an
+    inconclusive decomposition is not tried twice; any other error is not
+    kept, and the next call builds again."""
+    found = table.get(key, _UNBUILT)
+    if found is _UNBUILT:
+        try:
+            found = build()
+        except _KEPT_ERRORS as exc:
+            found = exc
+        table[key] = found
+    if isinstance(found, _KEPT_ERRORS):
+        raise found.with_traceback(None)
+    return found
 
 
 class Carrier:
@@ -78,10 +103,7 @@ class Carrier:
 
     def opposite(self) -> "Carrier":
         """The opposite category, built once per carrier."""
-        op = self.__dict__.get("_opposite")
-        if op is None:
-            op = self._opposite = OppositeCarrier(self)
-        return op
+        return kept(self.memo("carrier"), "opposite", lambda: OppositeCarrier(self))
 
     def describe(self) -> str:
         return type(self).__name__
@@ -105,11 +127,8 @@ class Carrier:
         return self._object_index_map()[x]
 
     def _object_index_map(self):
-        cache = getattr(self, "_obj_idx", None)
-        if cache is None:
-            cache = {x: i for i, x in enumerate(self.objects)}
-            self._obj_idx = cache
-        return cache
+        return kept(self.memo("carrier"), "object_index",
+                    lambda: {x: i for i, x in enumerate(self.objects)})
 
     def has_object(self, x) -> bool:
         return x in self._object_index_map()
@@ -118,13 +137,18 @@ class Carrier:
         return g in self.generators
 
     def memo(self, name: str) -> dict:
-        """The carrier's cache table `name`, created empty on first use.
+        """The carrier's cache table `name`, created empty on first use and
+        read through `kept`.
 
-        Work shared by every caller over this carrier (representables,
-        indecomposable pools, the cover of a presentation) lives here,
-        so it is dropped with the carrier and never outlives it."""
-        tables = self.__dict__.setdefault("_memo_tables", {})
-        return tables.setdefault(name, {})
+        Work shared by every caller over this carrier (its opposite and
+        incidence lists, representables, indecomposable pools, the cover of
+        a presentation) lives here, so it is dropped with the carrier and
+        never outlives it."""
+        # every cached read passes here, so a hit allocates no default table
+        try:
+            return self.__dict__["_memo_tables"][name]
+        except KeyError:
+            return self.__dict__.setdefault("_memo_tables", {}).setdefault(name, {})
 
     def projective_support(self, x) -> tuple:
         """Objects where C(-, x) is nonzero."""
@@ -168,16 +192,14 @@ class Carrier:
         return self._incidence()[1].get(x, ())
 
     def _incidence(self) -> tuple:
-        tables = self.__dict__.get("_incidence_tables")
-        if tables is None:
+        def build():
             by_src: dict = {}
             by_tgt: dict = {}
             for g in self.generators:
                 by_src.setdefault(self.gen_src(g), []).append(g)
                 by_tgt.setdefault(self.gen_tgt(g), []).append(g)
-            tables = tuple({x: tuple(gs) for x, gs in t.items()} for t in (by_src, by_tgt))
-            self._incidence_tables = tables
-        return tables
+            return tuple({x: tuple(gs) for x, gs in t.items()} for t in (by_src, by_tgt))
+        return kept(self.memo("carrier"), "incidence", build)
 
 
 class OppositeCarrier(Carrier):

@@ -21,6 +21,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 
 # Only what parsing, loading and reporting need is imported here.  Each
 # command imports the layers it runs, so `validate` loads no module layer
@@ -42,15 +43,17 @@ from .report import CLAIM_IDS, INDETERMINATE, NOT_APPLICABLE, VerificationReport
 DEFAULT_SEED = 0xC0FFEE
 
 
-def _degree(text: str) -> int:
-    """The n of tau_n: an integer, at least 1 (tau_1 is tau)."""
+def _at_least(least: int, name: str, text: str) -> int:
+    """An integer option that is at least `least`: the n of tau_n is at
+    least 1 (tau_1 is tau), and a cap at least 0 (a cap of 0 stops each
+    closure at its seeds)."""
     try:
-        n = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"n must be at least 1, got {n}")
-    return n
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,14 +70,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     def cap(p):
-        p.add_argument("--cap", type=int, default=32, help="closure/enumeration cap")
+        p.add_argument(
+            "--cap", type=partial(_at_least, 0, "cap"), default=32,
+            help="closure/enumeration cap, at least 0",
+        )
 
     def degree(p):
-        p.add_argument("--n", type=_degree, default=1, help="the n of tau_n, at least 1")
+        p.add_argument("--n", type=partial(_at_least, 1, "n"), default=1, help="the n of tau_n, at least 1")
 
     def dimcap(p):
         p.add_argument(
-            "--dimcap", type=int, default=48,
+            "--dimcap", type=partial(_at_least, 0, "dimcap"), default=48,
             help="largest indecomposable dimension; a larger one stops the knit",
         )
 

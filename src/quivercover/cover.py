@@ -11,7 +11,7 @@ orbit at a time.
 
 from __future__ import annotations
 
-from .carrier import Carrier
+from .carrier import Carrier, kept
 from .presentation import GradedQuiverPresentation
 
 
@@ -24,13 +24,6 @@ class CoverCarrier(Carrier):
         self.group = pres.group
         self.field = pres.field
         self._vertex_position = {v: i for i, v in enumerate(pres.vertices)}
-        # on-demand tables: generator ends, incidence, path words, relations
-        self._gen_src = {}
-        self._gen_tgt = {}
-        self._at_source = {}
-        self._at_target = {}
-        self._words = {}
-        self._relations_at = {}
 
     def _lift_path(self, path, g) -> tuple:
         """The generator word lifting a base path that starts at shift g."""
@@ -40,12 +33,13 @@ class CoverCarrier(Carrier):
             g = self.group.op(g, self.base_presentation.arrow(name).weight)
         return tuple(word)
 
-    def _lift_generator(self, gen) -> tuple:
-        name, g = gen
-        a = self.base_presentation.arrow(name)
-        ends = (a.src, g), (a.tgt, self.group.op(g, a.weight))
-        self._gen_src[gen], self._gen_tgt[gen] = ends
-        return ends
+    def _ends(self, gen) -> tuple:
+        """(source, target) of a generator, lifted from its base arrow."""
+        def build():
+            name, g = gen
+            a = self.base_presentation.arrow(name)
+            return (a.src, g), (a.tgt, self.group.op(g, a.weight))
+        return kept(self.memo("ends"), gen, build)
 
     # -- Carrier interface ------------------------------------------------------
 
@@ -62,20 +56,11 @@ class CoverCarrier(Carrier):
         )
 
     def hom_labels(self, x, y) -> tuple:
-        cache = getattr(self, "_hom_cache", None)
-        if cache is None:
-            cache = {}
-            self._hom_cache = cache
-        key = (x, y)
-        if key not in cache:
-            v, g = x
-            w, h = y
-            want = self.group.sub(h, g)
+        def build():
+            want = self.group.sub(y[1], x[1])
             pres = self.base_presentation
-            cache[key] = tuple(
-                p for p in pres.path_basis(v, w) if pres._path_weights[p] == want
-            )
-        return cache[key]
+            return tuple(p for p in pres.path_basis(x[0], y[0]) if pres._path_weights[p] == want)
+        return kept(self.memo("hom_labels"), (x, y), build)
 
     def compose_labels(self, x, y, z, f, g):
         return self.base_presentation.compose_labels(x[0], y[0], z[0], f, g)
@@ -89,57 +74,42 @@ class CoverCarrier(Carrier):
         )
 
     def gen_src(self, gen):
-        try:
-            return self._gen_src[gen]
-        except KeyError:
-            return self._lift_generator(gen)[0]
+        return self._ends(gen)[0]
 
     def gen_tgt(self, gen):
-        try:
-            return self._gen_tgt[gen]
-        except KeyError:
-            return self._lift_generator(gen)[1]
+        return self._ends(gen)[1]
 
     def gen_label(self, gen):
         return (gen[0],)
 
     def generators_at_source(self, x) -> tuple:
         """The lifts at x of the base arrows leaving its vertex, in arrow order."""
-        gens = self._at_source.get(x)
-        if gens is None:
+        def build():
             v, g = x
-            gens = tuple((a.name, g) for a in self.base_presentation.arrows if a.src == v)
-            self._at_source[x] = gens
-        return gens
+            return tuple((a.name, g) for a in self.base_presentation.arrows if a.src == v)
+        return kept(self.memo("at_source"), x, build)
 
     def generators_at_target(self, x) -> tuple:
         """The lifts ending at x, ordered by source shift, then by arrow."""
-        gens = self._at_target.get(x)
-        if gens is None:
+        def build():
             w, h = x
             lifts = sorted(
                 (self.group.sub(h, a.weight), i, a.name)
                 for i, a in enumerate(self.base_presentation.arrows)
                 if a.tgt == w
             )
-            gens = tuple((name, g) for g, _, name in lifts)
-            self._at_target[x] = gens
-        return gens
+            return tuple((name, g) for g, _, name in lifts)
+        return kept(self.memo("at_target"), x, build)
 
     def label_word(self, x, y, label) -> tuple:
-        key = (label, x[1])
-        word = self._words.get(key)
-        if word is None:
-            word = self._words[key] = self._lift_path(label, x[1])
-        return word
+        return kept(self.memo("words"), (label, x[1]), lambda: self._lift_path(label, x[1]))
 
     def relations_at(self, x) -> tuple:
         """The base relations at x's vertex, lifted whole to start at x."""
-        rels = self._relations_at.get(x)
-        if rels is None:
+        def build():
             v, g = x
             pres = self.base_presentation
-            rels = tuple(
+            return tuple(
                 (
                     index,
                     (w, self.group.op(g, pres.path_weight(terms[0][1]))),
@@ -147,8 +117,7 @@ class CoverCarrier(Carrier):
                 )
                 for index, w, terms in pres.relations_at(v)
             )
-            self._relations_at[x] = rels
-        return rels
+        return kept(self.memo("relations_at"), x, build)
 
     def describe(self) -> str:
         return f"cover({self.base_presentation.describe()}, group {self.group.describe()})"
@@ -208,9 +177,6 @@ def smash_cover(pres: GradedQuiverPresentation) -> CoverCarrier:
     """The covering category of a presentation.
 
     One carrier per presentation: every caller shares it, and with it the
-    representables and indecomposable pools memoised on it."""
-    memo = pres.memo("cover")
-    if "cover" not in memo:
-        memo["cover"] = CoverCarrier(pres)
-    return memo["cover"]
+    representables and indecomposable pools kept on it."""
+    return kept(pres.memo("carrier"), "cover", lambda: CoverCarrier(pres))
 

@@ -3,6 +3,7 @@ covering-theoretic verifiers."""
 
 from __future__ import annotations
 
+from .carrier import kept
 from .cover import CoverCarrier
 from .errors import HypothesisUnverified, ShapeMismatch
 from .field import Mat
@@ -89,8 +90,10 @@ def _shift_blocks(M: FDModule, v):
 def push_down(M: FDModule) -> FDModule:
     """Sum the module over every orbit of objects; lands over the base.
     The push-down is kept on M, so its decomposition is shared."""
-    if "push_down" in M._cache:
-        return M._cache["push_down"]
+    return kept(M._cache, "push_down", lambda: _push_down(M))
+
+
+def _push_down(M: FDModule) -> FDModule:
     cover = M.carrier
     if not cover.is_cover:
         raise ShapeMismatch("push-down expects a covering module")
@@ -115,8 +118,7 @@ def push_down(M: FDModule) -> FDModule:
             if h in col:
                 placed.append((off, col[h], M.mat((a.name, g))))
         mats[a.name] = Mat.from_blocks(field, dv, dw, placed)
-    M._cache["push_down"] = FDModule(pres, dims, mats)
-    return M._cache["push_down"]
+    return FDModule(pres, dims, mats)
 
 
 def push_down_morphism(f: ModMorphism) -> ModMorphism:

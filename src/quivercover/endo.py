@@ -12,7 +12,7 @@ one per orbit, and everything else is computed on demand for any key.
 
 from __future__ import annotations
 
-from .carrier import Carrier
+from .carrier import Carrier, kept
 from .covering import twist_module
 from .errors import ShapeMismatch
 from .field import hstack
@@ -64,11 +64,10 @@ class EndoCarrier(Carrier):
 
     def basis(self, x, y) -> list:
         """The hom basis of C(x, y), identity first on an endomorphism space."""
-        table = self.memo("basis")
-        if (x, y) not in table:
+        def build():
             basis = hom_basis(self.module(x), self.module(y))
-            table[(x, y)] = self._identity_first(self.module(x), basis) if x == y else basis
-        return table[(x, y)]
+            return self._identity_first(self.module(x), basis) if x == y else basis
+        return kept(self.memo("basis"), (x, y), build)
 
     def _identity_first(self, M: FDModule, basis: list) -> list:
         ident = identity_morphism(M)
@@ -96,18 +95,13 @@ class EndoCarrier(Carrier):
         return self.basis(x, y)[k]
 
     def compose_labels(self, x, y, z, f, g):
-        table = self.memo("compose")
-        key = (f, g)
-        if key in table:
-            return table[key]
-        comp = self.basis_morphism(g) @ self.basis_morphism(f)
-        coords = morphism_coords(self.basis(x, z), comp)
-        if coords is None:
-            raise ShapeMismatch("composition left the hom space")
-        table[key] = {
-            (x, z, k): c for k, c in enumerate(coords.entries()) if c != 0
-        }
-        return table[key]
+        def build():
+            comp = self.basis_morphism(g) @ self.basis_morphism(f)
+            coords = morphism_coords(self.basis(x, z), comp)
+            if coords is None:
+                raise ShapeMismatch("composition left the hom space")
+            return {(x, z, k): c for k, c in enumerate(coords.entries()) if c != 0}
+        return kept(self.memo("compose"), (f, g), build)
 
     def gen_src(self, g):
         return g[0]
@@ -127,18 +121,17 @@ class EndoCarrier(Carrier):
         """(projective support, injective support, generators into x,
         generators out of x) of an object; a generator is a non-identity
         basis element."""
-        table = self.memo("around")
-        if x not in table:
+        def build():
             near = self.candidates(self.module(x))
             into = tuple(y for y in near if self.hom_dim(y, x))
             out = tuple(y for y in near if self.hom_dim(x, y))
-            table[x] = (
+            return (
                 into,
                 out,
                 tuple(g for y in into for g in self.hom_labels(y, x) if g != (x, x, 0)),
                 tuple(g for y in out for g in self.hom_labels(x, y) if g != (x, x, 0)),
             )
-        return table[x]
+        return kept(self.memo("around"), x, build)
 
     def projective_support(self, x) -> tuple:
         return self._around(x)[0]
@@ -163,14 +156,13 @@ class EndoCarrier(Carrier):
 
     def _composition_terms(self, f, g) -> list:
         """f.g minus its expansion in the chosen basis of C(src f, tgt g)."""
-        table = self.memo("relations")
-        if (f, g) not in table:
+        def build():
             x, z = f[0], g[1]
             terms = [(self.field.scalar(1), (f, g))]
             for lab, c in self.compose_labels(x, f[1], z, f, g).items():
                 terms.append((self.field.neg_scalar(c), self.label_word(x, z, lab)))
-            table[(f, g)] = terms
-        return table[(f, g)]
+            return terms
+        return kept(self.memo("relations"), (f, g), build)
 
     def describe(self) -> str:
         dims = [m.total_dim for m in self.modules]

@@ -1,16 +1,17 @@
 """Minimal resolutions, syzygies, transpose, AR translates, Ext dimensions,
 approximations, and injective/dominant dimension.
 
-Resolutions are cached per module (get-or-compute on the module's private
-cache; safe under CPython since recomputation is idempotent).  All dimension
-answers are exact integers; bounded searches return an explicit "at least"
-marker instead of an integer.
+A module keeps its resolution and, for the injective dimensions, its dual
+in its own table, read through `carrier.kept` like every cache.  All
+dimension answers are exact integers; bounded searches return an explicit
+"at least" marker instead of an integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .carrier import kept
 from .errors import ShapeMismatch
 from .field import Mat, rank
 from .modules import (
@@ -115,20 +116,15 @@ class Resolution:
 
 def min_proj_resolution(M: FDModule, k: int) -> Resolution:
     """The minimal projective resolution of M, built at least to P_k."""
-    res = M._cache.get("resolution")
-    if res is None:
-        res = M._cache["resolution"] = Resolution(M)
+    res = kept(M._cache, "resolution", lambda: Resolution(M))
     res.extend_to(k)
     return res
 
 
 def _dual(M: FDModule) -> FDModule:
-    """D M, memoised on M for the injective dimensions only: keeping the
+    """D M, kept on M for the injective dimensions only: keeping the
     dual of every cosyzygy and translate raises peak memory."""
-    DM = M._cache.get("dual")
-    if DM is None:
-        DM = M._cache["dual"] = dual_module(M)
-    return DM
+    return kept(M._cache, "dual", lambda: dual_module(M))
 
 
 # ---------------------------------------------------------------------------

@@ -44,16 +44,18 @@ list depends on the carrier alone:
   so the same holds up to twist.  A closure that does not end, as on a
   representation-infinite carrier, still stops at the dimension cap.
 - On any other carrier, the knit takes radicals, socle quotients, syzygies,
-  cosyzygies and both AR translates of every class.  Complete for the
-  representation-finite carriers this toolkit targets.
+  cosyzygies and both AR translates of every class.  The pool is then the
+  closure of these six steps, and nothing yet certifies that it holds every
+  indecomposable.
 """
 
 from __future__ import annotations
 
 import math
 
+from .carrier import kept
 from .covering import canonical_orbit_rep, class_index
-from .errors import CapExceeded, DecompositionInconclusive
+from .errors import CapExceeded
 from .homology import proj_dim_upto, syzygy, transpose
 from .modules import (
     FDModule,
@@ -66,9 +68,6 @@ from .modules import (
     simple_at,
     socle_inclusion,
 )
-
-
-_KEPT_ERRORS = (CapExceeded, DecompositionInconclusive)
 
 
 def _dims_key(M: FDModule):
@@ -155,18 +154,18 @@ def _hereditary(carrier, simples) -> bool:
     preserve it, so `simples`, those at the fundamental domain, decide (the
     knit passes its seeds, whose resolutions then serve its steps).  The
     opposite has the same global dimension, since Ext²_C(S_x, S_y) ≅
-    Ext²_{C^op}(D S_y, D S_x).  Memoised on the carrier."""
-    memo = carrier.memo("knit")
-    if "hereditary" not in memo:
-        memo["hereditary"] = all(proj_dim_upto(S, 1).at_most(1) for S in simples)
-    return memo["hereditary"]
+    Ext²_{C^op}(D S_y, D S_x).  Kept on the carrier."""
+    return kept(carrier.memo("knit"), "hereditary",
+                lambda: all(proj_dim_upto(S, 1).at_most(1) for S in simples))
 
 
 def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> list:
     """The indecomposables, up to isomorphism.
 
-    Exhaustive for representation-finite carriers (knitting closure); on a
-    covering carrier, one centred module per twist orbit.  Raises
+    Complete on a hereditary carrier once the knit ends (Auslander's
+    theorem); on any other carrier the closure of the six steps, with no
+    certificate of completeness.  On a covering carrier, one centred
+    module per twist orbit.  Raises
     CapExceeded when a summand met on the way has total dimension above
     dimcap, or when the class count outgrows class_cap: a truncated pool
     would let every check over it pass vacuously.  The carrier keeps
@@ -174,24 +173,8 @@ def list_indecomposables(carrier, dimcap: int = 48, class_cap: int = 512) -> lis
     DecompositionInconclusive its knit raised, so each is knitted once;
     the caller gets a fresh list over the shared modules.
     """
-    return list(_kept(carrier, "indecomposables", (dimcap, class_cap),
-                      lambda: _knit(carrier, dimcap, class_cap)))
-
-
-def _kept(carrier, table: str, key, build):
-    """build(), kept in the carrier's memo table under key, so it runs once
-    per carrier and key; a CapExceeded or DecompositionInconclusive it
-    raised is kept too, and raised again on every later call."""
-    memo = carrier.memo(table)
-    if key not in memo:
-        try:
-            memo[key] = build()
-        except _KEPT_ERRORS as exc:
-            memo[key] = exc
-    found = memo[key]
-    if isinstance(found, _KEPT_ERRORS):
-        raise found.with_traceback(None)
-    return found
+    return list(kept(carrier.memo("indecomposables"), (dimcap, class_cap),
+                     lambda: _knit(carrier, dimcap, class_cap)))
 
 
 def _knit(carrier, dimcap: int, class_cap: int) -> tuple:

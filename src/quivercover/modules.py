@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .carrier import Carrier, OppositeCarrier
+from .carrier import Carrier, OppositeCarrier, kept
 from .errors import (
     DecompositionInconclusive,
     RelationViolated,
@@ -66,11 +66,8 @@ class FDModule:
     @property
     def support(self) -> tuple:
         """The objects where M is nonzero, in the carrier's object order."""
-        if "support" not in self._cache:
-            self._cache["support"] = tuple(
-                sorted(self.dims, key=self.carrier.object_index)
-            )
-        return self._cache["support"]
+        return kept(self._cache, "support",
+                    lambda: tuple(sorted(self.dims, key=self.carrier.object_index)))
 
     def mat(self, g) -> Mat:
         if g in self.gen_mats:
@@ -184,33 +181,28 @@ def projective_at(carrier: Carrier, x) -> FDModule:
     carrier here.  A presentation's ideal is admissible; a cover's C(x, x)
     is the weight-0 paths of its base; an endomorphism category's objects
     are indecomposable classes; an opposite has its base's C(x, x)."""
-    built = carrier.memo("projective")
-    if x not in built:
+    def build():
         dims = {y: carrier.hom_dim(y, x) for y in carrier.projective_support(x)}
         mats = {g: carrier.left_mult_mat(g, x) for g, _, _ in _acting_generators(carrier, dims)}
-        built[x] = FDModule(carrier, dims, mats)
-        built[x]._cache["indec"] = True
-    return built[x]
+        P = FDModule(carrier, dims, mats)
+        P._cache["indec"] = True
+        return P
+    return kept(carrier.memo("projective"), x, build)
 
 
 def injective_at(carrier: Carrier, x) -> FDModule:
     """The dual representable D C(x, -), the dual of the projective at x over
     the opposite; built once per carrier, and marked indecomposable like it
     (dual_module carries the mark)."""
-    built = carrier.memo("injective")
-    if x not in built:
-        built[x] = dual_module(projective_at(carrier.opposite(), x))
-    return built[x]
+    return kept(carrier.memo("injective"), x, lambda: dual_module(projective_at(carrier.opposite(), x)))
 
 
 def projective_sum(carrier: Carrier, vertices: tuple) -> tuple:
     """(P, offsets): the direct sum of the projectives at the vertices, in
     order, as direct_sum gives it; built once per carrier and vertex tuple,
     so neither may be changed by a caller."""
-    built = carrier.memo("projective_sum")
-    if vertices not in built:
-        built[vertices] = direct_sum([projective_at(carrier, x) for x in vertices])
-    return built[vertices]
+    return kept(carrier.memo("projective_sum"), vertices,
+                lambda: direct_sum([projective_at(carrier, x) for x in vertices]))
 
 
 def _acting_generators(carrier: Carrier, dims: dict) -> list:
@@ -298,14 +290,15 @@ def validate_module(M: FDModule) -> None:
 
 
 def hom_basis(M: FDModule, N: FDModule) -> list:
-    """Basis of Hom(M, N) as a list of morphisms (commuting-square solve)."""
+    """Basis of Hom(M, N) as a list of morphisms (commuting-square solve),
+    kept on M."""
     if M.carrier is not N.carrier:
         raise ShapeMismatch("hom between modules over different carriers")
-    key = ("hom", id(N))
-    entry = M._cache.get(key)
-    # the entry pins N alive, so a matching id guarantees the same module
-    if entry is not None and entry[0] is N:
-        return entry[1]
+    # the entry pins N alive, so no other module takes its id while it is kept
+    return kept(M._cache, ("hom", id(N)), lambda: (N, _solve_hom_basis(M, N)))[1]
+
+
+def _solve_hom_basis(M: FDModule, N: FDModule) -> list:
     carrier = M.carrier
     field = carrier.field
     var_objs = [x for x in M.support if N.dim(x)]
@@ -315,7 +308,6 @@ def hom_basis(M: FDModule, N: FDModule) -> list:
         offsets[x] = nvars
         nvars += M.dim(x) * N.dim(x)
     if nvars == 0:
-        M._cache[key] = (N, [])
         return []
     squares = [(g, x, y) for g, x, y in _square_generators(M, N) if x in offsets or y in offsets]
     if squares:
@@ -332,7 +324,6 @@ def hom_basis(M: FDModule, N: FDModule) -> list:
             rows = [vec[o + r * mx : o + (r + 1) * mx] for r in range(N.dim(x))]
             mats[x] = _canonical(field, rows, kern.den, mx)
         basis.append(ModMorphism(M, N, mats))
-    M._cache[key] = (N, basis)
     return basis
 
 
@@ -544,12 +535,8 @@ class ProjCover:
 
 def projective_cover(M: FDModule) -> ProjCover:
     """Minimal projective cover, built from unit-vector lifts of the top;
-    memoised on M."""
-    cov = M._cache.get("projcover")
-    if cov is None:
-        cov = _build_projective_cover(M)
-        M._cache["projcover"] = cov
-    return cov
+    kept on M."""
+    return kept(M._cache, "projcover", lambda: _build_projective_cover(M))
 
 
 def _build_projective_cover(M: FDModule) -> ProjCover:
@@ -985,27 +972,18 @@ def decompose(M: FDModule) -> list:
         return []
     if M._cache.get("indec"):
         return [(M, 1)]
-    found = M._cache.get("decompose")
-    if isinstance(found, DecompositionInconclusive):
-        raise found.with_traceback(None)
-    if found is not None:
-        return found
-    try:
-        pieces = _decompose_rec(M)
-    except DecompositionInconclusive as exc:
-        M._cache["decompose"] = exc
-        raise
-    groups: list = []
-    for piece in pieces:
-        for entry in groups:
-            if find_iso(entry[0], piece) is not None:
-                entry[1] += 1
-                break
-        else:
-            groups.append([piece, 1])
-    result = [(m, mult) for m, mult in groups]
-    M._cache["decompose"] = result
-    return result
+
+    def build():
+        groups: list = []
+        for piece in _decompose_rec(M):
+            for entry in groups:
+                if find_iso(entry[0], piece) is not None:
+                    entry[1] += 1
+                    break
+            else:
+                groups.append([piece, 1])
+        return [(m, mult) for m, mult in groups]
+    return kept(M._cache, "decompose", build)
 
 
 def _decompose_rec(M: FDModule) -> list:

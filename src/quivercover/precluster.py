@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .carrier import kept
 from .cover import CoverCarrier, smash_cover
 from .endo import EndoCarrier, phi_module
 from .errors import HypothesisUnverified
@@ -20,7 +21,7 @@ from .homology import (
     tau_n_minus,
     yoneda_cokernel,
 )
-from .knitting import _kept, close, list_indecomposables
+from .knitting import close, list_indecomposables
 from .modules import (
     FDModule,
     ModMorphism,
@@ -154,7 +155,7 @@ def _translate_closure(carrier, sides: str, n: int, cap: int, dimcap: int = 48) 
         seeds = [at(carrier, x) for at in builders for x in carrier.fundamental_domain()]
         return close(seeds, lambda M: (step(M, n) for step in steps), rounds=cap, dimcap=dimcap)
 
-    classes, stabilized = _kept(carrier, "tau_closure", (sides, n, cap, dimcap), build)
+    classes, stabilized = kept(carrier.memo("tau_closure"), (sides, n, cap, dimcap), build)
     return list(classes), stabilized
 
 
@@ -244,10 +245,7 @@ def check_nMAG(carrier, n: int) -> VerificationReport:
 def is_gorenstein_projective(E: EndoCarrier, M: FDModule, n: int) -> bool:
     """Ext^i(M, projectives) = 0 for 1 <= i <= n+1 over an (n+1)-Gorenstein
     endomorphism category (hypothesis machine-checked first)."""
-    hyp = E.memo("nmag")
-    if n not in hyp:
-        hyp[n] = check_nMAG(E, n).passed
-    if not hyp[n]:
+    if not kept(E.memo("nmag"), n, lambda: check_nMAG(E, n).passed):
         raise HypothesisUnverified(
             "the endomorphism category is not n-minimal Auslander-Gorenstein; "
             "the finite-horizon Gorenstein-projectivity criterion does not apply"

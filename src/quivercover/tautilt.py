@@ -5,6 +5,7 @@ scans."""
 
 from __future__ import annotations
 
+from .carrier import kept
 from .cover import CoverCarrier
 from .errors import AmbientNotClusterTilting
 from .homology import tau_n
@@ -25,8 +26,8 @@ from .report import VerificationReport
 
 
 def is_n_cluster_tilting(U: list, n: int, pool: list) -> bool:
-    """U equals both of its (n-1)-perpendiculars inside the (exhaustive) pool,
-    one module per twist orbit on a covering carrier."""
+    """U equals both of its (n-1)-perpendiculars inside the pool of
+    indecomposables, one module per twist orbit on a covering carrier."""
 
     def same_as_U(members) -> bool:
         return len(members) == len(U) and all(class_index(r, U) is not None for r in members)
@@ -41,10 +42,7 @@ def is_n_cluster_tilting(U: list, n: int, pool: list) -> bool:
 
 def _translate(M: FDModule, n: int) -> FDModule:
     """tau_n M, kept on M for its rigidity and its compatibilities."""
-    key = ("tau_n", n)
-    if key not in M._cache:
-        M._cache[key] = tau_n(M, n)
-    return M._cache[key]
+    return kept(M._cache, ("tau_n", n), lambda: tau_n(M, n))
 
 
 def is_G_tau_n_rigid(M: FDModule, n: int) -> bool:
@@ -53,10 +51,7 @@ def is_G_tau_n_rigid(M: FDModule, n: int) -> bool:
     The verdict is kept on M."""
     if M.is_zero():
         return True
-    key = ("tau_n_rigid", n)
-    if key not in M._cache:
-        M._cache[key] = ext_vanishes(M, _translate(M, n), (0,))
-    return M._cache[key]
+    return kept(M._cache, ("tau_n_rigid", n), lambda: ext_vanishes(M, _translate(M, n), (0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +60,7 @@ def is_G_tau_n_rigid(M: FDModule, n: int) -> bool:
 
 class TiltingGraph:
     """The compatibility graph of an n-cluster tilting ambient X_0, X_1, ...
-    inside the exhaustive pool, certified when it is built:
+    inside the pool of indecomposables, certified when it is built:
     AmbientNotClusterTilting otherwise.
 
     tau_n and Hom are additive, so (M, P) is a rigid pair exactly when the

@@ -443,6 +443,12 @@ def test_exit_code_mapping():
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "quivercover")
 
+
+def source(name: str) -> str:
+    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 # The verifiers whose reports run_claim returns; the nested checks
 # (verify_ext_iso, the Corres and TiltingPushdown sub-reports, check_nMAG)
 # write their own claim and instance.
@@ -460,7 +466,7 @@ def test_only_the_report_and_the_cli_name_not_applicable():
     # a claim raises HypothesisUnverified; run_claim alone turns it into the verdict
     naming = sorted(
         name for name in os.listdir(SRC)
-        if name.endswith(".py") and "NOT_APPLICABLE" in open(os.path.join(SRC, name)).read()
+        if name.endswith(".py") and "NOT_APPLICABLE" in source(name)
     )
     assert naming == ["cli.py", "report.py"]
 
@@ -470,7 +476,7 @@ def test_no_top_level_verifier_writes_its_claim_or_instance():
 
     written = []
     for name, functions in TOP_LEVEL_VERIFIERS.items():
-        tree = ast.parse(open(os.path.join(SRC, name)).read())
+        tree = ast.parse(source(name))
         bodies = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in functions]
         assert sorted(f.name for f in bodies) == sorted(functions)
         for f in bodies:
@@ -967,6 +973,20 @@ def test_n_below_one_is_a_usage_error(capsys, argv, n):
     code, out, err = run(capsys, *argv, "--n", n, "--input", golden("n32"))
     assert (code, out) == (2, "")
     assert f"argument --n: n must be at least 1, got {n}" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "-3"])
+@pytest.mark.parametrize(
+    "flag,argv",
+    [("cap", argv) for argv in (["indecs"], ["check", "--claim", "Main1"], ["suite"])]
+    + [("dimcap", argv) for argv in (["indecs"], ["check", "--claim", "Main1"], ["suite"], ["enumerate-tilting"])],
+    ids=lambda x: x if isinstance(x, str) else " ".join(x),
+)
+def test_a_negative_cap_is_a_usage_error(capsys, flag, argv, value):
+    # a cap of 0 stays valid: SUITE_KA3_CAP_REPORT pins it
+    code, out, err = run(capsys, *argv, f"--{flag}", value, "--input", golden("ka2"))
+    assert (code, out) == (2, "")
+    assert f"argument --{flag}: {flag} must be at least 0, got {value}" in err
 
 
 # sha256 and exit code of `check --n 1` on sixcycle, recorded at the commit

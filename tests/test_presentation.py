@@ -1,5 +1,6 @@
 """Presentations: validation, path spaces, coverings, orbit quotients."""
 
+import json
 from math import comb
 
 import pytest
@@ -91,6 +92,27 @@ def test_loop_without_relations_rejected():
     doc = _doc(["v"], [{"id": "x", "src": "v", "tgt": "v", "weight": [1]}], [], 3, rank=1)
     with pytest.raises(NotLocallyBounded):
         load_presentation(doc)
+
+
+def test_an_infinite_groebner_basis_is_refused_at_the_declared_nilbound(tmp_path, capsys):
+    # aba - bab has an infinite Groebner basis: every degree from 5 on adds
+    # a minimal tip ab^k ab, and the normal words never run out (7, 12, 20,
+    # 33, 54, 88 in degrees 3 to 8), so only the declared nilbound stops
+    # the load
+    from quivercover.cli import main
+
+    loops = [{"id": x, "src": "v", "tgt": "v"} for x in "ab"]
+    relation = [{"coeff": "1", "path": list("aba")}, {"coeff": "-1", "path": list("bab")}]
+    path = tmp_path / "aba.json"
+    path.write_text(json.dumps(_doc(["v"], loops, [relation], 10)))
+    assert main(["validate", "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "NotLocallyBounded: path a*a*a*a*a*a*a*a*a*a*a from v to v of length 11 does not "
+        "reduce to zero; the path spaces are infinite-dimensional or the declared nilbound "
+        "is understated\n"
+    )
 
 
 def _two_loops_rad2_zero(nilbound):

@@ -1,19 +1,28 @@
 """Work shared within one command: one cover per presentation, one
 indecomposable pool per (carrier, dimcap, class_cap), and one
-representable per (carrier, object)."""
+representable per (carrier, object), each kept through `carrier.kept` on
+the carrier or module that owns it."""
 
+import gc
 import importlib
 import json
 import os
 import pkgutil
+import weakref
 from contextvars import ContextVar
 
 import pytest
 
 import quivercover
 from quivercover import (
+    CapExceeded,
+    DecompositionInconclusive,
+    FDModule,
     SchemaError,
+    ShapeMismatch,
+    decompose,
     injective_at,
+    is_indecomposable,
     list_indecomposables,
     dual_module,
     load_presentation,
@@ -24,6 +33,7 @@ from quivercover import (
     validate_module,
 )
 from quivercover import knitting
+from quivercover.carrier import kept
 from quivercover.cli import main
 from tests.conftest import golden_doc
 
@@ -157,3 +167,78 @@ def test_no_module_holds_process_global_state():
             if not name.startswith("__") and isinstance(value, (ContextVar, dict, list, set)):
                 found.append(f"{info.name}.{name}")
     assert found == []
+
+
+def test_kept_builds_a_result_once():
+    table, builds = {}, []
+    for _ in range(3):
+        assert kept(table, "key", lambda: builds.append(1) or "built") == "built"
+    assert builds == [1] and table == {"key": "built"}
+
+
+@pytest.mark.parametrize("error", [CapExceeded, DecompositionInconclusive])
+def test_kept_raises_a_kept_error_again_without_building_again(error):
+    table, builds, raised = {}, [], []
+
+    def build():
+        builds.append(1)
+        raise error("stopped")
+
+    for _ in range(3):
+        with pytest.raises(error, match="stopped") as info:
+            kept(table, "key", build)
+        raised.append(info.value)
+    assert builds == [1]
+    assert raised[0] is raised[1] is raised[2] is table["key"]
+
+
+def test_kept_keeps_no_other_error():
+    table, builds = {}, []
+
+    def build():
+        builds.append(1)
+        if len(builds) == 1:
+            raise ShapeMismatch("first try")
+        return "built"
+
+    with pytest.raises(ShapeMismatch):
+        kept(table, "key", build)
+    assert table == {}
+    assert kept(table, "key", build) == "built"
+    assert builds == [1, 1]
+
+
+def test_an_inconclusive_decomposition_leaves_no_indecomposable_mark(monkeypatch):
+    # the mark is not a cache: a DecompositionInconclusive kept under
+    # "indec" would read as a truthy mark, and decompose would then return
+    # the module whole
+    from quivercover import modules
+
+    monkeypatch.setattr(modules, "_LISTED", 1)
+    doc = dict(golden_doc("loop2"), field={"kind": "prime", "p": 2})
+    P = projective_at(load_presentation(doc), "v")
+    M = FDModule(P.carrier, P.dims, P.gen_mats)  # the projective, unmarked
+    for _ in range(2):
+        with pytest.raises(DecompositionInconclusive):
+            is_indecomposable(M)
+        with pytest.raises(DecompositionInconclusive):
+            decompose(M)
+    assert not M._cache.get("indec")
+
+
+def test_caches_are_dropped_with_the_objects_that_own_them():
+    # every cache is a table on its carrier or module, so once a command's
+    # presentation goes, its cover, the cover's opposite and every pool,
+    # closure and resolution kept on them go too
+    from quivercover.cli import build_parser, run_claim
+    from quivercover.report import CLAIM_IDS
+
+    pres = fresh("n32")
+    args = build_parser().parse_args(["suite", "--input", "n32.json"])
+    reports = [run_claim(pres, claim, 1, args) for claim in CLAIM_IDS]
+    assert len(reports) == 11
+    cover = smash_cover(pres)
+    refs = [weakref.ref(c) for c in (pres, cover, cover.opposite())]
+    del pres, cover, reports
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
